@@ -12,6 +12,7 @@
 package spthreads_test
 
 import (
+	"runtime"
 	"testing"
 
 	"spthreads/internal/barneshut"
@@ -412,4 +413,100 @@ func BenchmarkDispatchInstrumented(b *testing.B) {
 			})
 		}
 	})
+}
+
+// nativeCfg is the native backend's default configuration (reference
+// engine, ADF) at p processors, with small stacks so a deep tree stays
+// cheap to account.
+func nativeCfg(p int) pthread.Config {
+	return pthread.Config{Backend: pthread.BackendNative, Procs: p, DefaultStack: pthread.SmallStackSize}
+}
+
+// nativeProcs is the processor sweep of the native benchmarks: one, and
+// as many as the host runs in parallel.
+func nativeProcs() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
+// BenchmarkNativeForkJoin is the native backend's per-thread cost: a
+// binary fork/join tree of b.N empty threads, so ns/op and allocs/op are
+// one lightweight thread's create, dispatch, exit and join.
+func BenchmarkNativeForkJoin(b *testing.B) {
+	for _, p := range nativeProcs() {
+		b.Run(benchName("p", p), func(b *testing.B) {
+			var tree func(t *pthread.T, n int)
+			tree = func(t *pthread.T, n int) {
+				if n--; n == 0 {
+					return
+				}
+				l := t.Create(func(c *pthread.T) { tree(c, (n+1)/2) })
+				if n/2 == 0 {
+					t.MustJoin(l)
+					return
+				}
+				r := t.Create(func(c *pthread.T) { tree(c, n/2) })
+				t.MustJoin(l)
+				t.MustJoin(r)
+			}
+			b.ReportAllocs()
+			if _, err := pthread.Run(nativeCfg(p), func(t *pthread.T) { tree(t, b.N+1) }); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkNativeSemPingPong bounces one token between two threads
+// through a pair of semaphores: one op is a post, a block and a wake,
+// the cost of handing a processor between two parked threads.
+func BenchmarkNativeSemPingPong(b *testing.B) {
+	for _, p := range nativeProcs() {
+		b.Run(benchName("p", p), func(b *testing.B) {
+			ping, pong := pthread.NewSemaphore(0), pthread.NewSemaphore(0)
+			b.ReportAllocs()
+			_, err := pthread.Run(nativeCfg(p), func(t *pthread.T) {
+				h := t.Create(func(c *pthread.T) {
+					for i := 0; i < b.N; i++ {
+						ping.Wait(c)
+						pong.Post(c)
+					}
+				})
+				for i := 0; i < b.N; i++ {
+					ping.Post(t)
+					pong.Wait(t)
+				}
+				t.MustJoin(h)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkNativeYield is one preemption: two threads on one processor
+// yielding to each other (FIFO, so the yielder goes to the back and the
+// other thread is the successor), so every op re-enters the ready
+// structure and passes the processor on.
+func BenchmarkNativeYield(b *testing.B) {
+	cfg := nativeCfg(1)
+	cfg.Policy = pthread.PolicyFIFO
+	b.ReportAllocs()
+	_, err := pthread.Run(cfg, func(t *pthread.T) {
+		h := t.Create(func(c *pthread.T) {
+			for i := 0; i < b.N/2; i++ {
+				c.Yield()
+			}
+		})
+		for i := 0; i < b.N/2; i++ {
+			t.Yield()
+		}
+		t.MustJoin(h)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 }

@@ -12,68 +12,61 @@ import (
 
 // Thread-facing operations (exec.Backend). All run in thread context:
 // on the goroutine of the thread passed as the first argument, while
-// that thread holds a worker.
+// that thread holds a processor.
 
 // nt unwraps an exec.Thread to this backend's representation.
 func nt(t exec.Thread) *thread { return t.(*thread) }
 
 // Fork implements exec.Backend. Under policies with the paper's fork
-// semantics (OnCreate returns true) the parent is preempted and its
-// worker runs the child immediately.
+// semantics (OnCreate returns true) the parent is preempted and hands
+// its processor straight to the child.
 func (b *Backend) Fork(pt exec.Thread, attr core.Attr, fn func(exec.Thread)) exec.Thread {
 	return b.fork(nt(pt), attr, fn, false)
 }
 
 // fork is Fork with the dummy marker settable before the child can run.
 func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), dummy bool) *thread {
-	child := b.newThread(t.pid, attr, fn)
+	pid := t.pid
+	child := b.newThread(pid, attr, fn)
 	child.isDummy = dummy
 	// DePa order maintenance: the label assignment is the whole point of
 	// the scheme — it happens here on the parent's goroutine, before the
 	// scheduler lock, with zero shared state. The policy reads the label
 	// under b.mu, which orders the write ahead of every use.
 	child.tok.Order = t.tok.Order.Fork()
-	b.chargeStack(child, t.pid)
-	b.tracer.record(t.pid, child.id, trace.KindCreate, t.id)
-	b.tracer.record(t.pid, child.id, trace.KindStackAlloc, child.stackSize)
+	b.chargeStack(child, pid)
+	b.tracer.record(pid, child.id, trace.KindCreate, t.id)
+	b.tracer.record(pid, child.id, trace.KindStackAlloc, child.stackSize)
 	b.lock()
 	b.admit(child)
 	child.span = t.span
-	if b.shards != nil {
-		// Sharded fork path: always the paper's semantics (preempt the
-		// parent, run the child now); the parent goes to this worker's
-		// shard. The push happens after the b.mu section so the thread is
-		// invisible to thieves until every mu-guarded write above landed.
-		t.state = core.StateReady
-		b.addRunning(-1)
-		at, pid := b.tracer.now(), t.pid
-		b.markRunning(child, pid)
+	// The sharded store always has the paper's fork semantics.
+	if b.shards == nil && !b.policy.OnCreate(t.tok, child.tok) {
+		// The policy placed the child in its ready structure.
+		child.state = core.StateReady
+		b.noteReady(child)
+		b.cond.Signal()
 		b.mu.Unlock()
-		b.shards.push(t, pid)
-		t.yieldParkEmit(yieldMsg{next: child}, at, pid, trace.KindPreempt)
 		return child
 	}
-	if b.policy.OnCreate(t.tok, child.tok) {
-		// Parent preempted; this worker executes the child now.
-		t.state = core.StateReady
-		b.policy.OnReady(t.tok, t.pid)
+	// Parent preempted; the child is the successor, no pick needed.
+	t.state = core.StateReady
+	b.addRunning(-1)
+	at := b.tracer.now()
+	if b.shards == nil {
+		b.policy.OnReady(t.tok, pid)
 		b.noteReady(t)
-		b.addRunning(-1)
-		at, pid := b.tracer.now(), t.pid // pid before another worker redispatches t
-		b.markRunning(child, pid)
-		b.cond.Signal() // the parent is dispatchable by another worker
-		b.mu.Unlock()
-		// The child's KindDispatch is recorded by resumeThread when the
-		// worker takes it from the yield message; the parent's preempt is
-		// emitted in the handoff's shadow.
-		t.yieldParkEmit(yieldMsg{next: child}, at, pid, trace.KindPreempt)
-		return child
+		b.cond.Signal() // the parent is dispatchable by another processor
 	}
-	// The policy placed the child in its ready structure.
-	child.state = core.StateReady
-	b.noteReady(child)
-	b.cond.Signal()
+	b.markRunning(child, pid)
 	b.mu.Unlock()
+	if b.shards != nil {
+		// The parent goes to this processor's shard, after the b.mu
+		// section so it is invisible to thieves until every mu-guarded
+		// write above landed.
+		b.shards.push(t, pid)
+	}
+	t.passPark(child, at, trace.KindPreempt)
 	return child
 }
 
@@ -107,10 +100,10 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 			b.policy.OnBlock(t.tok)
 		}
 		b.addRunning(-1)
-		at, pid := b.tracer.now(), t.pid // pid before the target's exit redispatches t
+		at := b.tracer.now()
+		next := b.pick(t.pid)
 		b.mu.Unlock()
-		b.tracer.recordAt(at, pid, t.id, trace.KindBlock, 0)
-		t.yieldPark(yieldMsg{})
+		t.passPark(next, at, trace.KindBlock)
 	} else {
 		b.mu.Unlock()
 	}
@@ -249,10 +242,11 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 	}
 	b.addRunning(-1)
 	b.sleepers++
-	b.tracer.record(t.pid, t.id, trace.KindBlock, 0)
+	at := b.tracer.now()
+	next := b.pick(t.pid)
 	b.mu.Unlock()
 	time.AfterFunc(vToWall(d), func() { b.wakeSleeper(t) })
-	t.yieldPark(yieldMsg{})
+	t.passPark(next, at, trace.KindBlock)
 }
 
 // wakeSleeper readies a timer-parked thread.

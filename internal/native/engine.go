@@ -8,11 +8,11 @@ import (
 )
 
 // Execution engines for Config.Engine. The reference engine is the
-// PR-5 lifecycle — one fresh goroutine plus two fresh channels per
+// PR-5 lifecycle — one fresh goroutine plus one fresh mailbox per
 // lightweight thread, shared-atomic footprint accounting — kept intact
 // as the semantic baseline. The tuned engine amortizes the native hot
 // paths without changing scheduling semantics: fork reuses a parked
-// loop goroutine (with its channel pair) from a per-worker pool,
+// loop goroutine (with its mailbox) from a per-worker pool,
 // thread records come from per-worker free-list arenas, and footprint
 // deltas batch in per-worker cells before publishing to the global
 // envelope (see mem.go).
@@ -27,42 +27,39 @@ const (
 func Engines() []string { return []string{EngineReference, EngineTuned} }
 
 // loop is a pooled thread-execution vehicle: one goroutine plus one
-// resume/yield channel pair, reused across lightweight-thread
-// lifetimes. While a thread runs, the loop's channels ARE the thread's
-// park/handoff channels; when the thread exits, the loop parks itself
-// back into its last worker's free list and waits for the next launch.
+// resume mailbox, reused across lightweight-thread lifetimes. While a
+// thread runs, the loop's mailbox IS the thread's; when the thread
+// exits, the loop parks itself back into its last processor's free list
+// and waits for the next launch.
 type loop struct {
 	b      *Backend
-	resume chan struct{} // worker -> loop/thread
-	yield  chan yieldMsg // thread -> worker
+	resume chan int // one-slot mailbox: a launch or resume post, or poisonPid
 
-	// t is the thread to run next, written by the launching worker
-	// before the resume send and read by the loop after the matching
-	// receive (channel happens-before). Only workers write it: once a
-	// loop re-enters a free list its next owner may store here while
-	// the loop is still unwinding the previous thread's exit path.
+	// t is the thread to run next, written by the launching dispatcher
+	// before the post and read by the loop after the matching receive
+	// (channel happens-before). Only dispatchers write it: once a loop
+	// re-enters a free list its next owner may store here while the loop
+	// is still unwinding the previous thread's exit path.
 	t *thread
-
-	// poison, like thread.poison, is set only after all workers exited;
-	// the shutdown resume poke makes the loop (or its parked thread)
-	// observe it and unwind.
-	poison bool
 
 	next *loop // free-list link, owned by the Treiber stack
 }
 
-// run is the loop goroutine body. Exactly one park (<-l.resume) is
-// outstanding at any moment — either here, between threads, or inside
-// the current thread's yieldPark — which is what makes the one-poke
-// poison protocol in poisonParked sufficient.
+// run is the loop goroutine body. Exactly one receive is outstanding at
+// any moment — here, between threads, or inside the current thread's
+// park — and at most one post is headed for it: a launch after a pop
+// (one per putLoop), or a resume of the thread riding the loop (one per
+// park). Hence the one-slot mailbox and the one-post poison protocol.
 func (l *loop) run() {
 	defer l.b.twg.Done()
 	for {
-		<-l.resume
-		if l.poison {
+		pid := <-l.resume
+		if pid == poisonPid {
 			return
 		}
-		if l.runOne(l.t) {
+		t := l.t
+		t.pid = pid
+		if l.runOne(t) {
 			return // threadAbort: shutdown unwind, no recycle
 		}
 	}
@@ -84,29 +81,31 @@ func (l *loop) runOne(t *thread) (abort bool) {
 			l.b.recordPanic(t, r)
 		}
 		// Republish the loop BEFORE the exit bookkeeping: exitThread's
-		// joiner wake and final yield send let workers fork again, and
+		// joiner wake and successor dispatch let other threads fork, and
 		// the loop must already be poppable then or those forks miss the
 		// pool and launch fresh goroutines. (The old recycle-after-return
 		// order lost the race on ~10% of fine-grained forks, and every
 		// missed loop parked forever with a grown stack the GC re-scanned
-		// each cycle.) A worker that pops the loop now blocks in its
-		// unbuffered launch send until this goroutine finishes the exit
-		// path and parks, so reuse stays serialized; the popper owns l.t
-		// from here on, which is why nothing below touches it.
+		// each cycle.) Whoever pops the loop now — this exit path itself,
+		// when its successor is an unstarted thread: a loop may adopt its
+		// own successor — only posts to the mailbox, which this goroutine
+		// takes once it is back at run's receive, so reuse stays
+		// serialized. The popper owns l.t from here on, which is why
+		// nothing below touches it.
 		l.b.pool.putLoop(l, t.pid)
-		l.b.exitThread(t) // bookkeeping + the final yield send
+		l.b.exitThread(t)
 		l.b.releaseThread(t)
 	}()
 	t.fn(t)
 	return false
 }
 
-// loopFree is one worker's Treiber stack of parked loops, padded so
-// neighboring workers' heads do not share a cache line. Pushes are
-// multi-producer (a loop recycles itself from whatever worker last ran
-// its thread); pops are effectively single-consumer per head (only the
-// worker dispatching on that pid launches from it), so the classic ABA
-// hazard cannot bite.
+// loopFree is one processor's Treiber stack of parked loops, padded so
+// neighboring heads do not share a cache line. Pushes are multi-producer
+// (a loop recycles itself from whatever processor last ran its thread);
+// pops are single-consumer per head (only the goroutine holding
+// processor pid launches from it, and the hold passes from one to the
+// next in happens-before order), so the classic ABA hazard cannot bite.
 type loopFree struct {
 	head atomic.Pointer[loop]
 	_    [64 - 8]byte
@@ -191,18 +190,17 @@ func newEnginePool(b *Backend, procs int) *enginePool {
 	}
 }
 
-// getLoop returns a loop ready to receive a launch resume on worker
-// pid, reusing a parked one when possible. A fresh loop's goroutine
-// starts parked at its first resume receive, so the caller's send is
-// uniform across both cases.
+// getLoop returns a loop ready to take a launch post on processor pid,
+// reusing a parked one when possible. A fresh loop's goroutine starts
+// at its first mailbox receive, so the caller's post is uniform across
+// both cases.
 func (p *enginePool) getLoop(pid int) *loop {
 	if l := p.loops[pid].pop(); l != nil {
 		return l
 	}
 	l := &loop{
 		b:      p.b,
-		resume: make(chan struct{}),
-		yield:  make(chan yieldMsg),
+		resume: make(chan int, 1),
 	}
 	p.loopsCreated.Add(1)
 	p.mu.Lock()
@@ -264,7 +262,7 @@ func threadRefs(detached bool) int32 {
 
 // reset scrubs a thread record before it re-enters an arena: every
 // field except the backend pointer and the policy-token allocation is
-// zeroed (TLS map, DePa label, channels, join state, trace identity,
+// zeroed (TLS map, DePa label, mailbox, join state, trace identity,
 // shard-heap slot — pool-reuse hygiene is by construction, not by
 // field-by-field cleanup).
 func (t *thread) reset() {

@@ -18,20 +18,7 @@ import (
 // newTestBackend builds a native backend directly on an ADF policy.
 func newTestBackend(t *testing.T, engine string, procs int) *Backend {
 	t.Helper()
-	pol, err := sched.New(sched.ADF, sched.Options{Procs: procs})
-	if err != nil {
-		t.Fatalf("sched.New: %v", err)
-	}
-	b, err := New(Config{
-		Procs:        procs,
-		Policy:       pol,
-		Engine:       engine,
-		DefaultStack: core.SmallStackSize,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return b
+	return newPolicyBackend(t, sched.ADF, Config{Procs: procs, Engine: engine})
 }
 
 func TestEngineRegistry(t *testing.T) {
@@ -100,11 +87,11 @@ func TestTunedChurnHygiene(t *testing.T) {
 		// checked — they are b.mu-guarded and a racing parent Join may
 		// legitimately set them while the body runs.
 		if tt.tls != nil || tt.done || tt.exitedSpan != 0 || tt.work != 0 ||
-			tt.heapIdx != 0 || tt.heapPri != 0 || tt.poison || tt.isDummy {
+			tt.heapIdx != 0 || tt.heapPri != 0 || tt.isDummy {
 			dirty.Add(1)
 		}
-		if tt.l == nil || tt.l.t != tt {
-			dirty.Add(1)
+		if tt.resume == nil {
+			dirty.Add(1) // running without an adopted loop's mailbox
 		}
 		if et.TLSGet(tlsKey) != nil {
 			dirty.Add(1)
@@ -116,7 +103,7 @@ func TestTunedChurnHygiene(t *testing.T) {
 		ran.Add(1)
 	}
 
-	_, err := b.Execute(func(root exec.Thread) {
+	_, err := execute(t, b, func(root exec.Thread) {
 		hs := make([]exec.Thread, 0, churners)
 		for c := 0; c < churners; c++ {
 			hs = append(hs, b.Fork(root, core.Attr{StackSize: core.SmallStackSize}, func(ct exec.Thread) {
@@ -166,7 +153,7 @@ func TestTunedChurnHygiene(t *testing.T) {
 }
 
 // TestTunedReferenceUntouched pins the reference engine to its
-// original lifecycle: no pool is built and per-thread channels are
+// original lifecycle: no pool is built and the per-thread mailbox is
 // allocated at creation.
 func TestTunedReferenceUntouched(t *testing.T) {
 	b := newTestBackend(t, EngineReference, 2)
@@ -174,10 +161,10 @@ func TestTunedReferenceUntouched(t *testing.T) {
 		t.Fatalf("reference engine built tuned state: pool=%v cells=%v", b.pool, b.cells)
 	}
 	var sawChans atomic.Bool
-	_, err := b.Execute(func(root exec.Thread) {
+	_, err := execute(t, b, func(root exec.Thread) {
 		child := b.Fork(root, core.Attr{}, func(et exec.Thread) {})
 		tt := child.(*thread)
-		sawChans.Store(tt.resume != nil && tt.yield != nil)
+		sawChans.Store(tt.resume != nil)
 		if err := b.Join(root, child); err != nil {
 			panic(err)
 		}
@@ -186,6 +173,6 @@ func TestTunedReferenceUntouched(t *testing.T) {
 		t.Fatalf("Execute: %v", err)
 	}
 	if !sawChans.Load() {
-		t.Errorf("reference engine thread created without its own channels")
+		t.Errorf("reference engine thread created without its own mailbox")
 	}
 }

@@ -1,0 +1,353 @@
+package native
+
+// White-box tests for the processor handoff: threads pass their
+// processor on directly, through one-slot mailboxes, and the worker
+// goroutine is reached only when there is no successor. The handoff
+// cycles below would each block forever if a dispatch had to rendezvous
+// with its target's park.
+
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"spthreads/internal/core"
+	"spthreads/internal/exec"
+	"spthreads/internal/leakcheck"
+	"spthreads/internal/sched"
+)
+
+// execute runs main on b and checks that the run left no goroutine
+// behind, whichever way it ended.
+func execute(t *testing.T, b *Backend, main func(exec.Thread)) (core.Stats, error) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	st, err := b.Execute(main)
+	leakcheck.AssertNoLeakedGoroutines(t, base)
+	return st, err
+}
+
+// newPolicyBackend builds a native backend on any policy and store.
+func newPolicyBackend(t *testing.T, policy sched.Kind, cfg Config) *Backend {
+	t.Helper()
+	pol, err := sched.New(policy, sched.Options{Procs: cfg.Procs})
+	if err != nil {
+		t.Fatalf("sched.New: %v", err)
+	}
+	cfg.Policy = pol
+	cfg.DefaultStack = core.SmallStackSize
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return b
+}
+
+func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
+	for _, engine := range Engines() {
+		t.Run(engine, func(t *testing.T) { f(t, engine) })
+	}
+}
+
+func mustJoin(b *Backend, t exec.Thread, hs ...exec.Thread) {
+	for _, h := range hs {
+		if err := b.Join(t, h); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// spinUntil waits at host level, keeping the caller's processor.
+func spinUntil(cond func() bool) {
+	for !cond() {
+		runtime.Gosched()
+	}
+}
+
+// TestHandoffPickEachOther: T and M hold two processors and are both
+// readied by a third thread while still between blockPrep and their
+// park. M gives up first and picks T (FIFO order), T then picks M: each
+// posts into the other's mailbox and finds the other's processor in its
+// own. Nothing is idle meanwhile — all three processors are out — so
+// the picks are exactly these.
+func TestHandoffPickEachOther(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, engine string) {
+		b := newPolicyBackend(t, sched.FIFO, Config{Procs: 3, Engine: engine})
+		reg := make(chan *thread, 2)
+		goT, goM := make(chan struct{}), make(chan struct{})
+		var resumed atomic.Int32
+		var before, after [2]int
+		blocker := func(i int, release chan struct{}) func(exec.Thread) {
+			return func(et exec.Thread) {
+				tt := et.(*thread)
+				before[i] = tt.pid
+				b.blockPrep(tt)
+				reg <- tt // "registered": the waker can see us now
+				<-release
+				tt.blockPark()
+				after[i] = tt.pid
+				resumed.Add(1)
+			}
+		}
+		_, err := execute(t, b, func(root exec.Thread) {
+			ht := b.Fork(root, core.Attr{}, blocker(0, goT))
+			hm := b.Fork(root, core.Attr{}, blocker(1, goM))
+			hc := b.Fork(root, core.Attr{}, func(c exec.Thread) {
+				<-reg
+				<-reg
+				pid := c.(*thread).pid
+				b.readyThread(ht.(*thread), pid)
+				b.readyThread(hm.(*thread), pid)
+				close(goM)
+				spinUntil(func() bool { return len(ht.(*thread).resume) == 1 })
+				close(goT)
+				// Stay off the ready structure until both picks are done.
+				spinUntil(func() bool { return resumed.Load() == 2 })
+			})
+			mustJoin(b, root, ht, hm, hc)
+		})
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		if before[0] == before[1] || after[0] != before[1] || after[1] != before[0] {
+			t.Errorf("T held %d then %d, M held %d then %d: want the two processors swapped",
+				before[0], after[0], before[1], after[1])
+		}
+	})
+}
+
+// TestHandoffPickSelf: a thread readied between blockPrep and its park
+// is the only ready thread when it gives its processor up, so it picks
+// itself; and a thread that yields with nothing else ready does the
+// same. Both are a post into the caller's own mailbox, and neither
+// involves a worker: the only worker dispatches are the ones that
+// started each processor's first thread.
+func TestHandoffPickSelf(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, engine string) {
+		b := newPolicyBackend(t, sched.FIFO, Config{Procs: 3, Engine: engine})
+		reg := make(chan *thread, 1)
+		release, finish := make(chan struct{}), make(chan struct{})
+		var pids [2]int
+		_, err := execute(t, b, func(root exec.Thread) {
+			ht := b.Fork(root, core.Attr{}, func(et exec.Thread) {
+				tt := et.(*thread)
+				pids[0] = tt.pid
+				b.blockPrep(tt)
+				reg <- tt
+				<-release
+				tt.blockPark()
+				pids[1] = tt.pid
+				close(finish)
+			})
+			// hold and the waker keep the other two processors out, so no
+			// idle worker can take T before T picks itself.
+			hold := b.Fork(root, core.Attr{}, func(exec.Thread) { <-finish })
+			hw := b.Fork(root, core.Attr{}, func(w exec.Thread) {
+				b.readyThread(<-reg, w.(*thread).pid)
+				close(release)
+				<-finish
+			})
+			mustJoin(b, root, ht, hold, hw)
+			for i := 0; i < 1000; i++ {
+				b.Yield(root) // alone by now: every yield picks root itself
+			}
+		})
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		if pids[0] != pids[1] {
+			t.Errorf("self-picked thread moved from processor %d to %d", pids[0], pids[1])
+		}
+		var wakeups int64
+		for _, w := range b.workers {
+			wakeups += w.wakeups
+		}
+		// Workers can have started each of the 4 threads and resumed the
+		// root after each of its 3 joins, nothing more.
+		if wakeups > 4+3 {
+			t.Errorf("%d worker dispatches for 4 threads and 1000 yields: yields went through a worker", wakeups)
+		}
+	})
+}
+
+// TestLoopAdoptsOwnSuccessor: on one processor under FIFO, A's exit
+// finds the unstarted B next in line after A's loop has already put
+// itself back in the pool, so the exit path pops its own loop and posts
+// B's launch to the mailbox it is about to come back to. The run needs
+// exactly two loops (root's and the one A and B share). At three
+// processors the same program only has to complete: idle workers may
+// take B first.
+func TestLoopAdoptsOwnSuccessor(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		t.Run(fmt.Sprintf("p=%d", procs), func(t *testing.T) {
+			b := newPolicyBackend(t, sched.FIFO, Config{Procs: procs, Engine: EngineTuned})
+			var ran atomic.Int32
+			_, err := execute(t, b, func(root exec.Thread) {
+				body := func(exec.Thread) { ran.Add(1) }
+				ha := b.Fork(root, core.Attr{}, body)
+				hb := b.Fork(root, core.Attr{}, body)
+				mustJoin(b, root, ha, hb)
+			})
+			if err != nil {
+				t.Fatalf("Execute: %v", err)
+			}
+			if ran.Load() != 2 {
+				t.Fatalf("ran %d bodies, want 2", ran.Load())
+			}
+			if lc := b.pool.loopsCreated.Load(); procs == 1 && lc != 2 {
+				t.Errorf("created %d loops, want 2: B did not ride A's loop", lc)
+			}
+		})
+	}
+}
+
+// TestProcessorReturnedOnce runs a sync-heavy program — every blocking
+// shape, with wakers and waiters on different processors — on every
+// store and engine. A thread that released t.pid as rewritten by its
+// next dispatcher, rather than the processor it holds, would send one
+// processor home twice (pass panics, and the race detector sees the
+// unordered writes of worker.out) and strand another (the run hangs).
+func TestProcessorReturnedOnce(t *testing.T) {
+	stores := []struct {
+		name string
+		cfg  Config
+	}{
+		{"global", Config{}},
+		{"batched", Config{SchedBatch: 4}},
+		{"sharded", Config{Shard: true}},
+	}
+	const threads, rounds = 8, 300
+	for _, s := range stores {
+		t.Run(s.name, func(t *testing.T) {
+			forEachEngine(t, func(t *testing.T, engine string) {
+				cfg := s.cfg
+				cfg.Procs, cfg.Engine = 4, engine
+				b := newPolicyBackend(t, sched.ADF, cfg)
+				mu, cv := b.NewMutex(), b.NewCond()
+				sem, bar := b.NewSemaphore(0), b.NewBarrier(threads)
+				turn, total := 0, 0
+				_, err := execute(t, b, func(root exec.Thread) {
+					hs := make([]exec.Thread, threads)
+					for i := range hs {
+						i := i
+						hs[i] = b.Fork(root, core.Attr{}, func(c exec.Thread) {
+							for r := 0; r < rounds; r++ {
+								// Round-robin under a condition: all but one
+								// thread block, and the one that runs wakes
+								// them all.
+								mu.Lock(c)
+								for turn%threads != i {
+									cv.Wait(c, mu)
+								}
+								turn++
+								total++
+								cv.Broadcast(c)
+								mu.Unlock(c)
+								sem.Post(c)
+								sem.Wait(c)
+								if r%16 == 0 {
+									bar.Wait(c)
+								}
+								b.Yield(c)
+							}
+						})
+					}
+					mustJoin(b, root, hs...)
+				})
+				if err != nil {
+					t.Fatalf("Execute: %v", err)
+				}
+				if total != threads*rounds {
+					t.Errorf("critical section ran %d times, want %d", total, threads*rounds)
+				}
+				for pid, w := range b.workers {
+					if w.out {
+						t.Errorf("processor %d never came home", pid)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestNoWorkerBetweenThreads: on one processor a fork/join tree always
+// has a successor — the child at a fork, the policy's next thread at
+// every join and exit — so the worker dispatches the root and is not
+// reached again until the run ends.
+func TestNoWorkerBetweenThreads(t *testing.T) {
+	const depth = 10 // 2^10 - 1 threads besides the root
+	forEachEngine(t, func(t *testing.T, engine string) {
+		b := newTestBackend(t, engine, 1)
+		var tree func(t exec.Thread, d int)
+		tree = func(t exec.Thread, d int) {
+			if d == 0 {
+				return
+			}
+			l := b.Fork(t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
+			r := b.Fork(t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
+			mustJoin(b, t, l, r)
+		}
+		st, err := execute(t, b, func(root exec.Thread) { tree(root, depth) })
+		if err != nil {
+			t.Fatalf("Execute: %v", err)
+		}
+		if st.ThreadsCreated != 1<<(depth+1)-1 {
+			t.Fatalf("created %d threads, want %d", st.ThreadsCreated, 1<<(depth+1)-1)
+		}
+		if n := b.workers[0].wakeups; n != 1 {
+			t.Errorf("worker dispatched %d times for %d threads, want once", n, st.ThreadsCreated)
+		}
+	})
+}
+
+// TestNoGoroutineLeaks drives every terminal path of a run on both
+// engines; execute checks the goroutine count after each.
+func TestNoGoroutineLeaks(t *testing.T) {
+	sleeper := func(b *Backend) func(exec.Thread) {
+		return func(c exec.Thread) { b.NewSemaphore(0).Wait(c) }
+	}
+	paths := []struct {
+		name    string
+		wantErr bool
+		main    func(b *Backend, root exec.Thread)
+	}{
+		{"clean", false, func(b *Backend, root exec.Thread) {
+			mustJoin(b, root, b.Fork(root, core.Attr{}, func(exec.Thread) {}))
+		}},
+		{"panic", true, func(b *Backend, root exec.Thread) {
+			b.Fork(root, core.Attr{}, sleeper(b)) // parked when the run fails
+			mustJoin(b, root, b.Fork(root, core.Attr{}, func(exec.Thread) { panic("boom") }))
+		}},
+		{"deadlock", true, func(b *Backend, root exec.Thread) {
+			mustJoin(b, root, b.Fork(root, core.Attr{}, sleeper(b)), b.Fork(root, core.Attr{}, sleeper(b)))
+		}},
+		{"exit-from-depth", false, func(b *Backend, root exec.Thread) {
+			var dive func(c exec.Thread, d int)
+			dive = func(c exec.Thread, d int) {
+				if d == 0 {
+					b.Exit(c)
+				}
+				dive(c, d-1)
+			}
+			mustJoin(b, root, b.Fork(root, core.Attr{}, func(c exec.Thread) { dive(c, 64) }))
+			dive(root, 8)
+		}},
+		{"unjoined", false, func(b *Backend, root exec.Thread) {
+			for i := 0; i < 8; i++ {
+				b.Fork(root, core.Attr{Detached: i%2 == 0}, func(c exec.Thread) { b.Yield(c) })
+			}
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			forEachEngine(t, func(t *testing.T, engine string) {
+				b := newTestBackend(t, engine, 3)
+				_, err := execute(t, b, func(root exec.Thread) { p.main(b, root) })
+				if (err != nil) != p.wantErr {
+					t.Errorf("Execute error = %v, want error: %v", err, p.wantErr)
+				}
+			})
+		})
+	}
+}

@@ -128,7 +128,7 @@ func TestHWMAcrossPooledReuse(t *testing.T) {
 		block = 1 << 17
 	)
 	b := newTestBackend(t, EngineTuned, procs)
-	st, err := b.Execute(func(root exec.Thread) {
+	st, err := execute(t, b, func(root exec.Thread) {
 		for i := 0; i < rounds; i++ {
 			child := b.Fork(root, core.Attr{StackSize: core.SmallStackSize}, func(et exec.Thread) {
 				a := b.Malloc(et, block)

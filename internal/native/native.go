@@ -3,12 +3,21 @@
 // to, as opposed to the deterministic virtual-time simulation in
 // internal/core.
 //
-// Each lightweight thread is a goroutine that is parked on a channel
-// whenever the scheduling policy has not assigned it a processor; p
-// worker goroutines (Config.Procs, default GOMAXPROCS) pull threads
-// from the shared policy structure and run exactly one at a time each,
-// so at most p lightweight threads make progress concurrently — the
-// same execution model as the paper's library on an 8-way SMP.
+// Each lightweight thread is a goroutine parked on its resume mailbox
+// whenever it does not hold a processor. There are p processors
+// (Config.Procs, default GOMAXPROCS), each a token held by one
+// goroutine at a time, so at most p lightweight threads make progress
+// concurrently — the execution model of the paper's library on an
+// 8-way SMP. As in that user-level library, the thread that stops runs
+// the scheduler: giving its processor up (fork, exit, Join, Yield,
+// quota or time-slice preemption, Sleep, every sync-object block) it
+// picks its successor — the forked child, or the policy's next thread,
+// taken in the scheduler-lock section that recorded why it stopped —
+// dispatches it from its own goroutine, and only then parks. Each
+// processor also has a worker goroutine, which holds it only while no
+// thread does: it dispatches a first thread, gets the processor back
+// when a thread finds no successor, and runs the idle / deadlock /
+// run-end protocol.
 //
 // The scheduling policies from internal/sched are reused unchanged:
 // every policy call happens under the backend's scheduler lock (b.mu),
@@ -21,10 +30,16 @@
 // policy (OnBlock, under b.mu) *before* registering with a sync
 // object's waiter list. A waker can therefore only observe the waiter
 // after its OnBlock, so the policy always sees OnBlock before the
-// matching OnReady. The park/resume channels are unbuffered, which
-// makes wake-before-park safe: a worker dispatching a freshly woken
-// thread simply blocks in the resume send until the thread reaches its
-// park.
+// matching OnReady.
+//
+// Mailbox invariant: a dispatch is a non-blocking post of the processor
+// id into the target's one-slot resume mailbox. Wake-before-park is
+// therefore safe — a thread dispatched before it reaches its park finds
+// the processor waiting there — and so are the shapes where a
+// rendezvous would deadlock: two threads that pick each other, a thread
+// that picks itself, a pooled loop that adopts its own successor. One
+// slot is enough because a thread is marked running at most once per
+// park; post panics otherwise.
 //
 // Timing is wall-clock: Charge still accounts the charged cycles into
 // thread work/span (so speedup and parallelism remain comparable), but
@@ -134,7 +149,6 @@ type Backend struct {
 	live      int
 	peakLive  int
 	created   int64
-	nextID    int64
 	maxSpan   vtime.Duration
 	err       error
 	done      bool
@@ -145,14 +159,14 @@ type Backend struct {
 
 	mem mem // atomic footprint accounting
 
+	nextID atomic.Int64 // thread ids; atomic so creation takes no lock
+
 	// Tuned-engine state (all nil/zero under the reference engine; see
-	// engine.go and mem.go). nextIDA replaces the b.mu-guarded nextID so
-	// a tuned fork takes the scheduler lock once, not twice.
+	// engine.go and mem.go).
 	engine     string
 	pool       *enginePool
 	cells      []memCell
 	flushBytes int64
-	nextIDA    atomic.Int64
 
 	// Atomic tallies flushed into the metrics registry at stats time
 	// (these fire in thread context without the scheduler lock).
@@ -172,7 +186,7 @@ type Backend struct {
 	traceRec     *trace.Recorder    // merge target at run end
 	lockWait     *metrics.Histogram // wall ns blocked acquiring b.mu
 	dispatchWait *metrics.Histogram // wall ns from ready to dispatch
-	handoff      *metrics.Histogram // wall ns a resume send waited for the parked thread
+	handoff      *metrics.Histogram // wall ns from a resume post to the resumed thread running
 	mutexWait    *metrics.Histogram // wall ns blocked in nativeMutex.Lock
 	readyGauge   *metrics.Gauge     // threads in the policy's ready structure
 	runningGauge *metrics.Gauge     // threads currently assigned to workers
@@ -187,11 +201,21 @@ type Backend struct {
 }
 
 // worker is one processor's local state. qout is only appended/popped
-// by the owning worker, under b.mu.
+// by the processor's current holder, under b.mu.
 type worker struct {
 	qout       []*thread
 	stats      core.ProcStats
 	dispatches *metrics.Counter // per-worker dispatch count (nil-safe)
+
+	// home is where the processor comes back to the worker goroutine when
+	// a thread gives it up and finds no successor. out is true while a
+	// thread holds the processor: the worker sets it before dispatching,
+	// the thread sending the processor home clears it, and the handoff
+	// chain orders the two, so a double return trips pass's check (and
+	// the race detector). wakeups counts the worker's dispatches.
+	home    chan struct{}
+	out     bool
+	wakeups int64
 }
 
 // New builds a native backend from cfg.
@@ -253,6 +277,7 @@ func New(cfg Config) (*Backend, error) {
 	for i := range b.workers {
 		b.workers[i] = &worker{
 			dispatches: reg.Counter(fmt.Sprintf("sched.dispatches.w%d", i)),
+			home:       make(chan struct{}, 1),
 		}
 	}
 	if cfg.Shard {
@@ -374,20 +399,68 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	return b.stats(), b.err
 }
 
-// runWorker is one processor loop: pull the next assigned thread, run
-// it to its next handoff, and follow fork-child chains directly.
+// runWorker is processor pid's worker goroutine: it finds a thread
+// (sleeping in next while there is none), hands the processor over, and
+// waits for it to come home.
 func (b *Backend) runWorker(pid int) {
 	defer b.wg.Done()
+	w := b.workers[pid]
 	for {
 		t := b.next(pid)
 		if t == nil {
 			return
 		}
-		for t != nil {
-			msg := b.resumeThread(t)
-			t = msg.next
-		}
+		w.out = true
+		w.wakeups++
+		b.dispatch(t, pid)
+		<-w.home
 	}
+}
+
+// dispatch hands processor pid to t, which the caller marked running on
+// it under b.mu. It runs on whichever goroutine holds the processor —
+// the thread giving it up, or the worker — and never waits for t: a
+// first dispatch launches t's goroutine (tuned: posts it to a pooled
+// loop), a later one posts to t's mailbox. Every dispatch follows
+// exactly one markRunning, so the KindDispatch record is issued here,
+// with markRunning's timestamp, while t is already running; the capture
+// precedes the post because t can then block and be re-marked, or exit
+// and have its record recycled.
+func (b *Backend) dispatch(t *thread, pid int) {
+	at, id := t.dispatchAt, t.id
+	switch {
+	case !t.launch:
+		if b.handoff != nil {
+			t.postAt = time.Now()
+		}
+		post(t.resume, pid)
+	case b.pool != nil:
+		// Tuned launch: adopt a pooled loop. The writes happen-before the
+		// post; later dispatchers read t.resume behind it through b.mu.
+		l := b.pool.getLoop(pid)
+		l.t = t
+		t.resume = l.resume
+		post(l.resume, pid)
+	default:
+		b.twg.Add(1)
+		go t.main(pid)
+	}
+	b.tracer.recordAt(at, pid, id, trace.KindDispatch, 0)
+}
+
+// pass moves processor pid on from the thread giving it up: to next,
+// the successor it picked, or home to the worker when there is none.
+func (b *Backend) pass(pid int, next *thread) {
+	if next != nil {
+		b.dispatch(next, pid)
+		return
+	}
+	w := b.workers[pid]
+	if !w.out {
+		panic(fmt.Sprintf("native: processor %d returned twice", pid))
+	}
+	w.out = false
+	w.home <- struct{}{}
 }
 
 // lock acquires the scheduler lock, recording how long the acquisition
@@ -420,91 +493,66 @@ func (b *Backend) noteReady(t *thread) {
 	}
 }
 
-// resumeThread hands the processor to t until t's next handoff. The
-// thread goroutine is launched lazily on first dispatch, exactly when
-// it first runs. Every resumeThread call follows exactly one
-// markRunning for t, so the KindDispatch record is issued here — after
-// the handoff, with markRunning's under-lock timestamp, while t is
-// already running on its own goroutine. The capture happens before the
-// handoff: once t runs it can block and be re-marked by another worker,
-// which rewrites dispatchAt and pid.
-func (b *Backend) resumeThread(t *thread) yieldMsg {
-	b.lock()
-	launch := !t.started
-	t.started = true
-	b.mu.Unlock()
-	at, pid, id := t.dispatchAt, t.pid, t.id
-	if launch {
-		if b.pool != nil {
-			// Tuned launch: adopt a pooled loop as the thread's vehicle.
-			// The channel writes happen-before the resume send, and any
-			// later worker's access to t.resume is ordered behind this
-			// dispatch through the scheduler lock.
-			l := b.pool.getLoop(pid)
-			l.t = t
-			t.l = l
-			t.resume, t.yield = l.resume, l.yield
-			l.resume <- struct{}{}
-		} else {
-			b.twg.Add(1)
-			go t.main()
-		}
-	} else if b.handoff != nil {
-		// The resume channel is unbuffered: the send completes when the
-		// parked goroutine takes it, so this times the actual handoff.
-		t0 := time.Now()
-		t.resume <- struct{}{}
-		b.handoff.Observe(time.Since(t0).Nanoseconds())
-	} else {
-		t.resume <- struct{}{}
+// pick takes the next thread for processor pid out of the ready
+// structure (the processor's batch first) and marks it running on pid;
+// nil when nothing is ready or the run is over. Caller holds b.mu: a
+// thread giving its processor up calls it in the section that recorded
+// why it stopped, a worker from next. The sharded store answers nil — a
+// shard take never nests inside b.mu — so there the processor goes home
+// and the worker takes.
+func (b *Backend) pick(pid int) *thread {
+	if b.done || b.shards != nil {
+		return nil
 	}
-	b.tracer.recordAt(at, pid, id, trace.KindDispatch, 0)
-	return <-t.yield
+	w := b.workers[pid]
+	var t *thread
+	switch {
+	case len(w.qout) > 0:
+		t = w.qout[0]
+		copy(w.qout, w.qout[1:])
+		w.qout = w.qout[:len(w.qout)-1]
+		b.qoutN--
+	case b.ready == 0:
+		return nil
+	case b.batchNext != nil:
+		toks := b.batchNext.NextBatch(pid, b.batch)
+		if len(toks) == 0 {
+			return nil
+		}
+		b.ready -= len(toks)
+		b.tracer.record(pid, 0, trace.KindBatchRefill, int64(len(toks)))
+		for _, tok := range toks[1:] {
+			w.qout = append(w.qout, b.byTok[tok])
+			b.qoutN++
+		}
+		t = b.byTok[toks[0]]
+	default:
+		tok := b.policy.Next(pid)
+		if tok == nil {
+			return nil
+		}
+		b.ready--
+		t = b.byTok[tok]
+	}
+	b.readyGauge.Set(int64(b.ready))
+	b.markRunning(t, pid)
+	return t
 }
 
-// next blocks until the policy assigns a thread to worker pid, the run
-// completes, or a deadlock is detected.
+// next blocks until there is a thread for worker pid to dispatch (marked
+// running on pid), the run completes, or a deadlock is detected.
 func (b *Backend) next(pid int) *thread {
 	if b.shards != nil {
 		return b.nextSharded(pid)
 	}
-	w := b.workers[pid]
 	b.lock()
 	defer b.mu.Unlock()
 	for {
 		if b.done {
 			return nil
 		}
-		if len(w.qout) > 0 {
-			t := w.qout[0]
-			copy(w.qout, w.qout[1:])
-			w.qout = w.qout[:len(w.qout)-1]
-			b.qoutN--
-			b.markRunning(t, pid)
+		if t := b.pick(pid); t != nil {
 			return t
-		}
-		if b.ready > 0 {
-			if b.batchNext != nil {
-				toks := b.batchNext.NextBatch(pid, b.batch)
-				if len(toks) > 0 {
-					b.ready -= len(toks)
-					b.readyGauge.Set(int64(b.ready))
-					b.tracer.record(pid, 0, trace.KindBatchRefill, int64(len(toks)))
-					for _, tok := range toks[1:] {
-						w.qout = append(w.qout, b.byTok[tok])
-						b.qoutN++
-					}
-					t := b.byTok[toks[0]]
-					b.markRunning(t, pid)
-					return t
-				}
-			} else if tok := b.policy.Next(pid); tok != nil {
-				b.ready--
-				b.readyGauge.Set(int64(b.ready))
-				t := b.byTok[tok]
-				b.markRunning(t, pid)
-				return t
-			}
 		}
 		if b.live == 0 {
 			b.done = true
@@ -580,10 +628,13 @@ func (b *Backend) addRunning(d int) {
 	b.runningGauge.Set(int64(b.running))
 }
 
-// markRunning assigns t to worker pid. Caller holds b.mu.
+// markRunning assigns t to processor pid; the caller dispatches it
+// after dropping b.mu. t.pid is not written here: t adopts the pid the
+// dispatch carries, on its own goroutine. Caller holds b.mu.
 func (b *Backend) markRunning(t *thread, pid int) {
 	t.state = core.StateRunning
-	t.pid = pid
+	t.launch = !t.started
+	t.started = true
 	t.quotaLeft = b.quota
 	t.sinceDispatch = 0
 	b.addRunning(1)
@@ -594,15 +645,15 @@ func (b *Backend) markRunning(t *thread, pid int) {
 		b.dispatchWait.Observe(time.Since(t.readyAt).Nanoseconds())
 		t.readyAt = time.Time{}
 	}
-	// The KindDispatch ring write is deferred to after the caller drops
-	// b.mu (runWorker or the fork fast path); only the timestamp is
-	// taken here so trace order still matches lock order.
+	// The KindDispatch ring write is deferred to dispatch, after the
+	// caller drops b.mu; only the timestamp is taken here so trace order
+	// still matches lock order.
 	t.dispatchAt = b.tracer.now()
 }
 
 // blockPrep marks t blocked in the policy. It must be called on t's own
 // goroutine, before t is registered with any waiter list, and must be
-// followed by t.yieldPark.
+// followed by t.blockPark.
 func (b *Backend) blockPrep(t *thread) {
 	b.lock()
 	t.state = core.StateBlocked
@@ -612,9 +663,9 @@ func (b *Backend) blockPrep(t *thread) {
 		b.policy.OnBlock(t.tok)
 	}
 	b.addRunning(-1)
-	at, pid := b.tracer.now(), t.pid // pid before a waker redispatches t
+	at := b.tracer.now()
 	b.mu.Unlock()
-	b.tracer.recordAt(at, pid, t.id, trace.KindBlock, 0)
+	b.tracer.recordAt(at, t.pid, t.id, trace.KindBlock, 0)
 }
 
 // readyThread makes a blocked thread runnable again. pid is the waking
@@ -650,24 +701,28 @@ func (b *Backend) readyThread(t *thread, pid int) {
 }
 
 // preemptNow returns the calling thread to the ready structure and
-// hands its processor back (quota exhaustion, yield, time slice).
+// passes its processor on (quota exhaustion, yield, time slice). With
+// nothing else ready t picks itself: a post into its own mailbox.
 func (b *Backend) preemptNow(t *thread) {
+	pid := t.pid
 	b.lock()
 	t.state = core.StateReady
-	if b.shards == nil {
-		b.policy.OnReady(t.tok, t.pid)
-		b.noteReady(t)
-	}
 	b.addRunning(-1)
-	at, pid := b.tracer.now(), t.pid // pid before another worker redispatches t
+	at := b.tracer.now()
+	var next *thread
 	if b.shards == nil {
-		b.cond.Signal()
+		b.policy.OnReady(t.tok, pid)
+		b.noteReady(t)
+		next = b.pick(pid)
+		if next != t {
+			b.cond.Signal() // t stays ready for another processor
+		}
 	}
 	b.mu.Unlock()
 	if b.shards != nil {
 		b.shards.push(t, pid)
 	}
-	t.yieldParkEmit(yieldMsg{}, at, pid, trace.KindPreempt)
+	t.passPark(next, at, trace.KindPreempt)
 }
 
 // admit registers a freshly created thread. Caller holds b.mu.
@@ -681,9 +736,10 @@ func (b *Backend) admit(t *thread) {
 	b.liveGauge.Set(int64(b.live))
 }
 
-// exitThread performs exit bookkeeping on t's own goroutine and hands
-// the worker back (the final yield send).
+// exitThread performs exit bookkeeping on t's own goroutine, wakes its
+// joiner and passes its processor on.
 func (b *Backend) exitThread(t *thread) {
+	pid := t.pid
 	b.freeStack(t)
 	b.lock()
 	t.state = core.StateExited
@@ -699,7 +755,7 @@ func (b *Backend) exitThread(t *thread) {
 	b.live--
 	b.addRunning(-1)
 	b.liveGauge.Set(int64(b.live))
-	at, pid := b.tracer.now(), t.pid
+	at := b.tracer.now()
 	j := t.joiner
 	var jid int64
 	if j != nil {
@@ -710,14 +766,17 @@ func (b *Backend) exitThread(t *thread) {
 		jid = j.id
 		j.state = core.StateReady
 		if b.shards == nil {
-			b.policy.OnReady(j.tok, t.pid)
+			b.policy.OnReady(j.tok, pid)
 			b.noteReady(j)
-			b.cond.Signal()
 		}
 	}
 	if b.live == 0 {
 		b.done = true
 		b.cond.Broadcast()
+	}
+	next := b.pick(pid)
+	if j != nil && b.shards == nil && next != j {
+		b.cond.Signal() // the joiner stays ready for another processor
 	}
 	b.mu.Unlock()
 	if b.shards != nil && j != nil {
@@ -725,11 +784,10 @@ func (b *Backend) exitThread(t *thread) {
 		// section above; only then may another worker dispatch it.
 		b.shards.push(j, pid)
 	}
-	// Hand the worker back first; the exit and joiner-wake records then
-	// land in the handoff's shadow, concurrent with the worker's next
-	// dispatch. This goroutine still emits them before its twg.Done, so
-	// the run-end merge observes them.
-	t.yield <- yieldMsg{}
+	// Pass the processor on first; the exit and joiner-wake records then
+	// land in the dispatch's shadow. This goroutine still emits them
+	// before its twg.Done, so the run-end merge observes them.
+	b.pass(pid, next)
 	b.tracer.recordAt(at, pid, t.id, trace.KindExit, 0)
 	if j != nil {
 		b.tracer.recordAt(at, pid, jid, trace.KindWake, 0)
@@ -737,47 +795,34 @@ func (b *Backend) exitThread(t *thread) {
 }
 
 // newThread builds a thread without admitting it. pid is the creating
-// worker (-1 for the root): under the tuned engine it selects the
-// record arena, and the channels stay nil until a pooled loop adopts
-// the thread at first dispatch.
+// processor (-1 for the root): under the tuned engine it selects the
+// record arena, and the mailbox stays nil until a pooled loop adopts the
+// thread at first dispatch.
 func (b *Backend) newThread(pid int, attr core.Attr, fn func(exec.Thread)) *thread {
 	if attr.Priority < 0 || attr.Priority >= core.NumPriorities {
 		panic(fmt.Sprintf("native: priority %d out of range", attr.Priority))
 	}
-	stack := attr.StackSize
-	if stack <= 0 {
-		stack = b.defaultStack
+	var t *thread
+	if b.pool != nil {
+		t = b.pool.getThread(pid)
+	}
+	if t == nil {
+		t = &thread{b: b, tok: &core.Thread{}}
+	}
+	t.id = b.nextID.Add(1)
+	t.tok.ID = t.id
+	t.tok.Priority = attr.Priority
+	t.attr = attr
+	t.fn = fn
+	t.detached = attr.Detached
+	t.stackSize = attr.StackSize
+	if t.stackSize <= 0 {
+		t.stackSize = b.defaultStack
 	}
 	if b.pool != nil {
-		id := b.nextIDA.Add(1)
-		t := b.pool.getThread(pid)
-		if t == nil {
-			t = &thread{b: b, tok: &core.Thread{}}
-		}
-		t.id = id
-		t.tok.ID = id
-		t.tok.Priority = attr.Priority
-		t.attr = attr
-		t.fn = fn
-		t.detached = attr.Detached
-		t.stackSize = stack
 		t.refs.Store(threadRefs(attr.Detached))
-		return t
-	}
-	b.lock()
-	b.nextID++
-	id := b.nextID
-	b.mu.Unlock()
-	t := &thread{
-		b:         b,
-		id:        id,
-		tok:       &core.Thread{ID: id, Priority: attr.Priority},
-		attr:      attr,
-		fn:        fn,
-		detached:  attr.Detached,
-		stackSize: stack,
-		resume:    make(chan struct{}),
-		yield:     make(chan yieldMsg),
+	} else {
+		t.resume = make(chan int, 1)
 	}
 	return t
 }
@@ -802,21 +847,20 @@ func (b *Backend) failLocked(err error, status int64) {
 }
 
 // poisonParked unwinds every started, still-parked thread goroutine
-// after the workers have exited (no thread is running then: started
-// live threads are parked in, or arriving at, their resume receive).
-// Under the tuned engine the walk is over loops, not threads: every
-// loop goroutine — idle in a pool or carrying a parked thread — is
-// guaranteed to reach exactly one more resume receive, so one poison
-// poke each (the unbuffered send blocks until the loop takes it)
-// unwinds the whole fleet with no lost or doubled wakeups.
+// after the workers have exited. A worker exits only with its processor
+// home, so no thread holds a processor and — every post carries one —
+// no mailbox holds a post: each started live thread is in, or finishing
+// the tail of its last give-up on its way to, its mailbox receive. One
+// poison post each unwinds them all and cannot block or overflow. The
+// tuned walk is over loops, by the same argument: every loop goroutine,
+// idle or carrying a parked thread, reaches exactly one more receive.
 func (b *Backend) poisonParked() {
 	if b.pool != nil {
 		b.pool.mu.Lock()
 		all := b.pool.all
 		b.pool.mu.Unlock()
 		for _, l := range all {
-			l.poison = true
-			l.resume <- struct{}{}
+			post(l.resume, poisonPid)
 		}
 		return
 	}
@@ -829,8 +873,7 @@ func (b *Backend) poisonParked() {
 	}
 	b.mu.Unlock()
 	for _, t := range parked {
-		t.poison = true
-		t.resume <- struct{}{}
+		post(t.resume, poisonPid)
 	}
 }
 

@@ -8,6 +8,7 @@ package native_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"spthreads/internal/analyze"
@@ -15,6 +16,7 @@ import (
 	"spthreads/internal/dtree"
 	"spthreads/internal/fft"
 	"spthreads/internal/fmm"
+	"spthreads/internal/leakcheck"
 	"spthreads/internal/matmul"
 	"spthreads/internal/native"
 	"spthreads/internal/spmv"
@@ -51,9 +53,11 @@ func runBoth(t *testing.T, procs int, policy pthread.Policy, fn func(*pthread.T)
 			Engine:       r.engine,
 			DefaultStack: pthread.SmallStackSize,
 		}
+		base := runtime.NumGoroutine()
 		if _, err := pthread.Run(cfg, func(pt *pthread.T) { sum = fn(pt) }); err != nil {
 			t.Fatalf("%s run: %v", r.label, err)
 		}
+		leakcheck.AssertNoLeakedGoroutines(t, base)
 		sums[i] = sum
 	}
 	if sums[2] != sums[0] {
@@ -274,10 +278,12 @@ func TestNativeSpaceEnvelope(t *testing.T) {
 				Engine:       engine,
 				DefaultStack: pthread.SmallStackSize,
 			}
+			base := runtime.NumGoroutine()
 			natStats, err := pthread.Run(natCfg, func(pt *pthread.T) { matmulChecksum(pt) })
 			if err != nil {
 				t.Fatalf("native run: %v", err)
 			}
+			leakcheck.AssertNoLeakedGoroutines(t, base)
 			// The tuned engine's per-worker cells publish at the flush
 			// threshold F, so its measured HWM can lag a transient true
 			// peak by up to p·F unpublished bytes. Asserting

@@ -32,7 +32,7 @@ func (rw *nativeRWMutex) RLock(pt exec.Thread) {
 	rw.b.blockPrep(t)
 	rw.waitR = append(rw.waitR, t)
 	rw.mu.Unlock()
-	t.yieldPark(yieldMsg{})
+	t.blockPark()
 	// The releaser counted us among readers before waking us.
 }
 
@@ -71,7 +71,7 @@ func (rw *nativeRWMutex) WLock(pt exec.Thread) {
 	rw.b.blockPrep(t)
 	rw.waitW = append(rw.waitW, t)
 	rw.mu.Unlock()
-	t.yieldPark(yieldMsg{})
+	t.blockPark()
 }
 
 func (rw *nativeRWMutex) WUnlock(pt exec.Thread) {

@@ -19,15 +19,16 @@ import (
 //	  b.blockPrep(t)        // policy OnBlock under the scheduler lock
 //	  register t as waiter
 //	obj.mu.Unlock()
-//	t.yieldPark(...)        // release the worker, wait for redispatch
+//	t.blockPark()           // pass the processor on, wait for redispatch
 //
 // The lock order is object mutex -> scheduler lock, and wakers call
 // readyThread after releasing the object mutex, so the two locks never
 // nest in the opposite direction. Registering *after* blockPrep
 // guarantees a waker's OnReady can never precede the waiter's OnBlock
-// in the policy. Wake-before-park is safe because the resume channel
-// is unbuffered: a worker dispatching a freshly woken thread blocks in
-// the resume send until the thread reaches its park.
+// in the policy. Wake-before-park is safe because a dispatch is a post
+// into the thread's one-slot mailbox: a thread woken and dispatched
+// before it reaches its park — by anyone, itself included — finds the
+// processor waiting there.
 
 // nativeMutex is a blocking lock with FIFO handoff.
 type nativeMutex struct {
@@ -58,7 +59,7 @@ func (m *nativeMutex) Lock(pt exec.Thread) {
 	b.blockPrep(t)
 	m.waiters = append(m.waiters, t)
 	m.mu.Unlock()
-	t.yieldPark(yieldMsg{})
+	t.blockPark()
 	// Unlock transferred ownership to us before waking us.
 	if !t0.IsZero() {
 		waited := time.Since(t0).Nanoseconds()
@@ -132,7 +133,7 @@ func (c *nativeCond) Wait(pt exec.Thread, mu exec.Mutex) {
 	c.waiters = append(c.waiters, nativeCondWaiter{t: t})
 	c.mu.Unlock()
 	nm.Unlock(pt)
-	t.yieldPark(yieldMsg{})
+	t.blockPark()
 	nm.Lock(pt)
 }
 
@@ -164,7 +165,7 @@ func (c *nativeCond) WaitTimeout(pt exec.Thread, mu exec.Mutex, d vtime.Duration
 		c.mu.Unlock()
 		c.b.wakeSleeper(t)
 	})
-	t.yieldPark(yieldMsg{})
+	t.blockPark()
 	nm.Lock(pt)
 	// The claim resolved before our wake; no lock needed for the read.
 	return tok.timedOut
@@ -258,7 +259,7 @@ func (s *nativeSemaphore) Wait(pt exec.Thread) {
 	s.b.blockPrep(t)
 	s.waiters = append(s.waiters, t)
 	s.mu.Unlock()
-	t.yieldPark(yieldMsg{})
+	t.blockPark()
 	// The post transferred its increment directly to us.
 }
 
@@ -324,7 +325,7 @@ func (br *nativeBarrier) Wait(pt exec.Thread) bool {
 	br.b.blockPrep(t)
 	br.arrived = append(br.arrived, t)
 	br.mu.Unlock()
-	t.yieldPark(yieldMsg{})
+	t.blockPark()
 	return false
 }
 
@@ -355,7 +356,7 @@ func (o *nativeOnce) Do(pt exec.Thread, fn func()) {
 		o.b.blockPrep(t)
 		o.waiters = append(o.waiters, t)
 		o.mu.Unlock()
-		t.yieldPark(yieldMsg{})
+		t.blockPark()
 		return
 	}
 	o.state = 1

@@ -11,8 +11,8 @@ import (
 	"spthreads/internal/vtime"
 )
 
-// thread is one lightweight thread: a goroutine parked on an unbuffered
-// resume channel whenever it is not assigned a worker.
+// thread is one lightweight thread: a goroutine parked on its resume
+// mailbox whenever it does not hold a processor.
 type thread struct {
 	b       *Backend
 	id      int64
@@ -23,22 +23,30 @@ type thread struct {
 
 	stackSize int64
 
-	resume  chan struct{} // worker -> thread
-	yield   chan yieldMsg // thread -> worker
-	started bool          // guarded by b.mu
-	poison  bool          // set only after all workers exited
+	// resume is the thread's one-slot mailbox (tuned: its loop's). A
+	// dispatcher posts the processor id it hands over, or poisonPid at
+	// shutdown, and never waits for the thread to reach its park.
+	resume chan int
+	// started is guarded by b.mu. launch is markRunning's verdict that
+	// this dispatch is the thread's first; like dispatchAt it is stable
+	// between markRunning and the post, when exactly one dispatcher owns
+	// the thread.
+	started bool
+	launch  bool
 
-	// Tuned-engine fields (see engine.go). l is the pooled loop whose
-	// goroutine and channels carry this thread's lifetime (nil under the
-	// reference engine); freeNext links the record in a worker arena;
-	// refs counts the lifecycle holders (exiter + joiner) that must
-	// release before the record can be recycled.
-	l        *loop
+	// Tuned-engine fields (see engine.go). freeNext links the record in
+	// a worker arena; refs counts the lifecycle holders (exiter + joiner)
+	// that must release before the record can be recycled.
 	freeNext *thread
 	refs     atomic.Int32
 
 	state core.State // guarded by b.mu
-	pid   int        // worker currently (or last) running this thread
+
+	// pid is the processor this thread holds (or last held), written
+	// only on its own goroutine from the value its dispatch carried: a
+	// thread on its way to its park releases the processor it holds even
+	// if another processor has already marked it running again.
+	pid int
 
 	// Sharded-store heap slot (Config.Shard): key snapshot and heap index,
 	// guarded by the owning shard's lock while the thread sits in a heap.
@@ -54,10 +62,11 @@ type thread struct {
 	readyAt time.Time
 
 	// dispatchAt is the tracer timestamp captured by markRunning under
-	// b.mu; the dispatching worker issues the KindDispatch ring write
-	// after unlocking. Stable between markRunning and the resume because
-	// the thread belongs to exactly one worker then.
+	// b.mu; the dispatcher issues the KindDispatch ring write after
+	// unlocking. postAt stamps a resume post for sched.resume.handoff
+	// (dispatcher before the post, woken thread after its receive).
 	dispatchAt vtime.Time
+	postAt     time.Time
 
 	// Accounting written only in thread context while running.
 	quotaLeft     int64
@@ -75,18 +84,24 @@ type thread struct {
 	tls map[any]any // only touched by the thread's own goroutine
 }
 
-// yieldMsg is a thread's handoff to its worker. next, when non-nil, is
-// a freshly forked child the worker must run immediately (the paper's
-// fork semantics).
-type yieldMsg struct {
-	next *thread
-}
-
 // threadExit is the panic payload used by Exit to unwind a thread.
 type threadExit struct{}
 
 // threadAbort unwinds parked threads when the run shuts down early.
 type threadAbort struct{}
+
+// poisonPid in a mailbox unwinds the parked goroutine at shutdown.
+const poisonPid = -1
+
+// post drops pid into a one-slot mailbox without blocking. A full slot
+// means a thread was marked running twice for one park: a scheduler bug.
+func post(mailbox chan int, pid int) {
+	select {
+	case mailbox <- pid:
+	default:
+		panic("native: resume mailbox overflow")
+	}
+}
 
 // exec.Thread implementation.
 
@@ -116,47 +131,62 @@ func (t *thread) TLSSet(key, val any) {
 	t.tls[key] = val
 }
 
-// main is the thread goroutine body, launched at first dispatch.
-func (t *thread) main() {
+// main is the thread goroutine body, launched at first dispatch
+// holding processor pid.
+func (t *thread) main(pid int) {
 	defer t.b.twg.Done()
+	t.pid = pid
 	defer func() {
 		r := recover()
 		switch r.(type) {
 		case nil, threadExit:
 			// normal completion or pthread_exit unwind
 		case threadAbort:
-			// shutdown unwind: the workers are gone; no handoff
-			return
+			return // shutdown unwind: every processor is already home
 		default:
 			t.b.recordPanic(t, r)
 		}
-		t.b.exitThread(t) // bookkeeping + the final yield send
+		t.b.exitThread(t)
 	}()
 	t.fn(t)
 }
 
-// yieldPark hands the worker msg and parks until redispatched. Must be
-// called on the thread's own goroutine, after all scheduler
-// bookkeeping for the handoff is done.
-func (t *thread) yieldPark(msg yieldMsg) {
-	t.yield <- msg
-	<-t.resume
-	if t.poison || (t.l != nil && t.l.poison) {
+// park waits in the mailbox for the next dispatch and adopts the
+// processor it carries.
+func (t *thread) park() {
+	pid := <-t.resume
+	if pid == poisonPid {
 		panic(threadAbort{})
+	}
+	t.pid = pid
+	if h := t.b.handoff; h != nil {
+		h.Observe(time.Since(t.postAt).Nanoseconds())
 	}
 }
 
-// yieldParkEmit is yieldPark with one tracer event emitted in the
-// handoff's shadow: the worker takes over at the yield send, so the
-// ring write that follows runs concurrently with the successor instead
-// of delaying it. Event values are explicit arguments (a closure would
-// allocate); the write still precedes this goroutine's park, and hence
-// the run-end merge.
-func (t *thread) yieldParkEmit(msg yieldMsg, at vtime.Time, pid int, kind trace.Kind) {
-	t.yield <- msg
+// passPark gives t's processor to next — the successor t chose in the
+// b.mu section that recorded why it stopped, nil to send it home — then
+// emits that section's event and parks. The ring write lands in the
+// dispatch's shadow, off the successor's critical path, and still
+// precedes this goroutine's park and hence the run-end merge. Must be
+// called on t's own goroutine.
+func (t *thread) passPark(next *thread, at vtime.Time, kind trace.Kind) {
+	pid := t.pid
+	t.b.pass(pid, next)
 	t.b.tracer.recordAt(at, pid, t.id, kind, 0)
-	<-t.resume
-	if t.poison || (t.l != nil && t.l.poison) {
-		panic(threadAbort{})
-	}
+	t.park()
+}
+
+// blockPark gives t's processor up after blockPrep and registration
+// with a waiter list. The successor is chosen here, in a second b.mu
+// section, so threads readied since blockPrep (a cond wait's mutex
+// handoff; t itself, if a waker already got to it) compete in policy
+// order.
+func (t *thread) blockPark() {
+	b := t.b
+	b.lock()
+	next := b.pick(t.pid)
+	b.mu.Unlock()
+	b.pass(t.pid, next)
+	t.park()
 }

@@ -4,8 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
+	"spthreads/internal/leakcheck"
 	"spthreads/pthread"
 )
 
@@ -29,7 +29,6 @@ func TestPanicPropagates(t *testing.T) {
 // TestNoGoroutineLeaks: aborted runs (deadlock, panic) must unwind all
 // parked thread goroutines.
 func TestNoGoroutineLeaks(t *testing.T) {
-	runtime.GC()
 	base := runtime.NumGoroutine()
 
 	for i := 0; i < 20; i++ {
@@ -63,16 +62,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		}
 	}
 
-	// Give exiting goroutines a moment, then compare.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		runtime.GC()
-		if runtime.NumGoroutine() <= base+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d -> %d", base, runtime.NumGoroutine())
+	leakcheck.AssertNoLeakedGoroutines(t, base)
 }
 
 // TestStepLimit: runaway computations hit MaxSteps instead of hanging.

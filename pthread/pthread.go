@@ -109,13 +109,13 @@ type Engine string
 // Available native execution engines.
 const (
 	// EngineReference is the native backend's baseline lifecycle: one
-	// fresh goroutine plus two fresh channels per lightweight thread and
+	// fresh goroutine plus one fresh mailbox per lightweight thread and
 	// shared-atomic footprint accounting (the default; an empty Engine
 	// selects it).
 	EngineReference Engine = Engine(native.EngineReference)
 	// EngineTuned amortizes the native hot paths without changing
 	// scheduling semantics: forks reuse pooled, parked loop goroutines
-	// (with their channel pairs), thread records come from per-worker
+	// (with their mailboxes), thread records come from per-worker
 	// free-list arenas, and footprint accounting batches in per-worker
 	// cache-line-padded cells that publish to the global envelope at
 	// quota-check boundaries (bounded-staleness reads for the watchdog
