@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spthreads/internal/vtime"
 )
@@ -175,4 +176,15 @@ func (fakePolicy) Next(pid int) *Thread {
 	t := fakeQueue[0]
 	fakeQueue = fakeQueue[1:]
 	return t
+}
+
+// TestThreadHeaderSize: the policy-visible header is embedded by value
+// in every native thread record, so each word added here is paid once
+// per lightweight thread on both backends. 96 B is a Go size class: a
+// bare token (&Thread{ID: n}) stays in it, and the simulator's header +
+// state object (88 + 200 B today) stays in the 288 B class.
+func TestThreadHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Thread{}); got > 96 {
+		t.Errorf("unsafe.Sizeof(Thread{}) = %d, want <= 96", got)
+	}
 }

@@ -173,6 +173,13 @@ type Machine struct {
 
 	liveThreads map[int64]*Thread
 
+	// yield (thread -> coordinator: "I handed off, read my action") and
+	// exitCh (a poisoned goroutine has fully unwound) are machine-level:
+	// the coordinator is their only receiver and exactly one thread runs,
+	// or is being unwound, at a time.
+	yield  chan struct{}
+	exitCh chan struct{}
+
 	// ins holds the machine's pre-resolved instrument handles. With no
 	// registry attached every handle is nil and updates are no-ops.
 	ins instruments
@@ -290,6 +297,8 @@ func New(cfg Config) (*Machine, error) {
 		policy:      cfg.Policy,
 		mem:         memsim.New(cfg.CostModel, cfg.DefaultStack, cfg.PhysMem),
 		liveThreads: make(map[int64]*Thread),
+		yield:       make(chan struct{}),
+		exitCh:      make(chan struct{}, 1),
 	}
 	// Lock parameters come from the cost model; zero-valued fields (a
 	// hand-built CostModel) fall back to the calibrated defaults so a
@@ -772,7 +781,7 @@ func (m *Machine) assign(p *Proc, t *Thread) {
 func (m *Machine) step(p *Proc) {
 	t := p.cur
 	t.resume <- struct{}{}
-	<-t.yield
+	<-m.yield
 
 	switch t.action.kind {
 	case actPause:
@@ -993,25 +1002,29 @@ func (m *Machine) markBusy(p *Proc) { m.clocks.setBusy(p.id, true, p.clock) }
 func (m *Machine) markIdle(p *Proc) { m.clocks.setBusy(p.id, false, p.clock) }
 
 func (m *Machine) newThread(attr Attr, fn func(*Thread)) *Thread {
+	CheckPriority(attr.Priority)
 	m.nextID++
 	if attr.StackSize <= 0 {
 		attr.StackSize = m.cfg.DefaultStack
 	}
-	if attr.Priority < 0 || attr.Priority >= NumPriorities {
-		attr.Priority = 0
+	// Header and simulator state are one object; the interior pointers
+	// keep all of it alive.
+	rec := &struct {
+		Thread
+		sim simState
+	}{
+		Thread: Thread{ID: m.nextID, Priority: attr.Priority},
+		sim: simState{
+			m:         m,
+			fn:        fn,
+			attr:      attr,
+			resume:    make(chan struct{}),
+			detached:  attr.Detached,
+			stackSize: attr.StackSize,
+		},
 	}
-	return &Thread{
-		ID:        m.nextID,
-		Priority:  attr.Priority,
-		m:         m,
-		fn:        fn,
-		attr:      attr,
-		resume:    make(chan struct{}),
-		yield:     make(chan struct{}),
-		exitCh:    make(chan struct{}, 1),
-		detached:  attr.Detached,
-		stackSize: attr.StackSize,
-	}
+	rec.simState = &rec.sim
+	return &rec.Thread
 }
 
 // admit registers a new live thread.
@@ -1052,7 +1065,7 @@ func (m *Machine) shutdown() {
 		}
 		t.poison = true
 		t.resume <- struct{}{}
-		<-t.exitCh
+		<-m.exitCh
 	}
 	m.liveThreads = make(map[int64]*Thread)
 }

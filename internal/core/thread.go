@@ -41,7 +41,8 @@ type Attr struct {
 	// StackSize in bytes; 0 selects the machine's default stack size.
 	StackSize int64
 	// Priority level; higher values are scheduled before lower ones.
-	// Valid range is [0, NumPriorities).
+	// Valid range is [0, NumPriorities); creating a thread outside it
+	// panics in the creating thread (see CheckPriority).
 	Priority int
 	// Detached threads release their resources at exit and cannot be
 	// joined.
@@ -53,7 +54,25 @@ type Attr struct {
 // NumPriorities is the number of supported priority levels.
 const NumPriorities = 32
 
-// Thread is one lightweight, user-level thread.
+// CheckPriority panics when pri is outside [0, NumPriorities). Both
+// backends call it at thread creation, in the creating thread's context,
+// so a bad Attr.Priority aborts the run and comes back as the run error
+// — the same way on the simulator and on native.
+func CheckPriority(pri int) {
+	if pri < 0 || pri >= NumPriorities {
+		panic(fmt.Sprintf("thread priority %d out of range [0, %d)", pri, NumPriorities))
+	}
+}
+
+// Thread is the policy-visible record of one lightweight thread: the
+// small label a scheduling policy orders by, carried by the thread
+// itself. A policy reads and writes only the exported fields; bare
+// &Thread{ID: n} tokens are enough to drive one.
+//
+// A simulator thread additionally carries the machine's private state
+// behind the embedded *simState (header and state are one allocation,
+// see Machine.newThread); the native backend embeds a Thread by value
+// in its own per-thread record and leaves simState nil.
 type Thread struct {
 	// ID is a unique, creation-ordered identifier (root is 1).
 	ID int64
@@ -67,7 +86,19 @@ type Thread struct {
 	// structure). It evolves as the thread forks — each fork appends a
 	// continuation bit — so policies snapshot it at insert time.
 	Order DepaLabel
+	// Owner is the back-reference from the token a policy hands back
+	// (Next, NextBatch) to the backend record that contains it. Only the
+	// backend that stored it follows it; policies treat it as opaque, and
+	// it is nil for simulator threads and bare tokens.
+	Owner any
 
+	*simState
+}
+
+// simState is the simulator's private per-thread state. Its fields
+// promote through Thread, so the machine writes t.resume, t.span, …
+// directly.
+type simState struct {
 	m    *Machine
 	fn   func(*Thread)
 	attr Attr
@@ -76,9 +107,10 @@ type Thread struct {
 	started bool // goroutine launched
 	poison  bool // unwound during machine shutdown
 
-	resume chan struct{} // coordinator -> thread
-	yield  chan struct{} // thread -> coordinator
-	exitCh chan struct{} // goroutine fully finished (buffered)
+	// resume is the coordinator -> thread wakeup. The opposite direction
+	// needs no per-thread channel: only one thread runs at a time and the
+	// coordinator is the only receiver, so Machine.yield serves them all.
+	resume chan struct{}
 
 	action  action
 	proc    *Proc // processor currently running this thread
@@ -173,7 +205,7 @@ func (t *Thread) start() {
 					// normal pthread_exit unwind
 				case threadAbort:
 					// machine shutdown: do not hand back, just die
-					t.exitCh <- struct{}{}
+					t.m.exitCh <- struct{}{}
 					return
 				default:
 					// user code panicked: record and surface it
@@ -181,7 +213,6 @@ func (t *Thread) start() {
 				}
 			}
 			t.finish()
-			t.exitCh <- struct{}{}
 		}()
 		t.park()
 		t.fn(t)
@@ -201,7 +232,7 @@ func (t *Thread) park() {
 func (t *Thread) switchOut(act action) {
 	t.sinceYield = 0
 	t.action = act
-	t.yield <- struct{}{}
+	t.m.yield <- struct{}{}
 	if act.kind != actExit {
 		t.park()
 	}

@@ -35,13 +35,13 @@ func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), dummy bo
 	// under b.mu, which orders the write ahead of every use.
 	child.tok.Order = t.tok.Order.Fork()
 	b.chargeStack(child, pid)
-	b.tracer.record(pid, child.id, trace.KindCreate, t.id)
-	b.tracer.record(pid, child.id, trace.KindStackAlloc, child.stackSize)
+	b.tracer.record(pid, child.ID(), trace.KindCreate, t.ID())
+	b.tracer.record(pid, child.ID(), trace.KindStackAlloc, child.stackSize)
 	b.lock()
 	b.admit(child)
 	child.span = t.span
 	// The sharded store always has the paper's fork semantics.
-	if b.shards == nil && !b.policy.OnCreate(t.tok, child.tok) {
+	if b.shards == nil && !b.policy.OnCreate(&t.tok, &child.tok) {
 		// The policy placed the child in its ready structure.
 		child.state = core.StateReady
 		b.noteReady(child)
@@ -54,7 +54,7 @@ func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), dummy bo
 	b.addRunning(-1)
 	at := b.tracer.now()
 	if b.shards == nil {
-		b.policy.OnReady(t.tok, pid)
+		b.policy.OnReady(&t.tok, pid)
 		b.noteReady(t)
 		b.cond.Signal() // the parent is dispatchable by another processor
 	}
@@ -97,7 +97,7 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 		target.joiner = t
 		t.state = core.StateBlocked
 		if b.shards == nil {
-			b.policy.OnBlock(t.tok)
+			b.policy.OnBlock(&t.tok)
 		}
 		b.addRunning(-1)
 		at := b.tracer.now()
@@ -113,7 +113,7 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 	if target.exitedSpan > t.span {
 		t.span = target.exitedSpan
 	}
-	b.tracer.record(t.pid, t.id, trace.KindJoin, target.id)
+	b.tracer.record(t.pid, t.ID(), trace.KindJoin, target.ID())
 	if b.pool != nil {
 		// Joiner's last read of the record is above; drop its lifecycle
 		// reference so the exiter (or this release) can recycle it.
@@ -177,7 +177,7 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 		addr = b.mem.allocHeap(n)
 	}
 	b.allocTally.Add(1)
-	b.tracer.record(t.pid, t.id, trace.KindAlloc, n)
+	b.tracer.record(t.pid, t.ID(), trace.KindAlloc, n)
 	b.sampleSpace()
 	a := core.Alloc{Addr: addr, Size: n}
 	if b.quota > 0 {
@@ -190,7 +190,7 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 				b.flushCell(&b.cells[t.pid])
 			}
 			b.quotaTally.Add(1)
-			b.tracer.record(t.pid, t.id, trace.KindQuotaExhausted, n)
+			b.tracer.record(t.pid, t.ID(), trace.KindQuotaExhausted, n)
 			b.preemptNow(t)
 		}
 	}
@@ -209,7 +209,7 @@ func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
 		b.mem.freeHeap(a.Size)
 	}
 	b.freeTally.Add(1)
-	b.tracer.record(t.pid, t.id, trace.KindFree, a.Size)
+	b.tracer.record(t.pid, t.ID(), trace.KindFree, a.Size)
 	b.sampleSpace()
 }
 
@@ -238,7 +238,7 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 	b.lock()
 	t.state = core.StateBlocked
 	if b.shards == nil {
-		b.policy.OnBlock(t.tok)
+		b.policy.OnBlock(&t.tok)
 	}
 	b.addRunning(-1)
 	b.sleepers++
@@ -264,7 +264,7 @@ func (b *Backend) wakeSleeper(t *thread) {
 			return
 		}
 		t.state = core.StateReady
-		b.tracer.record(-1, t.id, trace.KindWake, 0)
+		b.tracer.record(-1, t.ID(), trace.KindWake, 0)
 		b.mu.Unlock()
 		b.shards.push(t, t.pid)
 		b.lock()
@@ -279,9 +279,9 @@ func (b *Backend) wakeSleeper(t *thread) {
 		return
 	}
 	t.state = core.StateReady
-	b.policy.OnReady(t.tok, -1)
+	b.policy.OnReady(&t.tok, -1)
 	b.noteReady(t)
-	b.tracer.record(-1, t.id, trace.KindWake, 0)
+	b.tracer.record(-1, t.ID(), trace.KindWake, 0)
 	b.cond.Signal()
 	b.mu.Unlock()
 }
@@ -301,7 +301,7 @@ func (b *Backend) forkDummies(t *thread, d int) {
 		return
 	}
 	b.dummyTally.Add(int64(d))
-	b.tracer.record(t.pid, t.id, trace.KindDummyFork, int64(d))
+	b.tracer.record(t.pid, t.ID(), trace.KindDummyFork, int64(d))
 	b.forkDummySubtree(t, d)
 }
 

@@ -3,8 +3,6 @@ package native
 import (
 	"sync"
 	"sync/atomic"
-
-	"spthreads/internal/core"
 )
 
 // Execution engines for Config.Engine. The reference engine is the
@@ -261,12 +259,11 @@ func threadRefs(detached bool) int32 {
 }
 
 // reset scrubs a thread record before it re-enters an arena: every
-// field except the backend pointer and the policy-token allocation is
-// zeroed (TLS map, DePa label, mailbox, join state, trace identity,
-// shard-heap slot — pool-reuse hygiene is by construction, not by
-// field-by-field cleanup).
+// field except the backend pointer is zeroed, the embedded policy token
+// in place with the rest (TLS map, DePa label, mailbox, join state,
+// trace identity, shard-heap slot — pool-reuse hygiene is by
+// construction, not by field-by-field cleanup). newThread restores
+// tok.Owner with the new identity.
 func (t *thread) reset() {
-	b, tok := t.b, t.tok
-	*t = thread{b: b, tok: tok}
-	*tok = core.Thread{}
+	*t = thread{b: t.b}
 }

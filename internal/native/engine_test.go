@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
@@ -19,6 +20,16 @@ import (
 func newTestBackend(t *testing.T, engine string, procs int) *Backend {
 	t.Helper()
 	return newPolicyBackend(t, sched.ADF, Config{Procs: procs, Engine: engine})
+}
+
+// TestThreadRecordSize: a native thread is one heap object, the policy
+// token inside it. The bound is the 352 B Go size class, one above the
+// class the record occupies today (304 B, class 320): room for a field
+// or two, not for a second object's worth.
+func TestThreadRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(thread{}); got > 352 {
+		t.Errorf("unsafe.Sizeof(thread{}) = %d, want <= 352", got)
+	}
 }
 
 func TestEngineRegistry(t *testing.T) {
@@ -92,6 +103,9 @@ func TestTunedChurnHygiene(t *testing.T) {
 		}
 		if tt.resume == nil {
 			dirty.Add(1) // running without an adopted loop's mailbox
+		}
+		if tt.tok.Owner != any(tt) || tt.name != "" {
+			dirty.Add(1) // the in-place token reset lost or kept identity
 		}
 		if et.TLSGet(tlsKey) != nil {
 			dirty.Add(1)

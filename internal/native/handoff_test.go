@@ -304,25 +304,42 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 // TestNoGoroutineLeaks drives every terminal path of a run on both
 // engines; execute checks the goroutine count after each.
 func TestNoGoroutineLeaks(t *testing.T) {
-	sleeper := func(b *Backend) func(exec.Thread) {
-		return func(c exec.Thread) { b.NewSemaphore(0).Wait(c) }
+	// parkMany leaves n started threads parked on sem: under ADF each
+	// fork runs the child at once, and the child blocks. These are the
+	// threads the shutdown walk must find through the live registry.
+	const n = 1000
+	parkMany := func(b *Backend, root exec.Thread, sem exec.Semaphore, detachOdd bool) []exec.Thread {
+		hs := make([]exec.Thread, n)
+		for i := range hs {
+			hs[i] = b.Fork(root, core.Attr{Detached: detachOdd && i%2 == 1}, func(c exec.Thread) { sem.Wait(c) })
+		}
+		return hs
 	}
+	release := func(c exec.Thread, sem exec.Semaphore) {
+		for i := 0; i < n; i++ {
+			sem.Post(c)
+		}
+	}
+	var undispatched []exec.Thread
 	paths := []struct {
 		name    string
+		policy  sched.Kind
+		procs   int
 		wantErr bool
 		main    func(b *Backend, root exec.Thread)
+		after   func(t *testing.T) // extra checks once the run is over
 	}{
-		{"clean", false, func(b *Backend, root exec.Thread) {
+		{"clean", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
 			mustJoin(b, root, b.Fork(root, core.Attr{}, func(exec.Thread) {}))
-		}},
-		{"panic", true, func(b *Backend, root exec.Thread) {
-			b.Fork(root, core.Attr{}, sleeper(b)) // parked when the run fails
+		}, nil},
+		{"panic", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
+			parkMany(b, root, b.NewSemaphore(0), false) // parked when the run fails
 			mustJoin(b, root, b.Fork(root, core.Attr{}, func(exec.Thread) { panic("boom") }))
-		}},
-		{"deadlock", true, func(b *Backend, root exec.Thread) {
-			mustJoin(b, root, b.Fork(root, core.Attr{}, sleeper(b)), b.Fork(root, core.Attr{}, sleeper(b)))
-		}},
-		{"exit-from-depth", false, func(b *Backend, root exec.Thread) {
+		}, nil},
+		{"deadlock", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
+			mustJoin(b, root, parkMany(b, root, b.NewSemaphore(0), false)...)
+		}, nil},
+		{"exit-from-depth", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
 			var dive func(c exec.Thread, d int)
 			dive = func(c exec.Thread, d int) {
 				if d == 0 {
@@ -330,22 +347,48 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				}
 				dive(c, d-1)
 			}
-			mustJoin(b, root, b.Fork(root, core.Attr{}, func(c exec.Thread) { dive(c, 64) }))
+			sem := b.NewSemaphore(0)
+			parkMany(b, root, sem, false)
+			mustJoin(b, root, b.Fork(root, core.Attr{}, func(c exec.Thread) {
+				release(c, sem)
+				dive(c, 64)
+			}))
 			dive(root, 8)
-		}},
-		{"unjoined", false, func(b *Backend, root exec.Thread) {
+		}, nil},
+		{"unjoined", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
+			sem := b.NewSemaphore(0)
+			parkMany(b, root, sem, true)
+			release(root, sem)
+		}, nil},
+		// FIFO enqueues a forked child and lets the parent run on, and at
+		// p = 1 nobody else picks the children up: when the root panics they
+		// were created but never dispatched, have no goroutine, and the walk
+		// must not post to them.
+		{"never-dispatched", sched.FIFO, 1, true, func(b *Backend, root exec.Thread) {
+			undispatched = undispatched[:0]
 			for i := 0; i < 8; i++ {
-				b.Fork(root, core.Attr{Detached: i%2 == 0}, func(c exec.Thread) { b.Yield(c) })
+				undispatched = append(undispatched, b.Fork(root, core.Attr{}, func(exec.Thread) {}))
+			}
+			panic("boom")
+		}, func(t *testing.T) {
+			for _, h := range undispatched {
+				if c := h.(*thread); c.started || len(c.resume) != 0 {
+					t.Errorf("%s: started = %v, %d posts in its mailbox; want never dispatched, never poisoned",
+						c.Name(), c.started, len(c.resume))
+				}
 			}
 		}},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
 			forEachEngine(t, func(t *testing.T, engine string) {
-				b := newTestBackend(t, engine, 3)
+				b := newPolicyBackend(t, p.policy, Config{Procs: p.procs, Engine: engine})
 				_, err := execute(t, b, func(root exec.Thread) { p.main(b, root) })
 				if (err != nil) != p.wantErr {
 					t.Errorf("Execute error = %v, want error: %v", err, p.wantErr)
+				}
+				if p.after != nil {
+					p.after(t)
 				}
 			})
 		})

@@ -26,6 +26,16 @@
 // state, and the two-level Q_out batching (Config.SchedBatch) amortizes
 // real lock acquisitions instead of simulated ones.
 //
+// One record per thread: a lightweight thread is a single thread value
+// (thread.go). The token the policy orders by — a core.Thread: id,
+// priority, policy state, DePa label — is a field of it, handed to every
+// policy call by address, and its Owner field points back at the record.
+// pick, under b.mu, is the only code that follows Owner (to turn the
+// token policy.Next answers into the thread to dispatch); policies never
+// look at it. The set of live threads is an intrusive registry
+// (b.liveSet plus each thread's index in it), maintained by admit and
+// exitThread under b.mu and read once, by the shutdown walk.
+//
 // Ordering invariant for blocking: a thread marks itself blocked in the
 // policy (OnBlock, under b.mu) *before* registering with a sync
 // object's waiter list. A waker can therefore only observe the waiter
@@ -140,12 +150,15 @@ type Backend struct {
 	shards *shardStore
 	idleA  atomic.Int64
 
-	byTok     map[*core.Thread]*thread // live threads by policy token
-	ready     int                      // threads in the policy's ready structure
-	qoutN     int                      // threads parked in worker-local batches
-	running   int                      // threads currently assigned to workers
-	sleepers  int                      // threads parked on pending timers
-	idle      int                      // workers waiting in cond.Wait
+	// liveSet is the intrusive registry of live threads, in no order:
+	// admit appends, exitThread swap-removes through thread.liveIdx. Its
+	// one reader is poisonParked.
+	liveSet   []*thread
+	ready     int // threads in the policy's ready structure
+	qoutN     int // threads parked in worker-local batches
+	running   int // threads currently assigned to workers
+	sleepers  int // threads parked on pending timers
+	idle      int // workers waiting in cond.Wait
 	live      int
 	peakLive  int
 	created   int64
@@ -254,7 +267,6 @@ func New(cfg Config) (*Backend, error) {
 		timeSlice:    cfg.Policy.TimeSlice(),
 		defaultStack: stack,
 		engine:       engine,
-		byTok:        make(map[*core.Thread]*thread),
 		spaceProf:    cfg.SpaceProf,
 		registry:     reg,
 		liveGauge:    reg.Gauge("threads.live"),
@@ -311,7 +323,7 @@ func (b *Backend) liveState() obs.LiveState {
 		ws[i] = w.dispatches.Value()
 	}
 	return obs.LiveState{
-		ElapsedNS:  time.Since(b.start).Nanoseconds(),
+		ElapsedNS:  b.sinceStart(),
 		Live:       b.liveGauge.Value(),
 		Ready:      b.readyGauge.Value(),
 		Running:    b.runningGauge.Value(),
@@ -354,12 +366,12 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	root := b.newThread(-1, core.Attr{Name: "main"}, main)
 	root.tok.Order = core.RootDepaLabel()
 	b.chargeStack(root, -1)
-	b.tracer.record(-1, root.id, trace.KindCreate, 0) // Arg 0: no parent
-	b.tracer.record(-1, root.id, trace.KindStackAlloc, root.stackSize)
+	b.tracer.record(-1, root.ID(), trace.KindCreate, 0) // Arg 0: no parent
+	b.tracer.record(-1, root.ID(), trace.KindStackAlloc, root.stackSize)
 	b.mu.Lock()
 	b.admit(root)
 	if b.shards == nil {
-		b.policy.OnCreate(nil, root.tok)
+		b.policy.OnCreate(nil, &root.tok)
 	}
 	root.state = core.StateReady
 	if b.shards == nil {
@@ -427,11 +439,11 @@ func (b *Backend) runWorker(pid int) {
 // precedes the post because t can then block and be re-marked, or exit
 // and have its record recycled.
 func (b *Backend) dispatch(t *thread, pid int) {
-	at, id := t.dispatchAt, t.id
+	at, id := t.dispatchAt, t.ID()
 	switch {
 	case !t.launch:
 		if b.handoff != nil {
-			t.postAt = time.Now()
+			t.postAt = b.sinceStart()
 		}
 		post(t.resume, pid)
 	case b.pool != nil:
@@ -489,9 +501,12 @@ func (b *Backend) noteReady(t *thread) {
 	b.ready++
 	b.readyGauge.Set(int64(b.ready))
 	if b.dispatchWait != nil {
-		t.readyAt = time.Now()
+		t.readyAt = b.sinceStart()
 	}
 }
+
+// sinceStart is the run's monotonic clock: wall ns since Execute began.
+func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() }
 
 // pick takes the next thread for processor pid out of the ready
 // structure (the processor's batch first) and marks it running on pid;
@@ -522,17 +537,17 @@ func (b *Backend) pick(pid int) *thread {
 		b.ready -= len(toks)
 		b.tracer.record(pid, 0, trace.KindBatchRefill, int64(len(toks)))
 		for _, tok := range toks[1:] {
-			w.qout = append(w.qout, b.byTok[tok])
+			w.qout = append(w.qout, tok.Owner.(*thread))
 			b.qoutN++
 		}
-		t = b.byTok[toks[0]]
+		t = toks[0].Owner.(*thread)
 	default:
 		tok := b.policy.Next(pid)
 		if tok == nil {
 			return nil
 		}
 		b.ready--
-		t = b.byTok[tok]
+		t = tok.Owner.(*thread)
 	}
 	b.readyGauge.Set(int64(b.ready))
 	b.markRunning(t, pid)
@@ -641,9 +656,9 @@ func (b *Backend) markRunning(t *thread, pid int) {
 	b.workers[pid].stats.Dispatches++
 	b.workers[pid].dispatches.Inc()
 	b.dispatchTally.Add(1)
-	if b.dispatchWait != nil && !t.readyAt.IsZero() {
-		b.dispatchWait.Observe(time.Since(t.readyAt).Nanoseconds())
-		t.readyAt = time.Time{}
+	if b.dispatchWait != nil && t.readyAt != 0 {
+		b.dispatchWait.Observe(b.sinceStart() - t.readyAt)
+		t.readyAt = 0
 	}
 	// The KindDispatch ring write is deferred to dispatch, after the
 	// caller drops b.mu; only the timestamp is taken here so trace order
@@ -660,12 +675,12 @@ func (b *Backend) blockPrep(t *thread) {
 	if b.shards == nil {
 		// Sharded mode skips the policy: a running thread has no entry
 		// in any shard heap, so there is nothing to mark blocked.
-		b.policy.OnBlock(t.tok)
+		b.policy.OnBlock(&t.tok)
 	}
 	b.addRunning(-1)
 	at := b.tracer.now()
 	b.mu.Unlock()
-	b.tracer.recordAt(at, t.pid, t.id, trace.KindBlock, 0)
+	b.tracer.recordAt(at, t.pid, t.ID(), trace.KindBlock, 0)
 }
 
 // readyThread makes a blocked thread runnable again. pid is the waking
@@ -681,13 +696,13 @@ func (b *Backend) readyThread(t *thread, pid int) {
 	}
 	t.state = core.StateReady
 	if b.shards == nil {
-		b.policy.OnReady(t.tok, pid)
+		b.policy.OnReady(&t.tok, pid)
 		b.noteReady(t)
 	}
 	// Id snapshot: after the unlock (global path) or the shard push, t
 	// can be dispatched, run to exit, and (tuned engine) have its record
 	// recycled before the KindWake emit below.
-	at, id := b.tracer.now(), t.id
+	at, id := b.tracer.now(), t.ID()
 	if b.shards == nil {
 		b.cond.Signal()
 	}
@@ -711,7 +726,7 @@ func (b *Backend) preemptNow(t *thread) {
 	at := b.tracer.now()
 	var next *thread
 	if b.shards == nil {
-		b.policy.OnReady(t.tok, pid)
+		b.policy.OnReady(&t.tok, pid)
 		b.noteReady(t)
 		next = b.pick(pid)
 		if next != t {
@@ -727,7 +742,8 @@ func (b *Backend) preemptNow(t *thread) {
 
 // admit registers a freshly created thread. Caller holds b.mu.
 func (b *Backend) admit(t *thread) {
-	b.byTok[t.tok] = t
+	t.liveIdx = len(b.liveSet)
+	b.liveSet = append(b.liveSet, t)
 	b.live++
 	b.created++
 	if b.live > b.peakLive {
@@ -749,9 +765,13 @@ func (b *Backend) exitThread(t *thread) {
 		b.maxSpan = t.span
 	}
 	if b.shards == nil {
-		b.policy.OnExit(t.tok)
+		b.policy.OnExit(&t.tok)
 	}
-	delete(b.byTok, t.tok)
+	last := len(b.liveSet) - 1
+	moved := b.liveSet[last]
+	b.liveSet[t.liveIdx], moved.liveIdx = moved, t.liveIdx
+	b.liveSet[last] = nil
+	b.liveSet = b.liveSet[:last]
 	b.live--
 	b.addRunning(-1)
 	b.liveGauge.Set(int64(b.live))
@@ -763,10 +783,10 @@ func (b *Backend) exitThread(t *thread) {
 		// dispatch: once the wake is published the joiner can run, exit,
 		// and (tuned engine) have its record recycled before the KindWake
 		// emit below.
-		jid = j.id
+		jid = j.ID()
 		j.state = core.StateReady
 		if b.shards == nil {
-			b.policy.OnReady(j.tok, pid)
+			b.policy.OnReady(&j.tok, pid)
 			b.noteReady(j)
 		}
 	}
@@ -788,7 +808,7 @@ func (b *Backend) exitThread(t *thread) {
 	// land in the dispatch's shadow. This goroutine still emits them
 	// before its twg.Done, so the run-end merge observes them.
 	b.pass(pid, next)
-	b.tracer.recordAt(at, pid, t.id, trace.KindExit, 0)
+	b.tracer.recordAt(at, pid, t.ID(), trace.KindExit, 0)
 	if j != nil {
 		b.tracer.recordAt(at, pid, jid, trace.KindWake, 0)
 	}
@@ -799,20 +819,18 @@ func (b *Backend) exitThread(t *thread) {
 // record arena, and the mailbox stays nil until a pooled loop adopts the
 // thread at first dispatch.
 func (b *Backend) newThread(pid int, attr core.Attr, fn func(exec.Thread)) *thread {
-	if attr.Priority < 0 || attr.Priority >= core.NumPriorities {
-		panic(fmt.Sprintf("native: priority %d out of range", attr.Priority))
-	}
+	core.CheckPriority(attr.Priority)
 	var t *thread
 	if b.pool != nil {
 		t = b.pool.getThread(pid)
 	}
 	if t == nil {
-		t = &thread{b: b, tok: &core.Thread{}}
+		t = &thread{b: b}
 	}
-	t.id = b.nextID.Add(1)
-	t.tok.ID = t.id
+	t.tok.ID = b.nextID.Add(1)
 	t.tok.Priority = attr.Priority
-	t.attr = attr
+	t.tok.Owner = t
+	t.name = attr.Name
 	t.fn = fn
 	t.detached = attr.Detached
 	t.stackSize = attr.StackSize
@@ -866,7 +884,7 @@ func (b *Backend) poisonParked() {
 	}
 	b.mu.Lock()
 	var parked []*thread
-	for _, t := range b.byTok {
+	for _, t := range b.liveSet {
 		if t.started {
 			parked = append(parked, t)
 		}

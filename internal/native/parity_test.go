@@ -9,10 +9,12 @@ package native_test
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"spthreads/internal/analyze"
 	"spthreads/internal/barneshut"
+	"spthreads/internal/core"
 	"spthreads/internal/dtree"
 	"spthreads/internal/fft"
 	"spthreads/internal/fmm"
@@ -25,6 +27,17 @@ import (
 	"spthreads/pthread"
 )
 
+// backendMatrix is the full backend/engine matrix the parity tests run.
+var backendMatrix = []struct {
+	label   string
+	backend pthread.Backend
+	engine  pthread.Engine
+}{
+	{"sim", pthread.BackendSim, ""},
+	{"native-reference", pthread.BackendNative, pthread.EngineReference},
+	{"native-tuned", pthread.BackendNative, pthread.EngineTuned},
+}
+
 // runBoth executes fn across the full backend/engine matrix — sim,
 // native-reference, and native-tuned — with the given policy, checks
 // every native engine against the sim checksum bit-for-bit, and
@@ -34,17 +47,8 @@ import (
 // invisible.
 func runBoth(t *testing.T, procs int, policy pthread.Policy, fn func(*pthread.T) float64) (sim, native float64) {
 	t.Helper()
-	runs := []struct {
-		label   string
-		backend pthread.Backend
-		engine  pthread.Engine
-	}{
-		{"sim", pthread.BackendSim, ""},
-		{"native-reference", pthread.BackendNative, pthread.EngineReference},
-		{"native-tuned", pthread.BackendNative, pthread.EngineTuned},
-	}
-	sums := make([]float64, len(runs))
-	for i, r := range runs {
+	sums := make([]float64, len(backendMatrix))
+	for i, r := range backendMatrix {
 		var sum float64
 		cfg := pthread.Config{
 			Procs:        procs,
@@ -64,6 +68,31 @@ func runBoth(t *testing.T, procs int, policy pthread.Policy, fn func(*pthread.T)
 		t.Errorf("native-tuned checksum %v != sim checksum %v", sums[2], sums[0])
 	}
 	return sums[0], sums[1]
+}
+
+// TestPriorityRangeParity: an Attr.Priority outside [0, NumPriorities)
+// fails the run with the same message on the simulator and on both
+// native engines, and the two ends of the range are accepted by all
+// three.
+func TestPriorityRangeParity(t *testing.T) {
+	for _, pri := range []int{-1, 0, core.NumPriorities - 1, core.NumPriorities} {
+		valid := pri >= 0 && pri < core.NumPriorities
+		for _, r := range backendMatrix {
+			cfg := pthread.Config{Procs: 2, Backend: r.backend, Engine: r.engine, DefaultStack: pthread.SmallStackSize}
+			ran := false
+			base := runtime.NumGoroutine()
+			_, err := pthread.Run(cfg, func(pt *pthread.T) {
+				pt.MustJoin(pt.CreateAttr(pthread.Attr{Priority: pri}, func(*pthread.T) { ran = true }))
+			})
+			leakcheck.AssertNoLeakedGoroutines(t, base)
+			switch {
+			case valid && (err != nil || !ran):
+				t.Errorf("%s, priority %d: err = %v, child ran = %v; want a clean run", r.label, pri, err, ran)
+			case !valid && (err == nil || ran || !strings.Contains(err.Error(), "out of range")):
+				t.Errorf("%s, priority %d: err = %v, child ran = %v; want an out-of-range error and no child", r.label, pri, err, ran)
+			}
+		}
+	}
 }
 
 func matmulChecksum(t *pthread.T) float64 {

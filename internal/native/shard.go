@@ -129,7 +129,7 @@ func (ss *shardStore) lockShard(s *shard) {
 func (ss *shardStore) push(t *thread, pid int) {
 	s := &ss.shards[ss.shardFor(pid)]
 	if ss.b.dispatchWait != nil {
-		t.readyAt = time.Now()
+		t.readyAt = ss.b.sinceStart()
 	}
 	ss.lockShard(s)
 	// Key snapshot: the thread is parked, so its label is stable here
@@ -223,7 +223,7 @@ func (ss *shardStore) take(pid int) *thread {
 		if t := ss.pop(victim); t != nil {
 			ss.steals.Add(1)
 			ss.cSteal.Inc()
-			ss.b.tracer.record(pid, t.id, trace.KindSteal, int64(victim))
+			ss.b.tracer.record(pid, t.ID(), trace.KindSteal, int64(victim))
 			return t
 		}
 		// The victim drained between snapshot and lock; rescan.

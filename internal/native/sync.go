@@ -46,7 +46,7 @@ func (m *nativeMutex) Lock(pt exec.Thread) {
 		m.owner = t
 		m.mu.Unlock()
 		b.mutexWait.Observe(0)
-		b.tracer.record(t.pid, t.id, trace.KindLockAcquire, 0)
+		b.tracer.record(t.pid, t.ID(), trace.KindLockAcquire, 0)
 		return
 	}
 	if m.owner == t {
@@ -64,7 +64,7 @@ func (m *nativeMutex) Lock(pt exec.Thread) {
 	if !t0.IsZero() {
 		waited := time.Since(t0).Nanoseconds()
 		b.mutexWait.Observe(waited)
-		b.tracer.record(t.pid, t.id, trace.KindLockAcquire, waited)
+		b.tracer.record(t.pid, t.ID(), trace.KindLockAcquire, waited)
 	}
 }
 

@@ -3,7 +3,6 @@ package native
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
@@ -12,14 +11,21 @@ import (
 )
 
 // thread is one lightweight thread: a goroutine parked on its resume
-// mailbox whenever it does not hold a processor.
+// mailbox whenever it does not hold a processor. It is the only
+// per-thread record: the token the policy orders by (tok) lives inside
+// it, and tok.Owner leads from a token the policy hands back to the
+// record around it. The one-byte fields sit in two groups so padding
+// keeps the record at 304 B, inside the 320 B size class; spread among
+// the words they push it to 328 B and the next class.
 type thread struct {
-	b       *Backend
-	id      int64
-	tok     *core.Thread // policy token (ID/Priority/SchedState/Order only)
-	attr    core.Attr
-	fn      func(exec.Thread)
-	isDummy bool
+	b *Backend
+	// tok is the policy's view of the thread (ID, Priority, SchedState,
+	// Order), passed to every core.Policy call as &t.tok. Owner points
+	// back at t; only pick follows it, under b.mu. The simulator state
+	// behind the token stays nil.
+	tok  core.Thread
+	name string // Attr.Name; empty selects a synthesized name
+	fn   func(exec.Thread)
 
 	stackSize int64
 
@@ -27,12 +33,6 @@ type thread struct {
 	// dispatcher posts the processor id it hands over, or poisonPid at
 	// shutdown, and never waits for the thread to reach its park.
 	resume chan int
-	// started is guarded by b.mu. launch is markRunning's verdict that
-	// this dispatch is the thread's first; like dispatchAt it is stable
-	// between markRunning and the post, when exactly one dispatcher owns
-	// the thread.
-	started bool
-	launch  bool
 
 	// Tuned-engine fields (see engine.go). freeNext links the record in
 	// a worker arena; refs counts the lifecycle holders (exiter + joiner)
@@ -40,7 +40,19 @@ type thread struct {
 	freeNext *thread
 	refs     atomic.Int32
 
+	isDummy bool
+	// started is guarded by b.mu. launch is markRunning's verdict that
+	// this dispatch is the thread's first; like dispatchAt it is stable
+	// between markRunning and the post, when exactly one dispatcher owns
+	// the thread.
+	started bool
+	launch  bool
+
 	state core.State // guarded by b.mu
+
+	// liveIdx is the thread's slot in b.liveSet from admit to exitThread
+	// (guarded by b.mu): the registry poisonParked walks at shutdown.
+	liveIdx int
 
 	// pid is the processor this thread holds (or last held), written
 	// only on its own goroutine from the value its dispatch carried: a
@@ -57,16 +69,18 @@ type thread struct {
 	heapIdx   int
 
 	// readyAt stamps the last transition into the ready structure, for
-	// the dispatch-latency histogram (guarded by b.mu; zero when a
-	// registry is not attached or the thread is not ready).
-	readyAt time.Time
+	// the dispatch-latency histogram, in monotonic ns since b.start
+	// (guarded by b.mu; zero when a registry is not attached or the
+	// thread is not ready).
+	readyAt int64
 
 	// dispatchAt is the tracer timestamp captured by markRunning under
 	// b.mu; the dispatcher issues the KindDispatch ring write after
 	// unlocking. postAt stamps a resume post for sched.resume.handoff
-	// (dispatcher before the post, woken thread after its receive).
+	// (dispatcher before the post, woken thread after its receive), on
+	// readyAt's clock.
 	dispatchAt vtime.Time
-	postAt     time.Time
+	postAt     int64
 
 	// Accounting written only in thread context while running.
 	quotaLeft     int64
@@ -77,8 +91,8 @@ type thread struct {
 	// Join protocol, guarded by b.mu.
 	done       bool
 	detached   bool
-	joiner     *thread
 	joined     bool
+	joiner     *thread
 	exitedSpan vtime.Duration
 
 	tls map[any]any // only touched by the thread's own goroutine
@@ -105,16 +119,16 @@ func post(mailbox chan int, pid int) {
 
 // exec.Thread implementation.
 
-func (t *thread) ID() int64 { return t.id }
+func (t *thread) ID() int64 { return t.tok.ID }
 
 func (t *thread) Name() string {
-	if t.attr.Name != "" {
-		return t.attr.Name
+	if t.name != "" {
+		return t.name
 	}
 	if t.isDummy {
-		return fmt.Sprintf("dummy-%d", t.id)
+		return fmt.Sprintf("dummy-%d", t.ID())
 	}
-	return fmt.Sprintf("thread-%d", t.id)
+	return fmt.Sprintf("thread-%d", t.ID())
 }
 
 func (t *thread) TLSGet(key any) any {
@@ -160,7 +174,7 @@ func (t *thread) park() {
 	}
 	t.pid = pid
 	if h := t.b.handoff; h != nil {
-		h.Observe(time.Since(t.postAt).Nanoseconds())
+		h.Observe(t.b.sinceStart() - t.postAt)
 	}
 }
 
@@ -173,7 +187,7 @@ func (t *thread) park() {
 func (t *thread) passPark(next *thread, at vtime.Time, kind trace.Kind) {
 	pid := t.pid
 	t.b.pass(pid, next)
-	t.b.tracer.recordAt(at, pid, t.id, kind, 0)
+	t.b.tracer.recordAt(at, pid, t.ID(), kind, 0)
 	t.park()
 }
 
