@@ -431,28 +431,29 @@ func nativeProcs() []int {
 	return []int{1}
 }
 
+// forkJoinTree runs a binary fork/join tree of n threads, t included.
+func forkJoinTree(t *pthread.T, n int) {
+	if n--; n == 0 {
+		return
+	}
+	l := t.Create(func(c *pthread.T) { forkJoinTree(c, (n+1)/2) })
+	if n/2 == 0 {
+		t.MustJoin(l)
+		return
+	}
+	r := t.Create(func(c *pthread.T) { forkJoinTree(c, n/2) })
+	t.MustJoin(l)
+	t.MustJoin(r)
+}
+
 // BenchmarkNativeForkJoin is the native backend's per-thread cost: a
 // binary fork/join tree of b.N empty threads, so ns/op and allocs/op are
 // one lightweight thread's create, dispatch, exit and join.
 func BenchmarkNativeForkJoin(b *testing.B) {
 	for _, p := range nativeProcs() {
 		b.Run(benchName("p", p), func(b *testing.B) {
-			var tree func(t *pthread.T, n int)
-			tree = func(t *pthread.T, n int) {
-				if n--; n == 0 {
-					return
-				}
-				l := t.Create(func(c *pthread.T) { tree(c, (n+1)/2) })
-				if n/2 == 0 {
-					t.MustJoin(l)
-					return
-				}
-				r := t.Create(func(c *pthread.T) { tree(c, n/2) })
-				t.MustJoin(l)
-				t.MustJoin(r)
-			}
 			b.ReportAllocs()
-			if _, err := pthread.Run(nativeCfg(p), func(t *pthread.T) { tree(t, b.N+1) }); err != nil {
+			if _, err := pthread.Run(nativeCfg(p), func(t *pthread.T) { forkJoinTree(t, b.N+1) }); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -505,6 +506,43 @@ func BenchmarkNativeYield(b *testing.B) {
 			t.Yield()
 		}
 		t.MustJoin(h)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// simCfg is the simulator's default configuration (ADF) at p virtual
+// processors, with small stacks as in nativeCfg.
+func simCfg(p int) pthread.Config {
+	return pthread.Config{Procs: p, DefaultStack: pthread.SmallStackSize}
+}
+
+// BenchmarkSimForkJoin is the simulator's host cost per thread: the same
+// b.N-thread fork/join tree as BenchmarkNativeForkJoin, on 1 and 8
+// virtual processors.
+func BenchmarkSimForkJoin(b *testing.B) {
+	for _, p := range []int{1, 8} {
+		b.Run(benchName("p", p), func(b *testing.B) {
+			b.ReportAllocs()
+			if _, err := pthread.Run(simCfg(p), func(t *pthread.T) { forkJoinTree(t, b.N+1) }); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkSimPause is one quantum pause: a lone thread charging a full
+// quantum per op stops, runs the scheduler and, still holding the
+// minimum clock, picks itself.
+func BenchmarkSimPause(b *testing.B) {
+	cfg := simCfg(1)
+	cfg.Quantum = vtime.Micro(250)
+	b.ReportAllocs()
+	_, err := pthread.Run(cfg, func(t *pthread.T) {
+		for i := 0; i < b.N; i++ {
+			t.Charge(int64(cfg.Quantum))
+		}
 	})
 	if err != nil {
 		b.Fatal(err)

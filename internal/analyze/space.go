@@ -17,7 +17,7 @@ import (
 //     resumes — which is exactly the 1DF-schedule the paper's bound is
 //     stated against.
 //   - The measured peak: the same events replayed in record order (the
-//     machine coordinator serializes memory operations, so record
+//     simulated machine serializes memory operations, so record
 //     order is the machine's own operation order), reproducing the
 //     live run's footprint accounting when no events were dropped.
 //

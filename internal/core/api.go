@@ -8,8 +8,8 @@ import (
 )
 
 // This file holds the runtime entry points invoked from thread context,
-// i.e. on a lightweight thread's own goroutine while the coordinator is
-// parked. Exactly one thread goroutine runs at a time, so these may
+// i.e. on a lightweight thread's own goroutine while every other thread
+// is parked. Exactly one thread goroutine runs at a time, so these may
 // mutate machine state directly; virtual time advances immediately
 // through the charge helpers.
 

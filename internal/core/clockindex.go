@@ -13,7 +13,7 @@ const infTime = vtime.Time(math.MaxInt64)
 // processor id range, keyed by virtual clock. Leaves are processor
 // slots (absent processors hold +inf); each internal node holds the
 // minimum of its children. Updates walk one leaf-to-root path and the
-// coordinator's selection queries descend one root-to-leaf path, so
+// scheduler's selection queries descend one root-to-leaf path, so
 // both cost O(log p) instead of the seed's O(p) scan over all
 // processors on every scheduling step.
 type clockTree struct {
@@ -79,7 +79,7 @@ func (t *clockTree) minProc() int {
 
 // clockIndex tracks every processor's clock in exactly one of two
 // trees — busy (a thread is assigned) or idle — mirroring the two cases
-// of the coordinator's processor selection. The machine updates it
+// of the scheduler's processor selection. The machine updates it
 // eagerly on every clock advance and cur transition, so minimum-clock
 // and best-processor queries are exact at any point in a step.
 type clockIndex struct {

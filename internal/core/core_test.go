@@ -8,7 +8,7 @@ import (
 	"spthreads/internal/vtime"
 )
 
-// White-box tests for the coordinator's internal data structures.
+// White-box tests for the machine's internal data structures.
 
 func TestTimeHeapOrdering(t *testing.T) {
 	var h timeHeap
@@ -182,7 +182,7 @@ func (fakePolicy) Next(pid int) *Thread {
 // in every native thread record, so each word added here is paid once
 // per lightweight thread on both backends. 96 B is a Go size class: a
 // bare token (&Thread{ID: n}) stays in it, and the simulator's header +
-// state object (88 + 200 B today) stays in the 288 B class.
+// state object (88 + 184 B today) stays in the 288 B class.
 func TestThreadHeaderSize(t *testing.T) {
 	if got := unsafe.Sizeof(Thread{}); got > 96 {
 		t.Errorf("unsafe.Sizeof(Thread{}) = %d, want <= 96", got)

@@ -33,9 +33,12 @@ type Config struct {
 	// MaxSteps aborts runaway simulations (default 1<<40 dispatch steps).
 	MaxSteps int64
 	// Quantum bounds how much virtual time a thread may accumulate
-	// between handoffs to the coordinator (default 250 virtual
-	// microseconds). Smaller quanta interleave processors more finely
-	// at a real-time cost; the quantum does not reschedule the thread.
+	// before it stops to run the scheduler (default 250 virtual
+	// microseconds), which lets processors whose clocks are now behind
+	// catch up. Smaller quanta interleave processors more finely at a
+	// real-time cost; the quantum does not reschedule the thread, which
+	// keeps its processor and, while it holds the minimum clock, runs on
+	// without a goroutine switch.
 	Quantum vtime.Duration
 	// SchedMode selects how global-queue policies interact with the
 	// scheduler lock: SchedDirect charges every ready-queue operation
@@ -173,19 +176,22 @@ type Machine struct {
 
 	liveThreads map[int64]*Thread
 
-	// yield (thread -> coordinator: "I handed off, read my action") and
-	// exitCh (a poisoned goroutine has fully unwound) are machine-level:
-	// the coordinator is their only receiver and exactly one thread runs,
-	// or is being unwound, at a time.
-	yield  chan struct{}
-	exitCh chan struct{}
+	// done wakes Execute's goroutine: once when the run is over, then
+	// once per poisoned goroutine that has unwound at shutdown. Exactly
+	// one goroutine holds the machine at a time, so one slot suffices.
+	done chan struct{}
+	// posts counts resume-mailbox posts: handoffs to a parked thread (a
+	// first run launches a goroutine instead, a self-pick costs nothing).
+	posts int64
+	// fault is a machine-invariant panic raised while a thread goroutine
+	// was running the scheduler, carried to Execute's goroutine.
+	fault any
 
 	// ins holds the machine's pre-resolved instrument handles. With no
 	// registry attached every handle is nil and updates are no-ops.
 	ins instruments
 
-	err      error
-	panicked bool
+	err error
 }
 
 // instruments are the machine's metric handles, resolved once at build
@@ -297,8 +303,7 @@ func New(cfg Config) (*Machine, error) {
 		policy:      cfg.Policy,
 		mem:         memsim.New(cfg.CostModel, cfg.DefaultStack, cfg.PhysMem),
 		liveThreads: make(map[int64]*Thread),
-		yield:       make(chan struct{}),
-		exitCh:      make(chan struct{}, 1),
+		done:        make(chan struct{}, 1),
 	}
 	// Lock parameters come from the cost model; zero-valued fields (a
 	// hand-built CostModel) fall back to the calibrated defaults so a
@@ -431,6 +436,26 @@ func (m *Machine) run(main func(*Thread)) (Stats, error) {
 	root.state = StateReady
 	m.readyAt.push(0)
 
+	// From here on the machine travels with the running thread: each
+	// thread that stops runs schedule itself and hands over to the thread
+	// it returns. Whoever finds the run over wakes this goroutine.
+	m.handoff(m.schedule())
+	<-m.done
+	if m.err != nil || m.fault != nil {
+		m.shutdown()
+	}
+	if m.fault != nil {
+		panic(m.fault)
+	}
+	return m.stats(), m.err
+}
+
+// schedule advances the machine until some processor's current thread
+// must run, and returns that thread: it takes the minimum-clock
+// processor, dispatches ready work to it while it is idle, and wakes
+// sleepers or diagnoses deadlock when no processor can move. It returns
+// nil when the run is over (every thread exited, or m.err is set).
+func (m *Machine) schedule() *Thread {
 	for m.live > 0 && m.err == nil {
 		m.steps++
 		if m.steps > m.cfg.MaxSteps {
@@ -450,12 +475,47 @@ func (m *Machine) run(main func(*Thread)) (Stats, error) {
 			m.dispatch(p)
 			continue
 		}
-		m.step(p)
+		return p.cur
 	}
-	if m.err != nil {
-		m.shutdown()
+	return nil
+}
+
+// reschedule applies the action t stopped for and returns the next
+// thread to run (nil when the run is over). It runs on t's goroutine, and
+// so does any machine-invariant panic raised in here: that is a fault of
+// the machine, not of t, so instead of unwinding t as a user panic it is
+// kept in m.fault for Execute's goroutine to re-raise after shutdown.
+func (m *Machine) reschedule(t *Thread, act action) (next *Thread) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.fault = r
+			if act.kind == actExit {
+				// This goroutine ends without parking: shutdown must
+				// not wait for it.
+				delete(m.liveThreads, t.ID)
+			}
+			next = nil
+		}
+	}()
+	m.apply(t, act)
+	return m.schedule()
+}
+
+// handoff gives the machine to next: a first run launches its goroutine,
+// a later one posts into its mailbox. nil means the run is over and wakes
+// Execute's goroutine instead. The caller must not touch the machine
+// afterwards.
+func (m *Machine) handoff(next *Thread) {
+	switch {
+	case next == nil:
+		m.done <- struct{}{}
+	case next.resume == nil:
+		next.resume = make(chan int, 1)
+		go next.main()
+	default:
+		m.posts++
+		Post(next.resume, next.proc.id)
 	}
-	return m.stats(), m.err
 }
 
 // sleeper is a thread parked until a virtual deadline. tok, when
@@ -772,22 +832,18 @@ func (m *Machine) assign(p *Proc, t *Thread) {
 		cost := m.mem.Touch(p.tlb, t.stackAddr, memsim.PageSize)
 		p.stats.Mem += cost
 		m.tick(p, cost)
-		t.start()
+		t.started = true
 	}
 }
 
-// step resumes the current thread of p until its next handoff and
-// handles the resulting action.
-func (m *Machine) step(p *Proc) {
-	t := p.cur
-	t.resume <- struct{}{}
-	<-m.yield
-
-	switch t.action.kind {
+// apply updates the machine for the action t stopped with on its
+// processor.
+func (m *Machine) apply(t *Thread, act action) {
+	p := t.proc
+	switch act.kind {
 	case actPause:
-		// Quantum expiry: the thread keeps its processor; the
-		// coordinator just regains the ability to advance other
-		// processors whose clocks are now behind.
+		// Quantum expiry: the thread keeps its processor; schedule may
+		// now advance other processors whose clocks are behind.
 	case actExit:
 		m.handleExit(p, t)
 	case actBlock:
@@ -803,7 +859,7 @@ func (m *Machine) step(p *Proc) {
 		if tr := m.cfg.Tracer; tr != nil {
 			tr.Record(p.clock, p.id, t.ID, trace.KindPreempt)
 		}
-		next := t.action.next
+		next := act.next
 		t.proc = nil
 		p.cur = nil
 		m.markIdle(p)
@@ -1018,7 +1074,6 @@ func (m *Machine) newThread(attr Attr, fn func(*Thread)) *Thread {
 			m:         m,
 			fn:        fn,
 			attr:      attr,
-			resume:    make(chan struct{}),
 			detached:  attr.Detached,
 			stackSize: attr.StackSize,
 		},
@@ -1042,7 +1097,6 @@ func (m *Machine) recordPanic(t *Thread, r any) {
 	if m.err == nil {
 		m.err = fmt.Errorf("core: panic in %s: %v\n%s", t.Name(), r, debug.Stack())
 	}
-	m.panicked = true
 }
 
 // deadlockError describes an all-blocked state.
@@ -1057,15 +1111,16 @@ func (m *Machine) deadlockError() error {
 }
 
 // shutdown unwinds every parked thread goroutine after an aborted run so
-// no goroutines leak across runs.
+// no goroutines leak across runs. Every live thread with a goroutine is
+// parked in its mailbox, or on its way there from the handoff that ended
+// the run, so one poison post each cannot block or overflow.
 func (m *Machine) shutdown() {
 	for _, t := range m.liveThreads {
-		if !t.started || t.state == StateExited {
-			continue
+		if t.resume == nil {
+			continue // never ran: no goroutine
 		}
-		t.poison = true
-		t.resume <- struct{}{}
-		<-m.exitCh
+		Post(t.resume, PoisonPid)
+		<-m.done
 	}
 	m.liveThreads = make(map[int64]*Thread)
 }

@@ -1,12 +1,13 @@
 // Package core implements the user-level threads runtime on top of a
 // deterministic, discrete-event simulated shared-memory multiprocessor.
 //
-// Lightweight threads are parked goroutines; a coordinator resumes
-// exactly one at a time, so the Go scheduler never decides interleaving.
-// Virtual processors carry virtual clocks; the coordinator always
-// advances the processor with the smallest clock (ties broken by
-// processor id), which makes every run deterministic for a fixed
-// configuration.
+// Lightweight threads are goroutines, and exactly one of them runs at a
+// time: a thread that stops runs the scheduler on its own goroutine,
+// picks its successor and hands over to it, so the Go scheduler never
+// decides interleaving. Virtual processors carry virtual clocks; the
+// scheduler always advances the processor with the smallest clock (ties
+// broken by processor id), which makes every run deterministic for a
+// fixed configuration.
 //
 // The scheduling policy — the paper's subject — is pluggable through the
 // Policy interface; implementations live in internal/sched.
@@ -15,8 +16,9 @@ package core
 import "spthreads/internal/vtime"
 
 // Policy is a ready-thread scheduling policy. All methods are invoked
-// with the machine serialized (either from the coordinator or from the
-// single running thread goroutine), so implementations need no locking;
+// with the machine serialized (on the single goroutine that holds it: the
+// running thread's, or Execute's before the root starts), so
+// implementations need no locking;
 // lock *costs* for global-queue policies are modeled by the machine.
 type Policy interface {
 	// Name identifies the policy in reports ("fifo", "lifo", "adf", "ws").

@@ -114,7 +114,7 @@ func (m *Machine) SpinAcquire(t *Thread, sl *SpinLock) {
 	m.chargeOps(t, m.cm.SyncOp)
 	for burst := 0; sl.holder != nil; burst++ {
 		sl.spins++
-		// Busy-wait burst, then let the coordinator advance others.
+		// Busy-wait burst, then let the scheduler advance others.
 		m.chargeWork(t, m.cm.SyncOp*4)
 		if burst%4 == 3 {
 			t.switchOut(action{kind: actYield})

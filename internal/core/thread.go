@@ -104,15 +104,15 @@ type simState struct {
 	attr Attr
 
 	state   State
-	started bool // goroutine launched
-	poison  bool // unwound during machine shutdown
+	started bool // dispatched at least once (its stack base is faulted in)
 
-	// resume is the coordinator -> thread wakeup. The opposite direction
-	// needs no per-thread channel: only one thread runs at a time and the
-	// coordinator is the only receiver, so Machine.yield serves them all.
-	resume chan struct{}
+	// resume is the thread's one-slot mailbox, the same primitive native
+	// threads park on (Post, PoisonPid). It is made when the thread first
+	// runs and its goroutine is launched, so nil means no goroutine. The
+	// thread that hands the machine over posts the processor id here and
+	// parks in its own mailbox; no goroutine sits between the two.
+	resume chan int
 
-	action  action
 	proc    *Proc // processor currently running this thread
 	isDummy bool
 
@@ -123,10 +123,11 @@ type simState struct {
 	// Accounting.
 	work vtime.Duration // committed charges attributed to this thread
 	span vtime.Duration // critical-path length at the thread's current point
-	// sinceYield accumulates charges since the last handoff; crossing
-	// the machine's quantum triggers a pause so that processors
-	// interleave at bounded virtual-time granularity even through code
-	// that never blocks (inline fast paths do not hand off otherwise).
+	// sinceYield accumulates charges since the thread last ran the
+	// scheduler; crossing the machine's quantum triggers a pause so that
+	// processors interleave at bounded virtual-time granularity even
+	// through code that never blocks (inline fast paths do not stop
+	// otherwise).
 	sinceYield vtime.Duration
 	// sinceDispatch accumulates charges since the thread was last
 	// scheduled, for SCHED_RR time slicing.
@@ -146,7 +147,7 @@ type simState struct {
 	TLS map[any]any
 }
 
-// actionKind says why a thread handed control back to the coordinator.
+// actionKind says why a thread stopped and ran the scheduler.
 type actionKind uint8
 
 const (
@@ -192,57 +193,70 @@ type threadExit struct{}
 // machine shuts down early.
 type threadAbort struct{}
 
-// start launches the thread's goroutine. Called by the coordinator the
-// first time the thread is dispatched; the goroutine parks immediately
-// and waits for its first resume.
-func (t *Thread) start() {
-	t.started = true
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				switch r.(type) {
-				case threadExit:
-					// normal pthread_exit unwind
-				case threadAbort:
-					// machine shutdown: do not hand back, just die
-					t.m.exitCh <- struct{}{}
-					return
-				default:
-					// user code panicked: record and surface it
-					t.m.recordPanic(t, r)
-				}
-			}
-			t.finish()
-		}()
-		t.park()
-		t.fn(t)
-	}()
+// PoisonPid in a resume mailbox unwinds the parked goroutine at
+// shutdown; every other post carries a processor id.
+const PoisonPid = -1
+
+// Post drops pid into a one-slot resume mailbox without blocking. Both
+// backends hand a processor over this way. A full slot means a thread
+// was resumed twice for one park: a scheduler bug.
+func Post(mailbox chan int, pid int) {
+	select {
+	case mailbox <- pid:
+	default:
+		panic("core: resume mailbox overflow")
+	}
 }
 
-// park blocks the thread goroutine until the coordinator resumes it.
+// main is the thread goroutine body, launched by the handoff that first
+// runs the thread.
+func (t *Thread) main() {
+	defer func() {
+		switch r := recover(); r.(type) {
+		case nil, threadExit:
+			// normal completion or pthread_exit unwind
+		case threadAbort:
+			t.m.done <- struct{}{} // machine shutdown: no handoff, just die
+			return
+		default:
+			t.m.recordPanic(t, r) // user code panicked: record and surface it
+		}
+		t.switchOut(action{kind: actExit})
+	}()
+	t.fn(t)
+}
+
+// park blocks the thread goroutine until a handoff resumes it.
 func (t *Thread) park() {
-	<-t.resume
-	if t.poison {
+	if <-t.resume == PoisonPid {
 		panic(threadAbort{})
 	}
 }
 
-// switchOut hands control to the coordinator and, unless exiting, blocks
-// until rescheduled. It must only be called on the thread's goroutine.
+// switchOut runs the scheduler on the calling thread's goroutine: it
+// applies act to the machine and advances it to the next thread that
+// must run. If that is t itself (a quantum pause, or a yield or preempt
+// with nothing better ready) t just carries on; otherwise t hands the
+// machine over and parks, or, exiting, lets its goroutine end. It must
+// only be called on the thread's goroutine.
 func (t *Thread) switchOut(act action) {
 	t.sinceYield = 0
-	t.action = act
-	t.m.yield <- struct{}{}
+	m := t.m
+	next := m.reschedule(t, act)
+	if next == t {
+		return
+	}
+	m.handoff(next)
 	if act.kind != actExit {
 		t.park()
 	}
 }
 
-// maybePause hands off to the coordinator if the thread has accumulated
-// more than the machine's quantum of virtual time since its last
-// handoff, and enforces the policy's SCHED_RR time slice by yielding
-// the processor outright when the slice is spent. Call only from thread
-// context at consistent points.
+// maybePause runs the scheduler if the thread has accumulated more than
+// the machine's quantum of virtual time since it last did, and enforces
+// the policy's SCHED_RR time slice by yielding the processor outright
+// when the slice is spent. Call only from thread context at consistent
+// points.
 func (t *Thread) maybePause() {
 	if slice := t.m.policy.TimeSlice(); slice > 0 && t.sinceDispatch >= slice {
 		t.switchOut(action{kind: actYield})
@@ -251,10 +265,4 @@ func (t *Thread) maybePause() {
 	if t.sinceYield >= t.m.cfg.Quantum {
 		t.switchOut(action{kind: actPause})
 	}
-}
-
-// finish performs the exit handoff at the end of the thread's function
-// (or after an Exit unwind).
-func (t *Thread) finish() {
-	t.switchOut(action{kind: actExit})
 }

@@ -35,8 +35,8 @@ type Stats struct {
 	StackReuses  int64 // stacks served from the default-size cache
 }
 
-// System is the simulated memory system. It is manipulated only from the
-// machine coordinator (or from the single running thread goroutine), so
+// System is the simulated memory system. It is manipulated only by the
+// goroutine that holds the simulated machine (exactly one at a time), so
 // it needs no internal locking.
 type System struct {
 	cm      *vtime.CostModel

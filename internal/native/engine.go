@@ -3,6 +3,8 @@ package native
 import (
 	"sync"
 	"sync/atomic"
+
+	"spthreads/internal/core"
 )
 
 // Execution engines for Config.Engine. The reference engine is the
@@ -31,7 +33,7 @@ func Engines() []string { return []string{EngineReference, EngineTuned} }
 // and waits for the next launch.
 type loop struct {
 	b      *Backend
-	resume chan int // one-slot mailbox: a launch or resume post, or poisonPid
+	resume chan int // one-slot mailbox: a launch or resume post, or core.PoisonPid
 
 	// t is the thread to run next, written by the launching dispatcher
 	// before the post and read by the loop after the matching receive
@@ -52,7 +54,7 @@ func (l *loop) run() {
 	defer l.b.twg.Done()
 	for {
 		pid := <-l.resume
-		if pid == poisonPid {
+		if pid == core.PoisonPid {
 			return
 		}
 		t := l.t

@@ -445,14 +445,14 @@ func (b *Backend) dispatch(t *thread, pid int) {
 		if b.handoff != nil {
 			t.postAt = b.sinceStart()
 		}
-		post(t.resume, pid)
+		core.Post(t.resume, pid)
 	case b.pool != nil:
 		// Tuned launch: adopt a pooled loop. The writes happen-before the
 		// post; later dispatchers read t.resume behind it through b.mu.
 		l := b.pool.getLoop(pid)
 		l.t = t
 		t.resume = l.resume
-		post(l.resume, pid)
+		core.Post(l.resume, pid)
 	default:
 		b.twg.Add(1)
 		go t.main(pid)
@@ -878,7 +878,7 @@ func (b *Backend) poisonParked() {
 		all := b.pool.all
 		b.pool.mu.Unlock()
 		for _, l := range all {
-			post(l.resume, poisonPid)
+			core.Post(l.resume, core.PoisonPid)
 		}
 		return
 	}
@@ -891,7 +891,7 @@ func (b *Backend) poisonParked() {
 	}
 	b.mu.Unlock()
 	for _, t := range parked {
-		post(t.resume, poisonPid)
+		core.Post(t.resume, core.PoisonPid)
 	}
 }
 

@@ -30,8 +30,9 @@ type thread struct {
 	stackSize int64
 
 	// resume is the thread's one-slot mailbox (tuned: its loop's). A
-	// dispatcher posts the processor id it hands over, or poisonPid at
-	// shutdown, and never waits for the thread to reach its park.
+	// dispatcher posts the processor id it hands over, or core.PoisonPid
+	// at shutdown (core.Post, shared with the simulator), and never waits
+	// for the thread to reach its park.
 	resume chan int
 
 	// Tuned-engine fields (see engine.go). freeNext links the record in
@@ -104,19 +105,6 @@ type threadExit struct{}
 // threadAbort unwinds parked threads when the run shuts down early.
 type threadAbort struct{}
 
-// poisonPid in a mailbox unwinds the parked goroutine at shutdown.
-const poisonPid = -1
-
-// post drops pid into a one-slot mailbox without blocking. A full slot
-// means a thread was marked running twice for one park: a scheduler bug.
-func post(mailbox chan int, pid int) {
-	select {
-	case mailbox <- pid:
-	default:
-		panic("native: resume mailbox overflow")
-	}
-}
-
 // exec.Thread implementation.
 
 func (t *thread) ID() int64 { return t.tok.ID }
@@ -169,7 +157,7 @@ func (t *thread) main(pid int) {
 // processor it carries.
 func (t *thread) park() {
 	pid := <-t.resume
-	if pid == poisonPid {
+	if pid == core.PoisonPid {
 		panic(threadAbort{})
 	}
 	t.pid = pid

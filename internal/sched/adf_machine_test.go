@@ -36,8 +36,8 @@ func wakeOrderProgram(order *[]string, aDue, bDue *vtime.Time) func(*pthread.T) 
 			*order = append(*order, "B")
 		})
 		c := t.Create(func(ct *pthread.T) {
-			// Charge in slices: each Charge call returns control to the
-			// coordinator, which wakes due sleepers against the advanced
+			// Charge in slices: each Charge call past the quantum runs the
+			// scheduler, which wakes due sleepers against the advanced
 			// clock — so B's wake is pushed strictly before A's.
 			for i := 0; i < 36; i++ {
 				ct.ChargeMicros(250)

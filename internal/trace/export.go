@@ -61,7 +61,7 @@ type chromeTrace struct {
 const machinePID = 0
 
 // WriteChrome writes the trace as Chrome trace-event JSON. procs sizes
-// the per-processor tracks (events on proc -1 — coordinator-side wakes
+// the per-processor tracks (events on proc -1 — off-processor wakes
 // and the root create — land on an extra "machine" track). counters may
 // be nil.
 func (r *Recorder) WriteChrome(w io.Writer, procs int, counters []CounterSample) error {

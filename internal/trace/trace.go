@@ -160,8 +160,9 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{cap: capacity}
 }
 
-// Record appends an event without a payload. It is called from the
-// machine coordinator (serialized), so no locking is needed.
+// Record appends an event without a payload. The simulated machine
+// calls it serialized (one goroutine holds the machine at a time), so no
+// locking is needed.
 func (r *Recorder) Record(at vtime.Time, proc int, thread int64, kind Kind) {
 	r.RecordArg(at, proc, thread, kind, 0)
 }

@@ -1,11 +1,13 @@
 package pthread_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"spthreads/internal/leakcheck"
+	"spthreads/internal/vtime"
 	"spthreads/pthread"
 )
 
@@ -26,43 +28,115 @@ func TestPanicPropagates(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeaks: aborted runs (deadlock, panic) must unwind all
-// parked thread goroutines.
+// TestNoGoroutineLeaks drives every terminal path of a simulator run at
+// p = 1 and p = 8 and checks after each that no thread goroutine is left
+// behind. Any thread can end the run — the last one to exit, or the one
+// whose stop found a deadlock, a panic or the step limit — so each path
+// leaves threads parked in different places for the shutdown walk.
 func TestNoGoroutineLeaks(t *testing.T) {
-	base := runtime.NumGoroutine()
-
-	for i := 0; i < 20; i++ {
-		// A run that deadlocks with several parked threads.
-		var a, b pthread.Mutex
-		bar := pthread.NewBarrier(2)
-		_, err := pthread.Run(pthread.Config{Procs: 2, Policy: pthread.PolicyADF}, func(tt *pthread.T) {
-			h1 := tt.Create(func(ct *pthread.T) {
-				a.Lock(ct)
-				bar.Wait(ct)
-				b.Lock(ct)
-			})
-			h2 := tt.Create(func(ct *pthread.T) {
-				b.Lock(ct)
-				bar.Wait(ct)
-				a.Lock(ct)
-			})
-			tt.JoinAll(h1, h2)
-		})
-		if err == nil {
-			t.Fatal("expected deadlock")
+	const n = 50
+	// parkMany forks n threads that block on sem (every one is started:
+	// under ADF each child runs as soon as it is forked).
+	parkMany := func(tt *pthread.T, sem *pthread.Semaphore, attr pthread.Attr) []*pthread.Thread {
+		hs := make([]*pthread.Thread, n)
+		for i := range hs {
+			hs[i] = tt.CreateAttr(attr, func(ct *pthread.T) { sem.Wait(ct) })
 		}
-		// And a run that panics with live siblings.
-		_, err = pthread.Run(pthread.Config{Procs: 2, Policy: pthread.PolicyADF}, func(tt *pthread.T) {
-			tt.Create(func(ct *pthread.T) { ct.Charge(1 << 30) })
-			h := tt.Create(func(ct *pthread.T) { panic("x") })
-			tt.MustJoin(h)
-		})
-		if err == nil {
-			t.Fatal("expected panic error")
+		return hs
+	}
+	release := func(tt *pthread.T, sem *pthread.Semaphore) {
+		for i := 0; i < n; i++ {
+			sem.Post(tt)
 		}
 	}
-
-	leakcheck.AssertNoLeakedGoroutines(t, base)
+	var dive func(tt *pthread.T, d int)
+	dive = func(tt *pthread.T, d int) {
+		if d == 0 {
+			tt.Exit()
+		}
+		dive(tt, d-1)
+	}
+	paths := []struct {
+		name     string
+		maxSteps int64
+		wantErr  string // "" for a clean run
+		main     func(tt *pthread.T)
+	}{
+		{"clean", 0, "", func(tt *pthread.T) {
+			var tree func(tt *pthread.T, d int)
+			tree = func(tt *pthread.T, d int) {
+				tt.Charge(int64(vtime.Micro(300))) // past the quantum: a pause
+				if d > 0 {
+					tt.Par(func(ct *pthread.T) { tree(ct, d-1) }, func(ct *pthread.T) { tree(ct, d-1) })
+				}
+			}
+			tree(tt, 6)
+		}},
+		{"panic", 0, "boom", func(tt *pthread.T) {
+			parkMany(tt, pthread.NewSemaphore(0), pthread.Attr{})
+			tt.Create(func(ct *pthread.T) { ct.Charge(1 << 30) })
+			tt.MustJoin(tt.Create(func(ct *pthread.T) { panic("boom") }))
+		}},
+		{"deadlock", 0, "deadlock", func(tt *pthread.T) {
+			tt.JoinAll(parkMany(tt, pthread.NewSemaphore(0), pthread.Attr{})...)
+		}},
+		{"max-steps", 500, "steps", func(tt *pthread.T) {
+			parkMany(tt, pthread.NewSemaphore(0), pthread.Attr{})
+			for i := 0; i < 4; i++ {
+				tt.Create(func(ct *pthread.T) {
+					for {
+						ct.Yield()
+					}
+				})
+			}
+			for {
+				tt.Yield()
+			}
+		}},
+		{"exit-from-depth", 0, "", func(tt *pthread.T) {
+			sem := pthread.NewSemaphore(0)
+			parkMany(tt, sem, pthread.Attr{})
+			tt.MustJoin(tt.Create(func(ct *pthread.T) {
+				release(ct, sem)
+				dive(ct, 64)
+			}))
+			dive(tt, 8)
+		}},
+		{"unjoined-detached", 0, "", func(tt *pthread.T) {
+			sem := pthread.NewSemaphore(0)
+			parkMany(tt, sem, pthread.Attr{Detached: true})
+			release(tt, sem)
+		}},
+		{"pending-wait-timeout", 0, "late", func(tt *pthread.T) {
+			var mu pthread.Mutex
+			var cv pthread.Cond
+			for i := 0; i < 4; i++ {
+				tt.Create(func(ct *pthread.T) {
+					mu.Lock(ct)
+					cv.WaitTimeout(ct, &mu, vtime.Micro(1_000_000))
+					mu.Unlock(ct)
+				})
+			}
+			tt.Charge(int64(vtime.Micro(1_000)))
+			panic("late")
+		}},
+	}
+	for _, p := range paths {
+		for _, procs := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/p=%d", p.name, procs), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				cfg := pthread.Config{Procs: procs, Policy: pthread.PolicyADF, MaxSteps: p.maxSteps}
+				_, err := pthread.Run(cfg, p.main)
+				switch {
+				case p.wantErr == "" && err != nil:
+					t.Errorf("run failed: %v", err)
+				case p.wantErr != "" && (err == nil || !strings.Contains(err.Error(), p.wantErr)):
+					t.Errorf("run error = %v, want one containing %q", err, p.wantErr)
+				}
+				leakcheck.AssertNoLeakedGoroutines(t, base)
+			})
+		}
+	}
 }
 
 // TestStepLimit: runaway computations hit MaxSteps instead of hanging.

@@ -223,9 +223,11 @@ type Config struct {
 	CostModel *vtime.CostModel
 	// MaxSteps aborts runaway simulations.
 	MaxSteps int64
-	// Quantum bounds the virtual time a thread runs between handoffs to
-	// the coordinator (default 250 virtual microseconds); it controls
-	// interleaving granularity, not scheduling.
+	// Quantum bounds the virtual time a simulated thread runs before it
+	// stops to run the scheduler (default 250 virtual microseconds); it
+	// controls interleaving granularity, not scheduling: the thread keeps
+	// its processor, and while its clock is the minimum it runs on with
+	// no goroutine switch.
 	Quantum vtime.Duration
 	// SchedMode selects the scheduler-lock discipline for global-queue
 	// policies: SchedDirect (default, per-operation locking) or the
