@@ -415,9 +415,8 @@ func BenchmarkDispatchInstrumented(b *testing.B) {
 	})
 }
 
-// nativeCfg is the native backend's default configuration (reference
-// engine, ADF) at p processors, with small stacks so a deep tree stays
-// cheap to account.
+// nativeCfg is the native backend's default configuration (ADF) at p
+// processors, with small stacks so a deep tree stays cheap to account.
 func nativeCfg(p int) pthread.Config {
 	return pthread.Config{Backend: pthread.BackendNative, Procs: p, DefaultStack: pthread.SmallStackSize}
 }

@@ -14,9 +14,8 @@
 // the run's metrics snapshot) lets CI gate contention as well as
 // runtime. Runs are matched by (bench, policy, procs, live_threads)
 // and, when present, the scheduler batch size, the sharded-scheduler
-// marker with its steal window, the execution backend, and the native
-// engine; runs present in only one file are reported but are not
-// failures. Native-backend rows are host wall-clock measurements:
+// marker with its steal window, and the execution backend; runs present
+// in only one file are reported but are not failures. Native-backend rows are host wall-clock measurements:
 // their deltas are printed but never trip the threshold (sim rows,
 // being deterministic, still gate), and the wall_ms and
 // ns_per_dispatch metrics are report-only on every backend by default
@@ -79,32 +78,30 @@ type metric struct {
 // benchRun mirrors the numeric subset of harness.BenchRun that the
 // diff compares (parsed loosely so schema growth never breaks it).
 type benchRun struct {
-	Bench       string  `json:"bench"`
-	Policy      string  `json:"policy"`
-	Procs       int     `json:"procs"`
-	Batch       int     `json:"batch"`
-	Backend     string  `json:"backend"`
-	Engine      string  `json:"engine"`
-	Repeat      int     `json:"repeat"`
-	Shard       bool    `json:"shard"`
-	StealWindow int     `json:"steal_window"`
-	Tracer      bool    `json:"tracer"`
-	Sampler     bool    `json:"sampler"`
-	LiveThreads  int     `json:"live_threads"`
-	TimeCycles   float64 `json:"time_cycles"`
-	WallMS       float64 `json:"wall_ms"`
-	Speedup      float64 `json:"speedup"`
-	HeapHWM      float64 `json:"heap_hwm_bytes"`
-	StackHWM     float64 `json:"stack_hwm_bytes"`
-	TotalHWM     float64 `json:"total_hwm_bytes"`
-	NSDispatch   float64 `json:"ns_per_dispatch"`
-	VOpsDispatch float64 `json:"vops_per_dispatch"`
-	OverheadPct  float64 `json:"overhead_pct"`
-	WallVsRefPct float64 `json:"wall_vs_reference_pct"`
-	TraceDropped float64 `json:"trace_dropped"`
-	SamplerOverheadPct float64 `json:"sampler_overhead_pct"`
+	Bench               string  `json:"bench"`
+	Policy              string  `json:"policy"`
+	Procs               int     `json:"procs"`
+	Batch               int     `json:"batch"`
+	Backend             string  `json:"backend"`
+	Repeat              int     `json:"repeat"`
+	Shard               bool    `json:"shard"`
+	StealWindow         int     `json:"steal_window"`
+	Tracer              bool    `json:"tracer"`
+	Sampler             bool    `json:"sampler"`
+	LiveThreads         int     `json:"live_threads"`
+	TimeCycles          float64 `json:"time_cycles"`
+	WallMS              float64 `json:"wall_ms"`
+	Speedup             float64 `json:"speedup"`
+	HeapHWM             float64 `json:"heap_hwm_bytes"`
+	StackHWM            float64 `json:"stack_hwm_bytes"`
+	TotalHWM            float64 `json:"total_hwm_bytes"`
+	NSDispatch          float64 `json:"ns_per_dispatch"`
+	VOpsDispatch        float64 `json:"vops_per_dispatch"`
+	OverheadPct         float64 `json:"overhead_pct"`
+	TraceDropped        float64 `json:"trace_dropped"`
+	SamplerOverheadPct  float64 `json:"sampler_overhead_pct"`
 	LockWaitVsGlobalPct float64 `json:"lock_wait_vs_global_pct"`
-	Metrics     *struct {
+	Metrics             *struct {
 		Histograms map[string]struct {
 			Count float64 `json:"count"`
 			Sum   float64 `json:"sum"`
@@ -154,14 +151,6 @@ var metrics = []metric{
 	// Sampler overhead follows the same pattern: a same-host wall-time
 	// ratio gated by -max, noise as a cross-file delta.
 	{name: "sampler_overhead_pct", reportOnly: true, get: func(r benchRun) (float64, bool) { return r.SamplerOverheadPct, r.Sampler }},
-	// The tuned engine's best wall time over the reference engine's, as
-	// a percentage (100 = parity; the native-tuned experiment). Another
-	// same-host ratio: CI bounds it with -max (e.g. 105 = "tuned may
-	// not be more than 5% slower"), cross-file deltas are reported only.
-	// Present only on tuned rows whose pair produced a baseline.
-	{name: "wall_vs_reference_pct", reportOnly: true, get: func(r benchRun) (float64, bool) {
-		return r.WallVsRefPct, r.Engine == "tuned" && r.WallVsRefPct > 0
-	}},
 	// Dropped trace events on any traced row. Zero is the expected value
 	// (presence of the tracer, not positivity, gates it), so a -max
 	// ceiling of 0 fails the moment a live-obs row starts dropping.
@@ -219,12 +208,6 @@ func key(r benchRun) string {
 	}
 	if r.Backend != "" {
 		k += "|" + r.Backend
-	}
-	if r.Engine != "" {
-		// Engine-keyed native rows: reference and tuned runs of the same
-		// configuration diff only against their own engine (rows from
-		// before the engine seam carry no engine and keep their old keys).
-		k += "|" + r.Engine
 	}
 	if r.Tracer {
 		k += "|tracer"

@@ -553,34 +553,16 @@ func TestLockWaitVsGlobalCeiling(t *testing.T) {
 	}
 }
 
-// tunedBench builds a native-tuned style file: a reference-engine and a
-// tuned-engine row of the same bench, the tuned row carrying its best
-// wall time as a percentage of the reference arm's.
-func tunedBench(refMS, tunedMS, vsRefPct float64, repeat int) string {
+// nativeWallBench builds a native wall-clock file: two rows of
+// different benches, each with its median wall time over repeat runs.
+func nativeWallBench(matmulMS, fftMS float64, repeat int) string {
 	return fmt.Sprintf(`{
-  "experiment": "native-tuned",
+  "experiment": "backends",
   "runs": [
-    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
-     "engine": "reference", "wall_ms": %g, "repeat": %d},
-    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
-     "engine": "tuned", "wall_ms": %g, "repeat": %d, "wall_vs_reference_pct": %g}
+    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native", "wall_ms": %g, "repeat": %d},
+    {"policy": "adf", "procs": 4, "bench": "fft", "backend": "native", "wall_ms": %g, "repeat": %d}
   ]
-}`, refMS, repeat, tunedMS, repeat, vsRefPct)
-}
-
-// TestEngineRowsDistinctKeys: reference and tuned rows of the same
-// configuration are separate runs keyed by engine, not a collision.
-func TestEngineRowsDistinctKeys(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-threshold", "10",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 90, 90, 9))}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if strings.Contains(out.String(), "only in") {
-		t.Errorf("engine rows collided or went unmatched:\n%s", out.String())
-	}
+}`, matmulMS, repeat, fftMS, repeat)
 }
 
 // TestWallMSDefaultNotGated: without naming wall_ms in -metric, even a
@@ -589,8 +571,8 @@ func TestEngineRowsDistinctKeys(t *testing.T) {
 func TestWallMSDefaultNotGated(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "10",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(300, 280, 93, 9))}, &out, &errb)
+		writeJSON(t, "old.json", nativeWallBench(100, 90, 9)),
+		writeJSON(t, "new.json", nativeWallBench(300, 280, 9))}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0 (wall_ms not explicitly selected)\nstdout: %s", code, out.String())
 	}
@@ -605,21 +587,21 @@ func TestWallMSDefaultNotGated(t *testing.T) {
 func TestWallMSExplicitGateOnNativeRows(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "50", "-metric", "wall_ms",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 250, 250, 9))}, &out, &errb)
+		writeJSON(t, "old.json", nativeWallBench(100, 90, 9)),
+		writeJSON(t, "new.json", nativeWallBench(100, 250, 9))}, &out, &errb)
 	if code != 1 {
-		t.Fatalf("run = %d, want 1 (tuned wall grew 178%% past a 50%% budget)\nstdout: %s", code, out.String())
+		t.Fatalf("run = %d, want 1 (fft wall grew 178%% past a 50%% budget)\nstdout: %s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "|tuned") {
-		t.Errorf("regression not keyed to the tuned engine row:\n%s", out.String())
+	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "fft|") {
+		t.Errorf("regression not keyed to the fft row:\n%s", out.String())
 	}
 
 	// Within budget: passes.
 	out.Reset()
 	errb.Reset()
 	code = run([]string{"-threshold", "50", "-metric", "wall_ms",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(110, 100, 91, 9))}, &out, &errb)
+		writeJSON(t, "old.json", nativeWallBench(100, 90, 9)),
+		writeJSON(t, "new.json", nativeWallBench(110, 100, 9))}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0 (10%% drift under a 50%% budget)\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
@@ -633,8 +615,8 @@ func TestWallMSGateNeedsRepeats(t *testing.T) {
 	for _, tc := range []struct{ oldRep, newRep int }{{1, 9}, {9, 1}, {3, 3}} {
 		var out, errb bytes.Buffer
 		code := run([]string{"-threshold", "50", "-metric", "wall_ms",
-			writeJSON(t, "old.json", tunedBench(100, 90, 90, tc.oldRep)),
-			writeJSON(t, "new.json", tunedBench(100, 250, 250, tc.newRep))}, &out, &errb)
+			writeJSON(t, "old.json", nativeWallBench(100, 90, tc.oldRep)),
+			writeJSON(t, "new.json", nativeWallBench(100, 250, tc.newRep))}, &out, &errb)
 		if code != 0 {
 			t.Errorf("repeat %d->%d: run = %d, want 0 (below the repeat floor)\nstdout: %s",
 				tc.oldRep, tc.newRep, code, out.String())
@@ -647,75 +629,37 @@ func TestWallMSGateNeedsRepeats(t *testing.T) {
 // infinite regression — absence, not zero, is the baseline state.
 func TestWallMSZeroToNonzero(t *testing.T) {
 	oldB := `{
-  "experiment": "native-tuned",
+  "experiment": "backends",
   "runs": [
-    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
-     "engine": "tuned", "repeat": 9}
+    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native", "repeat": 9}
   ]
 }`
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "50", "-metric", "wall_ms",
 		writeJSON(t, "old.json", oldB),
-		writeJSON(t, "new.json", tunedBench(100, 90, 90, 9))}, &out, &errb)
+		writeJSON(t, "new.json", nativeWallBench(100, 90, 9))}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0 (old row has no wall_ms to compare)\nstdout: %s", code, out.String())
 	}
 }
 
-// TestWallMSMissingPair: a tuned row with no old-file counterpart is
-// reported as unmatched, never gated.
+// TestWallMSMissingPair: a row with no old-file counterpart is reported
+// as unmatched, never gated.
 func TestWallMSMissingPair(t *testing.T) {
 	oldB := `{
-  "experiment": "native-tuned",
+  "experiment": "backends",
   "runs": [
-    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native",
-     "engine": "reference", "wall_ms": 100, "repeat": 9}
+    {"policy": "adf", "procs": 4, "bench": "matmul", "backend": "native", "wall_ms": 100, "repeat": 9}
   ]
 }`
 	var out, errb bytes.Buffer
 	code := run([]string{"-threshold", "50", "-metric", "wall_ms",
 		writeJSON(t, "old.json", oldB),
-		writeJSON(t, "new.json", tunedBench(100, 250, 250, 9))}, &out, &errb)
+		writeJSON(t, "new.json", nativeWallBench(100, 250, 9))}, &out, &errb)
 	if code != 0 {
-		t.Fatalf("run = %d, want 0 (tuned row unmatched)\nstdout: %s", code, out.String())
+		t.Fatalf("run = %d, want 0 (fft row unmatched)\nstdout: %s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "only in") {
-		t.Errorf("unmatched tuned row not reported:\n%s", out.String())
-	}
-}
-
-// TestWallVsRefCeiling: -max wall_vs_reference_pct bounds how much
-// slower than the reference engine the tuned engine may run; relative
-// deltas between two files stay report-only.
-func TestWallVsRefCeiling(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-threshold", "10",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 98, 98, 9))}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0 (vs-ref relative delta is report-only)\nstdout: %s\nstderr: %s",
-			code, out.String(), errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-max", "wall_vs_reference_pct=105",
-		writeJSON(t, "old.json", tunedBench(100, 90, 90, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 112, 112, 9))}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("run = %d, want 1 (112%% over a 105%% ceiling)\nstdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "wall_vs_reference_pct") || !strings.Contains(out.String(), "EXCEEDED") {
-		t.Errorf("ceiling violation not named:\n%s", out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	code = run([]string{"-max", "wall_vs_reference_pct=105",
-		writeJSON(t, "old.json", tunedBench(100, 98, 98, 9)),
-		writeJSON(t, "new.json", tunedBench(100, 98, 98, 9))}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0 (98%% under a 105%% ceiling; reference rows carry no ratio)\nstdout: %s",
-			code, out.String())
+		t.Errorf("unmatched fft row not reported:\n%s", out.String())
 	}
 }

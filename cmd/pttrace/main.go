@@ -10,7 +10,7 @@
 // skips the run and works from a previously recorded JSONL trace.
 //
 //	pttrace [-policy adf|adf-treap|adf-shard|fifo|lifo|ws|dfd|rr] [-backend sim|native]
-//	        [-engine reference|tuned] [-procs 4] [-depth 5] [-width 100]
+//	        [-procs 4] [-depth 5] [-width 100]
 //	        [-out trace.json] [-events events.jsonl] [-space space.csv]
 //	        [-dot dag.dot] [-analyze] [-in events.jsonl]
 //	        [-follow url-or-path]
@@ -53,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	policy := fs.String("policy", "adf", "scheduler: fifo, lifo, adf, adf-treap, adf-shard, ws, dfd, rr")
 	backend := fs.String("backend", "sim", "execution backend: sim (deterministic virtual time) or native (goroutines, wall clock)")
-	engine := fs.String("engine", "", "native execution engine: "+engineNames()+" (default reference; needs -backend native)")
 	procs := fs.Int("procs", 4, "virtual processors")
 	depth := fs.Int("depth", 5, "fork-tree depth (2^depth leaves)")
 	width := fs.Int("width", 100, "gantt chart width in buckets")
@@ -105,18 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	native := pthread.Backend(*backend) == pthread.BackendNative
-	if *engine != "" {
-		if !validEngine(*engine) {
-			fmt.Fprintf(stderr, "pttrace: unknown engine %q (valid: %s)\n\n", *engine, engineNames())
-			fs.Usage()
-			return 2
-		}
-		if !native {
-			fmt.Fprintln(stderr, "pttrace: -engine selects a native execution engine and needs -backend native")
-			fs.Usage()
-			return 2
-		}
-	}
 	if native && *dotPath != "" {
 		fmt.Fprintln(stderr, "pttrace: the DAG recorder is sim-only; on -backend native use -events and feed the trace to ptanalyze")
 		fs.Usage()
@@ -134,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Procs:        *procs,
 		Policy:       pthread.Policy(*policy),
 		Backend:      pthread.Backend(*backend),
-		Engine:       pthread.Engine(*engine),
 		DefaultStack: pthread.SmallStackSize,
 		Tracer:       rec,
 		DAG:          g,
@@ -374,26 +360,6 @@ func validBackend(name string) bool {
 		}
 	}
 	return false
-}
-
-func validEngine(name string) bool {
-	for _, e := range pthread.Engines() {
-		if string(e) == name {
-			return true
-		}
-	}
-	return false
-}
-
-func engineNames() string {
-	var s string
-	for i, e := range pthread.Engines() {
-		if i > 0 {
-			s += ", "
-		}
-		s += string(e)
-	}
-	return s
 }
 
 func validPolicy(name string) bool {

@@ -48,9 +48,11 @@ type Backend interface {
 	// statistics. A Backend is single-shot: Execute may be called once.
 	Execute(main func(Thread)) (core.Stats, error)
 
-	// Fork creates a new thread running fn. Policies with the paper's
-	// fork semantics preempt the caller and run the child immediately.
-	Fork(t Thread, attr core.Attr, fn func(Thread)) Thread
+	// Fork creates a new thread running body. body.Bind sees the child
+	// first, on t's goroutine, before the child can run; policies with
+	// the paper's fork semantics then preempt the caller and run the
+	// child immediately.
+	Fork(t Thread, attr core.Attr, body Body) Thread
 	// Join blocks until target exits (POSIX single-joiner semantics).
 	Join(t Thread, target Thread) error
 	// Exit terminates the calling thread from any stack depth.
@@ -83,13 +85,20 @@ type Backend interface {
 	NewOnce() Once
 }
 
-// Engined is implemented by backends with selectable execution
-// engines (the native backend's reference/tuned split). Engine reports
-// the resolved engine id for the run; backends without the seam (sim)
-// simply do not implement it.
-type Engined interface {
-	Engine() string
+// Body is what a forked thread runs. Bind receives the new thread on
+// the forking thread's goroutine before the new thread can run, so a
+// caller can publish the child's identity to state the child itself
+// reads; Run is then the thread's body, on its own goroutine.
+type Body interface {
+	Bind(child Thread)
+	Run(self Thread)
 }
+
+// Func is a Body that needs no binding.
+type Func func(Thread)
+
+func (f Func) Bind(Thread)  {}
+func (f Func) Run(t Thread) { f(t) }
 
 // Mutex is a blocking lock with FIFO handoff (pthread_mutex_t).
 type Mutex interface {

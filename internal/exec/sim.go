@@ -58,12 +58,27 @@ func (s *Sim) Execute(main func(Thread)) (core.Stats, error) {
 	})
 }
 
-// Fork implements Backend.
-func (s *Sim) Fork(t Thread, attr core.Attr, fn func(Thread)) Thread {
-	child := s.m.Fork(sim(t), attr, func(th *core.Thread) {
-		fn(&simThread{th: th})
-	})
-	return &simThread{th: child}
+// Fork implements Backend. Under the paper's fork semantics the child
+// runs before the machine's Fork returns, so the child is bound by
+// whichever comes first, its first run or that return; exactly one
+// simulated thread runs at a time, so the two never overlap.
+func (s *Sim) Fork(t Thread, attr core.Attr, body Body) Thread {
+	c := &simChild{body: body}
+	return c.bind(s.m.Fork(sim(t), attr, func(th *core.Thread) { c.body.Run(c.bind(th)) }))
+}
+
+// simChild is a forked thread's wrapper, handed to its Body's Bind once.
+type simChild struct {
+	body Body
+	st   simThread
+}
+
+func (c *simChild) bind(th *core.Thread) *simThread {
+	if c.st.th == nil {
+		c.st.th = th
+		c.body.Bind(&c.st)
+	}
+	return &c.st
 }
 
 // Join implements Backend.
@@ -71,11 +86,11 @@ func (s *Sim) Join(t Thread, target Thread) error {
 	return s.m.Join(sim(t), sim(target))
 }
 
-func (s *Sim) Exit(t Thread)                          { s.m.Exit(sim(t)) }
-func (s *Sim) Yield(t Thread)                         { s.m.Yield(sim(t)) }
-func (s *Sim) Charge(t Thread, cycles int64)          { s.m.Charge(sim(t), cycles) }
-func (s *Sim) Malloc(t Thread, n int64) core.Alloc    { return s.m.Malloc(sim(t), n) }
-func (s *Sim) Free(t Thread, a core.Alloc)            { s.m.Free(sim(t), a) }
+func (s *Sim) Exit(t Thread)                       { s.m.Exit(sim(t)) }
+func (s *Sim) Yield(t Thread)                      { s.m.Yield(sim(t)) }
+func (s *Sim) Charge(t Thread, cycles int64)       { s.m.Charge(sim(t), cycles) }
+func (s *Sim) Malloc(t Thread, n int64) core.Alloc { return s.m.Malloc(sim(t), n) }
+func (s *Sim) Free(t Thread, a core.Alloc)         { s.m.Free(sim(t), a) }
 func (s *Sim) Touch(t Thread, a core.Alloc, off, n int64) {
 	s.m.Touch(sim(t), a, off, n)
 }

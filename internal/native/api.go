@@ -20,21 +20,22 @@ func nt(t exec.Thread) *thread { return t.(*thread) }
 // Fork implements exec.Backend. Under policies with the paper's fork
 // semantics (OnCreate returns true) the parent is preempted and hands
 // its processor straight to the child.
-func (b *Backend) Fork(pt exec.Thread, attr core.Attr, fn func(exec.Thread)) exec.Thread {
-	return b.fork(nt(pt), attr, fn, false)
+func (b *Backend) Fork(pt exec.Thread, attr core.Attr, body exec.Body) exec.Thread {
+	return b.fork(nt(pt), attr, body, false)
 }
 
 // fork is Fork with the dummy marker settable before the child can run.
-func (b *Backend) fork(t *thread, attr core.Attr, fn func(exec.Thread), dummy bool) *thread {
+func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *thread {
 	pid := t.pid
-	child := b.newThread(pid, attr, fn)
+	child := b.newThread(pid, attr, body)
 	child.isDummy = dummy
+	body.Bind(child)
 	// DePa order maintenance: the label assignment is the whole point of
 	// the scheme — it happens here on the parent's goroutine, before the
 	// scheduler lock, with zero shared state. The policy reads the label
 	// under b.mu, which orders the write ahead of every use.
 	child.tok.Order = t.tok.Order.Fork()
-	b.chargeStack(child, pid)
+	b.chargeStack(child)
 	b.tracer.record(pid, child.ID(), trace.KindCreate, t.ID())
 	b.tracer.record(pid, child.ID(), trace.KindStackAlloc, child.stackSize)
 	b.lock()
@@ -114,11 +115,9 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 		t.span = target.exitedSpan
 	}
 	b.tracer.record(t.pid, t.ID(), trace.KindJoin, target.ID())
-	if b.pool != nil {
-		// Joiner's last read of the record is above; drop its lifecycle
-		// reference so the exiter (or this release) can recycle it.
-		b.releaseThread(target)
-	}
+	// The joiner's last read of the record is above; drop its lifecycle
+	// reference so the exiter (or this release) can recycle it.
+	b.releaseThread(target)
 	return nil
 }
 
@@ -164,18 +163,7 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 	if d := b.policy.AllocDummies(n); d > 0 {
 		b.forkDummies(t, d)
 	}
-	var addr int64
-	if b.cells != nil {
-		// Tuned: bump the worker-private address range and accumulate the
-		// delta in the worker's cell (published at the flush threshold or
-		// the quota boundary below).
-		c := &b.cells[t.pid]
-		c.addr += n
-		addr = cellAddrBase(t.pid) + c.addr - n + 1<<12
-		b.cellAdd(t.pid, n, 0)
-	} else {
-		addr = b.mem.allocHeap(n)
-	}
+	addr := b.mem.allocHeap(n)
 	b.allocTally.Add(1)
 	b.tracer.record(t.pid, t.ID(), trace.KindAlloc, n)
 	b.sampleSpace()
@@ -183,12 +171,6 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 	if b.quota > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
-			if b.cells != nil {
-				// Quota-check boundary: publish this worker's pending delta
-				// so the shared envelope the watchdog reads is no staler
-				// than one quota per other worker (< p·flushBytes total).
-				b.flushCell(&b.cells[t.pid])
-			}
 			b.quotaTally.Add(1)
 			b.tracer.record(t.pid, t.ID(), trace.KindQuotaExhausted, n)
 			b.preemptNow(t)
@@ -203,11 +185,7 @@ func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
 		return
 	}
 	t := nt(pt)
-	if b.cells != nil {
-		b.cellAdd(t.pid, -a.Size, 0)
-	} else {
-		b.mem.freeHeap(a.Size)
-	}
+	b.mem.freeHeap(a.Size)
 	b.freeTally.Add(1)
 	b.tracer.record(t.pid, t.ID(), trace.KindFree, a.Size)
 	b.sampleSpace()
@@ -307,7 +285,7 @@ func (b *Backend) forkDummies(t *thread, d int) {
 
 func (b *Backend) forkDummySubtree(t *thread, count int) {
 	attr := core.Attr{StackSize: core.SmallStackSize, Detached: true}
-	b.fork(t, attr, func(dt exec.Thread) {
+	b.fork(t, attr, exec.Func(func(dt exec.Thread) {
 		rem := count - 1
 		if rem <= 0 {
 			return
@@ -320,5 +298,5 @@ func (b *Backend) forkDummySubtree(t *thread, count int) {
 		if right > 0 {
 			b.forkDummySubtree(nt(dt), right)
 		}
-	}, true)
+	}), true)
 }

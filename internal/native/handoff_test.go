@@ -44,10 +44,51 @@ func newPolicyBackend(t *testing.T, policy sched.Kind, cfg Config) *Backend {
 	return b
 }
 
-func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
-	for _, engine := range Engines() {
-		t.Run(engine, func(t *testing.T) { f(t, engine) })
+// forkFn forks a plain function body.
+func forkFn(b *Backend, t exec.Thread, attr core.Attr, fn func(exec.Thread)) exec.Thread {
+	return b.Fork(t, attr, exec.Func(fn))
+}
+
+// forEachPool runs f once per pool state. The arms keep the names of
+// the two native lifecycles these tests once compared. "reference"
+// starts from a cold pool: every first launch on a processor starts a
+// fresh loop goroutine and every thread gets a freshly allocated
+// record, as one goroutine per thread did. "tuned" primes every
+// processor's loop free list and record arena first (newPoolBackend),
+// so launches reuse parked loops and recycled records from the first
+// fork.
+func forEachPool(t *testing.T, f func(t *testing.T, warm bool)) {
+	for _, s := range []struct {
+		name string
+		warm bool
+	}{{"reference", false}, {"tuned", true}} {
+		t.Run(s.name, func(t *testing.T) { f(t, s.warm) })
 	}
+}
+
+// warmSlots is how many parked loops and blank records a warm pool
+// starts with on each processor.
+const warmSlots = 8
+
+// newPoolBackend is newPolicyBackend with the pool primed when warm.
+func newPoolBackend(t *testing.T, policy sched.Kind, cfg Config, warm bool) *Backend {
+	t.Helper()
+	b := newPolicyBackend(t, policy, cfg)
+	if warm {
+		for pid := range b.pool.loops {
+			// Start all the loops before parking any: getLoop would pop a
+			// parked one back.
+			ls := make([]*loop, warmSlots)
+			for i := range ls {
+				ls[i] = b.pool.getLoop(pid)
+			}
+			for _, l := range ls {
+				b.pool.loops[pid].push(l)
+				b.pool.recs[pid].push(&thread{b: b})
+			}
+		}
+	}
+	return b
 }
 
 func mustJoin(b *Backend, t exec.Thread, hs ...exec.Thread) {
@@ -72,8 +113,8 @@ func spinUntil(cond func() bool) {
 // own. Nothing is idle meanwhile — all three processors are out — so
 // the picks are exactly these.
 func TestHandoffPickEachOther(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, engine string) {
-		b := newPolicyBackend(t, sched.FIFO, Config{Procs: 3, Engine: engine})
+	forEachPool(t, func(t *testing.T, warm bool) {
+		b := newPoolBackend(t, sched.FIFO, Config{Procs: 3}, warm)
 		reg := make(chan *thread, 2)
 		goT, goM := make(chan struct{}), make(chan struct{})
 		var resumed atomic.Int32
@@ -91,9 +132,9 @@ func TestHandoffPickEachOther(t *testing.T) {
 			}
 		}
 		_, err := execute(t, b, func(root exec.Thread) {
-			ht := b.Fork(root, core.Attr{}, blocker(0, goT))
-			hm := b.Fork(root, core.Attr{}, blocker(1, goM))
-			hc := b.Fork(root, core.Attr{}, func(c exec.Thread) {
+			ht := forkFn(b, root, core.Attr{}, blocker(0, goT))
+			hm := forkFn(b, root, core.Attr{}, blocker(1, goM))
+			hc := forkFn(b, root, core.Attr{}, func(c exec.Thread) {
 				<-reg
 				<-reg
 				pid := c.(*thread).pid
@@ -124,13 +165,13 @@ func TestHandoffPickEachOther(t *testing.T) {
 // involves a worker: the only worker dispatches are the ones that
 // started each processor's first thread.
 func TestHandoffPickSelf(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, engine string) {
-		b := newPolicyBackend(t, sched.FIFO, Config{Procs: 3, Engine: engine})
+	forEachPool(t, func(t *testing.T, warm bool) {
+		b := newPoolBackend(t, sched.FIFO, Config{Procs: 3}, warm)
 		reg := make(chan *thread, 1)
 		release, finish := make(chan struct{}), make(chan struct{})
 		var pids [2]int
 		_, err := execute(t, b, func(root exec.Thread) {
-			ht := b.Fork(root, core.Attr{}, func(et exec.Thread) {
+			ht := forkFn(b, root, core.Attr{}, func(et exec.Thread) {
 				tt := et.(*thread)
 				pids[0] = tt.pid
 				b.blockPrep(tt)
@@ -142,8 +183,8 @@ func TestHandoffPickSelf(t *testing.T) {
 			})
 			// hold and the waker keep the other two processors out, so no
 			// idle worker can take T before T picks itself.
-			hold := b.Fork(root, core.Attr{}, func(exec.Thread) { <-finish })
-			hw := b.Fork(root, core.Attr{}, func(w exec.Thread) {
+			hold := forkFn(b, root, core.Attr{}, func(exec.Thread) { <-finish })
+			hw := forkFn(b, root, core.Attr{}, func(w exec.Thread) {
 				b.readyThread(<-reg, w.(*thread).pid)
 				close(release)
 				<-finish
@@ -181,12 +222,12 @@ func TestHandoffPickSelf(t *testing.T) {
 func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		t.Run(fmt.Sprintf("p=%d", procs), func(t *testing.T) {
-			b := newPolicyBackend(t, sched.FIFO, Config{Procs: procs, Engine: EngineTuned})
+			b := newPolicyBackend(t, sched.FIFO, Config{Procs: procs})
 			var ran atomic.Int32
 			_, err := execute(t, b, func(root exec.Thread) {
 				body := func(exec.Thread) { ran.Add(1) }
-				ha := b.Fork(root, core.Attr{}, body)
-				hb := b.Fork(root, core.Attr{}, body)
+				ha := forkFn(b, root, core.Attr{}, body)
+				hb := forkFn(b, root, core.Attr{}, body)
 				mustJoin(b, root, ha, hb)
 			})
 			if err != nil {
@@ -195,7 +236,7 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 			if ran.Load() != 2 {
 				t.Fatalf("ran %d bodies, want 2", ran.Load())
 			}
-			if lc := b.pool.loopsCreated.Load(); procs == 1 && lc != 2 {
+			if lc := len(b.pool.all); procs == 1 && lc != 2 {
 				t.Errorf("created %d loops, want 2: B did not ride A's loop", lc)
 			}
 		})
@@ -204,7 +245,7 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 
 // TestProcessorReturnedOnce runs a sync-heavy program — every blocking
 // shape, with wakers and waiters on different processors — on every
-// store and engine. A thread that released t.pid as rewritten by its
+// store. A thread that released t.pid as rewritten by its
 // next dispatcher, rather than the processor it holds, would send one
 // processor home twice (pass panics, and the race detector sees the
 // unordered writes of worker.out) and strand another (the run hangs).
@@ -220,10 +261,10 @@ func TestProcessorReturnedOnce(t *testing.T) {
 	const threads, rounds = 8, 300
 	for _, s := range stores {
 		t.Run(s.name, func(t *testing.T) {
-			forEachEngine(t, func(t *testing.T, engine string) {
+			forEachPool(t, func(t *testing.T, warm bool) {
 				cfg := s.cfg
-				cfg.Procs, cfg.Engine = 4, engine
-				b := newPolicyBackend(t, sched.ADF, cfg)
+				cfg.Procs = 4
+				b := newPoolBackend(t, sched.ADF, cfg, warm)
 				mu, cv := b.NewMutex(), b.NewCond()
 				sem, bar := b.NewSemaphore(0), b.NewBarrier(threads)
 				turn, total := 0, 0
@@ -231,7 +272,7 @@ func TestProcessorReturnedOnce(t *testing.T) {
 					hs := make([]exec.Thread, threads)
 					for i := range hs {
 						i := i
-						hs[i] = b.Fork(root, core.Attr{}, func(c exec.Thread) {
+						hs[i] = forkFn(b, root, core.Attr{}, func(c exec.Thread) {
 							for r := 0; r < rounds; r++ {
 								// Round-robin under a condition: all but one
 								// thread block, and the one that runs wakes
@@ -276,16 +317,16 @@ func TestProcessorReturnedOnce(t *testing.T) {
 // every join and exit — so the worker dispatches the root and is not
 // reached again until the run ends.
 func TestNoWorkerBetweenThreads(t *testing.T) {
-	const depth = 10 // 2^10 - 1 threads besides the root
-	forEachEngine(t, func(t *testing.T, engine string) {
-		b := newTestBackend(t, engine, 1)
+	forEachPool(t, func(t *testing.T, warm bool) {
+		const depth = 10 // 2^10 - 1 threads besides the root
+		b := newPoolBackend(t, sched.ADF, Config{Procs: 1}, warm)
 		var tree func(t exec.Thread, d int)
 		tree = func(t exec.Thread, d int) {
 			if d == 0 {
 				return
 			}
-			l := b.Fork(t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
-			r := b.Fork(t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
+			l := forkFn(b, t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
+			r := forkFn(b, t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
 			mustJoin(b, t, l, r)
 		}
 		st, err := execute(t, b, func(root exec.Thread) { tree(root, depth) })
@@ -301,17 +342,17 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 	})
 }
 
-// TestNoGoroutineLeaks drives every terminal path of a run on both
-// engines; execute checks the goroutine count after each.
+// TestNoGoroutineLeaks drives every terminal path of a run; execute
+// checks the goroutine count after each.
 func TestNoGoroutineLeaks(t *testing.T) {
 	// parkMany leaves n started threads parked on sem: under ADF each
 	// fork runs the child at once, and the child blocks. These are the
-	// threads the shutdown walk must find through the live registry.
+	// threads riding the loops the shutdown walk must poison.
 	const n = 1000
 	parkMany := func(b *Backend, root exec.Thread, sem exec.Semaphore, detachOdd bool) []exec.Thread {
 		hs := make([]exec.Thread, n)
 		for i := range hs {
-			hs[i] = b.Fork(root, core.Attr{Detached: detachOdd && i%2 == 1}, func(c exec.Thread) { sem.Wait(c) })
+			hs[i] = forkFn(b, root, core.Attr{Detached: detachOdd && i%2 == 1}, func(c exec.Thread) { sem.Wait(c) })
 		}
 		return hs
 	}
@@ -330,11 +371,11 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		after   func(t *testing.T) // extra checks once the run is over
 	}{
 		{"clean", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
-			mustJoin(b, root, b.Fork(root, core.Attr{}, func(exec.Thread) {}))
+			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(exec.Thread) {}))
 		}, nil},
 		{"panic", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
 			parkMany(b, root, b.NewSemaphore(0), false) // parked when the run fails
-			mustJoin(b, root, b.Fork(root, core.Attr{}, func(exec.Thread) { panic("boom") }))
+			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(exec.Thread) { panic("boom") }))
 		}, nil},
 		{"deadlock", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
 			mustJoin(b, root, parkMany(b, root, b.NewSemaphore(0), false)...)
@@ -349,7 +390,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			}
 			sem := b.NewSemaphore(0)
 			parkMany(b, root, sem, false)
-			mustJoin(b, root, b.Fork(root, core.Attr{}, func(c exec.Thread) {
+			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(c exec.Thread) {
 				release(c, sem)
 				dive(c, 64)
 			}))
@@ -367,7 +408,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		{"never-dispatched", sched.FIFO, 1, true, func(b *Backend, root exec.Thread) {
 			undispatched = undispatched[:0]
 			for i := 0; i < 8; i++ {
-				undispatched = append(undispatched, b.Fork(root, core.Attr{}, func(exec.Thread) {}))
+				undispatched = append(undispatched, forkFn(b, root, core.Attr{}, func(exec.Thread) {}))
 			}
 			panic("boom")
 		}, func(t *testing.T) {
@@ -381,8 +422,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
-			forEachEngine(t, func(t *testing.T, engine string) {
-				b := newPolicyBackend(t, p.policy, Config{Procs: p.procs, Engine: engine})
+			forEachPool(t, func(t *testing.T, warm bool) {
+				b := newPoolBackend(t, p.policy, Config{Procs: p.procs}, warm)
 				_, err := execute(t, b, func(root exec.Thread) { p.main(b, root) })
 				if (err != nil) != p.wantErr {
 					t.Errorf("Execute error = %v, want error: %v", err, p.wantErr)

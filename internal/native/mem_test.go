@@ -1,9 +1,8 @@
 package native
 
 // Concurrency unit tests for the footprint accounting: atomicMax's
-// CAS loop under contention, high-water-mark monotonicity across
-// pooled-thread reuse, and the tuned engine's per-cell staleness
-// invariant (|pending| < flushBytes after every accounting call).
+// CAS loop under contention, and high-water-mark monotonicity under
+// concurrent accounting and across pooled-thread reuse.
 
 import (
 	"sync"
@@ -48,16 +47,16 @@ func TestAtomicMaxContention(t *testing.T) {
 	}
 }
 
-// TestHWMMonotonicUnderFlush drives per-worker cells from concurrent
-// owner goroutines while a sampler asserts that the published
-// high-water marks never decrease and that the final published totals
-// equal the exact sums.
-func TestHWMMonotonicUnderFlush(t *testing.T) {
+// TestHWMMonotonicUnderContention drives the shared accounting from
+// concurrent goroutines while a sampler asserts that the high-water
+// marks never decrease, and checks that the final live totals equal the
+// exact sums.
+func TestHWMMonotonicUnderContention(t *testing.T) {
 	const (
 		procs = 4
 		steps = 20_000
 	)
-	b := &Backend{cells: make([]memCell, procs), flushBytes: 4096}
+	var m mem
 	var stop atomic.Bool
 	var wg, swg sync.WaitGroup
 
@@ -67,8 +66,8 @@ func TestHWMMonotonicUnderFlush(t *testing.T) {
 		defer swg.Done()
 		var lastHeap, lastTotal int64
 		for !stop.Load() {
-			h := b.mem.heapHWM.Load()
-			tot := b.mem.totalHWM.Load()
+			h := m.heapHWM.Load()
+			tot := m.totalHWM.Load()
 			if h < lastHeap || tot < lastTotal {
 				t.Errorf("HWM went backwards: heap %d->%d total %d->%d", lastHeap, h, lastTotal, tot)
 				return
@@ -79,23 +78,16 @@ func TestHWMMonotonicUnderFlush(t *testing.T) {
 
 	wg.Add(procs)
 	for pid := 0; pid < procs; pid++ {
-		pid := pid
 		go func() {
 			defer wg.Done()
-			// Sawtooth with amplitude above flushBytes: the ramp forces
-			// mid-rise publications (so the HWMs genuinely move under
-			// contention) and the drain forces negative flushes.
+			// Sawtooth: the ramps move the HWMs under contention and the
+			// drains bring every goroutine back to zero.
 			for i := 0; i < steps; i++ {
-				b.cellAdd(pid, 512, 128)
+				m.allocHeap(512)
+				m.allocStack(128)
 				if i%16 == 15 {
-					b.cellAdd(pid, -16*512, -16*128)
-				}
-				// Single-writer staleness invariant: after every call the
-				// cell's unpublished magnitude is below the flush threshold.
-				c := &b.cells[pid]
-				if p := abs64(c.heap.Load()) + abs64(c.stack.Load()); p >= b.flushBytes {
-					t.Errorf("cell %d pending %d >= flushBytes %d", pid, p, b.flushBytes)
-					return
+					m.freeHeap(16 * 512)
+					m.freeStack(16 * 128)
 				}
 			}
 		}()
@@ -103,18 +95,17 @@ func TestHWMMonotonicUnderFlush(t *testing.T) {
 	wg.Wait()
 	stop.Store(true)
 	swg.Wait()
-	b.flushCells()
-	// Every step is balanced at sawtooth boundaries: net per worker is
-	// zero, so the exact final totals are zero.
-	if h, s := b.mem.liveHeap.Load(), b.mem.liveStack.Load(); h != 0 || s != 0 {
-		t.Errorf("final published totals heap=%d stack=%d, want 0,0", h, s)
+	// Every step is balanced at sawtooth boundaries: net per goroutine
+	// is zero, so the exact final totals are zero.
+	if h, s := m.liveHeap.Load(), m.liveStack.Load(); h != 0 || s != 0 {
+		t.Errorf("final totals heap=%d stack=%d, want 0,0", h, s)
 	}
-	if b.mem.heapHWM.Load() <= 0 || b.mem.totalHWM.Load() <= 0 {
-		t.Errorf("HWMs never rose: heap %d total %d", b.mem.heapHWM.Load(), b.mem.totalHWM.Load())
+	if m.heapHWM.Load() <= 0 || m.totalHWM.Load() <= 0 {
+		t.Errorf("HWMs never rose: heap %d total %d", m.heapHWM.Load(), m.totalHWM.Load())
 	}
 }
 
-// TestHWMAcrossPooledReuse runs a tuned churn of alloc/free threads
+// TestHWMAcrossPooledReuse runs a churn of alloc/free threads
 // and checks the reported HWM covers the serial footprint floor and
 // the live accounting returns to zero — the marks survive record
 // recycling instead of resetting with the records.
@@ -122,15 +113,12 @@ func TestHWMAcrossPooledReuse(t *testing.T) {
 	const (
 		procs  = 4
 		rounds = 2000
-		// block exceeds the tuned flush threshold, so every child's
-		// allocation forces its cell to publish — the HWM must then
-		// witness the footprint even though the records recycle.
-		block = 1 << 17
+		block  = 1 << 17
 	)
-	b := newTestBackend(t, EngineTuned, procs)
+	b := newTestBackend(t, procs)
 	st, err := execute(t, b, func(root exec.Thread) {
 		for i := 0; i < rounds; i++ {
-			child := b.Fork(root, core.Attr{StackSize: core.SmallStackSize}, func(et exec.Thread) {
+			child := forkFn(b, root, core.Attr{StackSize: core.SmallStackSize}, func(et exec.Thread) {
 				a := b.Malloc(et, block)
 				b.Free(et, a)
 			})
@@ -142,21 +130,17 @@ func TestHWMAcrossPooledReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if b.flushBytes <= 0 || b.flushBytes > block {
-		t.Fatalf("flushBytes %d not in (0, %d]: test premise broken", b.flushBytes, block)
-	}
-	// Floor: every child's block allocation was >= the flush threshold,
-	// so at least one publication carried it into the marks; recycling
+	// Floor: every child's block allocation lifted the marks; recycling
 	// the records 2000 times must not reset them.
 	if st.TotalHWM < block {
 		t.Errorf("TotalHWM %d below serial floor %d", st.TotalHWM, block)
 	}
-	if live := b.liveHeapNow(); live != 0 {
+	if live := b.mem.liveHeap.Load(); live != 0 {
 		t.Errorf("live heap %d after all frees, want 0", live)
 	}
 	// All stacks released: only the root's stack could linger, and it
 	// was freed at exit too.
-	if live := b.liveStackNow(); live != 0 {
+	if live := b.mem.liveStack.Load(); live != 0 {
 		t.Errorf("live stack %d after all exits, want 0", live)
 	}
 }

@@ -3,12 +3,12 @@
 // to, as opposed to the deterministic virtual-time simulation in
 // internal/core.
 //
-// Each lightweight thread is a goroutine parked on its resume mailbox
-// whenever it does not hold a processor. There are p processors
-// (Config.Procs, default GOMAXPROCS), each a token held by one
-// goroutine at a time, so at most p lightweight threads make progress
-// concurrently — the execution model of the paper's library on an
-// 8-way SMP. As in that user-level library, the thread that stops runs
+// Each lightweight thread rides a pooled loop goroutine (loop.go) and
+// is parked on its mailbox whenever it does not hold a processor. There
+// are p processors (Config.Procs, default GOMAXPROCS), each a token
+// held by one goroutine at a time, so at most p lightweight threads
+// make progress concurrently — the execution model of the paper's
+// library on an 8-way SMP. As in that user-level library, the thread that stops runs
 // the scheduler: giving its processor up (fork, exit, Join, Yield,
 // quota or time-slice preemption, Sleep, every sync-object block) it
 // picks its successor — the forked child, or the policy's next thread,
@@ -32,9 +32,8 @@
 // policy call by address, and its Owner field points back at the record.
 // pick, under b.mu, is the only code that follows Owner (to turn the
 // token policy.Next answers into the thread to dispatch); policies never
-// look at it. The set of live threads is an intrusive registry
-// (b.liveSet plus each thread's index in it), maintained by admit and
-// exitThread under b.mu and read once, by the shutdown walk.
+// look at it. The shutdown walk needs no registry of live threads: it
+// poisons every loop the pool ever started.
 //
 // Ordering invariant for blocking: a thread marks itself blocked in the
 // policy (OnBlock, under b.mu) *before* registering with a sync
@@ -47,7 +46,7 @@
 // therefore safe — a thread dispatched before it reaches its park finds
 // the processor waiting there — and so are the shapes where a
 // rendezvous would deadlock: two threads that pick each other, a thread
-// that picks itself, a pooled loop that adopts its own successor. One
+// that picks itself, a loop that adopts its own successor. One
 // slot is enough because a thread is marked running at most once per
 // park; post panics otherwise.
 //
@@ -60,7 +59,6 @@ package native
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,11 +118,6 @@ type Config struct {
 	// background collector streams them into the recorder during the
 	// run, so long runs stop dropping events.
 	Obs obs.Options
-	// Engine selects the execution engine: "" or EngineReference (one
-	// goroutine + channel pair per thread, shared-atomic accounting) or
-	// EngineTuned (pooled loop goroutines, per-worker record arenas,
-	// batched per-worker accounting cells). Validated against Engines().
-	Engine string
 }
 
 // Backend is one native run. It is single-shot: build one per Execute.
@@ -150,10 +143,6 @@ type Backend struct {
 	shards *shardStore
 	idleA  atomic.Int64
 
-	// liveSet is the intrusive registry of live threads, in no order:
-	// admit appends, exitThread swap-removes through thread.liveIdx. Its
-	// one reader is poisonParked.
-	liveSet   []*thread
 	ready     int // threads in the policy's ready structure
 	qoutN     int // threads parked in worker-local batches
 	running   int // threads currently assigned to workers
@@ -174,12 +163,7 @@ type Backend struct {
 
 	nextID atomic.Int64 // thread ids; atomic so creation takes no lock
 
-	// Tuned-engine state (all nil/zero under the reference engine; see
-	// engine.go and mem.go).
-	engine     string
-	pool       *enginePool
-	cells      []memCell
-	flushBytes int64
+	pool *pool // loop free lists and record arenas (loop.go)
 
 	// Atomic tallies flushed into the metrics registry at stats time
 	// (these fire in thread context without the scheduler lock).
@@ -210,7 +194,7 @@ type Backend struct {
 
 	workers []*worker
 	wg      sync.WaitGroup // workers
-	twg     sync.WaitGroup // launched thread goroutines
+	twg     sync.WaitGroup // loop goroutines
 }
 
 // worker is one processor's local state. qout is only appended/popped
@@ -251,32 +235,18 @@ func New(cfg Config) (*Backend, error) {
 		// a private one (its snapshot still lands in Stats.Metrics).
 		reg = metrics.NewRegistry()
 	}
-	engine := cfg.Engine
-	switch engine {
-	case "":
-		engine = EngineReference
-	case EngineReference, EngineTuned:
-	default:
-		return nil, fmt.Errorf("native: unknown Engine %q (valid: %s)",
-			cfg.Engine, strings.Join(Engines(), ", "))
-	}
 	b := &Backend{
 		procs:        procs,
 		policy:       cfg.Policy,
 		quota:        cfg.Policy.Quota(),
 		timeSlice:    cfg.Policy.TimeSlice(),
 		defaultStack: stack,
-		engine:       engine,
 		spaceProf:    cfg.SpaceProf,
 		registry:     reg,
 		liveGauge:    reg.Gauge("threads.live"),
 		workers:      make([]*worker, procs),
 	}
-	if engine == EngineTuned {
-		b.pool = newEnginePool(b, procs)
-		b.cells = make([]memCell, procs)
-		b.flushBytes = TunedFlushBytes(b.quota)
-	}
+	b.pool = newPool(b, procs)
 	b.cond = sync.NewCond(&b.mu)
 	b.tracer = newTracer(cfg.Tracer, procs, cfg.Obs.Enabled())
 	b.traceRec = cfg.Tracer
@@ -327,8 +297,8 @@ func (b *Backend) liveState() obs.LiveState {
 		Live:       b.liveGauge.Value(),
 		Ready:      b.readyGauge.Value(),
 		Running:    b.runningGauge.Value(),
-		HeapBytes:  b.liveHeapNow(),
-		StackBytes: b.liveStackNow(),
+		HeapBytes:  b.mem.liveHeap.Load(),
+		StackBytes: b.mem.liveStack.Load(),
 		Dispatches: b.dispatchTally.Load(),
 		Workers:    ws,
 	}
@@ -336,9 +306,6 @@ func (b *Backend) liveState() obs.LiveState {
 
 // Name implements exec.Backend.
 func (b *Backend) Name() string { return "native" }
-
-// Engine reports the active execution engine id (exec.Engined).
-func (b *Backend) Engine() string { return b.engine }
 
 // Execute implements exec.Backend: it runs main as the root thread on
 // b.procs workers and blocks until the run completes.
@@ -363,9 +330,9 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 		}
 	}
 
-	root := b.newThread(-1, core.Attr{Name: "main"}, main)
+	root := b.newThread(-1, core.Attr{Name: "main"}, exec.Func(main))
 	root.tok.Order = core.RootDepaLabel()
-	b.chargeStack(root, -1)
+	b.chargeStack(root)
 	b.tracer.record(-1, root.ID(), trace.KindCreate, 0) // Arg 0: no parent
 	b.tracer.record(-1, root.ID(), trace.KindStackAlloc, root.stackSize)
 	b.mu.Lock()
@@ -432,31 +399,24 @@ func (b *Backend) runWorker(pid int) {
 // dispatch hands processor pid to t, which the caller marked running on
 // it under b.mu. It runs on whichever goroutine holds the processor —
 // the thread giving it up, or the worker — and never waits for t: a
-// first dispatch launches t's goroutine (tuned: posts it to a pooled
-// loop), a later one posts to t's mailbox. Every dispatch follows
-// exactly one markRunning, so the KindDispatch record is issued here,
-// with markRunning's timestamp, while t is already running; the capture
-// precedes the post because t can then block and be re-marked, or exit
-// and have its record recycled.
+// first dispatch launches t onto a pooled loop, a later one posts to
+// t's mailbox. Every dispatch follows exactly one markRunning, so the
+// KindDispatch record is issued here, with markRunning's timestamp,
+// while t is already running; the capture precedes the post because t
+// can then block and be re-marked, or exit and have its record
+// recycled.
 func (b *Backend) dispatch(t *thread, pid int) {
 	at, id := t.dispatchAt, t.ID()
-	switch {
-	case !t.launch:
-		if b.handoff != nil {
-			t.postAt = b.sinceStart()
-		}
-		core.Post(t.resume, pid)
-	case b.pool != nil:
-		// Tuned launch: adopt a pooled loop. The writes happen-before the
-		// post; later dispatchers read t.resume behind it through b.mu.
+	if t.launch {
+		// Adopt a pooled loop. The writes happen-before the post; later
+		// dispatchers read t.resume behind it through b.mu.
 		l := b.pool.getLoop(pid)
 		l.t = t
 		t.resume = l.resume
-		core.Post(l.resume, pid)
-	default:
-		b.twg.Add(1)
-		go t.main(pid)
+	} else if b.handoff != nil {
+		t.postAt = b.sinceStart()
 	}
+	core.Post(t.resume, pid)
 	b.tracer.recordAt(at, pid, id, trace.KindDispatch, 0)
 }
 
@@ -700,8 +660,8 @@ func (b *Backend) readyThread(t *thread, pid int) {
 		b.noteReady(t)
 	}
 	// Id snapshot: after the unlock (global path) or the shard push, t
-	// can be dispatched, run to exit, and (tuned engine) have its record
-	// recycled before the KindWake emit below.
+	// can be dispatched, run to exit, and have its record recycled
+	// before the KindWake emit below.
 	at, id := b.tracer.now(), t.ID()
 	if b.shards == nil {
 		b.cond.Signal()
@@ -742,8 +702,6 @@ func (b *Backend) preemptNow(t *thread) {
 
 // admit registers a freshly created thread. Caller holds b.mu.
 func (b *Backend) admit(t *thread) {
-	t.liveIdx = len(b.liveSet)
-	b.liveSet = append(b.liveSet, t)
 	b.live++
 	b.created++
 	if b.live > b.peakLive {
@@ -767,11 +725,6 @@ func (b *Backend) exitThread(t *thread) {
 	if b.shards == nil {
 		b.policy.OnExit(&t.tok)
 	}
-	last := len(b.liveSet) - 1
-	moved := b.liveSet[last]
-	b.liveSet[t.liveIdx], moved.liveIdx = moved, t.liveIdx
-	b.liveSet[last] = nil
-	b.liveSet = b.liveSet[:last]
 	b.live--
 	b.addRunning(-1)
 	b.liveGauge.Set(int64(b.live))
@@ -781,8 +734,7 @@ func (b *Backend) exitThread(t *thread) {
 	if j != nil {
 		// Snapshot the joiner's trace id while b.mu still excludes its
 		// dispatch: once the wake is published the joiner can run, exit,
-		// and (tuned engine) have its record recycled before the KindWake
-		// emit below.
+		// and have its record recycled before the KindWake emit below.
 		jid = j.ID()
 		j.state = core.StateReady
 		if b.shards == nil {
@@ -815,15 +767,12 @@ func (b *Backend) exitThread(t *thread) {
 }
 
 // newThread builds a thread without admitting it. pid is the creating
-// processor (-1 for the root): under the tuned engine it selects the
-// record arena, and the mailbox stays nil until a pooled loop adopts the
-// thread at first dispatch.
-func (b *Backend) newThread(pid int, attr core.Attr, fn func(exec.Thread)) *thread {
+// processor (-1 for the root): it selects the record arena, and the
+// mailbox stays nil until a pooled loop adopts the thread at first
+// dispatch.
+func (b *Backend) newThread(pid int, attr core.Attr, body exec.Body) *thread {
 	core.CheckPriority(attr.Priority)
-	var t *thread
-	if b.pool != nil {
-		t = b.pool.getThread(pid)
-	}
+	t := b.pool.getThread(pid)
 	if t == nil {
 		t = &thread{b: b}
 	}
@@ -831,17 +780,13 @@ func (b *Backend) newThread(pid int, attr core.Attr, fn func(exec.Thread)) *thre
 	t.tok.Priority = attr.Priority
 	t.tok.Owner = t
 	t.name = attr.Name
-	t.fn = fn
+	t.body = body
 	t.detached = attr.Detached
 	t.stackSize = attr.StackSize
 	if t.stackSize <= 0 {
 		t.stackSize = b.defaultStack
 	}
-	if b.pool != nil {
-		t.refs.Store(threadRefs(attr.Detached))
-	} else {
-		t.resume = make(chan int, 1)
-	}
+	t.refs.Store(threadRefs(attr.Detached))
 	return t
 }
 
@@ -864,58 +809,31 @@ func (b *Backend) failLocked(err error, status int64) {
 	b.cond.Broadcast()
 }
 
-// poisonParked unwinds every started, still-parked thread goroutine
-// after the workers have exited. A worker exits only with its processor
-// home, so no thread holds a processor and — every post carries one —
-// no mailbox holds a post: each started live thread is in, or finishing
-// the tail of its last give-up on its way to, its mailbox receive. One
-// poison post each unwinds them all and cannot block or overflow. The
-// tuned walk is over loops, by the same argument: every loop goroutine,
-// idle or carrying a parked thread, reaches exactly one more receive.
+// poisonParked unwinds every loop goroutine after the workers have
+// exited. A worker exits only with its processor home, so no thread
+// holds a processor and — every post carries one — no mailbox holds a
+// post: each loop, idle or carrying a started thread, is in, or
+// finishing the tail of its last give-up on its way to, its mailbox
+// receive. One poison post each unwinds them all and cannot block or
+// overflow. Threads never dispatched have no loop and need no post.
 func (b *Backend) poisonParked() {
-	if b.pool != nil {
-		b.pool.mu.Lock()
-		all := b.pool.all
-		b.pool.mu.Unlock()
-		for _, l := range all {
-			core.Post(l.resume, core.PoisonPid)
-		}
-		return
-	}
-	b.mu.Lock()
-	var parked []*thread
-	for _, t := range b.liveSet {
-		if t.started {
-			parked = append(parked, t)
-		}
-	}
-	b.mu.Unlock()
-	for _, t := range parked {
-		core.Post(t.resume, core.PoisonPid)
+	b.pool.mu.Lock()
+	all := b.pool.all
+	b.pool.mu.Unlock()
+	for _, l := range all {
+		core.Post(l.resume, core.PoisonPid)
 	}
 }
 
 // stats assembles the run's statistics after all goroutines quiesced.
 func (b *Backend) stats() core.Stats {
 	elapsed := wallToV(time.Since(b.start))
-	if b.cells != nil {
-		// Quiesced: publishing every cell makes the live totals exact and
-		// folds any unpublished peak contribution into the HWMs (the
-		// mid-run HWM may still understate a transient true peak by up to
-		// p·flushBytes — the documented staleness bound).
-		b.flushCells()
-	}
 	if r := b.registry; r != nil {
 		r.Counter("sched.dispatches").Add(b.dispatchTally.Load())
 		r.Counter("sched.quota.preempts").Add(b.quotaTally.Load())
 		r.Counter("sched.dummy.forks").Add(b.dummyTally.Load())
 		r.Counter("mem.allocs").Add(b.allocTally.Load())
 		r.Counter("mem.frees").Add(b.freeTally.Load())
-		if p := b.pool; p != nil {
-			r.Counter("engine.loops.created").Add(p.loopsCreated.Load())
-			r.Counter("engine.threads.recycled").Add(p.recycled.Load())
-			r.Counter("engine.threads.reused").Add(p.reused.Load())
-		}
 	}
 	st := core.Stats{
 		Policy:         b.policy.Name(),
@@ -954,7 +872,7 @@ func (b *Backend) sampleSpace() {
 	b.mu.Unlock()
 	b.spMu.Lock()
 	sp.Sample(vtime.Time(wallToV(time.Since(b.start))),
-		b.liveHeapNow(), b.liveStackNow(), live)
+		b.mem.liveHeap.Load(), b.mem.liveStack.Load(), live)
 	b.spMu.Unlock()
 }
 

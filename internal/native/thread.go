@@ -10,7 +10,8 @@ import (
 	"spthreads/internal/vtime"
 )
 
-// thread is one lightweight thread: a goroutine parked on its resume
+// thread is one lightweight thread, riding a pooled loop goroutine
+// (loop.go) from its first dispatch to its exit and parked on the loop's
 // mailbox whenever it does not hold a processor. It is the only
 // per-thread record: the token the policy orders by (tok) lives inside
 // it, and tok.Owner leads from a token the policy hands back to the
@@ -25,18 +26,18 @@ type thread struct {
 	// behind the token stays nil.
 	tok  core.Thread
 	name string // Attr.Name; empty selects a synthesized name
-	fn   func(exec.Thread)
+	body exec.Body
 
 	stackSize int64
 
-	// resume is the thread's one-slot mailbox (tuned: its loop's). A
-	// dispatcher posts the processor id it hands over, or core.PoisonPid
+	// resume is the thread's one-slot mailbox: its loop's, from the
+	// first dispatch on. A dispatcher posts the processor id it hands over, or core.PoisonPid
 	// at shutdown (core.Post, shared with the simulator), and never waits
 	// for the thread to reach its park.
 	resume chan int
 
-	// Tuned-engine fields (see engine.go). freeNext links the record in
-	// a worker arena; refs counts the lifecycle holders (exiter + joiner)
+	// Record reuse (see loop.go). freeNext links the record in a worker
+	// arena; refs counts the lifecycle holders (exiter + joiner)
 	// that must release before the record can be recycled.
 	freeNext *thread
 	refs     atomic.Int32
@@ -50,10 +51,6 @@ type thread struct {
 	launch  bool
 
 	state core.State // guarded by b.mu
-
-	// liveIdx is the thread's slot in b.liveSet from admit to exitThread
-	// (guarded by b.mu): the registry poisonParked walks at shutdown.
-	liveIdx int
 
 	// pid is the processor this thread holds (or last held), written
 	// only on its own goroutine from the value its dispatch carried: a
@@ -131,26 +128,6 @@ func (t *thread) TLSSet(key, val any) {
 		t.tls = make(map[any]any)
 	}
 	t.tls[key] = val
-}
-
-// main is the thread goroutine body, launched at first dispatch
-// holding processor pid.
-func (t *thread) main(pid int) {
-	defer t.b.twg.Done()
-	t.pid = pid
-	defer func() {
-		r := recover()
-		switch r.(type) {
-		case nil, threadExit:
-			// normal completion or pthread_exit unwind
-		case threadAbort:
-			return // shutdown unwind: every processor is already home
-		default:
-			t.b.recordPanic(t, r)
-		}
-		t.b.exitThread(t)
-	}()
-	t.fn(t)
 }
 
 // park waits in the mailbox for the next dispatch and adopts the

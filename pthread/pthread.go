@@ -103,52 +103,6 @@ const (
 // validation and enumeration.
 func Backends() []Backend { return []Backend{BackendSim, BackendNative} }
 
-// Engine names a native-backend execution engine (Config.Engine).
-type Engine string
-
-// Available native execution engines.
-const (
-	// EngineReference is the native backend's baseline lifecycle: one
-	// fresh goroutine plus one fresh mailbox per lightweight thread and
-	// shared-atomic footprint accounting (the default; an empty Engine
-	// selects it).
-	EngineReference Engine = Engine(native.EngineReference)
-	// EngineTuned amortizes the native hot paths without changing
-	// scheduling semantics: forks reuse pooled, parked loop goroutines
-	// (with their mailboxes), thread records come from per-worker
-	// free-list arenas, and footprint accounting batches in per-worker
-	// cache-line-padded cells that publish to the global envelope at
-	// quota-check boundaries (bounded-staleness reads for the watchdog
-	// and high-water marks).
-	EngineTuned Engine = Engine(native.EngineTuned)
-)
-
-// Engines lists the selectable native execution engines in a stable
-// order, for command-line validation and enumeration. The list is the
-// same registry the native backend validates against, so usage strings
-// cannot drift from what Run accepts.
-func Engines() []Engine {
-	ids := native.Engines()
-	out := make([]Engine, len(ids))
-	for i, id := range ids {
-		out[i] = Engine(id)
-	}
-	return out
-}
-
-// engineNames joins the engine registry for error messages.
-func engineNames() string {
-	ids := native.Engines()
-	s := ""
-	for i, id := range ids {
-		if i > 0 {
-			s += ", "
-		}
-		s += id
-	}
-	return s
-}
-
 // Stack size presets: the Solaris library default and the paper's
 // reduced one-page default.
 const (
@@ -197,12 +151,6 @@ type Config struct {
 	Policy Policy
 	// Backend selects the execution substrate (default BackendSim).
 	Backend Backend
-	// Engine selects the native backend's execution engine:
-	// EngineReference (default; an empty Engine selects it) or
-	// EngineTuned (pooled thread lifecycles, per-worker arenas and
-	// accounting cells — same scheduling semantics, lower per-thread
-	// cost). Native backend only; the accepted ids come from Engines().
-	Engine Engine
 	// MemQuota overrides ADF's allocation quota K in bytes.
 	MemQuota int64
 	// DisableDummies turns off ADF's dummy-thread throttling.
@@ -368,18 +316,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 				string(cfg.SchedMode), cfg.Policy)
 		}
 	}
-	if cfg.Engine != "" {
-		valid := false
-		for _, e := range Engines() {
-			if cfg.Engine == e {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return nil, fmt.Errorf("pthread: unknown Engine %q (valid: %s)", string(cfg.Engine), engineNames())
-		}
-	}
 	if cfg.SampleInterval < 0 {
 		return nil, fmt.Errorf("pthread: negative SampleInterval (%v)", cfg.SampleInterval)
 	}
@@ -401,9 +337,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 		}
 		if cfg.DebugAddr != "" {
 			return nil, fmt.Errorf("pthread: DebugAddr needs the native backend: the sim has no live run to serve; inspect Stats, Metrics, or the recorded trace instead")
-		}
-		if cfg.Engine != "" {
-			return nil, fmt.Errorf("pthread: Engine %q needs the native backend: the sim's virtual-time machine has a single deterministic execution engine; engines select goroutine/accounting strategies for real-machine runs", string(cfg.Engine))
 		}
 		ccfg := core.Config{
 			Procs:        cfg.Procs,
@@ -446,7 +379,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			Metrics:      cfg.Metrics,
 			Tracer:       cfg.Tracer,
 			SpaceProf:    cfg.SpaceProf,
-			Engine:       string(cfg.Engine),
 			Obs: obs.Options{
 				SampleInterval: cfg.SampleInterval,
 				EnvelopeBytes:  cfg.SpaceEnvelope,
@@ -468,6 +400,8 @@ func Run(cfg Config, main func(*T)) (Stats, error) {
 		return Stats{}, err
 	}
 	return b.Execute(func(th exec.Thread) {
-		main(&T{th: th, b: b})
+		h := &Thread{id: th.ID()}
+		h.t = T{th: th, b: b, h: h}
+		main(&h.t)
 	})
 }

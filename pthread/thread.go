@@ -1,6 +1,9 @@
 package pthread
 
 import (
+	"fmt"
+	"sync/atomic"
+
 	"spthreads/internal/exec"
 	"spthreads/internal/vtime"
 )
@@ -11,21 +14,43 @@ import (
 type T struct {
 	th exec.Thread
 	b  exec.Backend
+	h  *Thread // the handle Self returns; T lives inside it
 }
 
-// Thread is an opaque handle to a created thread, usable for Join.
+// Thread is an opaque handle to a created thread, usable for Join. It
+// is the one object pthread allocates per thread: the thread's own T
+// lives inside it, and it keeps the thread's identity and join state
+// itself, so a handle stays answerable after the backend has recycled
+// the thread's record.
 type Thread struct {
-	th exec.Thread
+	t        T
+	fn       func(*T)
+	id       int64
+	detached bool
+	joined   atomic.Bool
 }
+
+// body is a Thread in its exec.Body role, kept off the public method
+// set.
+type body Thread
+
+// Bind publishes the child's identity before it can run.
+func (b *body) Bind(child exec.Thread) {
+	b.t.th = child
+	b.id = child.ID()
+}
+
+func (b *body) Run(exec.Thread) { b.fn(&b.t) }
 
 // ID returns the thread's unique, creation-ordered identifier.
-func (h *Thread) ID() int64 { return h.th.ID() }
+func (h *Thread) ID() int64 { return h.id }
 
-// Self returns a handle to the calling thread.
-func (t *T) Self() *Thread { return &Thread{th: t.th} }
+// Self returns the calling thread's handle: the same object its
+// creator's Create returned.
+func (t *T) Self() *Thread { return t.h }
 
 // ID returns the calling thread's identifier.
-func (t *T) ID() int64 { return t.th.ID() }
+func (t *T) ID() int64 { return t.h.id }
 
 // Create forks a new thread with default attributes running fn.
 func (t *T) Create(fn func(*T)) *Thread {
@@ -37,21 +62,33 @@ func (t *T) Create(fn func(*T)) *Thread {
 // the child immediately (the paper's fork semantics); under the FIFO and
 // LIFO policies the child is enqueued and the caller continues.
 func (t *T) CreateAttr(attr Attr, fn func(*T)) *Thread {
-	b := t.b
-	child := b.Fork(t.th, attr, func(th exec.Thread) {
-		fn(&T{th: th, b: b})
-	})
-	return &Thread{th: child}
+	h := &Thread{fn: fn, detached: attr.Detached}
+	h.t = T{b: t.b, h: h}
+	t.b.Fork(t.th, attr, (*body)(h))
+	return h
 }
 
 // Join blocks until h exits. Each thread may be joined at most once and
-// detached threads cannot be joined.
-func (t *T) Join(h *Thread) error { return t.b.Join(t.th, h.th) }
+// detached threads cannot be joined. The handle answers misuse itself,
+// without reaching the backend.
+func (t *T) Join(h *Thread) error {
+	switch {
+	case h == nil:
+		return fmt.Errorf("pthread: join with nil thread")
+	case h == t.h:
+		return fmt.Errorf("pthread: thread %d cannot join itself", h.id)
+	case h.detached:
+		return fmt.Errorf("pthread: thread %d is detached", h.id)
+	case !h.joined.CompareAndSwap(false, true):
+		return fmt.Errorf("pthread: thread %d already joined", h.id)
+	}
+	return t.b.Join(t.th, h.t.th)
+}
 
 // MustJoin is Join, panicking on misuse (the panic aborts the run and is
 // reported as the run error).
 func (t *T) MustJoin(h *Thread) {
-	if err := t.b.Join(t.th, h.th); err != nil {
+	if err := t.Join(h); err != nil {
 		panic(err)
 	}
 }
