@@ -14,13 +14,16 @@
 // the run's metrics snapshot) lets CI gate contention as well as
 // runtime. Runs are matched by (bench, policy, procs, live_threads)
 // and, when present, the scheduler batch size, the sharded-scheduler
-// marker with its steal window, and the execution backend; runs present
-// in only one file are reported but are not failures. Native-backend rows are host wall-clock measurements:
-// their deltas are printed but never trip the threshold (sim rows,
-// being deterministic, still gate), and the wall_ms and
-// ns_per_dispatch metrics are report-only on every backend by default
-// — the dispatch sweep gates on vops_per_dispatch, the deterministic
-// virtual structure-operation count, instead.
+// marker with its steal window, the execution backend, the tracer
+// marker, and an audit marker for rows carrying a DAG analysis; two
+// runs with the same key in one file are a usage error (exit 2). Runs
+// present in only one file are reported but are not failures.
+// Native-backend rows are host wall-clock measurements: their deltas
+// are printed but never trip the threshold (sim rows, being
+// deterministic, still gate), and the wall_ms and ns_per_dispatch
+// metrics are report-only on every backend by default — the dispatch
+// sweep gates on vops_per_dispatch, the deterministic virtual
+// structure-operation count, instead.
 //
 // The one exception is an explicit same-host wall-clock budget:
 // naming wall_ms with -metric arms it as a real gate, native rows
@@ -87,7 +90,6 @@ type benchRun struct {
 	Shard               bool    `json:"shard"`
 	StealWindow         int     `json:"steal_window"`
 	Tracer              bool    `json:"tracer"`
-	Sampler             bool    `json:"sampler"`
 	LiveThreads         int     `json:"live_threads"`
 	TimeCycles          float64 `json:"time_cycles"`
 	WallMS              float64 `json:"wall_ms"`
@@ -99,7 +101,6 @@ type benchRun struct {
 	VOpsDispatch        float64 `json:"vops_per_dispatch"`
 	OverheadPct         float64 `json:"overhead_pct"`
 	TraceDropped        float64 `json:"trace_dropped"`
-	SamplerOverheadPct  float64 `json:"sampler_overhead_pct"`
 	LockWaitVsGlobalPct float64 `json:"lock_wait_vs_global_pct"`
 	Metrics             *struct {
 		Histograms map[string]struct {
@@ -148,12 +149,9 @@ var metrics = []metric{
 	// overhead percentages is noise, hence report-only here. Negative
 	// values (measurement noise on an effectively free tracer) are valid.
 	{name: "overhead_pct", reportOnly: true, get: func(r benchRun) (float64, bool) { return r.OverheadPct, r.Tracer }},
-	// Sampler overhead follows the same pattern: a same-host wall-time
-	// ratio gated by -max, noise as a cross-file delta.
-	{name: "sampler_overhead_pct", reportOnly: true, get: func(r benchRun) (float64, bool) { return r.SamplerOverheadPct, r.Sampler }},
 	// Dropped trace events on any traced row. Zero is the expected value
 	// (presence of the tracer, not positivity, gates it), so a -max
-	// ceiling of 0 fails the moment a live-obs row starts dropping.
+	// ceiling of 0 fails the moment a traced row starts dropping.
 	{name: "trace_dropped", reportOnly: true, get: func(r benchRun) (float64, bool) { return r.TraceDropped, r.Tracer }},
 	{name: "analysis.work_cycles", get: func(r benchRun) (float64, bool) {
 		return fromAnalysis(r, func(a struct{ Work, Depth, S1, Peak float64 }) float64 { return a.Work })
@@ -212,10 +210,26 @@ func key(r benchRun) string {
 	if r.Tracer {
 		k += "|tracer"
 	}
-	if r.Sampler {
-		k += "|sampler"
+	if r.Analysis != nil {
+		// Audit rows (a DAG analysis, no timing) share their
+		// configuration with a timing row of the same experiment.
+		k += "|audit"
 	}
 	return k
+}
+
+// index maps each run of f to its key. Two runs with one key would make
+// one of them invisible to the comparison, so that is an error.
+func index(f *benchFile) (map[string]benchRun, error) {
+	runs := make(map[string]benchRun, len(f.Runs))
+	for _, r := range f.Runs {
+		k := key(r)
+		if _, dup := runs[k]; dup {
+			return nil, fmt.Errorf("two runs with key %s", k)
+		}
+		runs[k] = r
+	}
+	return runs, nil
 }
 
 // gated reports whether a run participates in the regression gate.
@@ -287,15 +301,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	oldRuns := make(map[string]benchRun)
-	for _, r := range oldF.Runs {
-		oldRuns[key(r)] = r
+	oldRuns, err := index(oldF)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %s: %v\n", fs.Arg(0), err)
+		return 2
 	}
-	var keys []string
-	newRuns := make(map[string]benchRun)
-	for _, r := range newF.Runs {
-		k := key(r)
-		newRuns[k] = r
+	newRuns, err := index(newF)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %s: %v\n", fs.Arg(1), err)
+		return 2
+	}
+	keys := make([]string, 0, len(newRuns))
+	for k := range newRuns {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

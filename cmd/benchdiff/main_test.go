@@ -407,58 +407,26 @@ func TestOverheadPctReportOnlyRelative(t *testing.T) {
 	}
 }
 
-// liveObsBench builds a live-obs style file: an unsampled and a sampled
-// arm of the same bench, the sampled row carrying sampler_overhead_pct
-// and trace_dropped.
-func liveObsBench(ovhPct, dropped float64) string {
+// tracedBench builds a native-obs style file whose traced arm carries
+// trace_dropped.
+func tracedBench(dropped float64) string {
 	return fmt.Sprintf(`{
-  "experiment": "live-obs",
+  "experiment": "native-obs",
   "runs": [
-    {"policy": "adf", "procs": 4, "bench": "dtree", "backend": "native", "wall_ms": 600,
-     "tracer": true, "trace_events": 190000},
+    {"policy": "adf", "procs": 4, "bench": "dtree", "backend": "native", "wall_ms": 600},
     {"policy": "adf", "procs": 4, "bench": "dtree", "backend": "native", "wall_ms": 620,
-     "tracer": true, "sampler": true, "samples": 22, "trace_events": 190000,
-     "trace_dropped": %g, "sampler_overhead_pct": %g}
+     "tracer": true, "trace_events": 190000, "trace_dropped": %g, "overhead_pct": 3.3}
   ]
-}`, dropped, ovhPct)
+}`, dropped)
 }
 
-// TestSamplerRowsDistinctKeys: sampler-on and sampler-off arms of the
-// same bench are separate runs, not a key collision.
-func TestSamplerRowsDistinctKeys(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-threshold", "10",
-		writeJSON(t, "old.json", liveObsBench(5, 0)), writeJSON(t, "new.json", liveObsBench(6, 0))}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
-	}
-	if strings.Contains(out.String(), "only in") {
-		t.Errorf("sampler rows collided or went unmatched:\n%s", out.String())
-	}
-}
-
-// TestSamplerOverheadCeiling: -max sampler_overhead_pct gates the
-// sampled arm like overhead_pct gates the traced arm.
-func TestSamplerOverheadCeiling(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-max", "sampler_overhead_pct=10",
-		writeJSON(t, "old.json", liveObsBench(5, 0)), writeJSON(t, "new.json", liveObsBench(14.5, 0))}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("run = %d, want 1 (14.5%% over a 10%% ceiling)\nstdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "sampler_overhead_pct") || !strings.Contains(out.String(), "EXCEEDED") {
-		t.Errorf("ceiling violation not named:\n%s", out.String())
-	}
-}
-
-// TestTraceDroppedZeroCeiling: a live-obs row going from zero drops to
-// any drops fails -max trace_dropped=0 — the drain's zero-loss
-// guarantee is part of the gate, and -max (unlike the relative
+// TestTraceDroppedZeroCeiling: a traced row going from zero drops to
+// any drops fails -max trace_dropped=0, and -max (unlike the relative
 // threshold) applies to native rows.
 func TestTraceDroppedZeroCeiling(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-max", "trace_dropped=0",
-		writeJSON(t, "old.json", liveObsBench(5, 0)), writeJSON(t, "new.json", liveObsBench(5, 0))}, &out, &errb)
+		writeJSON(t, "old.json", tracedBench(0)), writeJSON(t, "new.json", tracedBench(0))}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("run = %d, want 0 with zero drops\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
@@ -466,12 +434,76 @@ func TestTraceDroppedZeroCeiling(t *testing.T) {
 	out.Reset()
 	errb.Reset()
 	code = run([]string{"-max", "trace_dropped=0",
-		writeJSON(t, "old.json", liveObsBench(5, 0)), writeJSON(t, "new.json", liveObsBench(5, 283))}, &out, &errb)
+		writeJSON(t, "old.json", tracedBench(0)), writeJSON(t, "new.json", tracedBench(283))}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("run = %d, want 1 (283 drops over a 0 ceiling)\nstdout: %s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "trace_dropped") || !strings.Contains(out.String(), "EXCEEDED") {
 		t.Errorf("drop violation not named:\n%s", out.String())
+	}
+}
+
+// auditBench builds a contention style file: a timing row followed by
+// an audit row of the same configuration, as the committed contention
+// baselines hold them.
+func auditBench(cycles float64) string {
+	return fmt.Sprintf(`{
+  "experiment": "contention",
+  "runs": [
+    {"bench": "barneshut", "policy": "adf", "procs": 64, "batch": 1, "time_cycles": %g, "speedup": 20},
+    {"bench": "barneshut", "policy": "adf", "procs": 64, "batch": 1,
+     "analysis": {"work_cycles": 1000, "depth_cycles": 100, "serial_space_bytes": 500, "peak_bytes": 600}}
+  ]
+}`, cycles)
+}
+
+// TestAuditRowKeepsTimingRowGated: an audit row does not hide the
+// timing row it shares a configuration with, so tripling that row's
+// time still fails the gate.
+func TestAuditRowKeepsTimingRowGated(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-threshold", "10", "-metric", "time_cycles,speedup",
+		writeJSON(t, "old.json", auditBench(1e6)), writeJSON(t, "new.json", auditBench(3e6))}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("run = %d, want 1 (time_cycles tripled)\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	if !strings.Contains(out.String(), "barneshut|adf|p64|n0|b1 ") {
+		t.Errorf("timing row not compared under its own key:\n%s", out.String())
+	}
+}
+
+// TestDuplicateKeyExits2: two runs with one key in a file are a usage
+// error naming the key, not a silent overwrite.
+func TestDuplicateKeyExits2(t *testing.T) {
+	dup := `{"experiment": "fig5", "runs": [
+	  {"policy": "adf", "procs": 4, "time_cycles": 1000000},
+	  {"policy": "adf", "procs": 4, "time_cycles": 3000000}
+	]}`
+	for _, files := range [][2]string{{dup, oldBench}, {oldBench, dup}} {
+		var out, errb bytes.Buffer
+		code := run([]string{writeJSON(t, "old.json", files[0]),
+			writeJSON(t, "new.json", files[1])}, &out, &errb)
+		if code != 2 {
+			t.Fatalf("run = %d, want 2\nstdout: %s", code, out.String())
+		}
+		if !strings.Contains(errb.String(), "|adf|p4|n0") {
+			t.Errorf("duplicate key not named:\n%s", errb.String())
+		}
+	}
+}
+
+// TestCommittedBaselinesHaveUniqueKeys: every committed BENCH_*.json
+// at the repository root is a valid gate baseline.
+func TestCommittedBaselinesHaveUniqueKeys(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed baselines found (%v)", err)
+	}
+	for _, f := range files {
+		var out, errb bytes.Buffer
+		if code := run([]string{f, f}, &out, &errb); code != 0 {
+			t.Errorf("%s against itself: run = %d\nstderr: %s", f, code, errb.String())
+		}
 	}
 }
 

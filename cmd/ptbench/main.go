@@ -36,7 +36,6 @@ func main() {
 	procsFlag := flag.String("procs", "", "comma-separated processor counts to sweep (default per experiment)")
 	backend := flag.String("backend", "", "execution backend for the backends experiment: sim, native, or both (default both)")
 	repeat := flag.Int("repeat", 1, "repetitions per wall-clock measurement; the median run is reported")
-	httpAddr := flag.String("http", "", "serve the live debug endpoint (/metrics, /statusz, /trace, /debug/pprof) at this address during live-observability runs")
 	jsonOut := flag.Bool("json", false, "also rerun each experiment with instruments attached and write BENCH_<id>.json")
 	outDir := flag.String("outdir", ".", "directory for -json output files")
 	flag.Usage = usage
@@ -62,7 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ptbench: -repeat must be at least 1\n")
 		os.Exit(2)
 	}
-	opt := harness.Options{Scale: *scale, Backend: *backend, Repeat: *repeat, HTTPAddr: *httpAddr}
+	opt := harness.Options{Scale: *scale, Backend: *backend, Repeat: *repeat}
 	if *procsFlag != "" {
 		for _, f := range strings.Split(*procsFlag, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(f))

@@ -13,23 +13,14 @@
 //	        [-procs 4] [-depth 5] [-width 100]
 //	        [-out trace.json] [-events events.jsonl] [-space space.csv]
 //	        [-dot dag.dot] [-analyze] [-in events.jsonl]
-//	        [-follow url-or-path]
 //
 // With -backend native the same program runs on real goroutines: the
 // trace records wall-clock nanoseconds (the JSONL header and every
 // export carry the unit), and -dot is unavailable — the DAG recorder is
 // sim-only; analyze the recorded trace instead.
 //
-// With -follow, pttrace tails a streaming JSONL trace while the run
-// that produces it is still going: give it the live debug endpoint's
-// /trace?follow=1 URL (a native run with Config.DebugAddr set) or the
-// path of a file the stream is being redirected into. It prints
-// envelope crossings and the terminal run-end as they arrive.
-//
 // Exit status: 0 on success, 2 for usage errors — including an empty
-// or truncated -in trace file, and a followed stream that ends without
-// a run-end — and 1 for runtime/I/O failures (a followed run ending in
-// deadlock or panic included).
+// or truncated -in trace file — and 1 for runtime/I/O failures.
 package main
 
 import (
@@ -62,24 +53,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dotPath := fs.String("dot", "", "also write the computation DAG as Graphviz DOT to this file")
 	doAnalyze := fs.Bool("analyze", false, "reconstruct the run DAG and report W, D, W/D, S1, and the critical path")
 	inPath := fs.String("in", "", "analyze/render a recorded JSONL trace instead of running a program")
-	followSrc := fs.String("follow", "", "tail a streaming JSONL trace until its run-end: an http(s):// URL (a live debug endpoint's /trace?follow=1) or the path of a growing file")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: pttrace [flags]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *followSrc != "" {
-		// Follow mode: everything else describes a run or an offline
-		// render; the tail needs only its source.
-		if *inPath != "" || *outPath != "" || *eventsPath != "" || *spacePath != "" || *dotPath != "" || *doAnalyze {
-			fmt.Fprintln(stderr, "pttrace: -follow tails a live stream and cannot be combined with -in, -out, -events, -space, -dot, or -analyze")
-			fs.Usage()
-			return 2
-		}
-		return runFollow(*followSrc, stdout, stderr)
 	}
 
 	if *inPath != "" {

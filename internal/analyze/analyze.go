@@ -304,7 +304,7 @@ func newAnalysis(events []trace.Event) *analysis {
 		if e.Proc > a.maxProc {
 			a.maxProc = e.Proc
 		}
-		if e.Kind == trace.KindBatchRefill || e.Kind == trace.KindRunEnd || e.Kind == trace.KindEnvelopeCross {
+		if e.Kind == trace.KindBatchRefill || e.Kind == trace.KindRunEnd {
 			continue // machine-level events: no thread to attribute
 		}
 		r := get(e.Thread, e.At)

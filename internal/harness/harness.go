@@ -33,12 +33,6 @@ type Options struct {
 	// reported (default 1). Virtual-time results are deterministic and
 	// never repeated.
 	Repeat int
-	// HTTPAddr, when non-empty, is passed as Config.DebugAddr on runs
-	// that enable live observability (the live-obs experiment's sampled
-	// arm), serving /metrics, /statusz, /trace and /debug/pprof while
-	// those runs execute. Polling the endpoint perturbs the wall-clock
-	// measurement; leave empty for gated numbers.
-	HTTPAddr string
 }
 
 func (o Options) paper() bool { return o.Scale == "paper" }

@@ -15,7 +15,7 @@ func TestRegistryComplete(t *testing.T) {
 		"abldummy", "ablk", "ablloc", "ablsched", "ablws", "backends",
 		"bound-audit", "contention", "contention-sharded", "dispatch",
 		"fig1", "fig10", "fig11", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"live-obs", "native-obs", "scale", "space",
+		"native-obs", "scale", "space",
 	}
 	got := harness.Experiments()
 	if len(got) != len(want) {

@@ -89,15 +89,6 @@ type BenchRun struct {
 	TraceDropped int64   `json:"trace_dropped,omitempty"`
 	OverheadPct  float64 `json:"overhead_pct,omitempty"`
 
-	// Live-observability results (the live-obs experiment). Sampler
-	// marks rows measured with the online sampler on (drained rings +
-	// sampler goroutine); Samples is the median run's sample count;
-	// SamplerOverheadPct is the sampled arm's wall-clock overhead over
-	// the matching sampler-off row, the gated metric.
-	Sampler            bool    `json:"sampler,omitempty"`
-	Samples            int64   `json:"samples,omitempty"`
-	SamplerOverheadPct float64 `json:"sampler_overhead_pct,omitempty"`
-
 	// Analysis is the trace analyzer's report (W/D/S1/critical path),
 	// present for experiments that reconstruct the run DAG.
 	Analysis *analyze.Report `json:"analysis,omitempty"`

@@ -123,11 +123,10 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestSnapshotWhileHot: a sampler may snapshot the registry mid-run
+// TestSnapshotWhileHot: a reader may snapshot the registry mid-run
 // while every worker hammers counters, gauges, and histograms — reads
-// must be race-clean (this is the -race half of the live-introspection
-// contract) and every observed aggregate must stay coherent: counts
-// monotone, min <= max, mean within the written range.
+// must be race-clean and every observed aggregate must stay coherent:
+// counts monotone, min <= max, mean within the written range.
 func TestSnapshotWhileHot(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("sched.dispatches")

@@ -8,9 +8,9 @@
 // updates are atomic, so the native backend's workers can hammer the
 // same counter or histogram concurrently off the scheduler lock. The
 // registry maps are guarded by a mutex taken only on the cold paths —
-// instrument resolution and Snapshot — so a live sampler may snapshot
-// the registry mid-run, while every writer is hot, without blocking any
-// instrument update: reads are race-clean atomic loads. A mid-run
+// instrument resolution and Snapshot — so a snapshot may be taken
+// mid-run, while every writer is hot, without blocking any instrument
+// update: reads are race-clean atomic loads. A mid-run
 // snapshot of a histogram may observe a momentarily torn aggregate
 // (a count without its sum); Snapshot clamps the derived fields so the
 // result is monitoring-grade, and a quiesced snapshot is exact. None of

@@ -66,7 +66,6 @@ import (
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
-	"spthreads/internal/obs"
 	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
@@ -111,13 +110,6 @@ type Config struct {
 	// SpaceProf, when non-nil, samples the live footprint over time
 	// (timestamps are wall time converted to virtual cycles).
 	SpaceProf *spaceprof.Profiler
-	// Obs enables live introspection (periodic metric sampling, the
-	// space-envelope watchdog, the HTTP debug endpoint); the zero value
-	// keeps everything post-mortem. When enabled together with Tracer,
-	// the per-worker trace rings switch to small drained buffers and a
-	// background collector streams them into the recorder during the
-	// run, so long runs stop dropping events.
-	Obs obs.Options
 }
 
 // Backend is one native run. It is single-shot: build one per Execute.
@@ -188,10 +180,6 @@ type Backend struct {
 	readyGauge   *metrics.Gauge     // threads in the policy's ready structure
 	runningGauge *metrics.Gauge     // threads currently assigned to workers
 
-	// observer is the live introspection subsystem (nil when Config.Obs
-	// is zero); it samples the gauges above lock-free mid-run.
-	observer *obs.Observer
-
 	workers []*worker
 	wg      sync.WaitGroup // workers
 	twg     sync.WaitGroup // loop goroutines
@@ -229,12 +217,6 @@ func New(cfg Config) (*Backend, error) {
 		stack = core.DefaultStackSize
 	}
 	reg := cfg.Metrics
-	if reg == nil && cfg.Obs.Enabled() {
-		// The observer's sampler, watchdog, and endpoint all read live
-		// instruments; a run observed without an explicit registry gets
-		// a private one (its snapshot still lands in Stats.Metrics).
-		reg = metrics.NewRegistry()
-	}
 	b := &Backend{
 		procs:        procs,
 		policy:       cfg.Policy,
@@ -248,7 +230,7 @@ func New(cfg Config) (*Backend, error) {
 	}
 	b.pool = newPool(b, procs)
 	b.cond = sync.NewCond(&b.mu)
-	b.tracer = newTracer(cfg.Tracer, procs, cfg.Obs.Enabled())
+	b.tracer = newTracer(cfg.Tracer, procs)
 	b.traceRec = cfg.Tracer
 	b.lockWait = reg.Histogram("sched.lock.wait")
 	b.dispatchWait = reg.Histogram("sched.dispatch.wait")
@@ -270,38 +252,7 @@ func New(cfg Config) (*Backend, error) {
 			b.batch = cfg.SchedBatch
 		}
 	}
-	if cfg.Obs.Enabled() {
-		var record func(kind trace.Kind, arg int64)
-		var col *trace.Collector
-		if b.tracer != nil {
-			record = func(kind trace.Kind, arg int64) {
-				b.tracer.record(-1, 0, kind, arg)
-			}
-			col = b.tracer.col
-		}
-		b.observer = obs.New(cfg.Obs, reg, b.liveState, record, col)
-	}
 	return b, nil
-}
-
-// liveState assembles the observer's point-in-time view from atomic
-// reads only — the sampler never touches b.mu, so observing a run
-// cannot perturb its scheduling.
-func (b *Backend) liveState() obs.LiveState {
-	ws := make([]int64, len(b.workers))
-	for i, w := range b.workers {
-		ws[i] = w.dispatches.Value()
-	}
-	return obs.LiveState{
-		ElapsedNS:  b.sinceStart(),
-		Live:       b.liveGauge.Value(),
-		Ready:      b.readyGauge.Value(),
-		Running:    b.runningGauge.Value(),
-		HeapBytes:  b.mem.liveHeap.Load(),
-		StackBytes: b.mem.liveStack.Load(),
-		Dispatches: b.dispatchTally.Load(),
-		Workers:    ws,
-	}
 }
 
 // Name implements exec.Backend.
@@ -317,17 +268,6 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	b.start = time.Now()
 	if b.tracer != nil {
 		b.tracer.start = b.start
-		if b.tracer.col != nil {
-			b.tracer.col.Start()
-		}
-	}
-	if b.observer != nil {
-		if err := b.observer.Start(); err != nil {
-			if b.tracer != nil && b.tracer.col != nil {
-				b.tracer.col.Finish(b.traceRec, trace.UnitWallNS)
-			}
-			return core.Stats{}, fmt.Errorf("native: observer: %w", err)
-		}
 	}
 
 	root := b.newThread(-1, core.Attr{Name: "main"}, exec.Func(main))
@@ -356,12 +296,6 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	b.wg.Wait()
 	b.poisonParked()
 	b.twg.Wait()
-	// Stop the observer before the terminal record: its final watchdog
-	// sample may still emit an envelope-cross event, which must precede
-	// KindRunEnd in the merged trace.
-	if b.observer != nil {
-		b.observer.Stop()
-	}
 	// Every worker and thread goroutine has quiesced; only stray timers
 	// may still fire, and those record nothing once b.done is set (they
 	// check under b.mu, which orders their writes before the merge).
@@ -369,12 +303,6 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	b.tracer.record(-1, 0, trace.KindRunEnd, b.endStatus)
 	b.tracer.finish(b.traceRec)
 	b.mu.Unlock()
-	// Only now close the endpoint: tracer.finish broadcast the final
-	// batch (run-end included) to live /trace followers, and the
-	// graceful shutdown lets them finish writing it out.
-	if b.observer != nil {
-		b.observer.Shutdown()
-	}
 	return b.stats(), b.err
 }
 
@@ -595,9 +523,8 @@ func (b *Backend) nextSharded(pid int) *thread {
 	}
 }
 
-// addRunning adjusts the running-thread count and its lock-free gauge
-// mirror (the observer samples the gauge without b.mu). Caller holds
-// b.mu.
+// addRunning adjusts the running-thread count and its gauge mirror.
+// Caller holds b.mu.
 func (b *Backend) addRunning(d int) {
 	b.running += d
 	b.runningGauge.Set(int64(b.running))

@@ -22,28 +22,8 @@ import (
 type tracer struct {
 	start time.Time
 	rings []*trace.Ring // len procs+1; index procs is the machine ring
-	// col incrementally drains the rings during the run (live-obs mode
-	// only; nil keeps the post-mortem merge).
-	col   *trace.Collector
 	procs int
 }
-
-// drainedRingCap sizes each per-worker ring in drained mode: small —
-// the collector keeps the rings near-empty, so capacity only needs to
-// absorb one drain interval's worth of events per worker, and the
-// recorder (not the rings) bounds total trace size. The capacity and
-// the drain interval below are sized together for a fork-burst worker
-// emitting ~1M events/s on a host where the collector goroutine may
-// starve for tens of milliseconds (GOMAXPROCS=1 with CPU-bound
-// workers — a single-CPU CI container — is the worst case: the
-// collector only runs when the scheduler preempts a worker).
-const drainedRingCap = 1 << 15
-
-// drainInterval is how often the collector empties the rings in
-// drained mode. Shorter than the collector's 10ms default: recovery
-// after a missed quantum has to land inside the headroom a ring's
-// capacity buys.
-const drainInterval = 5 * time.Millisecond
 
 // newTracer sizes each of the procs+1 rings at 1/procs of the
 // recorder's capacity (with a floor so tiny recorders still capture
@@ -51,22 +31,9 @@ const drainInterval = 5 * time.Millisecond
 // ~2x headroom over an even event distribution: per-worker event counts
 // skew with the schedule, and the machine ring (which would claim an
 // equal share) only ever sees a handful of events.
-//
-// With drain, ring capacity decouples from the recorder's: the rings
-// shrink to drainedRingCap each and a background collector streams
-// them into per-ring buffers during the run, so a run's event total is
-// bounded by the recorder cap, not the rings.
-func newTracer(rec *trace.Recorder, procs int, drain bool) *tracer {
+func newTracer(rec *trace.Recorder, procs int) *tracer {
 	if rec == nil {
 		return nil
-	}
-	if drain {
-		rings := trace.NewRings(procs+1, drainedRingCap)
-		return &tracer{
-			rings: rings,
-			col:   trace.NewCollector(drainInterval, rings...),
-			procs: procs,
-		}
 	}
 	per := rec.Cap() / procs
 	if per < 4096 {
@@ -116,12 +83,6 @@ func (tr *tracer) recordAt(at vtime.Time, proc int, thread int64, kind trace.Kin
 // appends (timers record only while !b.done, under b.mu).
 func (tr *tracer) finish(rec *trace.Recorder) {
 	if tr == nil {
-		return
-	}
-	if tr.col != nil {
-		// Drained mode: the collector holds (almost) every event; its
-		// Finish performs the final drain and the same k-way merge.
-		tr.col.Finish(rec, trace.UnitWallNS)
 		return
 	}
 	rec.Ingest(trace.UnitWallNS, tr.rings...)

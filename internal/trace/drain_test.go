@@ -3,13 +3,12 @@ package trace
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"spthreads/internal/vtime"
 )
 
 // These tests cover the incremental-drain half of the ring protocol:
-// a collector consuming slots while producers are still recording.
+// a consumer draining slots while producers are still recording.
 
 // TestRingDrainWraps: a ring far smaller than the event stream loses
 // nothing when a drainer keeps up — the whole point of incremental
@@ -105,106 +104,5 @@ func TestRingDrainedRecordAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Record+Drain allocates %.1f per call, want 0", allocs)
-	}
-}
-
-// TestCollectorMatchesPostMortem: a collector draining small rings
-// mid-run finishes into a recorder identical to a post-mortem ingest
-// of large rings fed the same events — the merge invariant.
-func TestCollectorMatchesPostMortem(t *testing.T) {
-	const producers, each = 3, 4000
-	small := NewRings(producers, 128)
-	big := NewRings(producers, each+1)
-	c := NewCollector(time.Millisecond, small...)
-	c.Start()
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				// Distinct strictly increasing stamps per ring keep the
-				// merged order fully deterministic for comparison.
-				at := vtime.Time(i*producers + p)
-				// Pace on ring occupancy (not wall clock): back off while
-				// the ring is nearly full so a slow CI runner's drainer
-				// still keeps up and the zero-drop assertion stays exact.
-				for small[p].pos.Load()-small[p].read.Load() >= int64(len(small[p].slots))-1 {
-					time.Sleep(50 * time.Microsecond)
-				}
-				small[p].Record(at, p, int64(p), KindWake, int64(i))
-				big[p].Record(at, p, int64(p), KindWake, int64(i))
-			}
-		}(p)
-	}
-	wg.Wait()
-
-	live := NewRecorder(producers * each)
-	c.Finish(live, UnitWallNS)
-	post := NewRecorder(producers * each)
-	post.Ingest(UnitWallNS, big...)
-
-	if live.Dropped() != 0 {
-		t.Fatalf("live recorder dropped %d with drain active, want 0", live.Dropped())
-	}
-	le, pe := live.Events(), post.Events()
-	if len(le) != len(pe) {
-		t.Fatalf("live merged %d events, post-mortem %d", len(le), len(pe))
-	}
-	for i := range le {
-		if le[i] != pe[i] {
-			t.Fatalf("event %d differs: live %+v post %+v", i, le[i], pe[i])
-		}
-	}
-	if c.Drained() != producers*each {
-		t.Fatalf("Drained() = %d, want %d", c.Drained(), producers*each)
-	}
-}
-
-// TestCollectorSubscribe: a subscriber sees every drained event (when
-// it keeps up), batches arrive time-sorted, and the channel closes at
-// Finish. Subscribing after Finish yields a closed channel.
-func TestCollectorSubscribe(t *testing.T) {
-	g := NewRing(256)
-	c := NewCollector(time.Millisecond, g)
-	ch, cancel := c.Subscribe()
-	defer cancel()
-	c.Start()
-
-	var streamed []Event
-	got := make(chan []Event)
-	go func() {
-		var all []Event
-		for batch := range ch {
-			for i := 1; i < len(batch); i++ {
-				if batch[i].At < batch[i-1].At {
-					t.Error("broadcast batch not time-sorted")
-				}
-			}
-			all = append(all, batch...)
-		}
-		got <- all
-	}()
-
-	const n = 500
-	for i := 0; i < n; i++ {
-		g.Record(vtime.Time(i), 0, int64(i), KindWake, 0)
-		if i%100 == 0 {
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	rec := NewRecorder(n)
-	c.Finish(rec, UnitWallNS)
-	streamed = <-got
-
-	if len(streamed) != n {
-		t.Fatalf("subscriber saw %d events, want %d", len(streamed), n)
-	}
-	if len(rec.Events()) != n {
-		t.Fatalf("recorder holds %d events, want %d", len(rec.Events()), n)
-	}
-	late, _ := c.Subscribe()
-	if _, ok := <-late; ok {
-		t.Fatal("post-Finish subscription delivered an event")
 	}
 }

@@ -125,8 +125,6 @@ func (r *Recorder) WriteChrome(w io.Writer, procs int, counters []CounterSample)
 			args["moved"] = e.Arg
 		case KindRunEnd:
 			args["status"] = e.Arg
-		case KindEnvelopeCross:
-			args["bytes"] = e.Arg
 		case KindCreate:
 			args["parent"] = e.Arg
 		case KindJoin:
@@ -211,47 +209,24 @@ type jsonlHeader struct {
 	Unit string `json:"unit"`
 }
 
-// JSONLStream incrementally writes the JSONL wire format — the header
-// line, then one JSON object per event as each arrives — so a live
-// follower (the debug endpoint's /trace?follow=1) can emit events
-// while the run is still going. The writer is not buffered here;
-// callers that need batching or flushing wrap w themselves.
-type JSONLStream struct {
-	enc *json.Encoder
-}
-
-// NewJSONLStream writes the header declaring the time base and returns
-// a stream for the events that follow.
-func NewJSONLStream(w io.Writer, unit TimeUnit) (*JSONLStream, error) {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(jsonlHeader{Unit: unit.String()}); err != nil {
-		return nil, err
-	}
-	return &JSONLStream{enc: enc}, nil
-}
-
-// Write emits one event line.
-func (s *JSONLStream) Write(e Event) error {
-	return s.enc.Encode(jsonlEvent{
-		TS:     int64(e.At),
-		Proc:   e.Proc,
-		Thread: e.Thread,
-		Kind:   e.Kind.String(),
-		Arg:    e.Arg,
-	})
-}
-
 // WriteJSONL writes a header line declaring the time base, then one
 // JSON object per recorded event in record order. ts is in the
 // recorder's unit: virtual cycles or wall nanoseconds.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	s, err := NewJSONLStream(bw, r.unit)
-	if err != nil {
+	enc := json.NewEncoder(bw)
+	if err := enc.Encode(jsonlHeader{Unit: r.unit.String()}); err != nil {
 		return err
 	}
 	for _, e := range r.events {
-		if err := s.Write(e); err != nil {
+		je := jsonlEvent{
+			TS:     int64(e.At),
+			Proc:   e.Proc,
+			Thread: e.Thread,
+			Kind:   e.Kind.String(),
+			Arg:    e.Arg,
+		}
+		if err := enc.Encode(je); err != nil {
 			return err
 		}
 	}

@@ -23,61 +23,6 @@ func ParseKind(name string) (Kind, error) {
 	return 0, fmt.Errorf("trace: unknown event kind %q", name)
 }
 
-// JSONLFollower incrementally parses the JSONL wire format one line at
-// a time, for callers tailing a stream that is still being written
-// (pttrace -follow, the debug endpoint's live feed). It holds the same
-// header/event state machine ReadJSONL drives to completion: an
-// optional first-line header declares the time unit, everything after
-// is events.
-type JSONLFollower struct {
-	unit     TimeUnit
-	sawEvent bool
-	line     int
-}
-
-// Line consumes one raw line (without its trailing newline). ok is
-// false for blank lines and the recognized header; a malformed line is
-// an error carrying its 1-based line number.
-func (f *JSONLFollower) Line(raw []byte) (Event, bool, error) {
-	f.line++
-	if len(raw) == 0 {
-		return Event{}, false, nil
-	}
-	var je jsonlEvent
-	if err := json.Unmarshal(raw, &je); err != nil {
-		return Event{}, false, fmt.Errorf("trace: line %d: malformed or truncated event: %w", f.line, err)
-	}
-	if !f.sawEvent && je.Kind == "" {
-		// Possible header line ({"unit":...}) before any event.
-		var h jsonlHeader
-		if err := json.Unmarshal(raw, &h); err == nil && h.Unit != "" {
-			u, err := ParseTimeUnit(h.Unit)
-			if err != nil {
-				return Event{}, false, fmt.Errorf("trace: line %d: %w", f.line, err)
-			}
-			f.unit = u
-			f.sawEvent = true // at most one header, and only first
-			return Event{}, false, nil
-		}
-	}
-	f.sawEvent = true
-	k, err := ParseKind(je.Kind)
-	if err != nil {
-		return Event{}, false, fmt.Errorf("trace: line %d: %w", f.line, err)
-	}
-	return Event{
-		At:     vtime.Time(je.TS),
-		Proc:   je.Proc,
-		Thread: je.Thread,
-		Kind:   k,
-		Arg:    je.Arg,
-	}, true, nil
-}
-
-// Unit reports the stream's declared time unit (UnitCycles until a
-// header says otherwise — headerless streams are virtual cycles).
-func (f *JSONLFollower) Unit() TimeUnit { return f.unit }
-
 // ReadJSONL parses a JSONL event stream (one object per line, as written
 // by WriteJSONL) into a fresh Recorder. An optional first line may be a
 // header object declaring the stream's time unit; headerless streams
@@ -90,19 +35,46 @@ func ReadJSONL(r io.Reader) (*Recorder, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	rec := &Recorder{cap: 1 << 62}
-	var f JSONLFollower
+	line := 0
+	sawEvent := false
 	for sc.Scan() {
-		e, ok, err := f.Line(sc.Bytes())
+		line++
+		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
+		var je jsonlEvent
+		if err := json.Unmarshal(raw, &je); err != nil {
+			return nil, fmt.Errorf("trace: line %d: malformed or truncated event: %w", line, err)
+		}
+		if !sawEvent && je.Kind == "" {
+			// Possible header line ({"unit":...}) before any event.
+			var h jsonlHeader
+			if err := json.Unmarshal(raw, &h); err == nil && h.Unit != "" {
+				u, err := ParseTimeUnit(h.Unit)
+				if err != nil {
+					return nil, fmt.Errorf("trace: line %d: %w", line, err)
+				}
+				rec.unit = u
+				sawEvent = true // at most one header, and only first
+				continue
+			}
+		}
+		sawEvent = true
+		k, err := ParseKind(je.Kind)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		if ok {
-			rec.events = append(rec.events, e)
-		}
+		rec.events = append(rec.events, Event{
+			At:     vtime.Time(je.TS),
+			Proc:   je.Proc,
+			Thread: je.Thread,
+			Kind:   k,
+			Arg:    je.Arg,
+		})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: line %d: %w", f.line, err)
+		return nil, fmt.Errorf("trace: line %d: %w", line, err)
 	}
-	rec.unit = f.unit
 	return rec, nil
 }

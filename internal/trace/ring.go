@@ -14,20 +14,20 @@ import (
 //
 // The ring supports two consumption disciplines:
 //
-//   - Post-mortem (the PR-7 behavior): no one drains during the run,
-//     the read cursor stays at zero, the ring fills once, further
-//     events are dropped-newest and counted, and Events returns the
-//     survivors after every producer has quiesced.
-//   - Incremental drain: a single collector goroutine calls Drain
-//     periodically, advancing the read cursor and freeing slots for
-//     reuse, so a run longer than the ring's capacity loses nothing as
-//     long as the collector keeps up. When it does not, producers drop
-//     (newest, counted) exactly as in the post-mortem case.
+//   - Post-mortem (the native backend's tracer): no one drains during
+//     the run, the read cursor stays at zero, the ring fills once,
+//     further events are dropped-newest and counted, and Events returns
+//     the survivors after every producer has quiesced.
+//   - Incremental drain: a single consumer calls Drain periodically,
+//     advancing the read cursor and freeing slots for reuse, so a
+//     stream longer than the ring's capacity loses nothing as long as
+//     the consumer keeps up. When it does not, producers drop (newest,
+//     counted) exactly as in the post-mortem case.
 //
 // The protocol: a producer CAS-reserves the next absolute index i only
 // when i-read < cap (so a reserved index is always written — there are
 // no holes a drainer could stall on), writes slots[i%cap], then
-// publishes by storing i+1 into committed[i%cap]. The collector
+// publishes by storing i+1 into committed[i%cap]. The consumer
 // consumes indices in order, stopping at the first slot whose
 // committed marker does not match (an in-flight producer), and stores
 // the advanced read cursor only after copying the events out — the
@@ -36,17 +36,17 @@ import (
 //
 // The slot array is allocated once at construction; Record never
 // allocates. Reservation is a CAS loop, but the ring is per-worker so
-// the CAS almost never retries; the cost over the PR-7 wait-free path
-// is one extra load (read) and one extra store (committed).
+// the CAS almost never retries; the cost over a wait-free append is
+// one extra load (read) and one extra store (committed).
 type Ring struct {
 	slots []Event
 	// committed[s] holds i+1 after absolute index i (with s == i%cap)
-	// has been fully written; the collector matches it against the
+	// has been fully written; the consumer matches it against the
 	// index it wants to consume, which disambiguates a published slot
 	// from a stale wrapped-around one.
 	committed []atomic.Int64
 	pos       atomic.Int64
-	// read is the collector's cursor: every index below it has been
+	// read is the consumer's cursor: every index below it has been
 	// consumed and its slot may be reused. Stays 0 when nothing drains.
 	read    atomic.Int64
 	dropped atomic.Int64
@@ -115,8 +115,8 @@ func (g *Ring) Record(at vtime.Time, proc int, thread int64, kind Kind, arg int6
 // Drain appends every committed-but-unconsumed event to buf in append
 // order and advances the read cursor past them, freeing their slots
 // for reuse. It stops early at an event a producer has reserved but
-// not yet published. Only one goroutine may drain a given ring (the
-// collector); Drain is safe against concurrent Record.
+// not yet published. Only one goroutine may drain a given ring; Drain
+// is safe against concurrent Record.
 func (g *Ring) Drain(buf []Event) []Event {
 	n := int64(len(g.slots))
 	r := g.read.Load()
@@ -138,8 +138,7 @@ func (g *Ring) Drain(buf []Event) []Event {
 // Events returns the recorded events not yet consumed by a drain, in
 // append order. Only call after all producers have quiesced (the
 // native backend merges rings after every worker has exited). For an
-// undrained ring this is every surviving event, exactly the PR-7
-// behavior.
+// undrained ring this is every surviving event.
 func (g *Ring) Events() []Event {
 	n := int64(len(g.slots))
 	r, p := g.read.Load(), g.pos.Load()

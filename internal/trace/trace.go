@@ -65,13 +65,6 @@ const (
 	// truncated by a hang or a kill; like KindBatchRefill it carries no
 	// thread and per-thread analyzers must skip it.
 	KindRunEnd
-	// KindEnvelopeCross is emitted by the live space watchdog when the
-	// measured heap+stack footprint crosses the configured S1 + c·p·D
-	// envelope (rising edge only; the watchdog re-arms once the
-	// footprint falls back under). Arg is the footprint in bytes at the
-	// crossing. Like KindRunEnd it is machine-level: it carries no
-	// thread and per-thread analyzers must skip it.
-	KindEnvelopeCross
 	// KindSteal marks a sharded-scheduler cross-shard dispatch: the
 	// event's thread is the stolen thread, Proc is the thief processor,
 	// and Arg is the victim shard index. It is emitted immediately before
@@ -120,8 +113,6 @@ func (k Kind) String() string {
 		return "batch-refill"
 	case KindRunEnd:
 		return "run-end"
-	case KindEnvelopeCross:
-		return "envelope-cross"
 	case KindSteal:
 		return "steal"
 	default:
@@ -192,45 +183,28 @@ func (r *Recorder) Unit() TimeUnit { return r.unit }
 // SetUnit declares the time base of the recorder's timestamps.
 func (r *Recorder) SetUnit(u TimeUnit) { r.unit = u }
 
-// AddDropped folds externally counted drops (e.g. a drained ring's)
-// into the recorder's drop count.
-func (r *Recorder) AddDropped(n int64) { r.dropped += n }
-
 // Ingest merges events from per-worker rings into the recorder,
 // time-sorted (stable, so same-timestamp events keep their ring-local
 // order), sets the declared time base, and folds in ring drop counts.
 // Events past the recorder's own cap are dropped and counted too. Call
 // only after every producer has quiesced.
 func (r *Recorder) Ingest(unit TimeUnit, rings ...*Ring) {
-	batches := make([][]Event, 0, len(rings))
+	r.unit = unit
+	// Each ring is already time-ordered in the common case (one worker
+	// records sequentially into its own ring), so a k-way merge costs
+	// O(n·k) integer compares instead of a full O(n log n) sort — the
+	// merge runs inside the traced run's wall time, so it is the
+	// tracer-overhead hot spot. Rings written by concurrent producers
+	// (the machine ring's timers) can be locally out of order; those are
+	// sorted first, stably, preserving slot order among equal stamps.
+	heads := make([][]Event, 0, len(rings))
+	total := 0
 	for _, g := range rings {
 		if g == nil {
 			continue
 		}
 		r.dropped += g.Dropped()
-		batches = append(batches, g.Events())
-	}
-	r.IngestSlices(unit, batches...)
-}
-
-// IngestSlices merges per-source event batches into the recorder,
-// time-sorted (stable, so same-timestamp events keep their batch-local
-// order) and sets the declared time base. Each batch must hold one
-// source's events in record order — a ring's surviving events, or a
-// collector's accumulated drains of one ring. Events past the
-// recorder's cap are dropped and counted.
-func (r *Recorder) IngestSlices(unit TimeUnit, batches ...[]Event) {
-	r.unit = unit
-	// Each batch is already time-ordered in the common case (one worker
-	// records sequentially into its own ring), so a k-way merge costs
-	// O(n·k) integer compares instead of a full O(n log n) sort — the
-	// merge runs inside the traced run's wall time, so it is the
-	// tracer-overhead hot spot. Batches written by concurrent producers
-	// (the machine ring's timers) can be locally out of order; those are
-	// sorted first, stably, preserving slot order among equal stamps.
-	heads := make([][]Event, 0, len(batches))
-	total := 0
-	for _, evs := range batches {
+		evs := g.Events()
 		if len(evs) == 0 {
 			continue
 		}
@@ -437,7 +411,7 @@ func (r *Recorder) Summary() []ThreadStats {
 		return s
 	}
 	for _, e := range r.events {
-		if e.Kind == KindBatchRefill || e.Kind == KindRunEnd || e.Kind == KindEnvelopeCross {
+		if e.Kind == KindBatchRefill || e.Kind == KindRunEnd {
 			continue // machine-level events: carry no thread
 		}
 		s := get(e.Thread)

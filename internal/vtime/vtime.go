@@ -161,13 +161,13 @@ func Default() *CostModel {
 		SchedShardLockOp:     Micro(0.5),
 		SchedShardLockWindow: Micro(25),
 		SchedStealProbe:      Micro(0.2),
-		MallocBase:      Micro(2.0),
-		BrkSyscall:      Micro(60),
-		PageMap:         Micro(2.5),
-		PageFirstTouch:  Micro(40), // zero-fill one 8 KB page
-		TLBMiss:         Duration(50),
-		PageFault:       Micro(1200),
-		HeapLockWindow:  Micro(100),
+		MallocBase:           Micro(2.0),
+		BrkSyscall:           Micro(60),
+		PageMap:              Micro(2.5),
+		PageFirstTouch:       Micro(40), // zero-fill one 8 KB page
+		TLBMiss:              Duration(50),
+		PageFault:            Micro(1200),
+		HeapLockWindow:       Micro(100),
 		// Kernel address-space operations serialize over a wide window;
 		// previously hardcoded in the machine, now sweepable.
 		KernelLockOp:     Micro(150),

@@ -7,7 +7,6 @@ package pthread_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"spthreads/pthread"
 )
@@ -62,31 +61,33 @@ func TestRejectNativeDAG(t *testing.T) {
 	mustReject(t, cfg, "run with Tracer and feed the trace to ptanalyze")
 }
 
-func TestRejectSimSampleInterval(t *testing.T) {
-	// Live introspection is native-only; each option gets its own rule
-	// naming the constraint and the post-mortem alternative.
-	cfg := pthread.Config{SampleInterval: 100 * time.Millisecond}
-	mustReject(t, cfg, "SampleInterval needs the native backend")
-}
-
-func TestRejectSimSpaceEnvelope(t *testing.T) {
-	cfg := pthread.Config{SpaceEnvelope: 1 << 20}
-	mustReject(t, cfg, "SpaceEnvelope needs the native backend")
-}
-
-func TestRejectSimDebugAddr(t *testing.T) {
-	cfg := pthread.Config{DebugAddr: "127.0.0.1:0"}
-	mustReject(t, cfg, "DebugAddr needs the native backend")
-}
-
-func TestRejectNegativeSampleInterval(t *testing.T) {
-	cfg := pthread.Config{Backend: pthread.BackendNative, SampleInterval: -time.Second}
-	mustReject(t, cfg, "negative SampleInterval")
-}
-
-func TestRejectNegativeSpaceEnvelope(t *testing.T) {
-	cfg := pthread.Config{Backend: pthread.BackendNative, SpaceEnvelope: -1}
-	mustReject(t, cfg, "negative SpaceEnvelope")
+func TestRejectNegativeNumbers(t *testing.T) {
+	// No size, count or duration has a meaning below zero; on either
+	// backend a negative one is an error rather than a silent "off"
+	// (MemQuota -1 would disable ADF's quota and dummy throttling).
+	for _, tc := range []struct {
+		field string
+		cfg   pthread.Config
+	}{
+		{"Procs", pthread.Config{Procs: -1}},
+		{"MemQuota", pthread.Config{MemQuota: -1}},
+		{"DefaultStack", pthread.Config{DefaultStack: -1}},
+		{"PhysMem", pthread.Config{PhysMem: -1}},
+		{"TLBEntries", pthread.Config{TLBEntries: -1}},
+		{"TimeSlice", pthread.Config{Policy: pthread.PolicyRR, TimeSlice: -1}},
+		{"MaxSteps", pthread.Config{MaxSteps: -1}},
+		{"Quantum", pthread.Config{Quantum: -1}},
+		{"SchedBatch", pthread.Config{SchedMode: pthread.SchedVolunteer, SchedBatch: -1}},
+		{"StealWindow", pthread.Config{Policy: pthread.PolicyADFShard, StealWindow: -1}},
+	} {
+		for _, backend := range []pthread.Backend{pthread.BackendSim, pthread.BackendNative} {
+			t.Run(tc.field+"/"+string(backend), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Backend = backend
+				mustReject(t, cfg, "negative "+tc.field)
+			})
+		}
+	}
 }
 
 func TestNativeTracerAccepted(t *testing.T) {

@@ -37,14 +37,12 @@ package pthread
 
 import (
 	"fmt"
-	"time"
 
 	"spthreads/internal/core"
 	"spthreads/internal/dag"
 	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
 	"spthreads/internal/native"
-	"spthreads/internal/obs"
 	"spthreads/internal/sched"
 	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
@@ -141,7 +139,8 @@ type Alloc = core.Alloc
 // Stats summarizes a completed run; see core.Stats for the fields.
 type Stats = core.Stats
 
-// Config describes one run.
+// Config describes one run. Run rejects a negative size, count or
+// duration.
 type Config struct {
 	// Procs is the number of virtual processors (default 1; under
 	// BackendNative the number of worker goroutines, default
@@ -228,24 +227,6 @@ type Config struct {
 	// thread count at every footprint change, producing the run's
 	// space-over-time curve. Attach a profiler from NewSpaceProfiler.
 	SpaceProf *spaceprof.Profiler
-	// SampleInterval, when > 0, runs a live sampler goroutine that
-	// snapshots the metrics registry and the scheduler's state at that
-	// period while the run is hot (DebugAddr implies a 100ms default).
-	// Native backend only: the sim is a single-goroutine virtual-time
-	// execution with nothing to observe mid-run.
-	SampleInterval time.Duration
-	// SpaceEnvelope, when > 0, arms the live space watchdog with a
-	// fitted S1 + c·p·D envelope in bytes (take it from a ptanalyze
-	// report): each sample compares the live heap+stack footprint
-	// against it, emitting a KindEnvelopeCross trace event and a
-	// crossings counter on every rising edge. Native backend only.
-	SpaceEnvelope int64
-	// DebugAddr, when non-empty, serves the HTTP debug endpoint on that
-	// address for the duration of the run: /metrics (Prometheus text
-	// exposition), /statusz (live JSON status), /debug/pprof, and
-	// /trace?follow=1 (streaming JSONL trace tail; needs Tracer).
-	// Native backend only.
-	DebugAddr string
 }
 
 // Policies lists every selectable scheduling policy name, in a stable
@@ -258,8 +239,27 @@ func Policies() []Policy { return sched.Kinds() }
 // configuration. Every Run goes through here, so there is exactly one
 // place where pthread.Config fields translate to runtime settings.
 func newBackend(cfg Config) (exec.Backend, error) {
-	if cfg.Procs < 0 {
-		return nil, fmt.Errorf("pthread: negative Procs (%d)", cfg.Procs)
+	// A negative size, count or duration would pass silently as
+	// "off" or "default" further down (MemQuota -1 disables quota
+	// preemption and dummy throttling), so every one is an error.
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{
+		{"Procs", int64(cfg.Procs)},
+		{"MemQuota", cfg.MemQuota},
+		{"DefaultStack", cfg.DefaultStack},
+		{"PhysMem", cfg.PhysMem},
+		{"TLBEntries", int64(cfg.TLBEntries)},
+		{"TimeSlice", int64(cfg.TimeSlice)},
+		{"MaxSteps", cfg.MaxSteps},
+		{"Quantum", int64(cfg.Quantum)},
+		{"SchedBatch", int64(cfg.SchedBatch)},
+		{"StealWindow", int64(cfg.StealWindow)},
+	} {
+		if f.value < 0 {
+			return nil, fmt.Errorf("pthread: negative %s (%d)", f.name, f.value)
+		}
 	}
 	switch cfg.SchedMode {
 	case "":
@@ -288,9 +288,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			return nil, fmt.Errorf("pthread: ShardStrict requires the sharded scheduler (set SchedShard or Policy adf-shard; have policy %q)", cfg.Policy)
 		}
 	}
-	if cfg.StealWindow < 0 {
-		return nil, fmt.Errorf("pthread: negative StealWindow (%d)", cfg.StealWindow)
-	}
 	if sharded && cfg.SchedMode != core.SchedDirect {
 		return nil, fmt.Errorf("pthread: SchedShard and SchedMode %q are mutually exclusive: sharding removes the global scheduler lock the batched modes amortize", string(cfg.SchedMode))
 	}
@@ -316,28 +313,8 @@ func newBackend(cfg Config) (exec.Backend, error) {
 				string(cfg.SchedMode), cfg.Policy)
 		}
 	}
-	if cfg.SampleInterval < 0 {
-		return nil, fmt.Errorf("pthread: negative SampleInterval (%v)", cfg.SampleInterval)
-	}
-	if cfg.SpaceEnvelope < 0 {
-		return nil, fmt.Errorf("pthread: negative SpaceEnvelope (%d)", cfg.SpaceEnvelope)
-	}
 	switch cfg.Backend {
 	case "", BackendSim:
-		// Live introspection is native-only by design, not omission: a
-		// sim run is one goroutine stepping virtual time, so a sampler
-		// would observe nothing between steps (and a debug endpoint
-		// would dilate the run it reports on). Each option is rejected
-		// with its own rule so a misconfigured run names the fix.
-		if cfg.SampleInterval != 0 {
-			return nil, fmt.Errorf("pthread: SampleInterval needs the native backend: the sim runs in virtual time with no live state to sample; use Metrics/Tracer for post-mortem inspection")
-		}
-		if cfg.SpaceEnvelope != 0 {
-			return nil, fmt.Errorf("pthread: SpaceEnvelope needs the native backend: the sim's space bound is audited post-mortem (ptanalyze); the live watchdog watches wall-clock runs")
-		}
-		if cfg.DebugAddr != "" {
-			return nil, fmt.Errorf("pthread: DebugAddr needs the native backend: the sim has no live run to serve; inspect Stats, Metrics, or the recorded trace instead")
-		}
 		ccfg := core.Config{
 			Procs:        cfg.Procs,
 			Policy:       pol,
@@ -379,11 +356,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			Metrics:      cfg.Metrics,
 			Tracer:       cfg.Tracer,
 			SpaceProf:    cfg.SpaceProf,
-			Obs: obs.Options{
-				SampleInterval: cfg.SampleInterval,
-				EnvelopeBytes:  cfg.SpaceEnvelope,
-				DebugAddr:      cfg.DebugAddr,
-			},
 		})
 	default:
 		return nil, fmt.Errorf("pthread: unknown Backend %q", string(cfg.Backend))

@@ -16,8 +16,8 @@ import (
 // deletes code lowers them, and one that must raise a ceiling says why
 // in CHANGES.md.
 const (
-	maxNonTestLines = 20971
-	maxConfigFields = 25
+	maxNonTestLines = 19563
+	maxConfigFields = 22
 )
 
 // TestCodeRatchet counts the module's non-test Go lines outside
