@@ -19,13 +19,13 @@ type Alloc struct {
 	Size int64
 }
 
-// Fork creates a new lightweight thread running fn. Under policies with
+// Fork creates a new lightweight thread running body. Under policies with
 // the paper's fork semantics the caller is preempted and the processor
 // runs the child immediately; otherwise the child is enqueued and the
 // caller continues.
-func (m *Machine) Fork(t *Thread, attr Attr, fn func(*Thread)) *Thread {
+func (m *Machine) Fork(t *Thread, attr Attr, body Body) *Thread {
 	m.checkRunning(t, "Fork")
-	child := m.newThread(attr, fn)
+	child := m.newThread(attr, body)
 	// DePa order maintenance: label the child from the parent's own
 	// fork path before the policy sees either thread. O(1), no shared
 	// state — on the native backend the same assignment happens outside
@@ -239,7 +239,7 @@ func (m *Machine) forkDummies(t *Thread, d int) {
 
 func (m *Machine) forkDummySubtree(t *Thread, count int) {
 	attr := Attr{StackSize: SmallStackSize, Detached: true}
-	child := m.Fork(t, attr, func(dt *Thread) {
+	child := m.Fork(t, attr, Func(func(dt *Thread) {
 		rem := count - 1
 		if rem <= 0 {
 			return
@@ -252,7 +252,7 @@ func (m *Machine) forkDummySubtree(t *Thread, count int) {
 		if right > 0 {
 			m.forkDummySubtree(dt, right)
 		}
-	})
+	}))
 	child.isDummy = true
 }
 

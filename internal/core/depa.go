@@ -36,7 +36,8 @@ package core
 // point toward the root), the last partial word is a private scalar.
 // Fork copies the five-word struct and flips one bit; Compare walks the
 // two spines only across their divergence, converging on a shared chunk
-// pointer at the nearest common ancestor — O(divergence/64) words.
+// pointer at the nearest common ancestor — O(divergence/64) words, in
+// one lockstep pass that allocates nothing.
 
 // DepaLabel is a fork-path timestamp. The zero value is invalid (no
 // position); RootDepaLabel and Fork produce valid labels.
@@ -120,56 +121,42 @@ func (l DepaLabel) Compare(o DepaLabel) int {
 		// the partial words differ.
 		return cmpBits(l.word, uint32(l.nbits), o.word, uint32(o.nbits))
 	}
-	// Collect the chunks past the shared suffix, newest first. Chunks
-	// are created once and shared by every descendant, so two labels
-	// with the same anchor converge on pointer-identical chunks at
-	// their common ancestor (possibly nil at the root).
+	if depaWords(l.spine) < depaWords(o.spine) {
+		return -o.Compare(l)
+	}
+	// Chunks are created once and shared by every descendant, so two
+	// labels with the same anchor converge on pointer-identical chunks
+	// at their common ancestor (possibly nil at the root). Walk l's
+	// longer spine down to o's depth, then both in lockstep until they
+	// meet: the root-most equal-depth pair whose bits differ decides.
+	// Without one, the first word past o's spine does.
 	sa, sb := l.spine, o.spine
-	var da, db []*depaChunk
-	for depaWords(sa) > depaWords(sb) {
-		da = append(da, sa)
-		sa = sa.prev
+	var first *depaChunk // l's root-most surplus word, opposite o's partial word
+	for extra := depaWords(sa) - depaWords(sb); extra > 0; extra-- {
+		first, sa = sa, sa.prev
 	}
-	for depaWords(sb) > depaWords(sa) {
-		db = append(db, sb)
-		sb = sb.prev
-	}
+	var da, db uint64 // the root-most differing pair, once found
 	for sa != sb {
-		da = append(da, sa)
-		sa = sa.prev
-		db = append(db, sb)
-		sb = sb.prev
-	}
-	// Compare the divergent words root-first, each stream ending with
-	// its partial word. A missing word reads as length 0, which cmpBits
-	// resolves via the prefix rule.
-	steps := len(da)
-	if len(db) > steps {
-		steps = len(db)
-	}
-	for k := 0; k <= steps; k++ {
-		wa, la := streamWord(da, k, l.word, uint32(l.nbits))
-		wb, lb := streamWord(db, k, o.word, uint32(o.nbits))
-		if c := cmpBits(wa, la, wb, lb); c != 0 {
-			return c
+		if sa.bits != sb.bits {
+			da, db = sa.bits, sb.bits
 		}
-		if la < 64 || lb < 64 {
-			return 0 // a stream ended and everything matched: identical
-		}
+		sa, sb = sa.prev, sb.prev
 	}
-	return 0
-}
-
-// streamWord yields word k (root-first) of a divergent chunk list
-// followed by the label's partial word; past the end it reads as empty.
-func streamWord(chunks []*depaChunk, k int, tail uint64, tailBits uint32) (uint64, uint32) {
-	if k < len(chunks) {
-		return chunks[len(chunks)-1-k].bits, 64
+	switch {
+	case da != db:
+		return cmpBits(da, 64, db, 64)
+	case first == nil:
+		return cmpBits(l.word, uint32(l.nbits), o.word, uint32(o.nbits))
 	}
-	if k == len(chunks) {
-		return tail, tailBits
+	if c := cmpBits(first.bits, 64, o.word, uint32(o.nbits)); c != 0 {
+		return c
 	}
-	return 0, 0
+	// o ended on a full word equal to first: l extends o (left) unless
+	// nothing follows first at all.
+	if first == l.spine && l.nbits == 0 {
+		return 0
+	}
+	return -1
 }
 
 // cmpBits compares two MSB-first bit strings of up to 64 bits. On a

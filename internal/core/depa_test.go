@@ -221,3 +221,160 @@ func TestDepaForkSelfRoots(t *testing.T) {
 		t.Fatal("self-rooted child not left of the root position")
 	}
 }
+
+// compareOracle is the collect-and-compare rule Compare replaced: it
+// gathers both labels' divergent chunks into slices, then compares the
+// two word streams root-first. It is the differential reference for
+// the allocation-free lockstep walk.
+func compareOracle(l, o DepaLabel) int {
+	if l.anchor != o.anchor {
+		if l.anchor < o.anchor {
+			return -1
+		}
+		return 1
+	}
+	sa, sb := l.spine, o.spine
+	var da, db []*depaChunk
+	for depaWords(sa) > depaWords(sb) {
+		da = append(da, sa)
+		sa = sa.prev
+	}
+	for depaWords(sb) > depaWords(sa) {
+		db = append(db, sb)
+		sb = sb.prev
+	}
+	for sa != sb {
+		da = append(da, sa)
+		sa = sa.prev
+		db = append(db, sb)
+		sb = sb.prev
+	}
+	steps := len(da)
+	if len(db) > steps {
+		steps = len(db)
+	}
+	for k := 0; k <= steps; k++ {
+		wa, la := streamWord(da, k, l.word, uint32(l.nbits))
+		wb, lb := streamWord(db, k, o.word, uint32(o.nbits))
+		if c := cmpBits(wa, la, wb, lb); c != 0 {
+			return c
+		}
+		if la < 64 || lb < 64 {
+			return 0 // a stream ended and everything matched: identical
+		}
+	}
+	return 0
+}
+
+// streamWord yields word k (root-first) of a divergent chunk list
+// followed by the label's partial word; past the end it reads as empty.
+func streamWord(chunks []*depaChunk, k int, tail uint64, tailBits uint32) (uint64, uint32) {
+	if k < len(chunks) {
+		return chunks[len(chunks)-1-k].bits, 64
+	}
+	if k == len(chunks) {
+		return tail, tailBits
+	}
+	return 0, 0
+}
+
+// depaForest grows a seeded fork forest under a few anchors. chain is
+// the percentage of forks taken from the newest lineage (100 and above:
+// all of them), so high values grow long chains; the first 256 forks
+// always descend, so some labels span at least three spine chunks.
+// Besides every child's creation-time label it keeps mid-life
+// snapshots of forking parents, the bare anchor heads, and, for labels
+// whose partial word is full, a twin spelling the same bits as one more
+// chunk and an empty partial word (a representation Fork never builds,
+// on which Compare must still agree with the oracle).
+func depaForest(rng *rand.Rand, n int, chain int) []DepaLabel {
+	var lineages []*DepaLabel
+	var labels []DepaLabel
+	for a := int64(0); a > -3; a-- {
+		h := HeadDepaLabel(a)
+		lineages = append(lineages, &h)
+		labels = append(labels, h)
+	}
+	for forks := 0; len(labels) < n; forks++ {
+		var p *DepaLabel
+		if forks < 4*64 || rng.Intn(100) < chain {
+			p = lineages[len(lineages)-1]
+		} else {
+			p = lineages[rng.Intn(len(lineages))]
+		}
+		child := p.Fork()
+		labels = append(labels, child)
+		if rng.Intn(8) == 0 {
+			labels = append(labels, *p)
+		}
+		if child.nbits == 64 {
+			twin := child
+			twin.spine = &depaChunk{bits: child.word, prev: child.spine, words: depaWords(child.spine) + 1}
+			twin.word, twin.nbits = 0, 0
+			labels = append(labels, twin)
+		}
+		c := child
+		lineages = append(lineages, &c)
+	}
+	return labels
+}
+
+// FuzzDepaCompare: the lockstep Compare agrees with compareOracle on
+// random pairs from seeded forests, deep chains included.
+func FuzzDepaCompare(f *testing.F) {
+	for _, s := range []struct {
+		seed  int64
+		chain uint8
+	}{{1, 0}, {2, 50}, {3, 90}, {4, 99}, {5, 75}, {6, 97}} {
+		f.Add(s.seed, s.chain)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, chain uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		labels := depaForest(rng, 3000, int(chain))
+		deepest := 0
+		for _, l := range labels {
+			if d := int(depaWords(l.spine)); d > deepest {
+				deepest = d
+			}
+		}
+		if deepest < 3 {
+			t.Fatalf("deepest spine %d chunks, want >= 3", deepest)
+		}
+		for trial := 0; trial < 20000; trial++ {
+			a, b := labels[rng.Intn(len(labels))], labels[rng.Intn(len(labels))]
+			if got, want := a.Compare(b), compareOracle(a, b); got != want {
+				t.Fatalf("Compare = %d, oracle %d (depths %d, %d)", got, want, a.Depth(), b.Depth())
+			}
+		}
+	})
+}
+
+// TestDepaCompareAllocFree: comparing labels whose spines differ
+// allocates nothing, so the scheduler's hot comparisons stay off the
+// heap (native policies compare under the scheduler lock).
+func TestDepaCompareAllocFree(t *testing.T) {
+	parent := RootDepaLabel()
+	first := parent.Fork()
+	for i := 0; i < 998; i++ {
+		parent.Fork()
+	}
+	last := parent.Fork()
+	for _, tc := range []struct {
+		name string
+		a, b DepaLabel
+	}{
+		{"siblings 1000 forks apart", first, last},
+		{"child against parent", first, parent},
+	} {
+		if tc.a.spine == tc.b.spine {
+			t.Fatalf("%s: labels share a spine, the walk is not exercised", tc.name)
+		}
+		var c int
+		if n := testing.AllocsPerRun(100, func() { c = tc.a.Compare(tc.b) }); n != 0 {
+			t.Errorf("%s: %v allocations per Compare, want 0", tc.name, n)
+		}
+		if c != -1 {
+			t.Errorf("%s: Compare = %d, want -1", tc.name, c)
+		}
+	}
+}

@@ -46,8 +46,8 @@ func forkJoinTree(m *Machine, t *Thread, d int) {
 	if d == 0 {
 		return
 	}
-	l := m.Fork(t, Attr{}, func(c *Thread) { forkJoinTree(m, c, d-1) })
-	r := m.Fork(t, Attr{}, func(c *Thread) { forkJoinTree(m, c, d-1) })
+	l := m.Fork(t, Attr{}, Func(func(c *Thread) { forkJoinTree(m, c, d-1) }))
+	r := m.Fork(t, Attr{}, Func(func(c *Thread) { forkJoinTree(m, c, d-1) }))
 	for _, c := range []*Thread{l, r} {
 		if err := m.Join(t, c); err != nil {
 			panic(err)
@@ -61,6 +61,8 @@ func forkJoinTree(m *Machine, t *Thread, d int) {
 // successor on a first run and posts into its mailbox on a later one, so
 // a fork/join tree costs at most a post per join a thread waits in; a
 // thread that keeps its processor across a quantum pause costs none.
+// Carriers are reused: a goroutine is started only when every carrier
+// holds a live thread, so launches stay within peak-live + 1.
 func TestSimHandoffsPerThread(t *testing.T) {
 	const depth = 10 // 2^11 - 1 threads with the root
 	for _, tc := range []struct {
@@ -84,6 +86,10 @@ func TestSimHandoffsPerThread(t *testing.T) {
 			}
 			if m.posts > 2*st.ThreadsCreated {
 				t.Errorf("%d mailbox posts for %d threads, want <= 2 per thread", m.posts, st.ThreadsCreated)
+			}
+			if launches := m.carriers.Started(); launches > st.PeakLive+1 {
+				t.Errorf("%d carrier launches for %d threads, peak live %d: want <= peak live + 1",
+					launches, st.ThreadsCreated, st.PeakLive)
 			}
 		})
 	}
@@ -132,7 +138,7 @@ func TestMachineFaultPanicsExecute(t *testing.T) {
 		defer func() { r = recover() }()
 		_, err := m.Execute(func(root *Thread) {
 			for i := 0; i < 3; i++ {
-				m.Fork(root, Attr{}, func(c *Thread) { m.SemWait(c, sem) })
+				m.Fork(root, Attr{}, Func(func(c *Thread) { m.SemWait(c, sem) }))
 			}
 		})
 		t.Errorf("Execute returned (err = %v), want a panic", err)

@@ -176,12 +176,14 @@ type Machine struct {
 
 	liveThreads map[int64]*Thread
 
-	// done wakes Execute's goroutine: once when the run is over, then
-	// once per poisoned goroutine that has unwound at shutdown. Exactly
-	// one goroutine holds the machine at a time, so one slot suffices.
+	// done wakes Execute's goroutine when the run is over. Exactly one
+	// goroutine holds the machine at a time, so one slot suffices.
 	done chan struct{}
+	// carriers are the goroutines threads ride, on one free list: the
+	// machine has one runnable goroutine at a time.
+	carriers *Carriers
 	// posts counts resume-mailbox posts: handoffs to a parked thread (a
-	// first run launches a goroutine instead, a self-pick costs nothing).
+	// first run launches instead, a self-pick costs nothing).
 	posts int64
 	// fault is a machine-invariant panic raised while a thread goroutine
 	// was running the scheduler, carried to Execute's goroutine.
@@ -304,6 +306,7 @@ func New(cfg Config) (*Machine, error) {
 		mem:         memsim.New(cfg.CostModel, cfg.DefaultStack, cfg.PhysMem),
 		liveThreads: make(map[int64]*Thread),
 		done:        make(chan struct{}, 1),
+		carriers:    NewCarriers(1),
 	}
 	// Lock parameters come from the cost model; zero-valued fields (a
 	// hand-built CostModel) fall back to the calibrated defaults so a
@@ -422,7 +425,7 @@ func (m *Machine) Execute(main func(*Thread)) (Stats, error) {
 }
 
 func (m *Machine) run(main func(*Thread)) (Stats, error) {
-	root := m.newThread(Attr{Name: "root"}, main)
+	root := m.newThread(Attr{Name: "root"}, Func(main))
 	root.Order = RootDepaLabel()
 	// The root's stack predates the run; count its footprint silently.
 	root.stackAddr, _, _ = m.mem.AllocStack(root.stackSize)
@@ -441,9 +444,7 @@ func (m *Machine) run(main func(*Thread)) (Stats, error) {
 	// it returns. Whoever finds the run over wakes this goroutine.
 	m.handoff(m.schedule())
 	<-m.done
-	if m.err != nil || m.fault != nil {
-		m.shutdown()
-	}
+	m.carriers.Shutdown()
 	if m.fault != nil {
 		panic(m.fault)
 	}
@@ -489,11 +490,6 @@ func (m *Machine) reschedule(t *Thread, act action) (next *Thread) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.fault = r
-			if act.kind == actExit {
-				// This goroutine ends without parking: shutdown must
-				// not wait for it.
-				delete(m.liveThreads, t.ID)
-			}
 			next = nil
 		}
 	}()
@@ -501,20 +497,20 @@ func (m *Machine) reschedule(t *Thread, act action) (next *Thread) {
 	return m.schedule()
 }
 
-// handoff gives the machine to next: a first run launches its goroutine,
-// a later one posts into its mailbox. nil means the run is over and wakes
+// handoff gives the machine to next: a first run launches it on an idle
+// carrier (a fresh goroutine only when none is idle), a later one posts
+// into its carrier's mailbox. nil means the run is over and wakes
 // Execute's goroutine instead. The caller must not touch the machine
 // afterwards.
 func (m *Machine) handoff(next *Thread) {
 	switch {
 	case next == nil:
 		m.done <- struct{}{}
-	case next.resume == nil:
-		next.resume = make(chan int, 1)
-		go next.main()
+	case next.carrier == nil:
+		m.carriers.Launch(0, (*rider)(next), next.proc.id)
 	default:
 		m.posts++
-		Post(next.resume, next.proc.id)
+		next.carrier.Post(next.proc.id)
 	}
 }
 
@@ -1057,7 +1053,7 @@ func (m *Machine) liftClock(p *Proc, at vtime.Time) {
 func (m *Machine) markBusy(p *Proc) { m.clocks.setBusy(p.id, true, p.clock) }
 func (m *Machine) markIdle(p *Proc) { m.clocks.setBusy(p.id, false, p.clock) }
 
-func (m *Machine) newThread(attr Attr, fn func(*Thread)) *Thread {
+func (m *Machine) newThread(attr Attr, body Body) *Thread {
 	CheckPriority(attr.Priority)
 	m.nextID++
 	if attr.StackSize <= 0 {
@@ -1072,7 +1068,7 @@ func (m *Machine) newThread(attr Attr, fn func(*Thread)) *Thread {
 		Thread: Thread{ID: m.nextID, Priority: attr.Priority},
 		sim: simState{
 			m:         m,
-			fn:        fn,
+			body:      body,
 			attr:      attr,
 			detached:  attr.Detached,
 			stackSize: attr.StackSize,
@@ -1108,21 +1104,6 @@ func (m *Machine) deadlockError() error {
 	sort.Strings(names)
 	return fmt.Errorf("core: deadlock: %d live threads, none runnable: %s",
 		len(names), strings.Join(names, ", "))
-}
-
-// shutdown unwinds every parked thread goroutine after an aborted run so
-// no goroutines leak across runs. Every live thread with a goroutine is
-// parked in its mailbox, or on its way there from the handoff that ended
-// the run, so one poison post each cannot block or overflow.
-func (m *Machine) shutdown() {
-	for _, t := range m.liveThreads {
-		if t.resume == nil {
-			continue // never ran: no goroutine
-		}
-		Post(t.resume, PoisonPid)
-		<-m.done
-	}
-	m.liveThreads = make(map[int64]*Thread)
 }
 
 // makespan is the maximum virtual clock across processors.

@@ -96,22 +96,21 @@ type Thread struct {
 }
 
 // simState is the simulator's private per-thread state. Its fields
-// promote through Thread, so the machine writes t.resume, t.span, …
+// promote through Thread, so the machine writes t.carrier, t.span, …
 // directly.
 type simState struct {
 	m    *Machine
-	fn   func(*Thread)
+	body Body
 	attr Attr
 
 	state   State
 	started bool // dispatched at least once (its stack base is faulted in)
 
-	// resume is the thread's one-slot mailbox, the same primitive native
-	// threads park on (Post, PoisonPid). It is made when the thread first
-	// runs and its goroutine is launched, so nil means no goroutine. The
-	// thread that hands the machine over posts the processor id here and
-	// parks in its own mailbox; no goroutine sits between the two.
-	resume chan int
+	// carrier is the goroutine the thread rides, bound at its first run
+	// (nil until then). The thread that hands the machine over posts the
+	// processor id into the carrier's mailbox and parks on its own; no
+	// goroutine sits between the two.
+	carrier *Carrier
 
 	proc    *Proc // processor currently running this thread
 	isDummy bool
@@ -193,52 +192,56 @@ type threadExit struct{}
 // machine shuts down early.
 type threadAbort struct{}
 
-// PoisonPid in a resume mailbox unwinds the parked goroutine at
-// shutdown; every other post carries a processor id.
-const PoisonPid = -1
-
-// Post drops pid into a one-slot resume mailbox without blocking. Both
-// backends hand a processor over this way. A full slot means a thread
-// was resumed twice for one park: a scheduler bug.
-func Post(mailbox chan int, pid int) {
-	select {
-	case mailbox <- pid:
-	default:
-		panic("core: resume mailbox overflow")
-	}
+// Body is what a simulated thread runs.
+type Body interface {
+	Run(t *Thread)
 }
 
-// main is the thread goroutine body, launched by the handoff that first
-// runs the thread.
-func (t *Thread) main() {
-	defer func() {
-		switch r := recover(); r.(type) {
-		case nil, threadExit:
-			// normal completion or pthread_exit unwind
-		case threadAbort:
-			t.m.done <- struct{}{} // machine shutdown: no handoff, just die
-			return
-		default:
-			t.m.recordPanic(t, r) // user code panicked: record and surface it
-		}
-		t.switchOut(action{kind: actExit})
-	}()
-	t.fn(t)
+// Func is a Body that is a plain function.
+type Func func(*Thread)
+
+// Run implements Body.
+func (f Func) Run(t *Thread) { f(t) }
+
+// rider is a Thread in its carrier's Rider role, kept off Thread's
+// method set.
+type rider Thread
+
+// Ride binds the thread to its carrier and runs its body. The machine
+// tracks processors itself, so pid is unused.
+func (r *rider) Ride(c *Carrier, pid int) {
+	t := (*Thread)(r)
+	t.carrier = c
+	t.body.Run(t)
 }
 
-// park blocks the thread goroutine until a handoff resumes it.
-func (t *Thread) park() {
-	if <-t.resume == PoisonPid {
-		panic(threadAbort{})
+// Finish runs the scheduler for the exiting thread. A successor that
+// has never run is adopted: it rides this carrier next, with no
+// goroutine launch and no post. Otherwise the carrier goes back on the
+// free list before the machine is handed on, so the successor can
+// already reuse it, and the goroutine returns to its mailbox.
+func (r *rider) Finish(p any) Rider {
+	t := (*Thread)(r)
+	m := t.m
+	if p != nil {
+		m.recordPanic(t, p) // user code panicked: record and surface it
 	}
+	t.sinceYield = 0
+	next := m.reschedule(t, action{kind: actExit})
+	if next != nil && next.carrier == nil {
+		return (*rider)(next)
+	}
+	m.carriers.Put(0, t.carrier)
+	m.handoff(next)
+	return nil
 }
 
 // switchOut runs the scheduler on the calling thread's goroutine: it
 // applies act to the machine and advances it to the next thread that
 // must run. If that is t itself (a quantum pause, or a yield or preempt
 // with nothing better ready) t just carries on; otherwise t hands the
-// machine over and parks, or, exiting, lets its goroutine end. It must
-// only be called on the thread's goroutine.
+// machine over and parks. It must only be called on the thread's
+// goroutine, and never for an exit (see rider.Finish).
 func (t *Thread) switchOut(act action) {
 	t.sinceYield = 0
 	m := t.m
@@ -247,9 +250,7 @@ func (t *Thread) switchOut(act action) {
 		return
 	}
 	m.handoff(next)
-	if act.kind != actExit {
-		t.park()
-	}
+	t.carrier.Park()
 }
 
 // maybePause runs the scheduler if the thread has accumulated more than

@@ -64,14 +64,18 @@ func (s *Sim) Execute(main func(Thread)) (core.Stats, error) {
 // simulated thread runs at a time, so the two never overlap.
 func (s *Sim) Fork(t Thread, attr core.Attr, body Body) Thread {
 	c := &simChild{body: body}
-	return c.bind(s.m.Fork(sim(t), attr, func(th *core.Thread) { c.body.Run(c.bind(th)) }))
+	return c.bind(s.m.Fork(sim(t), attr, c))
 }
 
-// simChild is a forked thread's wrapper, handed to its Body's Bind once.
+// simChild is a forked thread's wrapper, handed to its Body's Bind once,
+// and the machine's core.Body for the child.
 type simChild struct {
 	body Body
 	st   simThread
 }
+
+// Run implements core.Body.
+func (c *simChild) Run(th *core.Thread) { c.body.Run(c.bind(th)) }
 
 func (c *simChild) bind(th *core.Thread) *simThread {
 	if c.st.th == nil {

@@ -123,7 +123,7 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 
 // Exit implements exec.Backend (pthread_exit).
 func (b *Backend) Exit(t exec.Thread) {
-	panic(threadExit{})
+	core.ExitThread()
 }
 
 // Yield implements exec.Backend (sched_yield).

@@ -9,6 +9,7 @@ package native
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -52,11 +53,11 @@ func forkFn(b *Backend, t exec.Thread, attr core.Attr, fn func(exec.Thread)) exe
 // forEachPool runs f once per pool state. The arms keep the names of
 // the two native lifecycles these tests once compared. "reference"
 // starts from a cold pool: every first launch on a processor starts a
-// fresh loop goroutine and every thread gets a freshly allocated
+// fresh carrier goroutine and every thread gets a freshly allocated
 // record, as one goroutine per thread did. "tuned" primes every
-// processor's loop free list and record arena first (newPoolBackend),
-// so launches reuse parked loops and recycled records from the first
-// fork.
+// processor's carrier free list and record arena first
+// (newPoolBackend), so launches reuse parked carriers and recycled
+// records from the first fork.
 func forEachPool(t *testing.T, f func(t *testing.T, warm bool)) {
 	for _, s := range []struct {
 		name string
@@ -66,7 +67,7 @@ func forEachPool(t *testing.T, f func(t *testing.T, warm bool)) {
 	}
 }
 
-// warmSlots is how many parked loops and blank records a warm pool
+// warmSlots is how many parked carriers and blank records a warm pool
 // starts with on each processor.
 const warmSlots = 8
 
@@ -75,20 +76,41 @@ func newPoolBackend(t *testing.T, policy sched.Kind, cfg Config, warm bool) *Bac
 	t.Helper()
 	b := newPolicyBackend(t, policy, cfg)
 	if warm {
-		for pid := range b.pool.loops {
-			// Start all the loops before parking any: getLoop would pop a
-			// parked one back.
-			ls := make([]*loop, warmSlots)
-			for i := range ls {
-				ls[i] = b.pool.getLoop(pid)
-			}
-			for _, l := range ls {
-				b.pool.loops[pid].push(l)
-				b.pool.recs[pid].push(&thread{b: b})
+		// Every primer holds its carrier until all are launched, so each
+		// launch starts a fresh one; released, they park on list pid.
+		release := make(chan struct{})
+		var parked sync.WaitGroup
+		for pid := range b.recs {
+			for i := 0; i < warmSlots; i++ {
+				parked.Add(1)
+				b.carriers.Launch(pid, &primer{b: b, pid: pid, release: release, parked: &parked}, pid)
+				b.recs[pid].Push(&thread{b: b})
 			}
 		}
+		close(release)
+		parked.Wait()
 	}
 	return b
+}
+
+// primer is a rider that only parks its carrier on a free list.
+type primer struct {
+	b       *Backend
+	pid     int
+	c       *core.Carrier
+	release chan struct{}
+	parked  *sync.WaitGroup
+}
+
+func (p *primer) Ride(c *core.Carrier, _ int) {
+	p.c = c
+	<-p.release
+}
+
+func (p *primer) Finish(any) core.Rider {
+	p.b.carriers.Put(p.pid, p.c)
+	p.parked.Done()
+	return nil
 }
 
 func mustJoin(b *Backend, t exec.Thread, hs ...exec.Thread) {
@@ -141,7 +163,11 @@ func TestHandoffPickEachOther(t *testing.T) {
 				b.readyThread(ht.(*thread), pid)
 				b.readyThread(hm.(*thread), pid)
 				close(goM)
-				spinUntil(func() bool { return len(ht.(*thread).resume) == 1 })
+				spinUntil(func() bool { // M has picked T
+					b.mu.Lock()
+					defer b.mu.Unlock()
+					return ht.(*thread).state == core.StateRunning
+				})
 				close(goT)
 				// Stay off the ready structure until both picks are done.
 				spinUntil(func() bool { return resumed.Load() == 2 })
@@ -213,10 +239,10 @@ func TestHandoffPickSelf(t *testing.T) {
 }
 
 // TestLoopAdoptsOwnSuccessor: on one processor under FIFO, A's exit
-// finds the unstarted B next in line after A's loop has already put
-// itself back in the pool, so the exit path pops its own loop and posts
-// B's launch to the mailbox it is about to come back to. The run needs
-// exactly two loops (root's and the one A and B share). At three
+// finds the unstarted B next in line after A's carrier has already put
+// itself back in the pool, so the exit path pops its own carrier and
+// posts B's launch to the mailbox it is about to come back to. The run
+// needs exactly two carriers (root's and the one A and B share). At three
 // processors the same program only has to complete: idle workers may
 // take B first.
 func TestLoopAdoptsOwnSuccessor(t *testing.T) {
@@ -236,8 +262,8 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 			if ran.Load() != 2 {
 				t.Fatalf("ran %d bodies, want 2", ran.Load())
 			}
-			if lc := len(b.pool.all); procs == 1 && lc != 2 {
-				t.Errorf("created %d loops, want 2: B did not ride A's loop", lc)
+			if lc := b.carriers.Started(); procs == 1 && lc != 2 {
+				t.Errorf("started %d carriers, want 2: B did not ride A's", lc)
 			}
 		})
 	}
@@ -347,7 +373,7 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 func TestNoGoroutineLeaks(t *testing.T) {
 	// parkMany leaves n started threads parked on sem: under ADF each
 	// fork runs the child at once, and the child blocks. These are the
-	// threads riding the loops the shutdown walk must poison.
+	// threads riding the carriers the shutdown walk must poison.
 	const n = 1000
 	parkMany := func(b *Backend, root exec.Thread, sem exec.Semaphore, detachOdd bool) []exec.Thread {
 		hs := make([]exec.Thread, n)
@@ -413,9 +439,9 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			panic("boom")
 		}, func(t *testing.T) {
 			for _, h := range undispatched {
-				if c := h.(*thread); c.started || len(c.resume) != 0 {
-					t.Errorf("%s: started = %v, %d posts in its mailbox; want never dispatched, never poisoned",
-						c.Name(), c.started, len(c.resume))
+				if c := h.(*thread); c.started || c.carrier != nil {
+					t.Errorf("%s: started = %v, carrier %p; want never dispatched, never poisoned",
+						c.Name(), c.started, c.carrier)
 				}
 			}
 		}},

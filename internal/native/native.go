@@ -3,9 +3,9 @@
 // to, as opposed to the deterministic virtual-time simulation in
 // internal/core.
 //
-// Each lightweight thread rides a pooled loop goroutine (loop.go) and
-// is parked on its mailbox whenever it does not hold a processor. There
-// are p processors (Config.Procs, default GOMAXPROCS), each a token
+// Each lightweight thread rides a pooled core.Carrier (lifecycle.go)
+// and is parked on its mailbox whenever it does not hold a processor.
+// There are p processors (Config.Procs, default GOMAXPROCS), each a token
 // held by one goroutine at a time, so at most p lightweight threads
 // make progress concurrently — the execution model of the paper's
 // library on an 8-way SMP. As in that user-level library, the thread that stops runs
@@ -33,7 +33,7 @@
 // pick, under b.mu, is the only code that follows Owner (to turn the
 // token policy.Next answers into the thread to dispatch); policies never
 // look at it. The shutdown walk needs no registry of live threads: it
-// poisons every loop the pool ever started.
+// poisons every carrier the pool ever started.
 //
 // Ordering invariant for blocking: a thread marks itself blocked in the
 // policy (OnBlock, under b.mu) *before* registering with a sync
@@ -46,9 +46,9 @@
 // therefore safe — a thread dispatched before it reaches its park finds
 // the processor waiting there — and so are the shapes where a
 // rendezvous would deadlock: two threads that pick each other, a thread
-// that picks itself, a loop that adopts its own successor. One
+// that picks itself, a carrier that adopts its own successor. One
 // slot is enough because a thread is marked running at most once per
-// park; post panics otherwise.
+// park; Carrier.Post panics otherwise.
 //
 // Timing is wall-clock: Charge still accounts the charged cycles into
 // thread work/span (so speedup and parallelism remain comparable), but
@@ -155,7 +155,8 @@ type Backend struct {
 
 	nextID atomic.Int64 // thread ids; atomic so creation takes no lock
 
-	pool *pool // loop free lists and record arenas (loop.go)
+	carriers *core.Carriers                   // per-worker carrier free lists
+	recs     []core.FreeList[thread, *thread] // per-worker thread-record arenas
 
 	// Atomic tallies flushed into the metrics registry at stats time
 	// (these fire in thread context without the scheduler lock).
@@ -182,7 +183,6 @@ type Backend struct {
 
 	workers []*worker
 	wg      sync.WaitGroup // workers
-	twg     sync.WaitGroup // loop goroutines
 }
 
 // worker is one processor's local state. qout is only appended/popped
@@ -228,7 +228,8 @@ func New(cfg Config) (*Backend, error) {
 		liveGauge:    reg.Gauge("threads.live"),
 		workers:      make([]*worker, procs),
 	}
-	b.pool = newPool(b, procs)
+	b.carriers = core.NewCarriers(procs)
+	b.recs = make([]core.FreeList[thread, *thread], procs)
 	b.cond = sync.NewCond(&b.mu)
 	b.tracer = newTracer(cfg.Tracer, procs)
 	b.traceRec = cfg.Tracer
@@ -294,8 +295,9 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 		go b.runWorker(pid)
 	}
 	b.wg.Wait()
-	b.poisonParked()
-	b.twg.Wait()
+	// A worker exits only with its processor home, so no thread holds
+	// one and no mailbox holds a post: the carriers can be poisoned.
+	b.carriers.Shutdown()
 	// Every worker and thread goroutine has quiesced; only stray timers
 	// may still fire, and those record nothing once b.done is set (they
 	// check under b.mu, which orders their writes before the merge).
@@ -327,8 +329,8 @@ func (b *Backend) runWorker(pid int) {
 // dispatch hands processor pid to t, which the caller marked running on
 // it under b.mu. It runs on whichever goroutine holds the processor —
 // the thread giving it up, or the worker — and never waits for t: a
-// first dispatch launches t onto a pooled loop, a later one posts to
-// t's mailbox. Every dispatch follows exactly one markRunning, so the
+// first dispatch launches t onto a pooled carrier, a later one posts
+// to t's mailbox. Every dispatch follows exactly one markRunning, so the
 // KindDispatch record is issued here, with markRunning's timestamp,
 // while t is already running; the capture precedes the post because t
 // can then block and be re-marked, or exit and have its record
@@ -336,15 +338,16 @@ func (b *Backend) runWorker(pid int) {
 func (b *Backend) dispatch(t *thread, pid int) {
 	at, id := t.dispatchAt, t.ID()
 	if t.launch {
-		// Adopt a pooled loop. The writes happen-before the post; later
-		// dispatchers read t.resume behind it through b.mu.
-		l := b.pool.getLoop(pid)
-		l.t = t
-		t.resume = l.resume
-	} else if b.handoff != nil {
-		t.postAt = b.sinceStart()
+		// t binds its carrier on its own goroutine (Ride), before any
+		// b.mu section that can make it dispatchable again; later
+		// dispatchers read t.carrier behind that.
+		b.carriers.Launch(pid, t, pid)
+	} else {
+		if b.handoff != nil {
+			t.postAt = b.sinceStart()
+		}
+		t.carrier.Post(pid)
 	}
-	core.Post(t.resume, pid)
 	b.tracer.recordAt(at, pid, id, trace.KindDispatch, 0)
 }
 
@@ -571,8 +574,9 @@ func (b *Backend) blockPrep(t *thread) {
 }
 
 // readyThread makes a blocked thread runnable again. pid is the waking
-// processor. Call only from thread context (a twg-tracked goroutine):
-// the deferred wake record relies on twg.Wait ordering it before the
+// processor. Call only from thread context (a carrier goroutine): the
+// deferred wake record relies on the carriers' shutdown wait ordering it
+// before the
 // run-end merge — timer wakes go through wakeSleeper, which records
 // under b.mu instead.
 func (b *Backend) readyThread(t *thread, pid int) {
@@ -685,7 +689,7 @@ func (b *Backend) exitThread(t *thread) {
 	}
 	// Pass the processor on first; the exit and joiner-wake records then
 	// land in the dispatch's shadow. This goroutine still emits them
-	// before its twg.Done, so the run-end merge observes them.
+	// before its carrier's shutdown, so the run-end merge observes them.
 	b.pass(pid, next)
 	b.tracer.recordAt(at, pid, t.ID(), trace.KindExit, 0)
 	if j != nil {
@@ -695,11 +699,13 @@ func (b *Backend) exitThread(t *thread) {
 
 // newThread builds a thread without admitting it. pid is the creating
 // processor (-1 for the root): it selects the record arena, and the
-// mailbox stays nil until a pooled loop adopts the thread at first
-// dispatch.
+// carrier stays nil until the thread's first dispatch launches it.
 func (b *Backend) newThread(pid int, attr core.Attr, body exec.Body) *thread {
 	core.CheckPriority(attr.Priority)
-	t := b.pool.getThread(pid)
+	var t *thread
+	if pid >= 0 {
+		t = b.recs[pid].Pop()
+	}
 	if t == nil {
 		t = &thread{b: b}
 	}
@@ -713,7 +719,11 @@ func (b *Backend) newThread(pid int, attr core.Attr, body exec.Body) *thread {
 	if t.stackSize <= 0 {
 		t.stackSize = b.defaultStack
 	}
-	t.refs.Store(threadRefs(attr.Detached))
+	refs := int32(2) // lifecycle holders: the exiting thread and the joiner
+	if attr.Detached {
+		refs = 1
+	}
+	t.refs.Store(refs)
 	return t
 }
 
@@ -734,22 +744,6 @@ func (b *Backend) failLocked(err error, status int64) {
 	}
 	b.done = true
 	b.cond.Broadcast()
-}
-
-// poisonParked unwinds every loop goroutine after the workers have
-// exited. A worker exits only with its processor home, so no thread
-// holds a processor and — every post carries one — no mailbox holds a
-// post: each loop, idle or carrying a started thread, is in, or
-// finishing the tail of its last give-up on its way to, its mailbox
-// receive. One poison post each unwinds them all and cannot block or
-// overflow. Threads never dispatched have no loop and need no post.
-func (b *Backend) poisonParked() {
-	b.pool.mu.Lock()
-	all := b.pool.all
-	b.pool.mu.Unlock()
-	for _, l := range all {
-		core.Post(l.resume, core.PoisonPid)
-	}
 }
 
 // stats assembles the run's statistics after all goroutines quiesced.

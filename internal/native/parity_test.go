@@ -276,7 +276,7 @@ func TestNativeSpaceEnvelope(t *testing.T) {
 	// The arms keep the names of the two native lifecycles this test once
 	// compared. "reference" runs matmul on a cold pool. "tuned" first
 	// parks a burst of threads and releases them, so matmul's forks ride
-	// parked loops and recycled records from the start; the burst is
+	// parked carriers and recycled records from the start; the burst is
 	// joined before matmul allocates, so it cannot raise matmul's peak.
 	for _, arm := range []struct {
 		name string

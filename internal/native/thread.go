@@ -10,9 +10,9 @@ import (
 	"spthreads/internal/vtime"
 )
 
-// thread is one lightweight thread, riding a pooled loop goroutine
-// (loop.go) from its first dispatch to its exit and parked on the loop's
-// mailbox whenever it does not hold a processor. It is the only
+// thread is one lightweight thread, riding a pooled carrier goroutine
+// (lifecycle.go) from its first dispatch to its exit and parked on the
+// carrier's mailbox whenever it does not hold a processor. It is the only
 // per-thread record: the token the policy orders by (tok) lives inside
 // it, and tok.Owner leads from a token the policy hands back to the
 // record around it. The one-byte fields sit in two groups so padding
@@ -30,13 +30,13 @@ type thread struct {
 
 	stackSize int64
 
-	// resume is the thread's one-slot mailbox: its loop's, from the
-	// first dispatch on. A dispatcher posts the processor id it hands over, or core.PoisonPid
-	// at shutdown (core.Post, shared with the simulator), and never waits
-	// for the thread to reach its park.
-	resume chan int
+	// carrier is the goroutine t rides, bound at its first dispatch
+	// (Ride). A dispatcher posts the processor id it hands over into the
+	// carrier's one-slot mailbox, or core.PoisonPid at shutdown, and
+	// never waits for the thread to reach its park.
+	carrier *core.Carrier
 
-	// Record reuse (see loop.go). freeNext links the record in a worker
+	// Record reuse (see lifecycle.go). freeNext links the record in a worker
 	// arena; refs counts the lifecycle holders (exiter + joiner)
 	// that must release before the record can be recycled.
 	freeNext *thread
@@ -96,12 +96,6 @@ type thread struct {
 	tls map[any]any // only touched by the thread's own goroutine
 }
 
-// threadExit is the panic payload used by Exit to unwind a thread.
-type threadExit struct{}
-
-// threadAbort unwinds parked threads when the run shuts down early.
-type threadAbort struct{}
-
 // exec.Thread implementation.
 
 func (t *thread) ID() int64 { return t.tok.ID }
@@ -133,11 +127,7 @@ func (t *thread) TLSSet(key, val any) {
 // park waits in the mailbox for the next dispatch and adopts the
 // processor it carries.
 func (t *thread) park() {
-	pid := <-t.resume
-	if pid == core.PoisonPid {
-		panic(threadAbort{})
-	}
-	t.pid = pid
+	t.pid = t.carrier.Park()
 	if h := t.b.handoff; h != nil {
 		h.Observe(t.b.sinceStart() - t.postAt)
 	}

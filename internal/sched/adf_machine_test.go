@@ -129,13 +129,13 @@ func TestADFIndexedMatchesReferenceMachine(t *testing.T) {
 				m.Charge(t, 5000)
 				return
 			}
-			a := m.Fork(t, core.Attr{}, func(ct *core.Thread) { rec(ct, depth-1) })
+			a := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
 			n := int64(3000)
 			if depth%3 == 0 {
 				n = 40 << 10 // past the quota: forks dummies, burns quota
 			}
 			al := m.Malloc(t, n)
-			b := m.Fork(t, core.Attr{}, func(ct *core.Thread) { rec(ct, depth-1) })
+			b := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
 			m.Charge(t, 2000)
 			if err := m.Join(t, a); err != nil {
 				panic(err)

@@ -55,7 +55,7 @@ func fuzzedWorkload(m *core.Machine, seed int64) func(*core.Thread) {
 		var hs []*core.Thread
 		for _, k := range n.kids {
 			k := k
-			hs = append(hs, m.Fork(t, core.Attr{}, func(ct *core.Thread) { rec(ct, k) }))
+			hs = append(hs, m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, k) })))
 		}
 		var al core.Alloc
 		if n.alloc > 0 {

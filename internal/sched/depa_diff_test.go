@@ -112,13 +112,13 @@ func TestDePaMachineDispatchSequencesIdentical(t *testing.T) {
 				m.Charge(t, 4000)
 				return
 			}
-			a := m.Fork(t, core.Attr{}, func(ct *core.Thread) { rec(ct, depth-1) })
+			a := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
 			n := int64(2000)
 			if depth%2 == 0 {
 				n = 48 << 10 // past the quota
 			}
 			al := m.Malloc(t, n)
-			b := m.Fork(t, core.Attr{}, func(ct *core.Thread) { rec(ct, depth-1) })
+			b := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
 			m.Charge(t, 1500)
 			if err := m.Join(t, a); err != nil {
 				panic(err)

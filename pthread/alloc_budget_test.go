@@ -14,10 +14,28 @@ import (
 // pthread, the policy's ready-structure entry; in pthread, the *Thread
 // handle, which holds the child's T and its body; and this test's own
 // body closure. The thread record and the goroutine with its mailbox
-// are recycled (record arenas, pooled loops), so they cost nothing per
+// are recycled (record arenas, pooled carriers), so they cost nothing per
 // thread once the pools are warm.
 func TestNativeThreadAllocBudget(t *testing.T) {
-	const budget = 3
+	perThreadAllocs(t, nativeCfg(1), 3)
+}
+
+// TestSimThreadAllocBudget is the simulator's twin. The five objects per
+// thread are the machine's thread record (header and simulator state),
+// the exec adapter's child wrapper, which is also the machine-level
+// body, the policy's ready-structure entry, the *Thread handle and this
+// test's body closure. The goroutine and its mailbox ride a pooled
+// carrier, so they cost nothing per thread.
+func TestSimThreadAllocBudget(t *testing.T) {
+	cfg := nativeCfg(1)
+	cfg.Backend = pthread.BackendSim
+	perThreadAllocs(t, cfg, 5)
+}
+
+// perThreadAllocs fails t when a thread costs more than budget heap
+// objects on cfg's backend.
+func perThreadAllocs(t *testing.T, cfg pthread.Config, budget int) {
+	t.Helper()
 	tree := func(depth int) (threads int, allocs float64) {
 		var node func(tt *pthread.T, d int)
 		node = func(tt *pthread.T, d int) {
@@ -30,7 +48,7 @@ func TestNativeThreadAllocBudget(t *testing.T) {
 			tt.MustJoin(r)
 		}
 		allocs = testing.AllocsPerRun(5, func() {
-			if _, err := pthread.Run(nativeCfg(1), func(tt *pthread.T) { node(tt, depth) }); err != nil {
+			if _, err := pthread.Run(cfg, func(tt *pthread.T) { node(tt, depth) }); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -39,10 +57,10 @@ func TestNativeThreadAllocBudget(t *testing.T) {
 	nSmall, aSmall := tree(6)
 	nBig, aBig := tree(11)
 	per := (aBig - aSmall) / float64(nBig-nSmall)
-	t.Logf("%.3f objects per thread (%d threads: %.0f, %d threads: %.0f)", per, nSmall, aSmall, nBig, aBig)
+	t.Logf("%s: %.3f objects per thread (%d threads: %.0f, %d threads: %.0f)", cfg.Backend, per, nSmall, aSmall, nBig, aBig)
 	// The slack covers amortised growth (the pools, the policy's own
 	// slices), which is a few objects per run, not per thread.
-	if per > budget+0.05 {
-		t.Errorf("%.3f heap objects per native thread, budget %d", per, budget)
+	if per > float64(budget)+0.05 {
+		t.Errorf("%.3f heap objects per %s thread, budget %d", per, cfg.Backend, budget)
 	}
 }
