@@ -373,48 +373,6 @@ func BenchmarkSchedulers(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatch measures the host-side cost of one scheduler
-// dispatch cycle (OnReady of the running thread + Next) as the live
-// thread count grows. The ADF rows exercise the worst case for the
-// ordered placeholder structure — one ready entry amid n-1 blocked
-// placeholders — where the seed's linked-list scan (kept as adf-ref)
-// is O(n) and the indexed structure is O(log n).
-func BenchmarkDispatch(b *testing.B) {
-	for _, name := range harness.DispatchPolicies() {
-		b.Run(name, func(b *testing.B) {
-			for _, n := range []int{100, 1000, 10000, 100000} {
-				b.Run(benchName("n", n), func(b *testing.B) {
-					p := harness.NewDispatchPolicy(name)
-					cur := harness.DispatchScenario(p, n)
-					b.ReportAllocs()
-					b.ResetTimer()
-					harness.DispatchSteps(p, cur, b.N)
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchInstrumented repeats the ADF dispatch cycle with a
-// metrics registry attached, measuring the live cost of the placeholder
-// and ready-count gauge updates on the hot path. The detached cost
-// (BenchmarkDispatch/adf) is the contract — instrumentation left
-// unattached must stay within noise of the pre-observability baseline —
-// while this row documents what attaching actually buys and costs.
-func BenchmarkDispatchInstrumented(b *testing.B) {
-	b.Run("adf", func(b *testing.B) {
-		for _, n := range []int{100, 1000, 10000, 100000} {
-			b.Run(benchName("n", n), func(b *testing.B) {
-				p := harness.NewDispatchPolicyInstrumented("adf", pthread.NewMetrics())
-				cur := harness.DispatchScenario(p, n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				harness.DispatchSteps(p, cur, b.N)
-			})
-		}
-	})
-}
-
 // nativeCfg is the native backend's default configuration (ADF) at p
 // processors, with small stacks so a deep tree stays cheap to account.
 func nativeCfg(p int) pthread.Config {

@@ -2,7 +2,7 @@
 // (BENCH_<id>.json) run-by-run and prints per-metric percent deltas.
 // With -threshold it exits non-zero when any metric regresses by more
 // than the given percentage — lower-is-better metrics (virtual time,
-// footprints, dispatch cost) growing, or higher-is-better metrics
+// footprints, lock wait) growing, or higher-is-better metrics
 // (speedup) shrinking — making it usable as a CI regression gate:
 //
 //	ptbench -json fig1
@@ -12,18 +12,16 @@
 // -metric restricts the comparison to a comma-separated list of metric
 // names; sched.lock.wait (the scheduler-lock wait histogram sum from
 // the run's metrics snapshot) lets CI gate contention as well as
-// runtime. Runs are matched by (bench, policy, procs, live_threads)
-// and, when present, the scheduler batch size, the sharded-scheduler
-// marker with its steal window, the execution backend, the tracer
-// marker, and an audit marker for rows carrying a DAG analysis; two
-// runs with the same key in one file are a usage error (exit 2). Runs
-// present in only one file are reported but are not failures.
+// runtime. Runs are matched by (bench, policy, procs) and, when
+// present, the scheduler batch size, the sharded-scheduler marker with
+// its steal window, the execution backend, the tracer marker, and an
+// audit marker for rows carrying a DAG analysis; two runs with the same
+// key in one file are a usage error (exit 2). Runs present in only one
+// file are reported but are not failures.
 // Native-backend rows are host wall-clock measurements: their deltas
 // are printed but never trip the threshold (sim rows, being
-// deterministic, still gate), and the wall_ms and ns_per_dispatch
-// metrics are report-only on every backend by default — the dispatch
-// sweep gates on vops_per_dispatch, the deterministic virtual
-// structure-operation count, instead.
+// deterministic, still gate), and the wall_ms metric is report-only on
+// every backend by default.
 //
 // The one exception is an explicit same-host wall-clock budget:
 // naming wall_ms with -metric arms it as a real gate, native rows
@@ -90,15 +88,12 @@ type benchRun struct {
 	Shard               bool    `json:"shard"`
 	StealWindow         int     `json:"steal_window"`
 	Tracer              bool    `json:"tracer"`
-	LiveThreads         int     `json:"live_threads"`
 	TimeCycles          float64 `json:"time_cycles"`
 	WallMS              float64 `json:"wall_ms"`
 	Speedup             float64 `json:"speedup"`
 	HeapHWM             float64 `json:"heap_hwm_bytes"`
 	StackHWM            float64 `json:"stack_hwm_bytes"`
 	TotalHWM            float64 `json:"total_hwm_bytes"`
-	NSDispatch          float64 `json:"ns_per_dispatch"`
-	VOpsDispatch        float64 `json:"vops_per_dispatch"`
 	OverheadPct         float64 `json:"overhead_pct"`
 	TraceDropped        float64 `json:"trace_dropped"`
 	LockWaitVsGlobalPct float64 `json:"lock_wait_vs_global_pct"`
@@ -139,11 +134,6 @@ var metrics = []metric{
 	{name: "heap_hwm_bytes", get: func(r benchRun) (float64, bool) { return r.HeapHWM, r.HeapHWM > 0 }},
 	{name: "stack_hwm_bytes", get: func(r benchRun) (float64, bool) { return r.StackHWM, r.StackHWM > 0 }},
 	{name: "total_hwm_bytes", get: func(r benchRun) (float64, bool) { return r.TotalHWM, r.TotalHWM > 0 }},
-	// Wall ns per dispatch depends on the host that ran the sweep;
-	// vops_per_dispatch is the deterministic virtual structure-operation
-	// count and carries the gate instead.
-	{name: "ns_per_dispatch", reportOnly: true, get: func(r benchRun) (float64, bool) { return r.NSDispatch, r.NSDispatch > 0 }},
-	{name: "vops_per_dispatch", get: func(r benchRun) (float64, bool) { return r.VOpsDispatch, r.VOpsDispatch > 0 }},
 	// Tracer overhead is a ratio of two same-host wall times, so the
 	// absolute -max ceiling gates it; a relative delta between two hosts'
 	// overhead percentages is noise, hence report-only here. Negative
@@ -195,7 +185,7 @@ func fromAnalysis(r benchRun, f func(struct{ Work, Depth, S1, Peak float64 }) fl
 }
 
 func key(r benchRun) string {
-	k := fmt.Sprintf("%s|%s|p%d|n%d", r.Bench, r.Policy, r.Procs, r.LiveThreads)
+	k := fmt.Sprintf("%s|%s|p%d", r.Bench, r.Policy, r.Procs)
 	if r.Batch > 0 {
 		k += fmt.Sprintf("|b%d", r.Batch)
 	}

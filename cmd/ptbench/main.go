@@ -9,14 +9,10 @@
 //
 // Experiment ids follow the paper's artifacts: fig1, fig3, fig5, fig6,
 // fig7, fig8, fig9, fig10, fig11, scale, the ablations ablk, ablws and
-// abldummy, the future-work extensions ablloc and ablsched, and the
-// host-side scheduler cost tracker dispatch — the latter sweeps every
-// policy including the ADF order-maintenance variants "adf-treap" (the
-// previous treap store) and "adf-ref" (the naive linked-list seed)
-// alongside the default DePa-labeled "adf". The contention-sharded
-// experiment sweeps the sharded variant "adf-shard" (per-worker label
-// heaps with bounded-deviation stealing, Config.SchedShard) against
-// the batched global baseline at p up to 1024.
+// abldummy, and the future-work extensions ablloc and ablsched. The
+// contention-sharded experiment sweeps the sharded policy "adf-shard"
+// (per-worker label heaps with bounded-deviation stealing) against the
+// batched global baseline at p up to 1024.
 package main
 
 import (

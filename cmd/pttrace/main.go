@@ -9,7 +9,7 @@
 // reports W, D, W/D, S₁, and the attributed critical path; with -in it
 // skips the run and works from a previously recorded JSONL trace.
 //
-//	pttrace [-policy adf|adf-treap|adf-shard|fifo|lifo|ws|dfd|rr] [-backend sim|native]
+//	pttrace [-policy fifo|lifo|adf|adf-shard|ws|dfd|rr] [-backend sim|native]
 //	        [-procs 4] [-depth 5] [-width 100]
 //	        [-out trace.json] [-events events.jsonl] [-space space.csv]
 //	        [-dot dag.dot] [-analyze] [-in events.jsonl]
@@ -42,7 +42,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pttrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	policy := fs.String("policy", "adf", "scheduler: fifo, lifo, adf, adf-treap, adf-shard, ws, dfd, rr")
+	policy := fs.String("policy", "adf", "scheduler: "+policyNames())
 	backend := fs.String("backend", "sim", "execution backend: sim (deterministic virtual time) or native (goroutines, wall clock)")
 	procs := fs.Int("procs", 4, "virtual processors")
 	depth := fs.Int("depth", 5, "fork-tree depth (2^depth leaves)")

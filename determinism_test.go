@@ -148,17 +148,6 @@ func TestDeterminismGolden(t *testing.T) {
 		if first != second {
 			t.Errorf("%s: instrumented run diverges from plain run:\n  plain:        %s\n  instrumented: %s", c.name, first, second)
 		}
-		if c.cfg.Policy == pthread.PolicyADF {
-			// The DePa-labeled store (the "adf" default) and the retained
-			// treap store must schedule identically: same dispatch order,
-			// hence bit-identical virtual results. Any divergence means the
-			// order-maintenance structures disagree about leftmost-ready.
-			treapCfg := c.cfg
-			treapCfg.Policy = pthread.PolicyADFTreap
-			if treap := runCase(t, treapCfg, c.prog); treap != first {
-				t.Errorf("%s: adf-treap diverges from adf:\n  adf:       %s\n  adf-treap: %s", c.name, first, treap)
-			}
-		}
 		lines = append(lines, c.name+" "+first)
 	}
 	got := strings.Join(lines, "\n") + "\n"

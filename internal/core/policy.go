@@ -90,6 +90,11 @@ type ShardedPolicy interface {
 	// shard (or no Next happened); probes is the number of victim
 	// shards examined against the steal window before dispatch.
 	TakeSteal() (victim, probes int)
+
+	// StealWindow returns the deviation bound K: a steal is accepted
+	// only if at most K ready threads precede the stolen thread in the
+	// serial depth-first order.
+	StealWindow() int
 }
 
 // BatchNexter is the optional extension implemented by global-queue

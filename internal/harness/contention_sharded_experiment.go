@@ -78,7 +78,7 @@ func contentionShardedConfig(backend pthread.Backend, procs int, arm shardedArm)
 		DefaultStack: pthread.SmallStackSize,
 	}
 	if arm.shard {
-		cfg.SchedShard = true
+		cfg.Policy = pthread.PolicyADFShard
 		cfg.StealWindow = arm.window(procs)
 	} else {
 		cfg.SchedMode = pthread.SchedVolunteer

@@ -70,15 +70,6 @@ type BenchRun struct {
 	// for experiments that profile space.
 	Space []spaceprof.Sample `json:"space,omitempty"`
 
-	// Host-side measurements (the dispatch experiment). Wall ns per
-	// dispatch is host-dependent and report-only; vops per dispatch is
-	// the deterministic virtual structure-operation count the ADF
-	// family maintains (heap sifts / treap walks / list scans) and is
-	// the gated metric.
-	LiveThreads     int     `json:"live_threads,omitempty"`
-	NSPerDispatch   float64 `json:"ns_per_dispatch,omitempty"`
-	VOpsPerDispatch float64 `json:"vops_per_dispatch,omitempty"`
-
 	// Native-observability results (the native-obs experiment). Tracer
 	// marks rows measured with the event tracer attached; TraceEvents is
 	// the median run's merged event count (plus drops, if any);
@@ -156,29 +147,6 @@ func jsonFig1(opt Options) (*BenchResult, error) {
 		Title: "Active threads under FIFO vs LIFO vs depth-first (Figure 1)"}
 	for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF} {
 		res.Runs = append(res.Runs, instrumentedRun(pthread.Config{Procs: 1, Policy: pol}, prog))
-	}
-	return res, nil
-}
-
-// jsonDispatch reruns the dispatch cost sweep.
-func jsonDispatch(opt Options) (*BenchResult, error) {
-	sizes := []int{100, 1000, 10000}
-	if opt.paper() {
-		sizes = append(sizes, 100000)
-	}
-	res := &BenchResult{Experiment: "dispatch", Scale: scaleName(opt),
-		Title: "Scheduler dispatch cost vs live threads (host time)"}
-	for _, name := range DispatchPolicies() {
-		for _, n := range sizes {
-			ns, vops := dispatchCost(name, n)
-			res.Runs = append(res.Runs, BenchRun{
-				Policy:          name,
-				Procs:           1,
-				LiveThreads:     n,
-				NSPerDispatch:   ns,
-				VOpsPerDispatch: vops,
-			})
-		}
 	}
 	return res, nil
 }

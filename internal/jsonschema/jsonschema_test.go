@@ -1,12 +1,15 @@
 package jsonschema_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"spthreads/internal/jsonschema"
+	"spthreads/pthread"
 )
 
 const benchLikeSchema = `{
@@ -209,14 +212,37 @@ func TestBenchSchemaTracerFields(t *testing.T) {
 	}
 }
 
-// TestBenchSchemaPolicyEnum pins the checked-in bench-output contract:
-// every scheduler policy id the dispatch sweep emits — including the
-// order-maintenance variants "adf-treap" and "adf-ref" — must validate,
-// and an unknown policy id must be rejected by name.
+// TestBenchSchemaPolicyEnum pins the checked-in bench-output contract
+// to the library: the policy enum is exactly pthread.Policies(), in
+// order, every id validates, and an unknown policy id is rejected by
+// name.
 func TestBenchSchemaPolicyEnum(t *testing.T) {
 	raw, err := os.ReadFile("../../testdata/bench.schema.json")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var enum struct {
+		Properties struct {
+			Runs struct {
+				Items struct {
+					Properties struct {
+						Policy struct {
+							Enum []string `json:"enum"`
+						} `json:"policy"`
+					} `json:"properties"`
+				} `json:"items"`
+			} `json:"runs"`
+		} `json:"properties"`
+	}
+	if err := json.Unmarshal(raw, &enum); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, p := range pthread.Policies() {
+		want = append(want, string(p))
+	}
+	if got := enum.Properties.Runs.Items.Properties.Policy.Enum; !slices.Equal(got, want) {
+		t.Errorf("bench schema policy enum = %v, want pthread.Policies() = %v", got, want)
 	}
 	sch, err := jsonschema.Parse(raw)
 	if err != nil {
@@ -224,12 +250,11 @@ func TestBenchSchemaPolicyEnum(t *testing.T) {
 	}
 	doc := func(policy string) []byte {
 		return []byte(fmt.Sprintf(`{
-			"experiment": "dispatch", "title": "t", "scale": "small",
-			"runs": [{"policy": %q, "procs": 1, "live_threads": 10000,
-			          "ns_per_dispatch": 70.5, "vops_per_dispatch": 2.0}]
+			"experiment": "fig1", "title": "t", "scale": "small",
+			"runs": [{"policy": %q, "procs": 1}]
 		}`, policy))
 	}
-	for _, pol := range []string{"fifo", "lifo", "adf", "adf-treap", "adf-ref", "adf-shard", "ws", "dfd", "rr"} {
+	for _, pol := range want {
 		if err := sch.ValidateJSON(doc(pol)); err != nil {
 			t.Errorf("policy %q rejected by bench schema: %v", pol, err)
 		}
@@ -240,15 +265,6 @@ func TestBenchSchemaPolicyEnum(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "adf-bogus") || !strings.Contains(err.Error(), "$.runs[0].policy") {
 		t.Errorf("policy enum error %q does not name the value and path", err)
-	}
-
-	// The dispatch vops metric is a count: negative values are invalid.
-	bad := []byte(`{
-		"experiment": "dispatch", "title": "t", "scale": "small",
-		"runs": [{"policy": "adf", "vops_per_dispatch": -1}]
-	}`)
-	if err := sch.ValidateJSON(bad); err == nil {
-		t.Error("negative vops_per_dispatch accepted")
 	}
 }
 

@@ -277,12 +277,13 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 // unordered writes of worker.out) and strand another (the run hangs).
 func TestProcessorReturnedOnce(t *testing.T) {
 	stores := []struct {
-		name string
-		cfg  Config
+		name   string
+		policy sched.Kind
+		cfg    Config
 	}{
-		{"global", Config{}},
-		{"batched", Config{SchedBatch: 4}},
-		{"sharded", Config{Shard: true}},
+		{"global", sched.ADF, Config{}},
+		{"batched", sched.ADF, Config{SchedBatch: 4}},
+		{"sharded", sched.ADFShard, Config{}},
 	}
 	const threads, rounds = 8, 300
 	for _, s := range stores {
@@ -290,7 +291,7 @@ func TestProcessorReturnedOnce(t *testing.T) {
 			forEachPool(t, func(t *testing.T, warm bool) {
 				cfg := s.cfg
 				cfg.Procs = 4
-				b := newPoolBackend(t, sched.ADF, cfg, warm)
+				b := newPoolBackend(t, s.policy, cfg, warm)
 				mu, cv := b.NewMutex(), b.NewCond()
 				sem, bar := b.NewSemaphore(0), b.NewBarrier(threads)
 				turn, total := 0, 0

@@ -76,7 +76,14 @@ type Config struct {
 	// Procs is the number of worker goroutines (default GOMAXPROCS).
 	Procs int
 	// Policy is the scheduling policy (required). It is only ever
-	// invoked under the backend's scheduler lock.
+	// invoked under the backend's scheduler lock. A core.ShardedPolicy
+	// is replaced by per-worker DePa-ordered heaps behind per-worker
+	// locks (see shardStore), built with the policy's shard count, steal
+	// window and strict mode: the global scheduler mutex shrinks to
+	// lifecycle bookkeeping and ready traffic spreads across the shards.
+	// The policy is then consulted only for quota/dummy/time-slice
+	// parameters, and dispatch order is the ADF (priority, DePa label)
+	// order with bounded-deviation steals.
 	Policy core.Policy
 	// DefaultStack is the default simulated stack size charged per
 	// thread (default core.DefaultStackSize).
@@ -84,22 +91,9 @@ type Config struct {
 	// SchedBatch, when > 1 and the policy implements core.BatchNexter,
 	// enables per-worker batch refill: a worker pulls up to SchedBatch
 	// threads from the policy in one critical section and runs them
-	// without re-taking the scheduler lock. Ignored when Shard is set.
+	// without re-taking the scheduler lock. Ignored for a sharded
+	// policy.
 	SchedBatch int
-	// Shard replaces the policy's ready structure with per-worker
-	// DePa-ordered heaps behind per-worker locks (see shardStore): the
-	// global scheduler mutex shrinks to lifecycle bookkeeping and ready
-	// traffic spreads across the shards. The policy is then consulted
-	// only for quota/dummy/time-slice parameters, and dispatch order is
-	// the ADF (priority, DePa label) order with bounded-deviation steals.
-	Shard bool
-	// StealWindow is the sharded store's deviation bound K (<= 0 selects
-	// Procs). Only meaningful with Shard.
-	StealWindow int
-	// ShardStrict makes every sharded dispatch take the globally leftmost
-	// published entry (the sequential-steal test mode). Only meaningful
-	// with Shard.
-	ShardStrict bool
 	// Metrics, when non-nil, receives the run's instrument values.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, receives the run's scheduler/memory events.
@@ -129,7 +123,7 @@ type Backend struct {
 	cond *sync.Cond
 
 	// shards, when non-nil, replaces the policy's ready structure with
-	// the per-worker sharded store (Config.Shard); b.ready and the
+	// the per-worker sharded store (a core.ShardedPolicy); b.ready and the
 	// batched Q_outs stay at zero then, and idleA mirrors b.idle into an
 	// atomic for the store's lost-wakeup protocol.
 	shards *shardStore
@@ -245,8 +239,9 @@ func New(cfg Config) (*Backend, error) {
 			home:       make(chan struct{}, 1),
 		}
 	}
-	if cfg.Shard {
-		b.shards = newShardStore(b, procs, cfg.StealWindow, cfg.ShardStrict)
+	if sp, ok := cfg.Policy.(core.ShardedPolicy); ok {
+		// A sharded policy in strict mode reports Global() == true.
+		b.shards = newShardStore(b, sp.NumShards(), sp.StealWindow(), sp.Global())
 	} else if cfg.SchedBatch > 1 {
 		if bn, ok := cfg.Policy.(core.BatchNexter); ok {
 			b.batchNext = bn

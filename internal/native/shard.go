@@ -10,13 +10,13 @@ import (
 	"spthreads/internal/trace"
 )
 
-// shardStore is the native backend's sharded ready store (Config.Shard):
-// one small lock-protected heap per worker, ordered by (priority desc,
-// DePa label asc), replacing the policy structure guarded by the global
-// scheduler mutex. With the store sharded, b.mu shrinks to lifecycle
-// bookkeeping (admit/exit/join/idle workers) and ready-store traffic —
-// the dominant critical section at high worker counts — spreads across
-// the shards.
+// shardStore is the native backend's ready store for a
+// core.ShardedPolicy: one small lock-protected heap per worker, ordered
+// by (priority desc, DePa label asc), replacing the policy structure
+// guarded by the global scheduler mutex. With the store sharded, b.mu
+// shrinks to lifecycle bookkeeping (admit/exit/join/idle workers) and
+// ready-store traffic — the dominant critical section at high worker
+// counts — spreads across the shards.
 //
 // Lock protocol: a push or pop takes exactly one shard lock, and a shard
 // lock is never acquired while holding b.mu (pushes happen after the
@@ -82,12 +82,6 @@ type shardPub struct {
 }
 
 func newShardStore(b *Backend, n, window int, strict bool) *shardStore {
-	if n <= 0 {
-		n = 1
-	}
-	if window <= 0 {
-		window = n
-	}
 	return &shardStore{
 		b:       b,
 		shards:  make([]shard, n),

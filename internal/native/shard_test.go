@@ -1,0 +1,47 @@
+package native
+
+import (
+	"testing"
+
+	"spthreads/internal/core"
+	"spthreads/internal/exec"
+	"spthreads/internal/sched"
+)
+
+// shardFib is a deterministic fork/join workload with enough compute
+// per node that dispatch decisions interleave with running threads.
+func shardFib(b *Backend, t exec.Thread, n int, out *int64) {
+	b.Charge(t, 200)
+	if n < 2 {
+		*out = int64(n)
+		return
+	}
+	var x, y int64
+	c := forkFn(b, t, core.Attr{}, func(ct exec.Thread) { shardFib(b, ct, n-1, &x) })
+	shardFib(b, t, n-2, &y)
+	mustJoin(b, t, c)
+	*out = x + y
+}
+
+// TestShardNativeStrict covers the strict (sequential-steal) native
+// path plus the sleep path, whose sharded wake runs the three-phase
+// push protocol.
+func TestShardNativeStrict(t *testing.T) {
+	b, err := New(Config{
+		Procs:  4,
+		Policy: sched.MustNew(sched.ADFShard, sched.Options{Procs: 4, ShardStrict: true}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res int64
+	if _, err := execute(t, b, func(root exec.Thread) {
+		b.Sleep(root, 1000)
+		shardFib(b, root, 12, &res)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if res != 144 {
+		t.Fatalf("fib(12) = %d, want 144", res)
+	}
+}

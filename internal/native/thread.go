@@ -58,10 +58,10 @@ type thread struct {
 	// if another processor has already marked it running again.
 	pid int
 
-	// Sharded-store heap slot (Config.Shard): key snapshot and heap index,
-	// guarded by the owning shard's lock while the thread sits in a heap.
-	// The label is copied at push time so later Forks by other threads
-	// cannot disturb the ordering of a parked entry.
+	// Sharded-store heap slot: key snapshot and heap index, guarded by
+	// the owning shard's lock while the thread sits in a heap. The label
+	// is copied at push time so later Forks by other threads cannot
+	// disturb the ordering of a parked entry.
 	heapLabel core.DepaLabel
 	heapPri   int
 	heapIdx   int

@@ -29,24 +29,21 @@ import (
 // with serial space S_1 and critical path (depth) D.
 //
 // The ordered list itself is pluggable (adfLevel): the production store
-// ("adf") keeps the serial order in DePa fork-path labels carried by
-// the threads themselves — left-of is a local lexicographic compare and
-// dispatch is a heap pop over just the ready set (adfDepa). The
-// previous production store, an order-statistic treap with O(log n)
-// operations over all live placeholders, is retained behind the
-// "adf-treap" policy flag, and the original O(n) scanning linked list
-// behind "adf-ref" (NewADFReference); both serve as differential-test
-// oracles. All three stores present the identical serial order, so the
-// dispatch sequence (and therefore every virtual-time result) is
-// unchanged across them.
+// keeps the serial order in DePa fork-path labels carried by the
+// threads themselves — left-of is a local lexicographic compare and
+// dispatch is a heap pop over just the ready set (adfDepa). The tests
+// substitute the seed's O(n) scanning linked list and the
+// order-statistic treap that preceded the labels through the same
+// seam, as differential oracles: all three stores present the
+// identical serial order, so the dispatch sequence (and therefore every
+// virtual-time result) is unchanged across them.
 type adfPolicy struct {
 	name    string
 	quota   int64
 	dummies bool
 	levels  [core.NumPriorities]adfLevel
-	ready   int   // ready entries across all levels
-	live    int   // placeholder entries across all levels
-	vops    int64 // cumulative structure operations, shared by the levels
+	ready   int // ready entries across all levels
+	live    int // placeholder entries across all levels
 
 	// Gauges mirror the live/ready counters into an attached metrics
 	// registry (nil handles are no-ops), exposing the placeholder-list
@@ -86,43 +83,15 @@ type adfLevel interface {
 	// takeLeftmostReady clears and returns the leftmost ready entry's
 	// thread, or nil if none is ready.
 	takeLeftmostReady() *core.Thread
-	// count walks the structure and returns the number of entries (a
-	// test oracle for the policy's maintained live counter).
+	// count returns the number of entries (the tests check it against
+	// the policy's live counter).
 	count() int
 }
 
 func newADF(quotaK int64, disableDummies bool) *adfPolicy {
 	p := &adfPolicy{name: "adf", quota: quotaK, dummies: !disableDummies}
 	for i := range p.levels {
-		p.levels[i] = newADFDepa(&p.vops)
-	}
-	return p
-}
-
-// newADFTreap builds the ADF policy over the order-statistic treap, the
-// pre-DePa production store. It dispatches the exact same thread
-// sequence as the default policy and exists as a differential oracle
-// and as the before-side of the dispatch microbenchmark.
-func newADFTreap(quotaK int64, disableDummies bool) *adfPolicy {
-	p := &adfPolicy{name: "adf-treap", quota: quotaK, dummies: !disableDummies}
-	rng := newTreapRand()
-	for i := range p.levels {
-		p.levels[i] = &adfTreap{rng: rng, vops: &p.vops}
-	}
-	return p
-}
-
-// NewADFReference builds the ADF policy over the original O(n) linked
-// list. It dispatches the exact same thread sequence as the indexed
-// policies and exists as the oracle for differential tests and as the
-// baseline for the dispatch-cost microbenchmarks.
-func NewADFReference(quotaK int64, disableDummies bool) core.Policy {
-	if quotaK == 0 {
-		quotaK = DefaultMemQuota
-	}
-	p := &adfPolicy{name: "adf-ref", quota: quotaK, dummies: !disableDummies}
-	for i := range p.levels {
-		p.levels[i] = &adfChain{vops: &p.vops}
+		p.levels[i] = &adfDepa{}
 	}
 	return p
 }
@@ -215,10 +184,9 @@ func (p *adfPolicy) Next(pid int) *core.Thread {
 // NextBatch implements core.BatchNexter: it removes up to n ready
 // threads in exactly the order n successive Next calls would have
 // dispatched them (leftmost-ready first within the highest non-empty
-// priority), for the batched two-level scheduler's refill pass. Both the
-// treap-indexed policy and the linked-list reference oracle share this
-// implementation, so the differential suite exercises batching on both
-// sides.
+// priority), for the batched two-level scheduler's refill pass. The
+// oracle stores share this implementation, so the differential suite
+// exercises batching on every side.
 func (p *adfPolicy) NextBatch(pid, n int) []*core.Thread {
 	if n <= 0 {
 		return nil
@@ -241,12 +209,3 @@ func (p *adfPolicy) Live() int { return p.live }
 // ReadyCount returns the number of ready entries across all levels (for
 // tests and benchmarks).
 func (p *adfPolicy) ReadyCount() int { return p.ready }
-
-// VOps returns the cumulative count of virtual structure operations the
-// level stores have performed: heap compares and sifts for the DePa
-// store, node visits and rotations for the treap, entries scanned for
-// the reference list. The count is deterministic for a deterministic
-// operation sequence, which lets the dispatch microbenchmark gate the
-// treap-vs-depa comparison on virtual ops while wall time stays
-// report-only.
-func (p *adfPolicy) VOps() int64 { return p.vops }

@@ -117,9 +117,10 @@ func TestADFDummyBoundaryMachine(t *testing.T) {
 
 // TestADFIndexedMatchesReferenceMachine runs a fork/join/malloc tree —
 // including allocations past the quota, so dummy threads and quota
-// preemptions fire — under the indexed policy and the linked-list
+// preemptions fire — under the DePa-labeled policy and the linked-list
 // reference, on 1 and 4 processors, and requires identical virtual
-// results.
+// results. (The treap store's agreement at machine level is pinned by
+// TestDePaMachineDispatchSequencesIdentical.)
 func TestADFIndexedMatchesReferenceMachine(t *testing.T) {
 	const quota = 16 << 10
 	workload := func(m *core.Machine) func(*core.Thread) {
@@ -166,16 +167,14 @@ func TestADFIndexedMatchesReferenceMachine(t *testing.T) {
 
 	for _, procs := range []int{1, 4} {
 		ref := runWith(sched.NewADFReference(quota, false), procs)
-		for _, kind := range []sched.Kind{sched.ADF, sched.ADFTreap} {
-			idx := runWith(sched.MustNew(kind, sched.Options{MemQuota: quota}), procs)
-			if idx.Time != ref.Time || idx.HeapHWM != ref.HeapHWM ||
-				idx.PeakLive != ref.PeakLive || idx.DummyThreads != ref.DummyThreads ||
-				idx.ThreadsCreated != ref.ThreadsCreated {
-				t.Errorf("p=%d: %s and reference ADF diverge:\n  %s: time=%v heap=%d peak=%d dummies=%d created=%d\n  reference: time=%v heap=%d peak=%d dummies=%d created=%d",
-					procs, kind, kind,
-					idx.Time, idx.HeapHWM, idx.PeakLive, idx.DummyThreads, idx.ThreadsCreated,
-					ref.Time, ref.HeapHWM, ref.PeakLive, ref.DummyThreads, ref.ThreadsCreated)
-			}
+		idx := runWith(sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}), procs)
+		if idx.Time != ref.Time || idx.HeapHWM != ref.HeapHWM ||
+			idx.PeakLive != ref.PeakLive || idx.DummyThreads != ref.DummyThreads ||
+			idx.ThreadsCreated != ref.ThreadsCreated {
+			t.Errorf("p=%d: adf and reference ADF diverge:\n  adf: time=%v heap=%d peak=%d dummies=%d created=%d\n  reference: time=%v heap=%d peak=%d dummies=%d created=%d",
+				procs,
+				idx.Time, idx.HeapHWM, idx.PeakLive, idx.DummyThreads, idx.ThreadsCreated,
+				ref.Time, ref.HeapHWM, ref.PeakLive, ref.DummyThreads, ref.ThreadsCreated)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"testing"
+	"unsafe"
 
 	"spthreads/internal/core"
 )
@@ -148,5 +149,17 @@ func TestADFWakeResumesAtSerialPosition(t *testing.T) {
 				t.Fatalf("Next = id %d, want root", got.ID)
 			}
 		})
+	}
+}
+
+// TestPlaceholderEntrySize: every live thread holds one placeholder, so
+// each word added here is paid once per lightweight thread, on both
+// backends. 48 and 64 B are Go size classes.
+func TestPlaceholderEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(depaEntry{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(depaEntry{}) = %d, want <= 48", got)
+	}
+	if got := unsafe.Sizeof(shardEntry{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(shardEntry{}) = %d, want <= 64", got)
 	}
 }

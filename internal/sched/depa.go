@@ -2,9 +2,9 @@ package sched
 
 import "spthreads/internal/core"
 
-// adfDepa is the DePa-backed dispatch structure behind the default ADF
-// policy. Where the treap maintains the serial depth-first order as a
-// shared balanced tree — every insert, ready flip, and dispatch pays an
+// adfDepa is the DePa-backed dispatch structure behind the ADF policy.
+// Where the treap it replaced maintained the serial depth-first order as
+// a shared balanced tree — every insert, ready flip, and dispatch pays an
 // O(log n) walk under the charged scheduler lock — the DePa scheme
 // moves the order into the threads themselves: each thread carries a
 // fork-path label (core.DepaLabel) assigned at fork time on the forking
@@ -13,7 +13,7 @@ import "spthreads/internal/core"
 // The store then only has to answer "leftmost READY entry", which it
 // does with an indexed binary min-heap over the ready set:
 //
-//	insertHead / insertBefore   O(1)        (label snapshot + list link)
+//	insertHead / insertBefore   O(1)        (label snapshot)
 //	remove                      O(1)        (O(log r) if still ready)
 //	setReady                    O(log r)    (heap push / indexed delete)
 //	takeLeftmostReady           O(log r)    (heap pop)
@@ -22,47 +22,34 @@ import "spthreads/internal/core"
 // placeholders. Under the paper's workloads r is typically orders of
 // magnitude smaller than n (most placeholders are blocked parents or
 // executing threads), which is where the dispatch-path win over the
-// treap's O(log n) descent comes from; `ptbench dispatch` measures
-// exactly this regime.
+// treap's O(log n) descent comes from.
 //
 // Entries snapshot the thread's label at insert time. The thread's own
 // label keeps evolving (each fork appends a continuation bit), but an
 // extension orders immediately left of its snapshot and right of every
 // previously forked child, so the snapshot order is at all times
 // identical to the linked list the seed maintained: this is pinned by
-// the three-way differential suite in depa_diff_test.go.
+// the three-way differential suite in depa_diff_test.go. Placeholders
+// that are not ready live only in their threads' SchedState; the store
+// keeps just their count.
 type adfDepa struct {
 	anchor int64        // next head-insert anchor; decreasing so newer head inserts land leftmost
 	heap   []*depaEntry // indexed binary min-heap over ready entries
-	head   *depaEntry   // intrusive list of every placeholder (count oracle)
 	nlive  int
-	vops   *int64 // shared virtual structure-op counter (see adfPolicy.VOps)
 }
 
 // depaEntry is a thread's placeholder. hi is the entry's heap index, -1
 // while not ready.
 type depaEntry struct {
-	t          *core.Thread
-	label      core.DepaLabel
-	hi         int
-	prev, next *depaEntry
+	t     *core.Thread
+	label core.DepaLabel
+	hi    int
 }
 
-func newADFDepa(vops *int64) *adfDepa {
-	return &adfDepa{vops: vops}
-}
-
-// add links a placeholder for t with the given label snapshot.
+// add creates a placeholder for t with the given label snapshot.
 func (s *adfDepa) add(t *core.Thread, label core.DepaLabel) {
-	e := &depaEntry{t: t, label: label, hi: -1}
-	t.SchedState = e
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
+	t.SchedState = &depaEntry{t: t, label: label, hi: -1}
 	s.nlive++
-	*s.vops++
 }
 
 func (s *adfDepa) insertHead(t *core.Thread) {
@@ -96,17 +83,7 @@ func (s *adfDepa) remove(t *core.Thread) {
 		// regardless, like the treap.
 		s.heapRemove(e.hi)
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	e.prev, e.next = nil, nil
 	s.nlive--
-	*s.vops++
 }
 
 func (s *adfDepa) setReady(t *core.Thread, ready bool) bool {
@@ -131,22 +108,13 @@ func (s *adfDepa) takeLeftmostReady() *core.Thread {
 	return s.heapRemove(0).t
 }
 
-func (s *adfDepa) count() int {
-	n := 0
-	for e := s.head; e != nil; e = e.next {
-		n++
-	}
-	return n
-}
+func (s *adfDepa) count() int { return s.nlive }
 
 // Heap plumbing: a standard binary min-heap on label order, with each
 // entry tracking its slot so blocking an arbitrary ready entry is an
-// indexed delete rather than a scan. Every compare and structural step
-// bumps the shared vops counter, giving the dispatch microbenchmark a
-// deterministic cost to gate on.
+// indexed delete rather than a scan.
 
 func (s *adfDepa) less(i, j int) bool {
-	*s.vops++
 	return s.heap[i].label.Compare(s.heap[j].label) < 0
 }
 
@@ -161,7 +129,6 @@ func (s *adfDepa) heapPush(e *depaEntry) {
 	e.hi = len(s.heap)
 	s.heap = append(s.heap, e)
 	s.siftUp(e.hi)
-	*s.vops++
 }
 
 func (s *adfDepa) heapRemove(i int) *depaEntry {
@@ -175,7 +142,6 @@ func (s *adfDepa) heapRemove(i int) *depaEntry {
 		s.siftDown(i)
 		s.siftUp(i)
 	}
-	*s.vops++
 	return e
 }
 

@@ -28,13 +28,6 @@ const (
 	DFD  Kind = "dfd"  // simplified DFDeques: space efficiency + locality (paper §6 future work)
 	RR   Kind = "rr"   // POSIX SCHED_RR: prioritized FIFO with time slicing (paper §2.1)
 
-	// ADFTreap is the ADF policy over the previous production store, an
-	// order-statistic treap: identical dispatch sequence, O(log n)
-	// structure walks under the scheduler lock instead of DePa's local
-	// label compares. Retained as a differential oracle and for the
-	// dispatch-cost comparison.
-	ADFTreap Kind = "adf-treap"
-
 	// ADFShard is the ADF policy over per-processor ready shards with
 	// bounded-deviation work stealing: each processor dispatches from its
 	// own DePa-ordered heap and steals only threads within StealWindow of
@@ -63,9 +56,10 @@ type Options struct {
 	// serial depth-first order. <= 0 selects the default, Procs.
 	StealWindow int
 	// ShardStrict puts ADFShard in its sequential-steal deterministic
-	// mode: every dispatch takes the globally leftmost ready thread and
-	// the policy reports Global() == true, making the schedule (and all
-	// virtual times) bit-identical to the adf oracle at any proc count.
+	// mode, a testing/debugging mode: every dispatch takes the globally
+	// leftmost ready thread and the policy reports Global() == true,
+	// making the schedule (and all virtual times) bit-identical to adf at
+	// any proc count.
 	ShardStrict bool
 	// Metrics, when non-nil, attaches policy-internal gauges (currently
 	// ADF's placeholder-list length and ready count) to the registry.
@@ -88,16 +82,6 @@ func New(kind Kind, opt Options) (core.Policy, error) {
 			k = DefaultMemQuota
 		}
 		p := newADF(k, opt.DisableDummies)
-		if opt.Metrics != nil {
-			p.attachMetrics(opt.Metrics)
-		}
-		return p, nil
-	case ADFTreap:
-		k := opt.MemQuota
-		if k == 0 {
-			k = DefaultMemQuota
-		}
-		p := newADFTreap(k, opt.DisableDummies)
 		if opt.Metrics != nil {
 			p.attachMetrics(opt.Metrics)
 		}
@@ -151,4 +135,4 @@ func MustNew(kind Kind, opt Options) core.Policy {
 }
 
 // Kinds lists every policy kind.
-func Kinds() []Kind { return []Kind{FIFO, LIFO, ADF, ADFTreap, ADFShard, WS, DFD, RR} }
+func Kinds() []Kind { return []Kind{FIFO, LIFO, ADF, ADFShard, WS, DFD, RR} }

@@ -117,8 +117,8 @@ func TestNewUnknownPolicy(t *testing.T) {
 
 func TestKinds(t *testing.T) {
 	kinds := sched.Kinds()
-	if len(kinds) != 8 {
-		t.Fatalf("Kinds() = %v, want 8 entries", kinds)
+	if len(kinds) != 7 {
+		t.Fatalf("Kinds() = %v, want 7 entries", kinds)
 	}
 	for _, k := range kinds {
 		p, err := sched.New(k, sched.Options{Procs: 2})

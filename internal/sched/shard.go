@@ -45,11 +45,9 @@ type shardPolicy struct {
 	strict  bool // sequential-steal mode: global leftmost every time
 
 	shards []shardHeap
-	anchor int64       // next head-insert anchor, decreasing (cf. adfDepa)
-	head   *shardEntry // intrusive list of every placeholder (count oracle)
+	anchor int64 // next head-insert anchor, decreasing (cf. adfDepa)
 	live   int
 	ready  int
-	vops   int64
 
 	// Record of how the most recent Next obtained its thread, consumed
 	// by the machine through core.ShardedPolicy.TakeSteal.
@@ -73,12 +71,11 @@ type shardPolicy struct {
 // shardEntry is a thread's placeholder. hi is the entry's index in its
 // home shard's heap, -1 while not ready; home identifies that shard.
 type shardEntry struct {
-	t          *core.Thread
-	label      core.DepaLabel
-	pri        int
-	hi         int
-	home       int
-	prev, next *shardEntry
+	t     *core.Thread
+	label core.DepaLabel
+	pri   int
+	hi    int
+	home  int
 }
 
 // shardHeap is one processor's ready heap, an indexed binary min-heap on
@@ -152,7 +149,7 @@ func (p *shardPolicy) TakeSteal() (victim, probes int) {
 	return victim, probes
 }
 
-// StealWindow returns the configured deviation window K.
+// StealWindow implements core.ShardedPolicy.
 func (p *shardPolicy) StealWindow() int { return p.window }
 
 // Steals returns the number of cross-shard dispatches so far.
@@ -168,10 +165,6 @@ func (p *shardPolicy) Live() int { return p.live }
 // ReadyCount returns the number of ready entries across all shards.
 func (p *shardPolicy) ReadyCount() int { return p.ready }
 
-// VOps returns the cumulative virtual structure-operation count (cf.
-// adfPolicy.VOps).
-func (p *shardPolicy) VOps() int64 { return p.vops }
-
 func (p *shardPolicy) shardFor(pid int) int {
 	n := len(p.shards)
 	if pid < 0 {
@@ -180,19 +173,11 @@ func (p *shardPolicy) shardFor(pid int) int {
 	return pid % n
 }
 
-// add links a placeholder for t with the given label snapshot (cf.
-// adfDepa.add; the list spans all priorities since the composite heap
-// key already separates them).
+// add creates a placeholder for t with the given label snapshot (cf.
+// adfDepa.add).
 func (p *shardPolicy) add(t *core.Thread, label core.DepaLabel) {
-	e := &shardEntry{t: t, label: label, pri: t.Priority, hi: -1, home: -1}
-	t.SchedState = e
-	e.next = p.head
-	if p.head != nil {
-		p.head.prev = e
-	}
-	p.head = e
+	t.SchedState = &shardEntry{t: t, label: label, pri: t.Priority, hi: -1, home: -1}
 	p.live++
-	p.vops++
 }
 
 func (p *shardPolicy) insertHead(t *core.Thread) {
@@ -216,18 +201,8 @@ func (p *shardPolicy) insertBefore(child, parent *core.Thread) {
 
 func (p *shardPolicy) pushReady(e *shardEntry, shard int) {
 	e.home = shard
-	p.shards[shard].push(p, e)
+	p.shards[shard].push(e)
 	p.ready++
-}
-
-// countPlaceholders walks the placeholder list (a test oracle for the
-// maintained live counter).
-func (p *shardPolicy) countPlaceholders() int {
-	n := 0
-	for e := p.head; e != nil; e = e.next {
-		n++
-	}
-	return n
 }
 
 func (p *shardPolicy) OnCreate(parent, child *core.Thread) bool {
@@ -266,7 +241,7 @@ func (p *shardPolicy) OnBlock(t *core.Thread) {
 	if e.hi < 0 {
 		return
 	}
-	p.shards[e.home].remove(p, e.hi)
+	p.shards[e.home].remove(e.hi)
 	p.ready--
 	p.note()
 }
@@ -274,27 +249,17 @@ func (p *shardPolicy) OnBlock(t *core.Thread) {
 func (p *shardPolicy) OnExit(t *core.Thread) {
 	e := t.SchedState.(*shardEntry)
 	if e.hi >= 0 {
-		p.shards[e.home].remove(p, e.hi)
+		p.shards[e.home].remove(e.hi)
 		p.ready--
 	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		p.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	e.prev, e.next = nil, nil
 	t.SchedState = nil
 	p.live--
-	p.vops++
 	p.note()
 }
 
 // take pops shard v's leftmost ready entry.
 func (p *shardPolicy) take(v int) *core.Thread {
-	e := p.shards[v].remove(p, 0)
+	e := p.shards[v].remove(0)
 	p.ready--
 	p.note()
 	return e.t
@@ -312,7 +277,6 @@ func (p *shardPolicy) globalMinShard() int {
 			best = j
 			continue
 		}
-		p.vops++
 		if entryLess(p.shards[j].h[0], p.shards[best].h[0]) {
 			best = j
 		}
@@ -347,7 +311,6 @@ func (p *shardPolicy) Next(pid int) *core.Thread {
 		}
 	}
 	sort.Slice(p.scratch, func(a, b int) bool {
-		p.vops++
 		return entryLess(p.shards[p.scratch[a]].h[0], p.shards[p.scratch[b]].h[0])
 	})
 	sum := 0
@@ -365,7 +328,6 @@ func (p *shardPolicy) Next(pid int) *core.Thread {
 			continue
 		}
 		probes++
-		p.vops++
 		if p.prefix[p.posOf[v]] <= p.window {
 			victim = v
 			break
@@ -395,11 +357,9 @@ func entryLess(a, b *shardEntry) bool {
 }
 
 // Heap plumbing (cf. adfDepa): indexed binary min-heap so blocking an
-// arbitrary ready entry is an indexed delete. Compares and structural
-// steps bump the shared vops counter.
+// arbitrary ready entry is an indexed delete.
 
-func (h *shardHeap) less(p *shardPolicy, i, j int) bool {
-	p.vops++
+func (h *shardHeap) less(i, j int) bool {
 	return entryLess(h.h[i], h.h[j])
 }
 
@@ -409,14 +369,13 @@ func (h *shardHeap) swap(i, j int) {
 	h.h[j].hi = j
 }
 
-func (h *shardHeap) push(p *shardPolicy, e *shardEntry) {
+func (h *shardHeap) push(e *shardEntry) {
 	e.hi = len(h.h)
 	h.h = append(h.h, e)
-	h.siftUp(p, e.hi)
-	p.vops++
+	h.siftUp(e.hi)
 }
 
-func (h *shardHeap) remove(p *shardPolicy, i int) *shardEntry {
+func (h *shardHeap) remove(i int) *shardEntry {
 	e := h.h[i]
 	last := len(h.h) - 1
 	h.swap(i, last)
@@ -425,17 +384,16 @@ func (h *shardHeap) remove(p *shardPolicy, i int) *shardEntry {
 	e.hi = -1
 	e.home = -1
 	if i < last {
-		h.siftDown(p, i)
-		h.siftUp(p, i)
+		h.siftDown(i)
+		h.siftUp(i)
 	}
-	p.vops++
 	return e
 }
 
-func (h *shardHeap) siftUp(p *shardPolicy, i int) {
+func (h *shardHeap) siftUp(i int) {
 	for i > 0 {
 		up := (i - 1) / 2
-		if !h.less(p, i, up) {
+		if !h.less(i, up) {
 			return
 		}
 		h.swap(i, up)
@@ -443,14 +401,14 @@ func (h *shardHeap) siftUp(p *shardPolicy, i int) {
 	}
 }
 
-func (h *shardHeap) siftDown(p *shardPolicy, i int) {
+func (h *shardHeap) siftDown(i int) {
 	n := len(h.h)
 	for {
 		m := i
-		if l := 2*i + 1; l < n && h.less(p, l, m) {
+		if l := 2*i + 1; l < n && h.less(l, m) {
 			m = l
 		}
-		if r := 2*i + 2; r < n && h.less(p, r, m) {
+		if r := 2*i + 2; r < n && h.less(r, m) {
 			m = r
 		}
 		if m == i {

@@ -210,9 +210,6 @@ func (d *diffShard) check(op string) {
 	if got, want := d.sh.Live(), len(d.smirr); got != want {
 		d.t.Fatalf("%s: Live=%d, model has %d live", op, got, want)
 	}
-	if got, want := d.sh.countPlaceholders(), len(d.smirr); got != want {
-		d.t.Fatalf("%s: placeholder walk found %d, model has %d", op, got, want)
-	}
 	if got, want := d.sh.ReadyCount(), len(d.ready); got != want {
 		d.t.Fatalf("%s: ReadyCount=%d, model has %d ready", op, got, want)
 	}

@@ -6,6 +6,7 @@ package pthread_test
 // ordering), not exact interleavings; run them under -race.
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,6 +20,27 @@ func nativeCfg(procs int) pthread.Config {
 		Policy:       pthread.PolicyADF,
 		Backend:      pthread.BackendNative,
 		DefaultStack: pthread.SmallStackSize,
+	}
+}
+
+// TestNativeDefaultProcsEveryPolicy: with Procs unset the native
+// backend runs GOMAXPROCS workers, and every policy must be built for
+// that many processors. A policy sized for one processor (WS and DFD
+// keep one deque per processor) indexes past its deques the first time
+// a second worker dispatches.
+func TestNativeDefaultProcsEveryPolicy(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for _, pol := range pthread.Policies() {
+		var res int64
+		cfg := pthread.Config{Backend: pthread.BackendNative, Policy: pol}
+		if _, err := pthread.Run(cfg, func(t *pthread.T) { shardFib(t, 14, &res) }); err != nil {
+			t.Fatalf("%s: %v", pol, err)
+		}
+		if res != 377 {
+			t.Errorf("%s: fib(14) = %d, want 377", pol, res)
+		}
 	}
 }
 

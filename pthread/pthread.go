@@ -37,6 +37,7 @@ package pthread
 
 import (
 	"fmt"
+	"runtime"
 
 	"spthreads/internal/core"
 	"spthreads/internal/dag"
@@ -57,18 +58,12 @@ const (
 	PolicyFIFO = sched.FIFO
 	PolicyLIFO = sched.LIFO
 	PolicyADF  = sched.ADF
-	// PolicyADFTreap is the ADF scheduler with its previous
-	// order-statistic treap store instead of the default DePa fork-path
-	// labels — identical dispatch order, kept selectable as a
-	// differential oracle and for dispatch-cost comparison.
-	PolicyADFTreap = sched.ADFTreap
 	// PolicyADFShard is the ADF scheduler over per-worker ready shards
 	// with bounded-deviation work stealing: same placeholder discipline
 	// and dispatch order as PolicyADF at p=1, but the ready store (and on
 	// the native backend the scheduler lock) is split per worker, with
 	// steals restricted to threads within Config.StealWindow of the
-	// global leftmost-ready position. Selecting it is equivalent to
-	// setting Config.SchedShard with PolicyADF.
+	// global leftmost-ready position.
 	PolicyADFShard = sched.ADFShard
 	PolicyWS       = sched.WS
 	// PolicyDFD is a simplified DFDeques scheduler: the paper's
@@ -186,26 +181,12 @@ type Config struct {
 	// modes (default 8); SchedBatch = 1 degenerates to SchedDirect
 	// exactly.
 	SchedBatch int
-	// SchedShard selects the sharded scheduler: per-worker DePa-ordered
-	// ready heaps with bounded-deviation work stealing instead of the
-	// single global ready structure. It requires the ADF dispatch order
-	// (Policy empty, PolicyADF, or PolicyADFShard — the first two are
-	// upgraded to PolicyADFShard) and is mutually exclusive with the
-	// batched SchedModes: sharding removes the global serial point that
-	// batching only amortizes.
-	SchedShard bool
 	// StealWindow is the sharded scheduler's deviation bound K: a worker
 	// out of local work may steal a thread only if at most K ready
 	// threads precede it in the serial depth-first order. 0 selects the
 	// default (Procs); negative values are rejected; it requires
-	// SchedShard or PolicyADFShard.
+	// PolicyADFShard.
 	StealWindow int
-	// ShardStrict puts the sharded scheduler in its sequential-steal
-	// deterministic mode: every dispatch takes the globally leftmost
-	// ready thread under global-lock charging, making sim schedules
-	// bit-identical to PolicyADF at any proc count. A testing/debugging
-	// mode; it requires SchedShard or PolicyADFShard.
-	ShardStrict bool
 	// Tracer, when non-nil, records scheduler events for later
 	// inspection (Gantt charts, per-thread summaries, pttrace exports,
 	// ptanalyze). On the sim backend timestamps are virtual cycles and
@@ -271,34 +252,30 @@ func newBackend(cfg Config) (exec.Backend, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyADF
 	}
-	if cfg.SchedShard {
-		switch cfg.Policy {
-		case PolicyADF, PolicyADFShard:
-			cfg.Policy = PolicyADFShard
-		default:
-			return nil, fmt.Errorf("pthread: SchedShard requires the ADF dispatch order (have policy %q); only adf/adf-shard keep the serial depth-first order the steal window is measured against", cfg.Policy)
+	if cfg.Policy == PolicyADFShard {
+		if cfg.SchedMode != core.SchedDirect {
+			return nil, fmt.Errorf("pthread: Policy adf-shard and SchedMode %q are mutually exclusive: sharding removes the global scheduler lock the batched modes amortize", string(cfg.SchedMode))
 		}
+	} else if cfg.StealWindow != 0 {
+		return nil, fmt.Errorf("pthread: StealWindow requires the sharded scheduler (Policy adf-shard; have policy %q)", cfg.Policy)
 	}
-	sharded := cfg.Policy == PolicyADFShard
-	if !sharded {
-		if cfg.StealWindow != 0 {
-			return nil, fmt.Errorf("pthread: StealWindow requires the sharded scheduler (set SchedShard or Policy adf-shard; have policy %q)", cfg.Policy)
+	// The processor count is resolved once, here, so the policy's
+	// per-processor structures (WS and DFD deques, adf-shard heaps and
+	// its default steal window) match the backend's processors.
+	procs := cfg.Procs
+	if procs == 0 {
+		procs = 1
+		if cfg.Backend == BackendNative {
+			procs = runtime.GOMAXPROCS(0)
 		}
-		if cfg.ShardStrict {
-			return nil, fmt.Errorf("pthread: ShardStrict requires the sharded scheduler (set SchedShard or Policy adf-shard; have policy %q)", cfg.Policy)
-		}
-	}
-	if sharded && cfg.SchedMode != core.SchedDirect {
-		return nil, fmt.Errorf("pthread: SchedShard and SchedMode %q are mutually exclusive: sharding removes the global scheduler lock the batched modes amortize", string(cfg.SchedMode))
 	}
 	pol, err := sched.New(cfg.Policy, sched.Options{
 		MemQuota:       cfg.MemQuota,
 		DisableDummies: cfg.DisableDummies,
-		Procs:          max(cfg.Procs, 1),
+		Procs:          procs,
 		Seed:           cfg.Seed,
 		TimeSlice:      cfg.TimeSlice,
 		StealWindow:    cfg.StealWindow,
-		ShardStrict:    cfg.ShardStrict,
 		Metrics:        cfg.Metrics,
 	})
 	if err != nil {
@@ -316,7 +293,7 @@ func newBackend(cfg Config) (exec.Backend, error) {
 	switch cfg.Backend {
 	case "", BackendSim:
 		ccfg := core.Config{
-			Procs:        cfg.Procs,
+			Procs:        procs,
 			Policy:       pol,
 			CostModel:    cfg.CostModel,
 			DefaultStack: cfg.DefaultStack,
@@ -346,13 +323,10 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			}
 		}
 		return native.New(native.Config{
-			Procs:        cfg.Procs,
+			Procs:        procs,
 			Policy:       pol,
 			DefaultStack: cfg.DefaultStack,
 			SchedBatch:   batch,
-			Shard:        sharded,
-			StealWindow:  cfg.StealWindow,
-			ShardStrict:  cfg.ShardStrict,
 			Metrics:      cfg.Metrics,
 			Tracer:       cfg.Tracer,
 			SpaceProf:    cfg.SpaceProf,

@@ -1,13 +1,12 @@
 package pthread_test
 
-// Machine-level oracles for the sharded scheduler (Config.SchedShard):
-// dispatch-identity against the global ADF policy where the design
-// promises it, the bounded-deviation steal property replayed from a
-// recorded trace, the config validation rules, and the steal-count
-// metric on both policies that steal.
+// Machine-level oracles for the sharded scheduler (PolicyADFShard):
+// dispatch-identity against the global ADF policy at p=1, the
+// bounded-deviation steal property replayed from a recorded trace, the
+// config validation rules, and the steal-count metric on both policies
+// that steal.
 
 import (
-	"strings"
 	"testing"
 
 	"spthreads/internal/core"
@@ -75,26 +74,6 @@ func TestShardP1DispatchMatchesADF(t *testing.T) {
 	}
 }
 
-// TestShardStrictTraceIdentical: strict mode reports a global policy, so
-// the sim machine applies the exact adf charging and the whole event
-// stream — timestamps included — must be byte-identical to adf at any p.
-func TestShardStrictTraceIdentical(t *testing.T) {
-	for _, procs := range []int{2, 4} {
-		adf := runShardTrace(t, pthread.Config{Procs: procs, Policy: pthread.PolicyADF}, 12)
-		sh := runShardTrace(t, pthread.Config{
-			Procs: procs, Policy: pthread.PolicyADFShard, ShardStrict: true}, 12)
-		if len(adf) != len(sh) {
-			t.Fatalf("p=%d: event counts differ: adf=%d shard-strict=%d", procs, len(adf), len(sh))
-		}
-		for i := range adf {
-			if adf[i] != sh[i] {
-				t.Fatalf("p=%d: event %d diverged: adf=%+v shard-strict=%+v",
-					procs, i, adf[i], sh[i])
-			}
-		}
-	}
-}
-
 // TestShardStealWithinWindowFromTrace replays a sim trace of a sharded
 // run and checks the tentpole property at every KindSteal event: the
 // stolen thread's rank in the left-to-right ready order is at most K.
@@ -156,34 +135,11 @@ func TestShardStealWithinWindowFromTrace(t *testing.T) {
 	}
 }
 
-// TestSchedShardUpgradesADF: SchedShard with the default (or explicit
-// ADF) policy selects adf-shard.
-func TestSchedShardUpgradesADF(t *testing.T) {
-	st, err := pthread.Run(pthread.Config{SchedShard: true, Procs: 2},
-		func(th *pthread.T) { th.Charge(100) })
-	if err != nil {
-		t.Fatalf("SchedShard rejected: %v", err)
-	}
-	if st.Policy != string(pthread.PolicyADFShard) {
-		t.Fatalf("policy = %q, want adf-shard", st.Policy)
-	}
-}
-
 // Config validation for the shard knobs, one test per rejection rule.
-
-func TestRejectSchedShardNonADF(t *testing.T) {
-	mustReject(t, pthread.Config{SchedShard: true, Policy: pthread.PolicyFIFO},
-		"SchedShard requires the ADF dispatch order")
-}
 
 func TestRejectStealWindowWithoutShard(t *testing.T) {
 	mustReject(t, pthread.Config{StealWindow: 4},
 		"StealWindow requires the sharded scheduler")
-}
-
-func TestRejectShardStrictWithoutShard(t *testing.T) {
-	mustReject(t, pthread.Config{ShardStrict: true},
-		"ShardStrict requires the sharded scheduler")
 }
 
 func TestRejectNegativeStealWindow(t *testing.T) {
@@ -248,39 +204,5 @@ func TestShardNativeRuns(t *testing.T) {
 				t.Fatalf("p=%d w=%d: fib(14) = %d, want 377", procs, window, res)
 			}
 		}
-	}
-}
-
-// TestShardNativeStrict covers the strict (sequential-steal) native
-// path plus the sleep path, whose sharded wake runs the three-phase
-// push protocol.
-func TestShardNativeStrict(t *testing.T) {
-	cfg := pthread.Config{
-		Backend: pthread.BackendNative, Procs: 4,
-		Policy: pthread.PolicyADFShard, ShardStrict: true,
-	}
-	var res int64
-	if _, err := pthread.Run(cfg, func(th *pthread.T) {
-		th.Sleep(1000)
-		shardFib(th, 12, &res)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if res != 144 {
-		t.Fatalf("fib(12) = %d, want 144", res)
-	}
-}
-
-// Guard against error-message drift in the upgrade path: SchedShard with
-// the explicit adf-shard policy is accepted, not doubly-upgraded.
-func TestSchedShardExplicitPolicy(t *testing.T) {
-	st, err := pthread.Run(pthread.Config{
-		SchedShard: true, Policy: pthread.PolicyADFShard, StealWindow: 3},
-		func(th *pthread.T) { th.Charge(100) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(st.Policy, "adf-shard") {
-		t.Fatalf("policy = %q", st.Policy)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // deletes code lowers them, and one that must raise a ceiling says why
 // in CHANGES.md.
 const (
-	maxNonTestLines = 19562
-	maxConfigFields = 22
+	maxNonTestLines = 18838
+	maxConfigFields = 20
 )
 
 // TestCodeRatchet counts the module's non-test Go lines outside
