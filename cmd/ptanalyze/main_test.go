@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"spthreads/internal/jsonschema"
 	"spthreads/internal/trace"
+	"spthreads/pthread"
 )
 
 // writeTrace records a small fork-join trace and writes it as JSONL.
@@ -29,6 +31,33 @@ func writeTrace(t *testing.T) string {
 	rec.RecordArg(520, 0, 1, trace.KindJoin, 2)
 	rec.Record(600, 0, 1, trace.KindExit)
 
+	return writeJSONL(t, rec)
+}
+
+// writeNativeTrace records a fork tree with allocations on the native
+// backend (wall-ns timestamps, per-worker rings merged at run end) and
+// writes it as JSONL.
+func writeNativeTrace(t *testing.T) string {
+	t.Helper()
+	rec := pthread.NewTraceRecorder(1 << 16)
+	var tree func(*pthread.T, int)
+	tree = func(t *pthread.T, depth int) {
+		a := t.Malloc(32 << 10)
+		t.Charge(1000)
+		if depth > 0 {
+			t.Par(func(t *pthread.T) { tree(t, depth-1) }, func(t *pthread.T) { tree(t, depth-1) })
+		}
+		t.Free(a)
+	}
+	cfg := pthread.Config{Backend: pthread.BackendNative, Procs: 2, Policy: pthread.PolicyADF, Tracer: rec}
+	if _, err := pthread.Run(cfg, func(t *pthread.T) { tree(t, 6) }); err != nil {
+		t.Fatal(err)
+	}
+	return writeJSONL(t, rec)
+}
+
+func writeJSONL(t *testing.T, rec *trace.Recorder) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
@@ -59,13 +88,9 @@ func TestTextReport(t *testing.T) {
 }
 
 // TestJSONMatchesSchema: -json output validates against the checked-in
-// report contract (the same check CI runs via benchcheck -schema).
+// report contract, for a virtual-time trace and for a native wall-unit
+// trace.
 func TestJSONMatchesSchema(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-json", "-procs", "2", writeTrace(t)}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("run = %d\nstderr: %s", code, errb.String())
-	}
 	raw, err := os.ReadFile("../../testdata/analyze.schema.json")
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +99,24 @@ func TestJSONMatchesSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schema.ValidateJSON(out.Bytes()); err != nil {
-		t.Errorf("-json output violates the schema: %v\n%s", err, out.String())
+	for _, in := range []struct {
+		path string
+		unit trace.TimeUnit
+	}{
+		{writeTrace(t), trace.UnitCycles},
+		{writeNativeTrace(t), trace.UnitWallNS},
+	} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-json", "-policy", "adf", "-procs", "2", in.path}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("run = %d\nstderr: %s", code, errb.String())
+		}
+		if err := schema.ValidateJSON(out.Bytes()); err != nil {
+			t.Errorf("-json output violates the schema: %v\n%s", err, out.String())
+		}
+		if want := fmt.Sprintf(`"time_unit": %q`, in.unit); !strings.Contains(out.String(), want) {
+			t.Errorf("report missing %s:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -13,13 +13,16 @@
 // contention-sharded experiment sweeps the sharded policy "adf-shard"
 // (per-worker label heaps with bounded-deviation stealing) against the
 // batched global baseline at p up to 1024.
+//
+// Exit status: 0 on success, 2 for usage errors (a bad flag value or an
+// unknown experiment id), 1 when an experiment fails.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -28,109 +31,78 @@ import (
 )
 
 func main() {
-	scale := flag.String("scale", "paper", "problem scale: small or paper")
-	procsFlag := flag.String("procs", "", "comma-separated processor counts to sweep (default per experiment)")
-	backend := flag.String("backend", "", "execution backend for the backends experiment: sim, native, or both (default both)")
-	repeat := flag.Int("repeat", 1, "repetitions per wall-clock measurement; the median run is reported")
-	jsonOut := flag.Bool("json", false, "also rerun each experiment with instruments attached and write BENCH_<id>.json")
-	outDir := flag.String("outdir", ".", "directory for -json output files")
-	flag.Usage = usage
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ptbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "paper", "problem scale: small or paper")
+	procsFlag := fs.String("procs", "", "comma-separated processor counts to sweep (default per experiment)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, `ptbench regenerates the paper's tables and figures.
+
+usage:
+  ptbench list
+  ptbench [-scale small|paper] [-procs 1,2,4,8] <experiment id>...
+  ptbench all
+
+experiments: %s
+
+`, strings.Join(experimentIDs(), " "))
+		fs.PrintDefaults()
 	}
-	if args[0] == "list" {
-		listExperiments()
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	ids := fs.Args()
+	if len(ids) == 0 {
+		fs.Usage()
+		return 2
+	}
+	if ids[0] == "list" {
+		for _, e := range harness.Experiments() {
+			fmt.Fprintf(stdout, "%-11s %s\n            %s\n", e.ID, e.Title, e.What)
+		}
+		return 0
 	}
 
-	switch *backend {
-	case "", "both", "sim", "native":
-	default:
-		fmt.Fprintf(os.Stderr, "ptbench: bad -backend %q (want sim, native, or both)\n", *backend)
-		os.Exit(2)
+	if *scale != "small" && *scale != "paper" {
+		fmt.Fprintf(stderr, "ptbench: bad -scale %q (want small or paper)\n", *scale)
+		fs.Usage()
+		return 2
 	}
-	if *repeat < 1 {
-		fmt.Fprintf(os.Stderr, "ptbench: -repeat must be at least 1\n")
-		os.Exit(2)
-	}
-	opt := harness.Options{Scale: *scale, Backend: *backend, Repeat: *repeat}
+	opt := harness.Options{Scale: *scale}
 	if *procsFlag != "" {
 		for _, f := range strings.Split(*procsFlag, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || p <= 0 {
-				fmt.Fprintf(os.Stderr, "ptbench: bad -procs entry %q\n", f)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "ptbench: bad -procs entry %q\n", f)
+				return 2
 			}
 			opt.Procs = append(opt.Procs, p)
 		}
 	}
 
-	ids := args
-	if len(args) == 1 && args[0] == "all" {
-		ids = nil
-		for _, e := range harness.Experiments() {
-			ids = append(ids, e.ID)
-		}
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = experimentIDs()
 	}
 	for _, id := range ids {
 		e, ok := harness.Find(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "ptbench: unknown experiment %q (available: %s)\n",
+			fmt.Fprintf(stderr, "ptbench: unknown experiment %q (available: %s)\n",
 				id, strings.Join(experimentIDs(), " "))
-			os.Exit(2)
+			return 2
 		}
-		fmt.Printf("== %s: %s\n   %s\n\n", e.ID, e.Title, e.What)
+		fmt.Fprintf(stdout, "== %s: %s\n   %s\n\n", e.ID, e.Title, e.What)
 		start := time.Now()
-		if err := e.Run(os.Stdout, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "ptbench: %s failed: %v\n", id, err)
-			os.Exit(1)
+		if err := e.Run(stdout, opt); err != nil {
+			fmt.Fprintf(stderr, "ptbench: %s failed: %v\n", id, err)
+			return 1
 		}
-		fmt.Printf("\n   [%s completed in %.1fs wall clock]\n\n", e.ID, time.Since(start).Seconds())
-		if *jsonOut {
-			if err := writeJSON(e, opt, *outDir); err != nil {
-				fmt.Fprintf(os.Stderr, "ptbench: %s json: %v\n", id, err)
-				os.Exit(1)
-			}
-		}
+		fmt.Fprintf(stdout, "\n   [%s completed in %.1fs wall clock]\n\n", e.ID, time.Since(start).Seconds())
 	}
-}
-
-// writeJSON reruns the experiment's JSON emitter and writes
-// BENCH_<id>.json into dir. Experiments without an emitter are skipped
-// with a notice.
-func writeJSON(e harness.Experiment, opt harness.Options, dir string) error {
-	if e.JSON == nil {
-		fmt.Fprintf(os.Stderr, "ptbench: %s has no JSON emitter; skipping\n", e.ID)
-		return nil
-	}
-	res, err := e.JSON(opt)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "BENCH_"+e.ID+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := res.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("   wrote %s\n\n", path)
-	return nil
-}
-
-func listExperiments() {
-	for _, e := range harness.Experiments() {
-		fmt.Printf("%-11s %s\n            %s\n", e.ID, e.Title, e.What)
-	}
+	return 0
 }
 
 // experimentIDs returns every registered experiment id, sorted.
@@ -140,20 +112,4 @@ func experimentIDs() []string {
 		ids = append(ids, e.ID)
 	}
 	return ids
-}
-
-func usage() {
-	fmt.Fprintf(os.Stderr, `ptbench regenerates the paper's tables and figures.
-
-usage:
-  ptbench list
-  ptbench [-scale small|paper] [-procs 1,2,4,8] [-backend sim|native|both] [-repeat N] [-json] <experiment id>...
-  ptbench all
-
-experiments: %s
-
--json writes each experiment's machine-readable result as
-BENCH_<id>.json (flags must precede the experiment ids).
-`, strings.Join(experimentIDs(), " "))
-	flag.PrintDefaults()
 }

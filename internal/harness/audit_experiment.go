@@ -9,6 +9,7 @@ import (
 	"spthreads/internal/dtree"
 	"spthreads/internal/matmul"
 	"spthreads/internal/trace"
+	"spthreads/internal/vtime"
 	"spthreads/pthread"
 )
 
@@ -26,7 +27,6 @@ func init() {
 		Title: "Space-bound audit: peak vs S1 + c*p*D from run traces (Section 2)",
 		What:  "W, D, W/D, S1, measured peak, and fitted c per scheduler policy",
 		Run:   runBoundAudit,
-		JSON:  jsonBoundAudit,
 	})
 }
 
@@ -40,7 +40,8 @@ func auditProcs(opt Options) int {
 
 // auditPrograms returns the three audited benchmarks: a regular
 // divide-and-conquer (matmul), an irregular tree code (Barnes-Hut),
-// and a data-dependent recursion (decision tree).
+// and a data-dependent recursion (decision tree). The contention sweeps
+// measure the same three, so their space constants are comparable.
 func auditPrograms(opt Options) []struct {
 	name string
 	prog func(*pthread.T)
@@ -58,32 +59,58 @@ func auditPrograms(opt Options) []struct {
 
 var auditPolicies = []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF}
 
-// auditRun executes one benchmark under one policy with tracing on and
-// analyzes the trace. The live run's memsim high-water marks are passed
-// through as the measured peak, so the audit compares the analyzer's
-// replayed S₁ against the machine's own accounting.
-func auditRun(policy pthread.Policy, procs int, prog func(*pthread.T)) (*analyze.Report, error) {
+// spaceProfileEvery coalesces space samples to one per virtual 100us,
+// keeping curves compact without losing interval peaks.
+const spaceProfileEvery = vtime.Duration(100 * vtime.CyclesPerMicrosecond)
+
+// auditRun executes prog under cfg with tracing on and analyzes the
+// trace. The live run's memsim high-water marks are passed through as
+// the measured peak, so the audit compares the analyzer's replayed S₁
+// against the machine's own accounting. The ADF policies run with
+// their default memory quota.
+func auditRun(cfg pthread.Config, prog func(*pthread.T)) (*analyze.Report, error) {
 	rec := trace.NewRecorder(1 << 21)
+	cfg.Tracer = rec
 	var quota int64
-	if policy == pthread.PolicyADF {
+	switch cfg.Policy {
+	case pthread.PolicyADF, pthread.PolicyADFShard:
 		quota = pthread.DefaultMemQuota
 	}
-	st := run(pthread.Config{
-		Procs:        procs,
-		Policy:       policy,
-		DefaultStack: pthread.SmallStackSize,
-		Tracer:       rec,
-	}, prog)
+	st := run(cfg, prog)
 	return analyze.Analyze(rec, analyze.Options{
-		Policy:       string(policy),
-		Procs:        procs,
+		Policy:       string(cfg.Policy),
+		Procs:        cfg.Procs,
 		Quota:        quota,
-		DefaultStack: pthread.SmallStackSize,
+		DefaultStack: cfg.DefaultStack,
 		PeakHeap:     st.HeapHWM,
 		PeakStack:    st.StackHWM,
 		Peak:         st.TotalHWM,
 		SampleEvery:  spaceProfileEvery,
 	})
+}
+
+// fitRun is auditRun with c fitted to this run alone, as the contention
+// sweeps audit single configurations.
+func fitRun(cfg pthread.Config, prog func(*pthread.T)) (*analyze.Report, error) {
+	rep, err := auditRun(cfg, prog)
+	if err != nil {
+		return nil, err
+	}
+	rep.ApplyFit(rep.FitC())
+	return rep, nil
+}
+
+// fitCells formats a fitted report's audit columns: peak(MB),
+// c(B/proc-us) and ok.
+func fitCells(rep *analyze.Report) []any {
+	return []any{fmt.Sprintf("%.2f", mb(rep.Peak)), fmt.Sprintf("%.2f", rep.C), boundOK(rep)}
+}
+
+func boundOK(rep *analyze.Report) string {
+	if rep.BoundOK {
+		return "yes"
+	}
+	return "NO"
 }
 
 // auditReports runs the full bench x policy matrix and applies the
@@ -96,7 +123,11 @@ func auditReports(opt Options) (map[string][]*analyze.Report, []string, error) {
 	var names []string
 	for _, pol := range auditPolicies {
 		for _, bench := range progs {
-			rep, err := auditRun(pol, procs, bench.prog)
+			rep, err := auditRun(pthread.Config{
+				Procs:        procs,
+				Policy:       pol,
+				DefaultStack: pthread.SmallStackSize,
+			}, bench.prog)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bound-audit: %s under %s: %w", bench.name, pol, err)
 			}
@@ -131,10 +162,6 @@ func runBoundAudit(w io.Writer, opt Options) error {
 	tb.row("bench", "policy", "W(us)", "D(us)", "W/D", "S1(MB)", "peak(MB)", "c(B/proc-us)", "bound(MB)", "ok")
 	for _, pol := range auditPolicies {
 		for i, rep := range byPolicy[string(pol)] {
-			ok := "yes"
-			if !rep.BoundOK {
-				ok = "NO"
-			}
 			tb.row(names[i], rep.Policy,
 				fmt.Sprintf("%.0f", rep.Work.Microseconds()),
 				fmt.Sprintf("%.0f", rep.Depth.Microseconds()),
@@ -143,7 +170,7 @@ func runBoundAudit(w io.Writer, opt Options) error {
 				fmt.Sprintf("%.2f", mb(rep.Peak)),
 				fmt.Sprintf("%.2f", rep.C),
 				fmt.Sprintf("%.2f", mb(rep.Bound)),
-				ok)
+				boundOK(rep))
 		}
 	}
 	tb.flush()
@@ -156,29 +183,4 @@ func runBoundAudit(w io.Writer, opt Options) error {
 			names[i], p.Compute, p.Ready, p.Quota, p.Dummy, p.Lock, p.Blocked, p.Hops)
 	}
 	return nil
-}
-
-// jsonBoundAudit emits the audit as a BenchResult: one run row per
-// bench x policy with the full analyzer report attached.
-func jsonBoundAudit(opt Options) (*BenchResult, error) {
-	byPolicy, names, err := auditReports(opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &BenchResult{Experiment: "bound-audit", Scale: scaleName(opt),
-		Title: "Space-bound audit: peak vs S1 + c*p*D from run traces"}
-	for _, pol := range auditPolicies {
-		for i, rep := range byPolicy[string(pol)] {
-			res.Runs = append(res.Runs, BenchRun{
-				Bench:    names[i],
-				Policy:   rep.Policy,
-				Procs:    rep.Procs,
-				HeapHWM:  rep.PeakHeap,
-				StackHWM: rep.PeakStack,
-				TotalHWM: rep.Peak,
-				Analysis: rep,
-			})
-		}
-	}
-	return res, nil
 }

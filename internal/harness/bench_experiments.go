@@ -36,7 +36,6 @@ func init() {
 		Title: "Memory allocation of FMM and the decision tree builder (Figure 9)",
 		What:  "high-water mark vs processors, original vs space-efficient scheduler",
 		Run:   runFig9,
-		JSON:  jsonFig9,
 	})
 	register(Experiment{
 		ID:    "fig10",
@@ -198,20 +197,6 @@ func runFig9(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintln(w, "paper: the new scheduler's footprint is lower and grows much more slowly with processors.")
 	return nil
-}
-
-// jsonFig9 reruns the Figure 9 FMM sweep (part a) with instruments.
-func jsonFig9(opt Options) (*BenchResult, error) {
-	fm := fmmCfg(opt.paper())
-	res := &BenchResult{Experiment: "fig9", Scale: scaleName(opt),
-		Title: "Memory allocation of FMM (Figure 9a)"}
-	for _, p := range opt.procs(defaultProcs) {
-		for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyADF} {
-			res.Runs = append(res.Runs, instrumentedRun(
-				pthread.Config{Procs: p, Policy: pol, DefaultStack: pthread.SmallStackSize}, fmm.Fine(fm)))
-		}
-	}
-	return res, nil
 }
 
 func runFig10(w io.Writer, opt Options) error {

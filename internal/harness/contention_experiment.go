@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"spthreads/internal/analyze"
-	"spthreads/internal/barneshut"
-	"spthreads/internal/dtree"
-	"spthreads/internal/matmul"
 	"spthreads/internal/metrics"
-	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 	"spthreads/pthread"
 )
@@ -21,9 +16,8 @@ import (
 // worker moves whole batches under one lock critical section, which is
 // how the paper's implementation amortizes the lock and scales past
 // p=8. The table shows total scheduler-lock wait collapsing and speedup
-// improving as B grows, and the JSON emitter attaches bound-audit
-// analyses at the largest p so the space side of the tradeoff is checked
-// in the same artifact.
+// improving as B grows; a bound audit at the largest p for B=1 and B=64
+// checks the space side of the tradeoff in the same output.
 
 func init() {
 	register(Experiment{
@@ -31,7 +25,6 @@ func init() {
 		Title: "Scheduler-lock contention: direct vs batched Q_in/Q_out scheduling",
 		What:  "simulated time, speedup, and sched.lock.wait across p x batch under ADF",
 		Run:   runContention,
-		JSON:  jsonContention,
 	})
 }
 
@@ -41,23 +34,6 @@ var contentionProcs = []int{8, 16, 32, 64}
 
 // contentionBatches sweeps the Q_out capacity B; 1 is the direct path.
 var contentionBatches = []int{1, 4, 16, 64}
-
-// contentionPrograms returns the three measured benchmarks (shared with
-// the bound audit, so the space constants are comparable).
-func contentionPrograms(opt Options) []struct {
-	name string
-	prog func(*pthread.T)
-} {
-	paper := opt.paper()
-	return []struct {
-		name string
-		prog func(*pthread.T)
-	}{
-		{"matmul", matmul.Fine(matmulCfg(paper))},
-		{"barneshut", barneshut.Fine(barneshutCfg(paper))},
-		{"dtree", dtree.Fine(dtreeCfg(paper))},
-	}
-}
 
 // contentionConfig builds the run config for one (procs, batch) cell.
 func contentionConfig(procs, batch int) pthread.Config {
@@ -91,7 +67,8 @@ func runContention(w io.Writer, opt Options) error {
 	fmt.Fprintln(w)
 	tb := newTable(w)
 	tb.row("bench", "p", "batch", "time(us)", "speedup", "lock.wait(us)", "waits", "passes")
-	for _, bench := range contentionPrograms(opt) {
+	progs := auditPrograms(opt)
+	for _, bench := range progs {
 		serial := serialTime(bench.prog)
 		for _, p := range procs {
 			for _, b := range contentionBatches {
@@ -112,72 +89,21 @@ func runContention(w io.Writer, opt Options) error {
 		}
 	}
 	tb.flush()
-	return nil
-}
 
-// contentionAudit runs one traced bench at the given p/batch and
-// analyzes the space bound, mirroring the bound-audit experiment so the
-// fitted c under batching is directly comparable to PR 3's constants.
-func contentionAudit(procs, batch int, prog func(*pthread.T)) (*analyze.Report, error) {
-	rec := trace.NewRecorder(1 << 21)
-	cfg := contentionConfig(procs, batch)
-	cfg.Tracer = rec
-	st := run(cfg, prog)
-	rep, err := analyze.Analyze(rec, analyze.Options{
-		Policy:       string(pthread.PolicyADF),
-		Procs:        procs,
-		Quota:        pthread.DefaultMemQuota,
-		DefaultStack: pthread.SmallStackSize,
-		PeakHeap:     st.HeapHWM,
-		PeakStack:    st.StackHWM,
-		Peak:         st.TotalHWM,
-		SampleEvery:  spaceProfileEvery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.ApplyFit(rep.FitC())
-	return rep, nil
-}
-
-// jsonContention emits the full p x batch sweep plus bound-audit
-// analyses at the largest p for the extreme batch sizes.
-func jsonContention(opt Options) (*BenchResult, error) {
-	procs := opt.procs(contentionProcs)
-	res := &BenchResult{Experiment: "contention", Scale: scaleName(opt),
-		Title: "Scheduler-lock contention: direct vs batched Q_in/Q_out scheduling"}
-	for _, bench := range contentionPrograms(opt) {
-		serial := serialTime(bench.prog)
-		for _, p := range procs {
-			for _, b := range contentionBatches {
-				cfg := contentionConfig(p, b)
-				cfg.Metrics = pthread.NewMetrics()
-				st := run(cfg, bench.prog)
-				row := statsRun(cfg.Policy, p, st)
-				row.Bench = bench.name
-				row.Batch = b
-				row.Speedup = speedup(serial, st)
-				res.Runs = append(res.Runs, row)
-			}
-		}
-		// Space-bound check at the largest p for the sweep's extremes.
-		pMax := procs[len(procs)-1]
+	// Space-bound check at the largest p for the sweep's extremes.
+	pMax := procs[len(procs)-1]
+	fmt.Fprintf(w, "\nbound audit at p=%d: peak <= S1 + c*p*D, c fitted per run\n\n", pMax)
+	tb = newTable(w)
+	tb.row("bench", "batch", "peak(MB)", "c(B/proc-us)", "ok")
+	for _, bench := range progs {
 		for _, b := range []int{contentionBatches[0], contentionBatches[len(contentionBatches)-1]} {
-			rep, err := contentionAudit(pMax, b, bench.prog)
+			rep, err := fitRun(contentionConfig(pMax, b), bench.prog)
 			if err != nil {
-				return nil, fmt.Errorf("contention: %s audit at p=%d b=%d: %w", bench.name, pMax, b, err)
+				return fmt.Errorf("contention: %s audit at p=%d b=%d: %w", bench.name, pMax, b, err)
 			}
-			res.Runs = append(res.Runs, BenchRun{
-				Bench:    bench.name,
-				Policy:   string(pthread.PolicyADF),
-				Procs:    pMax,
-				Batch:    b,
-				HeapHWM:  rep.PeakHeap,
-				StackHWM: rep.PeakStack,
-				TotalHWM: rep.Peak,
-				Analysis: rep,
-			})
+			tb.row(append([]any{bench.name, b}, fitCells(rep)...)...)
 		}
 	}
-	return res, nil
+	tb.flush()
+	return nil
 }

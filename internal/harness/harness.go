@@ -1,8 +1,12 @@
 // Package harness defines and runs the paper's experiments: one
 // registered experiment per table or figure (fig1, fig3, fig5..fig11),
-// the 16-processor scalability check (scale), and the ablations the
-// design calls out (ablk, ablws, abldummy). Each experiment prints the
-// same rows or series the paper reports, in virtual time.
+// the 16-processor scalability check (scale), the ablations the design
+// calls out (ablk, ablws, abldummy, ablloc, ablsched), the space curves
+// (space), the space-bound audit (bound-audit) and the scheduler-lock
+// sweeps (contention, contention-sharded). Each experiment prints one
+// text table: the rows or series the paper reports, in virtual time, so
+// the output is deterministic. testdata/small.golden pins every
+// experiment's output at -scale small -procs 2,8 byte for byte.
 package harness
 
 import (
@@ -23,40 +27,9 @@ type Options struct {
 	Scale string
 	// Procs overrides the processor counts swept (nil keeps defaults).
 	Procs []int
-	// Backend restricts the execution backends the backend-comparison
-	// experiment sweeps: "sim", "native", or "" / "both" for both. The
-	// paper-reproduction experiments are defined in deterministic
-	// virtual time and always run on the simulator.
-	Backend string
-	// Repeat is the repetition count for wall-clock measurements: each
-	// configuration runs Repeat times and the median-wall-time run is
-	// reported (default 1). Virtual-time results are deterministic and
-	// never repeated.
-	Repeat int
 }
 
 func (o Options) paper() bool { return o.Scale == "paper" }
-
-// backends resolves the Backend option to the list of backends to
-// sweep.
-func (o Options) backends() []pthread.Backend {
-	switch o.Backend {
-	case "sim":
-		return []pthread.Backend{pthread.BackendSim}
-	case "native":
-		return []pthread.Backend{pthread.BackendNative}
-	default:
-		return []pthread.Backend{pthread.BackendSim, pthread.BackendNative}
-	}
-}
-
-// repeatCount resolves the Repeat option.
-func (o Options) repeatCount() int {
-	if o.Repeat > 1 {
-		return o.Repeat
-	}
-	return 1
-}
 
 func (o Options) procs(def []int) []int {
 	if len(o.Procs) > 0 {
@@ -72,10 +45,6 @@ type Experiment struct {
 	// What shows the paper artifact being regenerated.
 	What string
 	Run  func(w io.Writer, opt Options) error
-	// JSON, when non-nil, reruns the experiment with instruments
-	// attached and returns its machine-readable result (`ptbench -json`
-	// writes it as BENCH_<id>.json).
-	JSON func(opt Options) (*BenchResult, error)
 }
 
 var registry []Experiment

@@ -2,20 +2,24 @@ package harness_test
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"strings"
 	"testing"
 
 	"spthreads/internal/harness"
-	"spthreads/internal/jsonschema"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/small.golden from the current implementation")
+
+const goldenPath = "testdata/small.golden"
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"abldummy", "ablk", "ablloc", "ablsched", "ablws", "backends",
+		"abldummy", "ablk", "ablloc", "ablsched", "ablws",
 		"bound-audit", "contention", "contention-sharded",
 		"fig1", "fig10", "fig11", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"native-obs", "scale", "space",
+		"scale", "space",
 	}
 	got := harness.Experiments()
 	if len(got) != len(want) {
@@ -37,76 +41,81 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestJSONEmittersMatchSchema runs every experiment's JSON emitter at
-// small scale and validates the emitted document against the checked-in
-// bench-output contract (testdata/bench.schema.json) — the same check
-// CI's benchcheck applies to ptbench -json output.
-func TestJSONEmittersMatchSchema(t *testing.T) {
-	if testing.Short() {
-		t.Skip("emitters rerun experiments; skipped in -short mode")
-	}
-	raw, err := os.ReadFile("../../testdata/bench.schema.json")
+// readGolden splits the golden file into per-experiment outputs: each
+// section opens with a "== <id>" line.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
 	}
-	schema, err := jsonschema.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := harness.Options{Scale: "small", Procs: []int{1, 2}}
-	emitters := 0
-	for _, e := range harness.Experiments() {
-		if e.JSON == nil {
+	sections := make(map[string]string)
+	var id string
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if h, ok := strings.CutPrefix(line, "== "); ok {
+			id = strings.TrimSuffix(h, "\n")
 			continue
 		}
-		emitters++
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.JSON(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Experiment != e.ID {
-				t.Errorf("result experiment = %q, want %q", res.Experiment, e.ID)
-			}
-			var buf bytes.Buffer
-			if err := res.Write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := schema.ValidateJSON(buf.Bytes()); err != nil {
-				t.Errorf("emitted JSON violates schema: %v", err)
-			}
-		})
+		sections[id] += line
 	}
-	if emitters < 5 {
-		t.Errorf("only %d JSON emitters registered, want >= 5 (fig1, fig5, fig9, space, bound-audit)", emitters)
-	}
+	return sections
 }
 
-// TestExperimentsRunSmall executes every experiment at small scale and
-// sanity-checks the output (each must produce a non-trivial table).
+// TestExperimentsRunSmall runs every experiment at -scale small -procs
+// 2,8 and compares its output byte for byte with testdata/small.golden.
+// Every experiment runs in virtual time, so any change to a simulated
+// cost, a scheduling decision or a printed column shows here.
+//
+// Regenerate (only when an output change is intended and understood):
+//
+//	go test ./internal/harness -run TestExperimentsRunSmall -update-golden
 func TestExperimentsRunSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")
 	}
-	// Restrict sweeps to two processor counts to keep the suite quick.
 	opt := harness.Options{Scale: "small", Procs: []int{2, 8}}
-	for _, e := range harness.Experiments() {
-		if e.ID == "scale" {
-			continue // same code path as fig8
+	exps := harness.Experiments()
+	var want map[string]string
+	if !*updateGolden {
+		want = readGolden(t)
+		if len(want) != len(exps) {
+			t.Errorf("golden has %d experiments, the registry %d", len(want), len(exps))
 		}
-		e := e
+	}
+	got := make([]string, len(exps))
+	t.Cleanup(func() {
+		if !*updateGolden || t.Failed() {
+			return
+		}
+		var buf bytes.Buffer
+		for i, e := range exps {
+			if got[i] == "" {
+				t.Errorf("%s did not run; -update-golden rewrites the whole file, so run every experiment", e.ID)
+				return
+			}
+			buf.WriteString("== " + e.ID + "\n" + got[i])
+		}
+		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenPath)
+	})
+	for i, e := range exps {
 		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
 			var buf bytes.Buffer
 			if err := e.Run(&buf, opt); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			out := buf.String()
-			if len(out) < 80 {
-				t.Errorf("%s: suspiciously short output:\n%s", e.ID, out)
+			got[i] = buf.String()
+			if *updateGolden {
+				return
 			}
-			if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
-				t.Errorf("%s: output contains NaN/Inf:\n%s", e.ID, out)
+			if w, ok := want[e.ID]; !ok {
+				t.Errorf("%s missing from %s", e.ID, goldenPath)
+			} else if got[i] != w {
+				t.Errorf("%s output diverges from %s; if intended, rerun with -update-golden and explain the change.\ngot:\n%s\nwant:\n%s",
+					e.ID, goldenPath, got[i], w)
 			}
 		})
 	}

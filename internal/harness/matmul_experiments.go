@@ -15,7 +15,6 @@ func init() {
 		Title: "Active threads under FIFO vs LIFO vs depth-first (Figure 1)",
 		What:  "serial execution of a 7-thread binary fork tree",
 		Run:   runFig1,
-		JSON:  jsonFig1,
 	})
 	register(Experiment{
 		ID:    "fig3",
@@ -28,7 +27,6 @@ func init() {
 		Title: "Matrix multiply under the native FIFO scheduler (Figure 5)",
 		What:  "speedup and heap high-water mark vs processors, FIFO, 1 MB stacks",
 		Run:   runFig5,
-		JSON:  jsonFig5,
 	})
 	register(Experiment{
 		ID:    "fig6",
@@ -124,20 +122,6 @@ func runFig5(w io.Writer, opt Options) error {
 	tb.flush()
 	fmt.Fprintln(w, "\npaper (1024x1024, 8 procs): speedup 3.65, ~115 MB heap, >4500 active threads; serial 25 MB.")
 	return nil
-}
-
-// jsonFig5 reruns the Figure 5 sweep with instruments attached.
-func jsonFig5(opt Options) (*BenchResult, error) {
-	cfg := matmulCfg(opt.paper())
-	serial := serialTime(matmul.Serial(cfg))
-	res := &BenchResult{Experiment: "fig5", Scale: scaleName(opt),
-		Title: "Matrix multiply under the native FIFO scheduler (Figure 5)"}
-	for _, p := range opt.procs(defaultProcs) {
-		row := instrumentedRun(pthread.Config{Procs: p, Policy: pthread.PolicyFIFO}, matmul.Fine(cfg))
-		row.Speedup = float64(serial) / float64(row.TimeCycles)
-		res.Runs = append(res.Runs, row)
-	}
-	return res, nil
 }
 
 func runFig6(w io.Writer, opt Options) error {

@@ -22,7 +22,6 @@ func init() {
 		Title: "Space over virtual time: matmul under FIFO vs ADF",
 		What:  "heap+stack footprint curves sampled at every footprint change",
 		Run:   runSpace,
-		JSON:  jsonSpace,
 	})
 }
 
@@ -50,19 +49,4 @@ func runSpace(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintln(w, "paper: the space-efficient scheduler holds the footprint near the serial curve; FIFO's grows with the full thread unfolding.")
 	return nil
-}
-
-// jsonSpace emits the same contrast with full downsampled curves.
-func jsonSpace(opt Options) (*BenchResult, error) {
-	cfg := matmulCfg(opt.paper())
-	res := &BenchResult{Experiment: "space", Scale: scaleName(opt),
-		Title: "Space over virtual time: matmul under FIFO vs ADF"}
-	for _, pol := range spaceVariants() {
-		res.Runs = append(res.Runs, spaceRun(pthread.Config{
-			Procs:        8,
-			Policy:       pol,
-			DefaultStack: pthread.SmallStackSize,
-		}, matmul.Fine(cfg), 256))
-	}
-	return res, nil
 }

@@ -1,10 +1,9 @@
 // Package jsonschema validates JSON documents against the small subset
-// of JSON Schema the repo's bench-output contract needs: the keywords
-// type (object, array, string, number, integer, boolean, null),
-// properties, required, items, minItems, enum, minimum, and maximum.
-// It exists
-// so CI can check ptbench's machine-readable output against a
-// checked-in schema without pulling in an external validator
+// of JSON Schema the repo's report contracts need: the keywords type
+// (object, array, string, number, integer, boolean, null), properties,
+// required, items, minItems, enum, minimum and maximum. It exists so
+// tests can check ptanalyze's JSON report against
+// testdata/analyze.schema.json without pulling in an external validator
 // dependency.
 package jsonschema
 
@@ -12,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 )
 
 // Schema is one (sub)schema node.
@@ -21,16 +22,12 @@ type Schema struct {
 	Required   []string           `json:"required,omitempty"`
 	Items      *Schema            `json:"items,omitempty"`
 	MinItems   *int               `json:"minItems,omitempty"`
-	// Enum restricts the instance to one of the listed values (compared
-	// after JSON decoding, so numbers are float64). The bench schema uses
-	// it to whitelist scheduler policy ids and backend names.
+	// Enum restricts the instance to one of the listed values, compared
+	// after JSON decoding (so numbers are float64).
 	Enum []any `json:"enum,omitempty"`
-	// Minimum is the inclusive lower bound for numeric instances.
+	// Minimum and Maximum are inclusive bounds on numeric instances;
+	// other instances pass them.
 	Minimum *float64 `json:"minimum,omitempty"`
-	// Maximum is the inclusive upper bound for numeric instances. The
-	// bench schema uses it to make gated ratios (the native tracer's
-	// overhead percentage) self-describing: the committed artifact
-	// carries its own sanity bound.
 	Maximum *float64 `json:"maximum,omitempty"`
 }
 
@@ -67,28 +64,16 @@ func (s *Schema) validate(doc any, path string) error {
 			return err
 		}
 	}
-	if len(s.Enum) > 0 {
-		ok := false
-		for _, allowed := range s.Enum {
-			if enumEqual(doc, allowed) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("%s: value %s is not one of the allowed values %s",
-				path, enumString(doc), enumList(s.Enum))
-		}
+	if len(s.Enum) > 0 && !slices.ContainsFunc(s.Enum, func(v any) bool { return reflect.DeepEqual(doc, v) }) {
+		got, _ := json.Marshal(doc)
+		allowed, _ := json.Marshal(s.Enum)
+		return fmt.Errorf("%s: value %s is not one of the allowed values %s", path, got, allowed)
 	}
-	if s.Minimum != nil {
-		if f, isNum := doc.(float64); isNum && f < *s.Minimum {
-			return fmt.Errorf("%s: is %v, schema requires at least %v", path, f, *s.Minimum)
-		}
+	if f, isNum := doc.(float64); isNum && s.Minimum != nil && f < *s.Minimum {
+		return fmt.Errorf("%s: is %v, schema requires at least %v", path, f, *s.Minimum)
 	}
-	if s.Maximum != nil {
-		if f, isNum := doc.(float64); isNum && f > *s.Maximum {
-			return fmt.Errorf("%s: is %v, schema allows at most %v", path, f, *s.Maximum)
-		}
+	if f, isNum := doc.(float64); isNum && s.Maximum != nil && f > *s.Maximum {
+		return fmt.Errorf("%s: is %v, schema allows at most %v", path, f, *s.Maximum)
 	}
 	if obj, ok := doc.(map[string]any); ok {
 		for _, req := range s.Required {
@@ -144,46 +129,6 @@ func checkType(want string, doc any, path string) error {
 		return fmt.Errorf("%s: is %s, schema requires %s", path, typeName(doc), want)
 	}
 	return nil
-}
-
-// enumEqual compares two decoded JSON scalars. Enum members in bench
-// schemas are scalars (strings, numbers, booleans, null); composite
-// members would need deep equality and are rejected as unequal.
-func enumEqual(a, b any) bool {
-	switch bv := b.(type) {
-	case string:
-		av, ok := a.(string)
-		return ok && av == bv
-	case float64:
-		av, ok := a.(float64)
-		return ok && av == bv
-	case bool:
-		av, ok := a.(bool)
-		return ok && av == bv
-	case nil:
-		return a == nil
-	default:
-		return false
-	}
-}
-
-func enumString(v any) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Sprintf("%v", v)
-	}
-	return string(b)
-}
-
-func enumList(vals []any) string {
-	out := ""
-	for i, v := range vals {
-		if i > 0 {
-			out += ", "
-		}
-		out += enumString(v)
-	}
-	return "[" + out + "]"
 }
 
 func typeName(doc any) string {

@@ -1,15 +1,10 @@
 package jsonschema_test
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"slices"
 	"strings"
 	"testing"
 
 	"spthreads/internal/jsonschema"
-	"spthreads/pthread"
 )
 
 const benchLikeSchema = `{
@@ -168,136 +163,5 @@ func TestMaximum(t *testing.T) {
 	}
 	if err := rng.ValidateJSON([]byte(`11`)); err == nil {
 		t.Error("out-of-range value accepted")
-	}
-}
-
-// TestBenchSchemaTracerFields pins the native-obs additions to the
-// bench contract: tracer rows with event counts and a sane overhead
-// percentage validate; an absurd overhead is rejected by the schema's
-// own sanity bound. The bound (1000) is deliberately loose — it exists
-// to catch unit mistakes (a ratio or per-mille emitted as a percent),
-// not to gate the measurement: single-repeat runs on a loaded host can
-// legitimately read >100% noise, and the real ≤10% budget is enforced
-// by benchdiff -max on the committed artifact.
-func TestBenchSchemaTracerFields(t *testing.T) {
-	raw, err := os.ReadFile("../../testdata/bench.schema.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema, err := jsonschema.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := func(overhead string) string {
-		return `{"experiment":"native-obs","title":"t","scale":"small","runs":[
-		  {"policy":"adf","procs":4,"bench":"matmul","backend":"native","wall_ms":150.5,
-		   "tracer":true,"trace_events":65000,"trace_dropped":0,"overhead_pct":` + overhead + `}]}`
-	}
-	if err := schema.ValidateJSON([]byte(row(`6.4`))); err != nil {
-		t.Errorf("tracer row rejected: %v", err)
-	}
-	if err := schema.ValidateJSON([]byte(row(`-1.2`))); err != nil {
-		t.Errorf("negative overhead (noise) rejected: %v", err)
-	}
-	if err := schema.ValidateJSON([]byte(row(`240`))); err != nil {
-		t.Errorf("noisy-but-honest overhead rejected: %v", err)
-	}
-	if err := schema.ValidateJSON([]byte(row(`2400`))); err == nil {
-		t.Error("absurd overhead_pct accepted by schema sanity bound")
-	}
-	bad := `{"experiment":"native-obs","title":"t","scale":"small","runs":[
-	  {"policy":"adf","backend":"native","trace_events":-5}]}`
-	if err := schema.ValidateJSON([]byte(bad)); err == nil {
-		t.Error("negative trace_events accepted")
-	}
-}
-
-// TestBenchSchemaPolicyEnum pins the checked-in bench-output contract
-// to the library: the policy enum is exactly pthread.Policies(), in
-// order, every id validates, and an unknown policy id is rejected by
-// name.
-func TestBenchSchemaPolicyEnum(t *testing.T) {
-	raw, err := os.ReadFile("../../testdata/bench.schema.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var enum struct {
-		Properties struct {
-			Runs struct {
-				Items struct {
-					Properties struct {
-						Policy struct {
-							Enum []string `json:"enum"`
-						} `json:"policy"`
-					} `json:"properties"`
-				} `json:"items"`
-			} `json:"runs"`
-		} `json:"properties"`
-	}
-	if err := json.Unmarshal(raw, &enum); err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, p := range pthread.Policies() {
-		want = append(want, string(p))
-	}
-	if got := enum.Properties.Runs.Items.Properties.Policy.Enum; !slices.Equal(got, want) {
-		t.Errorf("bench schema policy enum = %v, want pthread.Policies() = %v", got, want)
-	}
-	sch, err := jsonschema.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := func(policy string) []byte {
-		return []byte(fmt.Sprintf(`{
-			"experiment": "fig1", "title": "t", "scale": "small",
-			"runs": [{"policy": %q, "procs": 1}]
-		}`, policy))
-	}
-	for _, pol := range want {
-		if err := sch.ValidateJSON(doc(pol)); err != nil {
-			t.Errorf("policy %q rejected by bench schema: %v", pol, err)
-		}
-	}
-	err = sch.ValidateJSON(doc("adf-bogus"))
-	if err == nil {
-		t.Fatal("unknown policy id accepted by bench schema")
-	}
-	if !strings.Contains(err.Error(), "adf-bogus") || !strings.Contains(err.Error(), "$.runs[0].policy") {
-		t.Errorf("policy enum error %q does not name the value and path", err)
-	}
-}
-
-// TestBenchSchemaShardFields pins the sharded-scheduler additions to
-// the bench contract: shard rows carry the shard marker, the steal
-// window K, the steal counters, and (native rows) the lock-wait
-// percentage versus the global baseline; negative windows and
-// percentages are rejected.
-func TestBenchSchemaShardFields(t *testing.T) {
-	raw, err := os.ReadFile("../../testdata/bench.schema.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := jsonschema.Parse(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := func(fields string) []byte {
-		return []byte(`{"experiment":"contention-sharded","title":"t","scale":"small","runs":[
-		  {"policy":"adf-shard","procs":256,"bench":"matmul",` + fields + `
-		   "metrics":{"counters":{"sched.steal.count":1234,"sched.steal.window_reject":56},
-		              "histograms":{"sched.lock.wait":{"count":10,"sum":900}}}}]}`)
-	}
-	if err := sch.ValidateJSON(row(`"shard":true,"steal_window":256,"speedup":41.5,`)); err != nil {
-		t.Errorf("sim shard row rejected: %v", err)
-	}
-	if err := sch.ValidateJSON(row(`"shard":true,"steal_window":0,"backend":"native","wall_ms":80.1,"lock_wait_vs_global_pct":23.5,`)); err != nil {
-		t.Errorf("native shard row rejected: %v", err)
-	}
-	if err := sch.ValidateJSON(row(`"shard":true,"steal_window":-1,`)); err == nil {
-		t.Error("negative steal_window accepted")
-	}
-	if err := sch.ValidateJSON(row(`"shard":true,"lock_wait_vs_global_pct":-4,`)); err == nil {
-		t.Error("negative lock_wait_vs_global_pct accepted")
 	}
 }

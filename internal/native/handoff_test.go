@@ -279,19 +279,15 @@ func TestProcessorReturnedOnce(t *testing.T) {
 	stores := []struct {
 		name   string
 		policy sched.Kind
-		cfg    Config
 	}{
-		{"global", sched.ADF, Config{}},
-		{"batched", sched.ADF, Config{SchedBatch: 4}},
-		{"sharded", sched.ADFShard, Config{}},
+		{"global", sched.ADF},
+		{"sharded", sched.ADFShard},
 	}
 	const threads, rounds = 8, 300
 	for _, s := range stores {
 		t.Run(s.name, func(t *testing.T) {
 			forEachPool(t, func(t *testing.T, warm bool) {
-				cfg := s.cfg
-				cfg.Procs = 4
-				b := newPoolBackend(t, s.policy, cfg, warm)
+				b := newPoolBackend(t, s.policy, Config{Procs: 4}, warm)
 				mu, cv := b.NewMutex(), b.NewCond()
 				sem, bar := b.NewSemaphore(0), b.NewBarrier(threads)
 				turn, total := 0, 0

@@ -23,8 +23,9 @@
 // every policy call happens under the backend's scheduler lock (b.mu),
 // which is a real sync.Mutex rather than the simulator's modeled lock.
 // The ADF ordered placeholder list therefore becomes genuinely shared
-// state, and the two-level Q_out batching (Config.SchedBatch) amortizes
-// real lock acquisitions instead of simulated ones.
+// state. The sharded store (core.ShardedPolicy) is how a native run
+// splits that lock; the simulator's two-level Q_in/Q_out batching has no
+// native counterpart.
 //
 // One record per thread: a lightweight thread is a single thread value
 // (thread.go). The token the policy orders by — a core.Thread: id,
@@ -88,12 +89,6 @@ type Config struct {
 	// DefaultStack is the default simulated stack size charged per
 	// thread (default core.DefaultStackSize).
 	DefaultStack int64
-	// SchedBatch, when > 1 and the policy implements core.BatchNexter,
-	// enables per-worker batch refill: a worker pulls up to SchedBatch
-	// threads from the policy in one critical section and runs them
-	// without re-taking the scheduler lock. Ignored for a sharded
-	// policy.
-	SchedBatch int
 	// Metrics, when non-nil, receives the run's instrument values.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, receives the run's scheduler/memory events.
@@ -110,8 +105,6 @@ type Config struct {
 type Backend struct {
 	procs        int
 	policy       core.Policy
-	batchNext    core.BatchNexter // non-nil only when batching is active
-	batch        int
 	quota        int64
 	timeSlice    vtime.Duration
 	defaultStack int64
@@ -123,14 +116,13 @@ type Backend struct {
 	cond *sync.Cond
 
 	// shards, when non-nil, replaces the policy's ready structure with
-	// the per-worker sharded store (a core.ShardedPolicy); b.ready and the
-	// batched Q_outs stay at zero then, and idleA mirrors b.idle into an
-	// atomic for the store's lost-wakeup protocol.
+	// the per-worker sharded store (a core.ShardedPolicy); b.ready stays
+	// at zero then, and idleA mirrors b.idle into an atomic for the
+	// store's lost-wakeup protocol.
 	shards *shardStore
 	idleA  atomic.Int64
 
 	ready     int // threads in the policy's ready structure
-	qoutN     int // threads parked in worker-local batches
 	running   int // threads currently assigned to workers
 	sleepers  int // threads parked on pending timers
 	idle      int // workers waiting in cond.Wait
@@ -179,10 +171,8 @@ type Backend struct {
 	wg      sync.WaitGroup // workers
 }
 
-// worker is one processor's local state. qout is only appended/popped
-// by the processor's current holder, under b.mu.
+// worker is one processor's local state.
 type worker struct {
-	qout       []*thread
 	stats      core.ProcStats
 	dispatches *metrics.Counter // per-worker dispatch count (nil-safe)
 
@@ -242,11 +232,6 @@ func New(cfg Config) (*Backend, error) {
 	if sp, ok := cfg.Policy.(core.ShardedPolicy); ok {
 		// A sharded policy in strict mode reports Global() == true.
 		b.shards = newShardStore(b, sp.NumShards(), sp.StealWindow(), sp.Global())
-	} else if cfg.SchedBatch > 1 {
-		if bn, ok := cfg.Policy.(core.BatchNexter); ok {
-			b.batchNext = bn
-			b.batch = cfg.SchedBatch
-		}
 	}
 	return b, nil
 }
@@ -395,7 +380,7 @@ func (b *Backend) noteReady(t *thread) {
 func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() }
 
 // pick takes the next thread for processor pid out of the ready
-// structure (the processor's batch first) and marks it running on pid;
+// structure and marks it running on pid;
 // nil when nothing is ready or the run is over. Caller holds b.mu: a
 // thread giving its processor up calls it in the section that recorded
 // why it stopped, a worker from next. The sharded store answers nil — a
@@ -405,36 +390,15 @@ func (b *Backend) pick(pid int) *thread {
 	if b.done || b.shards != nil {
 		return nil
 	}
-	w := b.workers[pid]
-	var t *thread
-	switch {
-	case len(w.qout) > 0:
-		t = w.qout[0]
-		copy(w.qout, w.qout[1:])
-		w.qout = w.qout[:len(w.qout)-1]
-		b.qoutN--
-	case b.ready == 0:
+	if b.ready == 0 {
 		return nil
-	case b.batchNext != nil:
-		toks := b.batchNext.NextBatch(pid, b.batch)
-		if len(toks) == 0 {
-			return nil
-		}
-		b.ready -= len(toks)
-		b.tracer.record(pid, 0, trace.KindBatchRefill, int64(len(toks)))
-		for _, tok := range toks[1:] {
-			w.qout = append(w.qout, tok.Owner.(*thread))
-			b.qoutN++
-		}
-		t = toks[0].Owner.(*thread)
-	default:
-		tok := b.policy.Next(pid)
-		if tok == nil {
-			return nil
-		}
-		b.ready--
-		t = tok.Owner.(*thread)
 	}
+	tok := b.policy.Next(pid)
+	if tok == nil {
+		return nil
+	}
+	b.ready--
+	t := tok.Owner.(*thread)
 	b.readyGauge.Set(int64(b.ready))
 	b.markRunning(t, pid)
 	return t
@@ -461,8 +425,7 @@ func (b *Backend) next(pid int) *thread {
 			return nil
 		}
 		b.idle++
-		if b.idle == b.procs && b.running == 0 && b.sleepers == 0 &&
-			b.ready == 0 && b.qoutN == 0 {
+		if b.idle == b.procs && b.running == 0 && b.sleepers == 0 && b.ready == 0 {
 			b.failLocked(fmt.Errorf("native: deadlock: %d threads live, none runnable", b.live),
 				trace.RunEndDeadlock)
 			b.idle--

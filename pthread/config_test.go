@@ -45,6 +45,15 @@ func TestRejectBatchedModeWithoutBatchNexter(t *testing.T) {
 	}
 }
 
+func TestRejectNativeBatchedMode(t *testing.T) {
+	// The batched Q_in/Q_out disciplines are simulated only; on native
+	// the sharded store is what splits the scheduler lock.
+	for _, mode := range []pthread.SchedMode{pthread.SchedVolunteer, pthread.SchedDedicated} {
+		mustReject(t, pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyADF, SchedMode: mode},
+			"sim-only")
+	}
+}
+
 func TestBatchOfOneDegeneratesToDirect(t *testing.T) {
 	// SchedBatch = 1 is the documented escape hatch: it runs the direct
 	// scheduler, so any policy is acceptable.

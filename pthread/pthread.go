@@ -175,7 +175,7 @@ type Config struct {
 	// policies: SchedDirect (default, per-operation locking) or the
 	// batched SchedVolunteer / SchedDedicated two-level schemes. The
 	// batched modes require a policy with ordered batch removal
-	// (PolicyADF).
+	// (PolicyADF) and the sim backend.
 	SchedMode SchedMode
 	// SchedBatch is the per-processor Q_out capacity B for the batched
 	// modes (default 8); SchedBatch = 1 degenerates to SchedDirect
@@ -315,18 +315,13 @@ func newBackend(cfg Config) (exec.Backend, error) {
 		if cfg.DAG != nil {
 			return nil, fmt.Errorf("pthread: the DAG recorder needs the deterministic sim backend; run with Tracer and feed the trace to ptanalyze")
 		}
-		batch := 0
-		if cfg.SchedMode == core.SchedVolunteer || cfg.SchedMode == core.SchedDedicated {
-			batch = cfg.SchedBatch
-			if batch == 0 {
-				batch = core.DefaultSchedBatch
-			}
+		if cfg.SchedMode != core.SchedDirect {
+			return nil, fmt.Errorf("pthread: SchedMode %q is sim-only: the native backend splits its scheduler lock with Policy adf-shard", string(cfg.SchedMode))
 		}
 		return native.New(native.Config{
 			Procs:        procs,
 			Policy:       pol,
 			DefaultStack: cfg.DefaultStack,
-			SchedBatch:   batch,
 			Metrics:      cfg.Metrics,
 			Tracer:       cfg.Tracer,
 			SpaceProf:    cfg.SpaceProf,
