@@ -2,12 +2,13 @@
 // scheduler with event tracing enabled and renders a per-processor
 // Gantt chart — a direct way to *see* the difference between the
 // breadth-first FIFO queue and the depth-first space-efficient
-// scheduler. It can also export the run for interactive inspection:
-// Chrome trace-event JSON (load in https://ui.perfetto.dev or
-// chrome://tracing), a JSONL event stream, and the space-over-time
-// profile as CSV. With -analyze it reconstructs the run DAG and
-// reports W, D, W/D, S₁, and the attributed critical path; with -in it
-// skips the run and works from a previously recorded JSONL trace.
+// scheduler. Every other view is replayed from the same trace: the
+// space-over-time curves, Chrome trace-event JSON (load in
+// https://ui.perfetto.dev or chrome://tracing), a JSONL event stream,
+// the space profile as CSV, and the fork-join DAG as Graphviz DOT. With
+// -analyze it reconstructs the run DAG and reports W, D, W/D, S₁, and
+// the attributed critical path; with -in it skips the run and works
+// from a previously recorded JSONL trace.
 //
 //	pttrace [-policy fifo|lifo|adf|adf-shard|ws|dfd|rr] [-backend sim|native]
 //	        [-procs 4] [-depth 5] [-width 100]
@@ -16,11 +17,11 @@
 //
 // With -backend native the same program runs on real goroutines: the
 // trace records wall-clock nanoseconds (the JSONL header and every
-// export carry the unit), and -dot is unavailable — the DAG recorder is
-// sim-only; analyze the recorded trace instead.
+// export carry the unit).
 //
 // Exit status: 0 on success, 2 for usage errors — including an empty
-// or truncated -in trace file — and 1 for runtime/I/O failures.
+// or truncated -in trace file — and 1 for runtime/I/O failures,
+// including a -space replay of a trace that dropped events.
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"os"
 
 	"spthreads/internal/analyze"
+	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 	"spthreads/pthread"
@@ -46,12 +48,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backend := fs.String("backend", "sim", "execution backend: sim (deterministic virtual time) or native (goroutines, wall clock)")
 	procs := fs.Int("procs", 4, "virtual processors")
 	depth := fs.Int("depth", 5, "fork-tree depth (2^depth leaves)")
-	width := fs.Int("width", 100, "gantt chart width in buckets")
-	outPath := fs.String("out", "", "write the run as Chrome trace-event JSON (Perfetto/chrome://tracing) to this file")
-	eventsPath := fs.String("events", "", "write the raw event stream as JSONL to this file")
-	spacePath := fs.String("space", "", "write the space-over-time profile as CSV to this file")
-	dotPath := fs.String("dot", "", "also write the computation DAG as Graphviz DOT to this file")
-	doAnalyze := fs.Bool("analyze", false, "reconstruct the run DAG and report W, D, W/D, S1, and the critical path")
+	var v views
+	fs.IntVar(&v.width, "width", 100, "gantt chart width in buckets")
+	fs.StringVar(&v.out, "out", "", "write the run as Chrome trace-event JSON (Perfetto/chrome://tracing) to this file")
+	fs.StringVar(&v.events, "events", "", "write the raw event stream as JSONL to this file")
+	fs.StringVar(&v.space, "space", "", "write the space-over-time profile as CSV to this file")
+	fs.StringVar(&v.dot, "dot", "", "write the computation DAG as Graphviz DOT to this file")
+	fs.BoolVar(&v.analyze, "analyze", false, "reconstruct the run DAG and report W, D, W/D, S1, and the critical path")
 	inPath := fs.String("in", "", "analyze/render a recorded JSONL trace instead of running a program")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: pttrace [flags]")
@@ -62,14 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *inPath != "" {
-		// Offline mode: everything must come from the trace file. The
-		// space profile and the DAG builder only exist on live runs.
-		if *spacePath != "" || *dotPath != "" {
-			fmt.Fprintln(stderr, "pttrace: -space and -dot need a live run and cannot be combined with -in")
-			fs.Usage()
-			return 2
-		}
-		return runOffline(*inPath, *procs, *width, *outPath, *eventsPath, *doAnalyze, stdout, stderr, fs.Usage)
+		return runOffline(*inPath, *procs, v, stdout, stderr, fs.Usage)
 	}
 
 	if !validPolicy(*policy) {
@@ -83,28 +79,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	native := pthread.Backend(*backend) == pthread.BackendNative
-	if native && *dotPath != "" {
-		fmt.Fprintln(stderr, "pttrace: the DAG recorder is sim-only; on -backend native use -events and feed the trace to ptanalyze")
-		fs.Usage()
-		return 2
-	}
 
 	rec := pthread.NewTraceRecorder(1 << 20)
 	reg := pthread.NewMetrics()
-	prof := pthread.NewSpaceProfiler(0)
-	var g *pthread.DAGBuilder
-	if *dotPath != "" {
-		g = pthread.NewDAGBuilder()
-	}
 	cfg := pthread.Config{
 		Procs:        *procs,
 		Policy:       pthread.Policy(*policy),
 		Backend:      pthread.Backend(*backend),
 		DefaultStack: pthread.SmallStackSize,
 		Tracer:       rec,
-		DAG:          g,
 		Metrics:      reg,
-		SpaceProf:    prof,
 	}
 
 	var tree func(t *pthread.T, d int)
@@ -128,20 +112,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	fmt.Fprintf(stdout, "policy=%s backend=%s procs=%d: %d threads, peak live %d, time %v, heap HWM %d B\n\n",
+	fmt.Fprintf(stdout, "policy=%s backend=%s procs=%d: %d threads, peak live %d, time %v, heap HWM %d B\n",
 		*policy, *backend, *procs, stats.ThreadsCreated, stats.PeakLive, stats.Time, stats.HeapHWM)
-	if g != nil {
-		if err := os.WriteFile(*dotPath, []byte(g.DOT()), 0o644); err != nil {
-			fmt.Fprintf(stderr, "pttrace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "DAG: work %v, span %v, parallelism %.1f, S1 %d B -> %s\n\n",
-			g.TotalWork(), g.Span(), float64(g.TotalWork())/float64(g.Span()), g.SerialSpace(1), *dotPath)
-	}
-	fmt.Fprint(stdout, rec.Gantt(*procs, *width))
-
-	fmt.Fprintln(stdout, "\nspace over virtual time:")
-	fmt.Fprint(stdout, prof.Curves(*width))
 
 	if m := stats.Metrics; m != nil {
 		fmt.Fprintf(stdout, "\nmetrics: dispatches=%d quota-preempts=%d dummy-forks=%d",
@@ -176,60 +148,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if shown == 0 {
 		fmt.Fprintln(stdout, "  (every thread ran in a single dispatch)")
 	}
+	fmt.Fprintln(stdout)
 
-	if *doAnalyze {
-		var quota int64
-		switch pthread.Policy(*policy) {
-		case pthread.PolicyADF, pthread.PolicyADFShard:
-			quota = pthread.DefaultMemQuota
-		}
-		rep, err := analyze.Analyze(rec, analyze.Options{
-			Policy:       *policy,
-			Procs:        *procs,
-			Quota:        quota,
-			DefaultStack: pthread.SmallStackSize,
-			PeakHeap:     stats.HeapHWM,
-			PeakStack:    stats.StackHWM,
-			Peak:         stats.TotalHWM,
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "pttrace: analyze: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "\nrun DAG analysis:")
-		rep.WriteText(stdout)
+	var quota int64
+	switch pthread.Policy(*policy) {
+	case pthread.PolicyADF, pthread.PolicyADFShard:
+		quota = pthread.DefaultMemQuota
 	}
-
-	if *outPath != "" {
-		if err := writeFile(*outPath, func(f io.Writer) error {
-			return rec.WriteChrome(f, *procs, spaceCounters(prof, native))
-		}); err != nil {
-			fmt.Fprintf(stderr, "pttrace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "\nwrote Chrome trace -> %s (load in https://ui.perfetto.dev)\n", *outPath)
+	v.opt = analyze.Options{
+		Policy:       *policy,
+		Procs:        *procs,
+		Quota:        quota,
+		DefaultStack: pthread.SmallStackSize,
+		PeakHeap:     stats.HeapHWM,
+		PeakStack:    stats.StackHWM,
+		Peak:         stats.TotalHWM,
 	}
-	if *eventsPath != "" {
-		if err := writeFile(*eventsPath, rec.WriteJSONL); err != nil {
-			fmt.Fprintf(stderr, "pttrace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %d events as JSONL -> %s\n", len(rec.Events()), *eventsPath)
-	}
-	if *spacePath != "" {
-		if err := writeFile(*spacePath, prof.WriteCSV); err != nil {
-			fmt.Fprintf(stderr, "pttrace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote space profile CSV -> %s\n", *spacePath)
-	}
-	return 0
+	return v.render(rec, stdout, stderr)
 }
 
 // runOffline serves -in: load a recorded trace and render/export/
 // analyze it. An empty or truncated trace is a usage error (exit 2) —
 // every downstream view would be silently wrong.
-func runOffline(inPath string, procs, width int, outPath, eventsPath string, doAnalyze bool, stdout, stderr io.Writer, usage func()) int {
+func runOffline(inPath string, procs int, v views, stdout, stderr io.Writer, usage func()) int {
 	f, err := os.Open(inPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "pttrace: %v\n", err)
@@ -260,36 +201,68 @@ func runOffline(inPath string, procs, width int, outPath, eventsPath string, doA
 	if procs <= 0 {
 		procs = 1
 	}
+	v.opt.Procs = procs
 
 	fmt.Fprintf(stdout, "trace %s: %d events, %d processors\n\n", inPath, len(rec.Events()), procs)
-	fmt.Fprint(stdout, rec.Gantt(procs, width))
+	return v.render(rec, stdout, stderr)
+}
 
-	if doAnalyze {
-		rep, err := analyze.Analyze(rec, analyze.Options{Procs: procs})
+// views are the renderings and exports of one recorded trace. A live
+// run and a -in trace go through the same render, so every view of a
+// run is a replay of its one record.
+type views struct {
+	width                   int
+	out, events, space, dot string
+	analyze                 bool
+	opt                     analyze.Options // Procs sizes the Gantt and Chrome views
+}
+
+func (v views) render(rec *trace.Recorder, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "pttrace: %v\n", err)
+		return 1
+	}
+	fmt.Fprint(stdout, rec.Gantt(v.opt.Procs, v.width))
+
+	prof, ferr := analyze.Footprint(rec, 0)
+	fmt.Fprintln(stdout, "\nspace over virtual time:")
+	if ferr != nil {
+		if v.space != "" {
+			return fail(ferr)
+		}
+		fmt.Fprintf(stdout, "(%v)\n", ferr)
+	} else {
+		fmt.Fprint(stdout, prof.Curves(v.width))
+	}
+
+	if v.analyze {
+		rep, err := analyze.Analyze(rec, v.opt)
 		if err != nil {
-			fmt.Fprintf(stderr, "pttrace: %s: %v\n", inPath, err)
-			usage()
-			return 2
+			return fail(err)
 		}
 		fmt.Fprintln(stdout, "\nrun DAG analysis:")
 		rep.WriteText(stdout)
 	}
 
-	if outPath != "" {
-		if err := writeFile(outPath, func(f io.Writer) error {
-			return rec.WriteChrome(f, procs, nil)
-		}); err != nil {
-			fmt.Fprintf(stderr, "pttrace: %v\n", err)
-			return 1
+	fmt.Fprintln(stdout)
+	for _, f := range []struct {
+		path, what string
+		write      func(io.Writer) error
+	}{
+		{v.out, "Chrome trace (load in https://ui.perfetto.dev)", func(w io.Writer) error {
+			return rec.WriteChrome(w, v.opt.Procs, spaceCounters(prof, rec.Unit()))
+		}},
+		{v.events, fmt.Sprintf("%d events as JSONL", len(rec.Events())), rec.WriteJSONL},
+		{v.space, "space profile CSV", prof.WriteCSV},
+		{v.dot, "computation DAG as DOT", func(w io.Writer) error { return analyze.WriteDOT(w, rec) }},
+	} {
+		if f.path == "" {
+			continue
 		}
-		fmt.Fprintf(stdout, "\nwrote Chrome trace -> %s (load in https://ui.perfetto.dev)\n", outPath)
-	}
-	if eventsPath != "" {
-		if err := writeFile(eventsPath, rec.WriteJSONL); err != nil {
-			fmt.Fprintf(stderr, "pttrace: %v\n", err)
-			return 1
+		if err := writeFile(f.path, f.write); err != nil {
+			return fail(err)
 		}
-		fmt.Fprintf(stdout, "rewrote %d events as JSONL -> %s\n", len(rec.Events()), eventsPath)
+		fmt.Fprintf(stdout, "wrote %s -> %s\n", f.what, f.path)
 	}
 	return 0
 }
@@ -307,14 +280,13 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // spaceCounters converts the space profile into Chrome counter tracks
-// (downsampled so huge runs stay loadable). The profiler always stamps
-// samples in virtual cycles — the native backend converts wall time at
-// the calibrated rate — so for a wall-ns trace the timestamps convert
-// back to nanoseconds to share the events' time base.
-func spaceCounters(prof *pthread.SpaceProfiler, toWallNS bool) []trace.CounterSample {
+// (downsampled so huge runs stay loadable). The profile is stamped in
+// virtual cycles, so for a wall-ns trace the stamps convert back to
+// nanoseconds to share the events' time base.
+func spaceCounters(prof *spaceprof.Profiler, unit trace.TimeUnit) []trace.CounterSample {
 	samples := prof.Downsample(2048)
 	at := func(t vtime.Time) vtime.Time {
-		if toWallNS {
+		if unit == trace.UnitWallNS {
 			return vtime.Time(int64(t) * 1000 / vtime.CyclesPerMicrosecond)
 		}
 		return t

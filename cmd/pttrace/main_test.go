@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spthreads/internal/analyze"
+	"spthreads/pthread"
 )
 
 // TestOfflineEmptyTraceExits2: -in with a zero-event trace file must
@@ -54,18 +58,51 @@ func TestOfflineTruncatedTraceExits2(t *testing.T) {
 	}
 }
 
-// TestOfflineRejectsLiveOnlyFlags: -space and -dot need a live run.
-func TestOfflineRejectsLiveOnlyFlags(t *testing.T) {
-	f := filepath.Join(t.TempDir(), "t.jsonl")
-	if err := os.WriteFile(f, []byte(`{"ts":0,"proc":0,"thread":1,"kind":"dispatch"}`+"\n"), 0o644); err != nil {
+// TestOfflineSpaceAndDotMatchLive: -space and -dot are replays of the
+// trace, so a sim run's exported JSONL gives back byte-identical files.
+func TestOfflineSpaceAndDotMatchLive(t *testing.T) {
+	dir := t.TempDir()
+	p := func(name string) string { return filepath.Join(dir, name) }
+	var out, errb bytes.Buffer
+	if code := run([]string{"-policy", "fifo", "-procs", "3", "-depth", "4", "-width", "40",
+		"-events", p("events.jsonl"), "-space", p("live.csv"), "-dot", p("live.dot")}, &out, &errb); code != 0 {
+		t.Fatalf("live run = %d\nstderr: %s", code, errb.String())
+	}
+	if code := run([]string{"-in", p("events.jsonl"), "-width", "40",
+		"-space", p("in.csv"), "-dot", p("in.dot")}, &out, &errb); code != 0 {
+		t.Fatalf("offline run = %d\nstderr: %s", code, errb.String())
+	}
+	for _, pair := range [][2]string{{"live.csv", "in.csv"}, {"live.dot", "in.dot"}} {
+		live, err := os.ReadFile(p(pair[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := os.ReadFile(p(pair[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(live) == 0 || !bytes.Equal(live, in) {
+			t.Errorf("%s (%d bytes) and %s (%d bytes) differ", pair[0], len(live), pair[1], len(in))
+		}
+	}
+}
+
+// TestSpaceRefusesDroppedEvents: a trace that overflowed its recorder
+// cannot give a footprint curve; -space fails and names the drop count.
+func TestSpaceRefusesDroppedEvents(t *testing.T) {
+	rec := pthread.NewTraceRecorder(16)
+	if _, err := pthread.Run(pthread.Config{Procs: 2, Tracer: rec}, func(t *pthread.T) {
+		t.Par(func(*pthread.T) {}, func(*pthread.T) {}, func(*pthread.T) {})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var out, errb bytes.Buffer
-	if code := run([]string{"-in", f, "-space", "s.csv"}, &out, &errb); code != 2 {
-		t.Fatalf("-in -space = %d, want 2", code)
+	v := views{width: 40, space: filepath.Join(t.TempDir(), "s.csv"), opt: analyze.Options{Procs: 2}}
+	if code := v.render(rec, &out, &errb); code == 0 {
+		t.Fatal("-space on a truncated trace exited 0")
 	}
-	if code := run([]string{"-in", f, "-dot", "d.dot"}, &out, &errb); code != 2 {
-		t.Fatalf("-in -dot = %d, want 2", code)
+	if want := fmt.Sprintf("dropped %d events", rec.Dropped()); !strings.Contains(errb.String(), want) {
+		t.Errorf("stderr %q does not name the drop count (%q)", errb.String(), want)
 	}
 }
 
@@ -153,15 +190,30 @@ func TestNativeRoundTripWallUnits(t *testing.T) {
 	}
 }
 
-// TestNativeRejectsDot: the DAG recorder is sim-only and the error
-// must say what to do instead.
-func TestNativeRejectsDot(t *testing.T) {
+// TestNativeDot: the native backend draws its DAG and space curve from
+// the trace like the sim does.
+func TestNativeDot(t *testing.T) {
+	dir := t.TempDir()
+	dot, space := filepath.Join(dir, "d.dot"), filepath.Join(dir, "s.csv")
 	var out, errb bytes.Buffer
-	if code := run([]string{"-backend", "native", "-dot", "d.dot"}, &out, &errb); code != 2 {
-		t.Fatalf("native -dot = %d, want 2", code)
+	if code := run([]string{"-backend", "native", "-procs", "2", "-depth", "3", "-width", "40",
+		"-dot", dot, "-space", space}, &out, &errb); code != 0 {
+		t.Fatalf("native -dot = %d\nstderr: %s", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "ptanalyze") {
-		t.Errorf("stderr missing the ptanalyze pointer: %s", errb.String())
+	g, err := os.ReadFile(dot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Depth 3 is 15 threads, 14 forks and 14 joins.
+	if nodes, edges := strings.Count(string(g), "[label="), strings.Count(string(g), " -> "); nodes != 15 || edges != 28 {
+		t.Errorf("native DOT has %d nodes and %d edges, want 15 and 28:\n%s", nodes, edges, g)
+	}
+	csv, err := os.ReadFile(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(csv), "\n"); lines < 2 {
+		t.Errorf("native space CSV has %d lines:\n%s", lines, csv)
 	}
 }
 

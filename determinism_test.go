@@ -125,13 +125,12 @@ func runCase(t *testing.T, cfg pthread.Config, prog func(*pthread.T)) string {
 }
 
 // instrumented returns a copy of cfg with every observability hook
-// attached (tracer, metrics registry, space profiler). Instrumentation
+// attached (tracer and metrics registry). Instrumentation
 // must be pure observation: a run with all hooks attached must produce
 // bit-identical virtual results to an uninstrumented run.
 func instrumented(cfg pthread.Config) pthread.Config {
 	cfg.Tracer = pthread.NewTraceRecorder(0)
 	cfg.Metrics = pthread.NewMetrics()
-	cfg.SpaceProf = pthread.NewSpaceProfiler(0)
 	return cfg
 }
 

@@ -124,14 +124,17 @@ func (r *Report) ApplyFit(c float64) {
 	r.BoundOK = r.Peak <= r.Bound
 }
 
+// errEmpty refuses a trace with no events: there is nothing to analyze,
+// and treating it as a zero-work run would mask truncated or misrouted
+// trace files.
+var errEmpty = errors.New("analyze: empty trace (no events)")
+
 // Analyze reconstructs the run DAG from the recorder's events and
-// computes the full report. It errors on an empty trace: there is
-// nothing to analyze, and treating it as a zero-work run would mask
-// truncated or misrouted trace files.
+// computes the full report. It errors on an empty trace.
 func Analyze(rec *trace.Recorder, opt Options) (*Report, error) {
 	events := rec.Events()
 	if len(events) == 0 {
-		return nil, errors.New("analyze: empty trace (no events)")
+		return nil, errEmpty
 	}
 	a := newAnalysis(events)
 
@@ -173,7 +176,7 @@ func Analyze(rec *trace.Recorder, opt Options) (*Report, error) {
 
 	defStack := opt.DefaultStack
 	if defStack <= 0 {
-		defStack = a.rootStack()
+		defStack = rootStack(events)
 	}
 	var curve *spaceprof.Profiler
 	rep.SerialSpace, curve = a.serialSpace(defStack, opt.SampleEvery)
@@ -181,7 +184,7 @@ func Analyze(rec *trace.Recorder, opt Options) (*Report, error) {
 
 	rep.PeakHeap, rep.PeakStack, rep.Peak = opt.PeakHeap, opt.PeakStack, opt.Peak
 	if rep.Peak == 0 {
-		rep.PeakHeap, rep.PeakStack, rep.Peak = a.measuredPeak(defStack)
+		rep.PeakHeap, rep.PeakStack, rep.Peak = footprint(events, rec.Unit(), defStack, nil)
 	}
 	if rep.Slack = rep.Peak - rep.SerialSpace; rep.Slack < 0 {
 		rep.Slack = 0
@@ -425,8 +428,7 @@ func (r *threadRec) execBetween(a, b vtime.Time) vtime.Duration {
 // relDepth computes the thread's depth contribution relative to its
 // own creation: its execution, stretched by join dependencies — a join
 // cannot complete before the joined child's own (recursive) depth,
-// measured from the fork point, has elapsed. The recursion mirrors the
-// online dag.Builder but works purely from reconstructed events.
+// measured from the fork point, has elapsed.
 func (a *analysis) relDepth(id int64) vtime.Duration {
 	if d, ok := a.depthMemo[id]; ok {
 		return d
@@ -485,18 +487,6 @@ func (a *analysis) absStart(id int64) vtime.Duration {
 	}
 	a.startMemo[id] = d
 	return d
-}
-
-// rootStack returns the stack size of the lowest-id parentless thread
-// (the root, which the machine creates with default attributes).
-func (a *analysis) rootStack() int64 {
-	for _, id := range a.order {
-		r := a.threads[id]
-		if r.parent == 0 && r.stack > 0 {
-			return r.stack
-		}
-	}
-	return 8 << 10
 }
 
 // WriteText renders the report for terminals.

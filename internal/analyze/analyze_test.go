@@ -381,3 +381,26 @@ func TestWallUnitReport(t *testing.T) {
 		t.Errorf("wall report renders ns unscaled:\n%s", out)
 	}
 }
+
+// TestWriteDOT: the DOT rendering draws one node per thread, a solid
+// edge per fork and a dashed edge from each joined child to its joiner.
+func TestWriteDOT(t *testing.T) {
+	var b bytes.Buffer
+	if err := WriteDOT(&b, buildBalancedTree(2, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	dot := b.String()
+	for _, frag := range []string{
+		"digraph computation {",
+		`t1 [label="t1\n6.0us"];`,
+		"t1 -> t2;", "t1 -> t3;",
+		"t2 -> t1 [style=dashed];", "t3 -> t1 [style=dashed];",
+	} {
+		if !strings.Contains(dot, frag) {
+			t.Errorf("DOT missing %q:\n%s", frag, dot)
+		}
+	}
+	if err := WriteDOT(&b, trace.NewRecorder(0)); err == nil {
+		t.Error("WriteDOT accepted an empty trace")
+	}
+}

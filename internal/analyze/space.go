@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"fmt"
+
 	"spthreads/internal/memsim"
 	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
@@ -16,10 +18,10 @@ import (
 //     order — at a fork the child runs to completion before the parent
 //     resumes — which is exactly the 1DF-schedule the paper's bound is
 //     stated against.
-//   - The measured peak: the same events replayed in record order (the
-//     simulated machine serializes memory operations, so record
+//   - The measured footprint: the same events replayed in record order
+//     (the simulated machine serializes memory operations, so record
 //     order is the machine's own operation order), reproducing the
-//     live run's footprint accounting when no events were dropped.
+//     live run's footprint curve and peaks when no events were dropped.
 //
 // Free events carry sizes, not addresses, so both replays keep
 // per-size LIFO pools of the simulated addresses they allocated and
@@ -100,23 +102,52 @@ func (sr *spaceReplay) replay(a *analysis, r *threadRec) {
 	sr.sample()
 }
 
-// measuredPeak reconstructs the live run's footprint high-water marks
-// by replaying the memory events in record order.
-func (a *analysis) measuredPeak(defaultStack int64) (heap, stack, total int64) {
+// Footprint replays the trace's memory events in record order and
+// returns the run's footprint curve: live heap, stack and thread count
+// after every footprint change, coalesced to one peak sample per
+// `every` virtual cycles (0 keeps every sample). A wall-ns trace's
+// stamps are converted to cycles at the modeled clock rate. A trace
+// that dropped events would under-report the footprint, so Footprint
+// refuses it.
+func Footprint(rec *trace.Recorder, every vtime.Duration) (*spaceprof.Profiler, error) {
+	if n := rec.Dropped(); n > 0 {
+		return nil, fmt.Errorf("analyze: the trace dropped %d events; its footprint replay would under-report", n)
+	}
+	events := rec.Events()
+	if len(events) == 0 {
+		return nil, errEmpty
+	}
+	prof := spaceprof.New(every)
+	footprint(events, rec.Unit(), rootStack(events), prof)
+	return prof, nil
+}
+
+// footprint replays the memory events in record order, feeding prof
+// (nil: none) a sample after each footprint change, and returns the
+// replayed high-water marks. The live count follows creates and exits;
+// an exit frees its thread's stack at At+Arg, when the machine did.
+func footprint(events []trace.Event, unit trace.TimeUnit, defaultStack int64, prof *spaceprof.Profiler) (heap, stack, total int64) {
 	mem := memsim.New(vtime.Default(), defaultStack, 0)
 	pool := make(map[int64][]int64)
 	type stk struct{ addr, size int64 }
 	stacks := make(map[int64]stk)
-	for _, e := range a.events {
+	live := 0
+	for _, e := range events {
+		at := e.At
 		switch e.Kind {
+		case trace.KindCreate:
+			live++
+			continue
 		case trace.KindStackAlloc:
 			ad, _, _ := mem.AllocStack(e.Arg)
 			stacks[e.Thread] = stk{ad, e.Arg}
 		case trace.KindExit:
+			live--
 			if s, ok := stacks[e.Thread]; ok {
 				mem.FreeStack(s.addr, s.size)
 				delete(stacks, e.Thread)
 			}
+			at += vtime.Time(e.Arg)
 		case trace.KindAlloc:
 			ad, _, _ := mem.Alloc(e.Arg)
 			pool[e.Arg] = append(pool[e.Arg], ad)
@@ -125,7 +156,22 @@ func (a *analysis) measuredPeak(defaultStack int64) (heap, stack, total int64) {
 				mem.Free(lst[len(lst)-1], e.Arg)
 				pool[e.Arg] = lst[:len(lst)-1]
 			}
+		default:
+			continue
 		}
+		prof.Sample(vtime.Time(unit.Cycles(int64(at))), mem.LiveHeap(), mem.LiveStack(), live)
 	}
 	return mem.HeapHWM(), mem.StackHWM(), mem.TotalHWM()
+}
+
+// rootStack returns the root thread's stack size, which sizes the
+// replayed stack cache: both backends map the root's stack, with default
+// attributes, before any other. A trace without one gets a small page.
+func rootStack(events []trace.Event) int64 {
+	for _, e := range events {
+		if e.Kind == trace.KindStackAlloc {
+			return e.Arg
+		}
+	}
+	return 8 << 10
 }

@@ -34,9 +34,6 @@ func (m *Machine) Fork(t *Thread, attr Attr, body Body) *Thread {
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, child.ID, trace.KindCreate, t.ID)
 	}
-	if g := m.cfg.DAG; g != nil {
-		g.Fork(t.ID, child.ID)
-	}
 	m.admit(child)
 	m.chargeOps(t, m.cm.ThreadCreate)
 	addr, cost, fresh := m.mem.AllocStack(child.stackSize)
@@ -45,7 +42,6 @@ func (m *Machine) Fork(t *Thread, attr Attr, body Body) *Thread {
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, child.ID, trace.KindStackAlloc, child.stackSize)
 	}
-	m.sampleSpace(t.proc.clock)
 	if fresh {
 		// A fresh stack required mapping address space in the kernel; a
 		// cached one avoided the allocator entirely.
@@ -88,9 +84,6 @@ func (m *Machine) Join(t *Thread, target *Thread) error {
 	m.chargeOps(t, m.cm.ThreadJoin)
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindJoin, target.ID)
-	}
-	if g := m.cfg.DAG; g != nil {
-		g.Join(t.ID, target.ID)
 	}
 	if target.exitedSpan > t.span {
 		t.span = target.exitedSpan
@@ -143,10 +136,6 @@ func (m *Machine) Malloc(t *Thread, n int64) Alloc {
 		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindAlloc, n)
 	}
 	m.ins.allocs.Inc()
-	m.sampleSpace(t.proc.clock)
-	if g := m.cfg.DAG; g != nil {
-		g.Alloc(t.ID, n)
-	}
 	if m.policy.Quota() > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
@@ -174,10 +163,6 @@ func (m *Machine) Free(t *Thread, a Alloc) {
 		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindFree, a.Size)
 	}
 	m.ins.frees.Inc()
-	m.sampleSpace(t.proc.clock)
-	if g := m.cfg.DAG; g != nil {
-		g.Free(t.ID, a.Size)
-	}
 	t.maybePause()
 }
 

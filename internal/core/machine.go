@@ -9,7 +9,6 @@ import (
 
 	"spthreads/internal/memsim"
 	"spthreads/internal/metrics"
-	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 )
@@ -56,19 +55,11 @@ type Config struct {
 	// Tracer, when non-nil, records scheduler events (create, dispatch,
 	// preempt, block, wake, exit) without affecting virtual time.
 	Tracer *trace.Recorder
-	// DAG, when non-nil, records the computation graph (forks, joins,
-	// allocations, charges) for offline analysis; dag.Builder implements
-	// this interface.
-	DAG DAGSink
 	// Metrics, when non-nil, receives scheduler/memory instrument updates
 	// (dispatch latencies, lock waits, quota preemptions, ...); a final
 	// snapshot lands in Stats.Metrics. Nil costs the hot paths only a nil
 	// check per update and never perturbs virtual time.
 	Metrics *metrics.Registry
-	// SpaceProf, when non-nil, samples the machine's live heap/stack
-	// footprint and thread count at every footprint change, building the
-	// space-over-time curve for this run. Sampling reads clocks only.
-	SpaceProf *spaceprof.Profiler
 }
 
 // SchedMode names a scheduler-lock discipline (Config.SchedMode).
@@ -92,17 +83,6 @@ const (
 	// flight.
 	SchedDedicated SchedMode = "dedicated"
 )
-
-// DAGSink receives computation-graph events. All calls arrive
-// serialized. It is satisfied by dag.Builder.
-type DAGSink interface {
-	Fork(parent, child int64)
-	Join(joiner, target int64)
-	Alloc(thread, bytes int64)
-	Free(thread, bytes int64)
-	Work(thread int64, d vtime.Duration)
-	Exit(thread int64)
-}
 
 // DefaultStackSize is the Solaris library's default thread stack size.
 const DefaultStackSize int64 = 1 << 20
@@ -238,15 +218,6 @@ func (m *Machine) bindInstruments(r *metrics.Registry) {
 		m.ins.batchRefill = r.Histogram("sched.batch.refill")
 		m.ins.qinDrained = r.Counter("sched.qin.drained")
 		m.ins.qoutOcc = r.Gauge("sched.qout.occupancy")
-	}
-}
-
-// sampleSpace records one space-profile point at virtual time at. It is
-// called after every footprint change (stack alloc/free, heap
-// alloc/free); with no profiler attached it is a single nil check.
-func (m *Machine) sampleSpace(at vtime.Time) {
-	if sp := m.cfg.SpaceProf; sp != nil {
-		sp.Sample(at, m.mem.LiveHeap(), m.mem.LiveStack(), m.live)
 	}
 }
 
@@ -434,7 +405,6 @@ func (m *Machine) run(main func(*Thread)) (Stats, error) {
 		tr.RecordArg(0, -1, root.ID, trace.KindStackAlloc, root.stackSize)
 	}
 	m.admit(root)
-	m.sampleSpace(0)
 	m.policy.OnCreate(nil, root)
 	root.state = StateReady
 	m.readyAt.push(0)
@@ -872,12 +842,7 @@ func (m *Machine) apply(t *Thread, act action) {
 }
 
 func (m *Machine) handleExit(p *Proc, t *Thread) {
-	if tr := m.cfg.Tracer; tr != nil {
-		tr.Record(p.clock, p.id, t.ID, trace.KindExit)
-	}
-	if g := m.cfg.DAG; g != nil {
-		g.Exit(t.ID)
-	}
+	at := p.clock
 	t.state = StateExited
 	t.done = true
 	t.exitedSpan = t.span
@@ -889,10 +854,15 @@ func (m *Machine) handleExit(p *Proc, t *Thread) {
 	cost := m.mem.FreeStack(t.stackAddr, t.stackSize)
 	p.stats.Mem += cost
 	m.tick(p, cost)
+	if tr := m.cfg.Tracer; tr != nil {
+		// Stamped when the thread stopped; Arg is the cycles the exit
+		// then spent in the queue op and the stack release, so a
+		// footprint replay frees the stack at At+Arg.
+		tr.RecordArg(at, p.id, t.ID, trace.KindExit, int64(p.clock-at))
+	}
 	delete(m.liveThreads, t.ID)
 	m.live--
 	m.ins.liveThreads.Set(int64(m.live))
-	m.sampleSpace(p.clock)
 	t.proc = nil
 	p.cur = nil
 	m.markIdle(p)
@@ -1121,9 +1091,6 @@ func (m *Machine) makespan() vtime.Time {
 // so idle time can be derived as makespan minus the bucket sum.
 
 func (m *Machine) chargeWork(t *Thread, d vtime.Duration) {
-	if g := m.cfg.DAG; g != nil {
-		g.Work(t.ID, d)
-	}
 	p := t.proc
 	p.stats.Work += d
 	m.tick(p, d)
@@ -1134,9 +1101,6 @@ func (m *Machine) chargeWork(t *Thread, d vtime.Duration) {
 }
 
 func (m *Machine) chargeOps(t *Thread, d vtime.Duration) {
-	if g := m.cfg.DAG; g != nil {
-		g.Work(t.ID, d)
-	}
 	p := t.proc
 	p.stats.ThreadOps += d
 	m.tick(p, d)
@@ -1147,9 +1111,6 @@ func (m *Machine) chargeOps(t *Thread, d vtime.Duration) {
 }
 
 func (m *Machine) chargeMem(t *Thread, d vtime.Duration) {
-	if g := m.cfg.DAG; g != nil {
-		g.Work(t.ID, d)
-	}
 	p := t.proc
 	p.stats.Mem += d
 	m.tick(p, d)

@@ -18,9 +18,14 @@ type Stats struct {
 	// Time is the makespan: the largest virtual processor clock.
 	Time vtime.Duration
 	// Work is the total computation committed across processors
-	// (user work + thread operations + memory-system time).
+	// (user work + thread operations + memory-system time). Work and
+	// Span are machine counters, not the bound's W and D: those are
+	// defined once, on the event trace, by internal/analyze.
 	Work vtime.Duration
-	// Span is the measured critical-path length D of the run's DAG.
+	// Span is the longest chain of charges the machine propagated
+	// through forks and joins. Analyze's D counts each thread's whole
+	// time on a processor, scheduler operations included, so the two
+	// differ (ADF matmul 256 at p=8: 7.200 ms against 7.508 ms).
 	Span vtime.Duration
 
 	// ThreadsCreated counts every thread, including dummies; PeakLive is

@@ -59,9 +59,9 @@ func auditPrograms(opt Options) []struct {
 
 var auditPolicies = []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF}
 
-// spaceProfileEvery coalesces space samples to one per virtual 100us,
+// spaceSampleEvery coalesces space samples to one per virtual 100us,
 // keeping curves compact without losing interval peaks.
-const spaceProfileEvery = vtime.Duration(100 * vtime.CyclesPerMicrosecond)
+const spaceSampleEvery = vtime.Duration(100 * vtime.CyclesPerMicrosecond)
 
 // auditRun executes prog under cfg with tracing on and analyzes the
 // trace. The live run's memsim high-water marks are passed through as
@@ -85,7 +85,7 @@ func auditRun(cfg pthread.Config, prog func(*pthread.T)) (*analyze.Report, error
 		PeakHeap:     st.HeapHWM,
 		PeakStack:    st.StackHWM,
 		Peak:         st.TotalHWM,
-		SampleEvery:  spaceProfileEvery,
+		SampleEvery:  spaceSampleEvery,
 	})
 }
 

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"spthreads/internal/analyze"
 	"spthreads/internal/matmul"
-	"spthreads/internal/spaceprof"
+	"spthreads/internal/trace"
 	"spthreads/pthread"
 )
 
@@ -35,13 +36,17 @@ func runSpace(w io.Writer, opt Options) error {
 	procs := 8
 	fmt.Fprintf(w, "matmul %dx%d, %d processors, small stacks; one curve row per policy\n\n", cfg.N, cfg.N, procs)
 	for _, pol := range spaceVariants() {
-		prof := spaceprof.New(spaceProfileEvery)
+		rec := trace.NewRecorder(1 << 20)
 		st := run(pthread.Config{
 			Procs:        procs,
 			Policy:       pol,
 			DefaultStack: pthread.SmallStackSize,
-			SpaceProf:    prof,
+			Tracer:       rec,
 		}, matmul.Fine(cfg))
+		prof, err := analyze.Footprint(rec, spaceSampleEvery)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "%s  (time %v, total HWM %.1f MB, peak live %d)\n",
 			pol, st.Time, mb(st.TotalHWM), st.PeakLive)
 		fmt.Fprint(w, prof.Curves(72))

@@ -35,7 +35,7 @@ func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *t
 	// scheduler lock, with zero shared state. The policy reads the label
 	// under b.mu, which orders the write ahead of every use.
 	child.tok.Order = t.tok.Order.Fork()
-	b.chargeStack(child)
+	b.mem.allocStack(child.stackSize)
 	b.tracer.record(pid, child.ID(), trace.KindCreate, t.ID())
 	b.tracer.record(pid, child.ID(), trace.KindStackAlloc, child.stackSize)
 	b.lock()
@@ -166,7 +166,6 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 	addr := b.mem.allocHeap(n)
 	b.allocTally.Add(1)
 	b.tracer.record(t.pid, t.ID(), trace.KindAlloc, n)
-	b.sampleSpace()
 	a := core.Alloc{Addr: addr, Size: n}
 	if b.quota > 0 {
 		t.quotaLeft -= n
@@ -188,7 +187,6 @@ func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
 	b.mem.freeHeap(a.Size)
 	b.freeTally.Add(1)
 	b.tracer.record(t.pid, t.ID(), trace.KindFree, a.Size)
-	b.sampleSpace()
 }
 
 // Touch validates the access range; the native backend has no TLB or

@@ -49,15 +49,3 @@ func atomicMax(g *atomic.Int64, v int64) {
 		}
 	}
 }
-
-// chargeStack accounts a new thread's stack and samples the profile.
-func (b *Backend) chargeStack(t *thread) {
-	b.mem.allocStack(t.stackSize)
-	b.sampleSpace()
-}
-
-// freeStack releases a thread's stack at exit.
-func (b *Backend) freeStack(t *thread) {
-	b.mem.freeStack(t.stackSize)
-	b.sampleSpace()
-}

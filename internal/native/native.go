@@ -67,7 +67,6 @@ import (
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
-	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 )
@@ -96,9 +95,6 @@ type Config struct {
 	// timestamps); the rings are merged time-sorted into the recorder
 	// when the run completes, with the recorder's unit set to wall-ns.
 	Tracer *trace.Recorder
-	// SpaceProf, when non-nil, samples the live footprint over time
-	// (timestamps are wall time converted to virtual cycles).
-	SpaceProf *spaceprof.Profiler
 }
 
 // Backend is one native run. It is single-shot: build one per Execute.
@@ -152,8 +148,6 @@ type Backend struct {
 	quotaTally    atomic.Int64
 	dispatchTally atomic.Int64
 
-	spMu      sync.Mutex // serializes SpaceProf samples
-	spaceProf *spaceprof.Profiler
 	registry  *metrics.Registry
 	liveGauge *metrics.Gauge
 
@@ -207,7 +201,6 @@ func New(cfg Config) (*Backend, error) {
 		quota:        cfg.Policy.Quota(),
 		timeSlice:    cfg.Policy.TimeSlice(),
 		defaultStack: stack,
-		spaceProf:    cfg.SpaceProf,
 		registry:     reg,
 		liveGauge:    reg.Gauge("threads.live"),
 		workers:      make([]*worker, procs),
@@ -253,7 +246,7 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 
 	root := b.newThread(-1, core.Attr{Name: "main"}, exec.Func(main))
 	root.tok.Order = core.RootDepaLabel()
-	b.chargeStack(root)
+	b.mem.allocStack(root.stackSize)
 	b.tracer.record(-1, root.ID(), trace.KindCreate, 0) // Arg 0: no parent
 	b.tracer.record(-1, root.ID(), trace.KindStackAlloc, root.stackSize)
 	b.mu.Lock()
@@ -603,7 +596,7 @@ func (b *Backend) admit(t *thread) {
 // joiner and passes its processor on.
 func (b *Backend) exitThread(t *thread) {
 	pid := t.pid
-	b.freeStack(t)
+	b.mem.freeStack(t.stackSize)
 	b.lock()
 	t.state = core.StateExited
 	t.done = true
@@ -738,21 +731,6 @@ func (b *Backend) stats() core.Stats {
 		st.Work += ps.Work
 	}
 	return st
-}
-
-// sampleSpace records one space-profile point at the current wall time.
-func (b *Backend) sampleSpace() {
-	sp := b.spaceProf
-	if sp == nil {
-		return
-	}
-	b.lock()
-	live := b.live
-	b.mu.Unlock()
-	b.spMu.Lock()
-	sp.Sample(vtime.Time(wallToV(time.Since(b.start))),
-		b.mem.liveHeap.Load(), b.mem.liveStack.Load(), live)
-	b.spMu.Unlock()
 }
 
 // wallToV converts elapsed wall time to virtual cycles at the

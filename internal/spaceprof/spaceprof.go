@@ -1,18 +1,17 @@
-// Package spaceprof records the simulated machine's live memory
-// footprint and thread population *over virtual time* — the paper's
-// space results (Figures 8 and 9) as curves rather than end-of-run
-// high-water marks. The profiler is fed by the machine on every
-// footprint transition (allocation, free, stack map/unmap, thread
-// create/exit); it never charges virtual time, so attaching it cannot
-// perturb a run's schedule.
+// Package spaceprof holds a run's live memory footprint and thread
+// population *over time* — the paper's space results (Figures 8 and 9)
+// as curves rather than end-of-run high-water marks. A profiler is fed
+// by internal/analyze, which replays a run's event trace and samples
+// after every footprint transition (allocation, free, stack map/unmap,
+// thread create/exit); the run itself carries no profiler.
 package spaceprof
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
+	"spthreads/internal/core"
 	"spthreads/internal/vtime"
 )
 
@@ -116,16 +115,6 @@ func (p *Profiler) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the samples as a JSON array.
-func (p *Profiler) WriteJSON(w io.Writer) error {
-	samples := p.Samples()
-	if samples == nil {
-		samples = []Sample{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(samples)
 }
 
 // Downsample reduces the samples to at most n points by keeping the
@@ -244,24 +233,9 @@ func (p *Profiler) Curves(width int) string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "heap  |%s| peak %s\n", sparkline(p.bucketMax(width, func(s Sample) int64 { return s.Heap })), formatBytes(heapHWM))
-	fmt.Fprintf(&b, "stack |%s| peak %s\n", sparkline(p.bucketMax(width, func(s Sample) int64 { return s.Stack })), formatBytes(stackHWM))
+	fmt.Fprintf(&b, "heap  |%s| peak %s\n", sparkline(p.bucketMax(width, func(s Sample) int64 { return s.Heap })), core.FormatBytes(heapHWM))
+	fmt.Fprintf(&b, "stack |%s| peak %s\n", sparkline(p.bucketMax(width, func(s Sample) int64 { return s.Stack })), core.FormatBytes(stackHWM))
 	fmt.Fprintf(&b, "live  |%s| peak %d threads (total footprint peak %s)\n",
-		sparkline(p.bucketMax(width, func(s Sample) int64 { return int64(s.Live) })), maxLive, formatBytes(totalHWM))
+		sparkline(p.bucketMax(width, func(s Sample) int64 { return int64(s.Live) })), maxLive, core.FormatBytes(totalHWM))
 	return b.String()
-}
-
-// formatBytes renders a byte count with an adaptive unit (duplicated
-// from core to avoid an import cycle: core feeds this package).
-func formatBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2fGB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

@@ -72,12 +72,12 @@ func TestCSVAndJSON(t *testing.T) {
 		t.Errorf("csv row = %q", lines[1])
 	}
 
-	var js bytes.Buffer
-	if err := p.WriteJSON(&js); err != nil {
+	js, err := json.Marshal(p.Samples())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any
-	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(js, &decoded); err != nil {
 		t.Fatalf("json: %v", err)
 	}
 	if len(decoded) != 1 || decoded[0]["heap_bytes"].(float64) != 1024 {

@@ -28,6 +28,9 @@ const (
 	KindPreempt
 	KindBlock
 	KindWake
+	// KindExit is stamped when the thread stops running; Arg is the
+	// time the exit then spent before the thread's stack was released
+	// (0 on native), so a footprint replay frees the stack at At+Arg.
 	KindExit
 	// KindAlloc and KindFree are simulated heap operations; Arg is the
 	// request size in bytes.

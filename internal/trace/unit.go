@@ -76,6 +76,15 @@ func (u TimeUnit) Microseconds(d int64) float64 {
 	return float64(d) / cyclesPerUS
 }
 
+// Cycles converts d ticks of this unit to virtual cycles at the modeled
+// clock rate.
+func (u TimeUnit) Cycles(d int64) int64 {
+	if u == UnitWallNS {
+		return d * cyclesPerUS / 1000
+	}
+	return d
+}
+
 // FormatDuration renders d ticks with an adaptive unit (us/ms/s). For
 // UnitCycles the output is identical to vtime.Duration's String, so
 // existing sim renderings do not change.

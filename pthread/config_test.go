@@ -63,13 +63,6 @@ func TestBatchOfOneDegeneratesToDirect(t *testing.T) {
 	}
 }
 
-func TestRejectNativeDAG(t *testing.T) {
-	// The DAG recorder stays sim-only; the error must name the
-	// alternative (trace the run, analyze offline).
-	cfg := pthread.Config{Backend: pthread.BackendNative, DAG: pthread.NewDAGBuilder()}
-	mustReject(t, cfg, "run with Tracer and feed the trace to ptanalyze")
-}
-
 func TestRejectNegativeNumbers(t *testing.T) {
 	// No size, count or duration has a meaning below zero; on either
 	// backend a negative one is an error rather than a silent "off"

@@ -40,12 +40,10 @@ import (
 	"runtime"
 
 	"spthreads/internal/core"
-	"spthreads/internal/dag"
 	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
 	"spthreads/internal/native"
 	"spthreads/internal/sched"
-	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 )
@@ -194,20 +192,11 @@ type Config struct {
 	// workers record into per-worker lock-free rings with wall-clock-ns
 	// timestamps, merged into the recorder (unit wall-ns) at run end.
 	Tracer *trace.Recorder
-	// DAG, when non-nil, records the computation graph for offline
-	// analysis (work, span, serial space S1, DOT export); attach a
-	// *dag.Builder from NewDAGBuilder. Sim backend only: on the native
-	// backend, run with Tracer and feed the trace to ptanalyze.
-	DAG *dag.Builder
 	// Metrics, when non-nil, collects scheduler/memory instruments
 	// (dispatch latencies, lock waits, quota preemptions, ADF
 	// placeholder-list length, ...); the final snapshot is returned in
 	// Stats.Metrics. Attach a registry from NewMetrics.
 	Metrics *metrics.Registry
-	// SpaceProf, when non-nil, samples the live heap/stack footprint and
-	// thread count at every footprint change, producing the run's
-	// space-over-time curve. Attach a profiler from NewSpaceProfiler.
-	SpaceProf *spaceprof.Profiler
 }
 
 // Policies lists every selectable scheduling policy name, in a stable
@@ -292,7 +281,7 @@ func newBackend(cfg Config) (exec.Backend, error) {
 	}
 	switch cfg.Backend {
 	case "", BackendSim:
-		ccfg := core.Config{
+		return exec.NewSim(core.Config{
 			Procs:        procs,
 			Policy:       pol,
 			CostModel:    cfg.CostModel,
@@ -305,16 +294,8 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			SchedBatch:   cfg.SchedBatch,
 			Tracer:       cfg.Tracer,
 			Metrics:      cfg.Metrics,
-			SpaceProf:    cfg.SpaceProf,
-		}
-		if cfg.DAG != nil {
-			ccfg.DAG = cfg.DAG
-		}
-		return exec.NewSim(ccfg)
+		})
 	case BackendNative:
-		if cfg.DAG != nil {
-			return nil, fmt.Errorf("pthread: the DAG recorder needs the deterministic sim backend; run with Tracer and feed the trace to ptanalyze")
-		}
 		if cfg.SchedMode != core.SchedDirect {
 			return nil, fmt.Errorf("pthread: SchedMode %q is sim-only: the native backend splits its scheduler lock with Policy adf-shard", string(cfg.SchedMode))
 		}
@@ -324,7 +305,6 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			DefaultStack: cfg.DefaultStack,
 			Metrics:      cfg.Metrics,
 			Tracer:       cfg.Tracer,
-			SpaceProf:    cfg.SpaceProf,
 		})
 	default:
 		return nil, fmt.Errorf("pthread: unknown Backend %q", string(cfg.Backend))

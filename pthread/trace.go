@@ -1,11 +1,8 @@
 package pthread
 
 import (
-	"spthreads/internal/dag"
 	"spthreads/internal/metrics"
-	"spthreads/internal/spaceprof"
 	"spthreads/internal/trace"
-	"spthreads/internal/vtime"
 )
 
 // TraceRecorder collects scheduler events (create, dispatch, preempt,
@@ -22,14 +19,6 @@ func NewTraceRecorder(capacity int) *TraceRecorder {
 	return trace.NewRecorder(capacity)
 }
 
-// DAGBuilder records a run's computation graph when attached to
-// Config.DAG; see the dag package for its analyses (Work, Span,
-// SerialSpace, DOT).
-type DAGBuilder = dag.Builder
-
-// NewDAGBuilder creates an empty computation-graph recorder.
-func NewDAGBuilder() *DAGBuilder { return dag.NewBuilder() }
-
 // Metrics is a registry of named scheduler/memory instruments collected
 // when attached to Config.Metrics; its final snapshot is returned in
 // Stats.Metrics. See the metrics package for the instrument types.
@@ -41,18 +30,3 @@ type MetricsSnapshot = metrics.Snapshot
 
 // NewMetrics creates an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
-
-// SpaceProfiler samples the machine's live heap/stack footprint and
-// thread count over virtual time when attached to Config.SpaceProf; see
-// the spaceprof package for CSV/JSON output and text curves.
-type SpaceProfiler = spaceprof.Profiler
-
-// SpaceSample is one point of the space-over-time curve.
-type SpaceSample = spaceprof.Sample
-
-// NewSpaceProfiler creates a profiler that coalesces samples to one per
-// `every` of virtual time (0 keeps every observation), retaining each
-// interval's peak-footprint sample.
-func NewSpaceProfiler(every vtime.Duration) *SpaceProfiler {
-	return spaceprof.New(every)
-}

@@ -16,8 +16,8 @@ import (
 // deletes code lowers them, and one that must raise a ceiling says why
 // in CHANGES.md.
 const (
-	maxNonTestLines = 17429
-	maxConfigFields = 20
+	maxNonTestLines = 17090
+	maxConfigFields = 18
 )
 
 // TestCodeRatchet counts the module's non-test Go lines outside
