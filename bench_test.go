@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"spthreads/internal/barneshut"
+	"spthreads/internal/core"
 	"spthreads/internal/dtree"
 	"spthreads/internal/fft"
 	"spthreads/internal/fmm"
@@ -364,7 +365,7 @@ func BenchmarkSchedulers(b *testing.B) {
 	serial := serialTime(b, matmul.Serial(cfg))
 	for _, pol := range []pthread.Policy{
 		pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF,
-		pthread.PolicyWS, pthread.PolicyDFD, pthread.PolicyRR,
+		pthread.PolicyWS, pthread.PolicyDFD,
 	} {
 		b.Run(string(pol), func(b *testing.B) {
 			st := runCfg(b, pthread.Config{Procs: 8, Policy: pol, DefaultStack: pthread.SmallStackSize}, matmul.Fine(cfg))
@@ -493,12 +494,10 @@ func BenchmarkSimForkJoin(b *testing.B) {
 // quantum per op stops, runs the scheduler and, still holding the
 // minimum clock, picks itself.
 func BenchmarkSimPause(b *testing.B) {
-	cfg := simCfg(1)
-	cfg.Quantum = vtime.Micro(250)
 	b.ReportAllocs()
-	_, err := pthread.Run(cfg, func(t *pthread.T) {
+	_, err := pthread.Run(simCfg(1), func(t *pthread.T) {
 		for i := 0; i < b.N; i++ {
-			t.Charge(int64(cfg.Quantum))
+			t.Charge(int64(core.Quantum))
 		}
 	})
 	if err != nil {

@@ -10,7 +10,7 @@
 // the attributed critical path; with -in it skips the run and works
 // from a previously recorded JSONL trace.
 //
-//	pttrace [-policy fifo|lifo|adf|adf-shard|ws|dfd|rr] [-backend sim|native]
+//	pttrace [-policy fifo|lifo|adf|adf-shard|ws|dfd] [-backend sim|native]
 //	        [-procs 4] [-depth 5] [-width 100]
 //	        [-out trace.json] [-events events.jsonl] [-space space.csv]
 //	        [-dot dag.dot] [-analyze] [-in events.jsonl]

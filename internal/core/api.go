@@ -167,7 +167,7 @@ func (m *Machine) Free(t *Thread, a Alloc) {
 }
 
 // Touch charges for accessing bytes [off, off+n) of allocation a through
-// the current processor's TLB (first-touch, TLB-miss, and paging costs).
+// the current processor's TLB (first-touch and TLB-miss costs).
 func (m *Machine) Touch(t *Thread, a Alloc, off, n int64) {
 	m.checkRunning(t, "Touch")
 	if n <= 0 {

@@ -71,30 +71,35 @@ func TestContentionWindowDecay(t *testing.T) {
 	}
 }
 
-// TestSchedModeResolution: Config.SchedMode validation and the silent
-// fallback to the direct path for policies that cannot batch.
+// batchPolicy is a global-queue policy with batch removal, the shape
+// Config.SchedBatch needs to leave the direct path; New only checks the
+// shape, so its methods are never run here.
+type batchPolicy struct{ fakePolicy }
+
+func (batchPolicy) Global() bool                 { return true }
+func (batchPolicy) NextBatch(int, int) []*Thread { return nil }
+
+// TestSchedModeResolution: SchedBatch > 1 batches a batch-capable
+// global policy, 0 or 1 is the direct path, and a policy that cannot
+// batch silently keeps the direct path.
 func TestSchedModeResolution(t *testing.T) {
-	if _, err := New(Config{Policy: fakePolicy{}, SchedMode: "bogus"}); err == nil {
-		t.Error("unknown SchedMode should fail")
-	}
-	for _, mode := range []SchedMode{"", SchedDirect, SchedVolunteer, SchedDedicated} {
-		m, err := New(Config{Policy: fakePolicy{}, SchedMode: mode, SchedBatch: 16})
-		if err != nil {
-			t.Fatalf("SchedMode %q: %v", mode, err)
+	for _, batch := range []int{0, 1, 16} {
+		batched := 0
+		if batch > 1 {
+			batched = batch
 		}
-		// fakePolicy is neither Global nor a BatchNexter, so every mode
-		// resolves to the direct path.
-		if m.batch > 1 {
-			t.Errorf("SchedMode %q activated batching for a non-batchable policy", mode)
+		for _, tc := range []struct {
+			pol  Policy
+			want int
+		}{{fakePolicy{}, 0}, {batchPolicy{}, batched}} {
+			m, err := New(Config{Policy: tc.pol, SchedBatch: batch})
+			if err != nil {
+				t.Fatalf("SchedBatch %d: %v", batch, err)
+			}
+			if m.batch != tc.want {
+				t.Errorf("%T, SchedBatch %d: batch = %d, want %d", tc.pol, batch, m.batch, tc.want)
+			}
 		}
-	}
-	// SchedBatch <= 1 degenerates to direct even for batched modes.
-	m, err := New(Config{Policy: fakePolicy{}, SchedMode: SchedVolunteer, SchedBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.batch > 1 {
-		t.Error("SchedBatch=1 should stay on the direct path")
 	}
 }
 

@@ -158,8 +158,6 @@ func (fakePolicy) Quota() int64 { return 0 }
 
 func (fakePolicy) AllocDummies(int64) int { return 0 }
 
-func (fakePolicy) TimeSlice() vtime.Duration { return 0 }
-
 func (fakePolicy) OnCreate(parent, child *Thread) bool {
 	fakeQueue = append(fakeQueue, child)
 	return false

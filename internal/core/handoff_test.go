@@ -102,7 +102,7 @@ func TestSimHandoffsPerThread(t *testing.T) {
 			}
 			_, err = m.Execute(func(root *Thread) {
 				for i := 0; i < pauses; i++ {
-					m.Charge(root, int64(m.cfg.Quantum))
+					m.Charge(root, int64(Quantum))
 				}
 			})
 			if err != nil {

@@ -19,38 +19,20 @@ type Config struct {
 	Procs int
 	// Policy is the scheduling policy (required).
 	Policy Policy
-	// CostModel overrides the default calibrated cost model.
-	CostModel *vtime.CostModel
 	// DefaultStack is the default thread stack size in bytes (the
 	// Solaris library default is 1 MB; the paper's modification reduces
 	// it to one 8 KB page). Default: 1 MB.
 	DefaultStack int64
-	// PhysMem is the simulated physical memory in bytes (default 2 GB).
-	PhysMem int64
-	// TLBEntries sizes the per-processor TLB model (default 64).
-	TLBEntries int
 	// MaxSteps aborts runaway simulations (default 1<<40 dispatch steps).
 	MaxSteps int64
-	// Quantum bounds how much virtual time a thread may accumulate
-	// before it stops to run the scheduler (default 250 virtual
-	// microseconds), which lets processors whose clocks are now behind
-	// catch up. Smaller quanta interleave processors more finely at a
-	// real-time cost; the quantum does not reschedule the thread, which
-	// keeps its processor and, while it holds the minimum clock, runs on
-	// without a goroutine switch.
-	Quantum vtime.Duration
-	// SchedMode selects how global-queue policies interact with the
-	// scheduler lock: SchedDirect charges every ready-queue operation
-	// under the global lock (the paper's original scheduler and this
-	// repo's seed behavior), while SchedVolunteer and SchedDedicated
-	// enable the paper's two-level Q_in/R/Q_out batching. Batched modes
-	// require a policy implementing BatchNexter (ADF); other policies
-	// keep the direct path regardless.
-	SchedMode SchedMode
-	// SchedBatch is the per-processor Q_out capacity B for the batched
-	// modes (default 8 when a batched mode is selected). SchedBatch <= 1
-	// degenerates to the direct scheduler exactly — same code path, same
-	// costs, bit-identical results.
+	// SchedBatch selects how global-queue policies interact with the
+	// scheduler lock. SchedBatch > 1 enables the paper's two-level
+	// Q_in/R/Q_out batching with workers volunteering to run the
+	// scheduler pass, SchedBatch being the per-processor Q_out capacity
+	// B. 0 or 1 charges every ready-queue operation under the global
+	// lock (the paper's original scheduler). Batching requires a policy
+	// implementing BatchNexter (ADF); other policies keep the direct
+	// path regardless.
 	SchedBatch int
 	// Tracer, when non-nil, records scheduler events (create, dispatch,
 	// preempt, block, wake, exit) without affecting virtual time.
@@ -62,37 +44,18 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// SchedMode names a scheduler-lock discipline (Config.SchedMode).
-type SchedMode string
-
-// Scheduler-lock disciplines.
-const (
-	// SchedDirect is the seed behavior: every ready-queue operation
-	// (dispatch, fork, exit, preempt) takes the global scheduler lock
-	// and pays contention individually.
-	SchedDirect SchedMode = "direct"
-	// SchedVolunteer is the paper's two-level scheme with workers
-	// volunteering: a worker whose Q_out underflows performs the
-	// scheduler pass itself — drain every Q_in into the ordered list R
-	// and refill the Q_outs of all hungry processors — under a single
-	// lock critical section, amortizing the lock over the whole batch.
-	SchedVolunteer SchedMode = "volunteer"
-	// SchedDedicated models the pass running on a dedicated virtual
-	// scheduler processor with its own clock; workers never touch the
-	// global lock and only idle while a refill they depend on is in
-	// flight.
-	SchedDedicated SchedMode = "dedicated"
-)
-
 // DefaultStackSize is the Solaris library's default thread stack size.
 const DefaultStackSize int64 = 1 << 20
 
 // SmallStackSize is one page, the paper's reduced default.
 const SmallStackSize int64 = 8 << 10
 
-// DefaultSchedBatch is the per-processor Q_out capacity B used by the
-// batched scheduler modes when Config.SchedBatch is zero.
-const DefaultSchedBatch = 8
+// Quantum bounds how much virtual time a thread may accumulate before
+// it stops to run the scheduler, which lets processors whose clocks are
+// now behind catch up. It controls interleaving granularity, not
+// scheduling: the thread keeps its processor and, while it holds the
+// minimum clock, runs on without a goroutine switch.
+const Quantum = vtime.Duration(250 * vtime.CyclesPerMicrosecond)
 
 // Machine is one simulated multiprocessor run. It is not reusable: build
 // one per Run.
@@ -119,8 +82,6 @@ type Machine struct {
 	// other configuration, keeping all existing charging byte-identical.
 	sharded    ShardedPolicy
 	shardLocks []*contention
-	shardOp    vtime.Duration // resolved cm.SchedShardLockOp
-	stealProbe vtime.Duration // resolved cm.SchedStealProbe
 
 	readyAt timeHeap // one entry per ready thread: when it became ready
 
@@ -134,17 +95,13 @@ type Machine struct {
 	// sleepers holds threads parked by Sleep until a virtual deadline.
 	sleepers []sleeper
 
-	// Two-level batched scheduling (Config.SchedMode). batch is the
+	// Two-level batched scheduling (Config.SchedBatch). batch is the
 	// per-processor Q_out capacity; batch <= 1 means the direct path and
 	// every other field below stays dormant.
 	batch      int
-	dedicated  bool
 	batchNext  BatchNexter
-	localOp    vtime.Duration // resolved cm.SchedLocalOp
-	batchMove  vtime.Duration // resolved cm.SchedBatchMove
-	qinPending int64          // Q_in entries since the last scheduler pass
-	qoutTotal  int            // threads parked across all Q_outs
-	schedClock vtime.Time     // the dedicated scheduler processor's clock
+	qinPending int64 // Q_in entries since the last scheduler pass
+	qoutTotal  int   // threads parked across all Q_outs
 
 	nextID   int64
 	live     int
@@ -243,7 +200,7 @@ type Proc struct {
 type ProcStats struct {
 	Work       vtime.Duration // user computation (Charge)
 	ThreadOps  vtime.Duration // create/join/sync primitives
-	Mem        vtime.Duration // allocation, first-touch, TLB, paging
+	Mem        vtime.Duration // allocation, first-touch, TLB
 	Sched      vtime.Duration // queue operations and context switches
 	LockWait   vtime.Duration // contention on the scheduler lock
 	Idle       vtime.Duration
@@ -258,121 +215,46 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Procs <= 0 {
 		cfg.Procs = 1
 	}
-	if cfg.CostModel == nil {
-		cfg.CostModel = vtime.Default()
-	}
 	if cfg.DefaultStack <= 0 {
 		cfg.DefaultStack = DefaultStackSize
 	}
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 1 << 40
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = vtime.Micro(250)
-	}
+	cm := vtime.Default()
 	m := &Machine{
 		cfg:         cfg,
-		cm:          cfg.CostModel,
+		cm:          cm,
 		policy:      cfg.Policy,
-		mem:         memsim.New(cfg.CostModel, cfg.DefaultStack, cfg.PhysMem),
+		mem:         memsim.New(cm, cfg.DefaultStack, 0),
 		liveThreads: make(map[int64]*Thread),
 		done:        make(chan struct{}, 1),
 		carriers:    NewCarriers(1),
+		schedLock:   newContention(cm.SchedLockOp, cm.SchedLockWindow),
+		heapLock:    newContention(cm.MallocBase, cm.HeapLockWindow),
+		kernelLock:  newContention(cm.KernelLockOp, cm.KernelLockWindow),
 	}
-	// Lock parameters come from the cost model; zero-valued fields (a
-	// hand-built CostModel) fall back to the calibrated defaults so a
-	// window can never be zero.
-	schedWin := m.cm.SchedLockWindow
-	if schedWin <= 0 {
-		schedWin = lockWindow
-	}
-	heapWin := m.cm.HeapLockWindow
-	if heapWin <= 0 {
-		heapWin = lockWindow
-	}
-	kernelOp := m.cm.KernelLockOp
-	if kernelOp <= 0 {
-		kernelOp = vtime.Micro(150)
-	}
-	kernelWin := m.cm.KernelLockWindow
-	if kernelWin <= 0 {
-		kernelWin = vtime.Micro(1000)
-	}
-	m.schedLock = newContention(m.cm.SchedLockOp, schedWin)
-	m.heapLock = newContention(m.cm.MallocBase, heapWin)
-	m.kernelLock = newContention(kernelOp, kernelWin)
-	if err := m.resolveSchedMode(); err != nil {
-		return nil, err
+	// Batching needs a global-queue policy that implements BatchNexter;
+	// anything else silently keeps the direct path, as does
+	// SchedBatch <= 1 (a batch of one is the direct scheduler).
+	if bn, ok := m.policy.(BatchNexter); ok && cfg.SchedBatch > 1 && m.policy.Global() {
+		m.batch = cfg.SchedBatch
+		m.batchNext = bn
 	}
 	if sp, ok := m.policy.(ShardedPolicy); ok && !m.policy.Global() && m.batch <= 1 {
 		m.sharded = sp
-		n := sp.NumShards()
-		if n <= 0 {
-			n = 1
-		}
-		m.shardOp = m.cm.SchedShardLockOp
-		if m.shardOp <= 0 {
-			m.shardOp = vtime.Micro(0.5)
-		}
-		shardWin := m.cm.SchedShardLockWindow
-		if shardWin <= 0 {
-			shardWin = vtime.Micro(25)
-		}
-		m.stealProbe = m.cm.SchedStealProbe
-		if m.stealProbe <= 0 {
-			m.stealProbe = vtime.Micro(0.2)
-		}
-		m.shardLocks = make([]*contention, n)
+		m.shardLocks = make([]*contention, max(sp.NumShards(), 1))
 		for i := range m.shardLocks {
-			m.shardLocks[i] = newContention(m.shardOp, shardWin)
+			m.shardLocks[i] = newContention(cm.SchedShardLockOp, cm.SchedShardLockWindow)
 		}
 	}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
-		m.procs[i] = &Proc{id: i, tlb: memsim.NewTLB(cfg.TLBEntries)}
+		m.procs[i] = &Proc{id: i, tlb: memsim.NewTLB(memsim.DefaultTLBEntries)}
 	}
 	m.clocks = newClockIndex(cfg.Procs)
 	m.bindInstruments(cfg.Metrics)
 	return m, nil
-}
-
-// resolveSchedMode validates Config.SchedMode/SchedBatch and decides
-// whether the two-level batched scheduler is active for this run
-// (m.batch > 1). Batching needs a global-queue policy that implements
-// BatchNexter; anything else silently keeps the direct path, as does
-// SchedBatch <= 1 (a batch of one is the direct scheduler).
-func (m *Machine) resolveSchedMode() error {
-	mode := m.cfg.SchedMode
-	if mode == "" {
-		mode = SchedDirect
-	}
-	switch mode {
-	case SchedDirect:
-		return nil
-	case SchedVolunteer, SchedDedicated:
-	default:
-		return fmt.Errorf("core: unknown SchedMode %q", m.cfg.SchedMode)
-	}
-	batch := m.cfg.SchedBatch
-	if batch == 0 {
-		batch = DefaultSchedBatch
-	}
-	bn, ok := m.policy.(BatchNexter)
-	if batch <= 1 || !ok || !m.policy.Global() {
-		return nil
-	}
-	m.batch = batch
-	m.dedicated = mode == SchedDedicated
-	m.batchNext = bn
-	m.localOp = m.cm.SchedLocalOp
-	if m.localOp <= 0 {
-		m.localOp = vtime.Micro(0.3)
-	}
-	m.batchMove = m.cm.SchedBatchMove
-	if m.batchMove <= 0 {
-		m.batchMove = vtime.Micro(0.5)
-	}
-	return nil
 }
 
 // Run executes main as the root thread and drives the simulation to
@@ -668,8 +550,8 @@ func (m *Machine) dispatchBatched(p *Proc) {
 	p.qoutAt = p.qoutAt[1:]
 	m.qoutTotal--
 	m.ins.qoutOcc.Set(int64(m.qoutTotal))
-	p.stats.Sched += m.localOp
-	m.tick(p, m.localOp)
+	p.stats.Sched += m.cm.SchedLocalOp
+	m.tick(p, m.cm.SchedLocalOp)
 	m.ins.dispatchWait.Observe(int64(p.clock - at))
 	m.assign(p, t)
 }
@@ -680,12 +562,8 @@ func (m *Machine) dispatchBatched(p *Proc) {
 // then pull the leftmost ready threads from R and deal them into the
 // Q_outs of every hungry processor, all inside a single lock critical
 // section charged SchedLockOp plus SchedBatchMove per thread moved.
-//
-// Under SchedVolunteer the calling processor p pays the pass on its own
-// clock and contends on the scheduler lock; under SchedDedicated the
-// pass runs on the dedicated scheduler processor's clock (m.schedClock)
-// and workers never touch the lock, they only wait for the refill to
-// complete.
+// The calling processor p volunteers: it pays the pass on its own clock
+// and contends on the scheduler lock.
 func (m *Machine) schedulerPass(p *Proc) {
 	// p was picked at key max(clock, readyAt.min()), so ready work exists;
 	// lift its clock to the earliest ready time before starting the pass.
@@ -702,9 +580,6 @@ func (m *Machine) schedulerPass(p *Proc) {
 		}
 	}
 	start := p.clock
-	if m.dedicated && m.schedClock > start {
-		start = m.schedClock
-	}
 	drained := m.qinPending
 	m.qinPending = 0
 	// Collect the batch to a fixed point: the pass's critical section
@@ -718,7 +593,7 @@ func (m *Machine) schedulerPass(p *Proc) {
 	var times []vtime.Time
 	var cost vtime.Duration
 	for {
-		cost = m.cm.SchedLockOp + vtime.Duration(int64(len(times))+drained)*m.batchMove
+		cost = m.cm.SchedLockOp + vtime.Duration(int64(len(times))+drained)*m.cm.SchedBatchMove
 		deadline := start + vtime.Time(cost)
 		grew := false
 		for len(times) < capTotal && m.readyAt.len() > 0 && m.readyAt.min() <= deadline {
@@ -738,29 +613,17 @@ func (m *Machine) schedulerPass(p *Proc) {
 		panic(fmt.Sprintf("core: policy %s returned %d of %d batched threads with %d ready times",
 			m.policy.Name(), len(threads), n, n))
 	}
-	var passDone vtime.Time
-	if m.dedicated {
-		// The pass runs on the scheduler processor: it starts when both
-		// the request arrives and the scheduler is free, and the worker
-		// idles until the refill lands.
-		passDone = start + vtime.Time(cost)
-		m.schedClock = passDone
-		if passDone > p.clock {
-			m.liftClock(p, passDone)
-		}
-	} else {
-		p.stats.Sched += cost
-		m.tick(p, cost)
-		if wait := m.schedLock.wait(p.clock); wait > 0 {
-			p.stats.LockWait += wait
-			m.tick(p, wait)
-			m.ins.schedLockWait.Observe(int64(wait))
-		}
-		if m.schedLock.size() > 1<<14 {
-			m.schedLock.prune(m.minClock())
-		}
-		passDone = p.clock
+	p.stats.Sched += cost
+	m.tick(p, cost)
+	if wait := m.schedLock.wait(p.clock); wait > 0 {
+		p.stats.LockWait += wait
+		m.tick(p, wait)
+		m.ins.schedLockWait.Observe(int64(wait))
 	}
+	if m.schedLock.size() > 1<<14 {
+		m.schedLock.prune(m.minClock())
+	}
+	passDone := p.clock
 	// Deal round-robin starting at the requester; each Q_out receives its
 	// share in leftmost-first order, available once the pass completes.
 	for i, t := range threads {
@@ -792,7 +655,6 @@ func (m *Machine) assign(p *Proc, t *Thread) {
 	p.stats.Dispatches++
 	m.ins.dispatches.Inc()
 	t.quotaLeft = m.policy.Quota()
-	t.sinceDispatch = 0
 	if !t.started {
 		// The thread's first frames fault in the base of its stack.
 		cost := m.mem.Touch(p.tlb, t.stackAddr, memsim.PageSize)
@@ -892,10 +754,6 @@ func (m *Machine) becomeReady(t *Thread, pid int) {
 	m.readyAt.push(at)
 }
 
-// lockWindow is the virtual-time window within which operations on a
-// contended lock are considered to overlap.
-const lockWindow = vtime.Duration(100 * vtime.CyclesPerMicrosecond)
-
 // queueOp charges one ready-queue operation to p at its current clock.
 // For global-queue policies it additionally models contention on the
 // single scheduler lock (the serialization the paper identifies as the
@@ -908,8 +766,8 @@ func (m *Machine) queueOp(p *Proc) {
 		// before refilling, so no later-dispatched thread could have
 		// overtaken it); the per-entry move cost is charged to the next
 		// scheduler pass via qinPending.
-		p.stats.Sched += m.localOp
-		m.tick(p, m.localOp)
+		p.stats.Sched += m.cm.SchedLocalOp
+		m.tick(p, m.cm.SchedLocalOp)
 		m.qinPending++
 		return
 	}
@@ -940,8 +798,8 @@ func (m *Machine) queueOp(p *Proc) {
 // window. Shard lock waits feed the same sched.lock.wait instrument as
 // the global lock so the contention experiment compares like for like.
 func (m *Machine) shardLockOp(p *Proc, shard int) {
-	p.stats.Sched += m.shardOp
-	m.tick(p, m.shardOp)
+	p.stats.Sched += m.cm.SchedShardLockOp
+	m.tick(p, m.cm.SchedShardLockOp)
 	l := m.shardLocks[shard%len(m.shardLocks)]
 	if wait := l.wait(p.clock); wait > 0 {
 		p.stats.LockWait += wait
@@ -962,7 +820,7 @@ func (m *Machine) shardLockOp(p *Proc, shard int) {
 func (m *Machine) chargeSteal(p *Proc, t *Thread) {
 	victim, probes := m.sharded.TakeSteal()
 	if probes > 0 {
-		d := vtime.Duration(probes) * m.stealProbe
+		d := vtime.Duration(probes) * m.cm.SchedStealProbe
 		p.stats.Sched += d
 		m.tick(p, d)
 	}
@@ -1097,7 +955,6 @@ func (m *Machine) chargeWork(t *Thread, d vtime.Duration) {
 	t.work += d
 	t.span += d
 	t.sinceYield += d
-	t.sinceDispatch += d
 }
 
 func (m *Machine) chargeOps(t *Thread, d vtime.Duration) {
@@ -1107,7 +964,6 @@ func (m *Machine) chargeOps(t *Thread, d vtime.Duration) {
 	t.work += d
 	t.span += d
 	t.sinceYield += d
-	t.sinceDispatch += d
 }
 
 func (m *Machine) chargeMem(t *Thread, d vtime.Duration) {
@@ -1117,5 +973,4 @@ func (m *Machine) chargeMem(t *Thread, d vtime.Duration) {
 	t.work += d
 	t.span += d
 	t.sinceYield += d
-	t.sinceDispatch += d
 }

@@ -13,8 +13,6 @@
 // Policy interface; implementations live in internal/sched.
 package core
 
-import "spthreads/internal/vtime"
-
 // Policy is a ready-thread scheduling policy. All methods are invoked
 // with the machine serialized (on the single goroutine that holds it: the
 // running thread's, or Execute's before the root starts), so
@@ -63,11 +61,6 @@ type Policy interface {
 	// must fork before an allocation of m bytes (the ADF throttling
 	// mechanism); 0 for policies without allocation throttling.
 	AllocDummies(m int64) int
-
-	// TimeSlice returns the round-robin quantum after which a running
-	// thread is involuntarily preempted (SCHED_RR semantics); 0 means
-	// run-to-block (SCHED_FIFO and the paper's policies).
-	TimeSlice() vtime.Duration
 }
 
 // ShardedPolicy is the optional extension implemented by policies that
@@ -103,8 +96,8 @@ type ShardedPolicy interface {
 // scheduler-pass refill of the paper's two-level scheme. ADF (and its
 // linked-list reference oracle) implement it; FIFO and LIFO deliberately
 // do not, preserving the paper's original per-operation lock behavior.
-// A batched Config.SchedMode silently degrades to the direct path for
-// policies without this interface.
+// Config.SchedBatch > 1 silently keeps the direct path for policies
+// without this interface.
 type BatchNexter interface {
 	// NextBatch removes and returns up to n ready threads in exactly the
 	// order n successive Next(pid) calls would have dispatched them

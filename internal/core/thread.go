@@ -123,14 +123,11 @@ type simState struct {
 	work vtime.Duration // committed charges attributed to this thread
 	span vtime.Duration // critical-path length at the thread's current point
 	// sinceYield accumulates charges since the thread last ran the
-	// scheduler; crossing the machine's quantum triggers a pause so that
+	// scheduler; crossing Quantum triggers a pause so that
 	// processors interleave at bounded virtual-time granularity even
 	// through code that never blocks (inline fast paths do not stop
 	// otherwise).
 	sinceYield vtime.Duration
-	// sinceDispatch accumulates charges since the thread was last
-	// scheduled, for SCHED_RR time slicing.
-	sinceDispatch vtime.Duration
 
 	// Simulated stack.
 	stackAddr, stackSize int64
@@ -254,16 +251,10 @@ func (t *Thread) switchOut(act action) {
 }
 
 // maybePause runs the scheduler if the thread has accumulated more than
-// the machine's quantum of virtual time since it last did, and enforces
-// the policy's SCHED_RR time slice by yielding the processor outright
-// when the slice is spent. Call only from thread context at consistent
-// points.
+// Quantum of virtual time since it last did. Call only from thread
+// context at consistent points.
 func (t *Thread) maybePause() {
-	if slice := t.m.policy.TimeSlice(); slice > 0 && t.sinceDispatch >= slice {
-		t.switchOut(action{kind: actYield})
-		return
-	}
-	if t.sinceYield >= t.m.cfg.Quantum {
+	if t.sinceYield >= Quantum {
 		t.switchOut(action{kind: actPause})
 	}
 }

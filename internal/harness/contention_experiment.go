@@ -43,7 +43,6 @@ func contentionConfig(procs, batch int) pthread.Config {
 		DefaultStack: pthread.SmallStackSize,
 	}
 	if batch > 1 {
-		cfg.SchedMode = pthread.SchedVolunteer
 		cfg.SchedBatch = batch
 	}
 	return cfg

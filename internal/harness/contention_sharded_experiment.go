@@ -80,7 +80,6 @@ func contentionShardedConfig(procs int, arm shardedArm) pthread.Config {
 		cfg.Policy = pthread.PolicyADFShard
 		cfg.StealWindow = arm.window(procs)
 	} else {
-		cfg.SchedMode = pthread.SchedVolunteer
 		cfg.SchedBatch = contentionShardedBaselineBatch
 	}
 	return cfg

@@ -30,7 +30,7 @@ type Stats struct {
 	PagesMapped  int64 // pages mapped by those calls
 	FirstTouches int64 // zero-fill page faults
 	TLBMisses    int64 // per-processor TLB misses (summed)
-	PageFaults   int64 // soft paging events (resident set > physical)
+	PageFaults   int64 // always 0; no paging is modelled
 	StackAllocs  int64 // fresh stacks carved (cache misses)
 	StackReuses  int64 // stacks served from the default-size cache
 }
@@ -39,8 +39,7 @@ type Stats struct {
 // goroutine that holds the simulated machine (exactly one at a time), so
 // it needs no internal locking.
 type System struct {
-	cm      *vtime.CostModel
-	physMem int64
+	cm *vtime.CostModel
 
 	brk      int64 // next unused simulated address
 	reserved int64 // bytes of address space already mapped
@@ -61,16 +60,13 @@ type System struct {
 	stats Stats
 }
 
-// New creates a memory system with the given cost model, default thread
-// stack size (the only size the stack cache retains) and physical memory
-// size in bytes (0 means the paper machine's 2 GB).
-func New(cm *vtime.CostModel, defaultStack, physMem int64) *System {
-	if physMem == 0 {
-		physMem = 2 << 30
-	}
+// New creates a memory system with the given cost model and default
+// thread stack size (the only size the stack cache retains). The third
+// argument is unused; it stays so the benchmark module's three-argument
+// call still compiles.
+func New(cm *vtime.CostModel, defaultStack, _ int64) *System {
 	return &System{
 		cm:             cm,
-		physMem:        physMem,
 		brk:            PageSize, // keep address 0 invalid
 		reserved:       PageSize,
 		free:           make(map[int64][]int64),
@@ -190,8 +186,7 @@ func (s *System) FreeStack(addr, size int64) vtime.Duration {
 }
 
 // Touch charges for an access to [addr, addr+n) through the given TLB:
-// first-touch zero-fill for untouched pages, TLB misses, and soft page
-// faults when the footprint exceeds physical memory.
+// first-touch zero-fill for untouched pages and TLB misses.
 func (s *System) Touch(tlb *TLB, addr, n int64) vtime.Duration {
 	if n <= 0 {
 		return 0
@@ -208,13 +203,6 @@ func (s *System) Touch(tlb *TLB, addr, n int64) vtime.Duration {
 		if tlb != nil && !tlb.Access(p) {
 			s.stats.TLBMisses++
 			cost += s.cm.TLBMiss
-			// Residency follows touched pages (allocations and stacks
-			// are backed lazily); once the touched footprint exceeds
-			// physical memory, a TLB miss also risks a page fault.
-			if int64(len(s.touched))*PageSize > s.physMem {
-				s.stats.PageFaults++
-				cost += s.cm.PageFault
-			}
 		}
 	}
 	return cost

@@ -146,10 +146,6 @@ func TestTLBLRU(t *testing.T) {
 	if tlb.Len() != 2 {
 		t.Errorf("len = %d, want 2", tlb.Len())
 	}
-	tlb.Flush()
-	if tlb.Len() != 0 || tlb.Access(1) {
-		t.Error("flush did not empty the TLB")
-	}
 }
 
 // TestTLBNeverExceedsCapacity (property).
@@ -180,26 +176,6 @@ func TestGrowthChargesKernel(t *testing.T) {
 	}
 	if s.Stats().BrkCalls == before {
 		t.Error("no brk calls recorded for heap growth")
-	}
-}
-
-// TestPagingWhenOvercommitted: once the touched footprint exceeds
-// physical memory, TLB misses also pay page faults.
-func TestPagingWhenOvercommitted(t *testing.T) {
-	s := memsim.New(vtime.Default(), 8<<10, 64<<10) // tiny "physical memory"
-	tlb := memsim.NewTLB(2)
-	a, _, _ := s.Alloc(256 << 10) // 32 pages, 4x physical
-	c1 := s.Touch(tlb, a, 256<<10)
-	if s.Stats().PageFaults == 0 {
-		t.Fatalf("no page faults despite 4x overcommit (cost %v)", c1)
-	}
-	// A roomy system touching the same pattern pays no faults.
-	s2 := memsim.New(vtime.Default(), 8<<10, 1<<30)
-	tlb2 := memsim.NewTLB(2)
-	b, _, _ := s2.Alloc(256 << 10)
-	s2.Touch(tlb2, b, 256<<10)
-	if s2.Stats().PageFaults != 0 {
-		t.Errorf("page faults on an in-memory footprint: %d", s2.Stats().PageFaults)
 	}
 }
 

@@ -17,12 +17,8 @@ type tlbNode struct {
 // DefaultTLBEntries is the modeled TLB capacity.
 const DefaultTLBEntries = 64
 
-// NewTLB creates a TLB with the given number of entries (0 selects the
-// default capacity).
+// NewTLB creates a TLB with the given number of entries.
 func NewTLB(entries int) *TLB {
-	if entries <= 0 {
-		entries = DefaultTLBEntries
-	}
 	return &TLB{cap: entries, nodes: make(map[int64]*tlbNode, entries)}
 }
 
@@ -46,13 +42,6 @@ func (t *TLB) Access(page int64) bool {
 
 // Len returns the number of resident entries.
 func (t *TLB) Len() int { return len(t.nodes) }
-
-// Flush empties the TLB (used when a processor switches threads in
-// flush-on-switch experiments; the default model retains entries).
-func (t *TLB) Flush() {
-	t.nodes = make(map[int64]*tlbNode, t.cap)
-	t.head, t.tail = nil, nil
-}
 
 func (t *TLB) pushFront(n *tlbNode) {
 	n.prev = nil

@@ -143,12 +143,6 @@ func (b *Backend) Charge(pt exec.Thread, cycles int64) {
 	t.work += d
 	t.span += d
 	b.workers[t.pid].stats.Work += d
-	if b.timeSlice > 0 {
-		t.sinceDispatch += d
-		if t.sinceDispatch >= b.timeSlice {
-			b.preemptNow(t)
-		}
-	}
 }
 
 // Malloc allocates n accounted bytes, applying the policy's quota
@@ -189,8 +183,8 @@ func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
 	b.tracer.record(t.pid, t.ID(), trace.KindFree, a.Size)
 }
 
-// Touch validates the access range; the native backend has no TLB or
-// paging model to charge.
+// Touch validates the access range; the native backend has no TLB
+// model to charge.
 func (b *Backend) Touch(pt exec.Thread, a core.Alloc, off, n int64) {
 	if n <= 0 {
 		return

@@ -102,7 +102,6 @@ type Backend struct {
 	procs        int
 	policy       core.Policy
 	quota        int64
-	timeSlice    vtime.Duration
 	defaultStack int64
 
 	// mu is the scheduler lock: it guards the policy structure, the
@@ -199,7 +198,6 @@ func New(cfg Config) (*Backend, error) {
 		procs:        procs,
 		policy:       cfg.Policy,
 		quota:        cfg.Policy.Quota(),
-		timeSlice:    cfg.Policy.TimeSlice(),
 		defaultStack: stack,
 		registry:     reg,
 		liveGauge:    reg.Gauge("threads.live"),
@@ -492,7 +490,6 @@ func (b *Backend) markRunning(t *thread, pid int) {
 	t.launch = !t.started
 	t.started = true
 	t.quotaLeft = b.quota
-	t.sinceDispatch = 0
 	b.addRunning(1)
 	b.workers[pid].stats.Dispatches++
 	b.workers[pid].dispatches.Inc()
@@ -558,7 +555,7 @@ func (b *Backend) readyThread(t *thread, pid int) {
 }
 
 // preemptNow returns the calling thread to the ready structure and
-// passes its processor on (quota exhaustion, yield, time slice). With
+// passes its processor on (quota exhaustion or yield). With
 // nothing else ready t picks itself: a post into its own mailbox.
 func (b *Backend) preemptNow(t *thread) {
 	pid := t.pid

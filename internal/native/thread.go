@@ -81,10 +81,9 @@ type thread struct {
 	postAt     int64
 
 	// Accounting written only in thread context while running.
-	quotaLeft     int64
-	work          vtime.Duration
-	span          vtime.Duration
-	sinceDispatch vtime.Duration
+	quotaLeft int64
+	work      vtime.Duration
+	span      vtime.Duration
 
 	// Join protocol, guarded by b.mu.
 	done       bool

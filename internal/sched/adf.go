@@ -3,7 +3,6 @@ package sched
 import (
 	"spthreads/internal/core"
 	"spthreads/internal/metrics"
-	"spthreads/internal/vtime"
 )
 
 // adfPolicy is the paper's space-efficient scheduler, a variation of the
@@ -99,8 +98,6 @@ func newADF(quotaK int64, disableDummies bool) *adfPolicy {
 func (p *adfPolicy) Name() string { return p.name }
 func (p *adfPolicy) Global() bool { return true }
 func (p *adfPolicy) Quota() int64 { return p.quota }
-
-func (p *adfPolicy) TimeSlice() vtime.Duration { return 0 }
 
 func (p *adfPolicy) AllocDummies(m int64) int {
 	if !p.dummies || p.quota <= 0 || m <= p.quota {

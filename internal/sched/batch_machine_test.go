@@ -1,11 +1,10 @@
 package sched_test
 
 // Machine-level tests for the batched two-level Q_in/R/Q_out scheduler
-// (core.Config.SchedMode): the batched treap policy must agree with the
+// (core.Config.SchedBatch): the batched treap policy must agree with the
 // linked-list reference oracle on the full dispatch sequence under
 // fuzzed fork/join/alloc programs, batch=1 must be bit-identical to the
-// direct path, the dedicated mode must never touch the scheduler lock,
-// and batched runs must stay deterministic.
+// direct path, and batched runs must stay deterministic.
 
 import (
 	"bytes"
@@ -80,7 +79,7 @@ type batchRun struct {
 	reg   *metrics.Registry
 }
 
-func runBatched(t *testing.T, pol core.Policy, procs int, mode core.SchedMode, batch int, seed int64) batchRun {
+func runBatched(t *testing.T, pol core.Policy, procs, batch int, seed int64) batchRun {
 	t.Helper()
 	rec := trace.NewRecorder(1 << 20)
 	reg := metrics.NewRegistry()
@@ -88,7 +87,6 @@ func runBatched(t *testing.T, pol core.Policy, procs int, mode core.SchedMode, b
 		Procs:        procs,
 		Policy:       pol,
 		DefaultStack: core.SmallStackSize,
-		SchedMode:    mode,
 		SchedBatch:   batch,
 		Tracer:       rec,
 		Metrics:      reg,
@@ -98,7 +96,7 @@ func runBatched(t *testing.T, pol core.Policy, procs int, mode core.SchedMode, b
 	}
 	st, err := m.Execute(fuzzedWorkload(m, seed))
 	if err != nil {
-		t.Fatalf("%s/p%d/%s/b%d: %v", pol.Name(), procs, mode, batch, err)
+		t.Fatalf("%s/p%d/b%d: %v", pol.Name(), procs, batch, err)
 	}
 	return batchRun{stats: st, rec: rec, reg: reg}
 }
@@ -118,28 +116,26 @@ func dispatchSeq(rec *trace.Recorder) []int64 {
 // batched treap policy and the batched linked-list oracle produce the
 // identical dispatch sequence (same scheduled-thread set, leftmost order
 // preserved, no violations) and identical virtual results, across batch
-// sizes and both batched modes.
+// sizes.
 func TestBatchedADFMatchesReferenceMachine(t *testing.T) {
 	const quota = 16 << 10
-	for _, mode := range []core.SchedMode{core.SchedVolunteer, core.SchedDedicated} {
-		for _, batch := range []int{2, 8, 64} {
-			for seed := int64(1); seed <= 4; seed++ {
-				idx := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
-					4, mode, batch, seed)
-				ref := runBatched(t, sched.NewADFReference(quota, false),
-					4, mode, batch, seed)
-				if a, b := dispatchSeq(idx.rec), dispatchSeq(ref.rec); !equalSeq(a, b) {
-					t.Fatalf("%s/b%d/seed%d: dispatch sequences diverge (len %d vs %d)",
-						mode, batch, seed, len(a), len(b))
-				}
-				if idx.stats.Time != ref.stats.Time || idx.stats.HeapHWM != ref.stats.HeapHWM ||
-					idx.stats.PeakLive != ref.stats.PeakLive ||
-					idx.stats.DummyThreads != ref.stats.DummyThreads ||
-					idx.stats.ThreadsCreated != ref.stats.ThreadsCreated {
-					t.Fatalf("%s/b%d/seed%d: indexed and reference ADF diverge: time=%v/%v heap=%d/%d",
-						mode, batch, seed, idx.stats.Time, ref.stats.Time,
-						idx.stats.HeapHWM, ref.stats.HeapHWM)
-				}
+	for _, batch := range []int{2, 8, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			idx := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
+				4, batch, seed)
+			ref := runBatched(t, sched.NewADFReference(quota, false),
+				4, batch, seed)
+			if a, b := dispatchSeq(idx.rec), dispatchSeq(ref.rec); !equalSeq(a, b) {
+				t.Fatalf("b%d/seed%d: dispatch sequences diverge (len %d vs %d)",
+					batch, seed, len(a), len(b))
+			}
+			if idx.stats.Time != ref.stats.Time || idx.stats.HeapHWM != ref.stats.HeapHWM ||
+				idx.stats.PeakLive != ref.stats.PeakLive ||
+				idx.stats.DummyThreads != ref.stats.DummyThreads ||
+				idx.stats.ThreadsCreated != ref.stats.ThreadsCreated {
+				t.Fatalf("b%d/seed%d: indexed and reference ADF diverge: time=%v/%v heap=%d/%d",
+					batch, seed, idx.stats.Time, ref.stats.Time,
+					idx.stats.HeapHWM, ref.stats.HeapHWM)
 			}
 		}
 	}
@@ -157,14 +153,14 @@ func equalSeq(a, b []int64) bool {
 	return true
 }
 
-// TestBatchOneIdenticalToDirect: SchedVolunteer with SchedBatch=1 is the
-// direct scheduler exactly — same stats and byte-identical trace.
+// TestBatchOneIdenticalToDirect: SchedBatch=1 is the direct scheduler
+// (SchedBatch=0) exactly — same stats and byte-identical trace.
 func TestBatchOneIdenticalToDirect(t *testing.T) {
 	const quota = 16 << 10
 	direct := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
-		4, core.SchedDirect, 0, 7)
+		4, 0, 7)
 	b1 := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
-		4, core.SchedVolunteer, 1, 7)
+		4, 1, 7)
 	if direct.stats.Time != b1.stats.Time || direct.stats.HeapHWM != b1.stats.HeapHWM {
 		t.Fatalf("batch=1 diverged from direct: time=%v/%v heap=%d/%d",
 			direct.stats.Time, b1.stats.Time, direct.stats.HeapHWM, b1.stats.HeapHWM)
@@ -187,7 +183,7 @@ func TestBatchedDeterminism(t *testing.T) {
 	const quota = 16 << 10
 	mk := func() batchRun {
 		return runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
-			8, core.SchedVolunteer, 16, 11)
+			8, 16, 11)
 	}
 	a, b := mk(), mk()
 	if a.stats.Time != b.stats.Time {
@@ -205,35 +201,18 @@ func TestBatchedDeterminism(t *testing.T) {
 	}
 }
 
-// TestDedicatedModeNeverTakesLock: under SchedDedicated the workers hand
-// refills to the scheduler processor, so the scheduler-lock wait
-// histogram records nothing, while the run still completes and performs
-// batch passes.
-func TestDedicatedModeNeverTakesLock(t *testing.T) {
-	const quota = 16 << 10
-	r := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
-		8, core.SchedDedicated, 8, 3)
-	snap := r.reg.Snapshot()
-	if h, ok := snap.Histograms["sched.lock.wait"]; ok && h.Count > 0 {
-		t.Errorf("dedicated mode recorded %d scheduler-lock waits", h.Count)
-	}
-	if c, ok := snap.Counters["sched.batch.passes"]; !ok || c == 0 {
-		t.Error("dedicated mode performed no batch passes")
-	}
-}
-
 // TestVolunteerReducesLockWait: the point of the tentpole — at p=16 the
 // batched volunteer scheduler accumulates far less scheduler-lock wait
 // than the direct per-operation scheduler on the same program.
 func TestVolunteerReducesLockWait(t *testing.T) {
 	const quota = 16 << 10
-	lockWait := func(mode core.SchedMode, batch int) int64 {
+	lockWait := func(batch int) int64 {
 		r := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
-			16, mode, batch, 5)
+			16, batch, 5)
 		return r.reg.Snapshot().Histograms["sched.lock.wait"].Sum
 	}
-	direct := lockWait(core.SchedDirect, 0)
-	batched := lockWait(core.SchedVolunteer, 16)
+	direct := lockWait(0)
+	batched := lockWait(16)
 	if direct == 0 {
 		t.Skip("direct run saw no contention at this scale")
 	}

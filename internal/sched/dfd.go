@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"spthreads/internal/core"
-
-	"spthreads/internal/vtime"
-)
+import "spthreads/internal/core"
 
 // dfdPolicy is a simplified DFDeques scheduler — the direction the paper
 // names as future work (Sections 5.3 and 6): combine the space-efficient
@@ -58,8 +54,6 @@ func newDFD(procs int, quotaK int64, disableDummies bool) *dfdPolicy {
 func (p *dfdPolicy) Name() string { return "dfd" }
 func (p *dfdPolicy) Global() bool { return false }
 func (p *dfdPolicy) Quota() int64 { return p.quota }
-
-func (p *dfdPolicy) TimeSlice() vtime.Duration { return 0 }
 
 func (p *dfdPolicy) AllocDummies(m int64) int {
 	if !p.dummies || p.quota <= 0 || m <= p.quota {

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"spthreads/internal/core"
-	"spthreads/internal/vtime"
-)
+import "spthreads/internal/core"
 
 // threadQueue is a slice-backed FIFO/LIFO container for one priority
 // level. The head index amortizes dequeues without shifting.
@@ -85,8 +82,6 @@ func (p *fifoPolicy) Name() string { return "fifo" }
 func (p *fifoPolicy) Global() bool { return true }
 func (p *fifoPolicy) Quota() int64 { return 0 }
 
-func (p *fifoPolicy) TimeSlice() vtime.Duration { return 0 }
-
 func (p *fifoPolicy) AllocDummies(int64) int { return 0 }
 
 func (p *fifoPolicy) OnCreate(parent, child *core.Thread) bool {
@@ -108,8 +103,6 @@ func newLIFO() *lifoPolicy { return &lifoPolicy{} }
 func (p *lifoPolicy) Name() string { return "lifo" }
 func (p *lifoPolicy) Global() bool { return true }
 func (p *lifoPolicy) Quota() int64 { return 0 }
-
-func (p *lifoPolicy) TimeSlice() vtime.Duration { return 0 }
 
 func (p *lifoPolicy) AllocDummies(int64) int { return 0 }
 

@@ -13,7 +13,6 @@ import (
 
 	"spthreads/internal/core"
 	"spthreads/internal/metrics"
-	"spthreads/internal/vtime"
 )
 
 // Kind selects a policy by name.
@@ -26,7 +25,6 @@ const (
 	ADF  Kind = "adf"  // space-efficient scheduler (paper §4 item 2), DePa-labeled dispatch
 	WS   Kind = "ws"   // Cilk-style work stealing (related-work baseline)
 	DFD  Kind = "dfd"  // simplified DFDeques: space efficiency + locality (paper §6 future work)
-	RR   Kind = "rr"   // POSIX SCHED_RR: prioritized FIFO with time slicing (paper §2.1)
 
 	// ADFShard is the ADF policy over per-processor ready shards with
 	// bounded-deviation work stealing: each processor dispatches from its
@@ -47,10 +45,6 @@ type Options struct {
 	DisableDummies bool
 	// Procs is the processor count (required by WS for its deques).
 	Procs int
-	// Seed drives WS victim selection (default 1).
-	Seed int64
-	// TimeSlice is RR's round-robin quantum (default 10 virtual ms).
-	TimeSlice vtime.Duration
 	// StealWindow is ADFShard's deviation bound K: a steal is accepted
 	// only if at most K ready threads precede the stolen thread in the
 	// serial depth-first order. <= 0 selects the default, Procs.
@@ -100,11 +94,7 @@ func New(kind Kind, opt Options) (core.Policy, error) {
 		if opt.Procs <= 0 {
 			opt.Procs = 1
 		}
-		seed := opt.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		p := newWS(opt.Procs, seed)
+		p := newWS(opt.Procs)
 		if opt.Metrics != nil {
 			p.attachMetrics(opt.Metrics)
 		}
@@ -118,8 +108,6 @@ func New(kind Kind, opt Options) (core.Policy, error) {
 			k = DefaultMemQuota
 		}
 		return newDFD(opt.Procs, k, opt.DisableDummies), nil
-	case RR:
-		return newRR(opt.TimeSlice), nil
 	default:
 		return nil, fmt.Errorf("sched: unknown policy %q", kind)
 	}
@@ -135,4 +123,4 @@ func MustNew(kind Kind, opt Options) core.Policy {
 }
 
 // Kinds lists every policy kind.
-func Kinds() []Kind { return []Kind{FIFO, LIFO, ADF, ADFShard, WS, DFD, RR} }
+func Kinds() []Kind { return []Kind{FIFO, LIFO, ADF, ADFShard, WS, DFD} }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spthreads/internal/sched"
+	"spthreads/internal/vtime"
 	"spthreads/pthread"
 )
 
@@ -117,8 +118,8 @@ func TestNewUnknownPolicy(t *testing.T) {
 
 func TestKinds(t *testing.T) {
 	kinds := sched.Kinds()
-	if len(kinds) != 7 {
-		t.Fatalf("Kinds() = %v, want 7 entries", kinds)
+	if len(kinds) != 6 {
+		t.Fatalf("Kinds() = %v, want 6 entries", kinds)
 	}
 	for _, k := range kinds {
 		p, err := sched.New(k, sched.Options{Procs: 2})
@@ -154,47 +155,29 @@ func TestADFQuota(t *testing.T) {
 	}
 }
 
-// TestRRTimeSlicing: under SCHED_RR, two CPU-bound equal-priority
-// threads on one processor interleave at the time slice; under plain
-// FIFO the first runs to completion.
-func TestRRTimeSlicing(t *testing.T) {
-	prog := func(order *[]int) func(*pthread.T) {
-		return func(tt *pthread.T) {
-			spin := func(id int) func(*pthread.T) {
-				return func(ct *pthread.T) {
-					for i := 0; i < 4; i++ {
-						// Each burst is one RR slice long.
-						ct.Charge(int64(sched.DefaultTimeSlice))
-						*order = append(*order, id)
-					}
-				}
+// TestFIFORunsToCompletion: under FIFO, two CPU-bound equal-priority
+// threads on one processor do not interleave: quantum pauses keep the
+// processor, so the first runs to completion.
+func TestFIFORunsToCompletion(t *testing.T) {
+	var order []int
+	spin := func(id int) func(*pthread.T) {
+		return func(ct *pthread.T) {
+			for i := 0; i < 4; i++ {
+				// Each burst spans many quanta.
+				ct.Charge(int64(vtime.Micro(10_000)))
+				order = append(order, id)
 			}
-			tt.Par(spin(1), spin(2))
 		}
 	}
-
-	var rrOrder []int
-	if _, err := pthread.Run(pthread.Config{Procs: 1, Policy: pthread.PolicyRR}, prog(&rrOrder)); err != nil {
-		t.Fatal(err)
-	}
-	switches := 0
-	for i := 1; i < len(rrOrder); i++ {
-		if rrOrder[i] != rrOrder[i-1] {
-			switches++
-		}
-	}
-	if switches < 3 {
-		t.Errorf("rr interleaving %v: only %d switches, want alternation", rrOrder, switches)
-	}
-
-	var fifoOrder []int
-	if _, err := pthread.Run(pthread.Config{Procs: 1, Policy: pthread.PolicyFIFO}, prog(&fifoOrder)); err != nil {
+	if _, err := pthread.Run(pthread.Config{Procs: 1, Policy: pthread.PolicyFIFO}, func(tt *pthread.T) {
+		tt.Par(spin(1), spin(2))
+	}); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 1, 1, 1, 2, 2, 2, 2}
-	for i, v := range fifoOrder {
+	for i, v := range order {
 		if v != want[i] {
-			t.Fatalf("fifo ran %v, want run-to-completion %v", fifoOrder, want)
+			t.Fatalf("fifo ran %v, want run-to-completion %v", order, want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"spthreads/internal/core"
 	"spthreads/internal/metrics"
-	"spthreads/internal/vtime"
 )
 
 // shardPolicy is the ADF scheduler over per-processor ready shards with
@@ -129,8 +128,6 @@ func (p *shardPolicy) Name() string { return p.name }
 func (p *shardPolicy) Global() bool { return p.strict }
 
 func (p *shardPolicy) Quota() int64 { return p.quota }
-
-func (p *shardPolicy) TimeSlice() vtime.Duration { return 0 }
 
 func (p *shardPolicy) AllocDummies(m int64) int {
 	if !p.dummies || p.quota <= 0 || m <= p.quota {

@@ -126,9 +126,6 @@ type CostModel struct {
 	// TLBMiss is charged when a touched page misses the per-processor
 	// TLB model.
 	TLBMiss Duration
-	// PageFault is charged per page when the resident set exceeds
-	// physical memory (soft paging model).
-	PageFault Duration
 	// HeapLockWindow is the contention window of the allocator lock
 	// (operation cost MallocBase).
 	HeapLockWindow Duration
@@ -166,7 +163,6 @@ func Default() *CostModel {
 		PageMap:              Micro(2.5),
 		PageFirstTouch:       Micro(40), // zero-fill one 8 KB page
 		TLBMiss:              Duration(50),
-		PageFault:            Micro(1200),
 		HeapLockWindow:       Micro(100),
 		// Kernel address-space operations serialize over a wide window;
 		// previously hardcoded in the machine, now sweepable.

@@ -50,7 +50,16 @@ func TestDefaultCostsPositive(t *testing.T) {
 		"PageMap":        cm.PageMap,
 		"PageFirstTouch": cm.PageFirstTouch,
 		"TLBMiss":        cm.TLBMiss,
-		"PageFault":      cm.PageFault,
+		// The machine uses these directly, with no zero fallback.
+		"SchedLocalOp":         cm.SchedLocalOp,
+		"SchedBatchMove":       cm.SchedBatchMove,
+		"SchedLockWindow":      cm.SchedLockWindow,
+		"SchedShardLockOp":     cm.SchedShardLockOp,
+		"SchedShardLockWindow": cm.SchedShardLockWindow,
+		"SchedStealProbe":      cm.SchedStealProbe,
+		"HeapLockWindow":       cm.HeapLockWindow,
+		"KernelLockOp":         cm.KernelLockOp,
+		"KernelLockWindow":     cm.KernelLockWindow,
 	} {
 		if d <= 0 {
 			t.Errorf("%s = %d, want > 0", name, d)

@@ -26,10 +26,6 @@ func TestRejectNegativeProcs(t *testing.T) {
 	mustReject(t, pthread.Config{Procs: -1}, "negative Procs")
 }
 
-func TestRejectUnknownSchedMode(t *testing.T) {
-	mustReject(t, pthread.Config{SchedMode: "hierarchical"}, `unknown SchedMode "hierarchical"`)
-}
-
 func TestRejectUnknownPolicy(t *testing.T) {
 	mustReject(t, pthread.Config{Policy: "fair-share"}, "fair-share")
 }
@@ -39,32 +35,34 @@ func TestRejectUnknownBackend(t *testing.T) {
 }
 
 func TestRejectBatchedModeWithoutBatchNexter(t *testing.T) {
-	for _, mode := range []pthread.SchedMode{pthread.SchedVolunteer, pthread.SchedDedicated} {
-		mustReject(t, pthread.Config{Policy: pthread.PolicyFIFO, SchedMode: mode},
-			"batch-capable policy")
-	}
+	mustReject(t, pthread.Config{Policy: pthread.PolicyFIFO, SchedBatch: 8},
+		"batch-capable policy")
 }
 
 func TestRejectNativeBatchedMode(t *testing.T) {
-	// The batched Q_in/Q_out disciplines are simulated only; on native
+	// The batched Q_in/Q_out scheduler is simulated only; on native
 	// the sharded store is what splits the scheduler lock.
-	for _, mode := range []pthread.SchedMode{pthread.SchedVolunteer, pthread.SchedDedicated} {
-		mustReject(t, pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyADF, SchedMode: mode},
-			"sim-only")
-	}
+	mustReject(t, pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyADF, SchedBatch: 8},
+		"sim-only")
+}
+
+func TestRejectNativeMaxSteps(t *testing.T) {
+	// The step bound counts simulated dispatches; a native run would
+	// otherwise ignore it and run unbounded.
+	mustReject(t, pthread.Config{Backend: pthread.BackendNative, MaxSteps: 100}, "sim-only")
 }
 
 func TestBatchOfOneDegeneratesToDirect(t *testing.T) {
-	// SchedBatch = 1 is the documented escape hatch: it runs the direct
-	// scheduler, so any policy is acceptable.
-	cfg := pthread.Config{Policy: pthread.PolicyFIFO, SchedMode: pthread.SchedVolunteer, SchedBatch: 1}
+	// SchedBatch = 1 is the direct scheduler, so any policy is
+	// acceptable.
+	cfg := pthread.Config{Policy: pthread.PolicyFIFO, SchedBatch: 1}
 	if _, err := pthread.Run(cfg, func(*pthread.T) {}); err != nil {
 		t.Fatalf("SchedBatch=1 rejected: %v", err)
 	}
 }
 
 func TestRejectNegativeNumbers(t *testing.T) {
-	// No size, count or duration has a meaning below zero; on either
+	// No size or count has a meaning below zero; on either
 	// backend a negative one is an error rather than a silent "off"
 	// (MemQuota -1 would disable ADF's quota and dummy throttling).
 	for _, tc := range []struct {
@@ -74,12 +72,8 @@ func TestRejectNegativeNumbers(t *testing.T) {
 		{"Procs", pthread.Config{Procs: -1}},
 		{"MemQuota", pthread.Config{MemQuota: -1}},
 		{"DefaultStack", pthread.Config{DefaultStack: -1}},
-		{"PhysMem", pthread.Config{PhysMem: -1}},
-		{"TLBEntries", pthread.Config{TLBEntries: -1}},
-		{"TimeSlice", pthread.Config{Policy: pthread.PolicyRR, TimeSlice: -1}},
 		{"MaxSteps", pthread.Config{MaxSteps: -1}},
-		{"Quantum", pthread.Config{Quantum: -1}},
-		{"SchedBatch", pthread.Config{SchedMode: pthread.SchedVolunteer, SchedBatch: -1}},
+		{"SchedBatch", pthread.Config{SchedBatch: -1}},
 		{"StealWindow", pthread.Config{Policy: pthread.PolicyADFShard, StealWindow: -1}},
 	} {
 		for _, backend := range []pthread.Backend{pthread.BackendSim, pthread.BackendNative} {

@@ -12,7 +12,11 @@
 //   - PolicyLIFO — the paper's LIFO modification;
 //   - PolicyADF  — the paper's space-efficient scheduler with memory
 //     quotas and dummy-thread throttling (S_1 + O(p·D) space);
-//   - PolicyWS   — a Cilk-style work-stealing baseline (p·S_1 space).
+//   - PolicyADFShard — ADF over per-processor ready shards with
+//     bounded-deviation work stealing;
+//   - PolicyWS   — a Cilk-style work-stealing baseline (p·S_1 space);
+//   - PolicyDFD  — a simplified DFDeques scheduler, the paper's
+//     future-work direction combining space efficiency with locality.
 //
 // A minimal program:
 //
@@ -45,7 +49,6 @@ import (
 	"spthreads/internal/native"
 	"spthreads/internal/sched"
 	"spthreads/internal/trace"
-	"spthreads/internal/vtime"
 )
 
 // Policy names a scheduling policy.
@@ -69,9 +72,6 @@ const (
 	// (threads close in the computation graph run on the same
 	// processor).
 	PolicyDFD = sched.DFD
-	// PolicyRR is POSIX SCHED_RR: a prioritized FIFO queue with
-	// involuntary time slicing.
-	PolicyRR = sched.RR
 )
 
 // Backend names an execution backend.
@@ -84,9 +84,8 @@ const (
 	BackendSim Backend = "sim"
 	// BackendNative runs lightweight threads as real goroutines on
 	// worker goroutines, with wall-clock timing. Runs are not
-	// deterministic; Tracer is supported (wall-ns timestamps via
-	// per-worker event rings), the DAG recorder is not — analyze the
-	// recorded trace with ptanalyze instead.
+	// deterministic; Tracer records wall-ns timestamps via per-worker
+	// event rings, for pttrace and ptanalyze.
 	BackendNative Backend = "native"
 )
 
@@ -105,23 +104,6 @@ const (
 // quota K.
 const DefaultMemQuota = sched.DefaultMemQuota
 
-// SchedMode selects the scheduler-lock discipline (see Config.SchedMode).
-type SchedMode = core.SchedMode
-
-// Scheduler-lock disciplines for global-queue policies.
-const (
-	// SchedDirect takes the global scheduler lock on every ready-queue
-	// operation (the paper's original scheduler; the default).
-	SchedDirect = core.SchedDirect
-	// SchedVolunteer enables the paper's two-level Q_in/R/Q_out batching
-	// with workers volunteering to run the scheduler pass on Q_out
-	// underflow.
-	SchedVolunteer = core.SchedVolunteer
-	// SchedDedicated runs the batched scheduler pass on a dedicated
-	// virtual scheduler processor; workers never touch the global lock.
-	SchedDedicated = core.SchedDedicated
-)
-
 // Attr carries thread-creation attributes (stack size, priority,
 // detached state, name), mirroring pthread_attr_t.
 type Attr = core.Attr
@@ -132,8 +114,7 @@ type Alloc = core.Alloc
 // Stats summarizes a completed run; see core.Stats for the fields.
 type Stats = core.Stats
 
-// Config describes one run. Run rejects a negative size, count or
-// duration.
+// Config describes one run. Run rejects a negative size or count.
 type Config struct {
 	// Procs is the number of virtual processors (default 1; under
 	// BackendNative the number of worker goroutines, default
@@ -150,34 +131,14 @@ type Config struct {
 	// DefaultStack is the default thread stack size (default 1 MB, the
 	// Solaris library value; the paper recommends SmallStackSize).
 	DefaultStack int64
-	// PhysMem is simulated physical memory in bytes (default 2 GB).
-	PhysMem int64
-	// TLBEntries sizes the per-processor TLB model (default 64).
-	TLBEntries int
-	// Seed drives work-stealing victim selection (default 1).
-	Seed int64
-	// TimeSlice is the round-robin quantum for PolicyRR (default 10
-	// virtual milliseconds).
-	TimeSlice vtime.Duration
-	// CostModel overrides the calibrated virtual-time cost model.
-	CostModel *vtime.CostModel
-	// MaxSteps aborts runaway simulations.
+	// MaxSteps aborts runaway simulations (sim only).
 	MaxSteps int64
-	// Quantum bounds the virtual time a simulated thread runs before it
-	// stops to run the scheduler (default 250 virtual microseconds); it
-	// controls interleaving granularity, not scheduling: the thread keeps
-	// its processor, and while its clock is the minimum it runs on with
-	// no goroutine switch.
-	Quantum vtime.Duration
-	// SchedMode selects the scheduler-lock discipline for global-queue
-	// policies: SchedDirect (default, per-operation locking) or the
-	// batched SchedVolunteer / SchedDedicated two-level schemes. The
-	// batched modes require a policy with ordered batch removal
-	// (PolicyADF) and the sim backend.
-	SchedMode SchedMode
-	// SchedBatch is the per-processor Q_out capacity B for the batched
-	// modes (default 8); SchedBatch = 1 degenerates to SchedDirect
-	// exactly.
+	// SchedBatch > 1 enables the paper's two-level Q_in/R/Q_out
+	// scheduler batching, with workers volunteering to run the scheduler
+	// pass, and is the per-processor Q_out capacity B. 0 or 1 (the
+	// default) takes the global scheduler lock on every ready-queue
+	// operation, the paper's original scheduler. Batching requires a
+	// policy with ordered batch removal (PolicyADF) and the sim backend.
 	SchedBatch int
 	// StealWindow is the sharded scheduler's deviation bound K: a worker
 	// out of local work may steal a thread only if at most K ready
@@ -209,7 +170,7 @@ func Policies() []Policy { return sched.Kinds() }
 // configuration. Every Run goes through here, so there is exactly one
 // place where pthread.Config fields translate to runtime settings.
 func newBackend(cfg Config) (exec.Backend, error) {
-	// A negative size, count or duration would pass silently as
+	// A negative size or count would pass silently as
 	// "off" or "default" further down (MemQuota -1 disables quota
 	// preemption and dummy throttling), so every one is an error.
 	for _, f := range []struct {
@@ -219,11 +180,7 @@ func newBackend(cfg Config) (exec.Backend, error) {
 		{"Procs", int64(cfg.Procs)},
 		{"MemQuota", cfg.MemQuota},
 		{"DefaultStack", cfg.DefaultStack},
-		{"PhysMem", cfg.PhysMem},
-		{"TLBEntries", int64(cfg.TLBEntries)},
-		{"TimeSlice", int64(cfg.TimeSlice)},
 		{"MaxSteps", cfg.MaxSteps},
-		{"Quantum", int64(cfg.Quantum)},
 		{"SchedBatch", int64(cfg.SchedBatch)},
 		{"StealWindow", int64(cfg.StealWindow)},
 	} {
@@ -231,19 +188,13 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			return nil, fmt.Errorf("pthread: negative %s (%d)", f.name, f.value)
 		}
 	}
-	switch cfg.SchedMode {
-	case "":
-		cfg.SchedMode = core.SchedDirect
-	case core.SchedDirect, core.SchedVolunteer, core.SchedDedicated:
-	default:
-		return nil, fmt.Errorf("pthread: unknown SchedMode %q", string(cfg.SchedMode))
-	}
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyADF
 	}
+	batched := cfg.SchedBatch > 1
 	if cfg.Policy == PolicyADFShard {
-		if cfg.SchedMode != core.SchedDirect {
-			return nil, fmt.Errorf("pthread: Policy adf-shard and SchedMode %q are mutually exclusive: sharding removes the global scheduler lock the batched modes amortize", string(cfg.SchedMode))
+		if batched {
+			return nil, fmt.Errorf("pthread: Policy adf-shard and SchedBatch %d are mutually exclusive: sharding removes the global scheduler lock batching amortizes", cfg.SchedBatch)
 		}
 	} else if cfg.StealWindow != 0 {
 		return nil, fmt.Errorf("pthread: StealWindow requires the sharded scheduler (Policy adf-shard; have policy %q)", cfg.Policy)
@@ -262,21 +213,17 @@ func newBackend(cfg Config) (exec.Backend, error) {
 		MemQuota:       cfg.MemQuota,
 		DisableDummies: cfg.DisableDummies,
 		Procs:          procs,
-		Seed:           cfg.Seed,
-		TimeSlice:      cfg.TimeSlice,
 		StealWindow:    cfg.StealWindow,
 		Metrics:        cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.SchedMode != core.SchedDirect && cfg.SchedBatch != 1 {
-		// A batched scheduler-lock discipline needs ordered batch removal
-		// from the ready structure; SchedBatch = 1 is the documented
-		// degenerate-to-direct escape hatch.
+	if batched {
+		// Batching needs ordered batch removal from the ready structure.
 		if _, ok := pol.(core.BatchNexter); !ok {
-			return nil, fmt.Errorf("pthread: SchedMode %q requires a batch-capable policy (have %q; only adf supports batch removal)",
-				string(cfg.SchedMode), cfg.Policy)
+			return nil, fmt.Errorf("pthread: SchedBatch %d requires a batch-capable policy (have %q; only adf supports batch removal)",
+				cfg.SchedBatch, cfg.Policy)
 		}
 	}
 	switch cfg.Backend {
@@ -284,20 +231,18 @@ func newBackend(cfg Config) (exec.Backend, error) {
 		return exec.NewSim(core.Config{
 			Procs:        procs,
 			Policy:       pol,
-			CostModel:    cfg.CostModel,
 			DefaultStack: cfg.DefaultStack,
-			PhysMem:      cfg.PhysMem,
-			TLBEntries:   cfg.TLBEntries,
 			MaxSteps:     cfg.MaxSteps,
-			Quantum:      cfg.Quantum,
-			SchedMode:    cfg.SchedMode,
 			SchedBatch:   cfg.SchedBatch,
 			Tracer:       cfg.Tracer,
 			Metrics:      cfg.Metrics,
 		})
 	case BackendNative:
-		if cfg.SchedMode != core.SchedDirect {
-			return nil, fmt.Errorf("pthread: SchedMode %q is sim-only: the native backend splits its scheduler lock with Policy adf-shard", string(cfg.SchedMode))
+		if batched {
+			return nil, fmt.Errorf("pthread: SchedBatch %d is sim-only: the native backend splits its scheduler lock with Policy adf-shard", cfg.SchedBatch)
+		}
+		if cfg.MaxSteps != 0 {
+			return nil, fmt.Errorf("pthread: MaxSteps %d is sim-only: a native run has no dispatch-step bound", cfg.MaxSteps)
 		}
 		return native.New(native.Config{
 			Procs:        procs,

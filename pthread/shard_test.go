@@ -148,7 +148,7 @@ func TestRejectNegativeStealWindow(t *testing.T) {
 }
 
 func TestRejectShardWithBatchedMode(t *testing.T) {
-	mustReject(t, pthread.Config{Policy: pthread.PolicyADFShard, SchedMode: pthread.SchedVolunteer},
+	mustReject(t, pthread.Config{Policy: pthread.PolicyADFShard, SchedBatch: 8},
 		"mutually exclusive")
 }
 

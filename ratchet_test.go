@@ -16,8 +16,8 @@ import (
 // deletes code lowers them, and one that must raise a ceiling says why
 // in CHANGES.md.
 const (
-	maxNonTestLines = 17090
-	maxConfigFields = 18
+	maxNonTestLines = 16753
+	maxConfigFields = 11
 )
 
 // TestCodeRatchet counts the module's non-test Go lines outside
