@@ -133,12 +133,11 @@ func TestMachineFaultPanicsExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sem := NewSemaphore(0)
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		_, err := m.Execute(func(root *Thread) {
 			for i := 0; i < 3; i++ {
-				m.Fork(root, Attr{}, Func(func(c *Thread) { m.SemWait(c, sem) }))
+				m.Fork(root, Attr{}, Func(func(c *Thread) { m.Park(c) }))
 			}
 		})
 		t.Errorf("Execute returned (err = %v), want a panic", err)

@@ -366,13 +366,13 @@ func (m *Machine) handoff(next *Thread) {
 	}
 }
 
-// sleeper is a thread parked until a virtual deadline. tok, when
-// non-nil, arbitrates a timed condition wait: if a signal consumed it
-// first, the sleeper entry is a no-op.
+// sleeper is a thread parked until a virtual deadline. claim, when
+// non-nil, arbitrates a timed condition wait: if it reports false a
+// signal woke the thread first, and the sleeper entry is a no-op.
 type sleeper struct {
-	at  vtime.Time
-	t   *Thread
-	tok *wakeToken
+	at    vtime.Time
+	t     *Thread
+	claim func() bool
 }
 
 // wakeDueSleepers readies every sleeper whose deadline is at or before
@@ -414,12 +414,8 @@ func (m *Machine) wakeEarliestSleeper() bool {
 
 // wakeSleeper re-enters a slept thread at its deadline timestamp.
 func (m *Machine) wakeSleeper(s sleeper) {
-	if s.tok != nil {
-		if s.tok.consumed {
-			return // a signal won the race
-		}
-		s.tok.consumed = true
-		s.tok.timedOut = true
+	if s.claim != nil && !s.claim() {
+		return // a signal won the race
 	}
 	s.t.state = StateReady
 	m.policy.OnReady(s.t, -1)

@@ -1,8 +1,10 @@
 // Package exec defines the execution-backend abstraction behind the
 // pthread API. A Backend supplies the thread-facing operations that
 // pthread.T needs — create/join, virtual-time or wall-clock charging,
-// quota-disciplined allocation, and the blocking synchronization
-// objects — so the same program runs unchanged on either substrate:
+// quota-disciplined allocation — and the block / wake primitives on
+// which the synchronization objects of sync.go (mutex, condition
+// variable, rwlock, spin lock, semaphore, barrier, once) are written
+// once for both substrates:
 //
 //   - sim: the deterministic discrete-event simulated multiprocessor
 //     (internal/core). One thread goroutine runs at a time, virtual
@@ -13,9 +15,9 @@
 //     internal/sched policies behind a real scheduler lock, timed by
 //     the wall clock.
 //
-// The interfaces mirror the shape of the core.Machine entry points so
-// the sim backend is a thin, zero-cost adapter: it must stay
-// byte-for-byte identical to calling the machine directly.
+// The sim adapter forwards each method to the core.Machine entry point
+// it mirrors, so a run through it stays byte-for-byte identical to one
+// driving the machine directly.
 package exec
 
 import (
@@ -74,15 +76,39 @@ type Backend interface {
 	// Now returns the current time on the calling thread's processor.
 	Now(t Thread) vtime.Time
 
-	// Synchronization-object constructors. Objects are backend-owned and
-	// must only be used with threads of the same backend.
-	NewMutex() Mutex
-	NewCond() Cond
-	NewRWMutex() RWMutex
-	NewSpinLock() SpinLock
-	NewSemaphore(n int64) Semaphore
-	NewBarrier(n int) Barrier
-	NewOnce() Once
+	// Primitives the synchronization objects of sync.go are written
+	// against, in the blocking order set out at the top of that file.
+
+	// SyncOp panics unless t is running (op names the caller), then
+	// charges t the cost c of a synchronization step. Native charges
+	// nothing.
+	SyncOp(t Thread, op string, c core.SyncCost)
+	// Pause gives the processor up if t has run a full quantum (sim).
+	Pause(t Thread)
+	// BlockPrep marks t blocked before it registers as a waiter, so a
+	// waker's ready can never precede it.
+	BlockPrep(t Thread)
+	// Park gives t's processor up until a Wake readies t. A Wake that
+	// lands between BlockPrep and Park is not lost.
+	Park(t Thread)
+	// Wake readies w, blocked by BlockPrep, from by's processor.
+	Wake(by, w Thread)
+	// WakeAfter arms a timed wake of t, which is about to Park: after
+	// d, if claim reports true, t is readied. disarm, when non-nil, must
+	// be called by whoever wakes t in claim's stead.
+	WakeAfter(t Thread, d vtime.Duration, claim func() bool) (disarm func())
+	// Spin is one back-off step of a spin-lock acquisition that has
+	// failed burst+1 times.
+	Spin(t Thread, burst int)
+	// LockStamp marks the start of a blocking mutex acquisition;
+	// LockAcquired records an acquisition for sync.mutex.wait and
+	// KindLockAcquire, with the wait since stamp (NoWait: none). Cycles
+	// on the sim, wall ns on native.
+	LockStamp(t Thread) int64
+	LockAcquired(t Thread, stamp int64)
+	// JoinSpans joins the critical paths of a barrier's releaser t and
+	// the parties ws it releases: each leaves with the longest.
+	JoinSpans(t Thread, ws []Thread)
 }
 
 // Body is what a forked thread runs. Bind receives the new thread on
@@ -100,53 +126,5 @@ type Func func(Thread)
 func (f Func) Bind(Thread)  {}
 func (f Func) Run(t Thread) { f(t) }
 
-// Mutex is a blocking lock with FIFO handoff (pthread_mutex_t).
-type Mutex interface {
-	Lock(t Thread)
-	TryLock(t Thread) bool
-	Unlock(t Thread)
-}
-
-// Cond is a condition variable (pthread_cond_t).
-type Cond interface {
-	Wait(t Thread, mu Mutex)
-	// WaitTimeout reports whether the deadline passed before a signal.
-	WaitTimeout(t Thread, mu Mutex, d vtime.Duration) (timedOut bool)
-	Signal(t Thread)
-	Broadcast(t Thread)
-}
-
-// RWMutex is a writer-preferring readers-writer lock.
-type RWMutex interface {
-	RLock(t Thread)
-	RUnlock(t Thread)
-	WLock(t Thread)
-	WUnlock(t Thread)
-}
-
-// SpinLock is a busy-waiting lock.
-type SpinLock interface {
-	Acquire(t Thread)
-	Release(t Thread)
-	// Spins reports busy-wait bursts so far (a contention diagnostic).
-	Spins() int64
-}
-
-// Semaphore is a counting semaphore (sem_t).
-type Semaphore interface {
-	Wait(t Thread)
-	Post(t Thread)
-	Value() int64
-}
-
-// Barrier blocks callers until its full party arrives.
-type Barrier interface {
-	// Wait reports true to the releasing thread
-	// (PTHREAD_BARRIER_SERIAL_THREAD).
-	Wait(t Thread) bool
-}
-
-// Once runs a function exactly once across threads (pthread_once).
-type Once interface {
-	Do(t Thread, fn func())
-}
+// NoWait is LockAcquired's stamp for an acquisition that did not block.
+const NoWait int64 = -1

@@ -102,90 +102,32 @@ func (s *Sim) Prefault(t Thread, a core.Alloc)  { s.m.Prefault(sim(t), a) }
 func (s *Sim) Sleep(t Thread, d vtime.Duration) { s.m.Sleep(sim(t), d) }
 func (s *Sim) Now(t Thread) vtime.Time          { return s.m.Now(sim(t)) }
 
-// Synchronization objects: each wraps the corresponding core object and
-// dispatches through the machine with the unwrapped thread.
+// Block / wake primitives: each forwards to the machine's.
 
-type simMutex struct {
-	s  *Sim
-	mu core.Mutex
+func (s *Sim) SyncOp(t Thread, op string, c core.SyncCost) { s.m.SyncOp(sim(t), op, c) }
+func (s *Sim) Pause(t Thread)                              { s.m.Pause(sim(t)) }
+func (s *Sim) BlockPrep(Thread)                            {}
+func (s *Sim) Park(t Thread)                               { s.m.Park(sim(t)) }
+func (s *Sim) Wake(by, w Thread)                           { s.m.Wake(sim(by), sim(w)) }
+func (s *Sim) Spin(t Thread, burst int)                    { s.m.Spin(sim(t), burst) }
+func (s *Sim) LockStamp(t Thread) int64                    { return s.m.LockStamp(sim(t)) }
+func (s *Sim) LockAcquired(t Thread, stamp int64)          { s.m.LockAcquired(sim(t), stamp) }
+
+// WakeAfter implements Backend. A signal leaves the sleeper entry in
+// place for claim to void, so there is nothing to disarm.
+func (s *Sim) WakeAfter(t Thread, d vtime.Duration, claim func() bool) func() {
+	s.m.WakeAfter(sim(t), d, claim)
+	return nil
 }
 
-func (m *simMutex) Lock(t Thread)         { m.s.m.Lock(sim(t), &m.mu) }
-func (m *simMutex) TryLock(t Thread) bool { return m.s.m.TryLock(sim(t), &m.mu) }
-func (m *simMutex) Unlock(t Thread)       { m.s.m.Unlock(sim(t), &m.mu) }
-
-func (s *Sim) NewMutex() Mutex { return &simMutex{s: s} }
-
-type simCond struct {
-	s *Sim
-	c core.Cond
+// JoinSpans implements Backend: t first takes the longest span, then
+// hands it to every party.
+func (s *Sim) JoinSpans(t Thread, ws []Thread) {
+	th := sim(t)
+	for _, w := range ws {
+		th.JoinSpan(sim(w))
+	}
+	for _, w := range ws {
+		sim(w).JoinSpan(th)
+	}
 }
-
-func (c *simCond) Wait(t Thread, mu Mutex) {
-	c.s.m.Wait(sim(t), &c.c, &mu.(*simMutex).mu)
-}
-
-func (c *simCond) WaitTimeout(t Thread, mu Mutex, d vtime.Duration) bool {
-	return c.s.m.WaitTimeout(sim(t), &c.c, &mu.(*simMutex).mu, d)
-}
-
-func (c *simCond) Signal(t Thread)    { c.s.m.Signal(sim(t), &c.c) }
-func (c *simCond) Broadcast(t Thread) { c.s.m.Broadcast(sim(t), &c.c) }
-
-func (s *Sim) NewCond() Cond { return &simCond{s: s} }
-
-type simRWMutex struct {
-	s  *Sim
-	rw core.RWMutex
-}
-
-func (l *simRWMutex) RLock(t Thread)   { l.s.m.RLock(sim(t), &l.rw) }
-func (l *simRWMutex) RUnlock(t Thread) { l.s.m.RUnlock(sim(t), &l.rw) }
-func (l *simRWMutex) WLock(t Thread)   { l.s.m.WLock(sim(t), &l.rw) }
-func (l *simRWMutex) WUnlock(t Thread) { l.s.m.WUnlock(sim(t), &l.rw) }
-
-func (s *Sim) NewRWMutex() RWMutex { return &simRWMutex{s: s} }
-
-type simSpinLock struct {
-	s  *Sim
-	sl core.SpinLock
-}
-
-func (l *simSpinLock) Acquire(t Thread) { l.s.m.SpinAcquire(sim(t), &l.sl) }
-func (l *simSpinLock) Release(t Thread) { l.s.m.SpinRelease(sim(t), &l.sl) }
-func (l *simSpinLock) Spins() int64     { return l.sl.Spins() }
-
-func (s *Sim) NewSpinLock() SpinLock { return &simSpinLock{s: s} }
-
-type simSemaphore struct {
-	s   *Sim
-	sem *core.Semaphore
-}
-
-func (sm *simSemaphore) Wait(t Thread) { sm.s.m.SemWait(sim(t), sm.sem) }
-func (sm *simSemaphore) Post(t Thread) { sm.s.m.SemPost(sim(t), sm.sem) }
-func (sm *simSemaphore) Value() int64  { return sm.sem.SemValue() }
-
-func (s *Sim) NewSemaphore(n int64) Semaphore {
-	return &simSemaphore{s: s, sem: core.NewSemaphore(n)}
-}
-
-type simBarrier struct {
-	s *Sim
-	b *core.Barrier
-}
-
-func (br *simBarrier) Wait(t Thread) bool { return br.s.m.BarrierWait(sim(t), br.b) }
-
-func (s *Sim) NewBarrier(n int) Barrier {
-	return &simBarrier{s: s, b: core.NewBarrier(n)}
-}
-
-type simOnce struct {
-	s *Sim
-	o core.Once
-}
-
-func (o *simOnce) Do(t Thread, fn func()) { o.s.m.OnceDo(sim(t), &o.o, fn) }
-
-func (s *Sim) NewOnce() Once { return &simOnce{s: s} }

@@ -1,0 +1,524 @@
+package exec
+
+import (
+	"fmt"
+	"sync"
+
+	"spthreads/internal/core"
+	"spthreads/internal/vtime"
+)
+
+// The blocking synchronization objects, written once for both backends
+// against the Backend's block / wake primitives. Each is a plain struct
+// whose zero value is usable (Semaphore and Barrier take their counts
+// from Init), and every method takes the calling thread's backend.
+//
+// Each object's own host mutex guards its waiter state. On the sim only
+// one thread goroutine runs at a time, so that lock is never contended
+// and charges no virtual time. Blocking always has one shape:
+//
+//	obj.mu.Lock()
+//	  (fast path? -> unlock, return)
+//	  b.BlockPrep(t)         // native: policy OnBlock under the scheduler lock
+//	  register t as a waiter
+//	obj.mu.Unlock()
+//	b.Park(t)                // pass the processor on, wait for a Wake
+//
+// The lock order is object mutex -> scheduler lock, and wakers call
+// b.Wake after releasing the object mutex, so the two never nest in the
+// opposite direction. Registering after BlockPrep guarantees a waker's
+// ready can never precede the waiter's block in the policy.
+//
+// On the sim the SyncOp / Pause placement of each method is the charge
+// sequence the determinism goldens pin; it is irregular on purpose (a
+// Post that hands its count to a waiter does not pause, an Unlock
+// does).
+
+// popFront removes and returns the longest waiter.
+func popFront[W any](q *[]W) W {
+	w := (*q)[0]
+	copy(*q, (*q)[1:])
+	*q = (*q)[:len(*q)-1]
+	return w
+}
+
+// Mutex is a blocking lock with FIFO handoff to waiters
+// (pthread_mutex_t).
+type Mutex struct {
+	mu      sync.Mutex
+	owner   Thread
+	waiters []Thread
+}
+
+// Lock acquires m, blocking t while another thread holds it.
+func (m *Mutex) Lock(b Backend, t Thread) {
+	b.SyncOp(t, "Lock", core.CostOp)
+	// Pause before acquiring, never while holding: a quantum pause
+	// inside a critical section would convoy other threads needing m.
+	b.Pause(t)
+	m.mu.Lock()
+	if m.owner == nil {
+		m.owner = t
+		m.mu.Unlock()
+		b.LockAcquired(t, NoWait)
+		return
+	}
+	if m.owner == t {
+		m.mu.Unlock()
+		panic(fmt.Sprintf("pthread: %s locking a mutex it already holds", t.Name()))
+	}
+	stamp := b.LockStamp(t)
+	b.BlockPrep(t)
+	m.waiters = append(m.waiters, t)
+	m.mu.Unlock()
+	b.Park(t)
+	// Unlock transferred ownership to t before waking it.
+	b.LockAcquired(t, stamp)
+}
+
+// TryLock acquires m if it is free and reports whether it did.
+func (m *Mutex) TryLock(b Backend, t Thread) bool {
+	b.SyncOp(t, "TryLock", core.CostOp)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.owner != nil {
+		return false
+	}
+	m.owner = t
+	return true
+}
+
+// Unlock releases m, handing it to the longest waiter if any.
+func (m *Mutex) Unlock(b Backend, t Thread) {
+	b.SyncOp(t, "Unlock", core.CostOp)
+	m.mu.Lock()
+	if m.owner != t {
+		m.mu.Unlock()
+		panic(fmt.Sprintf("pthread: %s unlocking a mutex it does not hold", t.Name()))
+	}
+	m.owner = nil
+	if len(m.waiters) > 0 {
+		m.owner = popFront(&m.waiters)
+	}
+	w := m.owner
+	m.mu.Unlock()
+	if w != nil {
+		b.Wake(t, w)
+	}
+	b.Pause(t)
+}
+
+// holds reports whether t owns m.
+func (m *Mutex) holds(t Thread) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.owner == t
+}
+
+// Cond is a condition variable used with a Mutex (pthread_cond_t).
+type Cond struct {
+	mu      sync.Mutex
+	waiters []condWaiter
+}
+
+// condWaiter is a thread blocked in Wait, or in WaitTimeout with its
+// timer.
+type condWaiter struct {
+	t     Thread
+	timer *condTimer
+}
+
+// condTimer settles a timed wait's signal-vs-timeout race: whichever
+// of the two claims it first wakes the thread, and the other does
+// nothing. It is guarded by the Cond's mutex.
+type condTimer struct {
+	claimed  bool
+	timedOut bool
+	disarm   func()
+}
+
+// claim reports whether the caller won the race. Caller holds c.mu.
+func (tm *condTimer) claim(timeout bool) bool {
+	if tm.claimed {
+		return false
+	}
+	tm.claimed, tm.timedOut = true, timeout
+	return true
+}
+
+// claim reports whether a signal may wake w: always, unless a timed
+// wait already timed out. Caller holds c.mu.
+func (w condWaiter) claim() bool { return w.timer == nil || w.timer.claim(false) }
+
+// wake readies a claimed waiter from by's processor; its timer then no
+// longer counts as a pending wake source.
+func (w condWaiter) wake(b Backend, by Thread) {
+	b.Wake(by, w.t)
+	if w.timer != nil && w.timer.disarm != nil {
+		w.timer.disarm()
+	}
+}
+
+// Wait atomically releases mu and blocks until signalled, then
+// reacquires mu before returning.
+func (c *Cond) Wait(b Backend, t Thread, mu *Mutex) {
+	c.wait(b, t, mu, false, 0, "Cond.Wait")
+}
+
+// WaitTimeout is Wait with a deadline d from now
+// (pthread_cond_timedwait). It reports whether d passed before a
+// signal arrived; either way mu is held on return.
+func (c *Cond) WaitTimeout(b Backend, t Thread, mu *Mutex, d vtime.Duration) (timedOut bool) {
+	return c.wait(b, t, mu, true, d, "Cond.WaitTimeout")
+}
+
+func (c *Cond) wait(b Backend, t Thread, mu *Mutex, timed bool, d vtime.Duration, op string) (timedOut bool) {
+	b.SyncOp(t, op, core.CostCheck)
+	if !mu.holds(t) {
+		panic(fmt.Sprintf("pthread: %s waiting on a condition without holding the mutex", t.Name()))
+	}
+	if timed && d <= 0 {
+		// Immediate timeout: POSIX returns ETIMEDOUT without blocking.
+		return true
+	}
+	w := condWaiter{t: t}
+	c.mu.Lock()
+	b.BlockPrep(t)
+	if timed {
+		tm := &condTimer{}
+		w.timer = tm
+		tm.disarm = b.WakeAfter(t, d, func() bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return tm.claim(true)
+		})
+	}
+	c.waiters = append(c.waiters, w)
+	c.mu.Unlock()
+	mu.Unlock(b, t)
+	b.Park(t)
+	mu.Lock(b, t)
+	// A timed wait's claim settled before t was woken.
+	return timed && w.timer.timedOut
+}
+
+// Signal wakes the longest waiter whose timed wait has not already
+// timed out, if any.
+func (c *Cond) Signal(b Backend, t Thread) {
+	b.SyncOp(t, "Cond.Signal", core.CostOp)
+	c.mu.Lock()
+	for len(c.waiters) > 0 {
+		if w := popFront(&c.waiters); w.claim() {
+			c.mu.Unlock()
+			w.wake(b, t)
+			return
+		}
+	}
+	c.mu.Unlock()
+}
+
+// Broadcast wakes every waiter.
+func (c *Cond) Broadcast(b Backend, t Thread) {
+	b.SyncOp(t, "Cond.Broadcast", core.CostOp)
+	c.mu.Lock()
+	// The released list is handed off whole: a waker on another
+	// processor may register new waiters before these are all woken.
+	ws := c.waiters[:0]
+	for _, w := range c.waiters {
+		if w.claim() {
+			ws = append(ws, w)
+		}
+	}
+	c.waiters = nil
+	c.mu.Unlock()
+	for _, w := range ws {
+		w.wake(b, t)
+	}
+}
+
+// Semaphore is a counting semaphore (sem_t).
+type Semaphore struct {
+	mu      sync.Mutex
+	count   int64
+	waiters []Thread
+}
+
+// Init sets the initial count, before first use.
+func (s *Semaphore) Init(n int64) {
+	if n < 0 {
+		panic("pthread: negative semaphore count")
+	}
+	s.count = n
+}
+
+// Wait decrements the semaphore, blocking t while it is zero.
+func (s *Semaphore) Wait(b Backend, t Thread) {
+	b.SyncOp(t, "SemWait", core.CostOp)
+	s.mu.Lock()
+	if s.count > 0 {
+		s.count--
+		s.mu.Unlock()
+		b.Pause(t)
+		return
+	}
+	b.BlockPrep(t)
+	s.waiters = append(s.waiters, t)
+	s.mu.Unlock()
+	b.SyncOp(t, "SemWait", core.CostSemBlock)
+	b.Park(t)
+	// The post transferred its increment directly to t.
+}
+
+// Post increments the semaphore, or hands the increment to the longest
+// waiter if any.
+func (s *Semaphore) Post(b Backend, t Thread) {
+	b.SyncOp(t, "SemPost", core.CostOp)
+	s.mu.Lock()
+	if len(s.waiters) == 0 {
+		s.count++
+		s.mu.Unlock()
+		b.Pause(t)
+		return
+	}
+	w := popFront(&s.waiters)
+	s.mu.Unlock()
+	b.Wake(t, w)
+}
+
+// Value returns the current count (waiters imply zero).
+func (s *Semaphore) Value() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count
+}
+
+// Barrier blocks callers until its full party has arrived
+// (pthread_barrier_t).
+type Barrier struct {
+	mu      sync.Mutex
+	parties int
+	arrived []Thread
+	// spare is the previous round's list. Its releaser has finished
+	// waking from it by the time this round releases, since that
+	// releaser is one of this round's parties.
+	spare []Thread
+}
+
+// Init sets the party count, before first use.
+func (br *Barrier) Init(parties int) {
+	if parties <= 0 {
+		panic("pthread: barrier party count must be positive")
+	}
+	br.parties = parties
+}
+
+// Wait blocks t until the last party arrives; that last thread releases
+// the others and reports true (PTHREAD_BARRIER_SERIAL_THREAD).
+func (br *Barrier) Wait(b Backend, t Thread) bool {
+	b.SyncOp(t, "BarrierWait", core.CostOp)
+	br.mu.Lock()
+	if len(br.arrived)+1 == br.parties {
+		released := br.arrived
+		br.arrived, br.spare = br.spare[:0], released
+		// A barrier joins every party's critical path. The arrived
+		// threads are parked (or about to), so their spans are stable.
+		b.JoinSpans(t, released)
+		br.mu.Unlock()
+		for _, w := range released {
+			b.Wake(t, w)
+		}
+		return true
+	}
+	b.BlockPrep(t)
+	br.arrived = append(br.arrived, t)
+	br.mu.Unlock()
+	b.Park(t)
+	return false
+}
+
+// Once runs a function exactly once across threads (pthread_once).
+// Callers that arrive while the first caller's function runs block
+// until it returns.
+type Once struct {
+	mu      sync.Mutex
+	state   uint8 // onceIdle, onceRunning, onceDone
+	waiters []Thread
+}
+
+const (
+	onceIdle uint8 = iota
+	onceRunning
+	onceDone
+)
+
+// Do invokes fn on the first call for o.
+func (o *Once) Do(b Backend, t Thread, fn func()) {
+	b.SyncOp(t, "OnceDo", core.CostOp)
+	o.mu.Lock()
+	switch o.state {
+	case onceDone:
+		o.mu.Unlock()
+		return
+	case onceRunning:
+		b.BlockPrep(t)
+		o.waiters = append(o.waiters, t)
+		o.mu.Unlock()
+		b.Park(t)
+		return
+	}
+	o.state = onceRunning
+	o.mu.Unlock()
+	fn()
+	o.mu.Lock()
+	o.state = onceDone
+	released := o.waiters
+	o.waiters = nil
+	o.mu.Unlock()
+	for _, w := range released {
+		b.Wake(t, w)
+	}
+}
+
+// RWMutex is a writer-preferring readers-writer lock
+// (pthread_rwlock_t), as in the common Solaris implementation: once a
+// writer is queued, new readers wait behind it, so writers cannot
+// starve under a steady reader stream.
+type RWMutex struct {
+	mu      sync.Mutex
+	readers int // active readers
+	writer  Thread
+	waitR   []Thread
+	waitW   []Thread
+}
+
+// RLock acquires the lock for reading, blocking t while a writer holds
+// or awaits it.
+func (rw *RWMutex) RLock(b Backend, t Thread) {
+	b.SyncOp(t, "RLock", core.CostOp)
+	b.Pause(t)
+	rw.mu.Lock()
+	if rw.writer == nil && len(rw.waitW) == 0 {
+		rw.readers++
+		rw.mu.Unlock()
+		return
+	}
+	b.BlockPrep(t)
+	rw.waitR = append(rw.waitR, t)
+	rw.mu.Unlock()
+	b.Park(t)
+	// The releasing writer counted t among the readers.
+}
+
+// RUnlock releases a read hold; the last reader admits a waiting
+// writer.
+func (rw *RWMutex) RUnlock(b Backend, t Thread) {
+	b.SyncOp(t, "RUnlock", core.CostOp)
+	rw.mu.Lock()
+	if rw.readers <= 0 {
+		rw.mu.Unlock()
+		panic(fmt.Sprintf("pthread: %s read-unlocking an rwlock with no readers", t.Name()))
+	}
+	rw.readers--
+	rw.release(b, t, rw.readers == 0)
+}
+
+// WLock acquires the lock exclusively.
+func (rw *RWMutex) WLock(b Backend, t Thread) {
+	b.SyncOp(t, "WLock", core.CostOp)
+	b.Pause(t)
+	rw.mu.Lock()
+	if rw.writer == t {
+		rw.mu.Unlock()
+		panic(fmt.Sprintf("pthread: %s write-locking an rwlock it already holds", t.Name()))
+	}
+	if rw.writer == nil && rw.readers == 0 {
+		rw.writer = t
+		rw.mu.Unlock()
+		return
+	}
+	b.BlockPrep(t)
+	rw.waitW = append(rw.waitW, t)
+	rw.mu.Unlock()
+	b.Park(t)
+	// The releaser made t the writer.
+}
+
+// WUnlock releases the exclusive hold, admitting the next writer or
+// else every waiting reader.
+func (rw *RWMutex) WUnlock(b Backend, t Thread) {
+	b.SyncOp(t, "WUnlock", core.CostOp)
+	rw.mu.Lock()
+	if rw.writer != t {
+		rw.mu.Unlock()
+		panic(fmt.Sprintf("pthread: %s write-unlocking an rwlock it does not hold", t.Name()))
+	}
+	rw.writer = nil
+	rw.release(b, t, true)
+}
+
+// release finishes an unlock that holds rw.mu: if the lock is free it
+// passes to the next waiting writer, or else to every waiting reader.
+// It drops rw.mu, wakes whoever it admitted, and pauses.
+func (rw *RWMutex) release(b Backend, t Thread, free bool) {
+	var admitted []Thread
+	switch {
+	case !free:
+	case len(rw.waitW) > 0:
+		rw.writer = popFront(&rw.waitW)
+		admitted = []Thread{rw.writer}
+	default:
+		admitted = rw.waitR
+		rw.waitR = nil
+		rw.readers += len(admitted)
+	}
+	rw.mu.Unlock()
+	for _, w := range admitted {
+		b.Wake(t, w)
+	}
+	b.Pause(t)
+}
+
+// SpinLock is a busy-waiting lock (pthread_spinlock_t): contended
+// acquisition never deschedules the thread but burns its processor in
+// back-off bursts until the holder releases — the point of a spin lock,
+// and its danger.
+type SpinLock struct {
+	mu     sync.Mutex
+	holder Thread
+	spins  int64
+}
+
+// Acquire takes the spin lock, spinning while it is held.
+func (l *SpinLock) Acquire(b Backend, t Thread) {
+	b.SyncOp(t, "SpinAcquire", core.CostOp)
+	for burst := 0; ; burst++ {
+		l.mu.Lock()
+		if l.holder == nil {
+			l.holder = t
+			l.mu.Unlock()
+			return
+		}
+		l.spins++
+		l.mu.Unlock()
+		b.Spin(t, burst)
+	}
+}
+
+// Release frees the spin lock.
+func (l *SpinLock) Release(b Backend, t Thread) {
+	b.SyncOp(t, "SpinRelease", core.CostOp)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.holder != t {
+		panic(fmt.Sprintf("pthread: %s releasing a spin lock it does not hold", t.Name()))
+	}
+	l.holder = nil
+}
+
+// Spins reports the busy-wait bursts contended acquisitions have cost
+// so far (a contention diagnostic).
+func (l *SpinLock) Spins() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.spins
+}

@@ -1,0 +1,180 @@
+package exec
+
+import (
+	"sync"
+	"testing"
+
+	"spthreads/internal/core"
+	"spthreads/internal/vtime"
+)
+
+// The lock-order rule of sync.go, checked on every object against a
+// sequential fake backend whose Park returns at once: BlockPrep runs
+// under the object lock, Park and Wake outside it.
+
+// name is a fake thread.
+type name string
+
+func (n name) ID() int64       { return 0 }
+func (n name) Name() string    { return string(n) }
+func (n name) TLSGet(any) any  { return nil }
+func (n name) TLSSet(any, any) {}
+
+// fake implements the primitives; the objects call nothing else.
+type fake struct {
+	Backend
+	t        *testing.T
+	obj      *sync.Mutex // the object lock under test
+	woken    []Thread
+	claim    func() bool
+	disarmed int
+}
+
+func (f *fake) held() bool {
+	if f.obj.TryLock() {
+		f.obj.Unlock()
+		return false
+	}
+	return true
+}
+
+func (f *fake) check(step string, t Thread, wantHeld bool) {
+	if f.held() != wantHeld {
+		f.t.Errorf("%s(%s) with the object lock held = %v, want %v", step, t.Name(), !wantHeld, wantHeld)
+	}
+}
+
+func (f *fake) SyncOp(Thread, string, core.SyncCost) {}
+func (f *fake) Pause(Thread)                         {}
+func (f *fake) Spin(Thread, int)                     {}
+func (f *fake) LockStamp(Thread) int64               { return 0 }
+func (f *fake) LockAcquired(Thread, int64)           {}
+func (f *fake) BlockPrep(t Thread)                   { f.check("BlockPrep", t, true) }
+func (f *fake) Park(t Thread)                        { f.check("Park", t, false) }
+func (f *fake) JoinSpans(t Thread, _ []Thread)       { f.check("JoinSpans", t, true) }
+
+func (f *fake) Wake(by, w Thread) {
+	f.check("Wake", w, false)
+	f.woken = append(f.woken, w)
+}
+
+func (f *fake) WakeAfter(t Thread, _ vtime.Duration, claim func() bool) func() {
+	f.check("WakeAfter", t, true)
+	f.claim = claim
+	return func() { f.disarmed++ }
+}
+
+func (f *fake) wantWoken(want ...Thread) {
+	f.t.Helper()
+	if len(f.woken) != len(want) {
+		f.t.Fatalf("woken %v, want %v", f.woken, want)
+	}
+	for i := range want {
+		if f.woken[i] != want[i] {
+			f.t.Fatalf("woken %v, want %v", f.woken, want)
+		}
+	}
+	f.woken = nil
+}
+
+func TestLockOrder(t *testing.T) {
+	a, b := name("a"), name("b")
+
+	t.Run("mutex", func(t *testing.T) {
+		var m Mutex
+		f := &fake{t: t, obj: &m.mu}
+		m.Lock(f, a)
+		m.Lock(f, b) // blocks
+		m.Unlock(f, a)
+		f.wantWoken(b)
+		m.Unlock(f, b) // ownership was handed to b
+	})
+
+	t.Run("cond", func(t *testing.T) {
+		var (
+			mu Mutex
+			c  Cond
+		)
+		f := &fake{t: t, obj: &c.mu}
+		mu.Lock(f, b)
+		c.Wait(f, b, &mu)
+		mu.Unlock(f, b)
+		c.Signal(f, a)
+		f.wantWoken(b)
+
+		// A signal beats the timeout: the timer is disarmed and its
+		// late claim loses.
+		mu.Lock(f, b)
+		if c.WaitTimeout(f, b, &mu, 1) {
+			t.Error("signalled wait reported a timeout")
+		}
+		mu.Unlock(f, b)
+		c.Broadcast(f, a)
+		f.wantWoken(b)
+		if f.disarmed != 1 || f.claim() {
+			t.Errorf("disarmed %d times, late claim won: want one disarm and a lost claim", f.disarmed)
+		}
+
+		// A timeout beats the signal, which then wakes nobody.
+		mu.Lock(f, b)
+		f.claim = nil
+		c.WaitTimeout(f, b, &mu, 1)
+		if !f.claim() {
+			t.Error("timeout lost its claim with no signal")
+		}
+		mu.Unlock(f, b)
+		c.Signal(f, a)
+		f.wantWoken()
+	})
+
+	t.Run("semaphore", func(t *testing.T) {
+		var s Semaphore
+		f := &fake{t: t, obj: &s.mu}
+		s.Wait(f, b) // blocks
+		s.Post(f, a)
+		f.wantWoken(b)
+		if s.Value() != 0 {
+			t.Errorf("value %d after a post handed to a waiter, want 0", s.Value())
+		}
+	})
+
+	t.Run("barrier", func(t *testing.T) {
+		var br Barrier
+		br.Init(2)
+		f := &fake{t: t, obj: &br.mu}
+		if br.Wait(f, b) {
+			t.Error("first arrival was the serial thread")
+		}
+		if !br.Wait(f, a) {
+			t.Error("last arrival was not the serial thread")
+		}
+		f.wantWoken(b)
+	})
+
+	t.Run("once", func(t *testing.T) {
+		var o Once
+		f := &fake{t: t, obj: &o.mu}
+		runs := 0
+		o.Do(f, a, func() {
+			runs++
+			o.Do(f, b, func() { runs++ }) // arrives while fn runs: blocks
+			f.wantWoken()
+		})
+		f.wantWoken(b)
+		if runs != 1 {
+			t.Errorf("fn ran %d times", runs)
+		}
+	})
+
+	t.Run("rwmutex", func(t *testing.T) {
+		var rw RWMutex
+		f := &fake{t: t, obj: &rw.mu}
+		rw.WLock(f, a)
+		rw.RLock(f, b) // blocks
+		rw.WUnlock(f, a)
+		f.wantWoken(b)
+		rw.WLock(f, a) // blocks behind reader b
+		rw.RUnlock(f, b)
+		f.wantWoken(a)
+	})
+}

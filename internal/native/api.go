@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"spthreads/internal/core"
@@ -291,4 +292,82 @@ func (b *Backend) forkDummySubtree(t *thread, count int) {
 			b.forkDummySubtree(nt(dt), right)
 		}
 	}), true)
+}
+
+// Block / wake primitives (exec.Backend) for the synchronization
+// objects of package exec. Native charges no synchronization cost and
+// has no quantum to pause at.
+
+func (b *Backend) SyncOp(exec.Thread, string, core.SyncCost) {}
+func (b *Backend) Pause(exec.Thread)                         {}
+func (b *Backend) BlockPrep(t exec.Thread)                   { b.blockPrep(nt(t)) }
+func (b *Backend) Park(t exec.Thread)                        { nt(t).blockPark() }
+func (b *Backend) Wake(by, w exec.Thread)                    { b.readyThread(nt(w), nt(by).pid) }
+
+// WakeAfter implements exec.Backend. The pending timer counts as a
+// wake source for deadlock detection until it fires or is disarmed.
+func (b *Backend) WakeAfter(pt exec.Thread, d vtime.Duration, claim func() bool) func() {
+	t := nt(pt)
+	b.addSleeper(1)
+	tm := time.AfterFunc(vToWall(d), func() {
+		if claim() {
+			b.wakeSleeper(t)
+		}
+	})
+	return func() {
+		tm.Stop()
+		b.addSleeper(-1)
+	}
+}
+
+// addSleeper adjusts the count of pending timer wake sources.
+func (b *Backend) addSleeper(d int) {
+	b.lock()
+	b.sleepers += d
+	b.mu.Unlock()
+}
+
+// spinPreemptEvery is how many failed spins pass between forced
+// preemptions of a spinner.
+const spinPreemptEvery = 64
+
+// Spin implements exec.Backend. A spin burns real CPU: it yields the Go
+// scheduler, and every spinPreemptEvery failures passes its processor
+// on, so the holder runs even when spinners outnumber processors.
+func (b *Backend) Spin(t exec.Thread, burst int) {
+	if burst%spinPreemptEvery == spinPreemptEvery-1 {
+		b.preemptNow(nt(t))
+	} else {
+		runtime.Gosched()
+	}
+}
+
+// LockStamp implements exec.Backend: wall ns since the run began, read
+// only when a mutex-wait instrument is attached.
+func (b *Backend) LockStamp(exec.Thread) int64 {
+	if b.mutexWait == nil && b.tracer == nil {
+		return exec.NoWait
+	}
+	return b.sinceStart()
+}
+
+func (b *Backend) LockAcquired(pt exec.Thread, stamp int64) {
+	var waited int64
+	if stamp != exec.NoWait {
+		waited = b.sinceStart() - stamp
+	}
+	t := nt(pt)
+	b.mutexWait.Observe(waited)
+	b.tracer.record(t.pid, t.ID(), trace.KindLockAcquire, waited)
+}
+
+// JoinSpans implements exec.Backend.
+func (b *Backend) JoinSpans(pt exec.Thread, ws []exec.Thread) {
+	t := nt(pt)
+	for _, w := range ws {
+		t.span = max(t.span, nt(w).span)
+	}
+	for _, w := range ws {
+		nt(w).span = t.span
+	}
 }

@@ -288,8 +288,13 @@ func TestProcessorReturnedOnce(t *testing.T) {
 		t.Run(s.name, func(t *testing.T) {
 			forEachPool(t, func(t *testing.T, warm bool) {
 				b := newPoolBackend(t, s.policy, Config{Procs: 4}, warm)
-				mu, cv := b.NewMutex(), b.NewCond()
-				sem, bar := b.NewSemaphore(0), b.NewBarrier(threads)
+				var (
+					mu  exec.Mutex
+					cv  exec.Cond
+					sem exec.Semaphore
+					bar exec.Barrier
+				)
+				bar.Init(threads)
 				turn, total := 0, 0
 				_, err := execute(t, b, func(root exec.Thread) {
 					hs := make([]exec.Thread, threads)
@@ -300,18 +305,18 @@ func TestProcessorReturnedOnce(t *testing.T) {
 								// Round-robin under a condition: all but one
 								// thread block, and the one that runs wakes
 								// them all.
-								mu.Lock(c)
+								mu.Lock(b, c)
 								for turn%threads != i {
-									cv.Wait(c, mu)
+									cv.Wait(b, c, &mu)
 								}
 								turn++
 								total++
-								cv.Broadcast(c)
-								mu.Unlock(c)
-								sem.Post(c)
-								sem.Wait(c)
+								cv.Broadcast(b, c)
+								mu.Unlock(b, c)
+								sem.Post(b, c)
+								sem.Wait(b, c)
 								if r%16 == 0 {
-									bar.Wait(c)
+									bar.Wait(b, c)
 								}
 								b.Yield(c)
 							}
@@ -372,16 +377,16 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	// fork runs the child at once, and the child blocks. These are the
 	// threads riding the carriers the shutdown walk must poison.
 	const n = 1000
-	parkMany := func(b *Backend, root exec.Thread, sem exec.Semaphore, detachOdd bool) []exec.Thread {
+	parkMany := func(b *Backend, root exec.Thread, sem *exec.Semaphore, detachOdd bool) []exec.Thread {
 		hs := make([]exec.Thread, n)
 		for i := range hs {
-			hs[i] = forkFn(b, root, core.Attr{Detached: detachOdd && i%2 == 1}, func(c exec.Thread) { sem.Wait(c) })
+			hs[i] = forkFn(b, root, core.Attr{Detached: detachOdd && i%2 == 1}, func(c exec.Thread) { sem.Wait(b, c) })
 		}
 		return hs
 	}
-	release := func(c exec.Thread, sem exec.Semaphore) {
+	release := func(b *Backend, c exec.Thread, sem *exec.Semaphore) {
 		for i := 0; i < n; i++ {
-			sem.Post(c)
+			sem.Post(b, c)
 		}
 	}
 	var undispatched []exec.Thread
@@ -397,11 +402,11 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(exec.Thread) {}))
 		}, nil},
 		{"panic", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
-			parkMany(b, root, b.NewSemaphore(0), false) // parked when the run fails
+			parkMany(b, root, new(exec.Semaphore), false) // parked when the run fails
 			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(exec.Thread) { panic("boom") }))
 		}, nil},
 		{"deadlock", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
-			mustJoin(b, root, parkMany(b, root, b.NewSemaphore(0), false)...)
+			mustJoin(b, root, parkMany(b, root, new(exec.Semaphore), false)...)
 		}, nil},
 		{"exit-from-depth", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
 			var dive func(c exec.Thread, d int)
@@ -411,18 +416,18 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				}
 				dive(c, d-1)
 			}
-			sem := b.NewSemaphore(0)
+			sem := new(exec.Semaphore)
 			parkMany(b, root, sem, false)
 			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(c exec.Thread) {
-				release(c, sem)
+				release(b, c, sem)
 				dive(c, 64)
 			}))
 			dive(root, 8)
 		}, nil},
 		{"unjoined", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
-			sem := b.NewSemaphore(0)
+			sem := new(exec.Semaphore)
 			parkMany(b, root, sem, true)
-			release(root, sem)
+			release(b, root, sem)
 		}, nil},
 		// FIFO enqueues a forked child and lets the parent run on, and at
 		// p = 1 nobody else picks the children up: when the root panics they

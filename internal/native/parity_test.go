@@ -23,6 +23,7 @@ import (
 	"spthreads/internal/spmv"
 	"spthreads/internal/trace"
 	"spthreads/internal/volrend"
+	"spthreads/internal/vtime"
 	"spthreads/pthread"
 )
 
@@ -184,6 +185,129 @@ func volrendChecksum(t *pthread.T) float64 {
 	}, "fine")
 }
 
+// syncChecksum drives every synchronization object — mutex, condition
+// variables (one timed wait among them, which a signal ends), rwlock,
+// spin lock, semaphore, barrier and once — in a program whose result
+// does not depend on the schedule: each thread's contribution is fixed
+// and summed in a fixed order.
+func syncChecksum(t *pthread.T) float64 {
+	const workers, rounds, items = 4, 8, 64
+	var (
+		mu                        pthread.Mutex
+		notEmpty, notFull, wakeup pthread.Cond
+		rw                        pthread.RWMutex
+		sl                        pthread.SpinLock
+		once                      pthread.Once
+		sem                       = pthread.NewSemaphore(2)
+		bar                       = pthread.NewBarrier(workers)
+		buf, table                []float64
+		shared                    [8]float64
+		slots, acc                [workers]float64
+		spinTotal, torn           int64
+		consumed                  float64
+		waiting, ready, timedOut  bool
+	)
+	worker := func(i int) func(*pthread.T) {
+		return func(ct *pthread.T) {
+			for r := 0; r < rounds; r++ {
+				once.Do(ct, func() {
+					ct.ChargeMicros(2000) // long enough to pause on the sim
+					for k := 0; k < 16; k++ {
+						table = append(table, float64(k*k+1))
+					}
+				})
+				for _, v := range table {
+					acc[i] += v
+				}
+				sem.Wait(ct)
+				sl.Acquire(ct)
+				spinTotal += int64(i*rounds + r + 1)
+				sl.Release(ct)
+				sem.Post(ct)
+				if r%2 == 0 {
+					rw.Lock(ct)
+					shared[(i+r)%len(shared)]++
+					rw.Unlock(ct)
+				} else {
+					rw.RLock(ct)
+					a := shared
+					ct.Yield()
+					if shared != a {
+						sl.Acquire(ct)
+						torn++
+						sl.Release(ct)
+					}
+					rw.RUnlock(ct)
+				}
+				slots[i] = float64(i*rounds + r)
+				bar.Wait(ct)
+				acc[i] += slots[(i+1)%workers] * float64(r+1)
+				bar.Wait(ct)
+			}
+		}
+	}
+	fns := []func(*pthread.T){
+		func(ct *pthread.T) { // producer
+			for k := 1; k <= items; k++ {
+				mu.Lock(ct)
+				for len(buf) == 4 {
+					notFull.Wait(ct, &mu)
+				}
+				buf = append(buf, float64(k))
+				notEmpty.Signal(ct)
+				mu.Unlock(ct)
+			}
+		},
+		func(ct *pthread.T) { // consumer: weights each item by arrival
+			for k := 1; k <= items; k++ {
+				mu.Lock(ct)
+				for len(buf) == 0 {
+					notEmpty.Wait(ct, &mu)
+				}
+				consumed += buf[0] * float64(k)
+				buf = buf[1:]
+				notFull.Broadcast(ct)
+				mu.Unlock(ct)
+			}
+		},
+		func(ct *pthread.T) { // timed waiter
+			mu.Lock(ct)
+			waiting = true
+			for !ready {
+				if wakeup.WaitTimeout(ct, &mu, vtime.Micro(1_000_000)) {
+					timedOut = true
+				}
+			}
+			mu.Unlock(ct)
+		},
+		func(ct *pthread.T) { // its signaller, once it is waiting
+			for done := false; !done; ct.Yield() {
+				mu.Lock(ct)
+				if done = waiting; done {
+					ready = true
+					wakeup.Signal(ct)
+				}
+				mu.Unlock(ct)
+			}
+		},
+	}
+	for i := 0; i < workers; i++ {
+		fns = append(fns, worker(i))
+	}
+	t.Par(fns...)
+	sum := consumed + float64(spinTotal) + 1e6*float64(torn)
+	for _, v := range acc {
+		sum += v
+	}
+	for k, v := range shared {
+		sum += v * float64(k+1)
+	}
+	if timedOut {
+		sum += 1e9
+	}
+	return sum
+}
+
 func TestMatmulParity(t *testing.T) {
 	for _, policy := range []pthread.Policy{pthread.PolicyADF, pthread.PolicyWS} {
 		sim, native := runBoth(t, 4, policy, matmulChecksum)
@@ -209,7 +333,8 @@ func TestDtreeParity(t *testing.T) {
 
 // TestWorkloadMatrixParity closes the workload matrix: with the three
 // dedicated tests above, every one of the paper's seven benchmarks has
-// a sim-vs-native checksum comparison.
+// a sim-vs-native checksum comparison, and the sync row holds every
+// synchronization object to the same answer on both backends.
 func TestWorkloadMatrixParity(t *testing.T) {
 	benches := []struct {
 		name string
@@ -219,6 +344,7 @@ func TestWorkloadMatrixParity(t *testing.T) {
 		{"spmv", spmvChecksum},
 		{"fmm", fmmChecksum},
 		{"volrend", volrendChecksum},
+		{"sync", syncChecksum},
 	}
 	for _, b := range benches {
 		b := b

@@ -5,44 +5,35 @@ import "spthreads/internal/exec"
 // RWMutex is a writer-preferring readers-writer lock
 // (pthread_rwlock_t). The zero value is unlocked.
 type RWMutex struct {
-	l lazy[exec.RWMutex]
+	rw exec.RWMutex
 }
-
-func (l *RWMutex) get(t *T) exec.RWMutex { return l.l.get(t.b.NewRWMutex) }
 
 // RLock acquires the lock for reading; multiple readers may hold it
 // concurrently.
-func (l *RWMutex) RLock(t *T) { l.get(t).RLock(t.th) }
+func (l *RWMutex) RLock(t *T) { l.rw.RLock(t.b, t.th) }
 
 // RUnlock releases a read hold.
-func (l *RWMutex) RUnlock(t *T) { l.get(t).RUnlock(t.th) }
+func (l *RWMutex) RUnlock(t *T) { l.rw.RUnlock(t.b, t.th) }
 
 // Lock acquires the lock exclusively for writing.
-func (l *RWMutex) Lock(t *T) { l.get(t).WLock(t.th) }
+func (l *RWMutex) Lock(t *T) { l.rw.WLock(t.b, t.th) }
 
 // Unlock releases the write hold.
-func (l *RWMutex) Unlock(t *T) { l.get(t).WUnlock(t.th) }
+func (l *RWMutex) Unlock(t *T) { l.rw.WUnlock(t.b, t.th) }
 
 // SpinLock is a busy-waiting lock (pthread_spinlock_t): contended
 // acquisition burns processor time instead of descheduling. The zero
 // value is unlocked.
 type SpinLock struct {
-	l lazy[exec.SpinLock]
+	sl exec.SpinLock
 }
 
-func (l *SpinLock) get(t *T) exec.SpinLock { return l.l.get(t.b.NewSpinLock) }
-
 // Acquire takes the spin lock, busy-waiting while it is held.
-func (l *SpinLock) Acquire(t *T) { l.get(t).Acquire(t.th) }
+func (l *SpinLock) Acquire(t *T) { l.sl.Acquire(t.b, t.th) }
 
 // Release frees the spin lock.
-func (l *SpinLock) Release(t *T) { l.get(t).Release(t.th) }
+func (l *SpinLock) Release(t *T) { l.sl.Release(t.b, t.th) }
 
 // Spins reports the number of busy-wait bursts so far (a contention
 // diagnostic).
-func (l *SpinLock) Spins() int64 {
-	if impl, ok := l.l.peek(); ok {
-		return impl.Spins()
-	}
-	return 0
-}
+func (l *SpinLock) Spins() int64 { return l.sl.Spins() }

@@ -108,96 +108,113 @@ func TestPeriodicThread(t *testing.T) {
 // TestCondWaitTimeout: a timed wait with no signal times out at its
 // deadline and still holds the mutex.
 func TestCondWaitTimeout(t *testing.T) {
-	var mu pthread.Mutex
-	var cv pthread.Cond
-	var timedOut bool
-	st, err := pthread.Run(pthread.Config{Procs: 1, Policy: pthread.PolicyADF}, func(tt *pthread.T) {
-		mu.Lock(tt)
-		timedOut = cv.WaitTimeout(tt, &mu, vtime.Micro(20_000))
-		mu.Unlock(tt)
+	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
+		var mu pthread.Mutex
+		var cv pthread.Cond
+		var timedOut bool
+		cfg := pthread.Config{Procs: 1, Policy: pthread.PolicyADF, Backend: backend}
+		st, err := pthread.Run(cfg, func(tt *pthread.T) {
+			mu.Lock(tt)
+			timedOut = cv.WaitTimeout(tt, &mu, vtime.Micro(20_000))
+			mu.Unlock(tt)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !timedOut {
+			t.Error("wait did not time out")
+		}
+		if backend == pthread.BackendSim && st.Time < vtime.Micro(20_000) {
+			t.Errorf("makespan %v, want >= the 20ms deadline", st.Time)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !timedOut {
-		t.Error("wait did not time out")
-	}
-	if st.Time < vtime.Micro(20_000) {
-		t.Errorf("makespan %v, want >= the 20ms deadline", st.Time)
-	}
 }
 
 // TestCondWaitSignalBeatsTimeout: a signal well before the deadline
 // wakes the waiter without a timeout.
 func TestCondWaitSignalBeatsTimeout(t *testing.T) {
-	var mu pthread.Mutex
-	var cv pthread.Cond
-	var timedOut bool
-	ready := false
-	st, err := pthread.Run(pthread.Config{Procs: 2, Policy: pthread.PolicyADF}, func(tt *pthread.T) {
-		w := tt.Create(func(ct *pthread.T) {
-			mu.Lock(ct)
-			for !ready {
-				if cv.WaitTimeout(ct, &mu, vtime.Micro(1_000_000)) {
-					timedOut = true
-					break
+	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
+		var mu pthread.Mutex
+		var cv pthread.Cond
+		var timedOut bool
+		ready := false
+		cfg := pthread.Config{Procs: 2, Policy: pthread.PolicyADF, Backend: backend}
+		st, err := pthread.Run(cfg, func(tt *pthread.T) {
+			w := tt.Create(func(ct *pthread.T) {
+				mu.Lock(ct)
+				for !ready {
+					if cv.WaitTimeout(ct, &mu, vtime.Micro(1_000_000)) {
+						timedOut = true
+						break
+					}
 				}
-			}
-			mu.Unlock(ct)
+				mu.Unlock(ct)
+			})
+			tt.SleepMicros(5_000)
+			mu.Lock(tt)
+			ready = true
+			cv.Signal(tt)
+			mu.Unlock(tt)
+			tt.MustJoin(w)
 		})
-		tt.SleepMicros(5_000)
-		mu.Lock(tt)
-		ready = true
-		cv.Signal(tt)
-		mu.Unlock(tt)
-		tt.MustJoin(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if timedOut {
+			t.Error("signal lost the race to a 1s timeout")
+		}
+		if backend == pthread.BackendSim && st.Time > vtime.Micro(50_000) {
+			t.Errorf("makespan %v; the run should end shortly after the 5ms signal", st.Time)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if timedOut {
-		t.Error("signal lost the race to a 1s timeout")
-	}
-	if st.Time > vtime.Micro(50_000) {
-		t.Errorf("makespan %v; the run should end shortly after the 5ms signal", st.Time)
-	}
 }
 
 // TestCondTimeoutThenSignal: after a waiter times out, a later signal
 // must not be lost on its stale entry — it should wake nobody (queue
 // empty) or the next live waiter.
 func TestCondTimeoutThenSignal(t *testing.T) {
-	var mu pthread.Mutex
-	var cv pthread.Cond
-	woken := 0
-	_, err := pthread.Run(pthread.Config{Procs: 2, Policy: pthread.PolicyADF}, func(tt *pthread.T) {
-		// Waiter A times out quickly.
-		a := tt.Create(func(ct *pthread.T) {
-			mu.Lock(ct)
-			if !cv.WaitTimeout(ct, &mu, vtime.Micro(1_000)) {
+	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
+		var mu pthread.Mutex
+		var cv pthread.Cond
+		woken := 0
+		bWaiting := false
+		cfg := pthread.Config{Procs: 2, Policy: pthread.PolicyADF, Backend: backend}
+		_, err := pthread.Run(cfg, func(tt *pthread.T) {
+			// Waiter A times out quickly.
+			a := tt.Create(func(ct *pthread.T) {
+				mu.Lock(ct)
+				if !cv.WaitTimeout(ct, &mu, vtime.Micro(1_000)) {
+					woken++
+				}
+				mu.Unlock(ct)
+			})
+			tt.MustJoin(a)
+			// Waiter B waits indefinitely; the signal must reach it even
+			// though A's stale entry sits earlier in the queue history.
+			b := tt.Create(func(ct *pthread.T) {
+				mu.Lock(ct)
+				bWaiting = true
+				cv.Wait(ct, &mu)
 				woken++
+				mu.Unlock(ct)
+			})
+			// B holds mu from raising its flag until its Wait releases
+			// it, so a flag seen under mu means B is on the queue.
+			for signalled := false; !signalled; {
+				tt.SleepMicros(2_000)
+				mu.Lock(tt)
+				if signalled = bWaiting; signalled {
+					cv.Signal(tt)
+				}
+				mu.Unlock(tt)
 			}
-			mu.Unlock(ct)
+			tt.MustJoin(b)
 		})
-		tt.MustJoin(a)
-		// Waiter B waits indefinitely; the signal must reach it even
-		// though A's stale token sits earlier in the queue history.
-		b := tt.Create(func(ct *pthread.T) {
-			mu.Lock(ct)
-			cv.Wait(ct, &mu)
-			woken++
-			mu.Unlock(ct)
-		})
-		tt.SleepMicros(2_000)
-		mu.Lock(tt)
-		cv.Signal(tt)
-		mu.Unlock(tt)
-		tt.MustJoin(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if woken != 1 {
+			t.Errorf("woken = %d, want 1 (only the live waiter)", woken)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if woken != 1 {
-		t.Errorf("woken = %d, want 1 (only the live waiter)", woken)
-	}
 }

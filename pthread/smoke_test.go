@@ -132,30 +132,33 @@ func TestDeterminism(t *testing.T) {
 
 // TestMutexCounter checks mutual exclusion and blocking lock handoff.
 func TestMutexCounter(t *testing.T) {
-	for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyADF, pthread.PolicyWS} {
-		var mu pthread.Mutex
-		counter := 0
-		_, err := pthread.Run(pthread.Config{Procs: 4, Policy: pol}, func(tt *pthread.T) {
-			fns := make([]func(*pthread.T), 16)
-			for i := range fns {
-				fns[i] = func(ct *pthread.T) {
-					for j := 0; j < 10; j++ {
-						mu.Lock(ct)
-						ct.Charge(50)
-						counter++
-						mu.Unlock(ct)
+	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
+		for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyADF, pthread.PolicyWS} {
+			var mu pthread.Mutex
+			counter := 0
+			cfg := pthread.Config{Procs: 4, Policy: pol, Backend: backend}
+			_, err := pthread.Run(cfg, func(tt *pthread.T) {
+				fns := make([]func(*pthread.T), 16)
+				for i := range fns {
+					fns[i] = func(ct *pthread.T) {
+						for j := 0; j < 10; j++ {
+							mu.Lock(ct)
+							ct.Charge(50)
+							counter++
+							mu.Unlock(ct)
+						}
 					}
 				}
+				tt.Par(fns...)
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", pol, err)
 			}
-			tt.Par(fns...)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", pol, err)
+			if counter != 160 {
+				t.Errorf("%s: counter = %d, want 160", pol, counter)
+			}
 		}
-		if counter != 160 {
-			t.Errorf("%s: counter = %d, want 160", pol, counter)
-		}
-	}
+	})
 }
 
 // TestDeadlockDetection ensures an all-blocked computation is reported
