@@ -1,27 +1,44 @@
 package core
 
 import (
-	"runtime"
+	"iter"
 	"sync"
 	"sync/atomic"
 )
 
 // Carrier is the thread-execution vehicle both backends share: one
-// goroutine plus one resume mailbox, reused across lightweight-thread
-// lifetimes. A thread is launched onto an idle carrier from a free list
-// at its first run (a fresh goroutine only when the list is empty),
-// parks in the carrier's mailbox whenever it does not hold a processor,
-// and at exit the carrier goes back on a free list. Native keeps one
-// list per processor; the simulator, with one runnable goroutine, one.
+// pooled iter.Pull coroutine that runs riders (lightweight threads) one
+// after another. Each processor is a driver loop — the native worker
+// goroutine, or the simulator's Execute goroutine — that picks a
+// thread, resumes its carrier, and takes back the successor the thread
+// yields when it gives the processor up. A thread switch is therefore
+// two coroswitches, rider → driver → successor, with no channel, no run
+// queue and no Go scheduler wake. A thread is launched onto an idle
+// carrier from the driver's free list at its first run (a fresh
+// coroutine only when the list is empty); when it exits, the carrier
+// yields the thread's successor and the driver puts the carrier back.
+// Native keeps one list per processor; the simulator, with one driver,
+// one.
+//
+// A coroswitch requires matching OS-thread locking on both sides, so a
+// rider must not hold runtime.LockOSThread across Switch: the runtime
+// throws ("coro: OS thread locking must match"), it does not panic.
 type Carrier struct {
-	mailbox chan int // one-slot: a launch or resume post, or PoisonPid
+	// mu is held by the driver while the coroutine runs. Another
+	// processor can mark a thread running before the thread has yielded
+	// (wake-before-park); its driver then blocks here until the yield.
+	mu sync.Mutex
 
-	// rider is the thread to run next, written by the launcher before
-	// its post and read by the carrier goroutine only after the matching
-	// receive (channel happens-before). Once a carrier is back on a free
-	// list the next launcher may store here while the goroutine is still
-	// unwinding the previous thread's exit, so nothing else reads it.
+	resume func() (Rider, bool) // iter.Pull's next: run to the next yield
+	stop   func()               // iter.Pull's stop: unwind at shutdown
+	yield  func(Rider) bool     // the coroutine's side of resume
+
+	// rider is the thread the carrier runs, written by the driver before
+	// a launch and cleared by the coroutine when the thread has finished
+	// (the carrier is idle). pid is the processor of the current resume.
+	// Both are read and written under mu.
 	rider Rider
+	pid   int
 
 	next *Carrier // free-list link
 }
@@ -31,93 +48,72 @@ func (c *Carrier) FreeLink() **Carrier { return &c.next }
 
 // Rider is a lightweight thread as its carrier runs it.
 type Rider interface {
-	// Ride runs the thread's body on carrier c, whose launch post
-	// carried processor pid.
+	// Ride runs the thread's body on carrier c, launched onto processor
+	// pid.
 	Ride(c *Carrier, pid int)
 	// Finish completes the thread after its body returned, unwound
 	// through ExitThread, or panicked with p (nil otherwise). It returns
-	// a successor the carrier adopts and runs next on the same goroutine
-	// (with the same pid), or nil to go back to the mailbox. A Finish
-	// that puts the carrier back on a free list must return nil.
+	// the successor the driver runs next on the same processor, or nil
+	// for the driver's own pick.
 	Finish(p any) Rider
 }
 
-// PoisonPid in a resume mailbox unwinds the parked goroutine at
-// shutdown; every other post carries a processor id.
-const PoisonPid = -1
-
-// Post drops pid into the carrier's mailbox without blocking. Both
-// backends hand a processor over this way. A full slot means a thread
-// was resumed twice for one park: a scheduler bug.
-func (c *Carrier) Post(pid int) {
-	select {
-	case c.mailbox <- pid:
-	default:
-		panic("core: resume mailbox overflow")
-	}
-}
-
-// Park blocks the riding thread until a post resumes it and returns the
-// processor id the post carried. Poison unwinds the thread instead.
-func (c *Carrier) Park() int {
-	pid := <-c.mailbox
-	if pid == PoisonPid {
+// Switch gives the calling rider's processor to next (nil: the driver
+// picks) and parks until a driver resumes it, returning that driver's
+// processor. At shutdown it unwinds the rider instead.
+func (c *Carrier) Switch(next Rider) int {
+	if !c.yield(next) {
 		panic(threadAbort{})
 	}
-	return pid
+	return c.pid
 }
 
 // ExitThread unwinds the calling thread's body to its carrier, which
 // finishes the thread as if the body had returned (pthread_exit).
 func ExitThread() { panic(threadExit{}) }
 
-// run is the carrier goroutine. Exactly one receive is outstanding at
-// any moment (here between threads, or inside a rider's Park) and at
-// most one post is headed for it: a launch after a pop (one per Put),
-// or a resume of the parked rider. Hence the one-slot mailbox and the
-// one-post poison protocol. The next rider is read after a receive, or
-// taken from Finish's return value, never re-read from a shared field.
-func (c *Carrier) run(wg *sync.WaitGroup) {
-	defer wg.Done()
+// loop is the coroutine body: it runs the launched rider to completion,
+// marks the carrier idle and yields the rider's successor, then waits
+// for the next launch. It returns when shutdown unwinds a parked rider
+// or stops an idle carrier.
+func (c *Carrier) loop(yield func(Rider) bool) {
+	c.yield = yield
 	for {
-		pid := <-c.mailbox
-		if pid == PoisonPid {
+		next, ok := c.runOne(c.rider)
+		if !ok {
 			return
 		}
-		r := c.rider
-		for r != nil {
-			r = c.runOne(r, pid)
+		c.rider = nil
+		if !yield(next) {
+			return
 		}
 	}
 }
 
-// runOne executes r to completion and returns the successor Finish
-// adopted. Poison while r was parked mid-body ends the goroutine: the
-// carrier is not reused.
-func (c *Carrier) runOne(r Rider, pid int) (next Rider) {
+// runOne executes r to completion and returns its successor; ok is false
+// when shutdown unwound r while it was parked.
+func (c *Carrier) runOne(r Rider) (next Rider, ok bool) {
 	defer func() {
 		p := recover()
 		switch p.(type) {
 		case threadAbort:
-			runtime.Goexit()
+			return
 		case threadExit:
 			p = nil
 		}
-		next = r.Finish(p)
+		next, ok = r.Finish(p), true
 	}()
-	r.Ride(c, pid)
-	return nil
+	r.Ride(c, c.pid)
+	return nil, false
 }
 
-// Carriers is a backend's carrier pool: the free lists, the registry of
-// every carrier started (for the shutdown poison walk), and the wait
-// group of their goroutines.
+// Carriers is a backend's carrier pool: the free lists and the registry
+// of every carrier started (for the shutdown walk).
 type Carriers struct {
 	free []FreeList[Carrier, *Carrier]
 
 	mu  sync.Mutex // guards all
 	all []*Carrier
-	wg  sync.WaitGroup
 }
 
 // NewCarriers returns a pool with the given number of free lists.
@@ -125,50 +121,62 @@ func NewCarriers(lists int) *Carriers {
 	return &Carriers{free: make([]FreeList[Carrier, *Carrier], lists)}
 }
 
-// Launch starts r on an idle carrier from free list `list` (a fresh
-// goroutine when it is empty) and posts pid to it. Launches from one
-// list must be serialized: it belongs to whoever holds the processor,
-// or the machine, doing the launch.
-func (p *Carriers) Launch(list int, r Rider, pid int) {
+// Launch runs r from its first instruction on an idle carrier from free
+// list `list` (a fresh coroutine when it is empty), as processor pid,
+// until r gives the processor up; it returns the successor r yielded.
+// Only the driver that owns the list launches from it or puts to it.
+func (p *Carriers) Launch(list int, r Rider, pid int) Rider {
 	c := p.free[list].Pop()
 	if c == nil {
-		c = &Carrier{mailbox: make(chan int, 1)}
+		c = new(Carrier)
+		c.resume, c.stop = iter.Pull(c.loop)
 		p.mu.Lock()
 		p.all = append(p.all, c)
 		p.mu.Unlock()
-		p.wg.Add(1)
-		go c.run(&p.wg)
 	}
 	c.rider = r
-	c.Post(pid)
+	return p.Resume(list, r, c, pid)
 }
 
-// Put returns c to free list `list`. Its goroutine must be on its way
-// back to the mailbox receive and must no longer read c.rider.
-func (p *Carriers) Put(list int, c *Carrier) { p.free[list].Push(c) }
+// Resume hands processor pid to r, parked on c, and runs it until it
+// gives the processor up, waiting first for a rider that another
+// processor marked running before it yielded. It returns the successor
+// r yielded; a carrier whose rider finished goes back on free list
+// `list`, after its yield. A resume of a rider that has exited — one
+// resume too many for its parks — panics.
+func (p *Carriers) Resume(list int, r Rider, c *Carrier, pid int) Rider {
+	c.mu.Lock()
+	if c.rider != r {
+		panic("core: resumed a thread that is not parked on its carrier")
+	}
+	c.pid = pid
+	next, _ := c.resume()
+	idle := c.rider == nil
+	c.mu.Unlock()
+	if idle {
+		p.free[list].Push(c)
+	}
+	return next
+}
 
-// Started reports how many carrier goroutines the pool has launched.
+// Started reports how many carrier coroutines the pool has launched.
 func (p *Carriers) Started() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.all)
 }
 
-// Shutdown unwinds every carrier goroutine and waits for them. The
-// caller guarantees that no thread holds a processor and, since every
-// post carries one, that no mailbox holds a post: each carrier, idle or
-// carrying a parked thread, is in its mailbox receive or on its way
-// there. One poison post each therefore unwinds them all and can
-// neither block nor overflow. Threads that never ran have no carrier
-// and need no post.
+// Shutdown stops every carrier: a parked rider's Switch unwinds it, an
+// idle carrier just returns. The caller guarantees that every driver
+// has stopped, so no coroutine is running. Threads that never ran have
+// no carrier and need nothing.
 func (p *Carriers) Shutdown() {
 	p.mu.Lock()
 	all := p.all
 	p.mu.Unlock()
 	for _, c := range all {
-		c.Post(PoisonPid)
+		c.stop()
 	}
-	p.wg.Wait()
 }
 
 // FreeList is a lock-free Treiber stack of *T linked through each

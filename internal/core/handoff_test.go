@@ -56,13 +56,13 @@ func forkJoinTree(m *Machine, t *Thread, d int) {
 }
 
 // TestSimHandoffsPerThread is the simulator's twin of native's
-// TestNoWorkerBetweenThreads: no goroutine sits between two simulated
-// threads. A thread that stops runs the scheduler itself, launches its
-// successor on a first run and posts into its mailbox on a later one, so
-// a fork/join tree costs at most a post per join a thread waits in; a
-// thread that keeps its processor across a quantum pause costs none.
-// Carriers are reused: a goroutine is started only when every carrier
-// holds a live thread, so launches stay within peak-live + 1.
+// TestNoWorkerBetweenThreads: a thread that stops runs the scheduler
+// itself and yields its successor, which the driver launches on a first
+// run and resumes on a later one, so a fork/join tree costs at most a
+// resume per join a thread waits in; a thread that keeps its processor
+// across a quantum pause costs none. Carriers are reused: a coroutine is
+// started only when every carrier holds a live thread, so launches stay
+// within peak-live + 1.
 func TestSimHandoffsPerThread(t *testing.T) {
 	const depth = 10 // 2^11 - 1 threads with the root
 	for _, tc := range []struct {
@@ -84,8 +84,8 @@ func TestSimHandoffsPerThread(t *testing.T) {
 			if st.ThreadsCreated != 1<<(depth+1)-1 {
 				t.Fatalf("created %d threads, want %d", st.ThreadsCreated, 1<<(depth+1)-1)
 			}
-			if m.posts > 2*st.ThreadsCreated {
-				t.Errorf("%d mailbox posts for %d threads, want <= 2 per thread", m.posts, st.ThreadsCreated)
+			if m.resumes > 2*st.ThreadsCreated {
+				t.Errorf("%d resumes for %d threads, want <= 2 per thread", m.resumes, st.ThreadsCreated)
 			}
 			if launches := m.carriers.Started(); launches > st.PeakLive+1 {
 				t.Errorf("%d carrier launches for %d threads, peak live %d: want <= peak live + 1",
@@ -111,17 +111,16 @@ func TestSimHandoffsPerThread(t *testing.T) {
 			if m.steps < pauses {
 				t.Errorf("p=%d: %d scheduling steps, want >= %d quantum pauses", procs, m.steps, pauses)
 			}
-			if m.posts != 0 {
-				t.Errorf("p=%d: %d mailbox posts for one thread pausing %d times, want 0", procs, m.posts, pauses)
+			if m.resumes != 0 {
+				t.Errorf("p=%d: %d resumes for one thread pausing %d times, want 0", procs, m.resumes, pauses)
 			}
 		}
 	})
 }
 
 // TestMachineFaultPanicsExecute: a machine-invariant panic raised while a
-// thread goroutine runs the scheduler is not that thread's panic. Execute
-// re-raises it on the caller's goroutine after unwinding every parked
-// thread.
+// thread runs the scheduler is not that thread's panic. Execute re-raises
+// it on the caller's goroutine after unwinding every parked thread.
 func TestMachineFaultPanicsExecute(t *testing.T) {
 	base := runtime.NumGoroutine()
 	// Next #1 dispatches the root; each forked child runs at once and

@@ -54,7 +54,7 @@ const SmallStackSize int64 = 8 << 10
 // it stops to run the scheduler, which lets processors whose clocks are
 // now behind catch up. It controls interleaving granularity, not
 // scheduling: the thread keeps its processor and, while it holds the
-// minimum clock, runs on without a goroutine switch.
+// minimum clock, runs on without a coroutine switch.
 const Quantum = vtime.Duration(250 * vtime.CyclesPerMicrosecond)
 
 // Machine is one simulated multiprocessor run. It is not reusable: build
@@ -113,17 +113,14 @@ type Machine struct {
 
 	liveThreads map[int64]*Thread
 
-	// done wakes Execute's goroutine when the run is over. Exactly one
-	// goroutine holds the machine at a time, so one slot suffices.
-	done chan struct{}
-	// carriers are the goroutines threads ride, on one free list: the
-	// machine has one runnable goroutine at a time.
+	// carriers are the coroutines threads ride, on one free list:
+	// Execute's goroutine is the one driver for every virtual processor.
 	carriers *Carriers
-	// posts counts resume-mailbox posts: handoffs to a parked thread (a
+	// resumes counts carrier resumes: handoffs to a parked thread (a
 	// first run launches instead, a self-pick costs nothing).
-	posts int64
-	// fault is a machine-invariant panic raised while a thread goroutine
-	// was running the scheduler, carried to Execute's goroutine.
+	resumes int64
+	// fault is a machine-invariant panic raised while a thread was
+	// running the scheduler, carried to the driver.
 	fault any
 
 	// ins holds the machine's pre-resolved instrument handles. With no
@@ -228,7 +225,6 @@ func New(cfg Config) (*Machine, error) {
 		policy:      cfg.Policy,
 		mem:         memsim.New(cm, cfg.DefaultStack, 0),
 		liveThreads: make(map[int64]*Thread),
-		done:        make(chan struct{}, 1),
 		carriers:    NewCarriers(1),
 		schedLock:   newContention(cm.SchedLockOp, cm.SchedLockWindow),
 		heapLock:    newContention(cm.MallocBase, cm.HeapLockWindow),
@@ -291,11 +287,11 @@ func (m *Machine) run(main func(*Thread)) (Stats, error) {
 	root.state = StateReady
 	m.readyAt.push(0)
 
-	// From here on the machine travels with the running thread: each
-	// thread that stops runs schedule itself and hands over to the thread
-	// it returns. Whoever finds the run over wakes this goroutine.
-	m.handoff(m.schedule())
-	<-m.done
+	// This goroutine is the driver: it resumes the thread that must run,
+	// and the thread, once it stops, runs schedule itself and yields the
+	// thread it returns. A nil successor means the run is over.
+	for t := m.schedule(); t != nil; t = m.drive(t) {
+	}
 	m.carriers.Shutdown()
 	if m.fault != nil {
 		panic(m.fault)
@@ -334,10 +330,10 @@ func (m *Machine) schedule() *Thread {
 }
 
 // reschedule applies the action t stopped for and returns the next
-// thread to run (nil when the run is over). It runs on t's goroutine, and
+// thread to run (nil when the run is over). It runs inside t's body, and
 // so does any machine-invariant panic raised in here: that is a fault of
 // the machine, not of t, so instead of unwinding t as a user panic it is
-// kept in m.fault for Execute's goroutine to re-raise after shutdown.
+// kept in m.fault for the driver to re-raise after shutdown.
 func (m *Machine) reschedule(t *Thread, act action) (next *Thread) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -349,21 +345,20 @@ func (m *Machine) reschedule(t *Thread, act action) (next *Thread) {
 	return m.schedule()
 }
 
-// handoff gives the machine to next: a first run launches it on an idle
-// carrier (a fresh goroutine only when none is idle), a later one posts
-// into its carrier's mailbox. nil means the run is over and wakes
-// Execute's goroutine instead. The caller must not touch the machine
-// afterwards.
-func (m *Machine) handoff(next *Thread) {
-	switch {
-	case next == nil:
-		m.done <- struct{}{}
-	case next.carrier == nil:
-		m.carriers.Launch(0, (*rider)(next), next.proc.id)
-	default:
-		m.posts++
-		next.carrier.Post(next.proc.id)
+// drive gives the machine to t, which schedule chose: a first run
+// launches it on an idle carrier (a fresh coroutine only when none is
+// idle), a later one resumes its carrier. It returns the successor t
+// yielded when it stopped, nil when the run is over.
+func (m *Machine) drive(t *Thread) *Thread {
+	var r Rider
+	if t.carrier == nil {
+		r = m.carriers.Launch(0, (*rider)(t), t.proc.id)
+	} else {
+		m.resumes++
+		r = m.carriers.Resume(0, (*rider)(t), t.carrier, t.proc.id)
 	}
+	next, _ := r.(*rider)
+	return (*Thread)(next)
 }
 
 // sleeper is a thread parked until a virtual deadline. claim, when

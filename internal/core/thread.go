@@ -106,10 +106,9 @@ type simState struct {
 	state   State
 	started bool // dispatched at least once (its stack base is faulted in)
 
-	// carrier is the goroutine the thread rides, bound at its first run
-	// (nil until then). The thread that hands the machine over posts the
-	// processor id into the carrier's mailbox and parks on its own; no
-	// goroutine sits between the two.
+	// carrier is the coroutine the thread rides, bound at its first run
+	// (nil until then). A thread that hands the machine over yields its
+	// successor to the driver, which resumes the successor's carrier.
 	carrier *Carrier
 
 	proc    *Proc // processor currently running this thread
@@ -212,11 +211,8 @@ func (r *rider) Ride(c *Carrier, pid int) {
 	t.body.Run(t)
 }
 
-// Finish runs the scheduler for the exiting thread. A successor that
-// has never run is adopted: it rides this carrier next, with no
-// goroutine launch and no post. Otherwise the carrier goes back on the
-// free list before the machine is handed on, so the successor can
-// already reuse it, and the goroutine returns to its mailbox.
+// Finish runs the scheduler for the exiting thread and returns the
+// thread that must run next to the driver.
 func (r *rider) Finish(p any) Rider {
 	t := (*Thread)(r)
 	m := t.m
@@ -224,30 +220,30 @@ func (r *rider) Finish(p any) Rider {
 		m.recordPanic(t, p) // user code panicked: record and surface it
 	}
 	t.sinceYield = 0
-	next := m.reschedule(t, action{kind: actExit})
-	if next != nil && next.carrier == nil {
-		return (*rider)(next)
-	}
-	m.carriers.Put(0, t.carrier)
-	m.handoff(next)
-	return nil
+	return m.reschedule(t, action{kind: actExit}).rider()
 }
 
-// switchOut runs the scheduler on the calling thread's goroutine: it
-// applies act to the machine and advances it to the next thread that
-// must run. If that is t itself (a quantum pause, or a yield or preempt
-// with nothing better ready) t just carries on; otherwise t hands the
-// machine over and parks. It must only be called on the thread's
-// goroutine, and never for an exit (see rider.Finish).
+// rider returns t in its Rider role, or a nil Rider for a nil t.
+func (t *Thread) rider() Rider {
+	if t == nil {
+		return nil
+	}
+	return (*rider)(t)
+}
+
+// switchOut runs the scheduler on the calling thread: it applies act to
+// the machine and advances it to the next thread that must run. If that
+// is t itself (a quantum pause, or a yield or preempt with nothing
+// better ready) t just carries on; otherwise t yields the successor to
+// the driver and parks. It must only be called from t's own body, and
+// never for an exit (see rider.Finish).
 func (t *Thread) switchOut(act action) {
 	t.sinceYield = 0
-	m := t.m
-	next := m.reschedule(t, act)
+	next := t.m.reschedule(t, act)
 	if next == t {
 		return
 	}
-	m.handoff(next)
-	t.carrier.Park()
+	t.carrier.Switch(next.rider())
 }
 
 // maybePause runs the scheduler if the thread has accumulated more than

@@ -12,7 +12,7 @@ import (
 )
 
 // Thread-facing operations (exec.Backend). All run in thread context:
-// on the goroutine of the thread passed as the first argument, while
+// in the body of the thread passed as the first argument, while
 // that thread holds a processor.
 
 // nt unwraps an exec.Thread to this backend's representation.
@@ -32,7 +32,7 @@ func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *t
 	child.isDummy = dummy
 	body.Bind(child)
 	// DePa order maintenance: the label assignment is the whole point of
-	// the scheme — it happens here on the parent's goroutine, before the
+	// the scheme — it happens here on the parent's coroutine, before the
 	// scheduler lock, with zero shared state. The policy reads the label
 	// under b.mu, which orders the write ahead of every use.
 	child.tok.Order = t.tok.Order.Fork()

@@ -1,21 +1,22 @@
 package native
 
-// White-box tests for the processor handoff: threads pass their
-// processor on directly, through one-slot mailboxes, and the worker
-// goroutine is reached only when there is no successor. The handoff
-// cycles below would each block forever if a dispatch had to rendezvous
-// with its target's park.
+// White-box tests for the processor handoff: a thread yields its
+// successor to its worker, which resumes it at once, and the worker's
+// own pick is reached only when there is no successor. The handoff
+// cycles below would each block forever if a resume had to rendezvous
+// with its target's park, and the wake-before-park shapes make a
+// resumer wait for a thread that has not yielded yet.
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
 	"spthreads/internal/leakcheck"
+	"spthreads/internal/metrics"
 	"spthreads/internal/sched"
 )
 
@@ -53,10 +54,10 @@ func forkFn(b *Backend, t exec.Thread, attr core.Attr, fn func(exec.Thread)) exe
 // forEachPool runs f once per pool state. The arms keep the names of
 // the two native lifecycles these tests once compared. "reference"
 // starts from a cold pool: every first launch on a processor starts a
-// fresh carrier goroutine and every thread gets a freshly allocated
+// fresh carrier coroutine and every thread gets a freshly allocated
 // record, as one goroutine per thread did. "tuned" primes every
 // processor's carrier free list and record arena first
-// (newPoolBackend), so launches reuse parked carriers and recycled
+// (newPoolBackend), so launches reuse idle carriers and recycled
 // records from the first fork.
 func forEachPool(t *testing.T, f func(t *testing.T, warm bool)) {
 	for _, s := range []struct {
@@ -67,7 +68,7 @@ func forEachPool(t *testing.T, f func(t *testing.T, warm bool)) {
 	}
 }
 
-// warmSlots is how many parked carriers and blank records a warm pool
+// warmSlots is how many idle carriers and blank records a warm pool
 // starts with on each processor.
 const warmSlots = 8
 
@@ -76,42 +77,33 @@ func newPoolBackend(t *testing.T, policy sched.Kind, cfg Config, warm bool) *Bac
 	t.Helper()
 	b := newPolicyBackend(t, policy, cfg)
 	if warm {
-		// Every primer holds its carrier until all are launched, so each
-		// launch starts a fresh one; released, they park on list pid.
-		release := make(chan struct{})
-		var parked sync.WaitGroup
+		// Every primer parks in its carrier until all of a processor's are
+		// launched, so each launch starts a fresh coroutine; resumed, they
+		// finish and their carriers go back on list pid.
 		for pid := range b.recs {
-			for i := 0; i < warmSlots; i++ {
-				parked.Add(1)
-				b.carriers.Launch(pid, &primer{b: b, pid: pid, release: release, parked: &parked}, pid)
+			ps := make([]*primer, warmSlots)
+			for i := range ps {
+				ps[i] = new(primer)
+				b.carriers.Launch(pid, ps[i], pid)
 				b.recs[pid].Push(&thread{b: b})
 			}
+			for _, p := range ps {
+				b.carriers.Resume(pid, p, p.c, pid)
+			}
 		}
-		close(release)
-		parked.Wait()
 	}
 	return b
 }
 
-// primer is a rider that only parks its carrier on a free list.
-type primer struct {
-	b       *Backend
-	pid     int
-	c       *core.Carrier
-	release chan struct{}
-	parked  *sync.WaitGroup
-}
+// primer is a rider that parks once and then finishes.
+type primer struct{ c *core.Carrier }
 
 func (p *primer) Ride(c *core.Carrier, _ int) {
 	p.c = c
-	<-p.release
+	c.Switch(nil)
 }
 
-func (p *primer) Finish(any) core.Rider {
-	p.b.carriers.Put(p.pid, p.c)
-	p.parked.Done()
-	return nil
-}
+func (p *primer) Finish(any) core.Rider { return nil }
 
 func mustJoin(b *Backend, t exec.Thread, hs ...exec.Thread) {
 	for _, h := range hs {
@@ -130,10 +122,11 @@ func spinUntil(cond func() bool) {
 
 // TestHandoffPickEachOther: T and M hold two processors and are both
 // readied by a third thread while still between blockPrep and their
-// park. M gives up first and picks T (FIFO order), T then picks M: each
-// posts into the other's mailbox and finds the other's processor in its
-// own. Nothing is idle meanwhile — all three processors are out — so
-// the picks are exactly these.
+// park. M gives up first and picks T (FIFO order), so M's worker waits
+// for T to yield; T then picks M, already parked: each worker resumes
+// the other's thread, and the two swap processors. Nothing is idle
+// meanwhile — all three processors are out — so the picks are exactly
+// these.
 func TestHandoffPickEachOther(t *testing.T) {
 	forEachPool(t, func(t *testing.T, warm bool) {
 		b := newPoolBackend(t, sched.FIFO, Config{Procs: 3}, warm)
@@ -187,8 +180,8 @@ func TestHandoffPickEachOther(t *testing.T) {
 // TestHandoffPickSelf: a thread readied between blockPrep and its park
 // is the only ready thread when it gives its processor up, so it picks
 // itself; and a thread that yields with nothing else ready does the
-// same. Both are a post into the caller's own mailbox, and neither
-// involves a worker: the only worker dispatches are the ones that
+// same. Both keep the processor without a switch, and neither involves
+// a worker's own pick: the only worker dispatches are the ones that
 // started each processor's first thread.
 func TestHandoffPickSelf(t *testing.T) {
 	forEachPool(t, func(t *testing.T, warm bool) {
@@ -238,10 +231,65 @@ func TestHandoffPickSelf(t *testing.T) {
 	})
 }
 
+// TestWakeBeforeParkWaits: a waker readies T between T's blockPrep and
+// its park while other processors are idle, so an idle worker marks T
+// running and resumes it before T has yielded. That worker must wait for
+// the yield, blocking rather than spinning: at GOMAXPROCS 1 a spinning
+// resumer would share the one host processor with the thread it waits
+// for. T comes back on the resumer's processor.
+func TestWakeBeforeParkWaits(t *testing.T) {
+	for _, gmp := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", gmp), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
+			b := newPolicyBackend(t, sched.FIFO, Config{Procs: 4})
+			reg := make(chan *thread, 1)
+			release, resumed := make(chan struct{}), make(chan struct{})
+			var before, after int
+			_, err := execute(t, b, func(root exec.Thread) {
+				ht := forkFn(b, root, core.Attr{}, func(et exec.Thread) {
+					tt := et.(*thread)
+					before = tt.pid
+					b.blockPrep(tt)
+					reg <- tt
+					<-release
+					tt.blockPark()
+					after = tt.pid
+					close(resumed)
+				})
+				hw := forkFn(b, root, core.Attr{}, func(w exec.Thread) {
+					tt := <-reg
+					b.readyThread(tt, w.(*thread).pid)
+					spinUntil(func() bool { // an idle worker has taken T
+						b.mu.Lock()
+						defer b.mu.Unlock()
+						return tt.state == core.StateRunning
+					})
+					close(release)
+					// Stay on this processor until T is back.
+					spinUntil(func() bool {
+						select {
+						case <-resumed:
+							return true
+						default:
+							return false
+						}
+					})
+				})
+				mustJoin(b, root, ht, hw)
+			})
+			if err != nil {
+				t.Fatalf("Execute: %v", err)
+			}
+			if before == after {
+				t.Errorf("T parked on processor %d and came back on it: want the resumer's", before)
+			}
+		})
+	}
+}
+
 // TestLoopAdoptsOwnSuccessor: on one processor under FIFO, A's exit
-// finds the unstarted B next in line after A's carrier has already put
-// itself back in the pool, so the exit path pops its own carrier and
-// posts B's launch to the mailbox it is about to come back to. The run
+// finds the unstarted B next in line, so A's carrier yields B, the
+// worker puts the now idle carrier back and launches B on it. The run
 // needs exactly two carriers (root's and the one A and B share). At three
 // processors the same program only has to complete: idle workers may
 // take B first.
@@ -271,10 +319,10 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 
 // TestProcessorReturnedOnce runs a sync-heavy program — every blocking
 // shape, with wakers and waiters on different processors — on every
-// store. A thread that released t.pid as rewritten by its
-// next dispatcher, rather than the processor it holds, would send one
-// processor home twice (pass panics, and the race detector sees the
-// unordered writes of worker.out) and strand another (the run hangs).
+// store, and checks that each park is resumed exactly once: every
+// dispatch is either a thread's launch or the resume of one park (a
+// resume too many for a carrier's parks panics in core.Carriers.Resume,
+// and a park never resumed hangs the run).
 func TestProcessorReturnedOnce(t *testing.T) {
 	stores := []struct {
 		name   string
@@ -287,7 +335,8 @@ func TestProcessorReturnedOnce(t *testing.T) {
 	for _, s := range stores {
 		t.Run(s.name, func(t *testing.T) {
 			forEachPool(t, func(t *testing.T, warm bool) {
-				b := newPoolBackend(t, s.policy, Config{Procs: 4}, warm)
+				reg := metrics.NewRegistry()
+				b := newPoolBackend(t, s.policy, Config{Procs: 4, Metrics: reg}, warm)
 				var (
 					mu  exec.Mutex
 					cv  exec.Cond
@@ -296,7 +345,7 @@ func TestProcessorReturnedOnce(t *testing.T) {
 				)
 				bar.Init(threads)
 				turn, total := 0, 0
-				_, err := execute(t, b, func(root exec.Thread) {
+				st, err := execute(t, b, func(root exec.Thread) {
 					hs := make([]exec.Thread, threads)
 					for i := range hs {
 						i := i
@@ -330,10 +379,11 @@ func TestProcessorReturnedOnce(t *testing.T) {
 				if total != threads*rounds {
 					t.Errorf("critical section ran %d times, want %d", total, threads*rounds)
 				}
-				for pid, w := range b.workers {
-					if w.out {
-						t.Errorf("processor %d never came home", pid)
-					}
+				dispatches := st.Metrics.Counters["sched.dispatches"]
+				resumes := st.Metrics.Histograms["sched.resume.handoff"].Count
+				if dispatches != st.ThreadsCreated+resumes {
+					t.Errorf("%d dispatches for %d launches and %d resumes: a park was resumed twice",
+						dispatches, st.ThreadsCreated, resumes)
 				}
 			})
 		})
@@ -375,7 +425,7 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 func TestNoGoroutineLeaks(t *testing.T) {
 	// parkMany leaves n started threads parked on sem: under ADF each
 	// fork runs the child at once, and the child blocks. These are the
-	// threads riding the carriers the shutdown walk must poison.
+	// threads riding the carriers the shutdown walk must unwind.
 	const n = 1000
 	parkMany := func(b *Backend, root exec.Thread, sem *exec.Semaphore, detachOdd bool) []exec.Thread {
 		hs := make([]exec.Thread, n)
@@ -431,8 +481,8 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		}, nil},
 		// FIFO enqueues a forked child and lets the parent run on, and at
 		// p = 1 nobody else picks the children up: when the root panics they
-		// were created but never dispatched, have no goroutine, and the walk
-		// must not post to them.
+		// were created but never dispatched, have no carrier, and the walk
+		// has nothing to stop.
 		{"never-dispatched", sched.FIFO, 1, true, func(b *Backend, root exec.Thread) {
 			undispatched = undispatched[:0]
 			for i := 0; i < 8; i++ {
@@ -441,9 +491,9 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			panic("boom")
 		}, func(t *testing.T) {
 			for _, h := range undispatched {
-				if c := h.(*thread); c.started || c.carrier != nil {
-					t.Errorf("%s: started = %v, carrier %p; want never dispatched, never poisoned",
-						c.Name(), c.started, c.carrier)
+				if c := h.(*thread); c.state != core.StateReady || c.carrier != nil {
+					t.Errorf("%s: state %v, carrier %p; want never dispatched, never launched",
+						c.Name(), c.state, c.carrier)
 				}
 			}
 		}},

@@ -3,10 +3,10 @@ package native
 import "spthreads/internal/core"
 
 // The native thread lifecycle. A lightweight thread rides a pooled
-// core.Carrier from its first dispatch to its exit: a parked goroutine
-// with its own mailbox, popped from the dispatching processor's free
-// list (a fresh one is started only when that list is empty), which
-// goes back on its last processor's list when the thread exits. Thread
+// core.Carrier from its first dispatch to its exit: an iter.Pull
+// coroutine popped from the dispatching processor's free list (a fresh
+// one is started only when that list is empty), which the worker puts
+// back on its own list once the thread has exited and yielded. Thread
 // records are recycled the same way, through per-worker free-list
 // arenas, once both their holders (the exiting thread and the joiner)
 // are done with them.
@@ -19,26 +19,16 @@ func (t *thread) Ride(c *core.Carrier, pid int) {
 	t.body.Run(t)
 }
 
-// Finish implements core.Rider: exit bookkeeping on t's own goroutine
-// once its body is done (p is a user panic, nil otherwise).
+// Finish implements core.Rider: exit bookkeeping on t's own coroutine
+// once its body is done (p is a user panic, nil otherwise). It returns
+// the successor for t's worker.
 func (t *thread) Finish(p any) core.Rider {
 	if p != nil {
 		t.b.recordPanic(t, p)
 	}
-	// Republish the carrier BEFORE the exit bookkeeping: exitThread's
-	// joiner wake and successor dispatch let other threads fork, and the
-	// carrier must already be poppable then or those forks miss the pool
-	// and launch fresh goroutines. (The old recycle-after-return order
-	// lost the race on ~10% of fine-grained forks, and every missed
-	// carrier parked forever with a grown stack the GC re-scanned each
-	// cycle.) Whoever pops the carrier now — this exit path itself, when
-	// its successor is an unstarted thread: a carrier may adopt its own
-	// successor — only posts to the mailbox, which this goroutine takes
-	// once it is back at its receive, so reuse stays serialized.
-	t.b.carriers.Put(t.pid, t.carrier)
-	t.b.exitThread(t)
+	next := t.b.exitThread(t)
 	t.b.releaseThread(t)
-	return nil
+	return next.rider()
 }
 
 // FreeLink implements the core.FreeList element constraint for the

@@ -3,21 +3,20 @@
 // to, as opposed to the deterministic virtual-time simulation in
 // internal/core.
 //
-// Each lightweight thread rides a pooled core.Carrier (lifecycle.go)
-// and is parked on its mailbox whenever it does not hold a processor.
-// There are p processors (Config.Procs, default GOMAXPROCS), each a token
-// held by one goroutine at a time, so at most p lightweight threads
-// make progress concurrently — the execution model of the paper's
-// library on an 8-way SMP. As in that user-level library, the thread that stops runs
-// the scheduler: giving its processor up (fork, exit, Join, Yield,
-// quota or time-slice preemption, Sleep, every sync-object block) it
-// picks its successor — the forked child, or the policy's next thread,
-// taken in the scheduler-lock section that recorded why it stopped —
-// dispatches it from its own goroutine, and only then parks. Each
-// processor also has a worker goroutine, which holds it only while no
-// thread does: it dispatches a first thread, gets the processor back
-// when a thread finds no successor, and runs the idle / deadlock /
-// run-end protocol.
+// Each lightweight thread rides a pooled core.Carrier (lifecycle.go), an
+// iter.Pull coroutine, and is parked in it whenever it does not hold a
+// processor. There are p processors (Config.Procs, default GOMAXPROCS),
+// each a worker goroutine that drives the coroutines one at a time, so
+// at most p lightweight threads make progress concurrently — the
+// execution model of the paper's library, user-level threads on LWPs.
+// As in that user-level library, the thread that stops runs the
+// scheduler: giving its processor up (fork, exit, Join, Yield, quota or
+// time-slice preemption, Sleep, every sync-object block) it picks its
+// successor — the forked child, or the policy's next thread, taken in
+// the scheduler-lock section that recorded why it stopped — and yields
+// it to its worker, which resumes it at once: a thread switch is two
+// coroswitches. Only a thread that finds no successor sends its worker
+// to the idle / deadlock / run-end protocol (next).
 //
 // The scheduling policies from internal/sched are reused unchanged:
 // every policy call happens under the backend's scheduler lock (b.mu),
@@ -34,7 +33,7 @@
 // pick, under b.mu, is the only code that follows Owner (to turn the
 // token policy.Next answers into the thread to dispatch); policies never
 // look at it. The shutdown walk needs no registry of live threads: it
-// poisons every carrier the pool ever started.
+// stops every carrier the pool ever started.
 //
 // Ordering invariant for blocking: a thread marks itself blocked in the
 // policy (OnBlock, under b.mu) *before* registering with a sync
@@ -42,14 +41,16 @@
 // after its OnBlock, so the policy always sees OnBlock before the
 // matching OnReady.
 //
-// Mailbox invariant: a dispatch is a non-blocking post of the processor
-// id into the target's one-slot resume mailbox. Wake-before-park is
-// therefore safe — a thread dispatched before it reaches its park finds
-// the processor waiting there — and so are the shapes where a
-// rendezvous would deadlock: two threads that pick each other, a thread
-// that picks itself, a carrier that adopts its own successor. One
-// slot is enough because a thread is marked running at most once per
-// park; Carrier.Post panics otherwise.
+// Resume invariant: a thread is marked running at most once per park,
+// and only the worker that marked it (or, for a successor, the worker
+// it was yielded to) resumes it. Another processor can mark a thread
+// running before the thread has yielded — after its BlockPrep, or once
+// a fork or yield made it ready — so a resume first takes the carrier's
+// mutex, which the thread's current worker holds until the yield: the
+// resumer blocks, it never spins. The shapes a rendezvous would
+// deadlock on stay safe: two threads that pick each other (each worker
+// releases one carrier before it takes the next), and a thread that
+// picks itself, which keeps its processor and does not switch.
 //
 // Timing is wall-clock: Charge still accounts the charged cycles into
 // thread work/span (so speedup and parallelism remain comparable), but
@@ -169,14 +170,8 @@ type worker struct {
 	stats      core.ProcStats
 	dispatches *metrics.Counter // per-worker dispatch count (nil-safe)
 
-	// home is where the processor comes back to the worker goroutine when
-	// a thread gives it up and finds no successor. out is true while a
-	// thread holds the processor: the worker sets it before dispatching,
-	// the thread sending the processor home clears it, and the handoff
-	// chain orders the two, so a double return trips pass's check (and
-	// the race detector). wakeups counts the worker's dispatches.
-	home    chan struct{}
-	out     bool
+	// wakeups counts the threads the worker took itself (next), rather
+	// than as a successor yielded to it.
 	wakeups int64
 }
 
@@ -217,7 +212,6 @@ func New(cfg Config) (*Backend, error) {
 	for i := range b.workers {
 		b.workers[i] = &worker{
 			dispatches: reg.Counter(fmt.Sprintf("sched.dispatches.w%d", i)),
-			home:       make(chan struct{}, 1),
 		}
 	}
 	if sp, ok := cfg.Policy.(core.ShardedPolicy); ok {
@@ -266,8 +260,8 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 		go b.runWorker(pid)
 	}
 	b.wg.Wait()
-	// A worker exits only with its processor home, so no thread holds
-	// one and no mailbox holds a post: the carriers can be poisoned.
+	// A worker exits only when the thread it ran yielded, so no coroutine
+	// is running: the carriers can be stopped.
 	b.carriers.Shutdown()
 	// Every worker and thread goroutine has quiesced; only stray timers
 	// may still fire, and those record nothing once b.done is set (they
@@ -279,62 +273,38 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	return b.stats(), b.err
 }
 
-// runWorker is processor pid's worker goroutine: it finds a thread
-// (sleeping in next while there is none), hands the processor over, and
-// waits for it to come home.
+// runWorker is processor pid's driver loop: it runs a thread and then
+// the successor each thread yields, falling back to next (which sleeps
+// while nothing is ready) when there is none.
 func (b *Backend) runWorker(pid int) {
 	defer b.wg.Done()
-	w := b.workers[pid]
-	for {
-		t := b.next(pid)
-		if t == nil {
-			return
-		}
-		w.out = true
-		w.wakeups++
-		b.dispatch(t, pid)
-		<-w.home
+	for t := b.next(pid); t != nil; t = b.run(t, pid) {
 	}
 }
 
-// dispatch hands processor pid to t, which the caller marked running on
-// it under b.mu. It runs on whichever goroutine holds the processor —
-// the thread giving it up, or the worker — and never waits for t: a
-// first dispatch launches t onto a pooled carrier, a later one posts
-// to t's mailbox. Every dispatch follows exactly one markRunning, so the
-// KindDispatch record is issued here, with markRunning's timestamp,
-// while t is already running; the capture precedes the post because t
+// run hands processor pid to t, which was marked running on it under
+// b.mu: a first run launches t onto a pooled carrier, a later one
+// resumes t's carrier. It returns the next thread for pid: the successor
+// t yielded, or else the worker's own pick. Every run follows exactly
+// one markRunning, so the KindDispatch record is issued here, with
+// markRunning's timestamp; the capture precedes the resume because t
 // can then block and be re-marked, or exit and have its record
 // recycled.
-func (b *Backend) dispatch(t *thread, pid int) {
-	at, id := t.dispatchAt, t.ID()
-	if t.launch {
-		// t binds its carrier on its own goroutine (Ride), before any
-		// b.mu section that can make it dispatchable again; later
-		// dispatchers read t.carrier behind that.
-		b.carriers.Launch(pid, t, pid)
+func (b *Backend) run(t *thread, pid int) *thread {
+	b.tracer.recordAt(t.dispatchAt, pid, t.ID(), trace.KindDispatch, 0)
+	var r core.Rider
+	if t.carrier == nil {
+		r = b.carriers.Launch(pid, t, pid)
 	} else {
 		if b.handoff != nil {
 			t.postAt = b.sinceStart()
 		}
-		t.carrier.Post(pid)
+		r = b.carriers.Resume(pid, t, t.carrier, pid)
 	}
-	b.tracer.recordAt(at, pid, id, trace.KindDispatch, 0)
-}
-
-// pass moves processor pid on from the thread giving it up: to next,
-// the successor it picked, or home to the worker when there is none.
-func (b *Backend) pass(pid int, next *thread) {
-	if next != nil {
-		b.dispatch(next, pid)
-		return
+	if next, _ := r.(*thread); next != nil {
+		return next
 	}
-	w := b.workers[pid]
-	if !w.out {
-		panic(fmt.Sprintf("native: processor %d returned twice", pid))
-	}
-	w.out = false
-	w.home <- struct{}{}
+	return b.next(pid)
 }
 
 // lock acquires the scheduler lock, recording how long the acquisition
@@ -375,8 +345,8 @@ func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() 
 // nil when nothing is ready or the run is over. Caller holds b.mu: a
 // thread giving its processor up calls it in the section that recorded
 // why it stopped, a worker from next. The sharded store answers nil — a
-// shard take never nests inside b.mu — so there the processor goes home
-// and the worker takes.
+// shard take never nests inside b.mu — so there the thread yields no
+// successor and the worker takes.
 func (b *Backend) pick(pid int) *thread {
 	if b.done || b.shards != nil {
 		return nil
@@ -395,7 +365,7 @@ func (b *Backend) pick(pid int) *thread {
 	return t
 }
 
-// next blocks until there is a thread for worker pid to dispatch (marked
+// next blocks until there is a thread for worker pid to run (marked
 // running on pid), the run completes, or a deadlock is detected.
 func (b *Backend) next(pid int) *thread {
 	if b.shards != nil {
@@ -408,6 +378,7 @@ func (b *Backend) next(pid int) *thread {
 			return nil
 		}
 		if t := b.pick(pid); t != nil {
+			b.workers[pid].wakeups++
 			return t
 		}
 		if b.live == 0 {
@@ -438,6 +409,7 @@ func (b *Backend) nextSharded(pid int) *thread {
 			b.lock()
 			b.markRunning(t, pid)
 			b.mu.Unlock()
+			b.workers[pid].wakeups++
 			return t
 		}
 		b.lock()
@@ -482,13 +454,11 @@ func (b *Backend) addRunning(d int) {
 	b.runningGauge.Set(int64(b.running))
 }
 
-// markRunning assigns t to processor pid; the caller dispatches it
-// after dropping b.mu. t.pid is not written here: t adopts the pid the
-// dispatch carries, on its own goroutine. Caller holds b.mu.
+// markRunning assigns t to processor pid; pid's worker runs it after
+// the caller dropped b.mu. t.pid is not written here: t adopts the pid
+// its resume carries, on its own coroutine. Caller holds b.mu.
 func (b *Backend) markRunning(t *thread, pid int) {
 	t.state = core.StateRunning
-	t.launch = !t.started
-	t.started = true
 	t.quotaLeft = b.quota
 	b.addRunning(1)
 	b.workers[pid].stats.Dispatches++
@@ -498,14 +468,14 @@ func (b *Backend) markRunning(t *thread, pid int) {
 		b.dispatchWait.Observe(b.sinceStart() - t.readyAt)
 		t.readyAt = 0
 	}
-	// The KindDispatch ring write is deferred to dispatch, after the
-	// caller drops b.mu; only the timestamp is taken here so trace order
-	// still matches lock order.
+	// The KindDispatch ring write is deferred to run, after the caller
+	// drops b.mu; only the timestamp is taken here so trace order still
+	// matches lock order.
 	t.dispatchAt = b.tracer.now()
 }
 
-// blockPrep marks t blocked in the policy. It must be called on t's own
-// goroutine, before t is registered with any waiter list, and must be
+// blockPrep marks t blocked in the policy. It must be called from t's
+// own body, before t is registered with any waiter list, and must be
 // followed by t.blockPark.
 func (b *Backend) blockPrep(t *thread) {
 	b.lock()
@@ -522,11 +492,10 @@ func (b *Backend) blockPrep(t *thread) {
 }
 
 // readyThread makes a blocked thread runnable again. pid is the waking
-// processor. Call only from thread context (a carrier goroutine): the
-// deferred wake record relies on the carriers' shutdown wait ordering it
-// before the
-// run-end merge — timer wakes go through wakeSleeper, which records
-// under b.mu instead.
+// processor. Call only from thread context (a carrier coroutine): the
+// deferred wake record relies on the workers' shutdown wait ordering it
+// before the run-end merge — timer wakes go through wakeSleeper, which
+// records under b.mu instead.
 func (b *Backend) readyThread(t *thread, pid int) {
 	b.lock()
 	if b.done {
@@ -555,8 +524,8 @@ func (b *Backend) readyThread(t *thread, pid int) {
 }
 
 // preemptNow returns the calling thread to the ready structure and
-// passes its processor on (quota exhaustion or yield). With
-// nothing else ready t picks itself: a post into its own mailbox.
+// passes its processor on (quota exhaustion or yield). With nothing
+// else ready t picks itself and keeps the processor.
 func (b *Backend) preemptNow(t *thread) {
 	pid := t.pid
 	b.lock()
@@ -589,9 +558,9 @@ func (b *Backend) admit(t *thread) {
 	b.liveGauge.Set(int64(b.live))
 }
 
-// exitThread performs exit bookkeeping on t's own goroutine, wakes its
-// joiner and passes its processor on.
-func (b *Backend) exitThread(t *thread) {
+// exitThread performs exit bookkeeping on t's own coroutine, wakes its
+// joiner and returns the successor to pass the processor on to.
+func (b *Backend) exitThread(t *thread) *thread {
 	pid := t.pid
 	b.mem.freeStack(t.stackSize)
 	b.lock()
@@ -635,14 +604,11 @@ func (b *Backend) exitThread(t *thread) {
 		// section above; only then may another worker dispatch it.
 		b.shards.push(j, pid)
 	}
-	// Pass the processor on first; the exit and joiner-wake records then
-	// land in the dispatch's shadow. This goroutine still emits them
-	// before its carrier's shutdown, so the run-end merge observes them.
-	b.pass(pid, next)
 	b.tracer.recordAt(at, pid, t.ID(), trace.KindExit, 0)
 	if j != nil {
 		b.tracer.recordAt(at, pid, jid, trace.KindWake, 0)
 	}
+	return next
 }
 
 // newThread builds a thread without admitting it. pid is the creating
@@ -676,7 +642,7 @@ func (b *Backend) newThread(pid int, attr core.Attr, body exec.Body) *thread {
 }
 
 // recordPanic records the first user panic and stops dispatching; the
-// remaining parked threads are poisoned at shutdown.
+// remaining parked threads are unwound at shutdown.
 func (b *Backend) recordPanic(t *thread, r any) {
 	b.lock()
 	b.failLocked(fmt.Errorf("native: %s panicked: %v", t.Name(), r), trace.RunEndPanic)

@@ -10,9 +10,9 @@ import (
 	"spthreads/internal/vtime"
 )
 
-// thread is one lightweight thread, riding a pooled carrier goroutine
-// (lifecycle.go) from its first dispatch to its exit and parked on the
-// carrier's mailbox whenever it does not hold a processor. It is the only
+// thread is one lightweight thread, riding a pooled carrier coroutine
+// (lifecycle.go) from its first dispatch to its exit and parked in it
+// whenever it does not hold a processor. It is the only
 // per-thread record: the token the policy orders by (tok) lives inside
 // it, and tok.Owner leads from a token the policy hands back to the
 // record around it. The one-byte fields sit in two groups so padding
@@ -30,10 +30,11 @@ type thread struct {
 
 	stackSize int64
 
-	// carrier is the goroutine t rides, bound at its first dispatch
-	// (Ride). A dispatcher posts the processor id it hands over into the
-	// carrier's one-slot mailbox, or core.PoisonPid at shutdown, and
-	// never waits for the thread to reach its park.
+	// carrier is the coroutine t rides, bound at its first dispatch
+	// (Ride); nil until then, which tells the worker to launch t. t can
+	// become dispatchable again only in a b.mu section after Ride, so a
+	// later worker reads it behind that and resumes t there, waiting on
+	// the carrier's mutex if t has not yielded yet.
 	carrier *core.Carrier
 
 	// Record reuse (see lifecycle.go). freeNext links the record in a worker
@@ -43,19 +44,12 @@ type thread struct {
 	refs     atomic.Int32
 
 	isDummy bool
-	// started is guarded by b.mu. launch is markRunning's verdict that
-	// this dispatch is the thread's first; like dispatchAt it is stable
-	// between markRunning and the post, when exactly one dispatcher owns
-	// the thread.
-	started bool
-	launch  bool
-
-	state core.State // guarded by b.mu
+	state   core.State // guarded by b.mu
 
 	// pid is the processor this thread holds (or last held), written
-	// only on its own goroutine from the value its dispatch carried: a
-	// thread on its way to its park releases the processor it holds even
-	// if another processor has already marked it running again.
+	// only on its own coroutine from the value its resume carried: a
+	// thread on its way to its park yields to the worker it runs under
+	// even if another processor has already marked it running again.
 	pid int
 
 	// Sharded-store heap slot: key snapshot and heap index, guarded by
@@ -73,10 +67,9 @@ type thread struct {
 	readyAt int64
 
 	// dispatchAt is the tracer timestamp captured by markRunning under
-	// b.mu; the dispatcher issues the KindDispatch ring write after
-	// unlocking. postAt stamps a resume post for sched.resume.handoff
-	// (dispatcher before the post, woken thread after its receive), on
-	// readyAt's clock.
+	// b.mu; the worker issues the KindDispatch ring write after
+	// unlocking. postAt stamps a resume for sched.resume.handoff (worker
+	// before the resume, the thread once it runs), on readyAt's clock.
 	dispatchAt vtime.Time
 	postAt     int64
 
@@ -92,7 +85,15 @@ type thread struct {
 	joiner     *thread
 	exitedSpan vtime.Duration
 
-	tls map[any]any // only touched by the thread's own goroutine
+	tls map[any]any // only touched by the thread's own body
+}
+
+// rider returns t in its core.Rider role, or a nil Rider for a nil t.
+func (t *thread) rider() core.Rider {
+	if t == nil {
+		return nil
+	}
+	return t
 }
 
 // exec.Thread implementation.
@@ -123,26 +124,13 @@ func (t *thread) TLSSet(key, val any) {
 	t.tls[key] = val
 }
 
-// park waits in the mailbox for the next dispatch and adopts the
-// processor it carries.
-func (t *thread) park() {
-	t.pid = t.carrier.Park()
-	if h := t.b.handoff; h != nil {
-		h.Observe(t.b.sinceStart() - t.postAt)
-	}
-}
-
 // passPark gives t's processor to next — the successor t chose in the
-// b.mu section that recorded why it stopped, nil to send it home — then
-// emits that section's event and parks. The ring write lands in the
-// dispatch's shadow, off the successor's critical path, and still
-// precedes this goroutine's park and hence the run-end merge. Must be
-// called on t's own goroutine.
+// b.mu section that recorded why it stopped — after emitting that
+// section's event, while t still holds the processor. Must be called
+// from t's own body.
 func (t *thread) passPark(next *thread, at vtime.Time, kind trace.Kind) {
-	pid := t.pid
-	t.b.pass(pid, next)
-	t.b.tracer.recordAt(at, pid, t.ID(), kind, 0)
-	t.park()
+	t.b.tracer.recordAt(at, t.pid, t.ID(), kind, 0)
+	t.switchTo(next)
 }
 
 // blockPark gives t's processor up after blockPrep and registration
@@ -155,6 +143,22 @@ func (t *thread) blockPark() {
 	b.lock()
 	next := b.pick(t.pid)
 	b.mu.Unlock()
-	b.pass(t.pid, next)
-	t.park()
+	t.switchTo(next)
+}
+
+// switchTo yields next (nil: the worker picks) to t's worker and parks
+// until a worker resumes t, adopting that worker's processor. A thread
+// that picked itself keeps its processor and does not switch: a resume
+// with no handoff delay.
+func (t *thread) switchTo(next *thread) {
+	b := t.b
+	if next == t {
+		b.tracer.recordAt(t.dispatchAt, t.pid, t.ID(), trace.KindDispatch, 0)
+		b.handoff.Observe(0)
+		return
+	}
+	t.pid = t.carrier.Switch(next.rider())
+	if h := b.handoff; h != nil {
+		h.Observe(b.sinceStart() - t.postAt)
+	}
 }

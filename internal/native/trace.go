@@ -77,9 +77,9 @@ func (tr *tracer) recordAt(at vtime.Time, proc int, thread int64, kind trace.Kin
 }
 
 // finish merges all rings into rec, time-sorted, declaring the wall-ns
-// time base. Call only after workers and thread goroutines have
+// time base. Call only after workers and thread coroutines have
 // quiesced — their deferred (post-unlock) ring writes happen before
-// their WaitGroup Done — and hold b.mu to order any straggling timer
+// their worker's WaitGroup Done — and hold b.mu to order any straggling timer
 // appends (timers record only while !b.done, under b.mu).
 func (tr *tracer) finish(rec *trace.Recorder) {
 	if tr == nil {

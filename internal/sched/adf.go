@@ -40,9 +40,13 @@ type adfPolicy struct {
 	name    string
 	quota   int64
 	dummies bool
-	levels  [core.NumPriorities]adfLevel
-	ready   int // ready entries across all levels
-	live    int // placeholder entries across all levels
+	// levels are built by newLevel on a priority's first use: programs
+	// use one or two of the NumPriorities levels, and a run should not
+	// pay for the rest.
+	levels   [core.NumPriorities]adfLevel
+	newLevel func() adfLevel
+	ready    int // ready entries across all levels
+	live     int // placeholder entries across all levels
 
 	// Gauges mirror the live/ready counters into an attached metrics
 	// registry (nil handles are no-ops), exposing the placeholder-list
@@ -88,11 +92,8 @@ type adfLevel interface {
 }
 
 func newADF(quotaK int64, disableDummies bool) *adfPolicy {
-	p := &adfPolicy{name: "adf", quota: quotaK, dummies: !disableDummies}
-	for i := range p.levels {
-		p.levels[i] = &adfDepa{}
-	}
-	return p
+	return &adfPolicy{name: "adf", quota: quotaK, dummies: !disableDummies,
+		newLevel: func() adfLevel { return &adfDepa{} }}
 }
 
 func (p *adfPolicy) Name() string { return p.name }
@@ -106,7 +107,15 @@ func (p *adfPolicy) AllocDummies(m int64) int {
 	return int((m + p.quota - 1) / p.quota)
 }
 
-func (p *adfPolicy) level(t *core.Thread) adfLevel { return p.levels[t.Priority] }
+// level returns t's priority level, building it on first use.
+func (p *adfPolicy) level(t *core.Thread) adfLevel {
+	l := p.levels[t.Priority]
+	if l == nil {
+		l = p.newLevel()
+		p.levels[t.Priority] = l
+	}
+	return l
+}
 
 func (p *adfPolicy) OnCreate(parent, child *core.Thread) bool {
 	p.live++
@@ -168,7 +177,7 @@ func (p *adfPolicy) Next(pid int) *core.Thread {
 	}
 	for pri := core.NumPriorities - 1; pri >= 0; pri-- {
 		l := p.levels[pri]
-		if l.readyCount() == 0 {
+		if l == nil || l.readyCount() == 0 {
 			continue
 		}
 		p.ready--

@@ -168,7 +168,10 @@ func (d *diffADF) removeID(s *[]int64, id int64) {
 // chainOrder returns the reference list's left-to-right thread IDs and
 // ready flags for one priority level.
 func (d *diffADF) chainOrder(pri int) (ids []int64, ready []bool) {
-	l := d.sides[refSide].levels[pri].(*adfChain)
+	l, _ := d.sides[refSide].levels[pri].(*adfChain)
+	if l == nil {
+		return nil, nil // level never used
+	}
 	for e := l.head; e != nil; e = e.next {
 		ids = append(ids, e.t.ID)
 		ready = append(ready, e.ready)
@@ -178,8 +181,11 @@ func (d *diffADF) chainOrder(pri int) (ids []int64, ready []bool) {
 
 // treapOrder returns the treap's in-order thread IDs for one level.
 func (d *diffADF) treapOrder(pri int, side int) []int64 {
-	tr := d.sides[side].levels[pri].(*adfTreap)
+	tr, _ := d.sides[side].levels[pri].(*adfTreap)
 	var ids []int64
+	if tr == nil {
+		return nil // level never used
+	}
 	var walk func(*treapEntry)
 	walk = func(e *treapEntry) {
 		if e == nil {
@@ -191,6 +197,15 @@ func (d *diffADF) treapOrder(pri int, side int) []int64 {
 	}
 	walk(tr.root)
 	return ids
+}
+
+// levelCounts returns a priority level's ready and entry counts, zero
+// for a level the policy never built.
+func levelCounts(p *adfPolicy, pri int) (ready, n int) {
+	if l := p.levels[pri]; l != nil {
+		return l.readyCount(), l.count()
+	}
+	return 0, 0
 }
 
 // check asserts every observable agrees across the stores and that the
@@ -217,13 +232,14 @@ func (d *diffADF) check(op string) {
 		wantLevel[th.Priority]++
 	}
 	for pri := 0; pri < core.NumPriorities; pri++ {
-		readyN := d.sides[0].levels[pri].readyCount()
+		readyN, _ := levelCounts(d.sides[0], pri)
 		for i, p := range d.sides {
-			if rc := p.levels[pri].readyCount(); rc != readyN {
+			rc, n := levelCounts(p, pri)
+			if rc != readyN {
 				d.t.Fatalf("%s: level %d readyCount %s=%d %s=%d",
 					op, pri, d.names[0], readyN, d.names[i], rc)
 			}
-			if n := p.levels[pri].count(); n != wantLevel[pri] {
+			if n != wantLevel[pri] {
 				d.t.Fatalf("%s: %s level %d walk found %d entries, want %d",
 					op, d.names[i], pri, n, wantLevel[pri])
 			}
@@ -233,7 +249,8 @@ func (d *diffADF) check(op string) {
 	sums := make([]int, len(d.sides))
 	for pri := 0; pri < core.NumPriorities; pri++ {
 		for i, p := range d.sides {
-			sums[i] += p.levels[pri].readyCount()
+			rc, _ := levelCounts(p, pri)
+			sums[i] += rc
 		}
 	}
 	for i, p := range d.sides {

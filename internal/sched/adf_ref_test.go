@@ -20,11 +20,8 @@ func NewADFReference(quotaK int64, disableDummies bool) core.Policy {
 	if quotaK == 0 {
 		quotaK = DefaultMemQuota
 	}
-	p := &adfPolicy{name: "adf-ref", quota: quotaK, dummies: !disableDummies}
-	for i := range p.levels {
-		p.levels[i] = &adfChain{}
-	}
-	return p
+	return &adfPolicy{name: "adf-ref", quota: quotaK, dummies: !disableDummies,
+		newLevel: func() adfLevel { return &adfChain{} }}
 }
 
 // chainEntry is a thread's placeholder in the ordered list.

@@ -33,12 +33,9 @@ type adfTreap struct {
 // newADFTreap builds the ADF policy over the treap. It dispatches the
 // exact same thread sequence as the DePa store.
 func newADFTreap(quotaK int64, disableDummies bool) *adfPolicy {
-	p := &adfPolicy{name: "adf-treap", quota: quotaK, dummies: !disableDummies}
 	rng := newTreapRand()
-	for i := range p.levels {
-		p.levels[i] = &adfTreap{rng: rng}
-	}
-	return p
+	return &adfPolicy{name: "adf-treap", quota: quotaK, dummies: !disableDummies,
+		newLevel: func() adfLevel { return &adfTreap{rng: rng} }}
 }
 
 // treapEntry is a thread's placeholder node. nReady counts ready

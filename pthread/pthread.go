@@ -33,10 +33,20 @@
 //
 // The execution substrate is selectable through Config.Backend: the
 // default BackendSim runs on the deterministic virtual-time machine,
-// while BackendNative runs the same program on real goroutines
-// multiplexed over worker goroutines, scheduled by the same policies
-// behind a real scheduler lock and timed by the wall clock (results are
-// then machine- and load-dependent, not deterministic).
+// while BackendNative runs the same program on coroutines multiplexed
+// over worker goroutines, scheduled by the same policies behind a real
+// scheduler lock and timed by the wall clock (results are then machine-
+// and load-dependent, not deterministic).
+//
+// On both backends a thread is an iter.Pull coroutine, and a thread
+// switch is a coroutine switch. A thread body that calls
+// runtime.LockOSThread must call runtime.UnlockOSThread before any call
+// that can fork, block or yield: Create, Join, Exit, every blocking
+// synchronization call, Yield, Sleep and Malloc — and, on the simulator,
+// Charge, Free and Touch too, which can end the thread's quantum — and
+// before the body returns. Switching a coroutine with the OS thread locked is a fatal runtime
+// error ("coro: OS thread locking must match"), not a panic that can
+// be recovered.
 package pthread
 
 import (
