@@ -1,5 +1,10 @@
 package core
 
+import (
+	"runtime"
+	"sync/atomic"
+)
+
 // DePa-style fork-path order maintenance (PAPERS.md: "DePa: Simple,
 // Provably Efficient, and Practical Order Maintenance for Task
 // Parallelism").
@@ -190,4 +195,73 @@ func depaWords(c *depaChunk) uint32 {
 		return 0
 	}
 	return c.words
+}
+
+// DepaCell publishes one DepaLabel, with a tag of up to 56 bits beside
+// it, to lock-free readers: the leftmost-label hint of a ready shard,
+// which a thief reads without the shard's lock. Writers are serialized
+// by the caller; readers retry across a concurrent Store under a
+// sequence lock, so they never see a torn label. Store writes only the
+// words that changed (a shallow label's anchor and spine rarely do), and
+// Clear and SetTag are a single atomic store each: they leave the label
+// words alone, and a reader that sees their meta word sees the label
+// the last Store published (or none).
+type DepaCell struct {
+	seq    atomic.Uint64 // odd while a Store is in progress
+	anchor atomic.Int64
+	spine  atomic.Pointer[depaChunk]
+	word   atomic.Uint64
+	meta   atomic.Uint64 // nbits (7 bits), valid (1 bit), tag << 8
+}
+
+// depaMetaBits is the part of DepaCell.meta below the tag.
+const depaMetaBits = 8
+
+// Store publishes l with tag.
+func (c *DepaCell) Store(l DepaLabel, tag uint64) {
+	c.seq.Add(1)
+	if c.anchor.Load() != l.anchor {
+		c.anchor.Store(l.anchor)
+	}
+	if c.spine.Load() != l.spine {
+		c.spine.Store(l.spine)
+	}
+	if c.word.Load() != l.word {
+		c.word.Store(l.word)
+	}
+	m := uint64(l.nbits) | tag<<depaMetaBits
+	if l.valid {
+		m |= 1 << 7
+	}
+	c.meta.Store(m)
+	c.seq.Add(1)
+}
+
+// Clear publishes no label, with tag 0.
+func (c *DepaCell) Clear() { c.meta.Store(0) }
+
+// SetTag republishes the tag beside the current label (or none).
+func (c *DepaCell) SetTag(tag uint64) {
+	c.meta.Store(c.meta.Load()&(1<<depaMetaBits-1) | tag<<depaMetaBits)
+}
+
+// Load returns the published label (invalid when none) and its tag.
+func (c *DepaCell) Load() (DepaLabel, uint64) {
+	for {
+		s := c.seq.Load()
+		if s&1 != 0 {
+			runtime.Gosched() // a Store is in progress: let its writer finish
+			continue
+		}
+		l := DepaLabel{anchor: c.anchor.Load(), spine: c.spine.Load(), word: c.word.Load()}
+		m := c.meta.Load()
+		if c.seq.Load() != s {
+			continue
+		}
+		l.nbits, l.valid = uint8(m&0x7f), m&(1<<7) != 0
+		if !l.valid {
+			return DepaLabel{}, m >> depaMetaBits
+		}
+		return l, m >> depaMetaBits
+	}
 }

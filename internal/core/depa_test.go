@@ -10,6 +10,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -376,5 +377,74 @@ func TestDepaCompareAllocFree(t *testing.T) {
 		if c != -1 {
 			t.Errorf("%s: Compare = %d, want -1", tc.name, c)
 		}
+	}
+}
+
+// TestDepaCellConsistent: readers of a DepaCell never see a torn label.
+// One writer cycles Store, SetTag and Clear over labels whose words all
+// differ — shallow and deep (multi-chunk spines), under two anchors —
+// with each label's index as its tag, while readers check every
+// snapshot: a valid label is exactly the one its tag names, and an
+// empty cell carries tag 0. Run under -race this also checks that the
+// cell is read and written only through atomics.
+func TestDepaCellConsistent(t *testing.T) {
+	var labels []DepaLabel
+	for _, anchor := range []int64{0, -1} {
+		l := HeadDepaLabel(anchor)
+		for i := 0; i < 200; i++ {
+			c := l.Fork()
+			if i%3 == 0 {
+				labels = append(labels, c)
+			} else {
+				labels = append(labels, l)
+			}
+		}
+	}
+	var cell DepaCell
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var bad sync.Once
+	var failure string
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				l, tag := cell.Load()
+				switch {
+				case l.Valid() && (tag >= uint64(len(labels)) || l.Compare(labels[tag]) != 0):
+					bad.Do(func() { failure = "a valid label differs from the one its tag names" })
+				case !l.Valid() && tag != 0:
+					bad.Do(func() { failure = "an empty cell carries a tag" })
+				}
+			}
+		}()
+	}
+	for round := 0; round < 20; round++ {
+		for i, l := range labels {
+			cell.Store(l, uint64(i))
+			cell.SetTag(uint64(i))
+			if i%7 == 0 {
+				cell.Clear()
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	cell.Store(labels[5], 5)
+	if l, tag := cell.Load(); tag != 5 || l.Compare(labels[5]) != 0 {
+		t.Fatalf("Load after Store = (depth %d, tag %d), want label 5", l.Depth(), tag)
+	}
+	cell.Clear()
+	if l, tag := cell.Load(); l.Valid() || tag != 0 {
+		t.Fatalf("Load after Clear = (valid %v, tag %d), want empty", l.Valid(), tag)
 	}
 }

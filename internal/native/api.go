@@ -32,18 +32,23 @@ func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *t
 	child.isDummy = dummy
 	body.Bind(child)
 	// DePa order maintenance: the label assignment is the whole point of
-	// the scheme — it happens here on the parent's coroutine, before the
-	// scheduler lock, with zero shared state. The policy reads the label
-	// under b.mu, which orders the write ahead of every use.
+	// the scheme — it happens here on the parent's coroutine, with zero
+	// shared state. The ready store reads the label under its lock (b.mu,
+	// or the shard's), which orders the write ahead of every use.
 	child.tok.Order = t.tok.Order.Fork()
 	b.mem.allocStack(child.stackSize)
 	b.tracer.record(pid, child.ID(), trace.KindCreate, t.ID())
 	b.tracer.record(pid, child.ID(), trace.KindStackAlloc, child.stackSize)
-	b.lock()
-	b.admit(child)
+	b.admit()
 	child.span = t.span
-	// The sharded store always has the paper's fork semantics.
-	if b.shards == nil && !b.policy.OnCreate(&t.tok, &child.tok) {
+	// On the sharded store a fork touches nothing b.mu guards, so it
+	// takes no b.mu section, and it always has the paper's fork
+	// semantics.
+	sharded := b.shards != nil
+	if !sharded {
+		b.lock()
+	}
+	if !sharded && !b.policy.OnCreate(&t.tok, &child.tok) {
 		// The policy placed the child in its ready structure.
 		child.state = core.StateReady
 		b.noteReady(child)
@@ -55,18 +60,14 @@ func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *t
 	t.state = core.StateReady
 	b.addRunning(-1)
 	at := b.tracer.now()
-	if b.shards == nil {
+	b.markRunning(child, pid)
+	if sharded {
+		b.shards.push(t, pid)
+	} else {
 		b.policy.OnReady(&t.tok, pid)
 		b.noteReady(t)
 		b.cond.Signal() // the parent is dispatchable by another processor
-	}
-	b.markRunning(child, pid)
-	b.mu.Unlock()
-	if b.shards != nil {
-		// The parent goes to this processor's shard, after the b.mu
-		// section so it is invisible to thieves until every mu-guarded
-		// write above landed.
-		b.shards.push(t, pid)
+		b.mu.Unlock()
 	}
 	t.passPark(child, at, trace.KindPreempt)
 	return child
@@ -79,23 +80,23 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 		return fmt.Errorf("native: join with nil thread")
 	}
 	target := nt(ptarget)
+	// A target still running makes the join likely to block: pop the
+	// successor candidate before the b.mu section, as every give-up does.
+	var cand *thread
+	if target != t && !target.done.Load() {
+		cand = b.own(t.pid, nil)
+	}
 	b.lock()
-	switch {
-	case target == t:
+	if err := joinable(t, target); err != nil {
 		b.mu.Unlock()
-		return fmt.Errorf("native: %s cannot join itself", t.Name())
-	case target.detached:
-		b.mu.Unlock()
-		return fmt.Errorf("native: %s is detached", target.Name())
-	case target.joined:
-		b.mu.Unlock()
-		return fmt.Errorf("native: %s already joined", target.Name())
-	case target.joiner != nil:
-		b.mu.Unlock()
-		return fmt.Errorf("native: %s already has a joiner", target.Name())
+		b.putBack(cand, nil, t.pid)
+		return err
 	}
 	target.joined = true
-	if !target.done {
+	if target.done.Load() {
+		b.mu.Unlock()
+		b.putBack(cand, nil, t.pid)
+	} else {
 		target.joiner = t
 		t.state = core.StateBlocked
 		if b.shards == nil {
@@ -103,11 +104,10 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 		}
 		b.addRunning(-1)
 		at := b.tracer.now()
-		next := b.pick(t.pid)
+		next := b.successor(t.pid, cand)
 		b.mu.Unlock()
+		b.putBack(cand, next, t.pid)
 		t.passPark(next, at, trace.KindBlock)
-	} else {
-		b.mu.Unlock()
 	}
 	// A join edge: the target's critical path feeds ours. target.done
 	// was set before we were readied (or before we observed it under
@@ -119,6 +119,22 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 	// The joiner's last read of the record is above; drop its lifecycle
 	// reference so the exiter (or this release) can recycle it.
 	b.releaseThread(target)
+	return nil
+}
+
+// joinable reports why t may not join target, nil when it may. Caller
+// holds b.mu.
+func joinable(t, target *thread) error {
+	switch {
+	case target == t:
+		return fmt.Errorf("native: %s cannot join itself", t.Name())
+	case target.detached:
+		return fmt.Errorf("native: %s is detached", target.Name())
+	case target.joined:
+		return fmt.Errorf("native: %s already joined", target.Name())
+	case target.joiner != nil:
+		return fmt.Errorf("native: %s already has a joiner", target.Name())
+	}
 	return nil
 }
 
@@ -206,6 +222,7 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 		b.preemptNow(t)
 		return
 	}
+	cand := b.own(t.pid, nil)
 	b.lock()
 	t.state = core.StateBlocked
 	if b.shards == nil {
@@ -214,8 +231,9 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 	b.addRunning(-1)
 	b.sleepers++
 	at := b.tracer.now()
-	next := b.pick(t.pid)
+	next := b.successor(t.pid, cand)
 	b.mu.Unlock()
+	b.putBack(cand, next, t.pid)
 	time.AfterFunc(vToWall(d), func() { b.wakeSleeper(t) })
 	t.passPark(next, at, trace.KindBlock)
 }

@@ -317,6 +317,16 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 	}
 }
 
+// stores names a policy for each native ready store: the global one
+// under b.mu, and the per-worker shards every ADF-family policy runs on.
+var stores = []struct {
+	name   string
+	policy sched.Kind
+}{
+	{"global", sched.FIFO},
+	{"sharded", sched.ADF},
+}
+
 // TestProcessorReturnedOnce runs a sync-heavy program — every blocking
 // shape, with wakers and waiters on different processors — on every
 // store, and checks that each park is resumed exactly once: every
@@ -324,13 +334,6 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 // resume too many for a carrier's parks panics in core.Carriers.Resume,
 // and a park never resumed hangs the run).
 func TestProcessorReturnedOnce(t *testing.T) {
-	stores := []struct {
-		name   string
-		policy sched.Kind
-	}{
-		{"global", sched.ADF},
-		{"sharded", sched.ADFShard},
-	}
 	const threads, rounds = 8, 300
 	for _, s := range stores {
 		t.Run(s.name, func(t *testing.T) {
@@ -390,34 +393,119 @@ func TestProcessorReturnedOnce(t *testing.T) {
 	}
 }
 
-// TestNoWorkerBetweenThreads: on one processor a fork/join tree always
-// has a successor — the child at a fork, the policy's next thread at
-// every join and exit — so the worker dispatches the root and is not
-// reached again until the run ends.
+// TestNoWorkerBetweenThreads: on one processor a program that always
+// leaves a thread ready when another gives its processor up never needs
+// the worker's own pick: the successor is the child at a fork, and the
+// leftmost ready thread at every exit, join, block, yield and Sleep(0).
+// The worker dispatches the root and is not reached again until the run
+// ends. The fork/join tree runs on the global store as well as on the
+// shards; the block-heavy program, on the default (sharded) store.
 func TestNoWorkerBetweenThreads(t *testing.T) {
-	forEachPool(t, func(t *testing.T, warm bool) {
-		const depth = 10 // 2^10 - 1 threads besides the root
-		b := newPoolBackend(t, sched.ADF, Config{Procs: 1}, warm)
-		var tree func(t exec.Thread, d int)
-		tree = func(t exec.Thread, d int) {
+	const depth = 10 // 2^10 - 1 threads besides the root
+	tree := func(b *Backend, root exec.Thread) {
+		var node func(t exec.Thread, d int)
+		node = func(t exec.Thread, d int) {
 			if d == 0 {
 				return
 			}
-			l := forkFn(b, t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
-			r := forkFn(b, t, core.Attr{}, func(c exec.Thread) { tree(c, d-1) })
+			l := forkFn(b, t, core.Attr{}, func(c exec.Thread) { node(c, d-1) })
+			r := forkFn(b, t, core.Attr{}, func(c exec.Thread) { node(c, d-1) })
 			mustJoin(b, t, l, r)
 		}
-		st, err := execute(t, b, func(root exec.Thread) { tree(root, depth) })
-		if err != nil {
-			t.Fatalf("Execute: %v", err)
+		node(root, depth)
+	}
+	// blocky ping-pongs two semaphores with a partner that yields and
+	// sleeps between rounds, then joins a child that is still live: the
+	// child blocks at once, and the join's successor is the child again,
+	// readied by the root just before.
+	blocky := func(b *Backend, root exec.Thread) {
+		const rounds = 200
+		var ping, pong, gate exec.Semaphore
+		partner := forkFn(b, root, core.Attr{}, func(c exec.Thread) {
+			for i := 0; i < rounds; i++ {
+				ping.Wait(b, c)
+				b.Yield(c)
+				b.Sleep(c, 0)
+				pong.Post(b, c)
+			}
+		})
+		for i := 0; i < rounds; i++ {
+			ping.Post(b, root)
+			pong.Wait(b, root)
+			b.Yield(root)
 		}
-		if st.ThreadsCreated != 1<<(depth+1)-1 {
-			t.Fatalf("created %d threads, want %d", st.ThreadsCreated, 1<<(depth+1)-1)
-		}
-		if n := b.workers[0].wakeups; n != 1 {
-			t.Errorf("worker dispatched %d times for %d threads, want once", n, st.ThreadsCreated)
+		mustJoin(b, root, partner)
+		child := forkFn(b, root, core.Attr{}, func(c exec.Thread) { gate.Wait(b, c) })
+		gate.Post(b, root)
+		mustJoin(b, root, child)
+	}
+	arms := []struct {
+		name    string
+		policy  sched.Kind
+		main    func(b *Backend, root exec.Thread)
+		threads int64
+	}{
+		{"global-tree", sched.FIFO, tree, 1<<(depth+1) - 1},
+		{"sharded-tree", sched.ADF, tree, 1<<(depth+1) - 1},
+		{"sharded-blocky", sched.ADF, blocky, 3},
+	}
+	forEachPool(t, func(t *testing.T, warm bool) {
+		for _, a := range arms {
+			t.Run(a.name, func(t *testing.T) {
+				b := newPoolBackend(t, a.policy, Config{Procs: 1}, warm)
+				st, err := execute(t, b, func(root exec.Thread) { a.main(b, root) })
+				if err != nil {
+					t.Fatalf("Execute: %v", err)
+				}
+				if st.ThreadsCreated != a.threads {
+					t.Fatalf("created %d threads, want %d", st.ThreadsCreated, a.threads)
+				}
+				if n := b.workers[0].wakeups; n != 1 {
+					t.Errorf("worker dispatched %d times for %d threads, want once", n, st.ThreadsCreated)
+				}
+			})
 		}
 	})
+}
+
+// TestNoDispatchAfterPanic: once a thread's panic has failed the run, no
+// processor dispatches another thread, on either store. The root readies
+// 100 threads and panics; at one processor none of them may run after
+// it, and at four only those another processor had already dispatched
+// (at most one each) may finish their bodies.
+func TestNoDispatchAfterPanic(t *testing.T) {
+	const ready = 100
+	for _, s := range stores {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/p=%d", s.name, procs), func(t *testing.T) {
+				b := newPolicyBackend(t, s.policy, Config{Procs: procs})
+				var panicked atomic.Bool
+				var after atomic.Int32
+				var sem exec.Semaphore
+				_, err := execute(t, b, func(root exec.Thread) {
+					for i := 0; i < ready; i++ {
+						forkFn(b, root, core.Attr{Detached: true}, func(c exec.Thread) {
+							sem.Wait(b, c)
+							if panicked.Load() {
+								after.Add(1)
+							}
+						})
+					}
+					for i := 0; i < ready; i++ {
+						sem.Post(b, root)
+					}
+					panicked.Store(true)
+					panic("boom")
+				})
+				if err == nil {
+					t.Fatal("Execute: no error, want the panic")
+				}
+				if n := int(after.Load()); n > procs-1 {
+					t.Errorf("%d bodies ran after the panic at p=%d, want at most %d", n, procs, procs-1)
+				}
+			})
+		}
+	}
 }
 
 // TestNoGoroutineLeaks drives every terminal path of a run; execute

@@ -10,36 +10,42 @@
 // at most p lightweight threads make progress concurrently — the
 // execution model of the paper's library, user-level threads on LWPs.
 // As in that user-level library, the thread that stops runs the
-// scheduler: giving its processor up (fork, exit, Join, Yield, quota or
-// time-slice preemption, Sleep, every sync-object block) it picks its
-// successor — the forked child, or the policy's next thread, taken in
-// the scheduler-lock section that recorded why it stopped — and yields
-// it to its worker, which resumes it at once: a thread switch is two
+// scheduler: giving its processor up (fork, exit, Join, Yield, quota
+// preemption, Sleep, every sync-object block) it picks its successor —
+// the forked child, or the next ready thread, marked running in the
+// scheduler-lock section that recorded why it stopped — and yields it to
+// its worker, which resumes it at once: a thread switch is two
 // coroswitches. Only a thread that finds no successor sends its worker
 // to the idle / deadlock / run-end protocol (next).
 //
-// The scheduling policies from internal/sched are reused unchanged:
-// every policy call happens under the backend's scheduler lock (b.mu),
-// which is a real sync.Mutex rather than the simulator's modeled lock.
-// The ADF ordered placeholder list therefore becomes genuinely shared
-// state. The sharded store (core.ShardedPolicy) is how a native run
-// splits that lock; the simulator's two-level Q_in/Q_out batching has no
-// native counterpart.
+// Two ready stores. The ADF family (adf, the default, and adf-shard)
+// runs on per-worker shards (shard.go): DePa-ordered heaps under their
+// own locks, never held together with the scheduler lock b.mu. A thread
+// giving its processor up pops its successor from its own shard before
+// its b.mu section, and only a worker with no successor steals, within
+// the deviation window. b.mu keeps the join protocol, the idle and
+// run-end bookkeeping, and marking popped threads running; forks, wakes
+// and blocks take no b.mu at all. The ADF policy object is consulted
+// only for its quota and dummy count. Every other policy (fifo, lifo,
+// ws, dfd) keeps the global store: its policy structure under b.mu, a
+// real sync.Mutex rather than the simulator's modeled lock. The
+// simulator's two-level Q_in/Q_out batching has no native counterpart.
 //
 // One record per thread: a lightweight thread is a single thread value
-// (thread.go). The token the policy orders by — a core.Thread: id,
+// (thread.go). The token a policy orders by — a core.Thread: id,
 // priority, policy state, DePa label — is a field of it, handed to every
 // policy call by address, and its Owner field points back at the record.
 // pick, under b.mu, is the only code that follows Owner (to turn the
 // token policy.Next answers into the thread to dispatch); policies never
-// look at it. The shutdown walk needs no registry of live threads: it
-// stops every carrier the pool ever started.
+// look at it. The shards hold the records themselves. The shutdown walk
+// needs no registry of live threads: it stops every carrier the pool
+// ever started.
 //
-// Ordering invariant for blocking: a thread marks itself blocked in the
-// policy (OnBlock, under b.mu) *before* registering with a sync
-// object's waiter list. A waker can therefore only observe the waiter
-// after its OnBlock, so the policy always sees OnBlock before the
-// matching OnReady.
+// Ordering invariant for blocking on the global store: a thread marks
+// itself blocked in the policy (OnBlock, under b.mu) *before*
+// registering with a sync object's waiter list. A waker can therefore
+// only observe the waiter after its OnBlock, so the policy always sees
+// OnBlock before the matching OnReady.
 //
 // Resume invariant: a thread is marked running at most once per park,
 // and only the worker that marked it (or, for a successor, the worker
@@ -68,6 +74,7 @@ import (
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
+	"spthreads/internal/sched"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 )
@@ -76,15 +83,15 @@ import (
 type Config struct {
 	// Procs is the number of worker goroutines (default GOMAXPROCS).
 	Procs int
-	// Policy is the scheduling policy (required). It is only ever
-	// invoked under the backend's scheduler lock. A core.ShardedPolicy
-	// is replaced by per-worker DePa-ordered heaps behind per-worker
-	// locks (see shardStore), built with the policy's shard count, steal
-	// window and strict mode: the global scheduler mutex shrinks to
-	// lifecycle bookkeeping and ready traffic spreads across the shards.
-	// The policy is then consulted only for quota/dummy/time-slice
-	// parameters, and dispatch order is the ADF (priority, DePa label)
-	// order with bounded-deviation steals.
+	// Policy is the scheduling policy (required). The ADF family runs
+	// on per-worker DePa-ordered heaps behind per-worker locks (see
+	// shardStore): a core.ShardedPolicy (adf-shard) with its shard
+	// count, steal window and strict mode, and the global ADF policy
+	// with one shard per worker and window Procs. Those policies are
+	// then consulted only for their quota and dummy count, and dispatch
+	// order is the ADF (priority, DePa label) order with
+	// bounded-deviation steals. Any other policy keeps its own ready
+	// structure, invoked only under the backend's scheduler lock.
 	Policy core.Policy
 	// DefaultStack is the default simulated stack size charged per
 	// thread (default core.DefaultStackSize).
@@ -112,19 +119,25 @@ type Backend struct {
 	cond *sync.Cond
 
 	// shards, when non-nil, replaces the policy's ready structure with
-	// the per-worker sharded store (a core.ShardedPolicy); b.ready stays
-	// at zero then, and idleA mirrors b.idle into an atomic for the
-	// store's lost-wakeup protocol.
+	// the per-worker sharded store (the ADF family); b.ready stays at
+	// zero then, and idleA mirrors b.idle into an atomic for the store's
+	// lost-wakeup protocol.
 	shards *shardStore
 	idleA  atomic.Int64
 
+	// The thread counts are atomic so a sharded fork or blockPrep takes
+	// no lock. The deadlock check reads running under b.mu once every
+	// worker is idle, when each idle worker's last thread has given its
+	// processor up; live cannot reach 0 while a fork is under way (the
+	// forker is live), so an exit that sees it reach 0 ends the run.
+	running  atomic.Int64 // threads assigned to processors
+	live     atomic.Int64
+	created  atomic.Int64
+	peakLive atomic.Int64
+
 	ready     int // threads in the policy's ready structure
-	running   int // threads currently assigned to workers
 	sleepers  int // threads parked on pending timers
 	idle      int // workers waiting in cond.Wait
-	live      int
-	peakLive  int
-	created   int64
 	maxSpan   vtime.Duration
 	err       error
 	done      bool
@@ -156,7 +169,7 @@ type Backend struct {
 	traceRec     *trace.Recorder    // merge target at run end
 	lockWait     *metrics.Histogram // wall ns blocked acquiring b.mu
 	dispatchWait *metrics.Histogram // wall ns from ready to dispatch
-	handoff      *metrics.Histogram // wall ns from a resume post to the resumed thread running
+	handoff      *metrics.Histogram // wall ns from a worker's resume to the resumed thread running
 	mutexWait    *metrics.Histogram // wall ns blocked in nativeMutex.Lock
 	readyGauge   *metrics.Gauge     // threads in the policy's ready structure
 	runningGauge *metrics.Gauge     // threads currently assigned to workers
@@ -217,6 +230,9 @@ func New(cfg Config) (*Backend, error) {
 	if sp, ok := cfg.Policy.(core.ShardedPolicy); ok {
 		// A sharded policy in strict mode reports Global() == true.
 		b.shards = newShardStore(b, sp.NumShards(), sp.StealWindow(), sp.Global())
+	} else if cfg.Policy.Name() == string(sched.ADF) {
+		// adf-shard's defaults: one shard per worker, window Procs.
+		b.shards = newShardStore(b, procs, procs, false)
 	}
 	return b, nil
 }
@@ -241,18 +257,14 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	b.mem.allocStack(root.stackSize)
 	b.tracer.record(-1, root.ID(), trace.KindCreate, 0) // Arg 0: no parent
 	b.tracer.record(-1, root.ID(), trace.KindStackAlloc, root.stackSize)
-	b.mu.Lock()
-	b.admit(root)
-	if b.shards == nil {
-		b.policy.OnCreate(nil, &root.tok)
-	}
+	// No worker runs yet: the root needs no b.mu section.
+	b.admit()
 	root.state = core.StateReady
-	if b.shards == nil {
-		b.noteReady(root)
-	}
-	b.mu.Unlock()
 	if b.shards != nil {
 		b.shards.push(root, 0)
+	} else {
+		b.policy.OnCreate(nil, &root.tok)
+		b.noteReady(root)
 	}
 
 	b.wg.Add(b.procs)
@@ -340,18 +352,11 @@ func (b *Backend) noteReady(t *thread) {
 // sinceStart is the run's monotonic clock: wall ns since Execute began.
 func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() }
 
-// pick takes the next thread for processor pid out of the ready
-// structure and marks it running on pid;
-// nil when nothing is ready or the run is over. Caller holds b.mu: a
-// thread giving its processor up calls it in the section that recorded
-// why it stopped, a worker from next. The sharded store answers nil — a
-// shard take never nests inside b.mu — so there the thread yields no
-// successor and the worker takes.
+// pick takes the next thread for processor pid out of the global
+// store's policy structure and marks it running on pid; nil when nothing
+// is ready or the run is over. Caller holds b.mu.
 func (b *Backend) pick(pid int) *thread {
-	if b.done || b.shards != nil {
-		return nil
-	}
-	if b.ready == 0 {
+	if b.done || b.ready == 0 {
 		return nil
 	}
 	tok := b.policy.Next(pid)
@@ -366,58 +371,32 @@ func (b *Backend) pick(pid int) *thread {
 }
 
 // next blocks until there is a thread for worker pid to run (marked
-// running on pid), the run completes, or a deadlock is detected.
+// running on pid), the run completes, or a deadlock is detected. On the
+// sharded store the take (own pop, else a bounded steal) happens
+// outside b.mu, and the idle mirror idleA plus the re-check of total
+// after going idle are the sleeper half of the store's Dekker protocol.
 func (b *Backend) next(pid int) *thread {
-	if b.shards != nil {
-		return b.nextSharded(pid)
-	}
-	b.lock()
-	defer b.mu.Unlock()
 	for {
-		if b.done {
-			return nil
-		}
-		if t := b.pick(pid); t != nil {
-			b.workers[pid].wakeups++
-			return t
-		}
-		if b.live == 0 {
-			b.done = true
-			b.cond.Broadcast()
-			return nil
-		}
-		b.idle++
-		if b.idle == b.procs && b.running == 0 && b.sleepers == 0 && b.ready == 0 {
-			b.failLocked(fmt.Errorf("native: deadlock: %d threads live, none runnable", b.live),
-				trace.RunEndDeadlock)
-			b.idle--
-			return nil
-		}
-		b.cond.Wait()
-		b.idle--
-	}
-}
-
-// nextSharded is next for the sharded store: take (own pop or bounded
-// steal) happens entirely outside b.mu; only marking the thread running
-// and the idle/deadlock protocol touch the scheduler lock. The idle
-// mirror idleA plus the post-increment total re-check implement the
-// sleeper half of the store's Dekker protocol.
-func (b *Backend) nextSharded(pid int) *thread {
-	for {
-		if t := b.shards.take(pid); t != nil {
-			b.lock()
-			b.markRunning(t, pid)
-			b.mu.Unlock()
-			b.workers[pid].wakeups++
-			return t
+		var t *thread
+		if b.shards != nil {
+			t = b.shards.take(pid)
 		}
 		b.lock()
 		if b.done {
 			b.mu.Unlock()
-			return nil
+			return nil // a thread taken after the run failed is never dispatched
 		}
-		if b.live == 0 {
+		if b.shards == nil {
+			t = b.pick(pid)
+		} else if t != nil {
+			b.markRunning(t, pid)
+		}
+		if t != nil {
+			b.mu.Unlock()
+			b.workers[pid].wakeups++
+			return t
+		}
+		if b.live.Load() == 0 {
 			b.done = true
 			b.cond.Broadcast()
 			b.mu.Unlock()
@@ -425,22 +404,15 @@ func (b *Backend) nextSharded(pid int) *thread {
 		}
 		b.idle++
 		b.idleA.Add(1)
-		if b.shards.total.Load() > 0 {
+		switch {
+		case b.shards != nil && b.shards.total.Load() > 0:
 			// Work appeared between the failed take and going idle.
-			b.idle--
-			b.idleA.Add(-1)
-			b.mu.Unlock()
-			continue
-		}
-		if b.idle == b.procs && b.running == 0 && b.sleepers == 0 {
-			b.failLocked(fmt.Errorf("native: deadlock: %d threads live, none runnable", b.live),
+		case b.idle == b.procs && b.running.Load() == 0 && b.sleepers == 0 && b.ready == 0:
+			b.failLocked(fmt.Errorf("native: deadlock: %d threads live, none runnable", b.live.Load()),
 				trace.RunEndDeadlock)
-			b.idle--
-			b.idleA.Add(-1)
-			b.mu.Unlock()
-			return nil
+		default:
+			b.cond.Wait()
 		}
-		b.cond.Wait()
 		b.idle--
 		b.idleA.Add(-1)
 		b.mu.Unlock()
@@ -448,10 +420,8 @@ func (b *Backend) nextSharded(pid int) *thread {
 }
 
 // addRunning adjusts the running-thread count and its gauge mirror.
-// Caller holds b.mu.
-func (b *Backend) addRunning(d int) {
-	b.running += d
-	b.runningGauge.Set(int64(b.running))
+func (b *Backend) addRunning(d int64) {
+	b.runningGauge.Set(b.running.Add(d))
 }
 
 // markRunning assigns t to processor pid; pid's worker runs it after
@@ -478,13 +448,17 @@ func (b *Backend) markRunning(t *thread, pid int) {
 // own body, before t is registered with any waiter list, and must be
 // followed by t.blockPark.
 func (b *Backend) blockPrep(t *thread) {
+	if b.shards != nil {
+		// A running thread has no entry in any shard heap, so there is
+		// no ready structure to update, and no b.mu section.
+		t.state = core.StateBlocked
+		b.addRunning(-1)
+		b.tracer.record(t.pid, t.ID(), trace.KindBlock, 0)
+		return
+	}
 	b.lock()
 	t.state = core.StateBlocked
-	if b.shards == nil {
-		// Sharded mode skips the policy: a running thread has no entry
-		// in any shard heap, so there is nothing to mark blocked.
-		b.policy.OnBlock(&t.tok)
-	}
+	b.policy.OnBlock(&t.tok)
 	b.addRunning(-1)
 	at := b.tracer.now()
 	b.mu.Unlock()
@@ -497,37 +471,38 @@ func (b *Backend) blockPrep(t *thread) {
 // before the run-end merge — timer wakes go through wakeSleeper, which
 // records under b.mu instead.
 func (b *Backend) readyThread(t *thread, pid int) {
+	// Id snapshot: after the unlock (global store) or the push, t can be
+	// dispatched, run to exit, and have its record recycled before the
+	// KindWake emit below.
+	at, id := b.tracer.now(), t.ID()
+	if b.shards != nil {
+		// No b.mu section: a wake after a failed run is pushed but never
+		// dispatched, since every section that marks a thread running
+		// checks b.done.
+		t.state = core.StateReady
+		b.shards.push(t, pid)
+		b.tracer.recordAt(at, pid, id, trace.KindWake, 0)
+		return
+	}
 	b.lock()
 	if b.done {
 		b.mu.Unlock()
 		return
 	}
 	t.state = core.StateReady
-	if b.shards == nil {
-		b.policy.OnReady(&t.tok, pid)
-		b.noteReady(t)
-	}
-	// Id snapshot: after the unlock (global path) or the shard push, t
-	// can be dispatched, run to exit, and have its record recycled
-	// before the KindWake emit below.
-	at, id := b.tracer.now(), t.ID()
-	if b.shards == nil {
-		b.cond.Signal()
-	}
+	b.policy.OnReady(&t.tok, pid)
+	b.noteReady(t)
+	b.cond.Signal()
 	b.mu.Unlock()
-	if b.shards != nil {
-		// Shard locks never nest inside b.mu: the push (and its idle
-		// signal) happens after the lifecycle section.
-		b.shards.push(t, pid)
-	}
 	b.tracer.recordAt(at, pid, id, trace.KindWake, 0)
 }
 
 // preemptNow returns the calling thread to the ready structure and
 // passes its processor on (quota exhaustion or yield). With nothing
-// else ready t picks itself and keeps the processor.
+// ready ahead of it t picks itself and keeps the processor.
 func (b *Backend) preemptNow(t *thread) {
 	pid := t.pid
+	cand := b.own(pid, t)
 	b.lock()
 	t.state = core.StateReady
 	b.addRunning(-1)
@@ -540,22 +515,63 @@ func (b *Backend) preemptNow(t *thread) {
 		if next != t {
 			b.cond.Signal() // t stays ready for another processor
 		}
+	} else {
+		next = b.successor(pid, cand)
 	}
 	b.mu.Unlock()
-	if b.shards != nil {
-		b.shards.push(t, pid)
+	if cand != t {
+		b.putBack(cand, next, pid)
 	}
+	b.putBack(t, next, pid)
 	t.passPark(next, at, trace.KindPreempt)
 }
 
-// admit registers a freshly created thread. Caller holds b.mu.
-func (b *Backend) admit(t *thread) {
-	b.live++
-	b.created++
-	if b.live > b.peakLive {
-		b.peakLive = b.live
+// own pops the successor candidate for a thread giving processor pid up:
+// its own shard's leftmost thread, taken before the caller's b.mu
+// section (a shard lock never nests with b.mu). A yielder passes itself
+// as before: it is its own candidate unless a thread precedes it. nil on
+// the global store, where pick chooses inside the section, and in strict
+// mode, where every dispatch is a worker's globally leftmost take.
+func (b *Backend) own(pid int, before *thread) *thread {
+	if b.shards == nil || b.shards.strict {
+		return nil
 	}
-	b.liveGauge.Set(int64(b.live))
+	if t := b.shards.pop(b.shards.shardFor(pid), before); t != nil {
+		return t
+	}
+	return before
+}
+
+// successor marks the successor of a thread giving processor pid up
+// running on pid, in the b.mu section that recorded why it stopped: on
+// the global store the policy's next thread, on the sharded store the
+// candidate own popped. nil once the run is over. Caller holds b.mu.
+func (b *Backend) successor(pid int, cand *thread) *thread {
+	if b.shards == nil {
+		return b.pick(pid)
+	}
+	if b.done || cand == nil {
+		return nil
+	}
+	b.markRunning(cand, pid)
+	return cand
+}
+
+// putBack returns a ready thread the caller's b.mu section did not run
+// to pid's shard, after that section. A no-op on the global store, whose
+// policy already holds every ready thread.
+func (b *Backend) putBack(t, next *thread, pid int) {
+	if b.shards != nil && t != nil && t != next {
+		b.shards.push(t, pid)
+	}
+}
+
+// admit registers a freshly created thread.
+func (b *Backend) admit() {
+	live := b.live.Add(1)
+	b.created.Add(1)
+	atomicMax(&b.peakLive, live)
+	b.liveGauge.Set(live)
 }
 
 // exitThread performs exit bookkeeping on t's own coroutine, wakes its
@@ -563,9 +579,10 @@ func (b *Backend) admit(t *thread) {
 func (b *Backend) exitThread(t *thread) *thread {
 	pid := t.pid
 	b.mem.freeStack(t.stackSize)
+	cand := b.own(pid, nil)
 	b.lock()
 	t.state = core.StateExited
-	t.done = true
+	t.done.Store(true)
 	t.exitedSpan = t.span
 	if t.span > b.maxSpan {
 		b.maxSpan = t.span
@@ -573,12 +590,13 @@ func (b *Backend) exitThread(t *thread) *thread {
 	if b.shards == nil {
 		b.policy.OnExit(&t.tok)
 	}
-	b.live--
+	live := b.live.Add(-1)
 	b.addRunning(-1)
-	b.liveGauge.Set(int64(b.live))
+	b.liveGauge.Set(live)
 	at := b.tracer.now()
 	j := t.joiner
 	var jid int64
+	var back *thread // a ready thread this section does not run
 	if j != nil {
 		// Snapshot the joiner's trace id while b.mu still excludes its
 		// dispatch: once the wake is published the joiner can run, exit,
@@ -588,22 +606,25 @@ func (b *Backend) exitThread(t *thread) *thread {
 		if b.shards == nil {
 			b.policy.OnReady(&j.tok, pid)
 			b.noteReady(j)
+		} else if cand == nil || threadLess(j, cand) {
+			back, cand = cand, j // the joiner is the leftmost candidate
+		} else {
+			back = j
 		}
 	}
-	if b.live == 0 {
+	if live == 0 {
 		b.done = true
 		b.cond.Broadcast()
 	}
-	next := b.pick(pid)
+	next := b.successor(pid, cand)
 	if j != nil && b.shards == nil && next != j {
 		b.cond.Signal() // the joiner stays ready for another processor
 	}
 	b.mu.Unlock()
-	if b.shards != nil && j != nil {
-		// The joiner's exitedSpan/done reads are ordered by the b.mu
-		// section above; only then may another worker dispatch it.
-		b.shards.push(j, pid)
-	}
+	// A readied joiner's exitedSpan/done reads are ordered by the b.mu
+	// section above; only then may another worker dispatch it.
+	b.putBack(cand, next, pid)
+	b.putBack(back, next, pid)
 	b.tracer.recordAt(at, pid, t.ID(), trace.KindExit, 0)
 	if j != nil {
 		b.tracer.recordAt(at, pid, jid, trace.KindWake, 0)
@@ -675,9 +696,9 @@ func (b *Backend) stats() core.Stats {
 		NumProcs:       b.procs,
 		Time:           elapsed,
 		Span:           b.maxSpan,
-		ThreadsCreated: b.created,
+		ThreadsCreated: b.created.Load(),
 		DummyThreads:   b.dummyTally.Load(),
-		PeakLive:       b.peakLive,
+		PeakLive:       int(b.peakLive.Load()),
 		HeapHWM:        b.mem.heapHWM.Load(),
 		StackHWM:       b.mem.stackHWM.Load(),
 		TotalHWM:       b.mem.totalHWM.Load(),

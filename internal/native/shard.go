@@ -10,32 +10,32 @@ import (
 	"spthreads/internal/trace"
 )
 
-// shardStore is the native backend's ready store for a
-// core.ShardedPolicy: one small lock-protected heap per worker, ordered
-// by (priority desc, DePa label asc), replacing the policy structure
-// guarded by the global scheduler mutex. With the store sharded, b.mu
-// shrinks to lifecycle bookkeeping (admit/exit/join/idle workers) and
-// ready-store traffic — the dominant critical section at high worker
-// counts — spreads across the shards.
+// shardStore is the native backend's ready store for the ADF family:
+// one small lock-protected heap per worker, ordered by (priority desc,
+// DePa label asc), in place of a policy structure under the global
+// scheduler mutex. b.mu shrinks to the join protocol, the idle and
+// run-end bookkeeping and marking popped threads running, and ready-store
+// traffic spreads across the shards. A thread giving its processor up takes its successor from
+// its own shard; a worker with no successor pops its own shard, else
+// steals within the deviation window.
 //
 // Lock protocol: a push or pop takes exactly one shard lock, and a shard
-// lock is never acquired while holding b.mu (pushes happen after the
-// b.mu section of the operation that made the thread ready), nor is b.mu
-// acquired under a shard lock by the store itself; dispatchers take the
-// shard lock, pop, release, and only then take b.mu to mark the thread
-// running. No two locks ever nest in either order, so the protocol is
-// deadlock-free by construction — strictly stronger than the two-locks-
-// in-address-order discipline a cross-shard transfer would need.
+// lock is never held together with b.mu, in either order. A thread is
+// pushed after whatever b.mu section made it ready (so a thief marks it
+// running only after that section's writes), and a popped thread is
+// marked running in a b.mu section after the pop. No two locks ever
+// nest, so the protocol is deadlock-free by construction.
 //
-// Each shard publishes its leftmost key through an atomic pointer (the
-// leftmost-label hint) plus an atomic size. A thief snapshots the hints
+// Each shard publishes its leftmost label, tagged with its priority and
+// the shard's size, in a core.DepaCell. A thief snapshots the cells
 // lock-free, computes the bounded-deviation test exactly as the sim
 // policy does (the deviation bound of a candidate is the total ready
-// count of shards whose published leftmost precedes it), and only locks
-// the victim it accepts. The snapshot is racy — a hint can be stale by
+// count of shards whose published leftmost precedes it), and locks only
+// the victim it accepts. The snapshot is racy — a cell can be stale by
 // the time the victim is locked — so the window check is approximate on
 // this backend (the sim policy, serialized, is exact); a pop that finds
-// the victim drained simply rescans.
+// the victim drained simply rescans. A store of one shard has no thief
+// and publishes nothing.
 //
 // Lost-wakeup protocol (Dekker): b.idleA mirrors the idle-worker count
 // under b.mu into an atomic. A pusher increments total and then reads
@@ -45,14 +45,19 @@ import (
 // them observes the other and a push concurrent with going-idle can
 // never strand the work.
 type shardStore struct {
-	b      *Backend
-	shards []shard
-	window int
-	strict bool
+	b       *Backend
+	shards  []shard
+	window  int
+	strict  bool
+	publish bool // more than one shard: thieves read the cells
 
 	// total counts threads across all shards (the sharded counterpart of
 	// b.ready, readable without any lock).
 	total atomic.Int64
+
+	// snaps is each worker's steal-scan scratch, one entry per shard,
+	// allocated at the worker's first scan.
+	snaps [][]shardSnap
 
 	steals  atomic.Int64
 	rejects atomic.Int64
@@ -63,23 +68,26 @@ type shardStore struct {
 // shard is one worker's ready heap.
 type shard struct {
 	mu sync.Mutex
-	h  []*thread // indexed min-heap on (heapPri desc, heapLabel asc)
+	h  []*thread // min-heap on (priority desc, label asc)
 
-	// pub is the leftmost-key hint: the heap minimum's key, nil when the
-	// shard is empty. Written under mu, read lock-free by thieves.
-	pub atomic.Pointer[shardPub]
-	// size mirrors len(h) for lock-free deviation bounds.
-	size atomic.Int64
+	// pub is the leftmost-label hint, tagged with pubTag; written under
+	// mu, read lock-free by thieves.
+	pub core.DepaCell
 
 	// pad keeps hot shards off one another's cache line.
 	_ [64]byte
 }
 
-// shardPub is a published heap-minimum key.
-type shardPub struct {
+// shardSnap is one shard's published state as a thief saw it.
+type shardSnap struct {
+	label core.DepaLabel // invalid when the shard was empty
 	pri   int
-	label core.DepaLabel
+	size  int64
 }
+
+// pubTag packs a shard's leftmost priority and its size into a
+// DepaCell tag (priorities are below core.NumPriorities <= 256).
+func pubTag(pri, size int) uint64 { return uint64(size)<<8 | uint64(pri) }
 
 func newShardStore(b *Backend, n, window int, strict bool) *shardStore {
 	return &shardStore{
@@ -87,6 +95,8 @@ func newShardStore(b *Backend, n, window int, strict bool) *shardStore {
 		shards:  make([]shard, n),
 		window:  window,
 		strict:  strict,
+		publish: n > 1,
+		snaps:   make([][]shardSnap, b.procs),
 		cSteal:  b.registry.Counter("sched.steal.count"),
 		cReject: b.registry.Counter("sched.steal.window_reject"),
 	}
@@ -101,7 +111,7 @@ func (ss *shardStore) shardFor(pid int) int {
 
 // lockShard acquires one shard lock, feeding waits into the same
 // sched.lock.wait histogram as b.mu so native lock-wait totals cover the
-// whole scheduler locking surface in both modes.
+// whole scheduler locking surface.
 func (ss *shardStore) lockShard(s *shard) {
 	if ss.b.lockWait == nil {
 		s.mu.Lock()
@@ -117,22 +127,25 @@ func (ss *shardStore) lockShard(s *shard) {
 }
 
 // push makes t ready in worker pid's shard. Must be called without b.mu
-// held (see the lock protocol above); the caller has already written
-// t.state under b.mu. Ends with the idle-worker signal, so callers need
-// no cond handling of their own.
+// held (see the lock protocol above), once the caller has marked t
+// ready. Ends with the idle-worker signal, so callers need no cond
+// handling of their own.
 func (ss *shardStore) push(t *thread, pid int) {
 	s := &ss.shards[ss.shardFor(pid)]
 	if ss.b.dispatchWait != nil {
 		t.readyAt = ss.b.sinceStart()
 	}
 	ss.lockShard(s)
-	// Key snapshot: the thread is parked, so its label is stable here
-	// and stays stable while the entry sits in the heap.
-	t.heapLabel = t.tok.Order
-	t.heapPri = t.tok.Priority
-	s.heapPush(t)
-	s.size.Store(int64(len(s.h)))
-	s.publishLocked()
+	s.h = append(s.h, t)
+	top := s.siftUp(len(s.h) - 1)
+	if ss.publish {
+		// Republish the label only when t became the leftmost.
+		if top {
+			s.pub.Store(t.tok.Order, pubTag(t.tok.Priority, len(s.h)))
+		} else {
+			s.pub.SetTag(pubTag(s.h[0].tok.Priority, len(s.h)))
+		}
+	}
 	s.mu.Unlock()
 	total := ss.total.Add(1)
 	ss.b.readyGauge.Set(total)
@@ -140,17 +153,29 @@ func (ss *shardStore) push(t *thread, pid int) {
 }
 
 // pop removes and returns shard v's leftmost thread, or nil if the shard
-// is (or went) empty.
-func (ss *shardStore) pop(v int) *thread {
+// is (or went) empty. With before non-nil it pops only a thread that
+// precedes before, which is running and in no shard: the successor of a
+// yield, nil when the yielder is itself the leftmost.
+func (ss *shardStore) pop(v int, before *thread) *thread {
 	s := &ss.shards[v]
 	ss.lockShard(s)
-	if len(s.h) == 0 {
+	if len(s.h) == 0 || before != nil && !threadLess(s.h[0], before) {
 		s.mu.Unlock()
 		return nil
 	}
-	t := s.heapRemove(0)
-	s.size.Store(int64(len(s.h)))
-	s.publishLocked()
+	t := s.h[0]
+	last := len(s.h) - 1
+	s.h[0] = s.h[last]
+	s.h[last] = nil
+	s.h = s.h[:last]
+	s.siftDown(0)
+	if ss.publish {
+		if last == 0 {
+			s.pub.Clear()
+		} else {
+			s.pub.Store(s.h[0].tok.Order, pubTag(s.h[0].tok.Priority, last))
+		}
+	}
 	s.mu.Unlock()
 	total := ss.total.Add(-1)
 	ss.b.readyGauge.Set(total)
@@ -163,20 +188,26 @@ func (ss *shardStore) pop(v int) *thread {
 func (ss *shardStore) take(pid int) *thread {
 	n := len(ss.shards)
 	own := ss.shardFor(pid)
-	pubs := make([]*shardPub, n)
-	sizes := make([]int64, n)
+	if n == 1 {
+		return ss.pop(own, nil)
+	}
+	snaps := ss.snaps[pid]
+	if snaps == nil {
+		snaps = make([]shardSnap, n)
+		ss.snaps[pid] = snaps
+	}
 	for ss.total.Load() > 0 {
 		if !ss.strict {
-			if t := ss.pop(own); t != nil {
+			if t := ss.pop(own, nil); t != nil {
 				return t
 			}
 		}
 		// Snapshot the published minima (lock-free, possibly stale).
 		min := -1
-		for j := 0; j < n; j++ {
-			pubs[j] = ss.shards[j].pub.Load()
-			sizes[j] = ss.shards[j].size.Load()
-			if pubs[j] != nil && (min < 0 || pubLess(pubs[j], pubs[min])) {
+		for j := range snaps {
+			l, tag := ss.shards[j].pub.Load()
+			snaps[j] = shardSnap{label: l, pri: int(tag & 0xff), size: int64(tag >> 8)}
+			if l.Valid() && (min < 0 || snaps[j].less(&snaps[min])) {
 				min = j
 			}
 		}
@@ -185,7 +216,7 @@ func (ss *shardStore) take(pid int) *thread {
 		}
 		if ss.strict {
 			// Sequential-steal mode: always the globally leftmost hint.
-			if t := ss.pop(min); t != nil {
+			if t := ss.pop(min, nil); t != nil {
 				return t
 			}
 			continue
@@ -193,15 +224,15 @@ func (ss *shardStore) take(pid int) *thread {
 		victim := -1
 		for k := 1; k < n; k++ {
 			v := (own + k) % n
-			if pubs[v] == nil {
+			if !snaps[v].label.Valid() {
 				continue
 			}
 			// Deviation bound: every ready thread in a shard whose
 			// leftmost precedes the candidate might precede it too.
 			bound := int64(0)
-			for j := 0; j < n; j++ {
-				if j != v && pubs[j] != nil && pubLess(pubs[j], pubs[v]) {
-					bound += sizes[j]
+			for j := range snaps {
+				if j != v && snaps[j].label.Valid() && snaps[j].less(&snaps[v]) {
+					bound += snaps[j].size
 				}
 			}
 			if bound <= int64(ss.window) {
@@ -214,7 +245,7 @@ func (ss *shardStore) take(pid int) *thread {
 		if victim < 0 {
 			victim = min // rank 0: within any window
 		}
-		if t := ss.pop(victim); t != nil {
+		if t := ss.pop(victim, nil); t != nil {
 			ss.steals.Add(1)
 			ss.cSteal.Inc()
 			ss.b.tracer.record(pid, t.ID(), trace.KindSteal, int64(victim))
@@ -236,71 +267,37 @@ func (b *Backend) signalIfIdle() {
 	b.mu.Unlock()
 }
 
-// pubLess orders published keys like the heap: priority descending, then
-// label ascending.
-func pubLess(a, b *shardPub) bool {
-	if a.pri != b.pri {
-		return a.pri > b.pri
+// keyLess is the ready order: priority descending, then label ascending.
+func keyLess(pa int, la core.DepaLabel, pb int, lb core.DepaLabel) bool {
+	if pa != pb {
+		return pa > pb
 	}
-	return a.label.Compare(b.label) < 0
+	return la.Compare(lb) < 0
 }
 
-// Heap plumbing, under the shard lock. heapIdx tracks each thread's slot
-// (unused for removal today — ready threads leave only via pop — but
-// kept exact so indexed deletes stay possible).
+func (a *shardSnap) less(b *shardSnap) bool { return keyLess(a.pri, a.label, b.pri, b.label) }
 
+// threadLess is the ready order on threads. A thread's label changes
+// only when it forks: it is stable while the thread waits in a heap or
+// as a candidate, and a running yielder compares only its own.
 func threadLess(a, b *thread) bool {
-	if a.heapPri != b.heapPri {
-		return a.heapPri > b.heapPri
-	}
-	return a.heapLabel.Compare(b.heapLabel) < 0
+	return keyLess(a.tok.Priority, a.tok.Order, b.tok.Priority, b.tok.Order)
 }
 
-// publishLocked refreshes the leftmost-key hint from the heap minimum.
-func (s *shard) publishLocked() {
-	if len(s.h) == 0 {
-		s.pub.Store(nil)
-		return
-	}
-	t := s.h[0]
-	s.pub.Store(&shardPub{pri: t.heapPri, label: t.heapLabel})
-}
+// Heap plumbing, under the shard lock.
 
-func (s *shard) swap(i, j int) {
-	s.h[i], s.h[j] = s.h[j], s.h[i]
-	s.h[i].heapIdx = i
-	s.h[j].heapIdx = j
-}
-
-func (s *shard) heapPush(t *thread) {
-	t.heapIdx = len(s.h)
-	s.h = append(s.h, t)
-	s.siftUp(t.heapIdx)
-}
-
-func (s *shard) heapRemove(i int) *thread {
-	t := s.h[i]
-	last := len(s.h) - 1
-	s.swap(i, last)
-	s.h[last] = nil
-	s.h = s.h[:last]
-	t.heapIdx = -1
-	if i < last {
-		s.siftDown(i)
-		s.siftUp(i)
-	}
-	return t
-}
-
-func (s *shard) siftUp(i int) {
+// siftUp restores the heap above i and reports whether the entry ended
+// at the top.
+func (s *shard) siftUp(i int) bool {
 	for i > 0 {
 		up := (i - 1) / 2
 		if !threadLess(s.h[i], s.h[up]) {
-			return
+			return false
 		}
-		s.swap(i, up)
+		s.h[i], s.h[up] = s.h[up], s.h[i]
 		i = up
 	}
+	return true
 }
 
 func (s *shard) siftDown(i int) {
@@ -316,7 +313,7 @@ func (s *shard) siftDown(i int) {
 		if m == i {
 			return
 		}
-		s.swap(i, m)
+		s.h[i], s.h[m] = s.h[m], s.h[i]
 		i = m
 	}
 }

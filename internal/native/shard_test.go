@@ -45,3 +45,35 @@ func TestShardNativeStrict(t *testing.T) {
 		t.Fatalf("fib(12) = %d, want 144", res)
 	}
 }
+
+// TestShardOpsAllocateNothing: once a shard's heap has grown, pushing,
+// popping (plain and yield-style) and taking — the own pop and the
+// steal scan over the published cells — allocate nothing.
+func TestShardOpsAllocateNothing(t *testing.T) {
+	b := newPolicyBackend(t, sched.ADF, Config{Procs: 2})
+	ss := b.shards
+	lineage := core.RootDepaLabel()
+	ts := make([]*thread, 8)
+	for i := range ts {
+		ts[i] = &thread{b: b}
+		ts[i].tok.Order = lineage.Fork()
+	}
+	yielder := &thread{b: b}
+	yielder.tok.Order = lineage
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, x := range ts {
+			ss.push(x, 0)
+		}
+		if ss.pop(0, yielder) == nil || ss.pop(0, nil) == nil {
+			t.Fatal("pop found shard 0 empty")
+		}
+		for ss.take(1) != nil { // own shard empty: every take steals
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per push/pop/take round, want 0", allocs)
+	}
+	if ss.steals.Load() == 0 {
+		t.Error("no steals: the scan went unexercised")
+	}
+}

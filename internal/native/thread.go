@@ -15,9 +15,8 @@ import (
 // whenever it does not hold a processor. It is the only
 // per-thread record: the token the policy orders by (tok) lives inside
 // it, and tok.Owner leads from a token the policy hands back to the
-// record around it. The one-byte fields sit in two groups so padding
-// keeps the record at 304 B, inside the 320 B size class; spread among
-// the words they push it to 328 B and the next class.
+// record around it. The small fields sit in two groups so padding keeps
+// the record at 248 B, inside the 256 B size class.
 type thread struct {
 	b *Backend
 	// tok is the policy's view of the thread (ID, Priority, SchedState,
@@ -44,21 +43,16 @@ type thread struct {
 	refs     atomic.Int32
 
 	isDummy bool
-	state   core.State // guarded by b.mu
+	// state is for inspection only: the backend writes it, under b.mu or,
+	// on the sharded store, in a block or wake ordered by the waiter
+	// list's and the shard's locks, and never reads it.
+	state core.State
 
 	// pid is the processor this thread holds (or last held), written
 	// only on its own coroutine from the value its resume carried: a
 	// thread on its way to its park yields to the worker it runs under
 	// even if another processor has already marked it running again.
 	pid int
-
-	// Sharded-store heap slot: key snapshot and heap index, guarded by
-	// the owning shard's lock while the thread sits in a heap. The label
-	// is copied at push time so later Forks by other threads cannot
-	// disturb the ordering of a parked entry.
-	heapLabel core.DepaLabel
-	heapPri   int
-	heapIdx   int
 
 	// readyAt stamps the last transition into the ready structure, for
 	// the dispatch-latency histogram, in monotonic ns since b.start
@@ -78,8 +72,9 @@ type thread struct {
 	work      vtime.Duration
 	span      vtime.Duration
 
-	// Join protocol, guarded by b.mu.
-	done       bool
+	// Join protocol, guarded by b.mu. done is also read without the lock
+	// (a joiner deciding whether to pop a successor candidate first).
+	done       atomic.Bool
 	detached   bool
 	joined     bool
 	joiner     *thread
@@ -134,15 +129,21 @@ func (t *thread) passPark(next *thread, at vtime.Time, kind trace.Kind) {
 }
 
 // blockPark gives t's processor up after blockPrep and registration
-// with a waiter list. The successor is chosen here, in a second b.mu
-// section, so threads readied since blockPrep (a cond wait's mutex
-// handoff; t itself, if a waker already got to it) compete in policy
-// order.
+// with a waiter list. The successor is chosen here, not in blockPrep, so
+// threads readied since (a cond wait's mutex handoff; t itself, if a
+// waker already got to it) compete in policy order. On the sharded store
+// an empty own shard needs no b.mu section: the worker takes.
 func (t *thread) blockPark() {
 	b := t.b
+	cand := b.own(t.pid, nil)
+	if b.shards != nil && cand == nil {
+		t.switchTo(nil)
+		return
+	}
 	b.lock()
-	next := b.pick(t.pid)
+	next := b.successor(t.pid, cand)
 	b.mu.Unlock()
+	b.putBack(cand, next, t.pid)
 	t.switchTo(next)
 }
 

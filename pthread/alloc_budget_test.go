@@ -10,22 +10,22 @@ import (
 // heap through the public API, so the per-thread record cannot quietly
 // regrow into several objects. A binary fork → exit → join tree at
 // p = 1 is run at two depths and the difference taken, which cancels
-// the run's fixed set-up. The three objects per thread are: below
-// pthread, the policy's ready-structure entry; in pthread, the *Thread
-// handle, which holds the child's T and its body; and this test's own
-// body closure. The thread record and the goroutine with its mailbox
-// are recycled (record arenas, pooled carriers), so they cost nothing per
-// thread once the pools are warm.
+// the run's fixed set-up. The two objects per thread are the *Thread
+// handle, which holds the child's T and its body, and this test's own
+// body closure. Below pthread nothing is allocated per thread: the
+// ready store (per-worker shard heaps) holds the thread record itself,
+// and the record and the carrier coroutine are recycled (record arenas,
+// pooled carriers) once the pools are warm.
 func TestNativeThreadAllocBudget(t *testing.T) {
-	perThreadAllocs(t, nativeCfg(1), 3)
+	perThreadAllocs(t, nativeCfg(1), 2)
 }
 
 // TestSimThreadAllocBudget is the simulator's twin. The five objects per
 // thread are the machine's thread record (header and simulator state),
 // the exec adapter's child wrapper, which is also the machine-level
 // body, the policy's ready-structure entry, the *Thread handle and this
-// test's body closure. The goroutine and its mailbox ride a pooled
-// carrier, so they cost nothing per thread.
+// test's body closure. The carrier coroutine is pooled, so it costs
+// nothing per thread.
 func TestSimThreadAllocBudget(t *testing.T) {
 	cfg := nativeCfg(1)
 	cfg.Backend = pthread.BackendSim

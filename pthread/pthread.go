@@ -68,13 +68,18 @@ type Policy = sched.Kind
 const (
 	PolicyFIFO = sched.FIFO
 	PolicyLIFO = sched.LIFO
-	PolicyADF  = sched.ADF
+	// PolicyADF is the paper's space-efficient scheduler, the default.
+	// On the sim it is one ordered ready list under the global scheduler
+	// lock. On the native backend it runs on the same per-worker shards
+	// as PolicyADFShard at its default window (Procs).
+	PolicyADF = sched.ADF
 	// PolicyADFShard is the ADF scheduler over per-worker ready shards
 	// with bounded-deviation work stealing: same placeholder discipline
 	// and dispatch order as PolicyADF at p=1, but the ready store (and on
-	// the native backend the scheduler lock) is split per worker, with
-	// steals restricted to threads within Config.StealWindow of the
-	// global leftmost-ready position.
+	// the sim its scheduler lock) is split per worker, with steals
+	// restricted to threads within Config.StealWindow of the global
+	// leftmost-ready position. Natively it differs from PolicyADF only in
+	// accepting a StealWindow.
 	PolicyADFShard = sched.ADFShard
 	PolicyWS       = sched.WS
 	// PolicyDFD is a simplified DFDeques scheduler: the paper's
@@ -154,7 +159,8 @@ type Config struct {
 	// out of local work may steal a thread only if at most K ready
 	// threads precede it in the serial depth-first order. 0 selects the
 	// default (Procs); negative values are rejected; it requires
-	// PolicyADFShard.
+	// PolicyADFShard on both backends (native PolicyADF runs on the same
+	// shards, always at the default window).
 	StealWindow int
 	// Tracer, when non-nil, records scheduler events for later
 	// inspection (Gantt charts, per-thread summaries, pttrace exports,

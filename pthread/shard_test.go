@@ -74,20 +74,53 @@ func TestShardP1DispatchMatchesADF(t *testing.T) {
 	}
 }
 
-// TestShardStealWithinWindowFromTrace replays a sim trace of a sharded
+// TestShardStealWithinWindowFromTrace replays the trace of a sharded
 // run and checks the tentpole property at every KindSteal event: the
 // stolen thread's rank in the left-to-right ready order is at most K.
 // Labels are reconstructed by replaying KindCreate events (Arg is the
 // parent id) through core.DepaLabel.Fork, exactly as the runtime
 // assigns them; the ready set follows the dispatch/preempt/wake events.
+//
+// The sim runs adf-shard at window 2 and the bound is exact. Native runs
+// adf, whose store is the same shards at the default window, Procs, and
+// there only the replay itself is exact (every steal takes a labelled,
+// ready thread): a thief scans the shards' published minima without
+// their locks, so a thread a give-up holds between its shard op and its
+// b.mu section, or pushed after the scan, is ready in the trace but was
+// not counted. Native ranks are logged, not bounded; and as a native run
+// on few host cores can finish on one processor without a steal, it is
+// repeated until one steals.
 func TestShardStealWithinWindowFromTrace(t *testing.T) {
-	const window = 2
-	events := runShardTrace(t, pthread.Config{
-		Procs: 8, Policy: pthread.PolicyADFShard, StealWindow: window}, 14)
+	for _, tc := range []struct {
+		name  string
+		cfg   pthread.Config
+		exact bool
+	}{
+		{"sim", pthread.Config{Procs: 8, Policy: pthread.PolicyADFShard, StealWindow: 2}, true},
+		{"native-adf", pthread.Config{Backend: pthread.BackendNative, Procs: 8, Policy: pthread.PolicyADF}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			window := tc.cfg.StealWindow
+			if window == 0 {
+				window = tc.cfg.Procs
+			}
+			for run := 0; run < 20; run++ {
+				if checkStealRanks(t, runShardTrace(t, tc.cfg, 14), window, tc.exact) > 0 {
+					return
+				}
+			}
+			t.Fatal("no steals observed at p=8; the property test exercised nothing")
+		})
+	}
+}
 
+// checkStealRanks replays events and fails t unless every steal took a
+// labelled, ready thread, of rank at most window in the ready order when
+// exact. It returns the number of steals.
+func checkStealRanks(t *testing.T, events []pthread.TraceEvent, window int, exact bool) int {
 	labels := make(map[int64]*core.DepaLabel)
 	ready := make(map[int64]bool)
-	steals := 0
+	steals, over, maxRank := 0, 0, 0
 	for i, e := range events {
 		switch e.Kind {
 		case trace.KindCreate:
@@ -125,14 +158,17 @@ func TestShardStealWithinWindowFromTrace(t *testing.T) {
 					rank++
 				}
 			}
-			if rank > window {
+			if rank > window && exact {
 				t.Fatalf("event %d: stole rank-%d thread %d, window %d", i, rank, e.Thread, window)
 			}
+			if rank > window {
+				over++
+			}
+			maxRank = max(maxRank, rank)
 		}
 	}
-	if steals == 0 {
-		t.Fatal("no steals observed at p=8; the property test exercised nothing")
-	}
+	t.Logf("%d steals, highest rank %d, %d beyond window %d", steals, maxRank, over, window)
+	return steals
 }
 
 // Config validation for the shard knobs, one test per rejection rule.
