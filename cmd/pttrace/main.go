@@ -17,7 +17,7 @@
 //
 // With -backend native the same program runs on real goroutines: the
 // trace records wall-clock nanoseconds (the JSONL header and every
-// export carry the unit).
+// export carry the unit). ws and dfd are sim-only.
 //
 // Exit status: 0 on success, 2 for usage errors — including an empty
 // or truncated -in trace file — and 1 for runtime/I/O failures,

@@ -43,11 +43,14 @@ func main() {
 	}
 	fmt.Printf("serial: %v, heap %.1f MB\n\n", serial.Time, mb(serial.HeapHWM))
 
+	// Work stealing is sim-only: natively the table has no ws row.
+	policies := []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyWS, pthread.PolicyADF}
+	if be == pthread.BackendNative {
+		policies = []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF}
+	}
 	fmt.Printf("%-6s %10s %10s %12s %12s %12s\n",
 		"policy", "time", "speedup", "heap MB", "total MB", "peak threads")
-	for _, pol := range []pthread.Policy{
-		pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyWS, pthread.PolicyADF,
-	} {
+	for _, pol := range policies {
 		st, err := pthread.Run(pthread.Config{
 			Procs:        *procs,
 			Policy:       pol,

@@ -34,10 +34,17 @@ func main() {
 		Frames:    1,
 	}
 
+	// DFD is locality-aware: neighbouring tiles share TLB state, a gain
+	// the sim's TLB model charges. Native has no TLB model, and DFD is
+	// sim-only there, so a native render runs ADF.
+	policy := pthread.PolicyDFD
+	if be == pthread.BackendNative {
+		policy = pthread.PolicyADF
+	}
 	var pix []float64
 	stats, err := pthread.Run(pthread.Config{
 		Procs:        *procs,
-		Policy:       pthread.PolicyDFD, // locality-aware: neighbouring tiles share TLB state
+		Policy:       policy,
 		Backend:      be,
 		DefaultStack: pthread.SmallStackSize,
 	}, func(t *pthread.T) {

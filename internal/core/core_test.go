@@ -180,7 +180,7 @@ func (fakePolicy) Next(pid int) *Thread {
 // in every native thread record, so each word added here is paid once
 // per lightweight thread on both backends. 96 B is a Go size class: a
 // bare token (&Thread{ID: n}) stays in it, and the simulator's header +
-// state object (88 + 184 B today) stays in the 288 B class.
+// state object (72 + 184 B today) fills the 256 B class.
 func TestThreadHeaderSize(t *testing.T) {
 	if got := unsafe.Sizeof(Thread{}); got > 96 {
 		t.Errorf("unsafe.Sizeof(Thread{}) = %d, want <= 96", got)

@@ -69,7 +69,8 @@ func RootDepaLabel() DepaLabel { return DepaLabel{valid: true} }
 
 // HeadDepaLabel returns a fresh tree root under the given anchor; the
 // scheduler hands out decreasing anchors so each head insert is left of
-// all existing entries.
+// all existing entries. The native ready store keys its FIFO and LIFO
+// orders the same way, with sequence numbers as anchors.
 func HeadDepaLabel(anchor int64) DepaLabel {
 	return DepaLabel{anchor: anchor, valid: true}
 }

@@ -86,11 +86,6 @@ type Thread struct {
 	// structure). It evolves as the thread forks — each fork appends a
 	// continuation bit — so policies snapshot it at insert time.
 	Order DepaLabel
-	// Owner is the back-reference from the token a policy hands back
-	// (Next, NextBatch) to the backend record that contains it. Only the
-	// backend that stored it follows it; policies treat it as opaque, and
-	// it is nil for simulator threads and bare tokens.
-	Owner any
 
 	*simState
 }

@@ -19,7 +19,7 @@ import (
 //
 //	obj.mu.Lock()
 //	  (fast path? -> unlock, return)
-//	  b.BlockPrep(t)         // native: policy OnBlock under the scheduler lock
+//	  b.BlockPrep(t)         // native: mark t blocked, leave the running count
 //	  register t as a waiter
 //	obj.mu.Unlock()
 //	b.Park(t)                // pass the processor on, wait for a Wake
@@ -27,7 +27,7 @@ import (
 // The lock order is object mutex -> scheduler lock, and wakers call
 // b.Wake after releasing the object mutex, so the two never nest in the
 // opposite direction. Registering after BlockPrep guarantees a waker's
-// ready can never precede the waiter's block in the policy.
+// ready can never precede the waiter's block.
 //
 // On the sim the SyncOp / Pause placement of each method is the charge
 // sequence the determinism goldens pin; it is irregular on purpose (a

@@ -18,9 +18,10 @@ import (
 // nt unwraps an exec.Thread to this backend's representation.
 func nt(t exec.Thread) *thread { return t.(*thread) }
 
-// Fork implements exec.Backend. Under policies with the paper's fork
-// semantics (OnCreate returns true) the parent is preempted and hands
-// its processor straight to the child.
+// Fork implements exec.Backend. In the DePa order (the ADF family) a
+// fork has the paper's semantics: the parent is preempted and hands its
+// processor straight to the child. In a sequence order (FIFO, LIFO) it
+// keeps Solaris semantics: the child is pushed and the parent runs on.
 func (b *Backend) Fork(pt exec.Thread, attr core.Attr, body exec.Body) exec.Thread {
 	return b.fork(nt(pt), attr, body, false)
 }
@@ -31,44 +32,29 @@ func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *t
 	child := b.newThread(pid, attr, body)
 	child.isDummy = dummy
 	body.Bind(child)
-	// DePa order maintenance: the label assignment is the whole point of
-	// the scheme — it happens here on the parent's coroutine, with zero
-	// shared state. The ready store reads the label under its lock (b.mu,
-	// or the shard's), which orders the write ahead of every use.
-	child.tok.Order = t.tok.Order.Fork()
 	b.mem.allocStack(child.stackSize)
 	b.tracer.record(pid, child.ID(), trace.KindCreate, t.ID())
 	b.tracer.record(pid, child.ID(), trace.KindStackAlloc, child.stackSize)
 	b.admit()
 	child.span = t.span
-	// On the sharded store a fork touches nothing b.mu guards, so it
-	// takes no b.mu section, and it always has the paper's fork
-	// semantics.
-	sharded := b.shards != nil
-	if !sharded {
-		b.lock()
-	}
-	if !sharded && !b.policy.OnCreate(&t.tok, &child.tok) {
-		// The policy placed the child in its ready structure.
+	// A fork touches nothing b.mu guards, so it takes no b.mu section.
+	if b.shards.dir != 0 {
 		child.state = core.StateReady
-		b.noteReady(child)
-		b.cond.Signal()
-		b.mu.Unlock()
+		b.shards.key(child)
+		b.shards.push(child, pid)
 		return child
 	}
+	// DePa order maintenance: the label assignment is the whole point of
+	// the scheme — it happens here on the parent's coroutine, with zero
+	// shared state. The store reads the label under a shard lock, which
+	// orders the write ahead of every use.
+	child.tok.Order = t.tok.Order.Fork()
 	// Parent preempted; the child is the successor, no pick needed.
 	t.state = core.StateReady
 	b.addRunning(-1)
 	at := b.tracer.now()
 	b.markRunning(child, pid)
-	if sharded {
-		b.shards.push(t, pid)
-	} else {
-		b.policy.OnReady(&t.tok, pid)
-		b.noteReady(t)
-		b.cond.Signal() // the parent is dispatchable by another processor
-		b.mu.Unlock()
-	}
+	b.shards.push(t, pid)
 	t.passPark(child, at, trace.KindPreempt)
 	return child
 }
@@ -99,9 +85,6 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 	} else {
 		target.joiner = t
 		t.state = core.StateBlocked
-		if b.shards == nil {
-			b.policy.OnBlock(&t.tok)
-		}
 		b.addRunning(-1)
 		at := b.tracer.now()
 		next := b.successor(t.pid, cand)
@@ -225,9 +208,6 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 	cand := b.own(t.pid, nil)
 	b.lock()
 	t.state = core.StateBlocked
-	if b.shards == nil {
-		b.policy.OnBlock(&t.tok)
-	}
 	b.addRunning(-1)
 	b.sleepers++
 	at := b.tracer.now()
@@ -238,40 +218,25 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 	t.passPark(next, at, trace.KindBlock)
 }
 
-// wakeSleeper readies a timer-parked thread.
+// wakeSleeper readies a timer-parked thread in three phases: mark it
+// ready under b.mu, push it outside (a shard lock never nests inside
+// b.mu), then drop the sleeper count. sleepers stays >0 through the push
+// gap so the deadlock detector cannot fire while the thread is in flight
+// between the two structures.
 func (b *Backend) wakeSleeper(t *thread) {
-	if b.shards != nil {
-		// Three-phase sharded wake: mark ready under b.mu, push outside
-		// it (the shard lock never nests inside b.mu), then drop the
-		// sleeper count. sleepers stays >0 through the push gap so the
-		// deadlock detector cannot fire while the thread is in flight
-		// between the two structures.
-		b.lock()
-		if b.done {
-			b.sleepers--
-			b.mu.Unlock()
-			return
-		}
-		t.state = core.StateReady
-		b.tracer.record(-1, t.ID(), trace.KindWake, 0)
-		b.mu.Unlock()
-		b.shards.push(t, t.pid)
-		b.lock()
+	b.lock()
+	if b.done {
 		b.sleepers--
 		b.mu.Unlock()
 		return
 	}
+	t.state = core.StateReady
+	b.shards.key(t)
+	b.tracer.record(-1, t.ID(), trace.KindWake, 0)
+	b.mu.Unlock()
+	b.shards.push(t, t.pid)
 	b.lock()
 	b.sleepers--
-	if b.done {
-		b.mu.Unlock()
-		return
-	}
-	t.state = core.StateReady
-	b.policy.OnReady(&t.tok, -1)
-	b.noteReady(t)
-	b.tracer.record(-1, t.ID(), trace.KindWake, 0)
-	b.cond.Signal()
 	b.mu.Unlock()
 }
 

@@ -317,13 +317,14 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 	}
 }
 
-// stores names a policy for each native ready store: the global one
-// under b.mu, and the per-worker shards every ADF-family policy runs on.
+// stores names a policy for each shape of the native ready store: one
+// shard in sequence order (FIFO), and the per-worker DePa-ordered shards
+// every ADF-family policy runs on.
 var stores = []struct {
 	name   string
 	policy sched.Kind
 }{
-	{"global", sched.FIFO},
+	{"sequence", sched.FIFO},
 	{"sharded", sched.ADF},
 }
 
@@ -398,8 +399,9 @@ func TestProcessorReturnedOnce(t *testing.T) {
 // the worker's own pick: the successor is the child at a fork, and the
 // leftmost ready thread at every exit, join, block, yield and Sleep(0).
 // The worker dispatches the root and is not reached again until the run
-// ends. The fork/join tree runs on the global store as well as on the
-// shards; the block-heavy program, on the default (sharded) store.
+// ends. The fork/join tree runs on the one-shard sequence store (FIFO)
+// as well as on the DePa shards; the block-heavy program, on the default
+// (sharded) store.
 func TestNoWorkerBetweenThreads(t *testing.T) {
 	const depth = 10 // 2^10 - 1 threads besides the root
 	tree := func(b *Backend, root exec.Thread) {
@@ -445,7 +447,7 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 		main    func(b *Backend, root exec.Thread)
 		threads int64
 	}{
-		{"global-tree", sched.FIFO, tree, 1<<(depth+1) - 1},
+		{"sequence-tree", sched.FIFO, tree, 1<<(depth+1) - 1},
 		{"sharded-tree", sched.ADF, tree, 1<<(depth+1) - 1},
 		{"sharded-blocky", sched.ADF, blocky, 3},
 	}
@@ -471,22 +473,27 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 // TestNoDispatchAfterPanic: once a thread's panic has failed the run, no
 // processor dispatches another thread, on either store. The root readies
 // 100 threads and panics; at one processor none of them may run after
-// it, and at four only those another processor had already dispatched
-// (at most one each) may finish their bodies.
+// the run failed, and at four only those another processor had already
+// dispatched (at most one each) may finish their bodies. A body reads
+// the failure itself (b.done, under b.mu), not a flag the root sets
+// before it panics: the root's unwind to the failure point takes long
+// enough under -race for other processors to run many bodies legally.
 func TestNoDispatchAfterPanic(t *testing.T) {
 	const ready = 100
 	for _, s := range stores {
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p=%d", s.name, procs), func(t *testing.T) {
 				b := newPolicyBackend(t, s.policy, Config{Procs: procs})
-				var panicked atomic.Bool
 				var after atomic.Int32
 				var sem exec.Semaphore
 				_, err := execute(t, b, func(root exec.Thread) {
 					for i := 0; i < ready; i++ {
 						forkFn(b, root, core.Attr{Detached: true}, func(c exec.Thread) {
 							sem.Wait(b, c)
-							if panicked.Load() {
+							b.mu.Lock()
+							failed := b.done
+							b.mu.Unlock()
+							if failed {
 								after.Add(1)
 							}
 						})
@@ -494,7 +501,6 @@ func TestNoDispatchAfterPanic(t *testing.T) {
 					for i := 0; i < ready; i++ {
 						sem.Post(b, root)
 					}
-					panicked.Store(true)
 					panic("boom")
 				})
 				if err == nil {

@@ -18,34 +18,25 @@
 // coroswitches. Only a thread that finds no successor sends its worker
 // to the idle / deadlock / run-end protocol (next).
 //
-// Two ready stores. The ADF family (adf, the default, and adf-shard)
-// runs on per-worker shards (shard.go): DePa-ordered heaps under their
-// own locks, never held together with the scheduler lock b.mu. A thread
-// giving its processor up pops its successor from its own shard before
-// its b.mu section, and only a worker with no successor steals, within
-// the deviation window. b.mu keeps the join protocol, the idle and
-// run-end bookkeeping, and marking popped threads running; forks, wakes
-// and blocks take no b.mu at all. The ADF policy object is consulted
-// only for its quota and dummy count. Every other policy (fifo, lifo,
-// ws, dfd) keeps the global store: its policy structure under b.mu, a
-// real sync.Mutex rather than the simulator's modeled lock. The
-// simulator's two-level Q_in/Q_out batching has no native counterpart.
+// One ready store (shard.go): DePa-ordered heaps under their own
+// locks, never held together with the scheduler lock b.mu. FIFO and LIFO
+// run on one shard keyed by a sequence order, the paper's global queue
+// or stack; the ADF family (adf, the default, and adf-shard) runs on one
+// shard per worker keyed by fork-path labels. A thread giving its
+// processor up pops its successor from its own shard before its b.mu
+// section, and only a worker with no successor steals, within the
+// deviation window. b.mu keeps the join protocol, the idle and run-end
+// bookkeeping, and marking popped threads running; forks, wakes and
+// blocks take no b.mu at all. The policy object is consulted only for
+// its name, quota and dummy count. WS and DFD keep per-processor deques
+// that the store does not model, so they are sim-only, as is the
+// simulator's two-level Q_in/Q_out batching.
 //
 // One record per thread: a lightweight thread is a single thread value
-// (thread.go). The token a policy orders by — a core.Thread: id,
-// priority, policy state, DePa label — is a field of it, handed to every
-// policy call by address, and its Owner field points back at the record.
-// pick, under b.mu, is the only code that follows Owner (to turn the
-// token policy.Next answers into the thread to dispatch); policies never
-// look at it. The shards hold the records themselves. The shutdown walk
-// needs no registry of live threads: it stops every carrier the pool
-// ever started.
-//
-// Ordering invariant for blocking on the global store: a thread marks
-// itself blocked in the policy (OnBlock, under b.mu) *before*
-// registering with a sync object's waiter list. A waker can therefore
-// only observe the waiter after its OnBlock, so the policy always sees
-// OnBlock before the matching OnReady.
+// (thread.go), holding the token the store orders by — a core.Thread:
+// id, priority, DePa label. The shards hold the records themselves. The
+// shutdown walk needs no registry of live threads: it stops every
+// carrier the pool ever started.
 //
 // Resume invariant: a thread is marked running at most once per park,
 // and only the worker that marked it (or, for a successor, the worker
@@ -83,15 +74,14 @@ import (
 type Config struct {
 	// Procs is the number of worker goroutines (default GOMAXPROCS).
 	Procs int
-	// Policy is the scheduling policy (required). The ADF family runs
-	// on per-worker DePa-ordered heaps behind per-worker locks (see
-	// shardStore): a core.ShardedPolicy (adf-shard) with its shard
-	// count, steal window and strict mode, and the global ADF policy
-	// with one shard per worker and window Procs. Those policies are
-	// then consulted only for their quota and dummy count, and dispatch
-	// order is the ADF (priority, DePa label) order with
-	// bounded-deviation steals. Any other policy keeps its own ready
-	// structure, invoked only under the backend's scheduler lock.
+	// Policy is the scheduling policy (required), consulted only for its
+	// name, quota and dummy count: the ready store (shardStore) is built
+	// from its name. fifo and lifo run on one shard in sequence order.
+	// The ADF family runs on per-worker DePa-ordered heaps with
+	// bounded-deviation steals: a core.ShardedPolicy (adf-shard) with its
+	// shard count and steal window (one shard in strict mode), and the
+	// global ADF policy with one shard per worker and window Procs. ws
+	// and dfd are rejected as sim-only.
 	Policy core.Policy
 	// DefaultStack is the default simulated stack size charged per
 	// thread (default core.DefaultStackSize).
@@ -112,30 +102,27 @@ type Backend struct {
 	quota        int64
 	defaultStack int64
 
-	// mu is the scheduler lock: it guards the policy structure, the
-	// thread-lifecycle fields below, and every counter not marked
-	// atomic. cond signals idle workers when work becomes ready.
+	// mu is the scheduler lock: it guards the thread-lifecycle fields
+	// below and every counter not marked atomic. cond signals idle
+	// workers when work becomes ready.
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// shards, when non-nil, replaces the policy's ready structure with
-	// the per-worker sharded store (the ADF family); b.ready stays at
-	// zero then, and idleA mirrors b.idle into an atomic for the store's
-	// lost-wakeup protocol.
+	// shards is the ready store; idleA mirrors b.idle into an atomic for
+	// its lost-wakeup protocol.
 	shards *shardStore
 	idleA  atomic.Int64
 
-	// The thread counts are atomic so a sharded fork or blockPrep takes
-	// no lock. The deadlock check reads running under b.mu once every
-	// worker is idle, when each idle worker's last thread has given its
-	// processor up; live cannot reach 0 while a fork is under way (the
-	// forker is live), so an exit that sees it reach 0 ends the run.
+	// The thread counts are atomic so a fork or blockPrep takes no lock.
+	// The deadlock check reads running under b.mu once every worker is
+	// idle, when each idle worker's last thread has given its processor
+	// up; live cannot reach 0 while a fork is under way (the forker is
+	// live), so an exit that sees it reach 0 ends the run.
 	running  atomic.Int64 // threads assigned to processors
 	live     atomic.Int64
 	created  atomic.Int64
 	peakLive atomic.Int64
 
-	ready     int // threads in the policy's ready structure
 	sleepers  int // threads parked on pending timers
 	idle      int // workers waiting in cond.Wait
 	maxSpan   vtime.Duration
@@ -167,11 +154,11 @@ type Backend struct {
 	// Native scheduler observability (all nil-safe when detached).
 	tracer       *tracer            // nil when no Config.Tracer
 	traceRec     *trace.Recorder    // merge target at run end
-	lockWait     *metrics.Histogram // wall ns blocked acquiring b.mu
+	lockWait     *metrics.Histogram // wall ns blocked acquiring b.mu or a shard lock
 	dispatchWait *metrics.Histogram // wall ns from ready to dispatch
 	handoff      *metrics.Histogram // wall ns from a worker's resume to the resumed thread running
 	mutexWait    *metrics.Histogram // wall ns blocked in nativeMutex.Lock
-	readyGauge   *metrics.Gauge     // threads in the policy's ready structure
+	readyGauge   *metrics.Gauge     // threads in the ready store
 	runningGauge *metrics.Gauge     // threads currently assigned to workers
 
 	workers []*worker
@@ -196,6 +183,22 @@ func New(cfg Config) (*Backend, error) {
 	procs := cfg.Procs
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
+	}
+	// The ready store's shape: shard count, steal window and order.
+	n, window, dir := 1, 0, int64(0)
+	switch sp, ok := cfg.Policy.(core.ShardedPolicy); {
+	case ok && sp.Global():
+		// Strict mode: one shard, whose top is the globally leftmost.
+	case ok:
+		n, window = sp.NumShards(), sp.StealWindow()
+	case cfg.Policy.Name() == string(sched.ADF):
+		n, window = procs, procs // adf-shard's defaults
+	case cfg.Policy.Name() == string(sched.FIFO):
+		dir = 1
+	case cfg.Policy.Name() == string(sched.LIFO):
+		dir = -1
+	default:
+		return nil, fmt.Errorf("native: Policy %s is sim-only: the native ready store orders fifo, lifo and the adf family", cfg.Policy.Name())
 	}
 	stack := cfg.DefaultStack
 	if stack <= 0 {
@@ -227,13 +230,7 @@ func New(cfg Config) (*Backend, error) {
 			dispatches: reg.Counter(fmt.Sprintf("sched.dispatches.w%d", i)),
 		}
 	}
-	if sp, ok := cfg.Policy.(core.ShardedPolicy); ok {
-		// A sharded policy in strict mode reports Global() == true.
-		b.shards = newShardStore(b, sp.NumShards(), sp.StealWindow(), sp.Global())
-	} else if cfg.Policy.Name() == string(sched.ADF) {
-		// adf-shard's defaults: one shard per worker, window Procs.
-		b.shards = newShardStore(b, procs, procs, false)
-	}
+	b.shards = newShardStore(b, n, window, dir)
 	return b, nil
 }
 
@@ -254,18 +251,14 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 
 	root := b.newThread(-1, core.Attr{Name: "main"}, exec.Func(main))
 	root.tok.Order = core.RootDepaLabel()
+	b.shards.key(root)
 	b.mem.allocStack(root.stackSize)
 	b.tracer.record(-1, root.ID(), trace.KindCreate, 0) // Arg 0: no parent
 	b.tracer.record(-1, root.ID(), trace.KindStackAlloc, root.stackSize)
 	// No worker runs yet: the root needs no b.mu section.
 	b.admit()
 	root.state = core.StateReady
-	if b.shards != nil {
-		b.shards.push(root, 0)
-	} else {
-		b.policy.OnCreate(nil, &root.tok)
-		b.noteReady(root)
-	}
+	b.shards.push(root, 0)
 
 	b.wg.Add(b.procs)
 	for pid := 0; pid < b.procs; pid++ {
@@ -319,79 +312,47 @@ func (b *Backend) run(t *thread, pid int) *thread {
 	return b.next(pid)
 }
 
-// lock acquires the scheduler lock, recording how long the acquisition
-// blocked (wall ns) when a registry is attached. The uncontended fast
-// path observes 0, mirroring the sim's lock instruments, so the
-// histogram's count doubles as an acquisition count.
-func (b *Backend) lock() {
+// lock acquires the scheduler lock through lockTimed.
+func (b *Backend) lock() { b.lockTimed(&b.mu) }
+
+// lockTimed acquires mu — b.mu or a shard lock — recording how long the
+// acquisition blocked (wall ns) in sched.lock.wait when a registry is
+// attached, so native lock-wait totals cover the whole scheduler locking
+// surface. The uncontended fast path observes 0, mirroring the sim's
+// lock instruments, so the histogram's count doubles as an acquisition
+// count.
+func (b *Backend) lockTimed(mu *sync.Mutex) {
 	if b.lockWait == nil {
-		b.mu.Lock()
+		mu.Lock()
 		return
 	}
-	if b.mu.TryLock() {
+	if mu.TryLock() {
 		b.lockWait.Observe(0)
 		return
 	}
 	t0 := time.Now()
-	b.mu.Lock()
+	mu.Lock()
 	b.lockWait.Observe(time.Since(t0).Nanoseconds())
-}
-
-// noteReady counts t into the ready structure, maintaining the
-// run-queue gauge and stamping the thread for dispatch-latency
-// measurement. Caller holds b.mu and has already called the policy's
-// OnCreate/OnReady.
-func (b *Backend) noteReady(t *thread) {
-	b.ready++
-	b.readyGauge.Set(int64(b.ready))
-	if b.dispatchWait != nil {
-		t.readyAt = b.sinceStart()
-	}
 }
 
 // sinceStart is the run's monotonic clock: wall ns since Execute began.
 func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() }
 
-// pick takes the next thread for processor pid out of the global
-// store's policy structure and marks it running on pid; nil when nothing
-// is ready or the run is over. Caller holds b.mu.
-func (b *Backend) pick(pid int) *thread {
-	if b.done || b.ready == 0 {
-		return nil
-	}
-	tok := b.policy.Next(pid)
-	if tok == nil {
-		return nil
-	}
-	b.ready--
-	t := tok.Owner.(*thread)
-	b.readyGauge.Set(int64(b.ready))
-	b.markRunning(t, pid)
-	return t
-}
-
 // next blocks until there is a thread for worker pid to run (marked
-// running on pid), the run completes, or a deadlock is detected. On the
-// sharded store the take (own pop, else a bounded steal) happens
-// outside b.mu, and the idle mirror idleA plus the re-check of total
-// after going idle are the sleeper half of the store's Dekker protocol.
+// running on pid), the run completes, or a deadlock is detected. The
+// take (own pop, else a bounded steal) happens outside b.mu, and the
+// idle mirror idleA plus the re-check of total after going idle are the
+// sleeper half of the store's Dekker protocol.
 func (b *Backend) next(pid int) *thread {
 	for {
-		var t *thread
-		if b.shards != nil {
-			t = b.shards.take(pid)
-		}
+		t := b.shards.take(pid)
 		b.lock()
 		if b.done {
 			b.mu.Unlock()
 			return nil // a thread taken after the run failed is never dispatched
 		}
-		if b.shards == nil {
-			t = b.pick(pid)
-		} else if t != nil {
-			b.markRunning(t, pid)
-		}
 		if t != nil {
+			b.markRunning(t, pid)
 			b.mu.Unlock()
 			b.workers[pid].wakeups++
 			return t
@@ -405,9 +366,9 @@ func (b *Backend) next(pid int) *thread {
 		b.idle++
 		b.idleA.Add(1)
 		switch {
-		case b.shards != nil && b.shards.total.Load() > 0:
+		case b.shards.total.Load() > 0:
 			// Work appeared between the failed take and going idle.
-		case b.idle == b.procs && b.running.Load() == 0 && b.sleepers == 0 && b.ready == 0:
+		case b.idle == b.procs && b.running.Load() == 0 && b.sleepers == 0:
 			b.failLocked(fmt.Errorf("native: deadlock: %d threads live, none runnable", b.live.Load()),
 				trace.RunEndDeadlock)
 		default:
@@ -444,25 +405,14 @@ func (b *Backend) markRunning(t *thread, pid int) {
 	t.dispatchAt = b.tracer.now()
 }
 
-// blockPrep marks t blocked in the policy. It must be called from t's
-// own body, before t is registered with any waiter list, and must be
-// followed by t.blockPark.
+// blockPrep marks t blocked. It must be called from t's own body,
+// before t is registered with any waiter list, and must be followed by
+// t.blockPark. A running thread has no entry in any shard heap, so
+// there is no ready structure to update, and no b.mu section.
 func (b *Backend) blockPrep(t *thread) {
-	if b.shards != nil {
-		// A running thread has no entry in any shard heap, so there is
-		// no ready structure to update, and no b.mu section.
-		t.state = core.StateBlocked
-		b.addRunning(-1)
-		b.tracer.record(t.pid, t.ID(), trace.KindBlock, 0)
-		return
-	}
-	b.lock()
 	t.state = core.StateBlocked
-	b.policy.OnBlock(&t.tok)
 	b.addRunning(-1)
-	at := b.tracer.now()
-	b.mu.Unlock()
-	b.tracer.recordAt(at, t.pid, t.ID(), trace.KindBlock, 0)
+	b.tracer.record(t.pid, t.ID(), trace.KindBlock, 0)
 }
 
 // readyThread makes a blocked thread runnable again. pid is the waking
@@ -470,54 +420,33 @@ func (b *Backend) blockPrep(t *thread) {
 // deferred wake record relies on the workers' shutdown wait ordering it
 // before the run-end merge — timer wakes go through wakeSleeper, which
 // records under b.mu instead.
+//
+// No b.mu section: a wake after a failed run is pushed but never
+// dispatched, since every section that marks a thread running checks
+// b.done.
 func (b *Backend) readyThread(t *thread, pid int) {
-	// Id snapshot: after the unlock (global store) or the push, t can be
-	// dispatched, run to exit, and have its record recycled before the
-	// KindWake emit below.
+	// Id snapshot: after the push, t can be dispatched, run to exit, and
+	// have its record recycled before the KindWake emit below.
 	at, id := b.tracer.now(), t.ID()
-	if b.shards != nil {
-		// No b.mu section: a wake after a failed run is pushed but never
-		// dispatched, since every section that marks a thread running
-		// checks b.done.
-		t.state = core.StateReady
-		b.shards.push(t, pid)
-		b.tracer.recordAt(at, pid, id, trace.KindWake, 0)
-		return
-	}
-	b.lock()
-	if b.done {
-		b.mu.Unlock()
-		return
-	}
 	t.state = core.StateReady
-	b.policy.OnReady(&t.tok, pid)
-	b.noteReady(t)
-	b.cond.Signal()
-	b.mu.Unlock()
+	b.shards.key(t)
+	b.shards.push(t, pid)
 	b.tracer.recordAt(at, pid, id, trace.KindWake, 0)
 }
 
-// preemptNow returns the calling thread to the ready structure and
-// passes its processor on (quota exhaustion or yield). With nothing
-// ready ahead of it t picks itself and keeps the processor.
+// preemptNow returns the calling thread to the ready store and passes
+// its processor on (quota exhaustion or yield). With nothing ready ahead
+// of it t picks itself and keeps the processor: under FIFO a fresh key
+// sends it behind every ready thread, under LIFO ahead of them all.
 func (b *Backend) preemptNow(t *thread) {
 	pid := t.pid
+	b.shards.key(t)
 	cand := b.own(pid, t)
 	b.lock()
 	t.state = core.StateReady
 	b.addRunning(-1)
 	at := b.tracer.now()
-	var next *thread
-	if b.shards == nil {
-		b.policy.OnReady(&t.tok, pid)
-		b.noteReady(t)
-		next = b.pick(pid)
-		if next != t {
-			b.cond.Signal() // t stays ready for another processor
-		}
-	} else {
-		next = b.successor(pid, cand)
-	}
+	next := b.successor(pid, cand)
 	b.mu.Unlock()
 	if cand != t {
 		b.putBack(cand, next, pid)
@@ -529,13 +458,8 @@ func (b *Backend) preemptNow(t *thread) {
 // own pops the successor candidate for a thread giving processor pid up:
 // its own shard's leftmost thread, taken before the caller's b.mu
 // section (a shard lock never nests with b.mu). A yielder passes itself
-// as before: it is its own candidate unless a thread precedes it. nil on
-// the global store, where pick chooses inside the section, and in strict
-// mode, where every dispatch is a worker's globally leftmost take.
+// as before: it is its own candidate unless a thread precedes it.
 func (b *Backend) own(pid int, before *thread) *thread {
-	if b.shards == nil || b.shards.strict {
-		return nil
-	}
 	if t := b.shards.pop(b.shards.shardFor(pid), before); t != nil {
 		return t
 	}
@@ -543,13 +467,9 @@ func (b *Backend) own(pid int, before *thread) *thread {
 }
 
 // successor marks the successor of a thread giving processor pid up
-// running on pid, in the b.mu section that recorded why it stopped: on
-// the global store the policy's next thread, on the sharded store the
+// running on pid, in the b.mu section that recorded why it stopped: the
 // candidate own popped. nil once the run is over. Caller holds b.mu.
 func (b *Backend) successor(pid int, cand *thread) *thread {
-	if b.shards == nil {
-		return b.pick(pid)
-	}
 	if b.done || cand == nil {
 		return nil
 	}
@@ -558,10 +478,9 @@ func (b *Backend) successor(pid int, cand *thread) *thread {
 }
 
 // putBack returns a ready thread the caller's b.mu section did not run
-// to pid's shard, after that section. A no-op on the global store, whose
-// policy already holds every ready thread.
+// to pid's shard, after that section, keeping its key.
 func (b *Backend) putBack(t, next *thread, pid int) {
-	if b.shards != nil && t != nil && t != next {
+	if t != nil && t != next {
 		b.shards.push(t, pid)
 	}
 }
@@ -587,9 +506,6 @@ func (b *Backend) exitThread(t *thread) *thread {
 	if t.span > b.maxSpan {
 		b.maxSpan = t.span
 	}
-	if b.shards == nil {
-		b.policy.OnExit(&t.tok)
-	}
 	live := b.live.Add(-1)
 	b.addRunning(-1)
 	b.liveGauge.Set(live)
@@ -603,10 +519,8 @@ func (b *Backend) exitThread(t *thread) *thread {
 		// and have its record recycled before the KindWake emit below.
 		jid = j.ID()
 		j.state = core.StateReady
-		if b.shards == nil {
-			b.policy.OnReady(&j.tok, pid)
-			b.noteReady(j)
-		} else if cand == nil || threadLess(j, cand) {
+		b.shards.key(j)
+		if cand == nil || threadLess(j, cand) {
 			back, cand = cand, j // the joiner is the leftmost candidate
 		} else {
 			back = j
@@ -617,9 +531,6 @@ func (b *Backend) exitThread(t *thread) *thread {
 		b.cond.Broadcast()
 	}
 	next := b.successor(pid, cand)
-	if j != nil && b.shards == nil && next != j {
-		b.cond.Signal() // the joiner stays ready for another processor
-	}
 	b.mu.Unlock()
 	// A readied joiner's exitedSpan/done reads are ordered by the b.mu
 	// section above; only then may another worker dispatch it.
@@ -646,7 +557,6 @@ func (b *Backend) newThread(pid int, attr core.Attr, body exec.Body) *thread {
 	}
 	t.tok.ID = b.nextID.Add(1)
 	t.tok.Priority = attr.Priority
-	t.tok.Owner = t
 	t.name = attr.Name
 	t.body = body
 	t.detached = attr.Detached

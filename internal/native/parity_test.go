@@ -309,7 +309,7 @@ func syncChecksum(t *pthread.T) float64 {
 }
 
 func TestMatmulParity(t *testing.T) {
-	for _, policy := range []pthread.Policy{pthread.PolicyADF, pthread.PolicyWS} {
+	for _, policy := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF} {
 		sim, native := runBoth(t, 4, policy, matmulChecksum)
 		if sim != native || math.IsNaN(sim) {
 			t.Errorf("%s: sim checksum %v, native checksum %v", policy, sim, native)

@@ -3,21 +3,21 @@ package native
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spthreads/internal/core"
 	"spthreads/internal/metrics"
 	"spthreads/internal/trace"
 )
 
-// shardStore is the native backend's ready store for the ADF family:
-// one small lock-protected heap per worker, ordered by (priority desc,
-// DePa label asc), in place of a policy structure under the global
-// scheduler mutex. b.mu shrinks to the join protocol, the idle and
-// run-end bookkeeping and marking popped threads running, and ready-store
-// traffic spreads across the shards. A thread giving its processor up takes its successor from
-// its own shard; a worker with no successor pops its own shard, else
-// steals within the deviation window.
+// shardStore is the native backend's one ready store: one small
+// lock-protected heap per shard, ordered by (priority desc, DePa label
+// asc). The ADF family keys a thread by its fork-path label and runs one
+// shard per worker (or one shard in strict mode, whose top is the
+// globally leftmost thread). FIFO and LIFO run on one shard, the paper's
+// global queue or stack, keyed by a sequence order instead (key). A
+// thread giving its processor up takes its successor from its own shard;
+// a worker with no successor pops its own shard, else steals within the
+// deviation window.
 //
 // Lock protocol: a push or pop takes exactly one shard lock, and a shard
 // lock is never held together with b.mu, in either order. A thread is
@@ -48,11 +48,14 @@ type shardStore struct {
 	b       *Backend
 	shards  []shard
 	window  int
-	strict  bool
 	publish bool // more than one shard: thieves read the cells
 
-	// total counts threads across all shards (the sharded counterpart of
-	// b.ready, readable without any lock).
+	// dir selects a sequence order: +1 FIFO, -1 LIFO, 0 the DePa fork
+	// order of the ADF family. seq numbers the sequence keys.
+	dir int64
+	seq atomic.Int64
+
+	// total counts threads across all shards, readable without any lock.
 	total atomic.Int64
 
 	// snaps is each worker's steal-scan scratch, one entry per shard,
@@ -89,16 +92,27 @@ type shardSnap struct {
 // DepaCell tag (priorities are below core.NumPriorities <= 256).
 func pubTag(pri, size int) uint64 { return uint64(size)<<8 | uint64(pri) }
 
-func newShardStore(b *Backend, n, window int, strict bool) *shardStore {
+func newShardStore(b *Backend, n, window int, dir int64) *shardStore {
 	return &shardStore{
 		b:       b,
 		shards:  make([]shard, n),
 		window:  window,
-		strict:  strict,
+		dir:     dir,
 		publish: n > 1,
 		snaps:   make([][]shardSnap, b.procs),
 		cSteal:  b.registry.Counter("sched.steal.count"),
 		cReject: b.registry.Counter("sched.steal.window_reject"),
+	}
+}
+
+// key gives t, which is becoming ready, its place in a sequence order
+// before anything compares or pushes it: a head label whose anchor is
+// the next sequence number, negated under LIFO so the newest thread is
+// leftmost. A no-op in the DePa order, where forks write the labels. A
+// popped thread put back unrun is not re-keyed: it keeps its place.
+func (ss *shardStore) key(t *thread) {
+	if ss.dir != 0 {
+		t.tok.Order = core.HeadDepaLabel(ss.dir * ss.seq.Add(1))
 	}
 }
 
@@ -107,23 +121,6 @@ func (ss *shardStore) shardFor(pid int) int {
 		return 0
 	}
 	return pid % len(ss.shards)
-}
-
-// lockShard acquires one shard lock, feeding waits into the same
-// sched.lock.wait histogram as b.mu so native lock-wait totals cover the
-// whole scheduler locking surface.
-func (ss *shardStore) lockShard(s *shard) {
-	if ss.b.lockWait == nil {
-		s.mu.Lock()
-		return
-	}
-	if s.mu.TryLock() {
-		ss.b.lockWait.Observe(0)
-		return
-	}
-	t0 := time.Now()
-	s.mu.Lock()
-	ss.b.lockWait.Observe(time.Since(t0).Nanoseconds())
 }
 
 // push makes t ready in worker pid's shard. Must be called without b.mu
@@ -135,7 +132,7 @@ func (ss *shardStore) push(t *thread, pid int) {
 	if ss.b.dispatchWait != nil {
 		t.readyAt = ss.b.sinceStart()
 	}
-	ss.lockShard(s)
+	ss.b.lockTimed(&s.mu)
 	s.h = append(s.h, t)
 	top := s.siftUp(len(s.h) - 1)
 	if ss.publish {
@@ -158,7 +155,7 @@ func (ss *shardStore) push(t *thread, pid int) {
 // yield, nil when the yielder is itself the leftmost.
 func (ss *shardStore) pop(v int, before *thread) *thread {
 	s := &ss.shards[v]
-	ss.lockShard(s)
+	ss.b.lockTimed(&s.mu)
 	if len(s.h) == 0 || before != nil && !threadLess(s.h[0], before) {
 		s.mu.Unlock()
 		return nil
@@ -197,10 +194,8 @@ func (ss *shardStore) take(pid int) *thread {
 		ss.snaps[pid] = snaps
 	}
 	for ss.total.Load() > 0 {
-		if !ss.strict {
-			if t := ss.pop(own, nil); t != nil {
-				return t
-			}
+		if t := ss.pop(own, nil); t != nil {
+			return t
 		}
 		// Snapshot the published minima (lock-free, possibly stale).
 		min := -1
@@ -213,13 +208,6 @@ func (ss *shardStore) take(pid int) *thread {
 		}
 		if min < 0 {
 			continue // every hint empty: re-check total and rescan
-		}
-		if ss.strict {
-			// Sequential-steal mode: always the globally leftmost hint.
-			if t := ss.pop(min, nil); t != nil {
-				return t
-			}
-			continue
 		}
 		victim := -1
 		for k := 1; k < n; k++ {
@@ -278,8 +266,9 @@ func keyLess(pa int, la core.DepaLabel, pb int, lb core.DepaLabel) bool {
 func (a *shardSnap) less(b *shardSnap) bool { return keyLess(a.pri, a.label, b.pri, b.label) }
 
 // threadLess is the ready order on threads. A thread's label changes
-// only when it forks: it is stable while the thread waits in a heap or
-// as a candidate, and a running yielder compares only its own.
+// only when it forks or is keyed on becoming ready: it is stable while
+// the thread waits in a heap or as a candidate, and a running yielder
+// compares only its own.
 func threadLess(a, b *thread) bool {
 	return keyLess(a.tok.Priority, a.tok.Order, b.tok.Priority, b.tok.Order)
 }

@@ -23,9 +23,9 @@ func shardFib(b *Backend, t exec.Thread, n int, out *int64) {
 	*out = x + y
 }
 
-// TestShardNativeStrict covers the strict (sequential-steal) native
-// path plus the sleep path, whose sharded wake runs the three-phase
-// push protocol.
+// TestShardNativeStrict covers strict mode natively — one shard, whose
+// top is the globally leftmost thread — plus the sleep path, whose wake
+// runs the three-phase push protocol.
 func TestShardNativeStrict(t *testing.T) {
 	b, err := New(Config{
 		Procs:  4,

@@ -13,16 +13,13 @@ import (
 // thread is one lightweight thread, riding a pooled carrier coroutine
 // (lifecycle.go) from its first dispatch to its exit and parked in it
 // whenever it does not hold a processor. It is the only
-// per-thread record: the token the policy orders by (tok) lives inside
-// it, and tok.Owner leads from a token the policy hands back to the
-// record around it. The small fields sit in two groups so padding keeps
-// the record at 248 B, inside the 256 B size class.
+// per-thread record: the token the ready store orders by (tok) lives
+// inside it. The small fields sit in two groups so padding keeps
+// the record at 232 B, inside the 240 B size class.
 type thread struct {
 	b *Backend
-	// tok is the policy's view of the thread (ID, Priority, SchedState,
-	// Order), passed to every core.Policy call as &t.tok. Owner points
-	// back at t; only pick follows it, under b.mu. The simulator state
-	// behind the token stays nil.
+	// tok holds the thread's ID and its ready-store key (Priority,
+	// Order). The simulator state behind the token stays nil.
 	tok  core.Thread
 	name string // Attr.Name; empty selects a synthesized name
 	body exec.Body
@@ -43,9 +40,9 @@ type thread struct {
 	refs     atomic.Int32
 
 	isDummy bool
-	// state is for inspection only: the backend writes it, under b.mu or,
-	// on the sharded store, in a block or wake ordered by the waiter
-	// list's and the shard's locks, and never reads it.
+	// state is for inspection only: the backend writes it, under b.mu or
+	// in a block or wake ordered by the waiter list's and the shard's
+	// locks, and never reads it.
 	state core.State
 
 	// pid is the processor this thread holds (or last held), written
@@ -54,10 +51,10 @@ type thread struct {
 	// even if another processor has already marked it running again.
 	pid int
 
-	// readyAt stamps the last transition into the ready structure, for
-	// the dispatch-latency histogram, in monotonic ns since b.start
-	// (guarded by b.mu; zero when a registry is not attached or the
-	// thread is not ready).
+	// readyAt stamps the last push into the ready store, for the
+	// dispatch-latency histogram, in monotonic ns since b.start (written
+	// before the push's shard lock; zero when a registry is not attached
+	// or the thread is not ready).
 	readyAt int64
 
 	// dispatchAt is the tracer timestamp captured by markRunning under
@@ -131,12 +128,12 @@ func (t *thread) passPark(next *thread, at vtime.Time, kind trace.Kind) {
 // blockPark gives t's processor up after blockPrep and registration
 // with a waiter list. The successor is chosen here, not in blockPrep, so
 // threads readied since (a cond wait's mutex handoff; t itself, if a
-// waker already got to it) compete in policy order. On the sharded store
-// an empty own shard needs no b.mu section: the worker takes.
+// waker already got to it) compete in store order. An empty own shard
+// needs no b.mu section: the worker takes.
 func (t *thread) blockPark() {
 	b := t.b
 	cand := b.own(t.pid, nil)
-	if b.shards != nil && cand == nil {
+	if cand == nil {
 		t.switchTo(nil)
 		return
 	}

@@ -46,6 +46,14 @@ func TestRejectNativeBatchedMode(t *testing.T) {
 		"sim-only")
 }
 
+func TestRejectNativeDequePolicies(t *testing.T) {
+	// WS and DFD keep per-processor deques; the native ready store
+	// orders only fifo, lifo and the adf family.
+	for _, pol := range []pthread.Policy{pthread.PolicyWS, pthread.PolicyDFD} {
+		mustReject(t, pthread.Config{Backend: pthread.BackendNative, Policy: pol}, "sim-only")
+	}
+}
+
 func TestRejectNativeMaxSteps(t *testing.T) {
 	// The step bound counts simulated dispatches; a native run would
 	// otherwise ignore it and run unbounded.

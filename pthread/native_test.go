@@ -9,6 +9,7 @@ package pthread_test
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"spthreads/internal/vtime"
@@ -25,10 +26,10 @@ func nativeCfg(procs int) pthread.Config {
 }
 
 // TestNativeDefaultProcsEveryPolicy: with Procs unset the native
-// backend runs GOMAXPROCS workers, and every policy must be built for
-// that many processors. A policy sized for one processor (WS and DFD
-// keep one deque per processor) indexes past its deques the first time
-// a second worker dispatches.
+// backend runs GOMAXPROCS workers, and every native policy must be built
+// for that many processors (adf-shard keeps one heap per processor).
+// WS and DFD, whose per-processor deques the native store does not
+// model, are rejected as sim-only.
 func TestNativeDefaultProcsEveryPolicy(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -36,11 +37,54 @@ func TestNativeDefaultProcsEveryPolicy(t *testing.T) {
 	for _, pol := range pthread.Policies() {
 		var res int64
 		cfg := pthread.Config{Backend: pthread.BackendNative, Policy: pol}
-		if _, err := pthread.Run(cfg, func(t *pthread.T) { shardFib(t, 14, &res) }); err != nil {
+		_, err := pthread.Run(cfg, func(t *pthread.T) { shardFib(t, 14, &res) })
+		if pol == pthread.PolicyWS || pol == pthread.PolicyDFD {
+			if err == nil || !strings.Contains(err.Error(), "sim-only") {
+				t.Errorf("%s: err = %v, want a sim-only rejection", pol, err)
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
 		if res != 377 {
 			t.Errorf("%s: fib(14) = %d, want 377", pol, res)
+		}
+	}
+}
+
+// TestNativeYieldOrder: a yielding thread is keyed afresh on becoming
+// ready. On one processor a FIFO Yield therefore rotates the yielder
+// behind both ready children, and a LIFO Yield, whose key is now the
+// newest, keeps the processor.
+func TestNativeYieldOrder(t *testing.T) {
+	for _, tc := range []struct {
+		pol  pthread.Policy
+		want string
+	}{
+		{pthread.PolicyFIFO, "aby"},
+		{pthread.PolicyLIFO, "yba"},
+	} {
+		var mu sync.Mutex
+		var order []byte
+		note := func(c byte) {
+			mu.Lock()
+			order = append(order, c)
+			mu.Unlock()
+		}
+		cfg := pthread.Config{Procs: 1, Policy: tc.pol, Backend: pthread.BackendNative}
+		_, err := pthread.Run(cfg, func(mt *pthread.T) {
+			a := mt.Create(func(*pthread.T) { note('a') })
+			b := mt.Create(func(*pthread.T) { note('b') })
+			mt.Yield()
+			note('y')
+			mt.JoinAll(a, b)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.pol, err)
+		}
+		if got := string(order); got != tc.want {
+			t.Errorf("%s: run order %q, want %q", tc.pol, got, tc.want)
 		}
 	}
 }

@@ -14,9 +14,11 @@
 //     quotas and dummy-thread throttling (S_1 + O(p·D) space);
 //   - PolicyADFShard — ADF over per-processor ready shards with
 //     bounded-deviation work stealing;
-//   - PolicyWS   — a Cilk-style work-stealing baseline (p·S_1 space);
+//   - PolicyWS   — a Cilk-style work-stealing baseline (p·S_1 space;
+//     sim only);
 //   - PolicyDFD  — a simplified DFDeques scheduler, the paper's
-//     future-work direction combining space efficiency with locality.
+//     future-work direction combining space efficiency with locality
+//     (sim only).
 //
 // A minimal program:
 //
@@ -34,9 +36,9 @@
 // The execution substrate is selectable through Config.Backend: the
 // default BackendSim runs on the deterministic virtual-time machine,
 // while BackendNative runs the same program on coroutines multiplexed
-// over worker goroutines, scheduled by the same policies behind a real
-// scheduler lock and timed by the wall clock (results are then machine-
-// and load-dependent, not deterministic).
+// over worker goroutines, scheduled in the same FIFO, LIFO or ADF order
+// from real per-worker locked heaps and timed by the wall clock (results
+// are then machine- and load-dependent, not deterministic).
 //
 // On both backends a thread is an iter.Pull coroutine, and a thread
 // switch is a coroutine switch. A thread body that calls
@@ -81,11 +83,15 @@ const (
 	// leftmost-ready position. Natively it differs from PolicyADF only in
 	// accepting a StealWindow.
 	PolicyADFShard = sched.ADFShard
-	PolicyWS       = sched.WS
+	// PolicyWS is a Cilk-style work-stealing baseline with one deque per
+	// processor. It is sim-only: the native backend rejects it, since its
+	// one ready store orders only FIFO, LIFO and the ADF family.
+	PolicyWS = sched.WS
 	// PolicyDFD is a simplified DFDeques scheduler: the paper's
 	// future-work direction combining space efficiency with locality
 	// (threads close in the computation graph run on the same
-	// processor).
+	// processor). It is sim-only, like PolicyWS: its locality gain is
+	// charged by the sim's TLB model, which the native backend lacks.
 	PolicyDFD = sched.DFD
 )
 

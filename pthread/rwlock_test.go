@@ -118,7 +118,7 @@ func TestSpinLockExclusion(t *testing.T) {
 	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
 		var sl pthread.SpinLock
 		counter := 0
-		_, err := pthread.Run(pthread.Config{Backend: backend, Procs: 4, Policy: pthread.PolicyWS}, func(tt *pthread.T) {
+		_, err := pthread.Run(pthread.Config{Backend: backend, Procs: 4, Policy: stealing(backend)}, func(tt *pthread.T) {
 			fns := make([]func(*pthread.T), 8)
 			for i := range fns {
 				fns[i] = func(ct *pthread.T) {

@@ -63,33 +63,36 @@ func TestForkJoinTree(t *testing.T) {
 // tree of 7 threads executed serially. A FIFO queue makes all 7 threads
 // simultaneously active; the space-efficient scheduler holds the maximum
 // at 3 (the depth); the LIFO queue (with Solaris fork semantics, where
-// the parent keeps running after a fork) reaches 5.
+// the parent keeps running after a fork) reaches 5. On one processor the
+// native backend runs the same serial schedule from its one ready store.
 func TestFigure1(t *testing.T) {
-	run := func(pol pthread.Policy) pthread.Stats {
-		st, err := pthread.Run(pthread.Config{Procs: 1, Policy: pol}, func(tt *pthread.T) {
-			node := func(leafwork func(*pthread.T)) func(*pthread.T) {
-				return func(tt *pthread.T) {
-					tt.Par(leafwork, leafwork)
+	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
+		run := func(pol pthread.Policy) pthread.Stats {
+			st, err := pthread.Run(pthread.Config{Procs: 1, Policy: pol, Backend: backend}, func(tt *pthread.T) {
+				node := func(leafwork func(*pthread.T)) func(*pthread.T) {
+					return func(tt *pthread.T) {
+						tt.Par(leafwork, leafwork)
+					}
 				}
+				leaf := func(tt *pthread.T) { tt.Charge(10) }
+				tt.Par(node(leaf), node(leaf))
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", pol, err)
 			}
-			leaf := func(tt *pthread.T) { tt.Charge(10) }
-			tt.Par(node(leaf), node(leaf))
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", pol, err)
+			return st
 		}
-		return st
-	}
 
-	if st := run(pthread.PolicyFIFO); st.PeakLive != 7 {
-		t.Errorf("fifo: peak live = %d, want 7 (breadth-first)", st.PeakLive)
-	}
-	if st := run(pthread.PolicyADF); st.PeakLive != 3 {
-		t.Errorf("adf: peak live = %d, want 3 (depth-first)", st.PeakLive)
-	}
-	if st := run(pthread.PolicyLIFO); st.PeakLive != 5 {
-		t.Errorf("lifo: peak live = %d, want 5", st.PeakLive)
-	}
+		if st := run(pthread.PolicyFIFO); st.PeakLive != 7 {
+			t.Errorf("fifo: peak live = %d, want 7 (breadth-first)", st.PeakLive)
+		}
+		if st := run(pthread.PolicyADF); st.PeakLive != 3 {
+			t.Errorf("adf: peak live = %d, want 3 (depth-first)", st.PeakLive)
+		}
+		if st := run(pthread.PolicyLIFO); st.PeakLive != 5 {
+			t.Errorf("lifo: peak live = %d, want 5", st.PeakLive)
+		}
+	})
 }
 
 // TestDeterminism checks that identical configurations produce identical
@@ -133,7 +136,7 @@ func TestDeterminism(t *testing.T) {
 // TestMutexCounter checks mutual exclusion and blocking lock handoff.
 func TestMutexCounter(t *testing.T) {
 	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
-		for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyADF, pthread.PolicyWS} {
+		for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyADF, stealing(backend)} {
 			var mu pthread.Mutex
 			counter := 0
 			cfg := pthread.Config{Procs: 4, Policy: pol, Backend: backend}

@@ -20,11 +20,20 @@ func eachBackend(t *testing.T, test func(t *testing.T, backend pthread.Backend))
 	}
 }
 
+// stealing is the work-stealing arm on backend: PolicyWS on the sim,
+// and adf-shard natively, where WS is sim-only.
+func stealing(backend pthread.Backend) pthread.Policy {
+	if backend == pthread.BackendNative {
+		return pthread.PolicyADFShard
+	}
+	return pthread.PolicyWS
+}
+
 // TestCondProducerConsumer runs a bounded buffer on mutex + two condition
 // variables across schedulers; items arrive in production order.
 func TestCondProducerConsumer(t *testing.T) {
 	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
-		for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF, pthread.PolicyWS} {
+		for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF, stealing(backend)} {
 			var mu pthread.Mutex
 			var notFull, notEmpty pthread.Cond
 			var buf []int
