@@ -2,53 +2,19 @@ package core
 
 import "spthreads/internal/vtime"
 
-// timeHeap is a binary min-heap of virtual times, one entry per ready
-// thread, recording when each became ready. Dispatch pairs a pop with a
+// timeHeap is a min-heap of virtual times, one entry per ready thread,
+// recording when each became ready. Dispatch pairs a pop with a
 // Policy.Next call: the pool of ready threads is treated as fungible,
 // gated by the earliest availability time.
 type timeHeap struct {
-	a []vtime.Time
+	h Heap[readyTime]
 }
 
-func (h *timeHeap) len() int { return len(h.a) }
+type readyTime vtime.Time
 
-func (h *timeHeap) min() vtime.Time {
-	return h.a[0]
-}
+func (a readyTime) Before(b readyTime) bool { return a < b }
 
-func (h *timeHeap) push(t vtime.Time) {
-	h.a = append(h.a, t)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.a[parent] <= h.a[i] {
-			break
-		}
-		h.a[parent], h.a[i] = h.a[i], h.a[parent]
-		i = parent
-	}
-}
-
-func (h *timeHeap) pop() vtime.Time {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.a[l] < h.a[smallest] {
-			smallest = l
-		}
-		if r < last && h.a[r] < h.a[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.a[i], h.a[smallest] = h.a[smallest], h.a[i]
-		i = smallest
-	}
-	return top
-}
+func (h *timeHeap) len() int          { return len(h.h) }
+func (h *timeHeap) min() vtime.Time   { return vtime.Time(h.h[0]) }
+func (h *timeHeap) push(t vtime.Time) { h.h.Push(readyTime(t)) }
+func (h *timeHeap) pop() vtime.Time   { return vtime.Time(h.h.Pop()) }

@@ -75,10 +75,10 @@ type Machine struct {
 	heapLock   *contention
 	kernelLock *contention
 
-	// Sharded scheduling (core.ShardedPolicy, non-strict): the single
-	// charged scheduler lock is replaced by one short-window contention
-	// model per shard, and cross-shard dispatches additionally pay steal
-	// probes plus the victim shard's lock. sharded is nil for every
+	// Sharded scheduling (core.ShardedPolicy): the single charged
+	// scheduler lock is replaced by one short-window contention model per
+	// shard, and cross-shard dispatches additionally pay steal probes plus
+	// the victim shard's lock. sharded is nil for every
 	// other configuration, keeping all existing charging byte-identical.
 	sharded    ShardedPolicy
 	shardLocks []*contention
@@ -237,7 +237,7 @@ func New(cfg Config) (*Machine, error) {
 		m.batch = cfg.SchedBatch
 		m.batchNext = bn
 	}
-	if sp, ok := m.policy.(ShardedPolicy); ok && !m.policy.Global() && m.batch <= 1 {
+	if sp, ok := m.policy.(ShardedPolicy); ok {
 		m.sharded = sp
 		m.shardLocks = make([]*contention, max(sp.NumShards(), 1))
 		for i := range m.shardLocks {
@@ -492,7 +492,7 @@ func (m *Machine) pickProcBatched() *Proc {
 		default:
 			continue
 		}
-		// Ascending-id scan: strict < preserves the smallest-id tie-break.
+		// Ascending-id scan: comparing with < keeps the smallest-id tie-break.
 		if best == nil || key < bestKey {
 			best, bestKey = p, key
 		}

@@ -68,9 +68,8 @@ type Policy interface {
 // The machine then charges per-shard lock critical sections (narrow
 // contention windows over SchedShardLockOp) instead of the global
 // SchedLockOp, and charges steal probes after each cross-shard dispatch.
-// A ShardedPolicy must return Global() == false, except in a strict
-// (sequential-steal) test mode where it deliberately reports true so the
-// machine applies the exact global-lock charging of the oracle policy.
+// A ShardedPolicy must return Global() == false. Its steals follow
+// StealVictim, the rule the native backend's shard store applies too.
 type ShardedPolicy interface {
 	Policy
 

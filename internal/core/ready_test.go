@@ -1,0 +1,195 @@
+package core
+
+// Tests for the ready order's heap and the steal rule. StealVictim is
+// checked against stealVictimRef, the direct O(p²) reading of the rule,
+// and against the true rank of the victim's leftmost thread.
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+type intItem int
+
+func (a intItem) Before(b intItem) bool { return a < b }
+
+// TestHeapPopsInOrder: pushes report whether the item became the
+// minimum, and pops drain in ascending order.
+func TestHeapPopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h Heap[intItem]
+	var want []intItem
+	for i := 0; i < 500; i++ {
+		x := intItem(rng.Intn(100))
+		wasMin := len(h) == 0 || x < h[0]
+		if got := h.Push(x); got != wasMin {
+			t.Fatalf("Push(%d) = %v with minimum %d", x, got, h[0])
+		}
+		want = append(want, x)
+		if i%3 == 2 {
+			slices.Sort(want)
+			if got := h.Pop(); got != want[0] {
+				t.Fatalf("Pop = %d, want %d", got, want[0])
+			}
+			want = want[1:]
+		}
+	}
+	slices.Sort(want)
+	for _, w := range want {
+		if got := h.Pop(); got != w {
+			t.Fatalf("Pop = %d, want %d", got, w)
+		}
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d items left", len(h))
+	}
+}
+
+// stealVictimRef is the steal rule read literally over a snapshot
+// indexed by shard (Size 0 for an empty shard): visit the other shards
+// round robin from own+1, recompute each candidate's bound by a scan of
+// every other shard, accept the first bound within window, else take
+// the first shard holding the global minimum.
+func stealVictimRef(snap []ShardMin, own, window int) (victim, probes, rejects int) {
+	n := len(snap)
+	less := func(a, b ShardMin) bool { return ReadyLess(a.Pri, a.Label, b.Pri, b.Label) }
+	min := -1
+	for j := range snap {
+		if snap[j].Size > 0 && (min < 0 || less(snap[j], snap[min])) {
+			min = j
+		}
+	}
+	if min < 0 {
+		return -1, 0, 0
+	}
+	for k := 1; k < n; k++ {
+		v := (own + k) % n
+		if snap[v].Size == 0 {
+			continue
+		}
+		probes++
+		bound := 0
+		for j := range snap {
+			if j != v && snap[j].Size > 0 && less(snap[j], snap[v]) {
+				bound += snap[j].Size
+			}
+		}
+		if bound <= window {
+			return v, probes, rejects
+		}
+		rejects++
+	}
+	return min, probes, rejects
+}
+
+// stealCase is one random store: every ready thread's key, by shard.
+type stealCase struct {
+	shards [][]ShardMin // each thread as a one-entry ShardMin (Size 1)
+	own    int
+	window int
+	stale  bool // some shard publishes a copy of another's minimum
+}
+
+// newStealCase draws a store of n shards from seed: labels from a
+// random fork tree plus head anchors, mixed priorities, empty shards,
+// an own shard that is non-empty half the time (a stale native
+// snapshot), and a window from 0 to n+1.
+func newStealCase(seed int64, n int) stealCase {
+	rng := rand.New(rand.NewSource(seed))
+	labels := forkTree(rng, 1+rng.Intn(4*n))
+	for a := int64(1); a <= int64(rng.Intn(4)); a++ {
+		labels = append(labels, HeadDepaLabel(-a))
+	}
+	c := stealCase{shards: make([][]ShardMin, n), own: rng.Intn(n), window: rng.Intn(n + 2)}
+	empty := make([]bool, n)
+	for j := range empty {
+		empty[j] = rng.Intn(3) == 0
+	}
+	empty[c.own] = rng.Intn(2) == 0
+	var full []int
+	for j := range empty {
+		if !empty[j] {
+			full = append(full, j)
+		}
+	}
+	if len(full) == 0 {
+		return c
+	}
+	for _, i := range rng.Perm(len(labels)) {
+		j := full[rng.Intn(len(full))]
+		c.shards[j] = append(c.shards[j], ShardMin{Label: labels[i], Pri: rng.Intn(3), Size: 1, Shard: j})
+	}
+	c.stale = rng.Intn(4) == 0
+	return c
+}
+
+// snapshot returns the published minima, indexed by shard.
+func (c stealCase) snapshot(rng *rand.Rand) []ShardMin {
+	snap := make([]ShardMin, len(c.shards))
+	for j, h := range c.shards {
+		for _, x := range h {
+			if snap[j].Size == 0 || ReadyLess(x.Pri, x.Label, snap[j].Pri, snap[j].Label) {
+				snap[j] = x
+			}
+		}
+		snap[j].Size = len(h)
+	}
+	if c.stale {
+		// A minimum seen twice: a thread moved between the two reads.
+		a, b := rng.Intn(len(snap)), rng.Intn(len(snap))
+		if snap[a].Size > 0 && snap[b].Size > 0 {
+			snap[b].Label, snap[b].Pri = snap[a].Label, snap[a].Pri
+		}
+	}
+	return snap
+}
+
+// checkSteal compares StealVictim with the reference on one case and
+// bounds the victim's true rank.
+func checkSteal(t *testing.T, seed int64, n int) {
+	t.Helper()
+	c := newStealCase(seed, n)
+	snap := c.snapshot(rand.New(rand.NewSource(seed)))
+	var mins []ShardMin
+	for _, j := range rand.New(rand.NewSource(seed)).Perm(n) {
+		if snap[j].Size > 0 {
+			mins = append(mins, snap[j])
+		}
+	}
+	gv, gp, gr := StealVictim(mins, n, c.own, c.window)
+	wv, wp, wr := stealVictimRef(snap, c.own, c.window)
+	if gv != wv || gp != wp || gr != wr {
+		t.Fatalf("seed %d n %d own %d window %d: StealVictim = (%d, %d, %d), reference (%d, %d, %d)",
+			seed, n, c.own, c.window, gv, gp, gr, wv, wp, wr)
+	}
+	if gv < 0 || c.stale {
+		return // a stale snapshot bounds nothing about the true store
+	}
+	rank := 0
+	for _, h := range c.shards {
+		for _, x := range h {
+			if ReadyLess(x.Pri, x.Label, snap[gv].Pri, snap[gv].Label) {
+				rank++
+			}
+		}
+	}
+	if rank > c.window {
+		t.Fatalf("seed %d n %d: victim %d holds a rank-%d thread, window %d", seed, n, gv, rank, c.window)
+	}
+}
+
+func TestStealVictimMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 2000; seed++ {
+		checkSteal(t, seed, 1+int(seed%17))
+	}
+}
+
+func FuzzStealVictim(f *testing.F) {
+	f.Add(int64(1), uint8(4))
+	f.Add(int64(7), uint8(1))
+	f.Add(int64(42), uint8(33))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		checkSteal(t, seed, 1+int(n)%64)
+	})
+}

@@ -84,7 +84,10 @@ type Thread struct {
 	// Order is the thread's DePa fork-path label, assigned at fork time
 	// on the forking thread's own context (no lock, no shared
 	// structure). It evolves as the thread forks — each fork appends a
-	// continuation bit — so policies snapshot it at insert time.
+	// continuation bit — so the sim policies snapshot it at insert time.
+	// With Priority it places a ready thread in the ready order
+	// (ReadyLess). The native FIFO and LIFO orders overwrite it with a
+	// sequence label each time the thread becomes ready.
 	Order DepaLabel
 
 	*simState

@@ -79,9 +79,9 @@ type Config struct {
 	// from its name. fifo and lifo run on one shard in sequence order.
 	// The ADF family runs on per-worker DePa-ordered heaps with
 	// bounded-deviation steals: a core.ShardedPolicy (adf-shard) with its
-	// shard count and steal window (one shard in strict mode), and the
-	// global ADF policy with one shard per worker and window Procs. ws
-	// and dfd are rejected as sim-only.
+	// shard count and steal window, and the global ADF policy with one
+	// shard per worker and window Procs. ws and dfd are rejected as
+	// sim-only.
 	Policy core.Policy
 	// DefaultStack is the default simulated stack size charged per
 	// thread (default core.DefaultStackSize).
@@ -187,8 +187,6 @@ func New(cfg Config) (*Backend, error) {
 	// The ready store's shape: shard count, steal window and order.
 	n, window, dir := 1, 0, int64(0)
 	switch sp, ok := cfg.Policy.(core.ShardedPolicy); {
-	case ok && sp.Global():
-		// Strict mode: one shard, whose top is the globally leftmost.
 	case ok:
 		n, window = sp.NumShards(), sp.StealWindow()
 	case cfg.Policy.Name() == string(sched.ADF):
@@ -520,7 +518,7 @@ func (b *Backend) exitThread(t *thread) *thread {
 		jid = j.ID()
 		j.state = core.StateReady
 		b.shards.key(j)
-		if cand == nil || threadLess(j, cand) {
+		if cand == nil || j.Before(cand) {
 			back, cand = cand, j // the joiner is the leftmost candidate
 		} else {
 			back = j

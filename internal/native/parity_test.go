@@ -334,7 +334,8 @@ func TestDtreeParity(t *testing.T) {
 // TestWorkloadMatrixParity closes the workload matrix: with the three
 // dedicated tests above, every one of the paper's seven benchmarks has
 // a sim-vs-native checksum comparison, and the sync row holds every
-// synchronization object to the same answer on both backends.
+// synchronization object to the same answer on both backends. Each row
+// runs under every policy the native backend accepts.
 func TestWorkloadMatrixParity(t *testing.T) {
 	benches := []struct {
 		name string
@@ -349,9 +350,13 @@ func TestWorkloadMatrixParity(t *testing.T) {
 	for _, b := range benches {
 		b := b
 		t.Run(b.name, func(t *testing.T) {
-			sim, native := runBoth(t, 4, pthread.PolicyADF, b.fn)
-			if sim != native || math.IsNaN(sim) || sim == 0 {
-				t.Errorf("sim checksum %v, native checksum %v", sim, native)
+			for _, policy := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyADF, pthread.PolicyADFShard} {
+				t.Run(string(policy), func(t *testing.T) {
+					sim, native := runBoth(t, 4, policy, b.fn)
+					if sim != native || math.IsNaN(sim) || sim == 0 {
+						t.Errorf("sim checksum %v, native checksum %v", sim, native)
+					}
+				})
 			}
 		})
 	}

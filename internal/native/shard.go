@@ -10,14 +10,14 @@ import (
 )
 
 // shardStore is the native backend's one ready store: one small
-// lock-protected heap per shard, ordered by (priority desc, DePa label
-// asc). The ADF family keys a thread by its fork-path label and runs one
-// shard per worker (or one shard in strict mode, whose top is the
-// globally leftmost thread). FIFO and LIFO run on one shard, the paper's
-// global queue or stack, keyed by a sequence order instead (key). A
-// thread giving its processor up takes its successor from its own shard;
-// a worker with no successor pops its own shard, else steals within the
-// deviation window.
+// lock-protected core.Heap per shard, in the ready order the sim
+// policies use too (core.ReadyLess: priority desc, DePa label asc). The
+// ADF family keys a thread by its fork-path label and runs one shard per
+// worker. FIFO and LIFO run on one shard, the paper's global queue or
+// stack, keyed by a sequence order instead (key). A thread giving its
+// processor up takes its successor from its own shard; a worker with no
+// successor pops its own shard, else steals within the deviation
+// window.
 //
 // Lock protocol: a push or pop takes exactly one shard lock, and a shard
 // lock is never held together with b.mu, in either order. A thread is
@@ -28,14 +28,13 @@ import (
 //
 // Each shard publishes its leftmost label, tagged with its priority and
 // the shard's size, in a core.DepaCell. A thief snapshots the cells
-// lock-free, computes the bounded-deviation test exactly as the sim
-// policy does (the deviation bound of a candidate is the total ready
-// count of shards whose published leftmost precedes it), and locks only
-// the victim it accepts. The snapshot is racy — a cell can be stale by
-// the time the victim is locked — so the window check is approximate on
-// this backend (the sim policy, serialized, is exact); a pop that finds
-// the victim drained simply rescans. A store of one shard has no thief
-// and publishes nothing.
+// lock-free, picks its victim by the sim policy's rule
+// (core.StealVictim), and locks only the victim it accepts. The
+// snapshot is racy — a cell can be stale by the time the victim is
+// locked — so the window check is approximate on this backend (the sim
+// policy, serialized, is exact); a pop that finds the victim drained
+// simply rescans. A store of one shard has no thief and publishes
+// nothing.
 //
 // Lost-wakeup protocol (Dekker): b.idleA mirrors the idle-worker count
 // under b.mu into an atomic. A pusher increments total and then reads
@@ -58,9 +57,9 @@ type shardStore struct {
 	// total counts threads across all shards, readable without any lock.
 	total atomic.Int64
 
-	// snaps is each worker's steal-scan scratch, one entry per shard,
+	// mins is each worker's steal-scan scratch, one entry per shard,
 	// allocated at the worker's first scan.
-	snaps [][]shardSnap
+	mins [][]core.ShardMin
 
 	steals  atomic.Int64
 	rejects atomic.Int64
@@ -71,7 +70,7 @@ type shardStore struct {
 // shard is one worker's ready heap.
 type shard struct {
 	mu sync.Mutex
-	h  []*thread // min-heap on (priority desc, label asc)
+	h  core.Heap[*thread]
 
 	// pub is the leftmost-label hint, tagged with pubTag; written under
 	// mu, read lock-free by thieves.
@@ -79,13 +78,6 @@ type shard struct {
 
 	// pad keeps hot shards off one another's cache line.
 	_ [64]byte
-}
-
-// shardSnap is one shard's published state as a thief saw it.
-type shardSnap struct {
-	label core.DepaLabel // invalid when the shard was empty
-	pri   int
-	size  int64
 }
 
 // pubTag packs a shard's leftmost priority and its size into a
@@ -99,7 +91,7 @@ func newShardStore(b *Backend, n, window int, dir int64) *shardStore {
 		window:  window,
 		dir:     dir,
 		publish: n > 1,
-		snaps:   make([][]shardSnap, b.procs),
+		mins:    make([][]core.ShardMin, b.procs),
 		cSteal:  b.registry.Counter("sched.steal.count"),
 		cReject: b.registry.Counter("sched.steal.window_reject"),
 	}
@@ -133,8 +125,7 @@ func (ss *shardStore) push(t *thread, pid int) {
 		t.readyAt = ss.b.sinceStart()
 	}
 	ss.b.lockTimed(&s.mu)
-	s.h = append(s.h, t)
-	top := s.siftUp(len(s.h) - 1)
+	top := s.h.Push(t)
 	if ss.publish {
 		// Republish the label only when t became the leftmost.
 		if top {
@@ -156,21 +147,16 @@ func (ss *shardStore) push(t *thread, pid int) {
 func (ss *shardStore) pop(v int, before *thread) *thread {
 	s := &ss.shards[v]
 	ss.b.lockTimed(&s.mu)
-	if len(s.h) == 0 || before != nil && !threadLess(s.h[0], before) {
+	if len(s.h) == 0 || before != nil && !s.h[0].Before(before) {
 		s.mu.Unlock()
 		return nil
 	}
-	t := s.h[0]
-	last := len(s.h) - 1
-	s.h[0] = s.h[last]
-	s.h[last] = nil
-	s.h = s.h[:last]
-	s.siftDown(0)
+	t := s.h.Pop()
 	if ss.publish {
-		if last == 0 {
+		if len(s.h) == 0 {
 			s.pub.Clear()
 		} else {
-			s.pub.Store(s.h[0].tok.Order, pubTag(s.h[0].tok.Priority, last))
+			s.pub.Store(s.h[0].tok.Order, pubTag(s.h[0].tok.Priority, len(s.h)))
 		}
 	}
 	s.mu.Unlock()
@@ -188,50 +174,27 @@ func (ss *shardStore) take(pid int) *thread {
 	if n == 1 {
 		return ss.pop(own, nil)
 	}
-	snaps := ss.snaps[pid]
-	if snaps == nil {
-		snaps = make([]shardSnap, n)
-		ss.snaps[pid] = snaps
+	if ss.mins[pid] == nil {
+		ss.mins[pid] = make([]core.ShardMin, 0, n)
 	}
 	for ss.total.Load() > 0 {
 		if t := ss.pop(own, nil); t != nil {
 			return t
 		}
 		// Snapshot the published minima (lock-free, possibly stale).
-		min := -1
-		for j := range snaps {
-			l, tag := ss.shards[j].pub.Load()
-			snaps[j] = shardSnap{label: l, pri: int(tag & 0xff), size: int64(tag >> 8)}
-			if l.Valid() && (min < 0 || snaps[j].less(&snaps[min])) {
-				min = j
+		mins := ss.mins[pid][:0]
+		for j := range ss.shards {
+			if l, tag := ss.shards[j].pub.Load(); l.Valid() {
+				mins = append(mins, core.ShardMin{Label: l, Pri: int(tag & 0xff), Size: int(tag >> 8), Shard: j})
 			}
 		}
-		if min < 0 {
+		victim, _, rejects := core.StealVictim(mins, n, own, ss.window)
+		if victim < 0 {
 			continue // every hint empty: re-check total and rescan
 		}
-		victim := -1
-		for k := 1; k < n; k++ {
-			v := (own + k) % n
-			if !snaps[v].label.Valid() {
-				continue
-			}
-			// Deviation bound: every ready thread in a shard whose
-			// leftmost precedes the candidate might precede it too.
-			bound := int64(0)
-			for j := range snaps {
-				if j != v && snaps[j].label.Valid() && snaps[j].less(&snaps[v]) {
-					bound += snaps[j].size
-				}
-			}
-			if bound <= int64(ss.window) {
-				victim = v
-				break
-			}
-			ss.rejects.Add(1)
-			ss.cReject.Inc()
-		}
-		if victim < 0 {
-			victim = min // rank 0: within any window
+		if rejects > 0 {
+			ss.rejects.Add(int64(rejects))
+			ss.cReject.Add(int64(rejects))
 		}
 		if t := ss.pop(victim, nil); t != nil {
 			ss.steals.Add(1)
@@ -255,54 +218,10 @@ func (b *Backend) signalIfIdle() {
 	b.mu.Unlock()
 }
 
-// keyLess is the ready order: priority descending, then label ascending.
-func keyLess(pa int, la core.DepaLabel, pb int, lb core.DepaLabel) bool {
-	if pa != pb {
-		return pa > pb
-	}
-	return la.Compare(lb) < 0
-}
-
-func (a *shardSnap) less(b *shardSnap) bool { return keyLess(a.pri, a.label, b.pri, b.label) }
-
-// threadLess is the ready order on threads. A thread's label changes
-// only when it forks or is keyed on becoming ready: it is stable while
-// the thread waits in a heap or as a candidate, and a running yielder
+// Before is the ready order on threads. A thread's label changes only
+// when it forks or is keyed on becoming ready: it is stable while the
+// thread waits in a heap or as a candidate, and a running yielder
 // compares only its own.
-func threadLess(a, b *thread) bool {
-	return keyLess(a.tok.Priority, a.tok.Order, b.tok.Priority, b.tok.Order)
-}
-
-// Heap plumbing, under the shard lock.
-
-// siftUp restores the heap above i and reports whether the entry ended
-// at the top.
-func (s *shard) siftUp(i int) bool {
-	for i > 0 {
-		up := (i - 1) / 2
-		if !threadLess(s.h[i], s.h[up]) {
-			return false
-		}
-		s.h[i], s.h[up] = s.h[up], s.h[i]
-		i = up
-	}
-	return true
-}
-
-func (s *shard) siftDown(i int) {
-	n := len(s.h)
-	for {
-		m := i
-		if l := 2*i + 1; l < n && threadLess(s.h[l], s.h[m]) {
-			m = l
-		}
-		if r := 2*i + 2; r < n && threadLess(s.h[r], s.h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.h[i], s.h[m] = s.h[m], s.h[i]
-		i = m
-	}
+func (a *thread) Before(b *thread) bool {
+	return core.ReadyLess(a.tok.Priority, a.tok.Order, b.tok.Priority, b.tok.Order)
 }

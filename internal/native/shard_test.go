@@ -23,13 +23,13 @@ func shardFib(b *Backend, t exec.Thread, n int, out *int64) {
 	*out = x + y
 }
 
-// TestShardNativeStrict covers strict mode natively — one shard, whose
-// top is the globally leftmost thread — plus the sleep path, whose wake
-// runs the three-phase push protocol.
-func TestShardNativeStrict(t *testing.T) {
+// TestShardNativeSleep covers adf-shard's sleep path natively: the
+// timer wake pushes the root back into a shard while the other workers
+// may be stealing.
+func TestShardNativeSleep(t *testing.T) {
 	b, err := New(Config{
 		Procs:  4,
-		Policy: sched.MustNew(sched.ADFShard, sched.Options{Procs: 4, ShardStrict: true}),
+		Policy: sched.MustNew(sched.ADFShard, sched.Options{Procs: 4}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -79,8 +79,8 @@ type adfLevel interface {
 	insertBefore(child, parent *core.Thread)
 	// remove deletes t's entry; t must not be ready.
 	remove(t *core.Thread)
-	// setReady flips t's ready flag, reporting whether it changed.
-	setReady(t *core.Thread, ready bool) bool
+	// setReady marks t ready, reporting whether it was not.
+	setReady(t *core.Thread) bool
 	// readyCount returns the number of ready entries.
 	readyCount() int
 	// takeLeftmostReady clears and returns the leftmost ready entry's
@@ -123,7 +123,7 @@ func (p *adfPolicy) OnCreate(parent, child *core.Thread) bool {
 	if parent == nil {
 		// Root thread: sole entry, runnable.
 		l.insertHead(child)
-		l.setReady(child, true)
+		l.setReady(child)
 		p.ready++
 		p.note()
 		return false
@@ -145,27 +145,18 @@ func (p *adfPolicy) OnCreate(parent, child *core.Thread) bool {
 }
 
 func (p *adfPolicy) OnReady(t *core.Thread, pid int) {
-	if p.level(t).setReady(t, true) {
+	if p.level(t).setReady(t) {
 		p.ready++
 		p.note()
 	}
 }
 
-func (p *adfPolicy) OnBlock(t *core.Thread) {
-	// A blocking thread was running, so its entry is already not-ready;
-	// the entry stays in place as the paper's placeholder.
-	if p.level(t).setReady(t, false) {
-		p.ready--
-		p.note()
-	}
-}
+// OnBlock does nothing: a blocking thread was running, so its entry is
+// already not-ready, and it stays in place as the paper's placeholder.
+func (p *adfPolicy) OnBlock(t *core.Thread) {}
 
 func (p *adfPolicy) OnExit(t *core.Thread) {
-	l := p.level(t)
-	if l.setReady(t, false) {
-		p.ready--
-	}
-	l.remove(t)
+	p.level(t).remove(t)
 	t.SchedState = nil
 	p.live--
 	p.note()

@@ -278,9 +278,9 @@ func (d *diffADF) checkOrder(op string, pri int) {
 			d.t.Fatalf("%s: level %d position %d: treap=%d list=%d", op, pri, k, tids[k], ids[k])
 		}
 	}
-	var prev *depaEntry
+	var prev *readyEntry
 	for k, id := range ids {
-		e := d.mirr[0][id].SchedState.(*depaEntry)
+		e := d.mirr[0][id].SchedState.(*readyEntry)
 		if prev != nil {
 			if c := prev.label.Compare(e.label); c >= 0 {
 				d.t.Fatalf("%s: level %d: depa label order broken at position %d (ids %d,%d): Compare=%d",

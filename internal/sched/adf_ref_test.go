@@ -77,17 +77,13 @@ func (l *adfChain) remove(t *core.Thread) {
 	e.prev, e.next = nil, nil
 }
 
-func (l *adfChain) setReady(t *core.Thread, ready bool) bool {
+func (l *adfChain) setReady(t *core.Thread) bool {
 	e := t.SchedState.(*chainEntry)
-	if e.ready == ready {
+	if e.ready {
 		return false
 	}
-	e.ready = ready
-	if ready {
-		l.ready++
-	} else {
-		l.ready--
-	}
+	e.ready = true
+	l.ready++
 	return true
 }
 

@@ -153,13 +153,10 @@ func TestADFWakeResumesAtSerialPosition(t *testing.T) {
 }
 
 // TestPlaceholderEntrySize: every live thread holds one placeholder, so
-// each word added here is paid once per lightweight thread, on both
-// backends. 48 and 64 B are Go size classes.
+// each word added here is paid once per lightweight thread under adf
+// and adf-shard. 48 B is a Go size class.
 func TestPlaceholderEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(depaEntry{}); got > 48 {
-		t.Errorf("unsafe.Sizeof(depaEntry{}) = %d, want <= 48", got)
-	}
-	if got := unsafe.Sizeof(shardEntry{}); got > 64 {
-		t.Errorf("unsafe.Sizeof(shardEntry{}) = %d, want <= 64", got)
+	if got := unsafe.Sizeof(readyEntry{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(readyEntry{}) = %d, want <= 48", got)
 	}
 }

@@ -128,12 +128,12 @@ func (tr *adfTreap) remove(t *core.Thread) {
 	e.parent = nil
 }
 
-func (tr *adfTreap) setReady(t *core.Thread, ready bool) bool {
+func (tr *adfTreap) setReady(t *core.Thread) bool {
 	e := t.SchedState.(*treapEntry)
-	if e.ready == ready {
+	if e.ready {
 		return false
 	}
-	tr.flipReady(e, ready)
+	tr.flipReady(e, true)
 	return true
 }
 

@@ -11,18 +11,21 @@ import "spthreads/internal/core"
 // thread's own context, and left-of is a local lexicographic compare.
 //
 // The store then only has to answer "leftmost READY entry", which it
-// does with an indexed binary min-heap over the ready set:
+// does with a core.Heap over the ready set, in the ready order both
+// backends share (core.ReadyLess):
 //
 //	insertHead / insertBefore   O(1)        (label snapshot)
-//	remove                      O(1)        (O(log r) if still ready)
-//	setReady                    O(log r)    (heap push / indexed delete)
+//	remove                      O(1)
+//	setReady                    O(log r)    (heap push)
 //	takeLeftmostReady           O(log r)    (heap pop)
 //
 // with r the number of READY entries — not n, the number of live
 // placeholders. Under the paper's workloads r is typically orders of
 // magnitude smaller than n (most placeholders are blocked parents or
 // executing threads), which is where the dispatch-path win over the
-// treap's O(log n) descent comes from.
+// treap's O(log n) descent comes from. An entry leaves the heap only by
+// dispatch: the machine blocks and exits only running threads, whose
+// entries are not ready.
 //
 // Entries snapshot the thread's label at insert time. The thread's own
 // label keeps evolving (each fork appends a continuation bit), but an
@@ -33,26 +36,37 @@ import "spthreads/internal/core"
 // that are not ready live only in their threads' SchedState; the store
 // keeps just their count.
 type adfDepa struct {
-	anchor int64        // next head-insert anchor; decreasing so newer head inserts land leftmost
-	heap   []*depaEntry // indexed binary min-heap over ready entries
+	placeholders
+	heap core.Heap[*readyEntry]
+}
+
+// readyEntry is a thread's placeholder in adf's levels and adf-shard's
+// shards: its label snapshot and priority, its place in the ready order.
+type readyEntry struct {
+	t     *core.Thread
+	label core.DepaLabel
+	pri   int32
+	ready bool
+}
+
+func (e *readyEntry) Before(o *readyEntry) bool {
+	return core.ReadyLess(int(e.pri), e.label, int(o.pri), o.label)
+}
+
+// placeholders labels and counts the entries of one order: a level of
+// adf, or all of adf-shard's shards.
+type placeholders struct {
+	anchor int64 // next head-insert anchor; decreasing so newer head inserts land leftmost
 	nlive  int
 }
 
-// depaEntry is a thread's placeholder. hi is the entry's heap index, -1
-// while not ready.
-type depaEntry struct {
-	t     *core.Thread
-	label core.DepaLabel
-	hi    int
-}
-
 // add creates a placeholder for t with the given label snapshot.
-func (s *adfDepa) add(t *core.Thread, label core.DepaLabel) {
-	t.SchedState = &depaEntry{t: t, label: label, hi: -1}
+func (s *placeholders) add(t *core.Thread, label core.DepaLabel) {
+	t.SchedState = &readyEntry{t: t, label: label, pri: int32(t.Priority)}
 	s.nlive++
 }
 
-func (s *adfDepa) insertHead(t *core.Thread) {
+func (s *placeholders) insertHead(t *core.Thread) {
 	// A head insert starts a fresh fork tree left of everything already
 	// present (the root thread, or a cross-priority fork with no serial
 	// anchor in this level). Overwrite the thread's label so its future
@@ -62,8 +76,8 @@ func (s *adfDepa) insertHead(t *core.Thread) {
 	s.add(t, t.Order)
 }
 
-func (s *adfDepa) insertBefore(child, parent *core.Thread) {
-	pe := parent.SchedState.(*depaEntry)
+func (s *placeholders) insertBefore(child, parent *core.Thread) {
+	pe := parent.SchedState.(*readyEntry)
 	if !child.Order.Valid() {
 		// The runtime labels children on the fork path; policy-level
 		// harnesses drive OnCreate directly, so derive the label here
@@ -76,26 +90,23 @@ func (s *adfDepa) insertBefore(child, parent *core.Thread) {
 	s.add(child, child.Order)
 }
 
-func (s *adfDepa) remove(t *core.Thread) {
-	e := t.SchedState.(*depaEntry)
-	if e.hi >= 0 {
-		// Callers clear the ready flag first; keep the heap right
-		// regardless, like the treap.
-		s.heapRemove(e.hi)
+// remove deletes t's placeholder; t must not be ready.
+func (s *placeholders) remove(t *core.Thread) {
+	if t.SchedState.(*readyEntry).ready {
+		panic("sched: removing a ready placeholder")
 	}
 	s.nlive--
 }
 
-func (s *adfDepa) setReady(t *core.Thread, ready bool) bool {
-	e := t.SchedState.(*depaEntry)
-	if (e.hi >= 0) == ready {
+func (s *placeholders) count() int { return s.nlive }
+
+func (s *adfDepa) setReady(t *core.Thread) bool {
+	e := t.SchedState.(*readyEntry)
+	if e.ready {
 		return false
 	}
-	if ready {
-		s.heapPush(e)
-	} else {
-		s.heapRemove(e.hi)
-	}
+	e.ready = true
+	s.heap.Push(e)
 	return true
 }
 
@@ -105,71 +116,7 @@ func (s *adfDepa) takeLeftmostReady() *core.Thread {
 	if len(s.heap) == 0 {
 		return nil
 	}
-	return s.heapRemove(0).t
-}
-
-func (s *adfDepa) count() int { return s.nlive }
-
-// Heap plumbing: a standard binary min-heap on label order, with each
-// entry tracking its slot so blocking an arbitrary ready entry is an
-// indexed delete rather than a scan.
-
-func (s *adfDepa) less(i, j int) bool {
-	return s.heap[i].label.Compare(s.heap[j].label) < 0
-}
-
-func (s *adfDepa) swap(i, j int) {
-	h := s.heap
-	h[i], h[j] = h[j], h[i]
-	h[i].hi = i
-	h[j].hi = j
-}
-
-func (s *adfDepa) heapPush(e *depaEntry) {
-	e.hi = len(s.heap)
-	s.heap = append(s.heap, e)
-	s.siftUp(e.hi)
-}
-
-func (s *adfDepa) heapRemove(i int) *depaEntry {
-	e := s.heap[i]
-	last := len(s.heap) - 1
-	s.swap(i, last)
-	s.heap[last] = nil
-	s.heap = s.heap[:last]
-	e.hi = -1
-	if i < last {
-		s.siftDown(i)
-		s.siftUp(i)
-	}
-	return e
-}
-
-func (s *adfDepa) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			return
-		}
-		s.swap(i, p)
-		i = p
-	}
-}
-
-func (s *adfDepa) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		m := i
-		if l := 2*i + 1; l < n && s.less(l, m) {
-			m = l
-		}
-		if r := 2*i + 2; r < n && s.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.swap(i, m)
-		i = m
-	}
+	e := s.heap.Pop()
+	e.ready = false
+	return e.t
 }

@@ -34,7 +34,7 @@ func (d *diffADF) checkPairwise(op string) {
 		}
 		labels := make([]core.DepaLabel, len(ids))
 		for k, id := range ids {
-			labels[k] = d.mirr[0][id].SchedState.(*depaEntry).label
+			labels[k] = d.mirr[0][id].SchedState.(*readyEntry).label
 		}
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {

@@ -49,12 +49,6 @@ type Options struct {
 	// only if at most K ready threads precede the stolen thread in the
 	// serial depth-first order. <= 0 selects the default, Procs.
 	StealWindow int
-	// ShardStrict puts ADFShard in its sequential-steal deterministic
-	// mode, a testing/debugging mode: every dispatch takes the globally
-	// leftmost ready thread and the policy reports Global() == true,
-	// making the schedule (and all virtual times) bit-identical to adf at
-	// any proc count.
-	ShardStrict bool
 	// Metrics, when non-nil, attaches policy-internal gauges (currently
 	// ADF's placeholder-list length and ready count) to the registry.
 	Metrics *metrics.Registry
@@ -85,7 +79,7 @@ func New(kind Kind, opt Options) (core.Policy, error) {
 		if k == 0 {
 			k = DefaultMemQuota
 		}
-		p := newShard(opt.Procs, opt.StealWindow, opt.ShardStrict, k, opt.DisableDummies)
+		p := newShard(opt.Procs, opt.StealWindow, k, opt.DisableDummies)
 		if opt.Metrics != nil {
 			p.attachMetrics(opt.Metrics)
 		}

@@ -2,21 +2,15 @@ package sched
 
 // Differential and property oracles for the sharded ADF policy.
 //
-// Two dispatch-identity claims are pinned here:
-//
-//   - p=1: a single shard degenerates to one DePa heap, so the sharded
-//     policy must make bit-identical dispatch choices to adf.
-//   - strict mode (the sequential-steal deterministic test mode): with
-//     any shard count, Next always takes the globally leftmost ready
-//     entry, so choices again match adf exactly even though entries are
-//     scattered across shards by the readying processor.
-//
-// On top of these, the non-strict steal path carries the bounded-
-// deviation property: every cross-shard dispatch (steal) returns a
-// thread whose true rank in the left-to-right ready order — the number
-// of ready threads that precede it — is at most the window K. The
-// harness checks that against a full pre-dispatch snapshot, which the
-// policy's conservative prefix-sum bound must imply.
+// At p=1 a single shard degenerates to one DePa heap, so the sharded
+// policy must make bit-identical dispatch choices to adf. With several
+// shards the steal path carries the bounded-deviation property: every
+// cross-shard dispatch (steal) returns a thread whose true rank in the
+// left-to-right ready order — the number of ready threads that precede
+// it — is at most the window K. The harness checks that against a full
+// pre-dispatch snapshot, which the conservative bound of the steal rule
+// (core.StealVictim, which the native shard store calls too) must
+// imply.
 
 import (
 	"math/rand"
@@ -42,10 +36,10 @@ type diffShard struct {
 	procs   int
 }
 
-func newDiffShard(t *testing.T, procs, window int, strict, withOracle bool) *diffShard {
+func newDiffShard(t *testing.T, procs, window int, withOracle bool) *diffShard {
 	d := &diffShard{
 		t:     t,
-		sh:    newShard(procs, window, strict, DefaultMemQuota, false),
+		sh:    newShard(procs, window, DefaultMemQuota, false),
 		smirr: make(map[int64]*core.Thread),
 		procs: procs,
 	}
@@ -122,10 +116,10 @@ func (d *diffShard) dispatch(pid int) {
 }
 
 // readySnapshot captures every ready entry's dispatch key.
-func (d *diffShard) readySnapshot() []*shardEntry {
-	var snap []*shardEntry
-	for j := range d.sh.shards {
-		snap = append(snap, d.sh.shards[j].h...)
+func (d *diffShard) readySnapshot() []*readyEntry {
+	var snap []*readyEntry
+	for _, h := range d.sh.shards {
+		snap = append(snap, h...)
 	}
 	return snap
 }
@@ -134,12 +128,12 @@ func (d *diffShard) readySnapshot() []*shardEntry {
 // strictly left of it in the (priority, label) order — is within the
 // window. The policy's shard-granular prefix bound over-estimates this
 // rank, so window acceptance must imply it.
-func (d *diffShard) checkStealBound(got *core.Thread, snap []*shardEntry, victim, probes int) {
+func (d *diffShard) checkStealBound(got *core.Thread, snap []*readyEntry, victim, probes int) {
 	d.t.Helper()
-	e := got.SchedState.(*shardEntry)
+	e := got.SchedState.(*readyEntry)
 	rank := 0
 	for _, o := range snap {
-		if o != e && entryLess(o, e) {
+		if o != e && o.Before(e) {
 			rank++
 		}
 	}
@@ -204,7 +198,7 @@ func (d *diffShard) removeID(s *[]int64, id int64) {
 }
 
 // check asserts the maintained counters against ground truth and the
-// per-shard heap bookkeeping against itself.
+// per-shard heaps against the entries' ready flags.
 func (d *diffShard) check(op string) {
 	d.t.Helper()
 	if got, want := d.sh.Live(), len(d.smirr); got != want {
@@ -214,14 +208,13 @@ func (d *diffShard) check(op string) {
 		d.t.Fatalf("%s: ReadyCount=%d, model has %d ready", op, got, want)
 	}
 	sum := 0
-	for j := range d.sh.shards {
-		for i, e := range d.sh.shards[j].h {
-			if e.hi != i || e.home != j {
-				d.t.Fatalf("%s: shard %d slot %d holds entry with hi=%d home=%d",
-					op, j, i, e.hi, e.home)
+	for j, h := range d.sh.shards {
+		for i, e := range h {
+			if !e.ready {
+				d.t.Fatalf("%s: shard %d slot %d holds thread %d not flagged ready", op, j, i, e.t.ID)
 			}
 		}
-		sum += len(d.sh.shards[j].h)
+		sum += len(h)
 	}
 	if sum != d.sh.ReadyCount() {
 		d.t.Fatalf("%s: shard heap sizes sum to %d, counter says %d", op, sum, d.sh.ReadyCount())
@@ -309,34 +302,22 @@ func (d *diffShard) runRandom(seed int64, ops int) {
 	d.drain(0)
 }
 
-// TestShardP1MatchesADF: one shard, non-strict — every dispatch is an
-// own-shard pop of the single heap, so the policy must be bit-identical
-// to adf.
+// TestShardP1MatchesADF: one shard — every dispatch is an own-shard pop
+// of the single heap, so the policy must be bit-identical to adf.
 func TestShardP1MatchesADF(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		newDiffShard(t, 1, 0, false, true).runRandom(seed, 2000)
+		newDiffShard(t, 1, 0, true).runRandom(seed, 2000)
 	}
 }
 
-// TestShardStrictMatchesADF: strict mode with several shards — entries
-// scatter across shards by readying pid, but dispatch always takes the
-// globally leftmost entry and so must agree with adf at every step.
-func TestShardStrictMatchesADF(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		for _, procs := range []int{2, 4, 7} {
-			newDiffShard(t, procs, 0, true, true).runRandom(seed, 2000)
-		}
-	}
-}
-
-// TestShardStealBounded: non-strict with several shards and tight
+// TestShardStealBounded: several shards and tight
 // windows — no dispatch-identity claim, but every steal must return a
 // thread within K of the leftmost ready position (checked against a
 // full snapshot inside dispatch) and all counters must stay exact.
 func TestShardStealBounded(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, window := range []int{1, 2, 8} {
-			newDiffShard(t, 4, window, false, false).runRandom(seed, 2000)
+			newDiffShard(t, 4, window, false).runRandom(seed, 2000)
 		}
 	}
 }
@@ -346,7 +327,7 @@ func TestShardStealBounded(t *testing.T) {
 // and with everything ready in shard 0 the bound for shard 0's leftmost
 // is 0 — within any window.
 func TestShardStealCounters(t *testing.T) {
-	p := newShard(2, 1, false, DefaultMemQuota, false)
+	p := newShard(2, 1, DefaultMemQuota, false)
 	root := &core.Thread{ID: 1}
 	p.OnCreate(nil, root)
 	got := p.Next(1) // steal: shard 1 empty, root sits in shard 0
@@ -366,9 +347,8 @@ func TestShardStealCounters(t *testing.T) {
 }
 
 // FuzzShardSteal lets the fuzzer explore fork/dispatch/block/wake/exit
-// sequences against both oracles: strict mode must track adf exactly,
-// and the non-strict run (window from the first byte) must keep every
-// steal within its deviation window.
+// sequences with the window from the first byte: every steal must stay
+// within its deviation window and every counter exact.
 func FuzzShardSteal(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 1, 0, 1, 0, 5, 5, 5, 2, 3, 2, 3, 0, 0, 0, 1, 1, 1})
@@ -376,17 +356,13 @@ func FuzzShardSteal(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		window := 1 + int(data[0])%8
+		d := newDiffShard(t, 4, 1+int(data[0])%8, false)
 		data = data[1:]
-		strict := newDiffShard(t, 4, 0, true, true)
-		bounded := newDiffShard(t, 4, window, false, false)
-		for _, d := range []*diffShard{strict, bounded} {
-			d.fork(-1, 0, 0)
-			d.dispatch(0)
-			for i := 0; i+2 < len(data) && i < 3*4096; i += 3 {
-				d.step(data[i], data[i+1], data[i+2])
-			}
-			d.drain(0)
+		d.fork(-1, 0, 0)
+		d.dispatch(0)
+		for i := 0; i+2 < len(data) && i < 3*4096; i += 3 {
+			d.step(data[i], data[i+1], data[i+2])
 		}
+		d.drain(0)
 	})
 }
