@@ -51,7 +51,6 @@ func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *t
 	child.tok.Order = t.tok.Order.Fork()
 	// Parent preempted; the child is the successor, no pick needed.
 	t.state = core.StateReady
-	b.addRunning(-1)
 	at := b.tracer.now()
 	b.markRunning(child, pid)
 	b.shards.push(t, pid)
@@ -66,35 +65,23 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 		return fmt.Errorf("native: join with nil thread")
 	}
 	target := nt(ptarget)
-	// A target still running makes the join likely to block: pop the
-	// successor candidate before the b.mu section, as every give-up does.
-	var cand *thread
-	if target != t && !target.done.Load() {
-		cand = b.own(t.pid, nil)
+	switch {
+	case target == t:
+		return fmt.Errorf("native: %s cannot join itself", t.Name())
+	case target.detached:
+		return fmt.Errorf("native: %s is detached", target.Name())
 	}
-	b.lock()
-	if err := joinable(t, target); err != nil {
-		b.mu.Unlock()
-		b.putBack(cand, nil, t.pid)
+	parked, at, err := b.claimJoin(t, target)
+	if err != nil {
 		return err
 	}
-	target.joined = true
-	if target.done.Load() {
-		b.mu.Unlock()
-		b.putBack(cand, nil, t.pid)
-	} else {
-		target.joiner = t
-		t.state = core.StateBlocked
-		b.addRunning(-1)
-		at := b.tracer.now()
-		next := b.successor(t.pid, cand)
-		b.mu.Unlock()
-		b.putBack(cand, next, t.pid)
-		t.passPark(next, at, trace.KindBlock)
+	if parked {
+		b.tracer.recordAt(at, t.pid, t.ID(), trace.KindBlock, 0)
+		t.blockPark()
 	}
-	// A join edge: the target's critical path feeds ours. target.done
-	// was set before we were readied (or before we observed it under
-	// b.mu), so exitedSpan is stable here.
+	// A join edge: the target's critical path feeds ours. exitedSpan was
+	// written before the exit published the join word we read (or that
+	// readied us), so it is stable here.
 	if target.exitedSpan > t.span {
 		t.span = target.exitedSpan
 	}
@@ -105,20 +92,71 @@ func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
 	return nil
 }
 
-// joinable reports why t may not join target, nil when it may. Caller
-// holds b.mu.
-func joinable(t, target *thread) error {
-	switch {
-	case target == t:
-		return fmt.Errorf("native: %s cannot join itself", t.Name())
-	case target.detached:
-		return fmt.Errorf("native: %s is detached", target.Name())
-	case target.joined:
-		return fmt.Errorf("native: %s already joined", target.Name())
-	case target.joiner != nil:
-		return fmt.Errorf("native: %s already has a joiner", target.Name())
+// The join word. A joinable thread's join holds nil while it runs
+// unjoined, its joiner once one registers, and then one of two marks:
+// exitedMark once it exited unjoined, joinedMark once it exited and its
+// joiner has been readied or has taken the fast path. Exit and the
+// joiner meet on the word alone, with no lock.
+var exitedMark, joinedMark = new(thread), new(thread)
+
+// joinStep, when set, runs before each load and CAS of a join word, with
+// the thread taking the step: the model test gates the participants one
+// step at a time through it.
+var joinStep func(actor *thread)
+
+func step(actor *thread) {
+	if joinStep != nil {
+		joinStep(actor)
 	}
-	return nil
+}
+
+// publishExit is the exiting thread's side of t's join word, after
+// exitedSpan is written: it marks t exitedMark, or joinedMark if a
+// joiner registered, and returns that joiner for the caller to ready.
+func (t *thread) publishExit() *thread {
+	t.exitedSpan = t.span
+	for {
+		step(t)
+		j := t.join.Load() // nil or a joiner: only exit writes a mark over either
+		to := exitedMark
+		if j != nil {
+			to = joinedMark
+		}
+		step(t)
+		if t.join.CompareAndSwap(j, to) {
+			return j
+		}
+	}
+}
+
+// claimJoin is t's side of target's join word. It takes the fast path
+// (exitedMark → joinedMark: the target has exited) or registers t as the
+// joiner, marked blocked first; then parked is true, at is the block's
+// trace stamp and t must park. A failed registration undoes the mark
+// and retries.
+func (b *Backend) claimJoin(t, target *thread) (parked bool, at vtime.Time, err error) {
+	for {
+		step(t)
+		switch w := target.join.Load(); w {
+		case exitedMark:
+			step(t)
+			if target.join.CompareAndSwap(exitedMark, joinedMark) {
+				return false, 0, nil
+			}
+		case joinedMark:
+			return false, 0, fmt.Errorf("native: %s already joined", target.Name())
+		case nil:
+			t.state = core.StateBlocked
+			at := b.tracer.now()
+			step(t)
+			if target.join.CompareAndSwap(nil, t) {
+				return true, at, nil
+			}
+			t.state = core.StateRunning
+		default:
+			return false, 0, fmt.Errorf("native: %s already has a joiner", target.Name())
+		}
+	}
 }
 
 // Exit implements exec.Backend (pthread_exit).
@@ -205,17 +243,10 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 		b.preemptNow(t)
 		return
 	}
-	cand := b.own(t.pid, nil)
-	b.lock()
-	t.state = core.StateBlocked
-	b.addRunning(-1)
-	b.sleepers++
-	at := b.tracer.now()
-	next := b.successor(t.pid, cand)
-	b.mu.Unlock()
-	b.putBack(cand, next, t.pid)
+	b.addSleeper(1)
+	b.blockPrep(t)
 	time.AfterFunc(vToWall(d), func() { b.wakeSleeper(t) })
-	t.passPark(next, at, trace.KindBlock)
+	t.blockPark()
 }
 
 // wakeSleeper readies a timer-parked thread in three phases: mark it
@@ -225,7 +256,7 @@ func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
 // between the two structures.
 func (b *Backend) wakeSleeper(t *thread) {
 	b.lock()
-	if b.done {
+	if b.done.Load() {
 		b.sleepers--
 		b.mu.Unlock()
 		return

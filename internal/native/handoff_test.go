@@ -120,6 +120,16 @@ func spinUntil(cond func() bool) {
 	}
 }
 
+// marked counts the running marks made so far on b, which needs a
+// registry: the workers' dispatch counters are atomic, so a thread can
+// watch another be marked running without a race.
+func marked(b *Backend) (n int64) {
+	for _, w := range b.workers {
+		n += w.dispatches.Value()
+	}
+	return n
+}
+
 // TestHandoffPickEachOther: T and M hold two processors and are both
 // readied by a third thread while still between blockPrep and their
 // park. M gives up first and picks T (FIFO order), so M's worker waits
@@ -129,7 +139,7 @@ func spinUntil(cond func() bool) {
 // these.
 func TestHandoffPickEachOther(t *testing.T) {
 	forEachPool(t, func(t *testing.T, warm bool) {
-		b := newPoolBackend(t, sched.FIFO, Config{Procs: 3}, warm)
+		b := newPoolBackend(t, sched.FIFO, Config{Procs: 3, Metrics: metrics.NewRegistry()}, warm)
 		reg := make(chan *thread, 2)
 		goT, goM := make(chan struct{}), make(chan struct{})
 		var resumed atomic.Int32
@@ -155,12 +165,11 @@ func TestHandoffPickEachOther(t *testing.T) {
 				pid := c.(*thread).pid
 				b.readyThread(ht.(*thread), pid)
 				b.readyThread(hm.(*thread), pid)
+				before := marked(b)
 				close(goM)
-				spinUntil(func() bool { // M has picked T
-					b.mu.Lock()
-					defer b.mu.Unlock()
-					return ht.(*thread).state == core.StateRunning
-				})
+				// M has picked T: the one mark this can be, as no
+				// processor is idle and T leads the queue.
+				spinUntil(func() bool { return marked(b) > before })
 				close(goT)
 				// Stay off the ready structure until both picks are done.
 				spinUntil(func() bool { return resumed.Load() == 2 })
@@ -241,7 +250,7 @@ func TestWakeBeforeParkWaits(t *testing.T) {
 	for _, gmp := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", gmp), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
-			b := newPolicyBackend(t, sched.FIFO, Config{Procs: 4})
+			b := newPolicyBackend(t, sched.FIFO, Config{Procs: 4, Metrics: metrics.NewRegistry()})
 			reg := make(chan *thread, 1)
 			release, resumed := make(chan struct{}), make(chan struct{})
 			var before, after int
@@ -258,12 +267,10 @@ func TestWakeBeforeParkWaits(t *testing.T) {
 				})
 				hw := forkFn(b, root, core.Attr{}, func(w exec.Thread) {
 					tt := <-reg
+					before := marked(b)
 					b.readyThread(tt, w.(*thread).pid)
-					spinUntil(func() bool { // an idle worker has taken T
-						b.mu.Lock()
-						defer b.mu.Unlock()
-						return tt.state == core.StateRunning
-					})
+					// An idle worker has taken T: the only ready thread.
+					spinUntil(func() bool { return marked(b) > before })
 					close(release)
 					// Stay on this processor until T is back.
 					spinUntil(func() bool {
@@ -475,7 +482,7 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 // 100 threads and panics; at one processor none of them may run after
 // the run failed, and at four only those another processor had already
 // dispatched (at most one each) may finish their bodies. A body reads
-// the failure itself (b.done, under b.mu), not a flag the root sets
+// the failure itself (the atomic b.done), not a flag the root sets
 // before it panics: the root's unwind to the failure point takes long
 // enough under -race for other processors to run many bodies legally.
 func TestNoDispatchAfterPanic(t *testing.T) {
@@ -490,10 +497,7 @@ func TestNoDispatchAfterPanic(t *testing.T) {
 					for i := 0; i < ready; i++ {
 						forkFn(b, root, core.Attr{Detached: true}, func(c exec.Thread) {
 							sem.Wait(b, c)
-							b.mu.Lock()
-							failed := b.done
-							b.mu.Unlock()
-							if failed {
+							if b.done.Load() {
 								after.Add(1)
 							}
 						})

@@ -58,10 +58,11 @@ func TestChurnHygiene(t *testing.T) {
 		tt := et.(*thread)
 		// Entry-state fields written only by this thread's own lifetime
 		// (or by fork before the launch handoff): any nonzero value here
-		// leaked through a recycle. joiner/joined are deliberately NOT
-		// checked — they are b.mu-guarded and a racing parent Join may
-		// legitimately set them while the body runs.
-		if tt.tls != nil || tt.done.Load() || tt.exitedSpan != 0 || tt.work != 0 || tt.isDummy {
+		// leaked through a recycle. The join word may legitimately hold
+		// the parent, which registers while the body runs, but never an
+		// exit mark.
+		w := tt.join.Load()
+		if tt.tls != nil || w == exitedMark || w == joinedMark || tt.exitedSpan != 0 || tt.work != 0 || tt.isDummy {
 			dirty.Add(1)
 		}
 		if tt.carrier == nil {

@@ -12,22 +12,23 @@
 // As in that user-level library, the thread that stops runs the
 // scheduler: giving its processor up (fork, exit, Join, Yield, quota
 // preemption, Sleep, every sync-object block) it picks its successor —
-// the forked child, or the next ready thread, marked running in the
-// scheduler-lock section that recorded why it stopped — and yields it to
-// its worker, which resumes it at once: a thread switch is two
-// coroswitches. Only a thread that finds no successor sends its worker
-// to the idle / deadlock / run-end protocol (next).
+// the forked child, or the next ready thread, marked running without a
+// lock — and yields it to its worker, which resumes it at once: a
+// thread switch is two coroswitches. Only a thread that finds no
+// successor sends its worker to the idle / deadlock / run-end protocol
+// (next).
 //
 // One ready store (shard.go): DePa-ordered heaps under their own
 // locks, never held together with the scheduler lock b.mu. FIFO and LIFO
 // run on one shard keyed by a sequence order, the paper's global queue
 // or stack; the ADF family (adf, the default, and adf-shard) runs on one
 // shard per worker keyed by fork-path labels. A thread giving its
-// processor up pops its successor from its own shard before its b.mu
-// section, and only a worker with no successor steals, within the
-// deviation window. b.mu keeps the join protocol, the idle and run-end
-// bookkeeping, and marking popped threads running; forks, wakes and
-// blocks take no b.mu at all. The policy object is consulted only for
+// processor up pops its successor from its own shard, and only a worker
+// with no successor steals, within the deviation window. A join meets
+// the exit on the target's join word (api.go), and the run-failed flag
+// is atomic, so forks, exits, joins, wakes, blocks and running marks
+// take no b.mu: it keeps only the idle, deadlock and run-end protocol
+// and the timer sleepers. The policy object is consulted only for
 // its name, quota and dummy count. WS and DFD keep per-processor deques
 // that the store does not model, so they are sim-only, as is the
 // simulator's two-level Q_in/Q_out batching.
@@ -102,9 +103,9 @@ type Backend struct {
 	quota        int64
 	defaultStack int64
 
-	// mu is the scheduler lock: it guards the thread-lifecycle fields
-	// below and every counter not marked atomic. cond signals idle
-	// workers when work becomes ready.
+	// mu is the scheduler lock of the idle, deadlock and run-end
+	// protocol: it guards the fields below not marked atomic. cond
+	// signals idle workers when work becomes ready or the run ends.
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -113,21 +114,19 @@ type Backend struct {
 	shards *shardStore
 	idleA  atomic.Int64
 
-	// The thread counts are atomic so a fork or blockPrep takes no lock.
-	// The deadlock check reads running under b.mu once every worker is
-	// idle, when each idle worker's last thread has given its processor
-	// up; live cannot reach 0 while a fork is under way (the forker is
+	// live cannot reach 0 while a fork is under way (the forker is
 	// live), so an exit that sees it reach 0 ends the run.
-	running  atomic.Int64 // threads assigned to processors
 	live     atomic.Int64
-	created  atomic.Int64
 	peakLive atomic.Int64
+
+	// done is the run-failed-or-ended flag every running mark checks. It
+	// is set under b.mu, with a broadcast, so an idle worker cannot miss
+	// it.
+	done atomic.Bool
 
 	sleepers  int // threads parked on pending timers
 	idle      int // workers waiting in cond.Wait
-	maxSpan   vtime.Duration
 	err       error
-	done      bool
 	executed  bool
 	endStatus int64 // trace.RunEnd* code; guarded by b.mu
 
@@ -135,18 +134,17 @@ type Backend struct {
 
 	mem mem // atomic footprint accounting
 
-	nextID atomic.Int64 // thread ids; atomic so creation takes no lock
+	nextID atomic.Int64 // thread ids, and so the count of threads created
 
 	carriers *core.Carriers                   // per-worker carrier free lists
 	recs     []core.FreeList[thread, *thread] // per-worker thread-record arenas
 
 	// Atomic tallies flushed into the metrics registry at stats time
 	// (these fire in thread context without the scheduler lock).
-	allocTally    atomic.Int64
-	freeTally     atomic.Int64
-	dummyTally    atomic.Int64
-	quotaTally    atomic.Int64
-	dispatchTally atomic.Int64
+	allocTally atomic.Int64
+	freeTally  atomic.Int64
+	dummyTally atomic.Int64
+	quotaTally atomic.Int64
 
 	registry  *metrics.Registry
 	liveGauge *metrics.Gauge
@@ -158,21 +156,23 @@ type Backend struct {
 	dispatchWait *metrics.Histogram // wall ns from ready to dispatch
 	handoff      *metrics.Histogram // wall ns from a worker's resume to the resumed thread running
 	mutexWait    *metrics.Histogram // wall ns blocked in nativeMutex.Lock
-	readyGauge   *metrics.Gauge     // threads in the ready store
-	runningGauge *metrics.Gauge     // threads currently assigned to workers
 
 	workers []*worker
 	wg      sync.WaitGroup // workers
 }
 
-// worker is one processor's local state.
+// worker is one processor's local state, written only by code running
+// on that processor. The pads keep it off every other word's cache line.
 type worker struct {
+	_          [64]byte
 	stats      core.ProcStats
 	dispatches *metrics.Counter // per-worker dispatch count (nil-safe)
 
 	// wakeups counts the threads the worker took itself (next), rather
 	// than as a successor yielded to it.
 	wakeups int64
+	maxSpan vtime.Duration // longest span of a thread that exited here
+	_       [64]byte
 }
 
 // New builds a native backend from cfg.
@@ -221,8 +221,6 @@ func New(cfg Config) (*Backend, error) {
 	b.dispatchWait = reg.Histogram("sched.dispatch.wait")
 	b.handoff = reg.Histogram("sched.resume.handoff")
 	b.mutexWait = reg.Histogram("sync.mutex.wait")
-	b.readyGauge = reg.Gauge("sched.ready")
-	b.runningGauge = reg.Gauge("sched.running")
 	for i := range b.workers {
 		b.workers[i] = &worker{
 			dispatches: reg.Counter(fmt.Sprintf("sched.dispatches.w%d", i)),
@@ -268,7 +266,7 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 	b.carriers.Shutdown()
 	// Every worker and thread goroutine has quiesced; only stray timers
 	// may still fire, and those record nothing once b.done is set (they
-	// check under b.mu, which orders their writes before the merge).
+	// check it under b.mu, which orders their writes before the merge).
 	b.mu.Lock()
 	b.tracer.record(-1, 0, trace.KindRunEnd, b.endStatus)
 	b.tracer.finish(b.traceRec)
@@ -285,8 +283,8 @@ func (b *Backend) runWorker(pid int) {
 	}
 }
 
-// run hands processor pid to t, which was marked running on it under
-// b.mu: a first run launches t onto a pooled carrier, a later one
+// run hands processor pid to t, which was marked running on it: a first
+// run launches t onto a pooled carrier, a later one
 // resumes t's carrier. It returns the next thread for pid: the successor
 // t yielded, or else the worker's own pick. Every run follows exactly
 // one markRunning, so the KindDispatch record is issued here, with
@@ -338,35 +336,37 @@ func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() 
 
 // next blocks until there is a thread for worker pid to run (marked
 // running on pid), the run completes, or a deadlock is detected. The
-// take (own pop, else a bounded steal) happens outside b.mu, and the
-// idle mirror idleA plus the re-check of total after going idle are the
+// take (own pop, else a bounded steal) needs no b.mu; the idle mirror
+// idleA plus the re-check of the shard sizes after going idle are the
 // sleeper half of the store's Dekker protocol.
 func (b *Backend) next(pid int) *thread {
 	for {
-		t := b.shards.take(pid)
-		b.lock()
-		if b.done {
-			b.mu.Unlock()
-			return nil // a thread taken after the run failed is never dispatched
-		}
-		if t != nil {
+		if t := b.shards.take(pid); t != nil {
+			if b.done.Load() {
+				return nil // a thread taken after the run failed is never dispatched
+			}
 			b.markRunning(t, pid)
-			b.mu.Unlock()
 			b.workers[pid].wakeups++
 			return t
 		}
+		b.lock()
+		if b.done.Load() {
+			b.mu.Unlock()
+			return nil
+		}
 		if b.live.Load() == 0 {
-			b.done = true
-			b.cond.Broadcast()
+			b.endLocked()
 			b.mu.Unlock()
 			return nil
 		}
 		b.idle++
 		b.idleA.Add(1)
 		switch {
-		case b.shards.total.Load() > 0:
+		case b.shards.size() > 0:
 			// Work appeared between the failed take and going idle.
-		case b.idle == b.procs && b.running.Load() == 0 && b.sleepers == 0:
+		case b.idle == b.procs && b.sleepers == 0:
+			// Every worker is here, so every thread a worker ran has given
+			// its processor up: none is running, and none is ready.
 			b.failLocked(fmt.Errorf("native: deadlock: %d threads live, none runnable", b.live.Load()),
 				trace.RunEndDeadlock)
 		default:
@@ -378,38 +378,31 @@ func (b *Backend) next(pid int) *thread {
 	}
 }
 
-// addRunning adjusts the running-thread count and its gauge mirror.
-func (b *Backend) addRunning(d int64) {
-	b.runningGauge.Set(b.running.Add(d))
-}
-
-// markRunning assigns t to processor pid; pid's worker runs it after
-// the caller dropped b.mu. t.pid is not written here: t adopts the pid
-// its resume carries, on its own coroutine. Caller holds b.mu.
+// markRunning assigns t to processor pid, whose worker then runs it. The
+// caller owns t (popped, forked or claimed through a join word) and runs
+// on pid. t.pid is not written here: t adopts the pid its resume
+// carries, on its own coroutine.
 func (b *Backend) markRunning(t *thread, pid int) {
+	w := b.workers[pid]
 	t.state = core.StateRunning
 	t.quotaLeft = b.quota
-	b.addRunning(1)
-	b.workers[pid].stats.Dispatches++
-	b.workers[pid].dispatches.Inc()
-	b.dispatchTally.Add(1)
+	w.stats.Dispatches++
+	w.dispatches.Inc()
 	if b.dispatchWait != nil && t.readyAt != 0 {
 		b.dispatchWait.Observe(b.sinceStart() - t.readyAt)
 		t.readyAt = 0
 	}
-	// The KindDispatch ring write is deferred to run, after the caller
-	// drops b.mu; only the timestamp is taken here so trace order still
-	// matches lock order.
+	// The KindDispatch ring write is deferred to run; only the timestamp
+	// is taken here.
 	t.dispatchAt = b.tracer.now()
 }
 
 // blockPrep marks t blocked. It must be called from t's own body,
 // before t is registered with any waiter list, and must be followed by
 // t.blockPark. A running thread has no entry in any shard heap, so
-// there is no ready structure to update, and no b.mu section.
+// there is no ready structure to update.
 func (b *Backend) blockPrep(t *thread) {
 	t.state = core.StateBlocked
-	b.addRunning(-1)
 	b.tracer.record(t.pid, t.ID(), trace.KindBlock, 0)
 }
 
@@ -419,9 +412,8 @@ func (b *Backend) blockPrep(t *thread) {
 // before the run-end merge — timer wakes go through wakeSleeper, which
 // records under b.mu instead.
 //
-// No b.mu section: a wake after a failed run is pushed but never
-// dispatched, since every section that marks a thread running checks
-// b.done.
+// A wake after a failed run is pushed but never dispatched, since every
+// running mark checks b.done first.
 func (b *Backend) readyThread(t *thread, pid int) {
 	// Id snapshot: after the push, t can be dispatched, run to exit, and
 	// have its record recycled before the KindWake emit below.
@@ -440,12 +432,9 @@ func (b *Backend) preemptNow(t *thread) {
 	pid := t.pid
 	b.shards.key(t)
 	cand := b.own(pid, t)
-	b.lock()
 	t.state = core.StateReady
-	b.addRunning(-1)
 	at := b.tracer.now()
 	next := b.successor(pid, cand)
-	b.mu.Unlock()
 	if cand != t {
 		b.putBack(cand, next, pid)
 	}
@@ -454,9 +443,8 @@ func (b *Backend) preemptNow(t *thread) {
 }
 
 // own pops the successor candidate for a thread giving processor pid up:
-// its own shard's leftmost thread, taken before the caller's b.mu
-// section (a shard lock never nests with b.mu). A yielder passes itself
-// as before: it is its own candidate unless a thread precedes it.
+// its own shard's leftmost thread. A yielder passes itself as before: it
+// is its own candidate unless a thread precedes it.
 func (b *Backend) own(pid int, before *thread) *thread {
 	if t := b.shards.pop(b.shards.shardFor(pid), before); t != nil {
 		return t
@@ -465,18 +453,17 @@ func (b *Backend) own(pid int, before *thread) *thread {
 }
 
 // successor marks the successor of a thread giving processor pid up
-// running on pid, in the b.mu section that recorded why it stopped: the
-// candidate own popped. nil once the run is over. Caller holds b.mu.
+// running on pid: the candidate own popped. nil once the run is over.
 func (b *Backend) successor(pid int, cand *thread) *thread {
-	if b.done || cand == nil {
+	if cand == nil || b.done.Load() {
 		return nil
 	}
 	b.markRunning(cand, pid)
 	return cand
 }
 
-// putBack returns a ready thread the caller's b.mu section did not run
-// to pid's shard, after that section, keeping its key.
+// putBack returns a ready thread the caller did not pick as its
+// successor to pid's shard, keeping its key.
 func (b *Backend) putBack(t, next *thread, pid int) {
 	if t != nil && t != next {
 		b.shards.push(t, pid)
@@ -486,7 +473,6 @@ func (b *Backend) putBack(t, next *thread, pid int) {
 // admit registers a freshly created thread.
 func (b *Backend) admit() {
 	live := b.live.Add(1)
-	b.created.Add(1)
 	atomicMax(&b.peakLive, live)
 	b.liveGauge.Set(live)
 }
@@ -495,26 +481,23 @@ func (b *Backend) admit() {
 // joiner and returns the successor to pass the processor on to.
 func (b *Backend) exitThread(t *thread) *thread {
 	pid := t.pid
+	w := b.workers[pid]
+	w.maxSpan = max(w.maxSpan, t.span)
 	b.mem.freeStack(t.stackSize)
 	cand := b.own(pid, nil)
-	b.lock()
 	t.state = core.StateExited
-	t.done.Store(true)
-	t.exitedSpan = t.span
-	if t.span > b.maxSpan {
-		b.maxSpan = t.span
+	var j *thread
+	if !t.detached { // Join refuses a detached target before its word
+		j = t.publishExit()
 	}
-	live := b.live.Add(-1)
-	b.addRunning(-1)
-	b.liveGauge.Set(live)
+	// After the publish: a joiner's KindBlock stamp precedes its CAS.
 	at := b.tracer.now()
-	j := t.joiner
 	var jid int64
-	var back *thread // a ready thread this section does not run
+	var back *thread // a ready thread exit does not run
 	if j != nil {
-		// Snapshot the joiner's trace id while b.mu still excludes its
-		// dispatch: once the wake is published the joiner can run, exit,
-		// and have its record recycled before the KindWake emit below.
+		// Snapshot the joiner's trace id while exit still owns it: once
+		// it is pushed or marked it can run, exit, and have its record
+		// recycled before the KindWake emit below.
 		jid = j.ID()
 		j.state = core.StateReady
 		b.shards.key(j)
@@ -524,14 +507,14 @@ func (b *Backend) exitThread(t *thread) *thread {
 			back = j
 		}
 	}
+	live := b.live.Add(-1)
+	b.liveGauge.Set(live)
 	if live == 0 {
-		b.done = true
-		b.cond.Broadcast()
+		b.lock()
+		b.endLocked()
+		b.mu.Unlock()
 	}
 	next := b.successor(pid, cand)
-	b.mu.Unlock()
-	// A readied joiner's exitedSpan/done reads are ordered by the b.mu
-	// section above; only then may another worker dispatch it.
 	b.putBack(cand, next, pid)
 	b.putBack(back, next, pid)
 	b.tracer.recordAt(at, pid, t.ID(), trace.KindExit, 0)
@@ -579,21 +562,33 @@ func (b *Backend) recordPanic(t *thread, r any) {
 }
 
 // failLocked records err and the matching trace.RunEnd* status (first
-// error wins both) and wakes all workers. Caller holds b.mu.
+// error wins both) and ends the run. Caller holds b.mu.
 func (b *Backend) failLocked(err error, status int64) {
 	if b.err == nil {
 		b.err = err
 		b.endStatus = status
 	}
-	b.done = true
+	b.endLocked()
+}
+
+// endLocked ends the run: no thread is marked running after it, and
+// every idle worker wakes to exit. Caller holds b.mu.
+func (b *Backend) endLocked() {
+	b.done.Store(true)
 	b.cond.Broadcast()
 }
 
 // stats assembles the run's statistics after all goroutines quiesced.
 func (b *Backend) stats() core.Stats {
 	elapsed := wallToV(time.Since(b.start))
+	var dispatches int64
+	var span vtime.Duration
+	for _, w := range b.workers {
+		dispatches += w.stats.Dispatches
+		span = max(span, w.maxSpan)
+	}
 	if r := b.registry; r != nil {
-		r.Counter("sched.dispatches").Add(b.dispatchTally.Load())
+		r.Counter("sched.dispatches").Add(dispatches)
 		r.Counter("sched.quota.preempts").Add(b.quotaTally.Load())
 		r.Counter("sched.dummy.forks").Add(b.dummyTally.Load())
 		r.Counter("mem.allocs").Add(b.allocTally.Load())
@@ -603,8 +598,8 @@ func (b *Backend) stats() core.Stats {
 		Policy:         b.policy.Name(),
 		NumProcs:       b.procs,
 		Time:           elapsed,
-		Span:           b.maxSpan,
-		ThreadsCreated: b.created.Load(),
+		Span:           span,
+		ThreadsCreated: b.nextID.Load(),
 		DummyThreads:   b.dummyTally.Load(),
 		PeakLive:       int(b.peakLive.Load()),
 		HeapHWM:        b.mem.heapHWM.Load(),

@@ -21,10 +21,10 @@ import (
 //
 // Lock protocol: a push or pop takes exactly one shard lock, and a shard
 // lock is never held together with b.mu, in either order. A thread is
-// pushed after whatever b.mu section made it ready (so a thief marks it
-// running only after that section's writes), and a popped thread is
-// marked running in a b.mu section after the pop. No two locks ever
-// nest, so the protocol is deadlock-free by construction.
+// pushed once its readier's writes are done (so a thief marks it
+// running only after them), and the popper owns a popped thread and
+// marks it running with no lock held. No two locks ever nest, so the
+// protocol is deadlock-free by construction.
 //
 // Each shard publishes its leftmost label, tagged with its priority and
 // the shard's size, in a core.DepaCell. A thief snapshots the cells
@@ -37,12 +37,12 @@ import (
 // nothing.
 //
 // Lost-wakeup protocol (Dekker): b.idleA mirrors the idle-worker count
-// under b.mu into an atomic. A pusher increments total and then reads
-// idleA, signaling b.cond if any worker sleeps; a worker going idle
-// increments idleA under b.mu and then re-reads total before waiting.
-// Both sides use sequentially consistent atomics, so at least one of
-// them observes the other and a push concurrent with going-idle can
-// never strand the work.
+// under b.mu into an atomic. A pusher stores its shard's new size and
+// then reads idleA, signaling b.cond if any worker sleeps; a worker
+// going idle increments idleA under b.mu and then re-reads every
+// shard's size before waiting. Both sides use sequentially consistent
+// atomics, so at least one of them observes the other and a push
+// concurrent with going-idle can never strand the work.
 type shardStore struct {
 	b       *Backend
 	shards  []shard
@@ -53,9 +53,6 @@ type shardStore struct {
 	// order of the ADF family. seq numbers the sequence keys.
 	dir int64
 	seq atomic.Int64
-
-	// total counts threads across all shards, readable without any lock.
-	total atomic.Int64
 
 	// mins is each worker's steal-scan scratch, one entry per shard,
 	// allocated at the worker's first scan.
@@ -75,6 +72,10 @@ type shard struct {
 	// pub is the leftmost-label hint, tagged with pubTag; written under
 	// mu, read lock-free by thieves.
 	pub core.DepaCell
+
+	// size is len(h), written under mu and summed lock-free by take and
+	// by a worker going idle.
+	size atomic.Int64
 
 	// pad keeps hot shards off one another's cache line.
 	_ [64]byte
@@ -134,9 +135,8 @@ func (ss *shardStore) push(t *thread, pid int) {
 			s.pub.SetTag(pubTag(s.h[0].tok.Priority, len(s.h)))
 		}
 	}
+	s.size.Store(int64(len(s.h)))
 	s.mu.Unlock()
-	total := ss.total.Add(1)
-	ss.b.readyGauge.Set(total)
 	ss.b.signalIfIdle()
 }
 
@@ -159,15 +159,23 @@ func (ss *shardStore) pop(v int, before *thread) *thread {
 			s.pub.Store(s.h[0].tok.Order, pubTag(s.h[0].tok.Priority, len(s.h)))
 		}
 	}
+	s.size.Store(int64(len(s.h)))
 	s.mu.Unlock()
-	total := ss.total.Add(-1)
-	ss.b.readyGauge.Set(total)
 	return t
+}
+
+// size sums the shards' sizes: the threads in the store, 0 only if
+// every shard was empty when read.
+func (ss *shardStore) size() (n int64) {
+	for i := range ss.shards {
+		n += ss.shards[i].size.Load()
+	}
+	return n
 }
 
 // take dispatches for worker pid: pop the own shard, else steal the
 // leftmost candidate within the deviation window. Returns nil when no
-// work is visible (total reached 0 during the scan).
+// work is visible (the sizes summed to 0 during the scan).
 func (ss *shardStore) take(pid int) *thread {
 	n := len(ss.shards)
 	own := ss.shardFor(pid)
@@ -177,7 +185,7 @@ func (ss *shardStore) take(pid int) *thread {
 	if ss.mins[pid] == nil {
 		ss.mins[pid] = make([]core.ShardMin, 0, n)
 	}
-	for ss.total.Load() > 0 {
+	for ss.size() > 0 {
 		if t := ss.pop(own, nil); t != nil {
 			return t
 		}
@@ -190,7 +198,7 @@ func (ss *shardStore) take(pid int) *thread {
 		}
 		victim, _, rejects := core.StealVictim(mins, n, own, ss.window)
 		if victim < 0 {
-			continue // every hint empty: re-check total and rescan
+			continue // every hint empty: re-check the sizes and rescan
 		}
 		if rejects > 0 {
 			ss.rejects.Add(int64(rejects))

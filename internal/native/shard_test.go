@@ -2,6 +2,7 @@ package native
 
 import (
 	"testing"
+	"unsafe"
 
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
@@ -75,5 +76,30 @@ func TestShardOpsAllocateNothing(t *testing.T) {
 	}
 	if ss.steals.Load() == 0 {
 		t.Error("no steals: the scan went unexercised")
+	}
+}
+
+// TestHotWordsOwnTheirLines: the per-worker counts and per-shard sizes a
+// fork → exit → join writes sit on cache lines no other worker's or
+// shard's word reaches. A 64-byte line holding a word at offset o spans
+// at most [o-56, o+64), so a struct whose hot words all lie in
+// [56, size-64) keeps them off every word outside it: a neighbouring
+// worker's, a neighbouring shard's, and b.mu, which lives in another
+// allocation.
+func TestHotWordsOwnTheirLines(t *testing.T) {
+	const line = 64
+	var w worker
+	var s shard
+	for _, c := range []struct {
+		name              string
+		first, last, size uintptr
+	}{
+		{"worker", unsafe.Offsetof(w.stats), unsafe.Offsetof(w.maxSpan), unsafe.Sizeof(w)},
+		{"shard size", unsafe.Offsetof(s.size), unsafe.Offsetof(s.size), unsafe.Sizeof(s)},
+	} {
+		if c.first < line-8 || c.last+line > c.size {
+			t.Errorf("%s: hot words at [%d, %d] in %d bytes, want within [%d, %d)",
+				c.name, c.first, c.last, c.size, line-8, c.size-line)
+		}
 	}
 }

@@ -28,9 +28,10 @@ type thread struct {
 
 	// carrier is the coroutine t rides, bound at its first dispatch
 	// (Ride); nil until then, which tells the worker to launch t. t can
-	// become dispatchable again only in a b.mu section after Ride, so a
-	// later worker reads it behind that and resumes t there, waiting on
-	// the carrier's mutex if t has not yielded yet.
+	// become dispatchable again only through a push, a join word or a
+	// waiter list its own coroutine reached after Ride, so a later worker
+	// reads it behind that and resumes t there, waiting on the carrier's
+	// mutex if t has not yielded yet.
 	carrier *core.Carrier
 
 	// Record reuse (see lifecycle.go). freeNext links the record in a worker
@@ -40,9 +41,10 @@ type thread struct {
 	refs     atomic.Int32
 
 	isDummy bool
-	// state is for inspection only: the backend writes it, under b.mu or
-	// in a block or wake ordered by the waiter list's and the shard's
-	// locks, and never reads it.
+	// state is for inspection only: the backend writes it on the
+	// thread's own coroutine, or while it owns the thread (popped from a
+	// shard, or claimed through a join word or waiter list), and never
+	// reads it.
 	state core.State
 
 	// pid is the processor this thread holds (or last held), written
@@ -57,9 +59,9 @@ type thread struct {
 	// or the thread is not ready).
 	readyAt int64
 
-	// dispatchAt is the tracer timestamp captured by markRunning under
-	// b.mu; the worker issues the KindDispatch ring write after
-	// unlocking. postAt stamps a resume for sched.resume.handoff (worker
+	// dispatchAt is the tracer timestamp captured by markRunning; the
+	// worker issues the KindDispatch ring write when it runs the thread.
+	// postAt stamps a resume for sched.resume.handoff (worker
 	// before the resume, the thread once it runs), on readyAt's clock.
 	dispatchAt vtime.Time
 	postAt     int64
@@ -69,12 +71,11 @@ type thread struct {
 	work      vtime.Duration
 	span      vtime.Duration
 
-	// Join protocol, guarded by b.mu. done is also read without the lock
-	// (a joiner deciding whether to pop a successor candidate first).
-	done       atomic.Bool
+	// join is the join word (api.go): nil, the registered joiner,
+	// exitedMark or joinedMark. exitedSpan is written before exit
+	// publishes the word, and read by the joiner after.
+	join       atomic.Pointer[thread]
 	detached   bool
-	joined     bool
-	joiner     *thread
 	exitedSpan vtime.Duration
 
 	tls map[any]any // only touched by the thread's own body
@@ -116,10 +117,9 @@ func (t *thread) TLSSet(key, val any) {
 	t.tls[key] = val
 }
 
-// passPark gives t's processor to next — the successor t chose in the
-// b.mu section that recorded why it stopped — after emitting that
-// section's event, while t still holds the processor. Must be called
-// from t's own body.
+// passPark gives t's processor to next — the successor t chose when it
+// recorded why it stopped — after emitting that event at at, while t
+// still holds the processor. Must be called from t's own body.
 func (t *thread) passPark(next *thread, at vtime.Time, kind trace.Kind) {
 	t.b.tracer.recordAt(at, t.pid, t.ID(), kind, 0)
 	t.switchTo(next)
@@ -129,17 +129,11 @@ func (t *thread) passPark(next *thread, at vtime.Time, kind trace.Kind) {
 // with a waiter list. The successor is chosen here, not in blockPrep, so
 // threads readied since (a cond wait's mutex handoff; t itself, if a
 // waker already got to it) compete in store order. An empty own shard
-// needs no b.mu section: the worker takes.
+// leaves the pick to the worker.
 func (t *thread) blockPark() {
 	b := t.b
 	cand := b.own(t.pid, nil)
-	if cand == nil {
-		t.switchTo(nil)
-		return
-	}
-	b.lock()
 	next := b.successor(t.pid, cand)
-	b.mu.Unlock()
 	b.putBack(cand, next, t.pid)
 	t.switchTo(next)
 }

@@ -50,11 +50,10 @@ func (tr *tracer) record(proc int, thread int64, kind trace.Kind, arg int64) {
 }
 
 // now returns the event timestamp for a deferred recordAt (0 on a nil
-// tracer). Scheduler hot paths capture the time while still holding
-// b.mu — so timestamps preserve the causal scheduling order the lock
-// serializes — and issue the ring write after unlocking, keeping the
-// tracer's store (and its cache misses) off the contended lock's
-// critical path.
+// tracer). Scheduler hot paths capture the time at the step that orders
+// the event — a join-word CAS, a running mark — so timestamps preserve
+// the causal scheduling order, and issue the ring write later, once the
+// thread is about to yield.
 func (tr *tracer) now() vtime.Time {
 	if tr == nil {
 		return 0
