@@ -446,6 +446,78 @@ func BenchmarkNativeSemPingPong(b *testing.B) {
 	}
 }
 
+// condBuffer is a four-slot bounded buffer on one mutex and two
+// condition variables, the classic link between pipeline stages.
+type condBuffer struct {
+	mu                pthread.Mutex
+	notEmpty, notFull pthread.Cond
+	ring              [4]int
+	head, n           int
+}
+
+func (c *condBuffer) put(t *pthread.T, v int) {
+	c.mu.Lock(t)
+	for c.n == len(c.ring) {
+		c.notFull.Wait(t, &c.mu)
+	}
+	c.ring[(c.head+c.n)%len(c.ring)] = v
+	c.n++
+	c.notEmpty.Signal(t)
+	c.mu.Unlock(t)
+}
+
+func (c *condBuffer) get(t *pthread.T) int {
+	c.mu.Lock(t)
+	for c.n == 0 {
+		c.notEmpty.Wait(t, &c.mu)
+	}
+	v := c.ring[c.head]
+	c.head = (c.head + 1) % len(c.ring)
+	c.n--
+	c.notFull.Signal(t)
+	c.mu.Unlock(t)
+	return v
+}
+
+// BenchmarkNativeCondPipeline pushes b.N items through four threads
+// joined by three bounded buffers: one op is an item's passage, three
+// puts and three gets, each a Lock, a Signal (mostly with no waiter)
+// and an Unlock, plus the waits and handoffs when a buffer runs full or
+// empty.
+func BenchmarkNativeCondPipeline(b *testing.B) {
+	for _, p := range nativeProcs() {
+		b.Run(benchName("p", p), func(b *testing.B) {
+			b.ReportAllocs()
+			var bufs [3]condBuffer
+			sum := 0
+			_, err := pthread.Run(nativeCfg(p), func(t *pthread.T) {
+				hs := []*pthread.Thread{t.Create(func(c *pthread.T) {
+					for i := 0; i < b.N; i++ {
+						bufs[0].put(c, i)
+					}
+				})}
+				for k := 1; k < len(bufs); k++ {
+					hs = append(hs, t.Create(func(c *pthread.T) {
+						for i := 0; i < b.N; i++ {
+							bufs[k].put(c, bufs[k-1].get(c)+1)
+						}
+					}))
+				}
+				for i := 0; i < b.N; i++ {
+					sum += bufs[len(bufs)-1].get(t)
+				}
+				t.JoinAll(hs...)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if want := b.N*(b.N-1)/2 + 2*b.N; sum != want {
+				b.Fatalf("sum %d, want %d", sum, want)
+			}
+		})
+	}
+}
+
 // BenchmarkNativeYield is one preemption: two threads on one processor
 // yielding to each other (FIFO, so the yielder goes to the back and the
 // other thread is the successor), so every op re-enters the ready

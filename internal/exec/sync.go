@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"spthreads/internal/core"
 	"spthreads/internal/vtime"
@@ -13,9 +14,12 @@ import (
 // whose zero value is usable (Semaphore and Barrier take their counts
 // from Init), and every method takes the calling thread's backend.
 //
-// Each object's own host mutex guards its waiter state. On the sim only
-// one thread goroutine runs at a time, so that lock is never contended
-// and charges no virtual time. Blocking always has one shape:
+// Each object's own host mutex guards its waiter state. A Mutex's word
+// and a Cond's waiter count keep paths with no waiter off that mutex:
+// 2 atomic RMWs for an uncontended Lock + Unlock, not 4, and none for
+// a Signal with no waiter, not 2. On the sim only one thread goroutine
+// runs at a time, so the mutex is never contended and charges no
+// virtual time. Blocking always has one shape:
 //
 //	obj.mu.Lock()
 //	  (fast path? -> unlock, return)
@@ -43,11 +47,31 @@ func popFront[W any](q *[]W) W {
 }
 
 // Mutex is a blocking lock with FIFO handoff to waiters
-// (pthread_mutex_t).
+// (pthread_mutex_t). Its word holds the holder's ID() << 1 (0: free),
+// plus waitBit while waiters, which mu guards, is non-empty. Lock and
+// Unlock are one CAS each unless waitBit is set; then Unlock hands the
+// word to the first waiter, so no locker overtakes one.
 type Mutex struct {
+	word    atomic.Int64
 	mu      sync.Mutex
-	owner   Thread
 	waiters []Thread
+}
+
+const waitBit = 1
+
+// mutexStep, when set, runs before each access to a mutex word or its
+// mu (locking): the model test gates threads one step at a time.
+var mutexStep func(t Thread, locking bool)
+
+func step(t Thread, locking bool) {
+	if mutexStep != nil {
+		mutexStep(t, locking)
+	}
+}
+
+func (m *Mutex) cas(t Thread, from, to int64) bool {
+	step(t, false)
+	return m.word.CompareAndSwap(from, to)
 }
 
 // Lock acquires m, blocking t while another thread holds it.
@@ -56,69 +80,70 @@ func (m *Mutex) Lock(b Backend, t Thread) {
 	// Pause before acquiring, never while holding: a quantum pause
 	// inside a critical section would convoy other threads needing m.
 	b.Pause(t)
-	m.mu.Lock()
-	if m.owner == nil {
-		m.owner = t
+	me := t.ID() << 1
+	for !m.cas(t, 0, me) {
+		step(t, true)
+		m.mu.Lock()
+		step(t, false)
+		w := m.word.Load()
+		if w&^waitBit == me {
+			m.mu.Unlock()
+			panic(fmt.Sprintf("pthread: %s locking a mutex it already holds", t.Name()))
+		}
+		// Held: set waitBit and register. Freed meanwhile, or the CAS
+		// lost a race: retry.
+		if w != 0 && (w&waitBit != 0 || m.cas(t, w, w|waitBit)) {
+			stamp := b.LockStamp(t)
+			b.BlockPrep(t)
+			m.waiters = append(m.waiters, t)
+			m.mu.Unlock()
+			b.Park(t)
+			// Unlock transferred ownership to t before waking it.
+			b.LockAcquired(t, stamp)
+			return
+		}
 		m.mu.Unlock()
-		b.LockAcquired(t, NoWait)
-		return
 	}
-	if m.owner == t {
-		m.mu.Unlock()
-		panic(fmt.Sprintf("pthread: %s locking a mutex it already holds", t.Name()))
-	}
-	stamp := b.LockStamp(t)
-	b.BlockPrep(t)
-	m.waiters = append(m.waiters, t)
-	m.mu.Unlock()
-	b.Park(t)
-	// Unlock transferred ownership to t before waking it.
-	b.LockAcquired(t, stamp)
+	b.LockAcquired(t, NoWait)
 }
 
 // TryLock acquires m if it is free and reports whether it did.
 func (m *Mutex) TryLock(b Backend, t Thread) bool {
 	b.SyncOp(t, "TryLock", core.CostOp)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.owner != nil {
-		return false
-	}
-	m.owner = t
-	return true
+	return m.cas(t, 0, t.ID()<<1)
 }
 
 // Unlock releases m, handing it to the longest waiter if any.
 func (m *Mutex) Unlock(b Backend, t Thread) {
 	b.SyncOp(t, "Unlock", core.CostOp)
-	m.mu.Lock()
-	if m.owner != t {
+	me := t.ID() << 1
+	if !m.cas(t, me, 0) {
+		// Only t clears waitBit, and waiters is not empty while it is
+		// set. The handoff keeps waitBit while others still wait.
+		step(t, true)
+		m.mu.Lock()
+		n := len(m.waiters)
+		if n == 0 || !m.cas(t, me|waitBit, m.waiters[0].ID()<<1|int64(min(n-1, waitBit))) {
+			m.mu.Unlock()
+			panic(fmt.Sprintf("pthread: %s unlocking a mutex it does not hold", t.Name()))
+		}
+		w := popFront(&m.waiters)
 		m.mu.Unlock()
-		panic(fmt.Sprintf("pthread: %s unlocking a mutex it does not hold", t.Name()))
-	}
-	m.owner = nil
-	if len(m.waiters) > 0 {
-		m.owner = popFront(&m.waiters)
-	}
-	w := m.owner
-	m.mu.Unlock()
-	if w != nil {
 		b.Wake(t, w)
 	}
 	b.Pause(t)
 }
 
 // holds reports whether t owns m.
-func (m *Mutex) holds(t Thread) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.owner == t
-}
+func (m *Mutex) holds(t Thread) bool { return m.word.Load()&^waitBit == t.ID()<<1 }
 
 // Cond is a condition variable used with a Mutex (pthread_cond_t).
 type Cond struct {
 	mu      sync.Mutex
 	waiters []condWaiter
+	// n is len(waiters), stored under mu. A waiter registers before it
+	// releases the Mutex, so Signal and Broadcast skip mu when n is 0.
+	n atomic.Int64
 }
 
 // condWaiter is a thread blocked in Wait, or in WaitTimeout with its
@@ -194,6 +219,7 @@ func (c *Cond) wait(b Backend, t Thread, mu *Mutex, timed bool, d vtime.Duration
 		})
 	}
 	c.waiters = append(c.waiters, w)
+	c.n.Store(int64(len(c.waiters)))
 	c.mu.Unlock()
 	mu.Unlock(b, t)
 	b.Park(t)
@@ -206,20 +232,28 @@ func (c *Cond) wait(b Backend, t Thread, mu *Mutex, timed bool, d vtime.Duration
 // timed out, if any.
 func (c *Cond) Signal(b Backend, t Thread) {
 	b.SyncOp(t, "Cond.Signal", core.CostOp)
+	if c.n.Load() == 0 {
+		return
+	}
 	c.mu.Lock()
 	for len(c.waiters) > 0 {
 		if w := popFront(&c.waiters); w.claim() {
+			c.n.Store(int64(len(c.waiters)))
 			c.mu.Unlock()
 			w.wake(b, t)
 			return
 		}
 	}
+	c.n.Store(0)
 	c.mu.Unlock()
 }
 
 // Broadcast wakes every waiter.
 func (c *Cond) Broadcast(b Backend, t Thread) {
 	b.SyncOp(t, "Cond.Broadcast", core.CostOp)
+	if c.n.Load() == 0 {
+		return
+	}
 	c.mu.Lock()
 	// The released list is handed off whole: a waker on another
 	// processor may register new waiters before these are all woken.
@@ -230,6 +264,7 @@ func (c *Cond) Broadcast(b Backend, t Thread) {
 		}
 	}
 	c.waiters = nil
+	c.n.Store(0)
 	c.mu.Unlock()
 	for _, w := range ws {
 		w.wake(b, t)
@@ -483,23 +518,15 @@ func (rw *RWMutex) release(b Backend, t Thread, free bool) {
 // back-off bursts until the holder releases — the point of a spin lock,
 // and its danger.
 type SpinLock struct {
-	mu     sync.Mutex
-	holder Thread
-	spins  int64
+	holder atomic.Int64 // the holder's ID, 0 when free
+	spins  atomic.Int64
 }
 
 // Acquire takes the spin lock, spinning while it is held.
 func (l *SpinLock) Acquire(b Backend, t Thread) {
 	b.SyncOp(t, "SpinAcquire", core.CostOp)
-	for burst := 0; ; burst++ {
-		l.mu.Lock()
-		if l.holder == nil {
-			l.holder = t
-			l.mu.Unlock()
-			return
-		}
-		l.spins++
-		l.mu.Unlock()
+	for burst := 0; !l.holder.CompareAndSwap(0, t.ID()); burst++ {
+		l.spins.Add(1)
 		b.Spin(t, burst)
 	}
 }
@@ -507,18 +534,11 @@ func (l *SpinLock) Acquire(b Backend, t Thread) {
 // Release frees the spin lock.
 func (l *SpinLock) Release(b Backend, t Thread) {
 	b.SyncOp(t, "SpinRelease", core.CostOp)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.holder != t {
+	if !l.holder.CompareAndSwap(t.ID(), 0) {
 		panic(fmt.Sprintf("pthread: %s releasing a spin lock it does not hold", t.Name()))
 	}
-	l.holder = nil
 }
 
 // Spins reports the busy-wait bursts contended acquisitions have cost
 // so far (a contention diagnostic).
-func (l *SpinLock) Spins() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.spins
-}
+func (l *SpinLock) Spins() int64 { return l.spins.Load() }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,13 +13,17 @@ import (
 // sequential fake backend whose Park returns at once: BlockPrep runs
 // under the object lock, Park and Wake outside it.
 
-// name is a fake thread.
-type name string
+// thread is a fake thread; IDs, as on both backends, are distinct and
+// start at 1.
+type thread struct {
+	id   int64
+	name string
+}
 
-func (n name) ID() int64       { return 0 }
-func (n name) Name() string    { return string(n) }
-func (n name) TLSGet(any) any  { return nil }
-func (n name) TLSSet(any, any) {}
+func (f *thread) ID() int64       { return f.id }
+func (f *thread) Name() string    { return f.name }
+func (f *thread) TLSGet(any) any  { return nil }
+func (f *thread) TLSSet(any, any) {}
 
 // fake implements the primitives; the objects call nothing else.
 type fake struct {
@@ -77,17 +82,35 @@ func (f *fake) wantWoken(want ...Thread) {
 	f.woken = nil
 }
 
+// wantPanic runs f and fails t unless it panics with a message
+// containing want.
+func wantPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
 func TestLockOrder(t *testing.T) {
-	a, b := name("a"), name("b")
+	a, b := &thread{1, "a"}, &thread{2, "b"}
 
 	t.Run("mutex", func(t *testing.T) {
 		var m Mutex
 		f := &fake{t: t, obj: &m.mu}
 		m.Lock(f, a)
 		m.Lock(f, b) // blocks
+		// Misuse on the slow paths releases the object lock as it panics.
+		wantPanic(t, "does not hold", func() { m.Unlock(f, &thread{3, "c"}) })
+		wantPanic(t, "already holds", func() { m.Lock(f, a) })
 		m.Unlock(f, a)
 		f.wantWoken(b)
 		m.Unlock(f, b) // ownership was handed to b
+		if w := m.word.Load(); w != 0 {
+			t.Errorf("word %#x after the last unlock, want 0", w)
+		}
 	})
 
 	t.Run("cond", func(t *testing.T) {
@@ -125,6 +148,13 @@ func TestLockOrder(t *testing.T) {
 		mu.Unlock(f, b)
 		c.Signal(f, a)
 		f.wantWoken()
+
+		// With no waiter left, Signal and Broadcast leave the object
+		// lock alone: here they would deadlock on it.
+		c.mu.Lock()
+		c.Signal(f, a)
+		c.Broadcast(f, a)
+		c.mu.Unlock()
 	})
 
 	t.Run("semaphore", func(t *testing.T) {

@@ -243,8 +243,9 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Quantile returns an upper bound on the q-quantile (0 <= q <= 1),
-// resolved to the enclosing power-of-two bucket.
+// Quantile estimates the q-quantile (0 <= q <= 1): within its
+// power-of-two bucket [lo, 2lo) it takes the bucket's observations as
+// spread evenly and interpolates by rank, clamped to the maximum.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
@@ -256,16 +257,13 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	var seen int64
 	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen >= target {
+		n := h.buckets[i].Load()
+		if seen += n; seen >= target {
 			if i == 0 {
 				return 0
 			}
-			hi := int64(1)<<uint(i) - 1
-			if hi > max {
-				hi = max
-			}
-			return hi
+			lo, rank := int64(1)<<uint(i-1), target-(seen-n)
+			return min(lo+int64(float64(lo-1)*float64(rank)/float64(n)), max)
 		}
 	}
 	return max
@@ -278,7 +276,7 @@ type GaugeValue struct {
 }
 
 // HistogramValue is a histogram's state in a snapshot. P50/P90/P99 are
-// power-of-two-bucket upper bounds.
+// interpolated within power-of-two buckets.
 type HistogramValue struct {
 	Count int64   `json:"count"`
 	Sum   int64   `json:"sum"`

@@ -83,6 +83,22 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileShift: latencies spread log-uniformly over three
+// power-of-two buckets, then shifted by 1.3x. p50 stays inside the
+// bucket [2048, 4096) but must rise with them, by interpolating by rank
+// within that bucket rather than reporting its upper bound.
+func TestHistogramQuantileShift(t *testing.T) {
+	r := metrics.NewRegistry()
+	base, shifted := r.Histogram("base"), r.Histogram("shifted")
+	for v := 1000.0; v < 8000; v *= 1.01 {
+		base.Observe(int64(v))
+		shifted.Observe(int64(1.3 * v))
+	}
+	if b, s := base.Quantile(0.5), shifted.Quantile(0.5); float64(s) < 1.15*float64(b) || s >= 4095 {
+		t.Errorf("p50 %d before a 1.3x shift, %d after: want a rise of at least 15%% below 4095", b, s)
+	}
+}
+
 // TestSnapshotJSONDeterministic: a snapshot marshals to identical JSON
 // across calls (map keys are sorted by encoding/json), which the bench
 // output relies on.

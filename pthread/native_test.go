@@ -184,6 +184,43 @@ func TestNativeDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestNativeMutexStress: threads on two processors add to a plain
+// counter under one mutex, taking it by TryLock on every third add and
+// by Lock otherwise, and yielding inside every seventh critical section
+// so that lockers block and are handed the lock. Under -race, a lost
+// handoff or a missing happens-before edge shows as a race or a short
+// total.
+func TestNativeMutexStress(t *testing.T) {
+	const threads, adds = 6, 2000
+	var (
+		mu    pthread.Mutex
+		count int
+	)
+	_, err := pthread.Run(nativeCfg(2), func(mt *pthread.T) {
+		hs := make([]*pthread.Thread, threads)
+		for i := range hs {
+			hs[i] = mt.Create(func(ct *pthread.T) {
+				for k := 0; k < adds; k++ {
+					if k%3 != 0 || !mu.TryLock(ct) {
+						mu.Lock(ct)
+					}
+					if count++; k%7 == 0 {
+						ct.Yield()
+					}
+					mu.Unlock(ct)
+				}
+			})
+		}
+		mt.JoinAll(hs...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != threads*adds {
+		t.Errorf("count = %d, want %d", count, threads*adds)
+	}
+}
+
 func TestNativeThreadPanicReported(t *testing.T) {
 	_, err := pthread.Run(nativeCfg(2), func(mt *pthread.T) {
 		h := mt.Create(func(*pthread.T) { panic("boom") })

@@ -7,6 +7,7 @@ package pthread_test
 // sim-only. Run these under -race.
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -334,6 +335,46 @@ func TestTryLock(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestMutexMisuse: relocking a held mutex, unlocking one that is free
+// or held by another thread, and waiting on a condition without holding
+// its mutex each fail the run with the panic that names the misuse.
+func TestMutexMisuse(t *testing.T) {
+	const relock, unheld, nomutex = "locking a mutex it already holds",
+		"unlocking a mutex it does not hold", "waiting on a condition without holding the mutex"
+	cases := []struct {
+		name, want string
+		body       func(tt *pthread.T, mu *pthread.Mutex, c *pthread.Cond)
+	}{
+		{"relock", relock, func(tt *pthread.T, mu *pthread.Mutex, _ *pthread.Cond) {
+			mu.Lock(tt)
+			mu.Lock(tt)
+		}},
+		{"unlock-free", unheld, func(tt *pthread.T, mu *pthread.Mutex, _ *pthread.Cond) { mu.Unlock(tt) }},
+		{"unlock-other", unheld, func(tt *pthread.T, mu *pthread.Mutex, _ *pthread.Cond) {
+			mu.Lock(tt)
+			tt.MustJoin(tt.Create(func(ct *pthread.T) { mu.Unlock(ct) }))
+		}},
+		{"wait-free", nomutex, func(tt *pthread.T, mu *pthread.Mutex, c *pthread.Cond) { c.Wait(tt, mu) }},
+		{"wait-other", nomutex, func(tt *pthread.T, mu *pthread.Mutex, c *pthread.Cond) {
+			mu.Lock(tt)
+			tt.MustJoin(tt.Create(func(ct *pthread.T) { c.Wait(ct, mu) }))
+		}},
+	}
+	eachBackend(t, func(t *testing.T, backend pthread.Backend) {
+		for _, tc := range cases {
+			var (
+				mu pthread.Mutex
+				c  pthread.Cond
+			)
+			cfg := pthread.Config{Procs: 2, Policy: pthread.PolicyADF, Backend: backend}
+			_, err := pthread.Run(cfg, func(tt *pthread.T) { tc.body(tt, &mu, &c) })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+			}
 		}
 	})
 }
