@@ -45,8 +45,8 @@ func (m *Machine) Fork(t *Thread, attr Attr, body Body) *Thread {
 	if fresh {
 		// A fresh stack required mapping address space in the kernel; a
 		// cached one avoided the allocator entirely.
-		m.heapOp(t)
-		m.kernelOp(t)
+		m.memLockWait(t, m.heapLock)
+		m.memLockWait(t, m.kernelLock)
 	}
 	child.span = t.span
 	if m.policy.OnCreate(t, child) {
@@ -127,15 +127,14 @@ func (m *Machine) Malloc(t *Thread, n int64) Alloc {
 	}
 	addr, cost, fresh := m.mem.Alloc(n)
 	m.chargeMem(t, cost)
-	m.heapOp(t)
+	m.memLockWait(t, m.heapLock)
 	if fresh {
-		m.kernelOp(t)
+		m.memLockWait(t, m.kernelLock)
 	}
 	a := Alloc{Addr: addr, Size: n}
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindAlloc, n)
 	}
-	m.ins.allocs.Inc()
 	if m.policy.Quota() > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
@@ -158,11 +157,10 @@ func (m *Machine) Free(t *Thread, a Alloc) {
 		return
 	}
 	m.chargeMem(t, m.mem.Free(a.Addr, a.Size))
-	m.heapOp(t)
+	m.memLockWait(t, m.heapLock)
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindFree, a.Size)
 	}
-	m.ins.frees.Inc()
 	t.maybePause()
 }
 

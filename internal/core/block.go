@@ -77,18 +77,19 @@ func (m *Machine) Spin(t *Thread, burst int) {
 // acquisition.
 func (m *Machine) LockStamp(t *Thread) int64 { return int64(t.proc.clock) }
 
-// LockAcquired records a mutex acquisition and its blocked time since
+// LockAcquired traces a mutex acquisition and its blocked time since
 // stamp (negative: it did not block). The waker's processor may trail
 // the blocker's clock, so the wait clamps at zero.
 func (m *Machine) LockAcquired(t *Thread, stamp int64) {
+	tr := m.cfg.Tracer
+	if tr == nil {
+		return
+	}
 	var waited int64
 	if w := int64(t.proc.clock) - stamp; stamp >= 0 && w > 0 {
 		waited = w
 	}
-	if tr := m.cfg.Tracer; tr != nil {
-		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindLockAcquire, waited)
-	}
-	m.ins.mutexWait.Observe(waited)
+	tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindLockAcquire, waited)
 }
 
 // JoinSpan raises t's critical-path length to w's if w's is longer.

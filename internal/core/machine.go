@@ -85,13 +85,6 @@ type Machine struct {
 
 	readyAt timeHeap // one entry per ready thread: when it became ready
 
-	// clocks indexes the processor clocks (split busy/idle) so that
-	// minClock and pickProc descend an O(log p) tournament tree instead
-	// of scanning every processor each scheduling step. Every clock
-	// mutation goes through tick/liftClock and every cur transition
-	// through markBusy/markIdle to keep it exact.
-	clocks *clockIndex
-
 	// sleepers holds threads parked by Sleep until a virtual deadline.
 	sleepers []sleeper
 
@@ -101,7 +94,6 @@ type Machine struct {
 	batch      int
 	batchNext  BatchNexter
 	qinPending int64 // Q_in entries since the last scheduler pass
-	qoutTotal  int   // threads parked across all Q_outs
 
 	nextID   int64
 	live     int
@@ -133,45 +125,26 @@ type Machine struct {
 // instruments are the machine's metric handles, resolved once at build
 // time so hot paths never do registry lookups.
 type instruments struct {
-	dispatches     *metrics.Counter   // sched.dispatches
-	dispatchWait   *metrics.Histogram // sched.dispatch.wait (cycles)
-	schedLockWait  *metrics.Histogram // sched.lock.wait (cycles)
-	heapLockWait   *metrics.Histogram // heap.lock.wait (cycles)
-	kernelLockWait *metrics.Histogram // kernel.lock.wait (cycles)
-	mutexWait      *metrics.Histogram // sync.mutex.wait (cycles)
-	quotaPreempts  *metrics.Counter   // sched.quota.preempts
-	dummyForks     *metrics.Counter   // sched.dummy.forks
-	allocs         *metrics.Counter   // mem.allocs
-	frees          *metrics.Counter   // mem.frees
-	liveThreads    *metrics.Gauge     // threads.live
-
-	// Batched-scheduler instruments, bound only when a batched mode is
-	// active so direct-mode snapshots are unchanged.
-	batchPasses *metrics.Counter   // sched.batch.passes
-	batchRefill *metrics.Histogram // sched.batch.refill (threads moved per pass)
-	qinDrained  *metrics.Counter   // sched.qin.drained
-	qoutOcc     *metrics.Gauge     // sched.qout.occupancy
+	dispatches    *metrics.Counter   // sched.dispatches
+	dispatchWait  *metrics.Histogram // sched.dispatch.wait (cycles)
+	schedLockWait *metrics.Histogram // sched.lock.wait (cycles)
+	quotaPreempts *metrics.Counter   // sched.quota.preempts
+	dummyForks    *metrics.Counter   // sched.dummy.forks
+	// batchPasses (sched.batch.passes) is bound only in a batched mode,
+	// so direct-mode snapshots do not list it.
+	batchPasses *metrics.Counter
 }
 
 func (m *Machine) bindInstruments(r *metrics.Registry) {
 	m.ins = instruments{
-		dispatches:     r.Counter("sched.dispatches"),
-		dispatchWait:   r.Histogram("sched.dispatch.wait"),
-		schedLockWait:  r.Histogram("sched.lock.wait"),
-		heapLockWait:   r.Histogram("heap.lock.wait"),
-		kernelLockWait: r.Histogram("kernel.lock.wait"),
-		mutexWait:      r.Histogram("sync.mutex.wait"),
-		quotaPreempts:  r.Counter("sched.quota.preempts"),
-		dummyForks:     r.Counter("sched.dummy.forks"),
-		allocs:         r.Counter("mem.allocs"),
-		frees:          r.Counter("mem.frees"),
-		liveThreads:    r.Gauge("threads.live"),
+		dispatches:    r.Counter("sched.dispatches"),
+		dispatchWait:  r.Histogram("sched.dispatch.wait"),
+		schedLockWait: r.Histogram("sched.lock.wait"),
+		quotaPreempts: r.Counter("sched.quota.preempts"),
+		dummyForks:    r.Counter("sched.dummy.forks"),
 	}
 	if m.batch > 1 {
 		m.ins.batchPasses = r.Counter("sched.batch.passes")
-		m.ins.batchRefill = r.Histogram("sched.batch.refill")
-		m.ins.qinDrained = r.Counter("sched.qin.drained")
-		m.ins.qoutOcc = r.Gauge("sched.qout.occupancy")
 	}
 }
 
@@ -248,7 +221,6 @@ func New(cfg Config) (*Machine, error) {
 	for i := range m.procs {
 		m.procs[i] = &Proc{id: i, tlb: memsim.NewTLB(memsim.DefaultTLBEntries)}
 	}
-	m.clocks = newClockIndex(cfg.Procs)
 	m.bindInstruments(cfg.Metrics)
 	return m, nil
 }
@@ -420,53 +392,15 @@ func (m *Machine) wakeSleeper(s sleeper) {
 	}
 }
 
-// pickProc selects the runnable processor with the smallest virtual
-// clock (ties broken by id), or nil if no processor can make progress.
-// A busy processor's key is its clock; an idle one competes only while
-// ready work exists, keyed at max(clock, earliest ready time). Both
-// candidates come from O(log p) clock-tree descents; the seed scanned
-// every processor here on every scheduling step.
+// pickProc selects the runnable processor with the smallest key, ties
+// broken by id, or nil if no processor can make progress. A busy
+// processor's key is its clock. An idle one competes only while ready
+// work exists: keyed at max(clock, its Q_out front's time) when it holds
+// prefetched work (batched modes), else at max(clock, earliest ready
+// time). One scan serves both modes. A clock index would replace it with
+// an O(log p) descent, but every clock advance would then have to update
+// the index; measured up to p = 1024 (DESIGN §5), the two cost the same.
 func (m *Machine) pickProc() *Proc {
-	if m.batch > 1 {
-		return m.pickProcBatched()
-	}
-	busyID := m.clocks.busy.minProc()
-	idleID := -1
-	var idleKey vtime.Time
-	if m.readyAt.len() > 0 {
-		r := m.readyAt.min()
-		// Idle processors at or behind the ready time share the
-		// effective key r, so the seed's ascending-id scan picked the
-		// smallest id among them; otherwise every idle key is the
-		// processor's own clock and the smallest (clock, id) wins.
-		if id := m.clocks.idle.leftmostLeq(r); id >= 0 {
-			idleID, idleKey = id, r
-		} else if id := m.clocks.idle.minProc(); id >= 0 {
-			idleID, idleKey = id, m.procs[id].clock
-		}
-	}
-	switch {
-	case busyID < 0 && idleID < 0:
-		return nil
-	case idleID < 0:
-		return m.procs[busyID]
-	case busyID < 0:
-		return m.procs[idleID]
-	}
-	if busyKey := m.procs[busyID].clock; busyKey < idleKey ||
-		(busyKey == idleKey && busyID < idleID) {
-		return m.procs[busyID]
-	}
-	return m.procs[idleID]
-}
-
-// pickProcBatched is pickProc for the two-level scheduler: an idle
-// processor may hold prefetched work in its Q_out, which competes at the
-// entry's availability time instead of the global readyAt minimum. The
-// linear scan over processors is deliberate — the batched modes target
-// p <= 64 where the scan is cheap, and the clock trees stay exact for
-// the direct path's O(log p) descent.
-func (m *Machine) pickProcBatched() *Proc {
 	var best *Proc
 	var bestKey vtime.Time
 	haveReady := m.readyAt.len() > 0
@@ -475,20 +409,13 @@ func (m *Machine) pickProcBatched() *Proc {
 		readyMin = m.readyAt.min()
 	}
 	for _, p := range m.procs {
-		var key vtime.Time
+		key := p.clock
 		switch {
 		case p.cur != nil:
-			key = p.clock
 		case len(p.qout) > 0:
-			key = p.clock
-			if at := p.qoutAt[0]; at > key {
-				key = at
-			}
+			key = max(key, p.qoutAt[0])
 		case haveReady:
-			key = p.clock
-			if readyMin > key {
-				key = readyMin
-			}
+			key = max(key, readyMin)
 		default:
 			continue
 		}
@@ -539,8 +466,6 @@ func (m *Machine) dispatchBatched(p *Proc) {
 	t := p.qout[0]
 	p.qout = p.qout[1:]
 	p.qoutAt = p.qoutAt[1:]
-	m.qoutTotal--
-	m.ins.qoutOcc.Set(int64(m.qoutTotal))
 	p.stats.Sched += m.cm.SchedLocalOp
 	m.tick(p, m.cm.SchedLocalOp)
 	m.ins.dispatchWait.Observe(int64(p.clock - at))
@@ -606,14 +531,7 @@ func (m *Machine) schedulerPass(p *Proc) {
 	}
 	p.stats.Sched += cost
 	m.tick(p, cost)
-	if wait := m.schedLock.wait(p.clock); wait > 0 {
-		p.stats.LockWait += wait
-		m.tick(p, wait)
-		m.ins.schedLockWait.Observe(int64(wait))
-	}
-	if m.schedLock.size() > 1<<14 {
-		m.schedLock.prune(m.minClock())
-	}
+	m.schedLockWait(p, m.schedLock)
 	passDone := p.clock
 	// Deal round-robin starting at the requester; each Q_out receives its
 	// share in leftmost-first order, available once the pass completes.
@@ -622,11 +540,7 @@ func (m *Machine) schedulerPass(p *Proc) {
 		q.qout = append(q.qout, t)
 		q.qoutAt = append(q.qoutAt, passDone)
 	}
-	m.qoutTotal += n
 	m.ins.batchPasses.Inc()
-	m.ins.batchRefill.Observe(int64(n))
-	m.ins.qinDrained.Add(drained)
-	m.ins.qoutOcc.Set(int64(m.qoutTotal))
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(passDone, p.id, 0, trace.KindBatchRefill, int64(n))
 	}
@@ -637,7 +551,6 @@ func (m *Machine) assign(p *Proc, t *Thread) {
 	t.state = StateRunning
 	t.proc = p
 	p.cur = t
-	m.markBusy(p)
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.Record(p.clock, p.id, t.ID, trace.KindDispatch)
 	}
@@ -673,7 +586,6 @@ func (m *Machine) apply(t *Thread, act action) {
 		t.state = StateBlocked
 		t.proc = nil
 		p.cur = nil
-		m.markIdle(p)
 	case actPreempt, actYield:
 		if tr := m.cfg.Tracer; tr != nil {
 			tr.Record(p.clock, p.id, t.ID, trace.KindPreempt)
@@ -681,7 +593,6 @@ func (m *Machine) apply(t *Thread, act action) {
 		next := act.next
 		t.proc = nil
 		p.cur = nil
-		m.markIdle(p)
 		m.queueOp(p)
 		m.becomeReady(t, p.id)
 		if next != nil {
@@ -715,10 +626,8 @@ func (m *Machine) handleExit(p *Proc, t *Thread) {
 	}
 	delete(m.liveThreads, t.ID)
 	m.live--
-	m.ins.liveThreads.Set(int64(m.live))
 	t.proc = nil
 	p.cur = nil
-	m.markIdle(p)
 	if t.joiner != nil {
 		j := t.joiner
 		t.joiner = nil
@@ -771,35 +680,31 @@ func (m *Machine) queueOp(p *Proc) {
 	}
 	p.stats.Sched += m.cm.SchedLockOp
 	m.tick(p, m.cm.SchedLockOp)
-	if !m.policy.Global() {
-		return
-	}
-	if wait := m.schedLock.wait(p.clock); wait > 0 {
-		p.stats.LockWait += wait
-		m.tick(p, wait)
-		m.ins.schedLockWait.Observe(int64(wait))
-	}
-	if m.schedLock.size() > 1<<14 {
-		m.schedLock.prune(m.minClock())
+	if m.policy.Global() {
+		m.schedLockWait(p, m.schedLock)
 	}
 }
 
 // shardLockOp charges one critical section on shard's lock to p: the
 // operation cost plus contention with other same-shard operations in the
-// window. Shard lock waits feed the same sched.lock.wait instrument as
-// the global lock so the contention experiment compares like for like.
+// window.
 func (m *Machine) shardLockOp(p *Proc, shard int) {
 	p.stats.Sched += m.cm.SchedShardLockOp
 	m.tick(p, m.cm.SchedShardLockOp)
-	l := m.shardLocks[shard%len(m.shardLocks)]
+	m.schedLockWait(p, m.shardLocks[shard%len(m.shardLocks)])
+}
+
+// schedLockWait charges p's wait for scheduler lock l (the global lock
+// or one shard's) as lock-wait time. Shard lock waits feed the same
+// sched.lock.wait instrument as the global lock, so the contention
+// experiments compare like for like.
+func (m *Machine) schedLockWait(p *Proc, l *contention) {
 	if wait := l.wait(p.clock); wait > 0 {
 		p.stats.LockWait += wait
 		m.tick(p, wait)
 		m.ins.schedLockWait.Observe(int64(wait))
 	}
-	if l.size() > 1<<14 {
-		l.prune(m.minClock())
-	}
+	m.prune(l)
 }
 
 // chargeSteal settles the cost of the sharded policy's most recent Next:
@@ -824,53 +729,40 @@ func (m *Machine) chargeSteal(p *Proc, t *Thread) {
 	}
 }
 
-// heapOp charges allocator-lock contention for a heap operation on
-// thread t's processor.
-func (m *Machine) heapOp(t *Thread) {
-	p := t.proc
-	if wait := m.heapLock.wait(p.clock); wait > 0 {
+// memLockWait charges thread t's wait for memory lock l as memory
+// time: the heap allocator's lock for a heap operation, or the
+// kernel's address-space lock for a kernel memory call (fresh stack or
+// heap growth).
+func (m *Machine) memLockWait(t *Thread, l *contention) {
+	if wait := l.wait(t.proc.clock); wait > 0 {
 		m.chargeMem(t, wait)
-		m.ins.heapLockWait.Observe(int64(wait))
 	}
-	if m.heapLock.size() > 1<<14 {
-		m.heapLock.prune(m.minClock())
-	}
+	m.prune(l)
 }
 
-// kernelOp charges address-space-lock contention for a kernel memory
-// call (fresh stack or heap growth) on thread t's processor.
-func (m *Machine) kernelOp(t *Thread) {
-	p := t.proc
-	if wait := m.kernelLock.wait(p.clock); wait > 0 {
-		m.chargeMem(t, wait)
-		m.ins.kernelLockWait.Observe(int64(wait))
-	}
-	if m.kernelLock.size() > 1<<14 {
-		m.kernelLock.prune(m.minClock())
+// prune drops l's windows that no processor can reach any more, once
+// l holds more than 2^14 of them.
+func (m *Machine) prune(l *contention) {
+	if l.size() > 1<<14 {
+		l.prune(m.minClock())
 	}
 }
 
 // minClock is the smallest processor clock; contention windows older
 // than this cannot receive further operations.
 func (m *Machine) minClock() vtime.Time {
-	return m.clocks.min()
+	lo := m.procs[0].clock
+	for _, p := range m.procs[1:] {
+		lo = min(lo, p.clock)
+	}
+	return lo
 }
 
-// tick advances p's clock by d and keeps the clock index exact.
-func (m *Machine) tick(p *Proc, d vtime.Duration) {
-	p.clock += vtime.Time(d)
-	m.clocks.update(p.id, p.clock)
-}
+// tick advances p's clock by d.
+func (m *Machine) tick(p *Proc, d vtime.Duration) { p.clock += vtime.Time(d) }
 
 // liftClock raises p's clock to at (never backwards).
-func (m *Machine) liftClock(p *Proc, at vtime.Time) {
-	p.clock = at
-	m.clocks.update(p.id, p.clock)
-}
-
-// markBusy and markIdle mirror p.cur transitions into the clock index.
-func (m *Machine) markBusy(p *Proc) { m.clocks.setBusy(p.id, true, p.clock) }
-func (m *Machine) markIdle(p *Proc) { m.clocks.setBusy(p.id, false, p.clock) }
+func (m *Machine) liftClock(p *Proc, at vtime.Time) { p.clock = at }
 
 func (m *Machine) newThread(attr Attr, body Body) *Thread {
 	CheckPriority(attr.Priority)
@@ -905,7 +797,6 @@ func (m *Machine) admit(t *Thread) {
 		m.peakLive = m.live
 	}
 	m.liveThreads[t.ID] = t
-	m.ins.liveThreads.Set(int64(m.live))
 }
 
 func (m *Machine) recordPanic(t *Thread, r any) {

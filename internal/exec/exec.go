@@ -101,9 +101,9 @@ type Backend interface {
 	// failed burst+1 times.
 	Spin(t Thread, burst int)
 	// LockStamp marks the start of a blocking mutex acquisition;
-	// LockAcquired records an acquisition for sync.mutex.wait and
-	// KindLockAcquire, with the wait since stamp (NoWait: none). Cycles
-	// on the sim, wall ns on native.
+	// LockAcquired traces an acquisition as KindLockAcquire, with the
+	// wait since stamp (NoWait: none). Cycles on the sim, wall ns on
+	// native.
 	LockStamp(t Thread) int64
 	LockAcquired(t Thread, stamp int64)
 	// JoinSpans joins the critical paths of a barrier's releaser t and

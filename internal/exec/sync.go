@@ -147,7 +147,8 @@ type Cond struct {
 }
 
 // condWaiter is a thread blocked in Wait, or in WaitTimeout with its
-// timer.
+// timer. A listed waiter's timer is unclaimed: a timeout that wins its
+// claim takes the waiter off the list.
 type condWaiter struct {
 	t     Thread
 	timer *condTimer
@@ -171,9 +172,13 @@ func (tm *condTimer) claim(timeout bool) bool {
 	return true
 }
 
-// claim reports whether a signal may wake w: always, unless a timed
-// wait already timed out. Caller holds c.mu.
-func (w condWaiter) claim() bool { return w.timer == nil || w.timer.claim(false) }
+// signalled claims a listed waiter for a signal, so that its timer's
+// later claim loses. Caller holds c.mu.
+func (w condWaiter) signalled() {
+	if w.timer != nil {
+		w.timer.claim(false)
+	}
+}
 
 // wake readies a claimed waiter from by's processor; its timer then no
 // longer counts as a pending wake source.
@@ -215,7 +220,11 @@ func (c *Cond) wait(b Backend, t Thread, mu *Mutex, timed bool, d vtime.Duration
 		tm.disarm = b.WakeAfter(t, d, func() bool {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return tm.claim(true)
+			if !tm.claim(true) {
+				return false
+			}
+			c.drop(tm)
+			return true
 		})
 	}
 	c.waiters = append(c.waiters, w)
@@ -228,24 +237,34 @@ func (c *Cond) wait(b Backend, t Thread, mu *Mutex, timed bool, d vtime.Duration
 	return timed && w.timer.timedOut
 }
 
-// Signal wakes the longest waiter whose timed wait has not already
-// timed out, if any.
+// drop takes the waiter whose timer tm just timed out off the list.
+// Caller holds c.mu.
+func (c *Cond) drop(tm *condTimer) {
+	for i, w := range c.waiters {
+		if w.timer == tm {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			break
+		}
+	}
+	c.n.Store(int64(len(c.waiters)))
+}
+
+// Signal wakes the longest waiter, if any.
 func (c *Cond) Signal(b Backend, t Thread) {
 	b.SyncOp(t, "Cond.Signal", core.CostOp)
 	if c.n.Load() == 0 {
 		return
 	}
 	c.mu.Lock()
-	for len(c.waiters) > 0 {
-		if w := popFront(&c.waiters); w.claim() {
-			c.n.Store(int64(len(c.waiters)))
-			c.mu.Unlock()
-			w.wake(b, t)
-			return
-		}
+	if len(c.waiters) == 0 { // a signal or a timeout took the last one
+		c.mu.Unlock()
+		return
 	}
-	c.n.Store(0)
+	w := popFront(&c.waiters)
+	w.signalled()
+	c.n.Store(int64(len(c.waiters)))
 	c.mu.Unlock()
+	w.wake(b, t)
 }
 
 // Broadcast wakes every waiter.
@@ -257,11 +276,9 @@ func (c *Cond) Broadcast(b Backend, t Thread) {
 	c.mu.Lock()
 	// The released list is handed off whole: a waker on another
 	// processor may register new waiters before these are all woken.
-	ws := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w.claim() {
-			ws = append(ws, w)
-		}
+	ws := c.waiters
+	for _, w := range ws {
+		w.signalled()
 	}
 	c.waiters = nil
 	c.n.Store(0)

@@ -208,3 +208,31 @@ func TestLockOrder(t *testing.T) {
 		f.wantWoken(a)
 	})
 }
+
+// TestCondTimeoutsLeaveNoWaiters: a timed wait that times out takes its
+// waiter off the list, so a thread polling with timeouts and no
+// signaller leaves none behind, and a later Signal finds no waiter
+// without taking the object lock.
+func TestCondTimeoutsLeaveNoWaiters(t *testing.T) {
+	var (
+		mu Mutex
+		c  Cond
+	)
+	a := &thread{1, "a"}
+	f := &fake{t: t, obj: &c.mu}
+	for i := 0; i < 1000; i++ {
+		mu.Lock(f, a)
+		c.WaitTimeout(f, a, &mu, 1) // Park returns at once; the timer fires next
+		if !f.claim() {
+			t.Fatalf("wait %d: timeout lost its claim with no signal", i)
+		}
+		mu.Unlock(f, a)
+	}
+	if len(c.waiters) != 0 || c.n.Load() != 0 {
+		t.Fatalf("after 1000 timed-out waits: %d waiters, n = %d; want 0 and 0", len(c.waiters), c.n.Load())
+	}
+	c.mu.Lock() // held: a Signal that took it would deadlock here
+	c.Signal(f, a)
+	c.mu.Unlock()
+	f.wantWoken()
+}

@@ -196,7 +196,6 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 		b.forkDummies(t, d)
 	}
 	addr := b.mem.allocHeap(n)
-	b.allocTally.Add(1)
 	b.tracer.record(t.pid, t.ID(), trace.KindAlloc, n)
 	a := core.Alloc{Addr: addr, Size: n}
 	if b.quota > 0 {
@@ -217,7 +216,6 @@ func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
 	}
 	t := nt(pt)
 	b.mem.freeHeap(a.Size)
-	b.freeTally.Add(1)
 	b.tracer.record(t.pid, t.ID(), trace.KindFree, a.Size)
 }
 
@@ -357,21 +355,23 @@ func (b *Backend) Spin(t exec.Thread, burst int) {
 }
 
 // LockStamp implements exec.Backend: wall ns since the run began, read
-// only when a mutex-wait instrument is attached.
+// only when a tracer is attached.
 func (b *Backend) LockStamp(exec.Thread) int64 {
-	if b.mutexWait == nil && b.tracer == nil {
+	if b.tracer == nil {
 		return exec.NoWait
 	}
 	return b.sinceStart()
 }
 
 func (b *Backend) LockAcquired(pt exec.Thread, stamp int64) {
+	if b.tracer == nil {
+		return
+	}
 	var waited int64
 	if stamp != exec.NoWait {
 		waited = b.sinceStart() - stamp
 	}
 	t := nt(pt)
-	b.mutexWait.Observe(waited)
 	b.tracer.record(t.pid, t.ID(), trace.KindLockAcquire, waited)
 }
 

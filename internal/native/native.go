@@ -141,13 +141,10 @@ type Backend struct {
 
 	// Atomic tallies flushed into the metrics registry at stats time
 	// (these fire in thread context without the scheduler lock).
-	allocTally atomic.Int64
-	freeTally  atomic.Int64
 	dummyTally atomic.Int64
 	quotaTally atomic.Int64
 
-	registry  *metrics.Registry
-	liveGauge *metrics.Gauge
+	registry *metrics.Registry
 
 	// Native scheduler observability (all nil-safe when detached).
 	tracer       *tracer            // nil when no Config.Tracer
@@ -155,7 +152,6 @@ type Backend struct {
 	lockWait     *metrics.Histogram // wall ns blocked acquiring b.mu or a shard lock
 	dispatchWait *metrics.Histogram // wall ns from ready to dispatch
 	handoff      *metrics.Histogram // wall ns from a worker's resume to the resumed thread running
-	mutexWait    *metrics.Histogram // wall ns blocked in nativeMutex.Lock
 
 	workers []*worker
 	wg      sync.WaitGroup // workers
@@ -209,7 +205,6 @@ func New(cfg Config) (*Backend, error) {
 		quota:        cfg.Policy.Quota(),
 		defaultStack: stack,
 		registry:     reg,
-		liveGauge:    reg.Gauge("threads.live"),
 		workers:      make([]*worker, procs),
 	}
 	b.carriers = core.NewCarriers(procs)
@@ -220,7 +215,6 @@ func New(cfg Config) (*Backend, error) {
 	b.lockWait = reg.Histogram("sched.lock.wait")
 	b.dispatchWait = reg.Histogram("sched.dispatch.wait")
 	b.handoff = reg.Histogram("sched.resume.handoff")
-	b.mutexWait = reg.Histogram("sync.mutex.wait")
 	for i := range b.workers {
 		b.workers[i] = &worker{
 			dispatches: reg.Counter(fmt.Sprintf("sched.dispatches.w%d", i)),
@@ -472,9 +466,7 @@ func (b *Backend) putBack(t, next *thread, pid int) {
 
 // admit registers a freshly created thread.
 func (b *Backend) admit() {
-	live := b.live.Add(1)
-	atomicMax(&b.peakLive, live)
-	b.liveGauge.Set(live)
+	atomicMax(&b.peakLive, b.live.Add(1))
 }
 
 // exitThread performs exit bookkeeping on t's own coroutine, wakes its
@@ -507,9 +499,7 @@ func (b *Backend) exitThread(t *thread) *thread {
 			back = j
 		}
 	}
-	live := b.live.Add(-1)
-	b.liveGauge.Set(live)
-	if live == 0 {
+	if b.live.Add(-1) == 0 {
 		b.lock()
 		b.endLocked()
 		b.mu.Unlock()
@@ -591,8 +581,6 @@ func (b *Backend) stats() core.Stats {
 		r.Counter("sched.dispatches").Add(dispatches)
 		r.Counter("sched.quota.preempts").Add(b.quotaTally.Load())
 		r.Counter("sched.dummy.forks").Add(b.dummyTally.Load())
-		r.Counter("mem.allocs").Add(b.allocTally.Load())
-		r.Counter("mem.frees").Add(b.freeTally.Load())
 	}
 	st := core.Stats{
 		Policy:         b.policy.Name(),

@@ -48,26 +48,20 @@ type adfPolicy struct {
 	ready    int // ready entries across all levels
 	live     int // placeholder entries across all levels
 
-	// Gauges mirror the live/ready counters into an attached metrics
-	// registry (nil handles are no-ops), exposing the placeholder-list
-	// length — the quantity the S_1 + O(p·D) bound constrains — and the
-	// ready count over the run.
-	gLive  *metrics.Gauge // adf.placeholders
-	gReady *metrics.Gauge // adf.ready
+	// gLive mirrors live into an attached metrics registry (a nil
+	// handle is a no-op), exposing the placeholder-list length — the
+	// quantity the S_1 + O(p·D) bound constrains — over the run.
+	gLive *metrics.Gauge // adf.placeholders
 }
 
-// attachMetrics binds the policy's gauges to a registry.
+// attachMetrics binds the policy's gauge to a registry.
 func (p *adfPolicy) attachMetrics(r *metrics.Registry) {
 	p.gLive = r.Gauge("adf.placeholders")
-	p.gReady = r.Gauge("adf.ready")
 }
 
-// note publishes the counters after a mutation; a single nil check each
+// note publishes the live count after it changes; a single nil check
 // when no registry is attached.
-func (p *adfPolicy) note() {
-	p.gLive.Set(int64(p.live))
-	p.gReady.Set(int64(p.ready))
-}
+func (p *adfPolicy) note() { p.gLive.Set(int64(p.live)) }
 
 // adfLevel is one priority level's ordered placeholder structure. The
 // sequence of entries is the serial depth-first order; implementations
@@ -147,7 +141,6 @@ func (p *adfPolicy) OnCreate(parent, child *core.Thread) bool {
 func (p *adfPolicy) OnReady(t *core.Thread, pid int) {
 	if p.level(t).setReady(t) {
 		p.ready++
-		p.note()
 	}
 }
 
@@ -172,7 +165,6 @@ func (p *adfPolicy) Next(pid int) *core.Thread {
 			continue
 		}
 		p.ready--
-		p.note()
 		return l.takeLeftmostReady()
 	}
 	return nil

@@ -49,8 +49,9 @@ type Options struct {
 	// only if at most K ready threads precede the stolen thread in the
 	// serial depth-first order. <= 0 selects the default, Procs.
 	StealWindow int
-	// Metrics, when non-nil, attaches policy-internal gauges (currently
-	// ADF's placeholder-list length and ready count) to the registry.
+	// Metrics, when non-nil, attaches policy-internal instruments
+	// (ADF's placeholder-list length, the stealing policies' steal
+	// counts) to the registry.
 	Metrics *metrics.Registry
 }
 

@@ -45,7 +45,6 @@ type shardPolicy struct {
 	rejects int64
 
 	gLive   *metrics.Gauge   // adf.placeholders
-	gReady  *metrics.Gauge   // adf.ready
 	cSteal  *metrics.Counter // sched.steal.count
 	cReject *metrics.Counter // sched.steal.window_reject
 }
@@ -68,20 +67,17 @@ func newShard(procs, window int, quotaK int64, disableDummies bool) *shardPolicy
 	}
 }
 
-// attachMetrics binds the policy's instruments to a registry. The gauges
-// reuse the adf names (this is the same placeholder discipline); the
+// attachMetrics binds the policy's instruments to a registry. The gauge
+// reuses the adf name (this is the same placeholder discipline); the
 // counters expose steal behaviour.
 func (p *shardPolicy) attachMetrics(r *metrics.Registry) {
 	p.gLive = r.Gauge("adf.placeholders")
-	p.gReady = r.Gauge("adf.ready")
 	p.cSteal = r.Counter("sched.steal.count")
 	p.cReject = r.Counter("sched.steal.window_reject")
 }
 
-func (p *shardPolicy) note() {
-	p.gLive.Set(int64(p.nlive))
-	p.gReady.Set(int64(p.ready))
-}
+// note publishes the live count after it changes.
+func (p *shardPolicy) note() { p.gLive.Set(int64(p.nlive)) }
 
 func (p *shardPolicy) Name() string { return p.name }
 
@@ -139,7 +135,6 @@ func (p *shardPolicy) pushReady(t *core.Thread, shard int) {
 	e.ready = true
 	p.shards[shard].Push(e)
 	p.ready++
-	p.note()
 }
 
 func (p *shardPolicy) OnCreate(parent, child *core.Thread) bool {
@@ -147,6 +142,7 @@ func (p *shardPolicy) OnCreate(parent, child *core.Thread) bool {
 		// Root thread: sole entry, runnable in shard 0.
 		p.insertHead(child)
 		p.pushReady(child, 0)
+		p.note()
 		return false
 	}
 	if parent.SchedState != nil && parent.Priority == child.Priority {
@@ -180,7 +176,6 @@ func (p *shardPolicy) take(v int) *core.Thread {
 	e := p.shards[v].Pop()
 	e.ready = false
 	p.ready--
-	p.note()
 	return e.t
 }
 

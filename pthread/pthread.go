@@ -231,12 +231,18 @@ func newBackend(cfg Config) (exec.Backend, error) {
 			procs = runtime.GOMAXPROCS(0)
 		}
 	}
+	// The native backend never drives the policy, so the policy's
+	// instruments would only read 0 there: they attach on the sim alone.
+	polMetrics := cfg.Metrics
+	if cfg.Backend == BackendNative {
+		polMetrics = nil
+	}
 	pol, err := sched.New(cfg.Policy, sched.Options{
 		MemQuota:       cfg.MemQuota,
 		DisableDummies: cfg.DisableDummies,
 		Procs:          procs,
 		StealWindow:    cfg.StealWindow,
-		Metrics:        cfg.Metrics,
+		Metrics:        polMetrics,
 	})
 	if err != nil {
 		return nil, err
