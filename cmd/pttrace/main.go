@@ -6,14 +6,17 @@
 // space-over-time curves, Chrome trace-event JSON (load in
 // https://ui.perfetto.dev or chrome://tracing), a JSONL event stream,
 // the space profile as CSV, and the fork-join DAG as Graphviz DOT. With
-// -analyze it reconstructs the run DAG and reports W, D, W/D, S₁, and
-// the attributed critical path; with -in it skips the run and works
-// from a previously recorded JSONL trace.
+// -analyze it reconstructs the run DAG and reports W, D, W/D, S₁, the
+// fitted space-bound constant c, and the attributed critical path;
+// -report writes the same analysis as JSON (analyze.Report's JSON tags
+// are the report's contract). With -in it skips the run and works from
+// a previously recorded JSONL trace: the processor count is the
+// trace's own, and -procs and -policy apply only when given.
 //
 //	pttrace [-policy fifo|lifo|adf|adf-shard|ws|dfd] [-backend sim|native]
 //	        [-procs 4] [-depth 5] [-width 100]
 //	        [-out trace.json] [-events events.jsonl] [-space space.csv]
-//	        [-dot dag.dot] [-analyze] [-in events.jsonl]
+//	        [-dot dag.dot] [-report report.json] [-analyze] [-in events.jsonl]
 //
 // With -backend native the same program runs on real goroutines: the
 // trace records wall-clock nanoseconds (the JSONL header and every
@@ -25,6 +28,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -54,8 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&v.events, "events", "", "write the raw event stream as JSONL to this file")
 	fs.StringVar(&v.space, "space", "", "write the space-over-time profile as CSV to this file")
 	fs.StringVar(&v.dot, "dot", "", "write the computation DAG as Graphviz DOT to this file")
+	fs.StringVar(&v.report, "report", "", "write the run DAG analysis as JSON to this file")
 	fs.BoolVar(&v.analyze, "analyze", false, "reconstruct the run DAG and report W, D, W/D, S1, and the critical path")
-	inPath := fs.String("in", "", "analyze/render a recorded JSONL trace instead of running a program")
+	inPath := fs.String("in", "", "analyze/render a recorded JSONL trace instead of running a program (-procs and -policy apply only when given)")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: pttrace [flags]")
 		fs.PrintDefaults()
@@ -65,7 +70,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *inPath != "" {
-		return runOffline(*inPath, *procs, v, stdout, stderr, fs.Usage)
+		// The trace names neither its policy nor, beyond its events, its
+		// processor count, so only an explicit flag overrides either.
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "policy":
+				v.opt.Policy = *policy
+			case "procs":
+				v.opt.Procs = *procs
+			}
+		})
+		return runOffline(*inPath, v, stdout, stderr, fs.Usage)
 	}
 
 	if !validPolicy(*policy) {
@@ -170,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runOffline serves -in: load a recorded trace and render/export/
 // analyze it. An empty or truncated trace is a usage error (exit 2) —
 // every downstream view would be silently wrong.
-func runOffline(inPath string, procs int, v views, stdout, stderr io.Writer, usage func()) int {
+func runOffline(inPath string, v views, stdout, stderr io.Writer, usage func()) int {
 	f, err := os.Open(inPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "pttrace: %v\n", err)
@@ -188,33 +203,31 @@ func runOffline(inPath string, procs int, v views, stdout, stderr io.Writer, usa
 		usage()
 		return 2
 	}
-	// Infer the processor count from the events unless overridden.
-	maxProc := -1
-	for _, e := range rec.Events() {
-		if e.Proc > maxProc {
-			maxProc = e.Proc
-		}
+	if v.opt.Procs <= 0 {
+		v.opt.Procs = traceProcs(rec)
 	}
-	if procs <= 0 || maxProc+1 > procs {
-		procs = maxProc + 1
-	}
-	if procs <= 0 {
-		procs = 1
-	}
-	v.opt.Procs = procs
-
-	fmt.Fprintf(stdout, "trace %s: %d events, %d processors\n\n", inPath, len(rec.Events()), procs)
+	fmt.Fprintf(stdout, "trace %s: %d events, %d processors\n\n", inPath, len(rec.Events()), v.opt.Procs)
 	return v.render(rec, stdout, stderr)
+}
+
+// traceProcs is the processor count a trace shows: its largest
+// processor id plus one, and at least 1.
+func traceProcs(rec *trace.Recorder) int {
+	n := 1
+	for _, e := range rec.Events() {
+		n = max(n, e.Proc+1)
+	}
+	return n
 }
 
 // views are the renderings and exports of one recorded trace. A live
 // run and a -in trace go through the same render, so every view of a
 // run is a replay of its one record.
 type views struct {
-	width                   int
-	out, events, space, dot string
-	analyze                 bool
-	opt                     analyze.Options // Procs sizes the Gantt and Chrome views
+	width                           int
+	out, events, space, dot, report string
+	analyze                         bool
+	opt                             analyze.Options
 }
 
 func (v views) render(rec *trace.Recorder, stdout, stderr io.Writer) int {
@@ -222,7 +235,10 @@ func (v views) render(rec *trace.Recorder, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pttrace: %v\n", err)
 		return 1
 	}
-	fmt.Fprint(stdout, rec.Gantt(v.opt.Procs, v.width))
+	// The Gantt and Chrome views draw every processor the trace shows,
+	// even under a smaller -procs override.
+	rows := max(v.opt.Procs, traceProcs(rec))
+	fmt.Fprint(stdout, rec.Gantt(rows, v.width))
 
 	prof, ferr := analyze.Footprint(rec, 0)
 	fmt.Fprintln(stdout, "\nspace over virtual time:")
@@ -235,11 +251,14 @@ func (v views) render(rec *trace.Recorder, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, prof.Curves(v.width))
 	}
 
-	if v.analyze {
-		rep, err := analyze.Analyze(rec, v.opt)
-		if err != nil {
+	var rep *analyze.Report
+	if v.analyze || v.report != "" {
+		var err error
+		if rep, err = analyze.Analyze(rec, v.opt); err != nil {
 			return fail(err)
 		}
+	}
+	if v.analyze {
 		fmt.Fprintln(stdout, "\nrun DAG analysis:")
 		rep.WriteText(stdout)
 	}
@@ -250,11 +269,16 @@ func (v views) render(rec *trace.Recorder, stdout, stderr io.Writer) int {
 		write      func(io.Writer) error
 	}{
 		{v.out, "Chrome trace (load in https://ui.perfetto.dev)", func(w io.Writer) error {
-			return rec.WriteChrome(w, v.opt.Procs, spaceCounters(prof, rec.Unit()))
+			return rec.WriteChrome(w, rows, spaceCounters(prof, rec.Unit()))
 		}},
 		{v.events, fmt.Sprintf("%d events as JSONL", len(rec.Events())), rec.WriteJSONL},
 		{v.space, "space profile CSV", prof.WriteCSV},
 		{v.dot, "computation DAG as DOT", func(w io.Writer) error { return analyze.WriteDOT(w, rec) }},
+		{v.report, "run DAG analysis as JSON", func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(rep)
+		}},
 	} {
 		if f.path == "" {
 			continue

@@ -85,17 +85,22 @@ type shard struct {
 // DepaCell tag (priorities are below core.NumPriorities <= 256).
 func pubTag(pri, size int) uint64 { return uint64(size)<<8 | uint64(pri) }
 
+// newShardStore registers the steal counters only for more than one
+// shard: a store of one shard never steals, and nil handles are detached.
 func newShardStore(b *Backend, n, window int, dir int64) *shardStore {
-	return &shardStore{
+	ss := &shardStore{
 		b:       b,
 		shards:  make([]shard, n),
 		window:  window,
 		dir:     dir,
 		publish: n > 1,
 		mins:    make([][]core.ShardMin, b.procs),
-		cSteal:  b.registry.Counter("sched.steal.count"),
-		cReject: b.registry.Counter("sched.steal.window_reject"),
 	}
+	if n > 1 {
+		ss.cSteal = b.registry.Counter("sched.steal.count")
+		ss.cReject = b.registry.Counter("sched.steal.window_reject")
+	}
+	return ss
 }
 
 // key gives t, which is becoming ready, its place in a sequence order

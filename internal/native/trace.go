@@ -15,7 +15,7 @@ import (
 // on. Timestamps are wall-clock nanoseconds since the run started; the
 // rings are merged, time-sorted, into the attached trace.Recorder after
 // every producer has quiesced, where the stream declares UnitWallNS so
-// pttrace/ptanalyze scale it correctly.
+// pttrace scales it correctly.
 //
 // A nil *tracer is valid and records nothing, mirroring the package's
 // nil-registry metrics convention.

@@ -10,8 +10,8 @@ import (
 )
 
 // This file reads traces back from the JSONL wire format written by
-// WriteJSONL, so offline tools (ptanalyze, pttrace -in) can work from a
-// recorded file instead of a live run.
+// WriteJSONL, so pttrace -in can work from a recorded file instead of
+// a live run.
 
 // ParseKind maps a kind name (the Kind.String form) back to its Kind.
 func ParseKind(name string) (Kind, error) {

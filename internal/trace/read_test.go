@@ -91,7 +91,7 @@ func TestReadJSONLTruncated(t *testing.T) {
 }
 
 // TestReadJSONLEmpty: an empty stream reads as an empty recorder; the
-// caller (pttrace, ptanalyze) decides that is unusable.
+// caller (pttrace -in) decides that is unusable.
 func TestReadJSONLEmpty(t *testing.T) {
 	rec, err := trace.ReadJSONL(strings.NewReader(""))
 	if err != nil {

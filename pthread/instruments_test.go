@@ -13,10 +13,9 @@ import (
 // reader looks up by string, or adding one nobody reads, fails here.
 var (
 	simCore    = []string{"sched.dispatch.wait", "sched.dispatches", "sched.dummy.forks", "sched.lock.wait", "sched.quota.preempts"}
-	simSteal   = []string{"sched.steal.count", "sched.steal.window_reject"}
+	steal      = []string{"sched.steal.count", "sched.steal.window_reject"}
 	nativeCore = []string{"sched.dispatch.wait", "sched.dispatches", "sched.dispatches.w0", "sched.dispatches.w1",
-		"sched.dummy.forks", "sched.lock.wait", "sched.quota.preempts", "sched.resume.handoff",
-		"sched.steal.count", "sched.steal.window_reject"}
+		"sched.dummy.forks", "sched.lock.wait", "sched.quota.preempts", "sched.resume.handoff"}
 )
 
 // instrumentProgram forks, joins, contends on a mutex and allocates.
@@ -51,10 +50,10 @@ func TestInstrumentNames(t *testing.T) {
 		want [][]string
 	}{
 		{"sim/adf", pthread.Config{Policy: pthread.PolicyADF}, [][]string{simCore, {"adf.placeholders"}}},
-		{"sim/adf-shard", pthread.Config{Policy: pthread.PolicyADFShard}, [][]string{simCore, simSteal, {"adf.placeholders"}}},
+		{"sim/adf-shard", pthread.Config{Policy: pthread.PolicyADFShard}, [][]string{simCore, steal, {"adf.placeholders"}}},
 		{"sim/fifo", pthread.Config{Policy: pthread.PolicyFIFO}, [][]string{simCore}},
 		{"sim/adf-batch", pthread.Config{Policy: pthread.PolicyADF, SchedBatch: 4}, [][]string{simCore, {"adf.placeholders", "sched.batch.passes"}}},
-		{"native/adf", pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyADF}, [][]string{nativeCore}},
+		{"native/adf", pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyADF}, [][]string{nativeCore, steal}},
 		{"native/fifo", pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyFIFO}, [][]string{nativeCore}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

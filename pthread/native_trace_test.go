@@ -94,7 +94,7 @@ func TestNativeTraceCleanRun(t *testing.T) {
 }
 
 func TestNativeTraceAnalyzable(t *testing.T) {
-	// The acceptance path: native trace -> full ptanalyze-style analysis
+	// The acceptance path: native trace -> full pttrace -in -analyze analysis
 	// with wall-clock quantities, no sim run involved.
 	rec := pthread.NewTraceRecorder(1 << 16)
 	cfg := nativeCfg(2)

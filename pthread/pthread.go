@@ -106,7 +106,7 @@ const (
 	// BackendNative runs lightweight threads as real goroutines on
 	// worker goroutines, with wall-clock timing. Runs are not
 	// deterministic; Tracer records wall-ns timestamps via per-worker
-	// event rings, for pttrace and ptanalyze.
+	// event rings, for pttrace.
 	BackendNative Backend = "native"
 )
 
@@ -169,8 +169,8 @@ type Config struct {
 	// shards, always at the default window).
 	StealWindow int
 	// Tracer, when non-nil, records scheduler events for later
-	// inspection (Gantt charts, per-thread summaries, pttrace exports,
-	// ptanalyze). On the sim backend timestamps are virtual cycles and
+	// inspection (Gantt charts, per-thread summaries, pttrace exports
+	// and analysis). On the sim backend timestamps are virtual cycles and
 	// recording does not affect virtual time; on the native backend
 	// workers record into per-worker lock-free rings with wall-clock-ns
 	// timestamps, merged into the recorder (unit wall-ns) at run end.
