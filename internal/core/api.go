@@ -23,9 +23,18 @@ type Alloc struct {
 // the paper's fork semantics the caller is preempted and the processor
 // runs the child immediately; otherwise the child is enqueued and the
 // caller continues.
+//
+// A detached child can run, exit and have its record recycled before
+// Fork returns, so the result must not be read after that.
 func (m *Machine) Fork(t *Thread, attr Attr, body Body) *Thread {
+	return m.fork(t, attr, body, false)
+}
+
+// fork is Fork with the dummy marker set before the child can run.
+func (m *Machine) fork(t *Thread, attr Attr, body Body, dummy bool) *Thread {
 	m.checkRunning(t, "Fork")
 	child := m.newThread(attr, body)
+	child.isDummy = dummy
 	// DePa order maintenance: label the child from the parent's own
 	// fork path before the policy sees either thread. O(1), no shared
 	// state — on the native backend the same assignment happens outside
@@ -36,11 +45,11 @@ func (m *Machine) Fork(t *Thread, attr Attr, body Body) *Thread {
 	}
 	m.admit(child)
 	m.chargeOps(t, m.cm.ThreadCreate)
-	addr, cost, fresh := m.mem.AllocStack(child.stackSize)
+	addr, cost, fresh := m.mem.AllocStack(child.attr.StackSize)
 	child.stackAddr = addr
 	m.chargeMem(t, cost)
 	if tr := m.cfg.Tracer; tr != nil {
-		tr.RecordArg(t.proc.clock, t.proc.id, child.ID, trace.KindStackAlloc, child.stackSize)
+		tr.RecordArg(t.proc.clock, t.proc.id, child.ID, trace.KindStackAlloc, child.attr.StackSize)
 	}
 	if fresh {
 		// A fresh stack required mapping address space in the kernel; a
@@ -69,7 +78,7 @@ func (m *Machine) Join(t *Thread, target *Thread) error {
 		return fmt.Errorf("core: join with nil thread")
 	case target == t:
 		return fmt.Errorf("core: %s cannot join itself", t.Name())
-	case target.detached:
+	case target.attr.Detached:
 		return fmt.Errorf("core: %s is detached", target.Name())
 	case target.joined:
 		return fmt.Errorf("core: %s already joined", target.Name())
@@ -88,6 +97,7 @@ func (m *Machine) Join(t *Thread, target *Thread) error {
 	if target.exitedSpan > t.span {
 		t.span = target.exitedSpan
 	}
+	m.release(target)
 	return nil
 }
 
@@ -222,7 +232,7 @@ func (m *Machine) forkDummies(t *Thread, d int) {
 
 func (m *Machine) forkDummySubtree(t *Thread, count int) {
 	attr := Attr{StackSize: SmallStackSize, Detached: true}
-	child := m.Fork(t, attr, Func(func(dt *Thread) {
+	m.fork(t, attr, Func(func(dt *Thread) {
 		rem := count - 1
 		if rem <= 0 {
 			return
@@ -235,8 +245,7 @@ func (m *Machine) forkDummySubtree(t *Thread, count int) {
 		if right > 0 {
 			m.forkDummySubtree(dt, right)
 		}
-	}))
-	child.isDummy = true
+	}), true)
 }
 
 // checkRunning guards against calling thread-context entry points from

@@ -123,4 +123,66 @@ func TestContentionPruneBoundary(t *testing.T) {
 	if w := c.wait(vtime.Time(vtime.Micro(60))); w != 0 {
 		t.Errorf("op in pruned window waited %v, want 0", w)
 	}
+	// The next op past the live windows still starts a fresh window.
+	if w := c.wait(vtime.Time(vtime.Micro(480))); w != 0 {
+		t.Errorf("op in a new window waited %v, want 0", w)
+	}
+}
+
+// TestContentionWaitAllocatesNothing: in steady state, with the clock
+// moving forward and the model pruned as the machine prunes it, an
+// operation allocates nothing. The window slice is reused once it has
+// grown to the prune threshold.
+func TestContentionWaitAllocatesNothing(t *testing.T) {
+	c := newContention(vtime.Micro(1), vtime.Micro(100))
+	now := vtime.Time(vtime.Micro(1000))
+	op := func() {
+		now += vtime.Time(vtime.Micro(40))
+		c.wait(now)
+		c.wait(now - vtime.Time(vtime.Micro(150))) // a processor behind
+		if c.size() > 1<<14 {
+			c.prune(now - vtime.Time(vtime.Micro(150)))
+		}
+	}
+	for i := 0; i < 1<<16; i++ {
+		op()
+	}
+	if a := testing.AllocsPerRun(1<<15, op); a != 0 {
+		t.Errorf("%v allocations per steady-state wait, want 0", a)
+	}
+}
+
+// TestContentionIdleProcessor: an idle processor's clock holds the
+// prune base while another processor takes the scheduler lock across
+// more than 2^14 windows, as in a serial phase at p > 1. The slice then
+// spans every window the busy processor crossed, and each wait is the
+// one of a model that never prunes. Once the idle processor catches up,
+// the next operation prunes the span to the two windows at its clock.
+func TestContentionIdleProcessor(t *testing.T) {
+	m, err := New(Config{Procs: 2, Policy: fakePolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, busy, idle := m.schedLock, m.procs[0], m.procs[1]
+	ref := newContention(l.opCost, l.window)
+	const windows = 1<<14 + 100
+	for w := 0; w < windows; w++ {
+		for k := 0; k < 3; k++ { // three ops per window, a third of one apart
+			at := vtime.Time(w)*vtime.Time(l.window) + vtime.Time(k)*vtime.Time(l.window/3)
+			busy.clock = at
+			before := busy.stats.LockWait
+			m.schedLockWait(busy, l)
+			if got, want := busy.stats.LockWait-before, ref.wait(at); got != want {
+				t.Fatalf("window %d op %d waited %v, want %v", w, k, got, want)
+			}
+		}
+	}
+	if l.size() != windows || l.base != 0 {
+		t.Fatalf("with one processor idle: size %d, base %d; want %d, 0", l.size(), l.base, windows)
+	}
+	idle.clock = busy.clock
+	m.schedLockWait(busy, l)
+	if l.size() != 2 {
+		t.Errorf("after the idle processor caught up: size %d, want 2", l.size())
+	}
 }

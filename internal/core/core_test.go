@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -86,11 +87,13 @@ func TestContentionPrune(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.wait(vtime.Time(vtime.Micro(float64(i * 150))))
 	}
-	if c.size() != 50 {
-		t.Fatalf("size = %d, want 50", c.size())
+	// 50 ops, 1.5 windows apart: the model holds windows 0 … 73, the
+	// empty ones between them included.
+	if c.size() != 74 {
+		t.Fatalf("size = %d, want 74", c.size())
 	}
 	c.prune(vtime.Time(vtime.Micro(40 * 150)))
-	if c.size() >= 50 {
+	if c.size() >= 74 {
 		t.Errorf("prune removed nothing (size %d)", c.size())
 	}
 	// Windows at/after the horizon survive.
@@ -179,10 +182,61 @@ func (fakePolicy) Next(pid int) *Thread {
 // TestThreadHeaderSize: the policy-visible header is embedded by value
 // in every native thread record, so each word added here is paid once
 // per lightweight thread on both backends. 96 B is a Go size class: a
-// bare token (&Thread{ID: n}) stays in it, and the simulator's header +
-// state object (72 + 184 B today) fills the 256 B class.
+// bare token (&Thread{ID: n}) stays in it, and the simulator's record,
+// header included (240 B today), fits the 240 B class.
 func TestThreadHeaderSize(t *testing.T) {
 	if got := unsafe.Sizeof(Thread{}); got > 96 {
 		t.Errorf("unsafe.Sizeof(Thread{}) = %d, want <= 96", got)
+	}
+	if got := unsafe.Sizeof(simState{}); got > 240 {
+		t.Errorf("unsafe.Sizeof(simState{}) = %d, want <= 240", got)
+	}
+}
+
+// TestRecycledRecordStartsClean: a joined thread's record is recycled
+// for the next fork, and the new thread starts clean. It has a fresh ID,
+// no TLS, joiner, carrier or SchedState, a zero exitedSpan, and clear
+// flags. Only the machine pointer carries over.
+func TestRecycledRecordStartsClean(t *testing.T) {
+	fakeQueue = nil
+	m, err := New(Config{Policy: fakePolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := new(int) // stands in for a policy's placeholder
+	_, err = m.Execute(func(root *Thread) {
+		a := m.Fork(root, Attr{Name: "a"}, Func(func(c *Thread) {
+			c.TLS = map[any]any{"k": 1}
+			c.SchedState = entry
+			m.Charge(c, 1000)
+		}))
+		aID := a.ID
+		// The fake policy queues a, so root joins before it runs: a's
+		// exit wakes root as the joiner.
+		if err := m.Join(root, a); err != nil {
+			t.Error(err)
+			return
+		}
+		b := m.Fork(root, Attr{}, Func(func(*Thread) {}))
+		switch {
+		case b != a:
+			t.Errorf("the joined record was not reused")
+		case b.ID == aID || b.Name() != fmt.Sprintf("thread-%d", b.ID):
+			t.Errorf("reused record kept a's identity: ID %d, name %q", b.ID, b.Name())
+		case b.TLS != nil || b.joiner != nil || b.carrier != nil || b.proc != nil:
+			t.Errorf("reused record kept state: TLS %v, joiner %v, carrier %v, proc %v", b.TLS, b.joiner, b.carrier, b.proc)
+		case b.exitedSpan != 0 || b.done || b.joined || b.started || b.attr.Detached || b.attr.Name != "" || b.isDummy:
+			t.Errorf("reused record kept exit state: exitedSpan %d, done %v, joined %v, started %v", b.exitedSpan, b.done, b.joined, b.started)
+		case b.refs != 2 || b.state != StateReady:
+			t.Errorf("reused record: refs %d, state %v, want 2, ready", b.refs, b.state)
+		case b.SchedState != nil || b.m != m:
+			t.Errorf("reused record: SchedState %v, machine kept %v", b.SchedState, b.m == m)
+		}
+		if err := m.Join(root, b); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -96,14 +96,16 @@ type Machine struct {
 	qinPending int64 // Q_in entries since the last scheduler pass
 
 	nextID   int64
-	live     int
 	peakLive int
 	created  int64
 	dummies  int64
 	maxSpan  vtime.Duration
 	steps    int64
 
-	liveThreads map[int64]*Thread
+	// threads are the live threads, each at its record's slot; free
+	// holds the released records (see release).
+	threads []*Thread
+	free    FreeList[freeRec, *freeRec]
 
 	// carriers are the coroutines threads ride, on one free list:
 	// Execute's goroutine is the one driver for every virtual processor.
@@ -193,15 +195,14 @@ func New(cfg Config) (*Machine, error) {
 	}
 	cm := vtime.Default()
 	m := &Machine{
-		cfg:         cfg,
-		cm:          cm,
-		policy:      cfg.Policy,
-		mem:         memsim.New(cm, cfg.DefaultStack, 0),
-		liveThreads: make(map[int64]*Thread),
-		carriers:    NewCarriers(1),
-		schedLock:   newContention(cm.SchedLockOp, cm.SchedLockWindow),
-		heapLock:    newContention(cm.MallocBase, cm.HeapLockWindow),
-		kernelLock:  newContention(cm.KernelLockOp, cm.KernelLockWindow),
+		cfg:        cfg,
+		cm:         cm,
+		policy:     cfg.Policy,
+		mem:        memsim.New(cm, cfg.DefaultStack, 0),
+		carriers:   NewCarriers(1),
+		schedLock:  newContention(cm.SchedLockOp, cm.SchedLockWindow),
+		heapLock:   newContention(cm.MallocBase, cm.HeapLockWindow),
+		kernelLock: newContention(cm.KernelLockOp, cm.KernelLockWindow),
 	}
 	// Batching needs a global-queue policy that implements BatchNexter;
 	// anything else silently keeps the direct path, as does
@@ -249,10 +250,10 @@ func (m *Machine) run(main func(*Thread)) (Stats, error) {
 	root := m.newThread(Attr{Name: "root"}, Func(main))
 	root.Order = RootDepaLabel()
 	// The root's stack predates the run; count its footprint silently.
-	root.stackAddr, _, _ = m.mem.AllocStack(root.stackSize)
+	root.stackAddr, _, _ = m.mem.AllocStack(root.attr.StackSize)
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.Record(0, -1, root.ID, trace.KindCreate) // Arg 0: the root has no parent
-		tr.RecordArg(0, -1, root.ID, trace.KindStackAlloc, root.stackSize)
+		tr.RecordArg(0, -1, root.ID, trace.KindStackAlloc, root.attr.StackSize)
 	}
 	m.admit(root)
 	m.policy.OnCreate(nil, root)
@@ -277,7 +278,7 @@ func (m *Machine) run(main func(*Thread)) (Stats, error) {
 // sleepers or diagnoses deadlock when no processor can move. It returns
 // nil when the run is over (every thread exited, or m.err is set).
 func (m *Machine) schedule() *Thread {
-	for m.live > 0 && m.err == nil {
+	for len(m.threads) > 0 && m.err == nil {
 		m.steps++
 		if m.steps > m.cfg.MaxSteps {
 			m.err = fmt.Errorf("core: exceeded %d scheduling steps", m.cfg.MaxSteps)
@@ -615,7 +616,7 @@ func (m *Machine) handleExit(p *Proc, t *Thread) {
 	}
 	m.policy.OnExit(t)
 	m.queueOp(p)
-	cost := m.mem.FreeStack(t.stackAddr, t.stackSize)
+	cost := m.mem.FreeStack(t.stackAddr, t.attr.StackSize)
 	p.stats.Mem += cost
 	m.tick(p, cost)
 	if tr := m.cfg.Tracer; tr != nil {
@@ -624,15 +625,16 @@ func (m *Machine) handleExit(p *Proc, t *Thread) {
 		// footprint replay frees the stack at At+Arg.
 		tr.RecordArg(at, p.id, t.ID, trace.KindExit, int64(p.clock-at))
 	}
-	delete(m.liveThreads, t.ID)
-	m.live--
+	last := m.threads[len(m.threads)-1]
+	last.slot = t.slot
+	m.threads[t.slot] = last
+	m.threads = m.threads[:len(m.threads)-1]
 	t.proc = nil
 	p.cur = nil
 	if t.joiner != nil {
-		j := t.joiner
-		t.joiner = nil
-		m.becomeReady(j, p.id)
+		m.becomeReady(t.joiner, p.id)
 	}
+	m.release(t)
 }
 
 // becomeReady re-enters t into the policy's ready structure at the
@@ -764,39 +766,49 @@ func (m *Machine) tick(p *Proc, d vtime.Duration) { p.clock += vtime.Time(d) }
 // liftClock raises p's clock to at (never backwards).
 func (m *Machine) liftClock(p *Proc, at vtime.Time) { p.clock = at }
 
+// newThread takes a record from the free list (a fresh one when it is
+// empty) for a new thread.
 func (m *Machine) newThread(attr Attr, body Body) *Thread {
 	CheckPriority(attr.Priority)
 	m.nextID++
 	if attr.StackSize <= 0 {
 		attr.StackSize = m.cfg.DefaultStack
 	}
-	// Header and simulator state are one object; the interior pointers
-	// keep all of it alive.
-	rec := &struct {
-		Thread
-		sim simState
-	}{
-		Thread: Thread{ID: m.nextID, Priority: attr.Priority},
-		sim: simState{
-			m:         m,
-			body:      body,
-			attr:      attr,
-			detached:  attr.Detached,
-			stackSize: attr.StackSize,
-		},
+	s := (*simState)(m.free.Pop())
+	if s == nil {
+		s = &simState{m: m}
+		s.hdr.simState = s
 	}
-	rec.simState = &rec.sim
-	return &rec.Thread
+	t := &s.hdr
+	t.ID, t.Priority = m.nextID, attr.Priority
+	s.body, s.attr = body, attr
+	s.refs = 2 // lifecycle holders: the exiting thread and the joiner
+	if attr.Detached {
+		s.refs = 1
+	}
+	return t
+}
+
+// release drops one lifecycle reference on t and recycles its record
+// once both holders are done: the exiting thread after its last trace
+// emit (handleExit), the joiner after its exitedSpan read (Join). The
+// root and never-joined records keep a reference and are not pooled.
+// This is native's rule (internal/native/lifecycle.go).
+func (m *Machine) release(t *Thread) {
+	if t.refs--; t.refs > 0 {
+		return
+	}
+	s := t.simState
+	s.reset()
+	m.free.Push((*freeRec)(s))
 }
 
 // admit registers a new live thread.
 func (m *Machine) admit(t *Thread) {
 	m.created++
-	m.live++
-	if m.live > m.peakLive {
-		m.peakLive = m.live
-	}
-	m.liveThreads[t.ID] = t
+	t.slot = len(m.threads)
+	m.threads = append(m.threads, t)
+	m.peakLive = max(m.peakLive, len(m.threads))
 }
 
 func (m *Machine) recordPanic(t *Thread, r any) {
@@ -808,7 +820,7 @@ func (m *Machine) recordPanic(t *Thread, r any) {
 // deadlockError describes an all-blocked state.
 func (m *Machine) deadlockError() error {
 	var names []string
-	for _, t := range m.liveThreads {
+	for _, t := range m.threads {
 		names = append(names, fmt.Sprintf("%s(%s)", t.Name(), t.state))
 	}
 	sort.Strings(names)
@@ -834,7 +846,6 @@ func (m *Machine) chargeWork(t *Thread, d vtime.Duration) {
 	p := t.proc
 	p.stats.Work += d
 	m.tick(p, d)
-	t.work += d
 	t.span += d
 	t.sinceYield += d
 }
@@ -843,7 +854,6 @@ func (m *Machine) chargeOps(t *Thread, d vtime.Duration) {
 	p := t.proc
 	p.stats.ThreadOps += d
 	m.tick(p, d)
-	t.work += d
 	t.span += d
 	t.sinceYield += d
 }
@@ -852,7 +862,6 @@ func (m *Machine) chargeMem(t *Thread, d vtime.Duration) {
 	p := t.proc
 	p.stats.Mem += d
 	m.tick(p, d)
-	t.work += d
 	t.span += d
 	t.sinceYield += d
 }

@@ -70,9 +70,10 @@ func CheckPriority(pri int) {
 // &Thread{ID: n} tokens are enough to drive one.
 //
 // A simulator thread additionally carries the machine's private state
-// behind the embedded *simState (header and state are one allocation,
-// see Machine.newThread); the native backend embeds a Thread by value
-// in its own per-thread record and leaves simState nil.
+// behind the embedded *simState, which holds the header itself (one
+// record per thread, recycled; see Machine.newThread); the native
+// backend embeds a Thread by value in its own per-thread record and
+// leaves simState nil.
 type Thread struct {
 	// ID is a unique, creation-ordered identifier (root is 1).
 	ID int64
@@ -93,31 +94,32 @@ type Thread struct {
 	*simState
 }
 
-// simState is the simulator's private per-thread state. Its fields
-// promote through Thread, so the machine writes t.carrier, t.span, …
-// directly.
+// simState is a simulator thread's record: its Thread header (hdr,
+// whose simState points back here) and the machine's private state,
+// one object. Its fields promote through Thread, so the machine writes
+// t.carrier, t.span, … directly. Records are recycled through the
+// machine's free list with native's lifecycle rule (see
+// Machine.release): once recycled, a record describes its new thread,
+// so no pointer to an exited thread may be read after its last holder
+// has let go.
 type simState struct {
+	hdr  Thread
 	m    *Machine
 	body Body
 	attr Attr
-
-	state   State
-	started bool // dispatched at least once (its stack base is faulted in)
 
 	// carrier is the coroutine the thread rides, bound at its first run
 	// (nil until then). A thread that hands the machine over yields its
 	// successor to the driver, which resumes the successor's carrier.
 	carrier *Carrier
 
-	proc    *Proc // processor currently running this thread
-	isDummy bool
+	proc *Proc // processor currently running this thread
 
 	// Memory quota (ADF): bytes the thread may still allocate before it
 	// is preempted; refreshed each time it is scheduled.
 	quotaLeft int64
 
 	// Accounting.
-	work vtime.Duration // committed charges attributed to this thread
 	span vtime.Duration // critical-path length at the thread's current point
 	// sinceYield accumulates charges since the thread last ran the
 	// scheduler; crossing Quantum triggers a pause so that
@@ -126,18 +128,39 @@ type simState struct {
 	// otherwise).
 	sinceYield vtime.Duration
 
-	// Simulated stack.
-	stackAddr, stackSize int64
+	stackAddr int64 // simulated stack base; its size is attr.StackSize
 
 	// Join protocol: at most one thread may join (POSIX).
-	done       bool
-	detached   bool
 	joiner     *Thread
-	joined     bool // a join has been claimed
 	exitedSpan vtime.Duration
 
 	// TLS storage for the public API layer.
 	TLS map[any]any
+
+	slot int      // index in Machine.threads while live
+	next *freeRec // free-list link
+
+	// Flags, packed into one word.
+	state   State
+	started bool // dispatched at least once (its stack base is faulted in)
+	isDummy bool
+	done    bool
+	joined  bool // a join has been claimed
+	refs    int8 // lifecycle holders left: the exiting thread and, if joinable, the joiner
+}
+
+// freeRec is a record in its free-list role, kept off Thread's method
+// set.
+type freeRec simState
+
+// FreeLink implements the FreeList element constraint.
+func (r *freeRec) FreeLink() **freeRec { return &r.next }
+
+// reset scrubs a released record for reuse: every field is zeroed
+// except the machine pointer (and the header's back-pointer).
+func (s *simState) reset() {
+	*s = simState{m: s.m}
+	s.hdr.simState = s
 }
 
 // actionKind says why a thread stopped and ran the scheduler.
@@ -169,15 +192,6 @@ func (t *Thread) Name() string {
 	}
 	return fmt.Sprintf("thread-%d", t.ID)
 }
-
-// State returns the thread's current lifecycle state.
-func (t *Thread) State() State { return t.state }
-
-// Machine returns the machine the thread runs on.
-func (t *Thread) Machine() *Machine { return t.m }
-
-// Work returns the virtual time committed against this thread so far.
-func (t *Thread) Work() vtime.Duration { return t.work }
 
 // threadExit is the panic payload used by Exit to unwind a thread.
 type threadExit struct{}

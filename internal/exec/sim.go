@@ -61,7 +61,9 @@ func (s *Sim) Execute(main func(Thread)) (core.Stats, error) {
 // Fork implements Backend. Under the paper's fork semantics the child
 // runs before the machine's Fork returns, so the child is bound by
 // whichever comes first, its first run or that return; exactly one
-// simulated thread runs at a time, so the two never overlap.
+// simulated thread runs at a time, so the two never overlap. A child
+// that ran first may have exited and had its record recycled by then,
+// so the returned pointer is used only when the child has not run.
 func (s *Sim) Fork(t Thread, attr core.Attr, body Body) Thread {
 	c := &simChild{body: body}
 	return c.bind(s.m.Fork(sim(t), attr, c))

@@ -52,7 +52,7 @@ type System struct {
 	hwmStack  int64
 	hwmTotal  int64
 
-	touched map[int64]struct{} // pages that have been zero-filled
+	touched []uint64 // bit p%64 of word p/64: page p has been zero-filled; grows with reserved
 
 	stackCache     []int64 // cached stacks (default size only)
 	stackCacheSize int64
@@ -70,7 +70,7 @@ func New(cm *vtime.CostModel, defaultStack, _ int64) *System {
 		brk:            PageSize, // keep address 0 invalid
 		reserved:       PageSize,
 		free:           make(map[int64][]int64),
-		touched:        make(map[int64]struct{}),
+		touched:        make([]uint64, 1),
 		stackCacheSize: defaultStack,
 	}
 }
@@ -99,7 +99,18 @@ func (s *System) grow(n int64) vtime.Duration {
 		s.stats.PagesMapped += pages
 		cost += s.cm.BrkSyscall + vtime.Duration(pages)*s.cm.PageMap
 	}
+	for int64(len(s.touched))*64 < s.reserved/PageSize {
+		s.touched = append(s.touched, 0)
+	}
 	return cost
+}
+
+// touch marks page p zero-filled and reports whether it already was.
+func (s *System) touch(p int64) bool {
+	w, bit := &s.touched[p/64], uint64(1)<<(p%64)
+	old := *w&bit != 0
+	*w |= bit
+	return old
 }
 
 func (s *System) updateHWM() {
@@ -195,8 +206,7 @@ func (s *System) Touch(tlb *TLB, addr, n int64) vtime.Duration {
 	first := addr / PageSize
 	last := (addr + n - 1) / PageSize
 	for p := first; p <= last; p++ {
-		if _, ok := s.touched[p]; !ok {
-			s.touched[p] = struct{}{}
+		if !s.touch(p) {
 			s.stats.FirstTouches++
 			cost += s.cm.PageFirstTouch
 		}
@@ -219,7 +229,7 @@ func (s *System) Prefault(addr, n int64) {
 	first := addr / PageSize
 	last := (addr + n - 1) / PageSize
 	for p := first; p <= last; p++ {
-		s.touched[p] = struct{}{}
+		s.touch(p)
 	}
 }
 

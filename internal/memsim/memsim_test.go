@@ -192,3 +192,18 @@ func TestPrefaultSuppressesFirstTouch(t *testing.T) {
 		t.Errorf("first touches after prefault: %d -> %d", before, got)
 	}
 }
+
+// TestTouchWarmAllocatesNothing: touching already zero-filled pages
+// allocates nothing, whether they hit in the TLB or (at 96 pages
+// against 64 entries) all miss and evict.
+func TestTouchWarmAllocatesNothing(t *testing.T) {
+	s := newSys()
+	for _, pages := range []int64{16, 96} {
+		tlb := memsim.NewTLB(memsim.DefaultTLBEntries)
+		a, _, _ := s.Alloc(pages * memsim.PageSize)
+		s.Touch(tlb, a, pages*memsim.PageSize)
+		if got := testing.AllocsPerRun(100, func() { s.Touch(tlb, a, pages*memsim.PageSize) }); got != 0 {
+			t.Errorf("%d pages: %v allocations per warm Touch, want 0", pages, got)
+		}
+	}
+}

@@ -1,17 +1,13 @@
 package memsim
 
+import "slices"
+
 // TLB models a fully associative, LRU translation lookaside buffer for
 // one simulated processor. The UltraSPARC-I data TLB held 64 entries.
+// Its resident pages sit in one fixed array in recency order, so an
+// access is a short scan and a shift, and allocates nothing.
 type TLB struct {
-	cap   int
-	nodes map[int64]*tlbNode
-	head  *tlbNode // most recently used
-	tail  *tlbNode // least recently used
-}
-
-type tlbNode struct {
-	page       int64
-	prev, next *tlbNode
+	pages []int64 // resident pages, most recently used first; cap is the capacity
 }
 
 // DefaultTLBEntries is the modeled TLB capacity.
@@ -19,60 +15,29 @@ const DefaultTLBEntries = 64
 
 // NewTLB creates a TLB with the given number of entries.
 func NewTLB(entries int) *TLB {
-	return &TLB{cap: entries, nodes: make(map[int64]*tlbNode, entries)}
+	return &TLB{pages: make([]int64, 0, entries)}
 }
 
 // Access looks up a page, reporting whether it hit, and updates recency
 // (inserting the page and evicting the LRU entry on a miss).
 func (t *TLB) Access(page int64) bool {
-	if n, ok := t.nodes[page]; ok {
-		t.moveToFront(n)
-		return true
+	a := t.pages
+	i := slices.Index(a, page)
+	hit := i >= 0
+	if !hit {
+		if len(a) < cap(a) {
+			a = append(a, 0)
+			t.pages = a
+		}
+		if len(a) == 0 {
+			return false // no entries at all
+		}
+		i = len(a) - 1 // the free slot, or the LRU entry to evict
 	}
-	n := &tlbNode{page: page}
-	t.nodes[page] = n
-	t.pushFront(n)
-	if len(t.nodes) > t.cap {
-		lru := t.tail
-		t.unlink(lru)
-		delete(t.nodes, lru.page)
-	}
-	return false
+	copy(a[1:i+1], a[:i])
+	a[0] = page
+	return hit
 }
 
 // Len returns the number of resident entries.
-func (t *TLB) Len() int { return len(t.nodes) }
-
-func (t *TLB) pushFront(n *tlbNode) {
-	n.prev = nil
-	n.next = t.head
-	if t.head != nil {
-		t.head.prev = n
-	}
-	t.head = n
-	if t.tail == nil {
-		t.tail = n
-	}
-}
-
-func (t *TLB) unlink(n *tlbNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		t.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		t.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (t *TLB) moveToFront(n *tlbNode) {
-	if t.head == n {
-		return
-	}
-	t.unlink(n)
-	t.pushFront(n)
-}
+func (t *TLB) Len() int { return len(t.pages) }

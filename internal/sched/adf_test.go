@@ -160,3 +160,39 @@ func TestPlaceholderEntrySize(t *testing.T) {
 		t.Errorf("unsafe.Sizeof(readyEntry{}) = %d, want <= 48", got)
 	}
 }
+
+// TestADFReusesRecycledPlaceholder: an exited thread's placeholder
+// entry goes to the store's free list, and the next fork takes it
+// instead of allocating one. The next thread gets the same entry, not
+// ready while it runs, holding its own thread, priority and label. Both
+// DePa stores share the placeholders, so adf and adf-shard are checked;
+// adf keeps one store per priority level, so both forks use level 1.
+func TestADFReusesRecycledPlaceholder(t *testing.T) {
+	for _, pol := range []core.Policy{newADF(DefaultMemQuota, false), newShard(2, 4, DefaultMemQuota, false)} {
+		m, err := core.New(core.Config{Procs: 2, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *readyEntry
+		_, err = m.Execute(func(root *core.Thread) {
+			a := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(c *core.Thread) { first = c.SchedState.(*readyEntry) }))
+			if err := m.Join(root, a); err != nil {
+				t.Error(err)
+				return
+			}
+			b := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(c *core.Thread) {
+				e := c.SchedState.(*readyEntry)
+				if e != first || e.ready || e.t != c || e.pri != 1 || e.label.Compare(c.Order) != 0 {
+					t.Errorf("%s: placeholder reused %v, ready %v, own thread %v, pri %d, label match %v",
+						pol.Name(), e == first, e.ready, e.t == c, e.pri, e.label.Compare(c.Order) == 0)
+				}
+			}))
+			if err := m.Join(root, b); err != nil {
+				t.Error(err)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+	}
+}

@@ -58,11 +58,20 @@ func (e *readyEntry) Before(o *readyEntry) bool {
 type placeholders struct {
 	anchor int64 // next head-insert anchor; decreasing so newer head inserts land leftmost
 	nlive  int
+	free   []*readyEntry // entries of exited threads, for reuse by add
 }
 
-// add creates a placeholder for t with the given label snapshot.
+// add creates a placeholder for t with the given label snapshot, reusing
+// the entry of an exited thread when one is free.
 func (s *placeholders) add(t *core.Thread, label core.DepaLabel) {
-	t.SchedState = &readyEntry{t: t, label: label, pri: int32(t.Priority)}
+	var e *readyEntry
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = new(readyEntry)
+	}
+	*e = readyEntry{t: t, label: label, pri: int32(t.Priority)}
+	t.SchedState = e
 	s.nlive++
 }
 
@@ -90,11 +99,14 @@ func (s *placeholders) insertBefore(child, parent *core.Thread) {
 	s.add(child, child.Order)
 }
 
-// remove deletes t's placeholder; t must not be ready.
+// remove deletes t's placeholder; t must not be ready. Its entry goes
+// to the free list, so the caller drops t.SchedState.
 func (s *placeholders) remove(t *core.Thread) {
-	if t.SchedState.(*readyEntry).ready {
+	e := t.SchedState.(*readyEntry)
+	if e.ready {
 		panic("sched: removing a ready placeholder")
 	}
+	s.free = append(s.free, e)
 	s.nlive--
 }
 
