@@ -24,17 +24,20 @@ type Alloc struct {
 // runs the child immediately; otherwise the child is enqueued and the
 // caller continues.
 //
-// A detached child can run, exit and have its record recycled before
-// Fork returns, so the result must not be read after that.
-func (m *Machine) Fork(t *Thread, attr Attr, body Body) *Thread {
-	return m.fork(t, attr, body, false)
+// body.Bind sees the child's record as soon as it exists, before the
+// policy can run the child. A detached child can run, exit and have its
+// record recycled before Fork returns, so the result must not be read
+// after that.
+func (m *Machine) Fork(h Handle, attr Attr, body Body) Handle {
+	return m.fork(h, attr, body, false)
 }
 
 // fork is Fork with the dummy marker set before the child can run.
-func (m *Machine) fork(t *Thread, attr Attr, body Body, dummy bool) *Thread {
-	m.checkRunning(t, "Fork")
+func (m *Machine) fork(h Handle, attr Attr, body Body, dummy bool) Handle {
+	t := m.checkRunning(h, "Fork")
 	child := m.newThread(attr, body)
 	child.isDummy = dummy
+	body.Bind(child.simState)
 	// DePa order maintenance: label the child from the parent's own
 	// fork path before the policy sees either thread. O(1), no shared
 	// state — on the native backend the same assignment happens outside
@@ -61,21 +64,23 @@ func (m *Machine) fork(t *Thread, attr Attr, body Body, dummy bool) *Thread {
 	if m.policy.OnCreate(t, child) {
 		// Parent is preempted; the processor executes the child now.
 		t.switchOut(action{kind: actPreempt, next: child})
-		return child
+		return child.simState
 	}
 	child.state = StateReady
 	m.queueOp(t.proc)
 	m.readyAt.push(t.proc.clock)
-	return child
+	return child.simState
 }
 
 // Join blocks until target exits. Each thread may be joined at most
 // once, and detached threads cannot be joined (POSIX semantics).
-func (m *Machine) Join(t *Thread, target *Thread) error {
-	m.checkRunning(t, "Join")
-	switch {
-	case target == nil:
+func (m *Machine) Join(h Handle, th Handle) error {
+	t := m.checkRunning(h, "Join")
+	if th == nil {
 		return fmt.Errorf("core: join with nil thread")
+	}
+	target := rec(th)
+	switch {
 	case target == t:
 		return fmt.Errorf("core: %s cannot join itself", t.Name())
 	case target.attr.Detached:
@@ -102,23 +107,22 @@ func (m *Machine) Join(t *Thread, target *Thread) error {
 }
 
 // Exit terminates the calling thread from any stack depth.
-func (m *Machine) Exit(t *Thread) {
-	m.checkRunning(t, "Exit")
+func (m *Machine) Exit(h Handle) {
+	m.checkRunning(h, "Exit")
 	panic(threadExit{})
 }
 
 // Yield returns the calling thread to the ready structure.
-func (m *Machine) Yield(t *Thread) {
-	m.checkRunning(t, "Yield")
-	t.switchOut(action{kind: actYield})
+func (m *Machine) Yield(h Handle) {
+	m.checkRunning(h, "Yield").switchOut(action{kind: actYield})
 }
 
 // Charge accounts cycles of user computation to the calling thread.
-func (m *Machine) Charge(t *Thread, cycles int64) {
+func (m *Machine) Charge(h Handle, cycles int64) {
 	if cycles <= 0 {
 		return
 	}
-	m.checkRunning(t, "Charge")
+	t := m.checkRunning(h, "Charge")
 	m.chargeWork(t, vtime.Duration(cycles))
 	t.maybePause()
 }
@@ -127,8 +131,8 @@ func (m *Machine) Charge(t *Thread, cycles int64) {
 // the policy's memory-quota discipline: an allocation larger than the
 // quota K first forks dummy threads (as a binary tree, since the fork
 // primitive is binary), and exhausting the quota preempts the thread.
-func (m *Machine) Malloc(t *Thread, n int64) Alloc {
-	m.checkRunning(t, "Malloc")
+func (m *Machine) Malloc(h Handle, n int64) Alloc {
+	t := m.checkRunning(h, "Malloc")
 	if n <= 0 {
 		panic(fmt.Sprintf("core: Malloc(%d)", n))
 	}
@@ -161,8 +165,8 @@ func (m *Machine) Malloc(t *Thread, n int64) Alloc {
 }
 
 // Free releases a simulated allocation.
-func (m *Machine) Free(t *Thread, a Alloc) {
-	m.checkRunning(t, "Free")
+func (m *Machine) Free(h Handle, a Alloc) {
+	t := m.checkRunning(h, "Free")
 	if a.Addr == 0 {
 		return
 	}
@@ -176,8 +180,8 @@ func (m *Machine) Free(t *Thread, a Alloc) {
 
 // Touch charges for accessing bytes [off, off+n) of allocation a through
 // the current processor's TLB (first-touch and TLB-miss costs).
-func (m *Machine) Touch(t *Thread, a Alloc, off, n int64) {
-	m.checkRunning(t, "Touch")
+func (m *Machine) Touch(h Handle, a Alloc, off, n int64) {
+	t := m.checkRunning(h, "Touch")
 	if n <= 0 {
 		return
 	}
@@ -191,18 +195,18 @@ func (m *Machine) Touch(t *Thread, a Alloc, off, n int64) {
 // Prefault marks an allocation's pages as resident without charging
 // virtual time, modeling input data loaded during untimed preprocessing
 // (the paper excludes preprocessing from its measurements).
-func (m *Machine) Prefault(t *Thread, a Alloc) {
-	m.checkRunning(t, "Prefault")
+func (m *Machine) Prefault(h Handle, a Alloc) {
+	m.checkRunning(h, "Prefault")
 	m.mem.Prefault(a.Addr, a.Size)
 }
 
 // Sleep parks the calling thread for at least d of virtual time
 // (nanosleep). The thread becomes ready at its deadline and is then
 // scheduled by the policy like any woken thread.
-func (m *Machine) Sleep(t *Thread, d vtime.Duration) {
-	m.checkRunning(t, "Sleep")
+func (m *Machine) Sleep(h Handle, d vtime.Duration) {
+	t := m.checkRunning(h, "Sleep")
 	if d <= 0 {
-		m.Yield(t)
+		m.Yield(h)
 		return
 	}
 	m.sleepers = append(m.sleepers, sleeper{at: t.proc.clock + vtime.Time(d), t: t})
@@ -210,9 +214,8 @@ func (m *Machine) Sleep(t *Thread, d vtime.Duration) {
 }
 
 // Now returns the virtual time on the calling thread's processor.
-func (m *Machine) Now(t *Thread) vtime.Time {
-	m.checkRunning(t, "Now")
-	return t.proc.clock
+func (m *Machine) Now(h Handle) vtime.Time {
+	return m.checkRunning(h, "Now").proc.clock
 }
 
 // forkDummies creates d no-op dummy threads as a binary tree rooted at a
@@ -227,12 +230,12 @@ func (m *Machine) forkDummies(t *Thread, d int) {
 	}
 	m.ins.dummyForks.Add(int64(d))
 	m.dummies += int64(d)
-	m.forkDummySubtree(t, d)
+	m.forkDummySubtree(t.simState, d)
 }
 
-func (m *Machine) forkDummySubtree(t *Thread, count int) {
+func (m *Machine) forkDummySubtree(h Handle, count int) {
 	attr := Attr{StackSize: SmallStackSize, Detached: true}
-	m.fork(t, attr, Func(func(dt *Thread) {
+	m.fork(h, attr, Func(func(dt Handle) {
 		rem := count - 1
 		if rem <= 0 {
 			return
@@ -248,10 +251,16 @@ func (m *Machine) forkDummySubtree(t *Thread, count int) {
 	}), true)
 }
 
-// checkRunning guards against calling thread-context entry points from
-// outside a running thread (a programming error in the host program).
-func (m *Machine) checkRunning(t *Thread, op string) {
-	if t == nil || t.state != StateRunning || t.proc == nil {
+// checkRunning recovers the machine's record from h, guarding against
+// calling thread-context entry points from outside a running thread (a
+// programming error in the host program).
+func (m *Machine) checkRunning(h Handle, op string) *Thread {
+	s, _ := h.(*simState)
+	if s == nil || s.state != StateRunning || s.proc == nil {
 		panic(fmt.Sprintf("core: %s called outside a running thread", op))
 	}
+	return &s.hdr
 }
+
+// rec recovers the machine's record from h.
+func rec(h Handle) *Thread { return &h.(*simState).hdr }

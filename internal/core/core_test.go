@@ -141,10 +141,10 @@ func TestMachineSingleUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Execute(func(*Thread) {}); err != nil {
+	if _, err := m.Execute(func(Handle) {}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Execute(func(*Thread) {}); err == nil {
+	if _, err := m.Execute(func(Handle) {}); err == nil {
 		t.Error("second Execute should fail")
 	}
 }
@@ -204,27 +204,28 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := new(int) // stands in for a policy's placeholder
-	_, err = m.Execute(func(root *Thread) {
-		a := m.Fork(root, Attr{Name: "a"}, Func(func(c *Thread) {
-			c.TLS = map[any]any{"k": 1}
-			c.SchedState = entry
+	_, err = m.Execute(func(root Handle) {
+		a := m.Fork(root, Attr{Name: "a"}, Func(func(c Handle) {
+			c.TLSSet("k", 1)
+			rec(c).SchedState = entry
 			m.Charge(c, 1000)
 		}))
-		aID := a.ID
+		aID := a.ID()
 		// The fake policy queues a, so root joins before it runs: a's
 		// exit wakes root as the joiner.
 		if err := m.Join(root, a); err != nil {
 			t.Error(err)
 			return
 		}
-		b := m.Fork(root, Attr{}, Func(func(*Thread) {}))
+		hb := m.Fork(root, Attr{}, Func(func(Handle) {}))
+		b := rec(hb)
 		switch {
-		case b != a:
+		case hb != a:
 			t.Errorf("the joined record was not reused")
 		case b.ID == aID || b.Name() != fmt.Sprintf("thread-%d", b.ID):
 			t.Errorf("reused record kept a's identity: ID %d, name %q", b.ID, b.Name())
-		case b.TLS != nil || b.joiner != nil || b.carrier != nil || b.proc != nil:
-			t.Errorf("reused record kept state: TLS %v, joiner %v, carrier %v, proc %v", b.TLS, b.joiner, b.carrier, b.proc)
+		case b.tls != nil || b.joiner != nil || b.carrier != nil || b.proc != nil:
+			t.Errorf("reused record kept state: TLS %v, joiner %v, carrier %v, proc %v", b.tls, b.joiner, b.carrier, b.proc)
 		case b.exitedSpan != 0 || b.done || b.joined || b.started || b.attr.Detached || b.attr.Name != "" || b.isDummy:
 			t.Errorf("reused record kept exit state: exitedSpan %d, done %v, joined %v, started %v", b.exitedSpan, b.done, b.joined, b.started)
 		case b.refs != 2 || b.state != StateReady:
@@ -232,7 +233,7 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 		case b.SchedState != nil || b.m != m:
 			t.Errorf("reused record: SchedState %v, machine kept %v", b.SchedState, b.m == m)
 		}
-		if err := m.Join(root, b); err != nil {
+		if err := m.Join(root, hb); err != nil {
 			t.Error(err)
 		}
 	})

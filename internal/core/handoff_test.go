@@ -42,13 +42,13 @@ func (p *lifoPolicy) Next(pid int) *Thread {
 }
 
 // forkJoinTree forks a binary tree of depth d below t and joins it.
-func forkJoinTree(m *Machine, t *Thread, d int) {
+func forkJoinTree(m *Machine, t Handle, d int) {
 	if d == 0 {
 		return
 	}
-	l := m.Fork(t, Attr{}, Func(func(c *Thread) { forkJoinTree(m, c, d-1) }))
-	r := m.Fork(t, Attr{}, Func(func(c *Thread) { forkJoinTree(m, c, d-1) }))
-	for _, c := range []*Thread{l, r} {
+	l := m.Fork(t, Attr{}, Func(func(c Handle) { forkJoinTree(m, c, d-1) }))
+	r := m.Fork(t, Attr{}, Func(func(c Handle) { forkJoinTree(m, c, d-1) }))
+	for _, c := range []Handle{l, r} {
 		if err := m.Join(t, c); err != nil {
 			panic(err)
 		}
@@ -77,7 +77,7 @@ func TestSimHandoffsPerThread(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := m.Execute(func(root *Thread) { forkJoinTree(m, root, depth) })
+			st, err := m.Execute(func(root Handle) { forkJoinTree(m, root, depth) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestSimHandoffsPerThread(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = m.Execute(func(root *Thread) {
+			_, err = m.Execute(func(root Handle) {
 				for i := 0; i < pauses; i++ {
 					m.Charge(root, int64(Quantum))
 				}
@@ -134,9 +134,9 @@ func TestMachineFaultPanicsExecute(t *testing.T) {
 	}
 	got := func() (r any) {
 		defer func() { r = recover() }()
-		_, err := m.Execute(func(root *Thread) {
+		_, err := m.Execute(func(root Handle) {
 			for i := 0; i < 3; i++ {
-				m.Fork(root, Attr{}, Func(func(c *Thread) { m.Park(c) }))
+				m.Fork(root, Attr{}, Func(func(c Handle) { m.Park(c) }))
 			}
 		})
 		t.Errorf("Execute returned (err = %v), want a panic", err)

@@ -93,7 +93,8 @@ type Machine struct {
 	// every other field below stays dormant.
 	batch      int
 	batchNext  BatchNexter
-	qinPending int64 // Q_in entries since the last scheduler pass
+	qinPending int64   // Q_in entries since the last scheduler pass
+	hungry     []*Proc // a scheduler pass's receivers, reused pass to pass
 
 	nextID   int64
 	peakLive int
@@ -160,11 +161,13 @@ type Proc struct {
 
 	// qout is the processor's prefetched ready batch (batched modes):
 	// threads already removed from the policy's ready structure by a
-	// scheduler pass, popped front-first without the global lock.
-	// qoutAt holds each entry's availability time (the completing pass's
-	// timestamp).
+	// scheduler pass, dispatched without the global lock. A pass fills
+	// only empty Q_outs, so every entry is available at the same time,
+	// qoutAt (the completing pass's timestamp). The batch is stored
+	// back to front, so a dispatch pops the end and the slice keeps its
+	// backing array for the next refill.
 	qout   []*Thread
-	qoutAt []vtime.Time
+	qoutAt vtime.Time
 }
 
 // ProcStats is the per-processor virtual-time breakdown. Idle is filled
@@ -226,27 +229,14 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Run executes main as the root thread and drives the simulation to
-// completion (every thread exited) or failure (deadlock, panic in thread
-// code, or step-limit exceeded).
-func Run(cfg Config, main func(*Thread)) (Stats, error) {
-	m, err := New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	return m.run(main)
-}
-
-// Execute runs main as the root thread of a freshly built machine. A
-// machine is single-use: Execute must be called at most once.
-func (m *Machine) Execute(main func(*Thread)) (Stats, error) {
+// Execute runs main as the root thread of a freshly built machine and
+// drives the simulation to completion (every thread exited) or failure
+// (deadlock, panic in thread code, or step-limit exceeded). A machine
+// is single-use: Execute must be called at most once.
+func (m *Machine) Execute(main func(Handle)) (Stats, error) {
 	if m.nextID != 0 {
 		return Stats{}, errors.New("core: machine already executed")
 	}
-	return m.run(main)
-}
-
-func (m *Machine) run(main func(*Thread)) (Stats, error) {
 	root := m.newThread(Attr{Name: "root"}, Func(main))
 	root.Order = RootDepaLabel()
 	// The root's stack predates the run; count its footprint silently.
@@ -414,7 +404,7 @@ func (m *Machine) pickProc() *Proc {
 		switch {
 		case p.cur != nil:
 		case len(p.qout) > 0:
-			key = max(key, p.qoutAt[0])
+			key = max(key, p.qoutAt)
 		case haveReady:
 			key = max(key, readyMin)
 		default:
@@ -460,13 +450,12 @@ func (m *Machine) dispatchBatched(p *Proc) {
 	if len(p.qout) == 0 {
 		m.schedulerPass(p)
 	}
-	at := p.qoutAt[0]
+	at := p.qoutAt
 	if at > p.clock {
 		m.liftClock(p, at) // the refill completed in the future: idle gap
 	}
-	t := p.qout[0]
-	p.qout = p.qout[1:]
-	p.qoutAt = p.qoutAt[1:]
+	t := p.qout[len(p.qout)-1]
+	p.qout = p.qout[:len(p.qout)-1]
 	p.stats.Sched += m.cm.SchedLocalOp
 	m.tick(p, m.cm.SchedLocalOp)
 	m.ins.dispatchWait.Observe(int64(p.clock - at))
@@ -490,12 +479,13 @@ func (m *Machine) schedulerPass(p *Proc) {
 	// The requesting processor is always first so the leftmost thread of
 	// the refill lands in its Q_out (it is guaranteed work after the
 	// pass); other hungry processors join in ascending id order.
-	hungry := []*Proc{p}
+	hungry := append(m.hungry[:0], p)
 	for _, q := range m.procs {
 		if q != p && q.cur == nil && len(q.qout) == 0 {
 			hungry = append(hungry, q)
 		}
 	}
+	m.hungry = hungry
 	start := p.clock
 	drained := m.qinPending
 	m.qinPending = 0
@@ -507,21 +497,21 @@ func (m *Machine) schedulerPass(p *Proc) {
 	// batches grow with the fork rate instead of staying at the handful
 	// of threads ready at the instant the pass begins.
 	capTotal := len(hungry) * m.batch
-	var times []vtime.Time
+	n := 0
 	var cost vtime.Duration
 	for {
-		cost = m.cm.SchedLockOp + vtime.Duration(int64(len(times))+drained)*m.cm.SchedBatchMove
+		cost = m.cm.SchedLockOp + vtime.Duration(int64(n)+drained)*m.cm.SchedBatchMove
 		deadline := start + vtime.Time(cost)
 		grew := false
-		for len(times) < capTotal && m.readyAt.len() > 0 && m.readyAt.min() <= deadline {
-			times = append(times, m.readyAt.pop())
+		for n < capTotal && m.readyAt.len() > 0 && m.readyAt.min() <= deadline {
+			m.readyAt.pop()
+			n++
 			grew = true
 		}
 		if !grew {
 			break
 		}
 	}
-	n := len(times)
 	if n == 0 {
 		panic("core: scheduler pass found no ready work")
 	}
@@ -536,10 +526,11 @@ func (m *Machine) schedulerPass(p *Proc) {
 	passDone := p.clock
 	// Deal round-robin starting at the requester; each Q_out receives its
 	// share in leftmost-first order, available once the pass completes.
-	for i, t := range threads {
+	// Dealing from the back stores each share back to front.
+	for i := n - 1; i >= 0; i-- {
 		q := hungry[i%len(hungry)]
-		q.qout = append(q.qout, t)
-		q.qoutAt = append(q.qoutAt, passDone)
+		q.qout = append(q.qout, threads[i])
+		q.qoutAt = passDone
 	}
 	m.ins.batchPasses.Inc()
 	if tr := m.cfg.Tracer; tr != nil {

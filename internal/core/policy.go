@@ -101,6 +101,7 @@ type BatchNexter interface {
 	// NextBatch removes and returns up to n ready threads in exactly the
 	// order n successive Next(pid) calls would have dispatched them
 	// (leftmost-ready first for ADF). It returns fewer than n only when
-	// the ready structure is exhausted.
+	// the ready structure is exhausted. The result is valid until the
+	// next call.
 	NextBatch(pid, n int) []*Thread
 }

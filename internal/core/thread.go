@@ -97,11 +97,13 @@ type Thread struct {
 // simState is a simulator thread's record: its Thread header (hdr,
 // whose simState points back here) and the machine's private state,
 // one object. Its fields promote through Thread, so the machine writes
-// t.carrier, t.span, … directly. Records are recycled through the
-// machine's free list with native's lifecycle rule (see
-// Machine.release): once recycled, a record describes its new thread,
-// so no pointer to an exited thread may be read after its last holder
-// has let go.
+// t.carrier, t.span, … directly. It is also the thread's Handle: the
+// machine hands the record itself to Body and to the pthread layer, and
+// each entry point recovers the header from it (checkRunning, rec).
+// Records are recycled through the machine's free list with native's
+// lifecycle rule (see Machine.release): once recycled, a record
+// describes its new thread, so no pointer to an exited thread may be
+// read after its last holder has let go.
 type simState struct {
 	hdr  Thread
 	m    *Machine
@@ -134,8 +136,7 @@ type simState struct {
 	joiner     *Thread
 	exitedSpan vtime.Duration
 
-	// TLS storage for the public API layer.
-	TLS map[any]any
+	tls map[any]any // thread-local storage for the public API layer
 
 	slot int      // index in Machine.threads while live
 	next *freeRec // free-list link
@@ -182,15 +183,30 @@ type action struct {
 	next *Thread
 }
 
+// Handle implementation. Name, TLSGet and TLSSet also promote to
+// Thread; ID is shadowed there by the header's field.
+
+// ID returns the thread's identifier.
+func (s *simState) ID() int64 { return s.hdr.ID }
+
 // Name returns the thread's label, or a synthesized one.
-func (t *Thread) Name() string {
-	if t.attr.Name != "" {
-		return t.attr.Name
+func (s *simState) Name() string {
+	if s.attr.Name != "" {
+		return s.attr.Name
 	}
-	if t.isDummy {
-		return fmt.Sprintf("dummy-%d", t.ID)
+	if s.isDummy {
+		return fmt.Sprintf("dummy-%d", s.hdr.ID)
 	}
-	return fmt.Sprintf("thread-%d", t.ID)
+	return fmt.Sprintf("thread-%d", s.hdr.ID)
+}
+
+func (s *simState) TLSGet(key any) any { return s.tls[key] }
+
+func (s *simState) TLSSet(key, val any) {
+	if s.tls == nil {
+		s.tls = make(map[any]any)
+	}
+	s.tls[key] = val
 }
 
 // threadExit is the panic payload used by Exit to unwind a thread.
@@ -199,17 +215,6 @@ type threadExit struct{}
 // threadAbort is the panic payload used to unwind parked threads when the
 // machine shuts down early.
 type threadAbort struct{}
-
-// Body is what a simulated thread runs.
-type Body interface {
-	Run(t *Thread)
-}
-
-// Func is a Body that is a plain function.
-type Func func(*Thread)
-
-// Run implements Body.
-func (f Func) Run(t *Thread) { f(t) }
 
 // rider is a Thread in its carrier's Rider role, kept off Thread's
 // method set.
@@ -220,7 +225,7 @@ type rider Thread
 func (r *rider) Ride(c *Carrier, pid int) {
 	t := (*Thread)(r)
 	t.carrier = c
-	t.body.Run(t)
+	t.body.Run(t.simState)
 }
 
 // Finish runs the scheduler for the exiting thread and returns the

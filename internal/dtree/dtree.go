@@ -298,9 +298,12 @@ func (b *builder) build(t *pthread.T, idx []int32, idxAll pthread.Alloc, paralle
 func (b *builder) bestSplit(t *pthread.T, idx []int32, parallel bool) (attr int, split float64, ok bool) {
 	n := len(idx)
 	bestGR := 0.0
+	// One scratch slice serves every attribute: Par joins the sort's
+	// forks before the scan, so nothing still reads it when the next
+	// attribute overwrites it.
+	sorted := make([]int32, n)
 	for a := 0; a < b.d.NumAttrs(); a++ {
 		vals := b.d.Attrs[a]
-		sorted := make([]int32, n)
 		copy(sorted, idx)
 		sAll := t.Malloc(int64(n) * 4)
 		t.TouchAll(sAll)

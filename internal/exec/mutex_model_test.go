@@ -17,19 +17,19 @@ import (
 // mutexModel is the backend of one interleaving: Park is a step enabled
 // once a Wake has handed the thread the lock.
 type mutexModel struct {
-	Backend
+	core.Backend
 	s                  *modelcheck.Sched
-	registered, handed []Thread
+	registered, handed []core.Handle
 }
 
-func (f *mutexModel) SyncOp(Thread, string, core.SyncCost) {}
-func (f *mutexModel) Pause(Thread)                         {}
-func (f *mutexModel) LockStamp(Thread) int64               { return 0 }
-func (f *mutexModel) LockAcquired(Thread, int64)           {}
-func (f *mutexModel) BlockPrep(t Thread)                   { f.registered = append(f.registered, t) }
-func (f *mutexModel) Wake(_, w Thread)                     { f.handed = append(f.handed, w) }
+func (f *mutexModel) SyncOp(core.Handle, string, core.SyncCost) {}
+func (f *mutexModel) Pause(core.Handle)                         {}
+func (f *mutexModel) LockStamp(core.Handle) int64               { return 0 }
+func (f *mutexModel) LockAcquired(core.Handle, int64)           {}
+func (f *mutexModel) BlockPrep(t core.Handle)                   { f.registered = append(f.registered, t) }
+func (f *mutexModel) Wake(_, w core.Handle)                     { f.handed = append(f.handed, w) }
 
-func (f *mutexModel) Park(t Thread) {
+func (f *mutexModel) Park(t core.Handle) {
 	f.s.Step(int(t.ID())-1, func() bool { return slices.Contains(f.handed, t) })
 }
 
@@ -55,7 +55,7 @@ func TestMutexWordModel(t *testing.T) {
 			}
 			return false
 		}
-		mutexStep = func(t Thread, locking bool) {
+		mutexStep = func(t core.Handle, locking bool) {
 			var enabled func() bool
 			if locking {
 				enabled = muFree

@@ -1,3 +1,16 @@
+// Package exec holds the blocking synchronization objects behind the
+// pthread API — mutex, condition variable, rwlock, spin lock,
+// semaphore, barrier, once — written once for both execution backends
+// against the block / wake primitives of the core.Backend contract:
+//
+//   - sim: *core.Machine, the deterministic discrete-event simulated
+//     multiprocessor. One thread goroutine runs at a time, virtual
+//     clocks decide interleaving, and every run is bit-identical for a
+//     fixed Config.
+//   - native: *native.Backend, real goroutines as lightweight threads
+//     multiplexed onto worker goroutines, scheduled by the same
+//     internal/sched policies behind a real scheduler lock, timed by
+//     the wall clock.
 package exec
 
 import (
@@ -10,7 +23,7 @@ import (
 )
 
 // The blocking synchronization objects, written once for both backends
-// against the Backend's block / wake primitives. Each is a plain struct
+// against the backend's block / wake primitives. Each is a plain struct
 // whose zero value is usable (Semaphore and Barrier take their counts
 // from Init), and every method takes the calling thread's backend.
 //
@@ -54,28 +67,28 @@ func popFront[W any](q *[]W) W {
 type Mutex struct {
 	word    atomic.Int64
 	mu      sync.Mutex
-	waiters []Thread
+	waiters []core.Handle
 }
 
 const waitBit = 1
 
 // mutexStep, when set, runs before each access to a mutex word or its
 // mu (locking): the model test gates threads one step at a time.
-var mutexStep func(t Thread, locking bool)
+var mutexStep func(t core.Handle, locking bool)
 
-func step(t Thread, locking bool) {
+func step(t core.Handle, locking bool) {
 	if mutexStep != nil {
 		mutexStep(t, locking)
 	}
 }
 
-func (m *Mutex) cas(t Thread, from, to int64) bool {
+func (m *Mutex) cas(t core.Handle, from, to int64) bool {
 	step(t, false)
 	return m.word.CompareAndSwap(from, to)
 }
 
 // Lock acquires m, blocking t while another thread holds it.
-func (m *Mutex) Lock(b Backend, t Thread) {
+func (m *Mutex) Lock(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "Lock", core.CostOp)
 	// Pause before acquiring, never while holding: a quantum pause
 	// inside a critical section would convoy other threads needing m.
@@ -104,17 +117,17 @@ func (m *Mutex) Lock(b Backend, t Thread) {
 		}
 		m.mu.Unlock()
 	}
-	b.LockAcquired(t, NoWait)
+	b.LockAcquired(t, core.NoWait)
 }
 
 // TryLock acquires m if it is free and reports whether it did.
-func (m *Mutex) TryLock(b Backend, t Thread) bool {
+func (m *Mutex) TryLock(b core.Backend, t core.Handle) bool {
 	b.SyncOp(t, "TryLock", core.CostOp)
 	return m.cas(t, 0, t.ID()<<1)
 }
 
 // Unlock releases m, handing it to the longest waiter if any.
-func (m *Mutex) Unlock(b Backend, t Thread) {
+func (m *Mutex) Unlock(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "Unlock", core.CostOp)
 	me := t.ID() << 1
 	if !m.cas(t, me, 0) {
@@ -135,7 +148,7 @@ func (m *Mutex) Unlock(b Backend, t Thread) {
 }
 
 // holds reports whether t owns m.
-func (m *Mutex) holds(t Thread) bool { return m.word.Load()&^waitBit == t.ID()<<1 }
+func (m *Mutex) holds(t core.Handle) bool { return m.word.Load()&^waitBit == t.ID()<<1 }
 
 // Cond is a condition variable used with a Mutex (pthread_cond_t).
 type Cond struct {
@@ -150,7 +163,7 @@ type Cond struct {
 // timer. A listed waiter's timer is unclaimed: a timeout that wins its
 // claim takes the waiter off the list.
 type condWaiter struct {
-	t     Thread
+	t     core.Handle
 	timer *condTimer
 }
 
@@ -182,7 +195,7 @@ func (w condWaiter) signalled() {
 
 // wake readies a claimed waiter from by's processor; its timer then no
 // longer counts as a pending wake source.
-func (w condWaiter) wake(b Backend, by Thread) {
+func (w condWaiter) wake(b core.Backend, by core.Handle) {
 	b.Wake(by, w.t)
 	if w.timer != nil && w.timer.disarm != nil {
 		w.timer.disarm()
@@ -191,18 +204,18 @@ func (w condWaiter) wake(b Backend, by Thread) {
 
 // Wait atomically releases mu and blocks until signalled, then
 // reacquires mu before returning.
-func (c *Cond) Wait(b Backend, t Thread, mu *Mutex) {
+func (c *Cond) Wait(b core.Backend, t core.Handle, mu *Mutex) {
 	c.wait(b, t, mu, false, 0, "Cond.Wait")
 }
 
 // WaitTimeout is Wait with a deadline d from now
 // (pthread_cond_timedwait). It reports whether d passed before a
 // signal arrived; either way mu is held on return.
-func (c *Cond) WaitTimeout(b Backend, t Thread, mu *Mutex, d vtime.Duration) (timedOut bool) {
+func (c *Cond) WaitTimeout(b core.Backend, t core.Handle, mu *Mutex, d vtime.Duration) (timedOut bool) {
 	return c.wait(b, t, mu, true, d, "Cond.WaitTimeout")
 }
 
-func (c *Cond) wait(b Backend, t Thread, mu *Mutex, timed bool, d vtime.Duration, op string) (timedOut bool) {
+func (c *Cond) wait(b core.Backend, t core.Handle, mu *Mutex, timed bool, d vtime.Duration, op string) (timedOut bool) {
 	b.SyncOp(t, op, core.CostCheck)
 	if !mu.holds(t) {
 		panic(fmt.Sprintf("pthread: %s waiting on a condition without holding the mutex", t.Name()))
@@ -250,7 +263,7 @@ func (c *Cond) drop(tm *condTimer) {
 }
 
 // Signal wakes the longest waiter, if any.
-func (c *Cond) Signal(b Backend, t Thread) {
+func (c *Cond) Signal(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "Cond.Signal", core.CostOp)
 	if c.n.Load() == 0 {
 		return
@@ -268,7 +281,7 @@ func (c *Cond) Signal(b Backend, t Thread) {
 }
 
 // Broadcast wakes every waiter.
-func (c *Cond) Broadcast(b Backend, t Thread) {
+func (c *Cond) Broadcast(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "Cond.Broadcast", core.CostOp)
 	if c.n.Load() == 0 {
 		return
@@ -292,7 +305,7 @@ func (c *Cond) Broadcast(b Backend, t Thread) {
 type Semaphore struct {
 	mu      sync.Mutex
 	count   int64
-	waiters []Thread
+	waiters []core.Handle
 }
 
 // Init sets the initial count, before first use.
@@ -304,7 +317,7 @@ func (s *Semaphore) Init(n int64) {
 }
 
 // Wait decrements the semaphore, blocking t while it is zero.
-func (s *Semaphore) Wait(b Backend, t Thread) {
+func (s *Semaphore) Wait(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "SemWait", core.CostOp)
 	s.mu.Lock()
 	if s.count > 0 {
@@ -323,7 +336,7 @@ func (s *Semaphore) Wait(b Backend, t Thread) {
 
 // Post increments the semaphore, or hands the increment to the longest
 // waiter if any.
-func (s *Semaphore) Post(b Backend, t Thread) {
+func (s *Semaphore) Post(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "SemPost", core.CostOp)
 	s.mu.Lock()
 	if len(s.waiters) == 0 {
@@ -349,11 +362,11 @@ func (s *Semaphore) Value() int64 {
 type Barrier struct {
 	mu      sync.Mutex
 	parties int
-	arrived []Thread
+	arrived []core.Handle
 	// spare is the previous round's list. Its releaser has finished
 	// waking from it by the time this round releases, since that
 	// releaser is one of this round's parties.
-	spare []Thread
+	spare []core.Handle
 }
 
 // Init sets the party count, before first use.
@@ -366,7 +379,7 @@ func (br *Barrier) Init(parties int) {
 
 // Wait blocks t until the last party arrives; that last thread releases
 // the others and reports true (PTHREAD_BARRIER_SERIAL_THREAD).
-func (br *Barrier) Wait(b Backend, t Thread) bool {
+func (br *Barrier) Wait(b core.Backend, t core.Handle) bool {
 	b.SyncOp(t, "BarrierWait", core.CostOp)
 	br.mu.Lock()
 	if len(br.arrived)+1 == br.parties {
@@ -394,7 +407,7 @@ func (br *Barrier) Wait(b Backend, t Thread) bool {
 type Once struct {
 	mu      sync.Mutex
 	state   uint8 // onceIdle, onceRunning, onceDone
-	waiters []Thread
+	waiters []core.Handle
 }
 
 const (
@@ -404,7 +417,7 @@ const (
 )
 
 // Do invokes fn on the first call for o.
-func (o *Once) Do(b Backend, t Thread, fn func()) {
+func (o *Once) Do(b core.Backend, t core.Handle, fn func()) {
 	b.SyncOp(t, "OnceDo", core.CostOp)
 	o.mu.Lock()
 	switch o.state {
@@ -438,14 +451,14 @@ func (o *Once) Do(b Backend, t Thread, fn func()) {
 type RWMutex struct {
 	mu      sync.Mutex
 	readers int // active readers
-	writer  Thread
-	waitR   []Thread
-	waitW   []Thread
+	writer  core.Handle
+	waitR   []core.Handle
+	waitW   []core.Handle
 }
 
 // RLock acquires the lock for reading, blocking t while a writer holds
 // or awaits it.
-func (rw *RWMutex) RLock(b Backend, t Thread) {
+func (rw *RWMutex) RLock(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "RLock", core.CostOp)
 	b.Pause(t)
 	rw.mu.Lock()
@@ -463,7 +476,7 @@ func (rw *RWMutex) RLock(b Backend, t Thread) {
 
 // RUnlock releases a read hold; the last reader admits a waiting
 // writer.
-func (rw *RWMutex) RUnlock(b Backend, t Thread) {
+func (rw *RWMutex) RUnlock(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "RUnlock", core.CostOp)
 	rw.mu.Lock()
 	if rw.readers <= 0 {
@@ -475,7 +488,7 @@ func (rw *RWMutex) RUnlock(b Backend, t Thread) {
 }
 
 // WLock acquires the lock exclusively.
-func (rw *RWMutex) WLock(b Backend, t Thread) {
+func (rw *RWMutex) WLock(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "WLock", core.CostOp)
 	b.Pause(t)
 	rw.mu.Lock()
@@ -497,7 +510,7 @@ func (rw *RWMutex) WLock(b Backend, t Thread) {
 
 // WUnlock releases the exclusive hold, admitting the next writer or
 // else every waiting reader.
-func (rw *RWMutex) WUnlock(b Backend, t Thread) {
+func (rw *RWMutex) WUnlock(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "WUnlock", core.CostOp)
 	rw.mu.Lock()
 	if rw.writer != t {
@@ -511,13 +524,13 @@ func (rw *RWMutex) WUnlock(b Backend, t Thread) {
 // release finishes an unlock that holds rw.mu: if the lock is free it
 // passes to the next waiting writer, or else to every waiting reader.
 // It drops rw.mu, wakes whoever it admitted, and pauses.
-func (rw *RWMutex) release(b Backend, t Thread, free bool) {
-	var admitted []Thread
+func (rw *RWMutex) release(b core.Backend, t core.Handle, free bool) {
+	var admitted []core.Handle
 	switch {
 	case !free:
 	case len(rw.waitW) > 0:
 		rw.writer = popFront(&rw.waitW)
-		admitted = []Thread{rw.writer}
+		admitted = []core.Handle{rw.writer}
 	default:
 		admitted = rw.waitR
 		rw.waitR = nil
@@ -540,7 +553,7 @@ type SpinLock struct {
 }
 
 // Acquire takes the spin lock, spinning while it is held.
-func (l *SpinLock) Acquire(b Backend, t Thread) {
+func (l *SpinLock) Acquire(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "SpinAcquire", core.CostOp)
 	for burst := 0; !l.holder.CompareAndSwap(0, t.ID()); burst++ {
 		l.spins.Add(1)
@@ -549,7 +562,7 @@ func (l *SpinLock) Acquire(b Backend, t Thread) {
 }
 
 // Release frees the spin lock.
-func (l *SpinLock) Release(b Backend, t Thread) {
+func (l *SpinLock) Release(b core.Backend, t core.Handle) {
 	b.SyncOp(t, "SpinRelease", core.CostOp)
 	if !l.holder.CompareAndSwap(t.ID(), 0) {
 		panic(fmt.Sprintf("pthread: %s releasing a spin lock it does not hold", t.Name()))

@@ -27,10 +27,10 @@ func (f *thread) TLSSet(any, any) {}
 
 // fake implements the primitives; the objects call nothing else.
 type fake struct {
-	Backend
+	core.Backend
 	t        *testing.T
 	obj      *sync.Mutex // the object lock under test
-	woken    []Thread
+	woken    []core.Handle
 	claim    func() bool
 	disarmed int
 }
@@ -43,33 +43,33 @@ func (f *fake) held() bool {
 	return true
 }
 
-func (f *fake) check(step string, t Thread, wantHeld bool) {
+func (f *fake) check(step string, t core.Handle, wantHeld bool) {
 	if f.held() != wantHeld {
 		f.t.Errorf("%s(%s) with the object lock held = %v, want %v", step, t.Name(), !wantHeld, wantHeld)
 	}
 }
 
-func (f *fake) SyncOp(Thread, string, core.SyncCost) {}
-func (f *fake) Pause(Thread)                         {}
-func (f *fake) Spin(Thread, int)                     {}
-func (f *fake) LockStamp(Thread) int64               { return 0 }
-func (f *fake) LockAcquired(Thread, int64)           {}
-func (f *fake) BlockPrep(t Thread)                   { f.check("BlockPrep", t, true) }
-func (f *fake) Park(t Thread)                        { f.check("Park", t, false) }
-func (f *fake) JoinSpans(t Thread, _ []Thread)       { f.check("JoinSpans", t, true) }
+func (f *fake) SyncOp(core.Handle, string, core.SyncCost) {}
+func (f *fake) Pause(core.Handle)                         {}
+func (f *fake) Spin(core.Handle, int)                     {}
+func (f *fake) LockStamp(core.Handle) int64               { return 0 }
+func (f *fake) LockAcquired(core.Handle, int64)           {}
+func (f *fake) BlockPrep(t core.Handle)                   { f.check("BlockPrep", t, true) }
+func (f *fake) Park(t core.Handle)                        { f.check("Park", t, false) }
+func (f *fake) JoinSpans(t core.Handle, _ []core.Handle)  { f.check("JoinSpans", t, true) }
 
-func (f *fake) Wake(by, w Thread) {
+func (f *fake) Wake(by, w core.Handle) {
 	f.check("Wake", w, false)
 	f.woken = append(f.woken, w)
 }
 
-func (f *fake) WakeAfter(t Thread, _ vtime.Duration, claim func() bool) func() {
+func (f *fake) WakeAfter(t core.Handle, _ vtime.Duration, claim func() bool) func() {
 	f.check("WakeAfter", t, true)
 	f.claim = claim
 	return func() { f.disarmed++ }
 }
 
-func (f *fake) wantWoken(want ...Thread) {
+func (f *fake) wantWoken(want ...core.Handle) {
 	f.t.Helper()
 	if len(f.woken) != len(want) {
 		f.t.Fatalf("woken %v, want %v", f.woken, want)

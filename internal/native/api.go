@@ -6,28 +6,27 @@ import (
 	"time"
 
 	"spthreads/internal/core"
-	"spthreads/internal/exec"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 )
 
-// Thread-facing operations (exec.Backend). All run in thread context:
+// Thread-facing operations (core.Backend). All run in thread context:
 // in the body of the thread passed as the first argument, while
 // that thread holds a processor.
 
-// nt unwraps an exec.Thread to this backend's representation.
-func nt(t exec.Thread) *thread { return t.(*thread) }
+// nt unwraps an core.Handle to this backend's representation.
+func nt(t core.Handle) *thread { return t.(*thread) }
 
-// Fork implements exec.Backend. In the DePa order (the ADF family) a
+// Fork implements core.Backend. In the DePa order (the ADF family) a
 // fork has the paper's semantics: the parent is preempted and hands its
 // processor straight to the child. In a sequence order (FIFO, LIFO) it
 // keeps Solaris semantics: the child is pushed and the parent runs on.
-func (b *Backend) Fork(pt exec.Thread, attr core.Attr, body exec.Body) exec.Thread {
+func (b *Backend) Fork(pt core.Handle, attr core.Attr, body core.Body) core.Handle {
 	return b.fork(nt(pt), attr, body, false)
 }
 
 // fork is Fork with the dummy marker settable before the child can run.
-func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *thread {
+func (b *Backend) fork(t *thread, attr core.Attr, body core.Body, dummy bool) *thread {
 	pid := t.pid
 	child := b.newThread(pid, attr, body)
 	child.isDummy = dummy
@@ -58,8 +57,8 @@ func (b *Backend) fork(t *thread, attr core.Attr, body exec.Body, dummy bool) *t
 	return child
 }
 
-// Join implements exec.Backend (POSIX single-joiner semantics).
-func (b *Backend) Join(pt exec.Thread, ptarget exec.Thread) error {
+// Join implements core.Backend (POSIX single-joiner semantics).
+func (b *Backend) Join(pt core.Handle, ptarget core.Handle) error {
 	t := nt(pt)
 	if ptarget == nil {
 		return fmt.Errorf("native: join with nil thread")
@@ -159,20 +158,20 @@ func (b *Backend) claimJoin(t, target *thread) (parked bool, at vtime.Time, err 
 	}
 }
 
-// Exit implements exec.Backend (pthread_exit).
-func (b *Backend) Exit(t exec.Thread) {
+// Exit implements core.Backend (pthread_exit).
+func (b *Backend) Exit(t core.Handle) {
 	core.ExitThread()
 }
 
-// Yield implements exec.Backend (sched_yield).
-func (b *Backend) Yield(pt exec.Thread) {
+// Yield implements core.Backend (sched_yield).
+func (b *Backend) Yield(pt core.Handle) {
 	b.preemptNow(nt(pt))
 }
 
 // Charge accounts cycles of user computation against the thread's work
 // and span. The cycles are bookkeeping (speedup and parallelism stay
 // comparable with sim runs); native wall time passes on its own.
-func (b *Backend) Charge(pt exec.Thread, cycles int64) {
+func (b *Backend) Charge(pt core.Handle, cycles int64) {
 	if cycles <= 0 {
 		return
 	}
@@ -187,7 +186,7 @@ func (b *Backend) Charge(pt exec.Thread, cycles int64) {
 // discipline: over-quota allocations fork dummy throttling threads and
 // quota exhaustion preempts the caller — the mechanisms behind the
 // S1 + O(p·D) bound run for real here.
-func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
+func (b *Backend) Malloc(pt core.Handle, n int64) core.Alloc {
 	t := nt(pt)
 	if n <= 0 {
 		panic(fmt.Sprintf("native: Malloc(%d)", n))
@@ -210,7 +209,7 @@ func (b *Backend) Malloc(pt exec.Thread, n int64) core.Alloc {
 }
 
 // Free releases an accounted allocation.
-func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
+func (b *Backend) Free(pt core.Handle, a core.Alloc) {
 	if a.Addr == 0 {
 		return
 	}
@@ -221,7 +220,7 @@ func (b *Backend) Free(pt exec.Thread, a core.Alloc) {
 
 // Touch validates the access range; the native backend has no TLB
 // model to charge.
-func (b *Backend) Touch(pt exec.Thread, a core.Alloc, off, n int64) {
+func (b *Backend) Touch(pt core.Handle, a core.Alloc, off, n int64) {
 	if n <= 0 {
 		return
 	}
@@ -231,11 +230,11 @@ func (b *Backend) Touch(pt exec.Thread, a core.Alloc, off, n int64) {
 }
 
 // Prefault is a no-op natively (no page model).
-func (b *Backend) Prefault(pt exec.Thread, a core.Alloc) {}
+func (b *Backend) Prefault(pt core.Handle, a core.Alloc) {}
 
 // Sleep parks the thread for at least d of virtual time, mapped to wall
 // time at the calibrated clock rate.
-func (b *Backend) Sleep(pt exec.Thread, d vtime.Duration) {
+func (b *Backend) Sleep(pt core.Handle, d vtime.Duration) {
 	t := nt(pt)
 	if d <= 0 {
 		b.preemptNow(t)
@@ -270,7 +269,7 @@ func (b *Backend) wakeSleeper(t *thread) {
 }
 
 // Now returns elapsed wall time as virtual cycles.
-func (b *Backend) Now(pt exec.Thread) vtime.Time {
+func (b *Backend) Now(pt core.Handle) vtime.Time {
 	return vtime.Time(wallToV(time.Since(b.start)))
 }
 
@@ -290,7 +289,7 @@ func (b *Backend) forkDummies(t *thread, d int) {
 
 func (b *Backend) forkDummySubtree(t *thread, count int) {
 	attr := core.Attr{StackSize: core.SmallStackSize, Detached: true}
-	b.fork(t, attr, exec.Func(func(dt exec.Thread) {
+	b.fork(t, attr, core.Func(func(dt core.Handle) {
 		rem := count - 1
 		if rem <= 0 {
 			return
@@ -306,19 +305,19 @@ func (b *Backend) forkDummySubtree(t *thread, count int) {
 	}), true)
 }
 
-// Block / wake primitives (exec.Backend) for the synchronization
+// Block / wake primitives (core.Backend) for the synchronization
 // objects of package exec. Native charges no synchronization cost and
 // has no quantum to pause at.
 
-func (b *Backend) SyncOp(exec.Thread, string, core.SyncCost) {}
-func (b *Backend) Pause(exec.Thread)                         {}
-func (b *Backend) BlockPrep(t exec.Thread)                   { b.blockPrep(nt(t)) }
-func (b *Backend) Park(t exec.Thread)                        { nt(t).blockPark() }
-func (b *Backend) Wake(by, w exec.Thread)                    { b.readyThread(nt(w), nt(by).pid) }
+func (b *Backend) SyncOp(core.Handle, string, core.SyncCost) {}
+func (b *Backend) Pause(core.Handle)                         {}
+func (b *Backend) BlockPrep(t core.Handle)                   { b.blockPrep(nt(t)) }
+func (b *Backend) Park(t core.Handle)                        { nt(t).blockPark() }
+func (b *Backend) Wake(by, w core.Handle)                    { b.readyThread(nt(w), nt(by).pid) }
 
-// WakeAfter implements exec.Backend. The pending timer counts as a
+// WakeAfter implements core.Backend. The pending timer counts as a
 // wake source for deadlock detection until it fires or is disarmed.
-func (b *Backend) WakeAfter(pt exec.Thread, d vtime.Duration, claim func() bool) func() {
+func (b *Backend) WakeAfter(pt core.Handle, d vtime.Duration, claim func() bool) func() {
 	t := nt(pt)
 	b.addSleeper(1)
 	tm := time.AfterFunc(vToWall(d), func() {
@@ -343,10 +342,10 @@ func (b *Backend) addSleeper(d int) {
 // preemptions of a spinner.
 const spinPreemptEvery = 64
 
-// Spin implements exec.Backend. A spin burns real CPU: it yields the Go
+// Spin implements core.Backend. A spin burns real CPU: it yields the Go
 // scheduler, and every spinPreemptEvery failures passes its processor
 // on, so the holder runs even when spinners outnumber processors.
-func (b *Backend) Spin(t exec.Thread, burst int) {
+func (b *Backend) Spin(t core.Handle, burst int) {
 	if burst%spinPreemptEvery == spinPreemptEvery-1 {
 		b.preemptNow(nt(t))
 	} else {
@@ -354,29 +353,29 @@ func (b *Backend) Spin(t exec.Thread, burst int) {
 	}
 }
 
-// LockStamp implements exec.Backend: wall ns since the run began, read
+// LockStamp implements core.Backend: wall ns since the run began, read
 // only when a tracer is attached.
-func (b *Backend) LockStamp(exec.Thread) int64 {
+func (b *Backend) LockStamp(core.Handle) int64 {
 	if b.tracer == nil {
-		return exec.NoWait
+		return core.NoWait
 	}
 	return b.sinceStart()
 }
 
-func (b *Backend) LockAcquired(pt exec.Thread, stamp int64) {
+func (b *Backend) LockAcquired(pt core.Handle, stamp int64) {
 	if b.tracer == nil {
 		return
 	}
 	var waited int64
-	if stamp != exec.NoWait {
+	if stamp != core.NoWait {
 		waited = b.sinceStart() - stamp
 	}
 	t := nt(pt)
 	b.tracer.record(t.pid, t.ID(), trace.KindLockAcquire, waited)
 }
 
-// JoinSpans implements exec.Backend.
-func (b *Backend) JoinSpans(pt exec.Thread, ws []exec.Thread) {
+// JoinSpans implements core.Backend.
+func (b *Backend) JoinSpans(pt core.Handle, ws []core.Handle) {
 	t := nt(pt)
 	for _, w := range ws {
 		t.span = max(t.span, nt(w).span)

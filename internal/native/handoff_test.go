@@ -22,7 +22,7 @@ import (
 
 // execute runs main on b and checks that the run left no goroutine
 // behind, whichever way it ended.
-func execute(t *testing.T, b *Backend, main func(exec.Thread)) (core.Stats, error) {
+func execute(t *testing.T, b *Backend, main func(core.Handle)) (core.Stats, error) {
 	t.Helper()
 	base := runtime.NumGoroutine()
 	st, err := b.Execute(main)
@@ -47,8 +47,8 @@ func newPolicyBackend(t *testing.T, policy sched.Kind, cfg Config) *Backend {
 }
 
 // forkFn forks a plain function body.
-func forkFn(b *Backend, t exec.Thread, attr core.Attr, fn func(exec.Thread)) exec.Thread {
-	return b.Fork(t, attr, exec.Func(fn))
+func forkFn(b *Backend, t core.Handle, attr core.Attr, fn func(core.Handle)) core.Handle {
+	return b.Fork(t, attr, core.Func(fn))
 }
 
 // forEachPool runs f once per pool state. The arms keep the names of
@@ -105,7 +105,7 @@ func (p *primer) Ride(c *core.Carrier, _ int) {
 
 func (p *primer) Finish(any) core.Rider { return nil }
 
-func mustJoin(b *Backend, t exec.Thread, hs ...exec.Thread) {
+func mustJoin(b *Backend, t core.Handle, hs ...core.Handle) {
 	for _, h := range hs {
 		if err := b.Join(t, h); err != nil {
 			panic(err)
@@ -144,8 +144,8 @@ func TestHandoffPickEachOther(t *testing.T) {
 		goT, goM := make(chan struct{}), make(chan struct{})
 		var resumed atomic.Int32
 		var before, after [2]int
-		blocker := func(i int, release chan struct{}) func(exec.Thread) {
-			return func(et exec.Thread) {
+		blocker := func(i int, release chan struct{}) func(core.Handle) {
+			return func(et core.Handle) {
 				tt := et.(*thread)
 				before[i] = tt.pid
 				b.blockPrep(tt)
@@ -156,10 +156,10 @@ func TestHandoffPickEachOther(t *testing.T) {
 				resumed.Add(1)
 			}
 		}
-		_, err := execute(t, b, func(root exec.Thread) {
+		_, err := execute(t, b, func(root core.Handle) {
 			ht := forkFn(b, root, core.Attr{}, blocker(0, goT))
 			hm := forkFn(b, root, core.Attr{}, blocker(1, goM))
-			hc := forkFn(b, root, core.Attr{}, func(c exec.Thread) {
+			hc := forkFn(b, root, core.Attr{}, func(c core.Handle) {
 				<-reg
 				<-reg
 				pid := c.(*thread).pid
@@ -198,8 +198,8 @@ func TestHandoffPickSelf(t *testing.T) {
 		reg := make(chan *thread, 1)
 		release, finish := make(chan struct{}), make(chan struct{})
 		var pids [2]int
-		_, err := execute(t, b, func(root exec.Thread) {
-			ht := forkFn(b, root, core.Attr{}, func(et exec.Thread) {
+		_, err := execute(t, b, func(root core.Handle) {
+			ht := forkFn(b, root, core.Attr{}, func(et core.Handle) {
 				tt := et.(*thread)
 				pids[0] = tt.pid
 				b.blockPrep(tt)
@@ -211,8 +211,8 @@ func TestHandoffPickSelf(t *testing.T) {
 			})
 			// hold and the waker keep the other two processors out, so no
 			// idle worker can take T before T picks itself.
-			hold := forkFn(b, root, core.Attr{}, func(exec.Thread) { <-finish })
-			hw := forkFn(b, root, core.Attr{}, func(w exec.Thread) {
+			hold := forkFn(b, root, core.Attr{}, func(core.Handle) { <-finish })
+			hw := forkFn(b, root, core.Attr{}, func(w core.Handle) {
 				b.readyThread(<-reg, w.(*thread).pid)
 				close(release)
 				<-finish
@@ -254,8 +254,8 @@ func TestWakeBeforeParkWaits(t *testing.T) {
 			reg := make(chan *thread, 1)
 			release, resumed := make(chan struct{}), make(chan struct{})
 			var before, after int
-			_, err := execute(t, b, func(root exec.Thread) {
-				ht := forkFn(b, root, core.Attr{}, func(et exec.Thread) {
+			_, err := execute(t, b, func(root core.Handle) {
+				ht := forkFn(b, root, core.Attr{}, func(et core.Handle) {
 					tt := et.(*thread)
 					before = tt.pid
 					b.blockPrep(tt)
@@ -265,7 +265,7 @@ func TestWakeBeforeParkWaits(t *testing.T) {
 					after = tt.pid
 					close(resumed)
 				})
-				hw := forkFn(b, root, core.Attr{}, func(w exec.Thread) {
+				hw := forkFn(b, root, core.Attr{}, func(w core.Handle) {
 					tt := <-reg
 					before := marked(b)
 					b.readyThread(tt, w.(*thread).pid)
@@ -305,8 +305,8 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d", procs), func(t *testing.T) {
 			b := newPolicyBackend(t, sched.FIFO, Config{Procs: procs})
 			var ran atomic.Int32
-			_, err := execute(t, b, func(root exec.Thread) {
-				body := func(exec.Thread) { ran.Add(1) }
+			_, err := execute(t, b, func(root core.Handle) {
+				body := func(core.Handle) { ran.Add(1) }
 				ha := forkFn(b, root, core.Attr{}, body)
 				hb := forkFn(b, root, core.Attr{}, body)
 				mustJoin(b, root, ha, hb)
@@ -356,11 +356,11 @@ func TestProcessorReturnedOnce(t *testing.T) {
 				)
 				bar.Init(threads)
 				turn, total := 0, 0
-				st, err := execute(t, b, func(root exec.Thread) {
-					hs := make([]exec.Thread, threads)
+				st, err := execute(t, b, func(root core.Handle) {
+					hs := make([]core.Handle, threads)
 					for i := range hs {
 						i := i
-						hs[i] = forkFn(b, root, core.Attr{}, func(c exec.Thread) {
+						hs[i] = forkFn(b, root, core.Attr{}, func(c core.Handle) {
 							for r := 0; r < rounds; r++ {
 								// Round-robin under a condition: all but one
 								// thread block, and the one that runs wakes
@@ -411,14 +411,14 @@ func TestProcessorReturnedOnce(t *testing.T) {
 // (sharded) store.
 func TestNoWorkerBetweenThreads(t *testing.T) {
 	const depth = 10 // 2^10 - 1 threads besides the root
-	tree := func(b *Backend, root exec.Thread) {
-		var node func(t exec.Thread, d int)
-		node = func(t exec.Thread, d int) {
+	tree := func(b *Backend, root core.Handle) {
+		var node func(t core.Handle, d int)
+		node = func(t core.Handle, d int) {
 			if d == 0 {
 				return
 			}
-			l := forkFn(b, t, core.Attr{}, func(c exec.Thread) { node(c, d-1) })
-			r := forkFn(b, t, core.Attr{}, func(c exec.Thread) { node(c, d-1) })
+			l := forkFn(b, t, core.Attr{}, func(c core.Handle) { node(c, d-1) })
+			r := forkFn(b, t, core.Attr{}, func(c core.Handle) { node(c, d-1) })
 			mustJoin(b, t, l, r)
 		}
 		node(root, depth)
@@ -427,10 +427,10 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 	// sleeps between rounds, then joins a child that is still live: the
 	// child blocks at once, and the join's successor is the child again,
 	// readied by the root just before.
-	blocky := func(b *Backend, root exec.Thread) {
+	blocky := func(b *Backend, root core.Handle) {
 		const rounds = 200
 		var ping, pong, gate exec.Semaphore
-		partner := forkFn(b, root, core.Attr{}, func(c exec.Thread) {
+		partner := forkFn(b, root, core.Attr{}, func(c core.Handle) {
 			for i := 0; i < rounds; i++ {
 				ping.Wait(b, c)
 				b.Yield(c)
@@ -444,14 +444,14 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 			b.Yield(root)
 		}
 		mustJoin(b, root, partner)
-		child := forkFn(b, root, core.Attr{}, func(c exec.Thread) { gate.Wait(b, c) })
+		child := forkFn(b, root, core.Attr{}, func(c core.Handle) { gate.Wait(b, c) })
 		gate.Post(b, root)
 		mustJoin(b, root, child)
 	}
 	arms := []struct {
 		name    string
 		policy  sched.Kind
-		main    func(b *Backend, root exec.Thread)
+		main    func(b *Backend, root core.Handle)
 		threads int64
 	}{
 		{"sequence-tree", sched.FIFO, tree, 1<<(depth+1) - 1},
@@ -462,7 +462,7 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 		for _, a := range arms {
 			t.Run(a.name, func(t *testing.T) {
 				b := newPoolBackend(t, a.policy, Config{Procs: 1}, warm)
-				st, err := execute(t, b, func(root exec.Thread) { a.main(b, root) })
+				st, err := execute(t, b, func(root core.Handle) { a.main(b, root) })
 				if err != nil {
 					t.Fatalf("Execute: %v", err)
 				}
@@ -493,9 +493,9 @@ func TestNoDispatchAfterPanic(t *testing.T) {
 				b := newPolicyBackend(t, s.policy, Config{Procs: procs})
 				var after atomic.Int32
 				var sem exec.Semaphore
-				_, err := execute(t, b, func(root exec.Thread) {
+				_, err := execute(t, b, func(root core.Handle) {
 					for i := 0; i < ready; i++ {
-						forkFn(b, root, core.Attr{Detached: true}, func(c exec.Thread) {
+						forkFn(b, root, core.Attr{Detached: true}, func(c core.Handle) {
 							sem.Wait(b, c)
 							if b.done.Load() {
 								after.Add(1)
@@ -525,40 +525,40 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	// fork runs the child at once, and the child blocks. These are the
 	// threads riding the carriers the shutdown walk must unwind.
 	const n = 1000
-	parkMany := func(b *Backend, root exec.Thread, sem *exec.Semaphore, detachOdd bool) []exec.Thread {
-		hs := make([]exec.Thread, n)
+	parkMany := func(b *Backend, root core.Handle, sem *exec.Semaphore, detachOdd bool) []core.Handle {
+		hs := make([]core.Handle, n)
 		for i := range hs {
-			hs[i] = forkFn(b, root, core.Attr{Detached: detachOdd && i%2 == 1}, func(c exec.Thread) { sem.Wait(b, c) })
+			hs[i] = forkFn(b, root, core.Attr{Detached: detachOdd && i%2 == 1}, func(c core.Handle) { sem.Wait(b, c) })
 		}
 		return hs
 	}
-	release := func(b *Backend, c exec.Thread, sem *exec.Semaphore) {
+	release := func(b *Backend, c core.Handle, sem *exec.Semaphore) {
 		for i := 0; i < n; i++ {
 			sem.Post(b, c)
 		}
 	}
-	var undispatched []exec.Thread
+	var undispatched []core.Handle
 	paths := []struct {
 		name    string
 		policy  sched.Kind
 		procs   int
 		wantErr bool
-		main    func(b *Backend, root exec.Thread)
+		main    func(b *Backend, root core.Handle)
 		after   func(t *testing.T) // extra checks once the run is over
 	}{
-		{"clean", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
-			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(exec.Thread) {}))
+		{"clean", sched.ADF, 3, false, func(b *Backend, root core.Handle) {
+			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(core.Handle) {}))
 		}, nil},
-		{"panic", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
+		{"panic", sched.ADF, 3, true, func(b *Backend, root core.Handle) {
 			parkMany(b, root, new(exec.Semaphore), false) // parked when the run fails
-			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(exec.Thread) { panic("boom") }))
+			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(core.Handle) { panic("boom") }))
 		}, nil},
-		{"deadlock", sched.ADF, 3, true, func(b *Backend, root exec.Thread) {
+		{"deadlock", sched.ADF, 3, true, func(b *Backend, root core.Handle) {
 			mustJoin(b, root, parkMany(b, root, new(exec.Semaphore), false)...)
 		}, nil},
-		{"exit-from-depth", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
-			var dive func(c exec.Thread, d int)
-			dive = func(c exec.Thread, d int) {
+		{"exit-from-depth", sched.ADF, 3, false, func(b *Backend, root core.Handle) {
+			var dive func(c core.Handle, d int)
+			dive = func(c core.Handle, d int) {
 				if d == 0 {
 					b.Exit(c)
 				}
@@ -566,13 +566,13 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			}
 			sem := new(exec.Semaphore)
 			parkMany(b, root, sem, false)
-			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(c exec.Thread) {
+			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(c core.Handle) {
 				release(b, c, sem)
 				dive(c, 64)
 			}))
 			dive(root, 8)
 		}, nil},
-		{"unjoined", sched.ADF, 3, false, func(b *Backend, root exec.Thread) {
+		{"unjoined", sched.ADF, 3, false, func(b *Backend, root core.Handle) {
 			sem := new(exec.Semaphore)
 			parkMany(b, root, sem, true)
 			release(b, root, sem)
@@ -581,10 +581,10 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		// p = 1 nobody else picks the children up: when the root panics they
 		// were created but never dispatched, have no carrier, and the walk
 		// has nothing to stop.
-		{"never-dispatched", sched.FIFO, 1, true, func(b *Backend, root exec.Thread) {
+		{"never-dispatched", sched.FIFO, 1, true, func(b *Backend, root core.Handle) {
 			undispatched = undispatched[:0]
 			for i := 0; i < 8; i++ {
-				undispatched = append(undispatched, forkFn(b, root, core.Attr{}, func(exec.Thread) {}))
+				undispatched = append(undispatched, forkFn(b, root, core.Attr{}, func(core.Handle) {}))
 			}
 			panic("boom")
 		}, func(t *testing.T) {
@@ -600,7 +600,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			forEachPool(t, func(t *testing.T, warm bool) {
 				b := newPoolBackend(t, p.policy, Config{Procs: p.procs}, warm)
-				_, err := execute(t, b, func(root exec.Thread) { p.main(b, root) })
+				_, err := execute(t, b, func(root core.Handle) { p.main(b, root) })
 				if (err != nil) != p.wantErr {
 					t.Errorf("Execute error = %v, want error: %v", err, p.wantErr)
 				}

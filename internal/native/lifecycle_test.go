@@ -12,7 +12,6 @@ import (
 	"unsafe"
 
 	"spthreads/internal/core"
-	"spthreads/internal/exec"
 	"spthreads/internal/sched"
 )
 
@@ -54,7 +53,7 @@ func TestChurnHygiene(t *testing.T) {
 	var recs sync.Map // record address -> struct{}, reuse detection
 	var dupID atomic.Int64
 
-	body := func(et exec.Thread) {
+	body := func(et core.Handle) {
 		tt := et.(*thread)
 		// Entry-state fields written only by this thread's own lifetime
 		// (or by fork before the launch handoff): any nonzero value here
@@ -82,10 +81,10 @@ func TestChurnHygiene(t *testing.T) {
 		ran.Add(1)
 	}
 
-	_, err := execute(t, b, func(root exec.Thread) {
-		hs := make([]exec.Thread, 0, churners)
+	_, err := execute(t, b, func(root core.Handle) {
+		hs := make([]core.Handle, 0, churners)
 		for c := 0; c < churners; c++ {
-			hs = append(hs, forkFn(b, root, core.Attr{StackSize: core.SmallStackSize}, func(ct exec.Thread) {
+			hs = append(hs, forkFn(b, root, core.Attr{StackSize: core.SmallStackSize}, func(ct core.Handle) {
 				for i := 0; i < per; i++ {
 					detached := i%2 == 0
 					child := forkFn(b, ct, core.Attr{StackSize: core.SmallStackSize, Detached: detached}, body)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"spthreads/internal/core"
-	"spthreads/internal/exec"
 )
 
 // TestAtomicMaxContention hammers one cell from many goroutines with
@@ -116,9 +115,9 @@ func TestHWMAcrossPooledReuse(t *testing.T) {
 		block  = 1 << 17
 	)
 	b := newTestBackend(t, procs)
-	st, err := execute(t, b, func(root exec.Thread) {
+	st, err := execute(t, b, func(root core.Handle) {
 		for i := 0; i < rounds; i++ {
-			child := forkFn(b, root, core.Attr{StackSize: core.SmallStackSize}, func(et exec.Thread) {
+			child := forkFn(b, root, core.Attr{StackSize: core.SmallStackSize}, func(et core.Handle) {
 				a := b.Malloc(et, block)
 				b.Free(et, a)
 			})

@@ -64,7 +64,6 @@ import (
 	"time"
 
 	"spthreads/internal/core"
-	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
 	"spthreads/internal/sched"
 	"spthreads/internal/trace"
@@ -224,12 +223,9 @@ func New(cfg Config) (*Backend, error) {
 	return b, nil
 }
 
-// Name implements exec.Backend.
-func (b *Backend) Name() string { return "native" }
-
-// Execute implements exec.Backend: it runs main as the root thread on
+// Execute implements core.Backend: it runs main as the root thread on
 // b.procs workers and blocks until the run completes.
-func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
+func (b *Backend) Execute(main func(core.Handle)) (core.Stats, error) {
 	if b.executed {
 		return core.Stats{}, fmt.Errorf("native: backend already executed")
 	}
@@ -239,7 +235,7 @@ func (b *Backend) Execute(main func(exec.Thread)) (core.Stats, error) {
 		b.tracer.start = b.start
 	}
 
-	root := b.newThread(-1, core.Attr{Name: "main"}, exec.Func(main))
+	root := b.newThread(-1, core.Attr{Name: "main"}, core.Func(main))
 	root.tok.Order = core.RootDepaLabel()
 	b.shards.key(root)
 	b.mem.allocStack(root.stackSize)
@@ -517,7 +513,7 @@ func (b *Backend) exitThread(t *thread) *thread {
 // newThread builds a thread without admitting it. pid is the creating
 // processor (-1 for the root): it selects the record arena, and the
 // carrier stays nil until the thread's first dispatch launches it.
-func (b *Backend) newThread(pid int, attr core.Attr, body exec.Body) *thread {
+func (b *Backend) newThread(pid int, attr core.Attr, body core.Body) *thread {
 	core.CheckPriority(attr.Priority)
 	var t *thread
 	if pid >= 0 {

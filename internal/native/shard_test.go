@@ -5,20 +5,19 @@ import (
 	"unsafe"
 
 	"spthreads/internal/core"
-	"spthreads/internal/exec"
 	"spthreads/internal/sched"
 )
 
 // shardFib is a deterministic fork/join workload with enough compute
 // per node that dispatch decisions interleave with running threads.
-func shardFib(b *Backend, t exec.Thread, n int, out *int64) {
+func shardFib(b *Backend, t core.Handle, n int, out *int64) {
 	b.Charge(t, 200)
 	if n < 2 {
 		*out = int64(n)
 		return
 	}
 	var x, y int64
-	c := forkFn(b, t, core.Attr{}, func(ct exec.Thread) { shardFib(b, ct, n-1, &x) })
+	c := forkFn(b, t, core.Attr{}, func(ct core.Handle) { shardFib(b, ct, n-1, &x) })
 	shardFib(b, t, n-2, &y)
 	mustJoin(b, t, c)
 	*out = x + y
@@ -36,7 +35,7 @@ func TestShardNativeSleep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var res int64
-	if _, err := execute(t, b, func(root exec.Thread) {
+	if _, err := execute(t, b, func(root core.Handle) {
 		b.Sleep(root, 1000)
 		shardFib(b, root, 12, &res)
 	}); err != nil {

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"spthreads/internal/core"
-	"spthreads/internal/exec"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 )
@@ -22,7 +21,7 @@ type thread struct {
 	// Order). The simulator state behind the token stays nil.
 	tok  core.Thread
 	name string // Attr.Name; empty selects a synthesized name
-	body exec.Body
+	body core.Body
 
 	stackSize int64
 
@@ -89,7 +88,7 @@ func (t *thread) rider() core.Rider {
 	return t
 }
 
-// exec.Thread implementation.
+// core.Handle implementation.
 
 func (t *thread) ID() int64 { return t.tok.ID }
 

@@ -45,8 +45,9 @@ type adfPolicy struct {
 	// pay for the rest.
 	levels   [core.NumPriorities]adfLevel
 	newLevel func() adfLevel
-	ready    int // ready entries across all levels
-	live     int // placeholder entries across all levels
+	ready    int            // ready entries across all levels
+	live     int            // placeholder entries across all levels
+	batch    []*core.Thread // NextBatch's result, reused call to call
 
 	// gLive mirrors live into an attached metrics registry (a nil
 	// handle is a no-op), exposing the placeholder-list length — the
@@ -175,12 +176,10 @@ func (p *adfPolicy) Next(pid int) *core.Thread {
 // dispatched them (leftmost-ready first within the highest non-empty
 // priority), for the batched two-level scheduler's refill pass. The
 // oracle stores share this implementation, so the differential suite
-// exercises batching on every side.
+// exercises batching on every side. The result is valid until the next
+// call, which reuses it.
 func (p *adfPolicy) NextBatch(pid, n int) []*core.Thread {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]*core.Thread, 0, n)
+	out := p.batch[:0]
 	for len(out) < n {
 		t := p.Next(pid)
 		if t == nil {
@@ -188,6 +187,7 @@ func (p *adfPolicy) NextBatch(pid, n int) []*core.Thread {
 		}
 		out = append(out, t)
 	}
+	p.batch = out
 	return out
 }
 

@@ -123,20 +123,20 @@ func TestADFDummyBoundaryMachine(t *testing.T) {
 // TestDePaMachineDispatchSequencesIdentical.)
 func TestADFIndexedMatchesReferenceMachine(t *testing.T) {
 	const quota = 16 << 10
-	workload := func(m *core.Machine) func(*core.Thread) {
-		var rec func(t *core.Thread, depth int)
-		rec = func(t *core.Thread, depth int) {
+	workload := func(m *core.Machine) func(core.Handle) {
+		var rec func(t core.Handle, depth int)
+		rec = func(t core.Handle, depth int) {
 			if depth == 0 {
 				m.Charge(t, 5000)
 				return
 			}
-			a := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
+			a := m.Fork(t, core.Attr{}, core.Func(func(ct core.Handle) { rec(ct, depth-1) }))
 			n := int64(3000)
 			if depth%3 == 0 {
 				n = 40 << 10 // past the quota: forks dummies, burns quota
 			}
 			al := m.Malloc(t, n)
-			b := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
+			b := m.Fork(t, core.Attr{}, core.Func(func(ct core.Handle) { rec(ct, depth-1) }))
 			m.Charge(t, 2000)
 			if err := m.Join(t, a); err != nil {
 				panic(err)
@@ -146,7 +146,7 @@ func TestADFIndexedMatchesReferenceMachine(t *testing.T) {
 			}
 			m.Free(t, al)
 		}
-		return func(t *core.Thread) { rec(t, 6) }
+		return func(t core.Handle) { rec(t, 6) }
 	}
 
 	runWith := func(pol core.Policy, procs int) core.Stats {

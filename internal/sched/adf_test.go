@@ -169,18 +169,22 @@ func TestPlaceholderEntrySize(t *testing.T) {
 // adf keeps one store per priority level, so both forks use level 1.
 func TestADFReusesRecycledPlaceholder(t *testing.T) {
 	for _, pol := range []core.Policy{newADF(DefaultMemQuota, false), newShard(2, 4, DefaultMemQuota, false)} {
-		m, err := core.New(core.Config{Procs: 2, Policy: pol})
+		spy := &createSpy{Policy: pol, recs: map[int64]*core.Thread{}}
+		m, err := core.New(core.Config{Procs: 2, Policy: spy})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var first *readyEntry
-		_, err = m.Execute(func(root *core.Thread) {
-			a := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(c *core.Thread) { first = c.SchedState.(*readyEntry) }))
+		_, err = m.Execute(func(root core.Handle) {
+			a := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(c core.Handle) {
+				first = spy.recs[c.ID()].SchedState.(*readyEntry)
+			}))
 			if err := m.Join(root, a); err != nil {
 				t.Error(err)
 				return
 			}
-			b := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(c *core.Thread) {
+			b := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(h core.Handle) {
+				c := spy.recs[h.ID()]
 				e := c.SchedState.(*readyEntry)
 				if e != first || e.ready || e.t != c || e.pri != 1 || e.label.Compare(c.Order) != 0 {
 					t.Errorf("%s: placeholder reused %v, ready %v, own thread %v, pri %d, label match %v",
@@ -195,4 +199,18 @@ func TestADFReusesRecycledPlaceholder(t *testing.T) {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
 	}
+}
+
+// createSpy records the machine's record of every thread it creates, by
+// ID, so a test can reach a running thread's policy state from its
+// handle. It hides the inner policy's optional interfaces, so the
+// machine drives it as a plain policy.
+type createSpy struct {
+	core.Policy
+	recs map[int64]*core.Thread
+}
+
+func (s *createSpy) OnCreate(parent, child *core.Thread) bool {
+	s.recs[child.ID] = child
+	return s.Policy.OnCreate(parent, child)
 }

@@ -21,7 +21,7 @@ import (
 // program from a seed: a recursive tree whose fan-out, compute grain,
 // and allocation sizes (some past the ADF quota, firing dummy threads
 // and quota preemptions) are drawn from the seeded generator.
-func fuzzedWorkload(m *core.Machine, seed int64) func(*core.Thread) {
+func fuzzedWorkload(m *core.Machine, seed int64) func(core.Handle) {
 	rng := rand.New(rand.NewSource(seed))
 	type node struct {
 		kids  []int
@@ -48,13 +48,13 @@ func fuzzedWorkload(m *core.Machine, seed int64) func(*core.Thread) {
 	}
 	root := gen(5)
 
-	var rec func(t *core.Thread, id int)
-	rec = func(t *core.Thread, id int) {
+	var rec func(t core.Handle, id int)
+	rec = func(t core.Handle, id int) {
 		n := nodes[id]
-		var hs []*core.Thread
+		var hs []core.Handle
 		for _, k := range n.kids {
 			k := k
-			hs = append(hs, m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, k) })))
+			hs = append(hs, m.Fork(t, core.Attr{}, core.Func(func(ct core.Handle) { rec(ct, k) })))
 		}
 		var al core.Alloc
 		if n.alloc > 0 {
@@ -70,7 +70,7 @@ func fuzzedWorkload(m *core.Machine, seed int64) func(*core.Thread) {
 			m.Free(t, al)
 		}
 	}
-	return func(t *core.Thread) { rec(t, root) }
+	return func(t core.Handle) { rec(t, root) }
 }
 
 type batchRun struct {

@@ -105,20 +105,20 @@ func FuzzDePaOrder(f *testing.F) {
 // same order.
 func TestDePaMachineDispatchSequencesIdentical(t *testing.T) {
 	const quota = 16 << 10
-	workload := func(m *core.Machine) func(*core.Thread) {
-		var rec func(t *core.Thread, depth int)
-		rec = func(t *core.Thread, depth int) {
+	workload := func(m *core.Machine) func(core.Handle) {
+		var rec func(t core.Handle, depth int)
+		rec = func(t core.Handle, depth int) {
 			if depth == 0 {
 				m.Charge(t, 4000)
 				return
 			}
-			a := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
+			a := m.Fork(t, core.Attr{}, core.Func(func(ct core.Handle) { rec(ct, depth-1) }))
 			n := int64(2000)
 			if depth%2 == 0 {
 				n = 48 << 10 // past the quota
 			}
 			al := m.Malloc(t, n)
-			b := m.Fork(t, core.Attr{}, core.Func(func(ct *core.Thread) { rec(ct, depth-1) }))
+			b := m.Fork(t, core.Attr{}, core.Func(func(ct core.Handle) { rec(ct, depth-1) }))
 			m.Charge(t, 1500)
 			if err := m.Join(t, a); err != nil {
 				panic(err)
@@ -128,7 +128,7 @@ func TestDePaMachineDispatchSequencesIdentical(t *testing.T) {
 			}
 			m.Free(t, al)
 		}
-		return func(t *core.Thread) { rec(t, 5) }
+		return func(t core.Handle) { rec(t, 5) }
 	}
 
 	type dispatch struct {

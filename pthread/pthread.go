@@ -56,7 +56,6 @@ import (
 	"runtime"
 
 	"spthreads/internal/core"
-	"spthreads/internal/exec"
 	"spthreads/internal/metrics"
 	"spthreads/internal/native"
 	"spthreads/internal/sched"
@@ -191,7 +190,7 @@ func Policies() []Policy { return sched.Kinds() }
 // policy, and maps the public fields onto the selected backend's
 // configuration. Every Run goes through here, so there is exactly one
 // place where pthread.Config fields translate to runtime settings.
-func newBackend(cfg Config) (exec.Backend, error) {
+func newBackend(cfg Config) (core.Backend, error) {
 	// A negative size or count would pass silently as
 	// "off" or "default" further down (MemQuota -1 disables quota
 	// preemption and dummy throttling), so every one is an error.
@@ -256,7 +255,7 @@ func newBackend(cfg Config) (exec.Backend, error) {
 	}
 	switch cfg.Backend {
 	case "", BackendSim:
-		return exec.NewSim(core.Config{
+		return core.New(core.Config{
 			Procs:        procs,
 			Policy:       pol,
 			DefaultStack: cfg.DefaultStack,
@@ -293,7 +292,7 @@ func Run(cfg Config, main func(*T)) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	return b.Execute(func(th exec.Thread) {
+	return b.Execute(func(th core.Handle) {
 		h := &Thread{id: th.ID()}
 		h.t = T{th: th, b: b, h: h}
 		main(&h.t)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"spthreads/internal/exec"
+	"spthreads/internal/core"
 	"spthreads/internal/vtime"
 )
 
@@ -12,8 +12,8 @@ import (
 // which the thread talks to the runtime (like pthread_self's implicit
 // context). A T is only valid on its own thread.
 type T struct {
-	th exec.Thread
-	b  exec.Backend
+	th core.Handle
+	b  core.Backend
 	h  *Thread // the handle Self returns; T lives inside it
 }
 
@@ -30,17 +30,17 @@ type Thread struct {
 	joined   atomic.Bool
 }
 
-// body is a Thread in its exec.Body role, kept off the public method
+// body is a Thread in its core.Body role, kept off the public method
 // set.
 type body Thread
 
 // Bind publishes the child's identity before it can run.
-func (b *body) Bind(child exec.Thread) {
+func (b *body) Bind(child core.Handle) {
 	b.t.th = child
 	b.id = child.ID()
 }
 
-func (b *body) Run(exec.Thread) { b.fn(&b.t) }
+func (b *body) Run(core.Handle) { b.fn(&b.t) }
 
 // ID returns the thread's unique, creation-ordered identifier.
 func (h *Thread) ID() int64 { return h.id }
