@@ -130,51 +130,47 @@ func marked(b *Backend) (n int64) {
 	return n
 }
 
-// TestHandoffPickEachOther: T and M hold two processors and are both
-// readied by a third thread while still between blockPrep and their
-// park. M gives up first and picks T (FIFO order), so M's worker waits
-// for T to yield; T then picks M, already parked: each worker resumes
-// the other's thread, and the two swap processors. Nothing is idle
-// meanwhile — all three processors are out — so the picks are exactly
-// these.
+// TestHandoffPickEachOther: T and M hold two processors, and each
+// readies the other while both are between blockPrep and their park, so
+// each waits in the other's runnext slot. M gives up first and picks T
+// from its slot, so M's worker waits for T to yield; T then picks M,
+// already parked: each worker resumes the other's thread, and the two
+// swap processors. Nothing is idle meanwhile — both processors are out —
+// so the picks are exactly these.
 func TestHandoffPickEachOther(t *testing.T) {
 	forEachPool(t, func(t *testing.T, warm bool) {
-		b := newPoolBackend(t, sched.FIFO, Config{Procs: 3, Metrics: metrics.NewRegistry()}, warm)
-		reg := make(chan *thread, 2)
-		goT, goM := make(chan struct{}), make(chan struct{})
-		var resumed atomic.Int32
+		b := newPoolBackend(t, sched.FIFO, Config{Procs: 2, Metrics: metrics.NewRegistry()}, warm)
+		prepped := [2]chan *thread{make(chan *thread, 1), make(chan *thread, 1)}
+		mReadied, goM := make(chan struct{}), make(chan struct{})
 		var before, after [2]int
-		blocker := func(i int, release chan struct{}) func(core.Handle) {
-			return func(et core.Handle) {
-				tt := et.(*thread)
-				before[i] = tt.pid
-				b.blockPrep(tt)
-				reg <- tt // "registered": the waker can see us now
-				<-release
-				tt.blockPark()
-				after[i] = tt.pid
-				resumed.Add(1)
-			}
-		}
 		_, err := execute(t, b, func(root core.Handle) {
-			ht := forkFn(b, root, core.Attr{}, blocker(0, goT))
-			hm := forkFn(b, root, core.Attr{}, blocker(1, goM))
-			hc := forkFn(b, root, core.Attr{}, func(c core.Handle) {
-				<-reg
-				<-reg
-				pid := c.(*thread).pid
-				b.readyThread(ht.(*thread), pid)
-				b.readyThread(hm.(*thread), pid)
-				before := marked(b)
+			ht := forkFn(b, root, core.Attr{}, func(et core.Handle) {
+				tt := et.(*thread)
+				before[0] = tt.pid
+				b.blockPrep(tt)
+				prepped[0] <- tt
+				b.readyThread(<-prepped[1], tt.pid)
+				<-mReadied
+				marks := marked(b)
 				close(goM)
 				// M has picked T: the one mark this can be, as no
-				// processor is idle and T leads the queue.
-				spinUntil(func() bool { return marked(b) > before })
-				close(goT)
-				// Stay off the ready structure until both picks are done.
-				spinUntil(func() bool { return resumed.Load() == 2 })
+				// processor is idle and T is in M's slot.
+				spinUntil(func() bool { return marked(b) > marks })
+				tt.blockPark()
+				after[0] = tt.pid
 			})
-			mustJoin(b, root, ht, hm, hc)
+			hm := forkFn(b, root, core.Attr{}, func(et core.Handle) {
+				tm := et.(*thread)
+				before[1] = tm.pid
+				b.blockPrep(tm)
+				prepped[1] <- tm
+				b.readyThread(<-prepped[0], tm.pid)
+				close(mReadied)
+				<-goM
+				tm.blockPark()
+				after[1] = tm.pid
+			})
+			mustJoin(b, root, ht, hm)
 		})
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
@@ -186,10 +182,10 @@ func TestHandoffPickEachOther(t *testing.T) {
 	})
 }
 
-// TestHandoffPickSelf: a thread readied between blockPrep and its park
-// is the only ready thread when it gives its processor up, so it picks
-// itself; and a thread that yields with nothing else ready does the
-// same. Both keep the processor without a switch, and neither involves
+// TestHandoffPickSelf: a thread a timer readies between blockPrep and
+// its park (into its own processor's shard) is the only ready thread
+// when it gives its processor up, so it picks itself; and a thread that
+// yields with nothing else ready does the same. Both keep the processor without a switch, and neither involves
 // a worker's own pick: the only worker dispatches are the ones that
 // started each processor's first thread.
 func TestHandoffPickSelf(t *testing.T) {
@@ -212,8 +208,9 @@ func TestHandoffPickSelf(t *testing.T) {
 			// hold and the waker keep the other two processors out, so no
 			// idle worker can take T before T picks itself.
 			hold := forkFn(b, root, core.Attr{}, func(core.Handle) { <-finish })
-			hw := forkFn(b, root, core.Attr{}, func(w core.Handle) {
-				b.readyThread(<-reg, w.(*thread).pid)
+			hw := forkFn(b, root, core.Attr{}, func(core.Handle) {
+				b.addSleeper(1) // as Sleep does before arming the timer
+				b.wakeSleeper(<-reg)
 				close(release)
 				<-finish
 			})

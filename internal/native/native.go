@@ -24,7 +24,11 @@
 // or stack; the ADF family (adf, the default, and adf-shard) runs on one
 // shard per worker keyed by fork-path labels. A thread giving its
 // processor up pops its successor from its own shard, and only a worker
-// with no successor steals, within the deviation window. A join meets
+// with no successor steals, within the deviation window. A wake keeps
+// communicating threads on one processor, as Go's runnext slot does: the
+// woken thread waits in its waker's worker's slot, runs next there when
+// the waker gives up, and goes to an idle worker only after runnextGrace.
+// A join meets
 // the exit on the target's join word (api.go), and the run-failed flag
 // is atomic, so forks, exits, joins, wakes, blocks and running marks
 // take no b.mu: it keeps only the idle, deadlock and run-end protocol
@@ -157,9 +161,12 @@ type Backend struct {
 }
 
 // worker is one processor's local state, written only by code running
-// on that processor. The pads keep it off every other word's cache line.
+// on that processor, except runnext, which an idle worker may claim. The
+// pads keep it off every other word's cache line, runnext included.
 type worker struct {
 	_          [64]byte
+	runnext    atomic.Pointer[thread] // the thread woken here last (readyThread)
+	_          [56]byte
 	stats      core.ProcStats
 	dispatches *metrics.Counter // per-worker dispatch count (nil-safe)
 
@@ -326,12 +333,20 @@ func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() 
 
 // next blocks until there is a thread for worker pid to run (marked
 // running on pid), the run completes, or a deadlock is detected. The
-// take (own pop, else a bounded steal) needs no b.mu; the idle mirror
-// idleA plus the re-check of the shard sizes after going idle are the
-// sleeper half of the store's Dekker protocol.
+// take (own pop, else a bounded steal, else another worker's runnext
+// slot) needs no b.mu; the idle mirror idleA plus the re-check after
+// going idle are the sleeper half of the store's Dekker protocol.
 func (b *Backend) next(pid int) *thread {
 	for {
-		if t := b.shards.take(pid); t != nil {
+		// An idle worker's own slot is empty (see the deadlock check).
+		if t := b.takeRunnext(pid); t != nil {
+			b.shards.push(t, pid)
+		}
+		t := b.shards.take(pid)
+		if t == nil {
+			t = b.stealRunnext(pid)
+		}
+		if t != nil {
 			if b.done.Load() {
 				return nil // a thread taken after the run failed is never dispatched
 			}
@@ -352,7 +367,7 @@ func (b *Backend) next(pid int) *thread {
 		b.idle++
 		b.idleA.Add(1)
 		switch {
-		case b.shards.size() > 0:
+		case b.anyReady(pid):
 			// Work appeared between the failed take and going idle.
 		case b.idle == b.procs && b.sleepers == 0:
 			// Every worker is here, so every thread a worker ran has given
@@ -369,9 +384,9 @@ func (b *Backend) next(pid int) *thread {
 }
 
 // markRunning assigns t to processor pid, whose worker then runs it. The
-// caller owns t (popped, forked or claimed through a join word) and runs
-// on pid. t.pid is not written here: t adopts the pid its resume
-// carries, on its own coroutine.
+// caller owns t (popped, forked, or claimed through a join word or a
+// runnext slot) and runs on pid. t.pid is not written here: t adopts the
+// pid its resume carries, on its own coroutine.
 func (b *Backend) markRunning(t *thread, pid int) {
 	w := b.workers[pid]
 	t.state = core.StateRunning
@@ -402,16 +417,91 @@ func (b *Backend) blockPrep(t *thread) {
 // before the run-end merge — timer wakes go through wakeSleeper, which
 // records under b.mu instead.
 //
-// A wake after a failed run is pushed but never dispatched, since every
-// running mark checks b.done first.
+// t goes to pid's runnext slot, displacing its occupant to the shard; an
+// empty slot signals an idle worker. A wake after a failed run is placed
+// but never dispatched, since every running mark checks b.done first.
 func (b *Backend) readyThread(t *thread, pid int) {
-	// Id snapshot: after the push, t can be dispatched, run to exit, and
-	// have its record recycled before the KindWake emit below.
+	// Id snapshot: after the placement, t can be dispatched, run to exit,
+	// and have its record recycled before the KindWake emit below.
 	at, id := b.tracer.now(), t.ID()
 	t.state = core.StateReady
 	b.shards.key(t)
-	b.shards.push(t, pid)
+	b.stampReady(t)
+	slotStep(pid)
+	if old := b.workers[pid].runnext.Swap(t); old != nil {
+		b.shards.push(old, pid)
+	} else {
+		b.signalIfIdle(pid)
+	}
 	b.tracer.recordAt(at, pid, id, trace.KindWake, 0)
+}
+
+// runnextGrace is how long a slot's thread waits for its waker to block
+// before an idle worker takes it: Go's runqgrab back-off.
+const runnextGrace = 3 * time.Microsecond
+
+// runnextStep, when set, gates each slot access and placer's idleA read.
+var runnextStep func(pid int)
+
+func slotStep(pid int) {
+	if runnextStep != nil {
+		runnextStep(pid)
+	}
+}
+
+// takeRunnext empties worker pid's own slot and returns its occupant.
+// An empty slot costs one load and no read-modify-write.
+func (b *Backend) takeRunnext(pid int) *thread {
+	slot := &b.workers[pid].runnext
+	slotStep(pid)
+	if slot.Load() == nil {
+		return nil
+	}
+	slotStep(pid)
+	return slot.Swap(nil)
+}
+
+// stealRunnext claims, by CAS, another worker's slot occupant that is
+// still there after runnextGrace: a steal from the victim's shard.
+func (b *Backend) stealRunnext(pid int) *thread {
+	for i := 1; i < b.procs; i++ {
+		v := (pid + i) % b.procs
+		slot := &b.workers[v].runnext
+		slotStep(pid)
+		t := slot.Load()
+		if t == nil {
+			continue
+		}
+		for t0 := time.Now(); time.Since(t0) < runnextGrace && slot.Load() == t; {
+			runtime.Gosched()
+		}
+		slotStep(pid)
+		if slot.CompareAndSwap(t, nil) {
+			b.shards.cSteal.Inc()
+			b.tracer.record(pid, t.ID(), trace.KindSteal, int64(b.shards.shardFor(v)))
+			return t
+		}
+	}
+	return nil
+}
+
+// anyReady is the re-check of a worker going idle: a shard or slot holds
+// a thread.
+func (b *Backend) anyReady(pid int) bool {
+	ready := b.shards.size() > 0
+	for i := 0; i < b.procs && !ready; i++ {
+		slotStep(pid)
+		ready = b.workers[i].runnext.Load() != nil
+	}
+	return ready
+}
+
+// stampReady starts t's dispatch-wait clock when it becomes ready; a
+// thread moved between the slot and a shard keeps its first stamp.
+func (b *Backend) stampReady(t *thread) {
+	if b.dispatchWait != nil && t.readyAt == 0 {
+		t.readyAt = b.sinceStart()
+	}
 }
 
 // preemptNow returns the calling thread to the ready store and passes
@@ -432,14 +522,24 @@ func (b *Backend) preemptNow(t *thread) {
 	t.passPark(next, at, trace.KindPreempt)
 }
 
-// own pops the successor candidate for a thread giving processor pid up:
-// its own shard's leftmost thread. A yielder passes itself as before: it
-// is its own candidate unless a thread precedes it.
+// own picks the successor candidate for a thread giving processor pid
+// up: the leftmost of its shard's leftmost, its slot's occupant and the
+// yielder before (nil at a block or exit), as one shard holding all
+// three would. A losing occupant goes back to the shard.
 func (b *Backend) own(pid int, before *thread) *thread {
-	if t := b.shards.pop(b.shards.shardFor(pid), before); t != nil {
-		return t
+	first := before
+	rn := b.takeRunnext(pid)
+	if rn != nil && (first == nil || rn.Before(first)) {
+		first = rn
 	}
-	return before
+	t := b.shards.pop(b.shards.shardFor(pid), first)
+	if t == nil {
+		t = first
+	}
+	if rn != nil && rn != t {
+		b.shards.push(rn, pid)
+	}
+	return t
 }
 
 // successor marks the successor of a thread giving processor pid up

@@ -37,11 +37,12 @@ import (
 // nothing.
 //
 // Lost-wakeup protocol (Dekker): b.idleA mirrors the idle-worker count
-// under b.mu into an atomic. A pusher stores its shard's new size and
-// then reads idleA, signaling b.cond if any worker sleeps; a worker
-// going idle increments idleA under b.mu and then re-reads every
-// shard's size before waiting. Both sides use sequentially consistent
-// atomics, so at least one of them observes the other and a push
+// under b.mu into an atomic. A pusher stores its shard's new size (a
+// wake, its worker's runnext slot) and then reads idleA, signaling
+// b.cond if any worker sleeps; a worker going idle increments idleA
+// under b.mu and then re-reads every shard's size and every slot
+// (anyReady) before waiting. Both sides use sequentially consistent
+// atomics, so at least one of them observes the other and a placement
 // concurrent with going-idle can never strand the work.
 type shardStore struct {
 	b       *Backend
@@ -58,8 +59,6 @@ type shardStore struct {
 	// allocated at the worker's first scan.
 	mins [][]core.ShardMin
 
-	steals  atomic.Int64
-	rejects atomic.Int64
 	cSteal  *metrics.Counter // sched.steal.count
 	cReject *metrics.Counter // sched.steal.window_reject
 }
@@ -85,8 +84,9 @@ type shard struct {
 // DepaCell tag (priorities are below core.NumPriorities <= 256).
 func pubTag(pri, size int) uint64 { return uint64(size)<<8 | uint64(pri) }
 
-// newShardStore registers the steal counters only for more than one
-// shard: a store of one shard never steals, and nil handles are detached.
+// newShardStore registers each steal counter only where it can count:
+// steals with more than one shard or worker (runnext slots), window
+// rejections with more than one shard. Nil handles are detached.
 func newShardStore(b *Backend, n, window int, dir int64) *shardStore {
 	ss := &shardStore{
 		b:       b,
@@ -96,8 +96,10 @@ func newShardStore(b *Backend, n, window int, dir int64) *shardStore {
 		publish: n > 1,
 		mins:    make([][]core.ShardMin, b.procs),
 	}
-	if n > 1 {
+	if n > 1 || b.procs > 1 {
 		ss.cSteal = b.registry.Counter("sched.steal.count")
+	}
+	if n > 1 {
 		ss.cReject = b.registry.Counter("sched.steal.window_reject")
 	}
 	return ss
@@ -127,9 +129,7 @@ func (ss *shardStore) shardFor(pid int) int {
 // handling of their own.
 func (ss *shardStore) push(t *thread, pid int) {
 	s := &ss.shards[ss.shardFor(pid)]
-	if ss.b.dispatchWait != nil {
-		t.readyAt = ss.b.sinceStart()
-	}
+	ss.b.stampReady(t)
 	ss.b.lockTimed(&s.mu)
 	top := s.h.Push(t)
 	if ss.publish {
@@ -142,7 +142,7 @@ func (ss *shardStore) push(t *thread, pid int) {
 	}
 	s.size.Store(int64(len(s.h)))
 	s.mu.Unlock()
-	ss.b.signalIfIdle()
+	ss.b.signalIfIdle(pid)
 }
 
 // pop removes and returns shard v's leftmost thread, or nil if the shard
@@ -206,11 +206,9 @@ func (ss *shardStore) take(pid int) *thread {
 			continue // every hint empty: re-check the sizes and rescan
 		}
 		if rejects > 0 {
-			ss.rejects.Add(int64(rejects))
 			ss.cReject.Add(int64(rejects))
 		}
 		if t := ss.pop(victim, nil); t != nil {
-			ss.steals.Add(1)
 			ss.cSteal.Inc()
 			ss.b.tracer.record(pid, t.ID(), trace.KindSteal, int64(victim))
 			return t
@@ -221,14 +219,16 @@ func (ss *shardStore) take(pid int) *thread {
 }
 
 // signalIfIdle wakes one idle worker if any is (or is about to be)
-// waiting — the pusher half of the Dekker protocol.
-func (b *Backend) signalIfIdle() {
+// waiting — the placer half of the Dekker protocol, after a push or a
+// runnext placement by pid.
+func (b *Backend) signalIfIdle(pid int) {
+	slotStep(pid)
 	if b.idleA.Load() == 0 {
 		return
 	}
-	b.mu.Lock()
+	b.cond.L.Lock() // b.mu
 	b.cond.Signal()
-	b.mu.Unlock()
+	b.cond.L.Unlock()
 }
 
 // Before is the ready order on threads. A thread's label changes only

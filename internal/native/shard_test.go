@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"spthreads/internal/core"
+	"spthreads/internal/metrics"
 	"spthreads/internal/sched"
 )
 
@@ -50,7 +51,7 @@ func TestShardNativeSleep(t *testing.T) {
 // popping (plain and yield-style) and taking — the own pop and the
 // steal scan over the published cells — allocate nothing.
 func TestShardOpsAllocateNothing(t *testing.T) {
-	b := newPolicyBackend(t, sched.ADF, Config{Procs: 2})
+	b := newPolicyBackend(t, sched.ADF, Config{Procs: 2, Metrics: metrics.NewRegistry()})
 	ss := b.shards
 	lineage := core.RootDepaLabel()
 	ts := make([]*thread, 8)
@@ -73,7 +74,7 @@ func TestShardOpsAllocateNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%.1f allocations per push/pop/take round, want 0", allocs)
 	}
-	if ss.steals.Load() == 0 {
+	if ss.cSteal.Value() == 0 {
 		t.Error("no steals: the scan went unexercised")
 	}
 }

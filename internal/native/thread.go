@@ -52,10 +52,10 @@ type thread struct {
 	// even if another processor has already marked it running again.
 	pid int
 
-	// readyAt stamps the last push into the ready store, for the
+	// readyAt stamps when the thread became ready (stampReady), for the
 	// dispatch-latency histogram, in monotonic ns since b.start (written
-	// before the push's shard lock; zero when a registry is not attached
-	// or the thread is not ready).
+	// before its placement; zero when a registry is not attached or the
+	// thread is not ready).
 	readyAt int64
 
 	// dispatchAt is the tracer timestamp captured by markRunning; the

@@ -54,7 +54,7 @@ func TestInstrumentNames(t *testing.T) {
 		{"sim/fifo", pthread.Config{Policy: pthread.PolicyFIFO}, [][]string{simCore}},
 		{"sim/adf-batch", pthread.Config{Policy: pthread.PolicyADF, SchedBatch: 4}, [][]string{simCore, {"adf.placeholders", "sched.batch.passes"}}},
 		{"native/adf", pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyADF}, [][]string{nativeCore, steal}},
-		{"native/fifo", pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyFIFO}, [][]string{nativeCore}},
+		{"native/fifo", pthread.Config{Backend: pthread.BackendNative, Policy: pthread.PolicyFIFO}, [][]string{nativeCore, steal[:1]}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := pthread.NewMetrics()

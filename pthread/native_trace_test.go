@@ -10,7 +10,9 @@ package pthread_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"spthreads/internal/analyze"
 	"spthreads/internal/trace"
@@ -195,4 +197,55 @@ func TestNativeTraceSmallRecorderDrops(t *testing.T) {
 	if rec.Dropped() == 0 {
 		t.Error("no drops counted despite a trace larger than the recorder")
 	}
+}
+
+// TestNativeTraceStealCount: sched.steal.count counts every steal the
+// trace records, a claim from another worker's runnext slot included.
+// The program wakes a thread and then computes until it has run; when
+// the thread had blocked before the wake, it waits in the waker's slot,
+// and only an idle worker's slot steal can run it. A run in which the
+// post came first is repeated.
+func TestNativeTraceStealCount(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		rec, reg := pthread.NewTraceRecorder(1<<16), pthread.NewMetrics()
+		cfg := nativeCfg(2)
+		cfg.Tracer, cfg.Metrics = rec, reg
+		var woken int64
+		st, err := pthread.Run(cfg, func(mt *pthread.T) {
+			sem := pthread.NewSemaphore(0)
+			var ran atomic.Bool
+			h := mt.Create(func(c *pthread.T) {
+				sem.Wait(c)
+				ran.Store(true)
+			})
+			woken = h.ID()
+			sem.Post(mt)
+			for t0 := time.Now(); !ran.Load(); {
+				if time.Since(t0) > 2*time.Second {
+					panic("the woken thread did not run while its waker computed")
+				}
+			}
+			mt.MustJoin(h)
+			var sum int64
+			shardFib(mt, 12, &sum) // forks and joins, for shard steals
+		})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		steals, slot := int64(0), false
+		for _, e := range rec.Events() {
+			if e.Kind == trace.KindSteal {
+				steals++
+				slot = slot || e.Thread == woken
+			}
+		}
+		if got := st.Metrics.Counters["sched.steal.count"]; got != steals {
+			t.Fatalf("sched.steal.count = %d, trace has %d steal events", got, steals)
+		}
+		if slot {
+			t.Logf("run %d: %d steals, the woken thread's among them", run, steals)
+			return
+		}
+	}
+	t.Fatal("no run stole the woken thread from its waker's slot")
 }
