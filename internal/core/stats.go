@@ -30,12 +30,20 @@ type Stats struct {
 
 	// ThreadsCreated counts every thread, including dummies; PeakLive is
 	// the maximum number of simultaneously live (created, not yet
-	// exited) threads — the paper's "max active threads" column.
+	// exited) threads — the paper's "max active threads" column. On the
+	// native backend above one processor, PeakLive is the sum of each
+	// worker's own mark of threads admitted minus exited there: an upper
+	// bound, exact at one processor.
 	ThreadsCreated int64
 	DummyThreads   int64
 	PeakLive       int
 
-	// Memory high-water marks in bytes.
+	// Memory high-water marks in bytes. TotalHWM is exact on both
+	// backends: natively, the highest value the one shared footprint word
+	// held. On the native backend above one processor, HeapHWM and
+	// StackHWM are the sums of each worker's own marks of the bytes it
+	// allocated minus freed, capped by TotalHWM: upper bounds, exact at
+	// one processor.
 	HeapHWM  int64
 	StackHWM int64
 	TotalHWM int64

@@ -31,10 +31,11 @@ func (b *Backend) fork(t *thread, attr core.Attr, body core.Body, dummy bool) *t
 	child := b.newThread(pid, attr, body)
 	child.isDummy = dummy
 	body.Bind(child)
-	b.mem.allocStack(child.stackSize)
+	w := b.workers[pid]
+	b.stackAlloc(w, child.stackSize)
 	b.tracer.record(pid, child.ID(), trace.KindCreate, t.ID())
 	b.tracer.record(pid, child.ID(), trace.KindStackAlloc, child.stackSize)
-	b.admit()
+	b.admit(w)
 	child.span = t.span
 	// A fork touches nothing b.mu guards, so it takes no b.mu section.
 	if b.shards.dir != 0 {
@@ -194,13 +195,13 @@ func (b *Backend) Malloc(pt core.Handle, n int64) core.Alloc {
 	if d := b.policy.AllocDummies(n); d > 0 {
 		b.forkDummies(t, d)
 	}
-	addr := b.mem.allocHeap(n)
+	addr := b.malloc(b.workers[t.pid], n)
 	b.tracer.record(t.pid, t.ID(), trace.KindAlloc, n)
 	a := core.Alloc{Addr: addr, Size: n}
 	if b.quota > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
-			b.quotaTally.Add(1)
+			b.workers[t.pid].quotaPreempts++
 			b.tracer.record(t.pid, t.ID(), trace.KindQuotaExhausted, n)
 			b.preemptNow(t)
 		}
@@ -214,7 +215,8 @@ func (b *Backend) Free(pt core.Handle, a core.Alloc) {
 		return
 	}
 	t := nt(pt)
-	b.mem.freeHeap(a.Size)
+	w := b.workers[t.pid]
+	b.account(w, &w.heap, &w.heapHWM, -a.Size)
 	b.tracer.record(t.pid, t.ID(), trace.KindFree, a.Size)
 }
 
@@ -249,8 +251,8 @@ func (b *Backend) Sleep(pt core.Handle, d vtime.Duration) {
 // wakeSleeper readies a timer-parked thread in three phases: mark it
 // ready under b.mu, push it outside (a shard lock never nests inside
 // b.mu), then drop the sleeper count. sleepers stays >0 through the push
-// gap so the deadlock detector cannot fire while the thread is in flight
-// between the two structures.
+// gap so the run cannot end while the thread is in flight between the
+// two structures.
 func (b *Backend) wakeSleeper(t *thread) {
 	b.lock()
 	if b.done.Load() {
@@ -263,9 +265,7 @@ func (b *Backend) wakeSleeper(t *thread) {
 	b.tracer.record(-1, t.ID(), trace.KindWake, 0)
 	b.mu.Unlock()
 	b.shards.push(t, t.pid)
-	b.lock()
-	b.sleepers--
-	b.mu.Unlock()
+	b.addSleeper(-1)
 }
 
 // Now returns elapsed wall time as virtual cycles.
@@ -282,7 +282,7 @@ func (b *Backend) forkDummies(t *thread, d int) {
 	if d <= 0 {
 		return
 	}
-	b.dummyTally.Add(int64(d))
+	b.workers[t.pid].dummies += int64(d)
 	b.tracer.record(t.pid, t.ID(), trace.KindDummyFork, int64(d))
 	b.forkDummySubtree(t, d)
 }
@@ -331,10 +331,15 @@ func (b *Backend) WakeAfter(pt core.Handle, d vtime.Duration, claim func() bool)
 	}
 }
 
-// addSleeper adjusts the count of pending timer wake sources.
+// addSleeper adjusts the count of pending timer wake sources. The run
+// ends only with none pending, so when the last goes while every worker
+// waits, one is woken to re-check (TestLastSleeperEndsRun).
 func (b *Backend) addSleeper(d int) {
 	b.lock()
 	b.sleepers += d
+	if b.sleepers == 0 && b.idle == b.procs {
+		b.cond.Signal()
+	}
 	b.mu.Unlock()
 }
 

@@ -1,106 +1,98 @@
 package native
 
-// Concurrency unit tests for the footprint accounting: atomicMax's
-// CAS loop under contention, and high-water-mark monotonicity under
-// concurrent accounting and across pooled-thread reuse.
+// Concurrency unit tests for the footprint accounting: high-water-mark
+// monotonicity under concurrent accounting and across pooled-thread
+// reuse, and the total mark as a sum the footprint held.
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"spthreads/internal/core"
 )
 
-// TestAtomicMaxContention hammers one cell from many goroutines with
-// interleaved values; a lost CAS retry would leave the cell below the
-// global maximum.
-func TestAtomicMaxContention(t *testing.T) {
-	const (
-		goroutines = 16
-		perG       = 10_000
-	)
-	var g atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for w := 0; w < goroutines; w++ {
-		w := w
-		go func() {
-			defer wg.Done()
-			// Strided values so every goroutine owns a share of the
-			// running maximum and the CAS loop keeps losing races.
-			for i := 0; i < perG; i++ {
-				atomicMax(&g, int64(i*goroutines+w))
-			}
-		}()
-	}
-	wg.Wait()
-	want := int64((perG-1)*goroutines + goroutines - 1)
-	if got := g.Load(); got != want {
-		t.Errorf("atomicMax lost an update under contention: %d, want %d", got, want)
-	}
-	// Lowering attempts must not move it.
-	atomicMax(&g, want-1)
-	if got := g.Load(); got != want {
-		t.Errorf("atomicMax went backwards: %d, want %d", got, want)
-	}
-}
-
-// TestHWMMonotonicUnderContention drives the shared accounting from
-// concurrent goroutines while a sampler asserts that the high-water
-// marks never decrease, and checks that the final live totals equal the
-// exact sums.
+// TestHWMMonotonicUnderContention drives the accounting from
+// concurrent goroutines, one per worker, each asserting that its own
+// marks never decrease, and checks that the live totals return to zero
+// and that TotalHWM is a value the shared total could hold: at most
+// every worker's largest live share at once.
 func TestHWMMonotonicUnderContention(t *testing.T) {
 	const (
 		procs = 4
 		steps = 20_000
 	)
-	var m mem
-	var stop atomic.Bool
-	var wg, swg sync.WaitGroup
-
-	// Sampler: monotonicity of each HWM and HWM >= published live.
-	swg.Add(1)
-	go func() {
-		defer swg.Done()
-		var lastHeap, lastTotal int64
-		for !stop.Load() {
-			h := m.heapHWM.Load()
-			tot := m.totalHWM.Load()
-			if h < lastHeap || tot < lastTotal {
-				t.Errorf("HWM went backwards: heap %d->%d total %d->%d", lastHeap, h, lastTotal, tot)
-				return
-			}
-			lastHeap, lastTotal = h, tot
-		}
-	}()
-
+	b := newTestBackend(t, procs)
+	var wg sync.WaitGroup
 	wg.Add(procs)
 	for pid := 0; pid < procs; pid++ {
 		go func() {
 			defer wg.Done()
-			// Sawtooth: the ramps move the HWMs under contention and the
+			w := b.workers[pid]
+			var last foot
+			// Sawtooth: the ramps move the marks under contention and the
 			// drains bring every goroutine back to zero.
 			for i := 0; i < steps; i++ {
-				m.allocHeap(512)
-				m.allocStack(128)
+				b.malloc(w, 512)
+				b.stackAlloc(w, 128)
 				if i%16 == 15 {
-					m.freeHeap(16 * 512)
-					m.freeStack(16 * 128)
+					b.account(w, &w.heap, &w.heapHWM, -16*512)
+					b.stackAlloc(w, -16*128)
 				}
+				if w.heapHWM < last.heapHWM || w.stackHWM < last.stackHWM || w.totalHWM < last.totalHWM {
+					t.Errorf("worker %d: a mark went backwards: %+v after %+v", pid, w.foot, last)
+					return
+				}
+				last = w.foot
 			}
 		}()
 	}
 	wg.Wait()
-	stop.Store(true)
-	swg.Wait()
-	// Every step is balanced at sawtooth boundaries: net per goroutine
-	// is zero, so the exact final totals are zero.
-	if h, s := m.liveHeap.Load(), m.liveStack.Load(); h != 0 || s != 0 {
-		t.Errorf("final totals heap=%d stack=%d, want 0,0", h, s)
+	var heap, stack int64
+	for _, w := range b.workers {
+		heap += w.heap
+		stack += w.stack
 	}
-	if m.heapHWM.Load() <= 0 || m.totalHWM.Load() <= 0 {
-		t.Errorf("HWMs never rose: heap %d total %d", m.heapHWM.Load(), m.totalHWM.Load())
+	if tot := b.total.Load(); heap != 0 || stack != 0 || tot != 0 {
+		t.Errorf("final heap=%d stack=%d total=%d, want 0", heap, stack, tot)
+	}
+	st := b.stats()
+	if most := int64(procs * 16 * (512 + 128)); st.TotalHWM <= 0 || st.TotalHWM > most {
+		t.Errorf("TotalHWM %d, want in (0, %d]", st.TotalHWM, most)
+	}
+	if st.HeapHWM > st.TotalHWM || st.StackHWM > st.TotalHWM {
+		t.Errorf("class marks heap %d stack %d above TotalHWM %d", st.HeapHWM, st.StackHWM, st.TotalHWM)
+	}
+}
+
+// TestTotalHWMIsASumHeld drives the interleaving that once recorded a
+// footprint that never existed: worker 0 adds a 10-byte heap block;
+// worker 1 then frees it and adds a 10-byte stack; only then does worker
+// 0 lift its mark. A mark lifted from worker 0's heap plus a later read
+// of the stack records 20. The total never exceeded 10, and TotalHWM,
+// lifted from each Add's own result, must say so.
+func TestTotalHWMIsASumHeld(t *testing.T) {
+	defer func() { accountStep = nil }()
+	b := newTestBackend(t, 2)
+	w0, w1 := b.workers[0], b.workers[1]
+	added, lift := make(chan struct{}), make(chan struct{})
+	accountStep = func(w *worker) {
+		if w == w0 {
+			close(added)
+			<-lift
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		b.malloc(w0, 10)
+		close(done)
+	}()
+	<-added
+	b.account(w1, &w1.heap, &w1.heapHWM, -10)
+	b.stackAlloc(w1, 10)
+	close(lift)
+	<-done
+	if st := b.stats(); st.TotalHWM != 10 {
+		t.Errorf("TotalHWM = %d, want 10: the footprint never held more", st.TotalHWM)
 	}
 }
 
@@ -134,12 +126,14 @@ func TestHWMAcrossPooledReuse(t *testing.T) {
 	if st.TotalHWM < block {
 		t.Errorf("TotalHWM %d below serial floor %d", st.TotalHWM, block)
 	}
-	if live := b.mem.liveHeap.Load(); live != 0 {
-		t.Errorf("live heap %d after all frees, want 0", live)
+	// All blocks and stacks released: only the root's stack could
+	// linger, and it was freed at exit too.
+	var heap, stack int64
+	for _, w := range b.workers {
+		heap += w.heap
+		stack += w.stack
 	}
-	// All stacks released: only the root's stack could linger, and it
-	// was freed at exit too.
-	if live := b.mem.liveStack.Load(); live != 0 {
-		t.Errorf("live stack %d after all exits, want 0", live)
+	if heap != 0 || stack != 0 || b.total.Load() != 0 {
+		t.Errorf("live heap %d, stack %d, total %d after all exits, want 0", heap, stack, b.total.Load())
 	}
 }

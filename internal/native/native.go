@@ -100,52 +100,22 @@ type Config struct {
 }
 
 // Backend is one native run. It is single-shot: build one per Execute.
+// The fields down to wg are only read once workers start. Each word the
+// workers write sits behind a pad, on a cache line of its own
+// (TestHotWordsOwnTheirLines); per-thread counts are worker cells.
 type Backend struct {
 	procs        int
 	policy       core.Policy
 	quota        int64
 	defaultStack int64
 
-	// mu is the scheduler lock of the idle, deadlock and run-end
-	// protocol: it guards the fields below not marked atomic. cond
-	// signals idle workers when work becomes ready or the run ends.
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	// shards is the ready store; idleA mirrors b.idle into an atomic for
-	// its lost-wakeup protocol.
-	shards *shardStore
-	idleA  atomic.Int64
-
-	// live cannot reach 0 while a fork is under way (the forker is
-	// live), so an exit that sees it reach 0 ends the run.
-	live     atomic.Int64
-	peakLive atomic.Int64
-
-	// done is the run-failed-or-ended flag every running mark checks. It
-	// is set under b.mu, with a broadcast, so an idle worker cannot miss
-	// it.
-	done atomic.Bool
-
-	sleepers  int // threads parked on pending timers
-	idle      int // workers waiting in cond.Wait
-	err       error
-	executed  bool
-	endStatus int64 // trace.RunEnd* code; guarded by b.mu
-
-	start time.Time
-
-	mem mem // atomic footprint accounting
-
-	nextID atomic.Int64 // thread ids, and so the count of threads created
+	cond     *sync.Cond  // signals idle workers (ready work, run end); locker b.mu
+	shards   *shardStore // the ready store
+	start    time.Time
+	executed bool
 
 	carriers *core.Carriers                   // per-worker carrier free lists
 	recs     []core.FreeList[thread, *thread] // per-worker thread-record arenas
-
-	// Atomic tallies flushed into the metrics registry at stats time
-	// (these fire in thread context without the scheduler lock).
-	dummyTally atomic.Int64
-	quotaTally atomic.Int64
 
 	registry *metrics.Registry
 
@@ -158,11 +128,33 @@ type Backend struct {
 
 	workers []*worker
 	wg      sync.WaitGroup // workers
+
+	_ [64]byte
+	// mu, the scheduler lock of the idle and run-end protocol, guards the
+	// fields up to the next pad; idleA mirrors idle for the shard store.
+	mu        sync.Mutex
+	idleA     atomic.Int64
+	idle      int // workers waiting in cond.Wait
+	sleepers  int // threads parked on pending timers
+	err       error
+	endStatus int64 // trace.RunEnd* code
+
+	_ [64]byte
+	// done is the run-over flag every running mark checks, set under b.mu
+	// with a broadcast so that an idle worker cannot miss it.
+	done   atomic.Bool
+	_      [64]byte
+	nextID atomic.Int64 // thread ids, and so the count of threads created
+	_      [64]byte
+	total  atomic.Int64 // live heap plus stack bytes (mem.go)
+	_      [64]byte
 }
 
 // worker is one processor's local state, written only by code running
 // on that processor, except runnext, which an idle worker may claim. The
-// pads keep it off every other word's cache line, runnext included.
+// pads keep it off every other word's cache line, runnext included. Its
+// counts are cells summed at stats time; a cell can be negative (a
+// thread forked here and exited elsewhere), only the sum is a count.
 type worker struct {
 	_          [64]byte
 	runnext    atomic.Pointer[thread] // the thread woken here last (readyThread)
@@ -174,7 +166,10 @@ type worker struct {
 	// than as a successor yielded to it.
 	wakeups int64
 	maxSpan vtime.Duration // longest span of a thread that exited here
-	_       [64]byte
+
+	live, peakLive, quotaPreempts, dummies int64 // threads admitted minus exited, its mark, tallies
+	foot                                         // footprint cells (mem.go)
+	_                                      [64]byte
 }
 
 // New builds a native backend from cfg.
@@ -224,6 +219,7 @@ func New(cfg Config) (*Backend, error) {
 	for i := range b.workers {
 		b.workers[i] = &worker{
 			dispatches: reg.Counter(fmt.Sprintf("sched.dispatches.w%d", i)),
+			foot:       foot{nextAddr: 1<<12 + int64(i)*addrRange},
 		}
 	}
 	b.shards = newShardStore(b, n, window, dir)
@@ -245,11 +241,12 @@ func (b *Backend) Execute(main func(core.Handle)) (core.Stats, error) {
 	root := b.newThread(-1, core.Attr{Name: "main"}, core.Func(main))
 	root.tok.Order = core.RootDepaLabel()
 	b.shards.key(root)
-	b.mem.allocStack(root.stackSize)
+	// No worker runs yet: the root's cells are worker 0's, and it needs
+	// no b.mu section.
+	b.stackAlloc(b.workers[0], root.stackSize)
 	b.tracer.record(-1, root.ID(), trace.KindCreate, 0) // Arg 0: no parent
 	b.tracer.record(-1, root.ID(), trace.KindStackAlloc, root.stackSize)
-	// No worker runs yet: the root needs no b.mu section.
-	b.admit()
+	b.admit(b.workers[0])
 	root.state = core.StateReady
 	b.shards.push(root, 0)
 
@@ -332,10 +329,10 @@ func (b *Backend) lockTimed(mu *sync.Mutex) {
 func (b *Backend) sinceStart() int64 { return time.Since(b.start).Nanoseconds() }
 
 // next blocks until there is a thread for worker pid to run (marked
-// running on pid), the run completes, or a deadlock is detected. The
-// take (own pop, else a bounded steal, else another worker's runnext
-// slot) needs no b.mu; the idle mirror idleA plus the re-check after
-// going idle are the sleeper half of the store's Dekker protocol.
+// running on pid), or the run is over. The take (own pop, else a bounded
+// steal, else another worker's runnext slot) needs no b.mu; the idle
+// mirror idleA plus the re-check after going idle are the sleeper half
+// of the store's Dekker protocol.
 func (b *Backend) next(pid int) *thread {
 	for {
 		// An idle worker's own slot is empty (see the deadlock check).
@@ -355,32 +352,49 @@ func (b *Backend) next(pid int) *thread {
 			return t
 		}
 		b.lock()
-		if b.done.Load() {
-			b.mu.Unlock()
-			return nil
-		}
-		if b.live.Load() == 0 {
-			b.endLocked()
-			b.mu.Unlock()
-			return nil
-		}
-		b.idle++
-		b.idleA.Add(1)
-		switch {
-		case b.anyReady(pid):
-			// Work appeared between the failed take and going idle.
-		case b.idle == b.procs && b.sleepers == 0:
-			// Every worker is here, so every thread a worker ran has given
-			// its processor up: none is running, and none is ready.
-			b.failLocked(fmt.Errorf("native: deadlock: %d threads live, none runnable", b.live.Load()),
-				trace.RunEndDeadlock)
-		default:
-			b.cond.Wait()
-		}
-		b.idle--
-		b.idleA.Add(-1)
+		over := b.idleLocked(pid, b.cond.Wait)
 		b.mu.Unlock()
+		if over {
+			return nil
+		}
 	}
+}
+
+// idleLocked is worker pid's turn at going idle, under b.mu, after a take
+// found nothing: it reports whether the run is over, else returns once
+// work may have appeared (wait is b.cond.Wait). The last worker to go
+// idle, with no timer pending and nothing ready, ends the run: no thread
+// runs or can become ready, so the live cells are final and sum to 0 on
+// a clean end. A worker woken by the end must re-check done before going
+// idle again, or it waits for a worker that has left (TestRunEndModel).
+func (b *Backend) idleLocked(pid int, wait func()) (over bool) {
+	if b.done.Load() {
+		return true
+	}
+	b.idle++
+	b.idleA.Add(1)
+	countRMW()
+	switch {
+	case b.anyReady(pid):
+		// Work appeared between the failed take and going idle.
+	case b.idle == b.procs && b.sleepers == 0:
+		var live int64
+		for _, w := range b.workers {
+			live += w.live
+		}
+		var err error
+		if live != 0 {
+			err = fmt.Errorf("native: deadlock: %d threads live, none runnable", live)
+		}
+		b.endLocked(err, trace.RunEndDeadlock)
+		over = true
+	default:
+		wait()
+	}
+	b.idle--
+	b.idleA.Add(-1)
+	countRMW()
+	return over
 }
 
 // markRunning assigns t to processor pid, whose worker then runs it. The
@@ -560,9 +574,10 @@ func (b *Backend) putBack(t, next *thread, pid int) {
 	}
 }
 
-// admit registers a freshly created thread.
-func (b *Backend) admit() {
-	atomicMax(&b.peakLive, b.live.Add(1))
+// admit counts a freshly created thread live on worker w.
+func (b *Backend) admit(w *worker) {
+	w.live++
+	w.peakLive = max(w.peakLive, w.live)
 }
 
 // exitThread performs exit bookkeeping on t's own coroutine, wakes its
@@ -571,7 +586,8 @@ func (b *Backend) exitThread(t *thread) *thread {
 	pid := t.pid
 	w := b.workers[pid]
 	w.maxSpan = max(w.maxSpan, t.span)
-	b.mem.freeStack(t.stackSize)
+	w.live--
+	b.stackAlloc(w, -t.stackSize)
 	cand := b.own(pid, nil)
 	t.state = core.StateExited
 	var j *thread
@@ -595,11 +611,6 @@ func (b *Backend) exitThread(t *thread) *thread {
 			back = j
 		}
 	}
-	if b.live.Add(-1) == 0 {
-		b.lock()
-		b.endLocked()
-		b.mu.Unlock()
-	}
 	next := b.successor(pid, cand)
 	b.putBack(cand, next, pid)
 	b.putBack(back, next, pid)
@@ -622,6 +633,7 @@ func (b *Backend) newThread(pid int, attr core.Attr, body core.Body) *thread {
 	if t == nil {
 		t = &thread{b: b}
 	}
+	countRMW()
 	t.tok.ID = b.nextID.Add(1)
 	t.tok.Priority = attr.Priority
 	t.name = attr.Name
@@ -643,63 +655,55 @@ func (b *Backend) newThread(pid int, attr core.Attr, body core.Body) *thread {
 // remaining parked threads are unwound at shutdown.
 func (b *Backend) recordPanic(t *thread, r any) {
 	b.lock()
-	b.failLocked(fmt.Errorf("native: %s panicked: %v", t.Name(), r), trace.RunEndPanic)
+	b.endLocked(fmt.Errorf("native: %s panicked: %v", t.Name(), r), trace.RunEndPanic)
 	b.mu.Unlock()
 }
 
-// failLocked records err and the matching trace.RunEnd* status (first
-// error wins both) and ends the run. Caller holds b.mu.
-func (b *Backend) failLocked(err error, status int64) {
-	if b.err == nil {
-		b.err = err
-		b.endStatus = status
-	}
-	b.endLocked()
-}
-
 // endLocked ends the run: no thread is marked running after it, and
-// every idle worker wakes to exit. Caller holds b.mu.
-func (b *Backend) endLocked() {
+// every idle worker wakes to exit. A non-nil err fails the run with the
+// matching trace.RunEnd* status; the first error wins both. Caller holds
+// b.mu.
+func (b *Backend) endLocked(err error, status int64) {
+	if err != nil && b.err == nil {
+		b.err, b.endStatus = err, status
+	}
 	b.done.Store(true)
 	b.cond.Broadcast()
 }
 
-// stats assembles the run's statistics after all goroutines quiesced.
+// stats assembles the run's statistics after all goroutines quiesced,
+// summing the workers' cells. TotalHWM is the highest value the shared
+// total held; PeakLive and the class marks sum per-worker marks, upper
+// bounds above one processor, and the class marks are capped by TotalHWM.
 func (b *Backend) stats() core.Stats {
 	elapsed := wallToV(time.Since(b.start))
-	var dispatches int64
-	var span vtime.Duration
-	for _, w := range b.workers {
-		dispatches += w.stats.Dispatches
-		span = max(span, w.maxSpan)
-	}
-	if r := b.registry; r != nil {
-		r.Counter("sched.dispatches").Add(dispatches)
-		r.Counter("sched.quota.preempts").Add(b.quotaTally.Load())
-		r.Counter("sched.dummy.forks").Add(b.dummyTally.Load())
-	}
 	st := core.Stats{
 		Policy:         b.policy.Name(),
 		NumProcs:       b.procs,
 		Time:           elapsed,
-		Span:           span,
 		ThreadsCreated: b.nextID.Load(),
-		DummyThreads:   b.dummyTally.Load(),
-		PeakLive:       int(b.peakLive.Load()),
-		HeapHWM:        b.mem.heapHWM.Load(),
-		StackHWM:       b.mem.stackHWM.Load(),
-		TotalHWM:       b.mem.totalHWM.Load(),
 		Procs:          make([]core.ProcStats, b.procs),
-		Metrics:        b.registry.Snapshot(),
 	}
+	var dispatches, quota int64
 	for i, w := range b.workers {
-		ps := w.stats
-		ps.Idle = elapsed - ps.Work
-		if ps.Idle < 0 {
-			ps.Idle = 0
-		}
-		st.Procs[i] = ps
-		st.Work += ps.Work
+		st.Procs[i] = w.stats
+		st.Procs[i].Idle = max(elapsed-w.stats.Work, 0)
+		st.Work += w.stats.Work
+		st.Span = max(st.Span, w.maxSpan)
+		dispatches += w.stats.Dispatches
+		quota += w.quotaPreempts
+		st.DummyThreads += w.dummies
+		st.PeakLive += int(w.peakLive)
+		st.HeapHWM += w.heapHWM
+		st.StackHWM += w.stackHWM
+		st.TotalHWM = max(st.TotalHWM, w.totalHWM)
+	}
+	st.HeapHWM, st.StackHWM = min(st.HeapHWM, st.TotalHWM), min(st.StackHWM, st.TotalHWM)
+	if r := b.registry; r != nil {
+		r.Counter("sched.dispatches").Add(dispatches)
+		r.Counter("sched.quota.preempts").Add(quota)
+		r.Counter("sched.dummy.forks").Add(st.DummyThreads)
+		st.Metrics = r.Snapshot()
 	}
 	return st
 }

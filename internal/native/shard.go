@@ -51,9 +51,8 @@ type shardStore struct {
 	publish bool // more than one shard: thieves read the cells
 
 	// dir selects a sequence order: +1 FIFO, -1 LIFO, 0 the DePa fork
-	// order of the ADF family. seq numbers the sequence keys.
+	// order of the ADF family.
 	dir int64
-	seq atomic.Int64
 
 	// mins is each worker's steal-scan scratch, one entry per shard,
 	// allocated at the worker's first scan.
@@ -61,6 +60,11 @@ type shardStore struct {
 
 	cSteal  *metrics.Counter // sched.steal.count
 	cReject *metrics.Counter // sched.steal.window_reject
+
+	// seq numbers the sequence keys, on a cache line of its own.
+	_   [64]byte
+	seq atomic.Int64
+	_   [64]byte
 }
 
 // shard is one worker's ready heap.
@@ -112,6 +116,7 @@ func newShardStore(b *Backend, n, window int, dir int64) *shardStore {
 // popped thread put back unrun is not re-keyed: it keeps its place.
 func (ss *shardStore) key(t *thread) {
 	if ss.dir != 0 {
+		countRMW()
 		t.tok.Order = core.HeadDepaLabel(ss.dir * ss.seq.Add(1))
 	}
 }

@@ -1,8 +1,9 @@
 package native
 
 import (
+	"reflect"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"spthreads/internal/core"
 	"spthreads/internal/metrics"
@@ -79,27 +80,61 @@ func TestShardOpsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestHotWordsOwnTheirLines: the per-worker counts and per-shard sizes a
-// fork → exit → join writes sit on cache lines no other worker's or
-// shard's word reaches. A 64-byte line holding a word at offset o spans
-// at most [o-56, o+64), so a struct whose hot words all lie in
-// [56, size-64) keeps them off every word outside it: a neighbouring
-// worker's, a neighbouring shard's, and b.mu, which lives in another
-// allocation.
+// TestHotWordsOwnTheirLines: the words a fork → exit → join or a
+// Malloc / Free writes, and the shared words every worker reads on those
+// paths, sit on cache lines no word of another group reaches. A 64-byte
+// line holding a word at offset o spans at most [o-56, o+64), so a group
+// whose words lie in [first, last] keeps its line to itself when no field
+// outside the group starts or ends in [first-56, last+64) and the group
+// lies in [56, size-64): off a neighbouring worker's or shard's words,
+// and off whatever shares the allocation's edges. Words with the same
+// writers share a group: b.mu with the idle counts it guards, and a
+// shard's size with its lock, heap and hint (peers, which may share the
+// group's line without being held to its edges).
 func TestHotWordsOwnTheirLines(t *testing.T) {
-	const line = 64
-	var w worker
-	var s shard
 	for _, c := range []struct {
-		name              string
-		first, last, size uintptr
+		typ          reflect.Type
+		group, peers []string
 	}{
-		{"worker", unsafe.Offsetof(w.stats), unsafe.Offsetof(w.maxSpan), unsafe.Sizeof(w)},
-		{"shard size", unsafe.Offsetof(s.size), unsafe.Offsetof(s.size), unsafe.Sizeof(s)},
+		{reflect.TypeFor[worker](), []string{"stats", "dispatches", "wakeups", "maxSpan",
+			"live", "peakLive", "quotaPreempts", "dummies", "foot"}, nil},
+		{reflect.TypeFor[shard](), []string{"size"}, []string{"mu", "h", "pub"}},
+		{reflect.TypeFor[shardStore](), []string{"seq"}, nil},
+		{reflect.TypeFor[Backend](), []string{"mu", "idleA", "idle", "sleepers", "err", "endStatus"}, nil},
+		{reflect.TypeFor[Backend](), []string{"done"}, nil},
+		{reflect.TypeFor[Backend](), []string{"nextID"}, nil},
+		{reflect.TypeFor[Backend](), []string{"total"}, nil},
 	} {
-		if c.first < line-8 || c.last+line > c.size {
-			t.Errorf("%s: hot words at [%d, %d] in %d bytes, want within [%d, %d)",
-				c.name, c.first, c.last, c.size, line-8, c.size-line)
+		hotLinesApart(t, c.typ, c.group, c.peers)
+	}
+}
+
+// hotLinesApart checks one group of typ's fields as
+// TestHotWordsOwnTheirLines describes.
+func hotLinesApart(t *testing.T, typ reflect.Type, group, peers []string) {
+	t.Helper()
+	const line = 64
+	first, last := typ.Size(), uintptr(0)
+	for _, name := range group {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Fatalf("%v has no field %s", typ, name)
+		}
+		first, last = min(first, f.Offset), max(last, f.Offset+f.Type.Size()-1)
+	}
+	lo, hi := first-min(first, line-8), last+line
+	if first < line-8 || hi > typ.Size() {
+		t.Errorf("%v %v: at [%d, %d] in %d bytes, want within [%d, %d)",
+			typ, group, first, last, typ.Size(), line-8, typ.Size()-line)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" || slices.Contains(group, f.Name) || slices.Contains(peers, f.Name) {
+			continue
+		}
+		if end := f.Offset + f.Type.Size(); f.Offset < hi && end > lo {
+			t.Errorf("%v %v: field %s at [%d, %d) shares a line with the group at [%d, %d]",
+				typ, group, f.Name, f.Offset, end, first, last)
 		}
 	}
 }

@@ -24,13 +24,21 @@ type oracleEvent struct {
 
 func (e oracleEvent) String() string { return fmt.Sprintf("%v t%d %d", e.kind, e.thread, e.arg) }
 
+// oraclePeaks is the part of a run's Stats both backends define alike
+// at one processor.
+type oraclePeaks struct {
+	PeakLive           int
+	StackHWM, TotalHWM int64
+}
+
 // oracleTrace runs prog at Procs 1 on backend under policy and returns
-// its stripped event sequence.
-func oracleTrace(t *testing.T, backend pthread.Backend, policy pthread.Policy, prog func(*pthread.T)) []oracleEvent {
+// its stripped event sequence and its peaks.
+func oracleTrace(t *testing.T, backend pthread.Backend, policy pthread.Policy, prog func(*pthread.T)) ([]oracleEvent, oraclePeaks) {
 	t.Helper()
 	rec := pthread.NewTraceRecorder(1 << 16)
 	cfg := pthread.Config{Procs: 1, Policy: policy, Backend: backend, Tracer: rec}
-	if _, err := pthread.Run(cfg, prog); err != nil {
+	st, err := pthread.Run(cfg, prog)
+	if err != nil {
 		t.Fatalf("%s: %v", backend, err)
 	}
 	if rec.Dropped() != 0 {
@@ -48,7 +56,7 @@ func oracleTrace(t *testing.T, backend pthread.Backend, policy pthread.Policy, p
 		}
 		out = append(out, oracleEvent{e.Kind, e.Thread, e.Arg})
 	}
-	return out
+	return out, oraclePeaks{st.PeakLive, st.StackHWM, st.TotalHWM}
 }
 
 // The sync programs: a bounded-buffer pipeline (mutex and two
@@ -144,8 +152,9 @@ func oraclePingPong(t *pthread.T) {
 }
 
 // TestP1OracleSyncPrograms requires, for each sync program and policy
-// the native backend runs, the same stripped event sequence from both
-// backends at one processor.
+// the native backend runs, the same stripped event sequence and the same
+// peak live threads, stack and total footprint from both backends at one
+// processor.
 func TestP1OracleSyncPrograms(t *testing.T) {
 	for _, prog := range []struct {
 		name string
@@ -153,8 +162,11 @@ func TestP1OracleSyncPrograms(t *testing.T) {
 	}{{"pipeline", oraclePipeline}, {"barrier", oracleBarrier}, {"pingpong", oraclePingPong}} {
 		for _, policy := range []pthread.Policy{pthread.PolicyADF, pthread.PolicyADFShard, pthread.PolicyFIFO, pthread.PolicyLIFO} {
 			t.Run(prog.name+"/"+string(policy), func(t *testing.T) {
-				sim := oracleTrace(t, pthread.BackendSim, policy, prog.run)
-				nat := oracleTrace(t, pthread.BackendNative, policy, prog.run)
+				sim, simPeaks := oracleTrace(t, pthread.BackendSim, policy, prog.run)
+				nat, natPeaks := oracleTrace(t, pthread.BackendNative, policy, prog.run)
+				if simPeaks != natPeaks {
+					t.Errorf("peaks differ: sim %+v, native %+v", simPeaks, natPeaks)
+				}
 				n := min(len(sim), len(nat))
 				for i := 0; i < n; i++ {
 					if sim[i] != nat[i] {
