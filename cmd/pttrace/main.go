@@ -165,15 +165,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout)
 
-	var quota int64
-	switch pthread.Policy(*policy) {
-	case pthread.PolicyADF, pthread.PolicyADFShard:
-		quota = pthread.DefaultMemQuota
-	}
+	// The run above accepted the policy, so Quota cannot fail here.
+	quota, _ := pthread.Policy(*policy).Quota(cfg.MemQuota, cfg.DisableDummies)
 	v.opt = analyze.Options{
 		Policy:       *policy,
 		Procs:        *procs,
-		Quota:        quota,
+		Quota:        quota.K,
 		DefaultStack: pthread.SmallStackSize,
 		PeakHeap:     stats.HeapHWM,
 		PeakStack:    stats.StackHWM,

@@ -188,6 +188,25 @@ func TestRoundTripAnalyze(t *testing.T) {
 	}
 }
 
+// TestReportQuotaBytes: a live report's quota_bytes is the quota the
+// run applied, for every policy that throttles allocation, dfd
+// included, and absent for one that does not.
+func TestReportQuotaBytes(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		want   int64
+	}{{"dfd", 131072}, {"adf-shard", 131072}, {"lifo", 0}} {
+		path := filepath.Join(t.TempDir(), "report.json")
+		var out, errb bytes.Buffer
+		if code := run([]string{"-policy", tc.policy, "-depth", "2", "-report", path}, &out, &errb); code != 0 {
+			t.Fatalf("%s: run = %d\nstderr: %s", tc.policy, code, errb.String())
+		}
+		if got := readReport(t, path).QuotaBytes; got != tc.want {
+			t.Errorf("%s: quota_bytes %d, want %d", tc.policy, got, tc.want)
+		}
+	}
+}
+
 // TestOfflineTextReport: -in -analyze names every headline quantity the
 // offline audit exists to report, under the policy label -policy gives.
 func TestOfflineTextReport(t *testing.T) {

@@ -128,16 +128,20 @@ func (m *Machine) Charge(h Handle, cycles int64) {
 }
 
 // Malloc allocates n bytes of simulated heap on behalf of t, applying
-// the policy's memory-quota discipline: an allocation larger than the
-// quota K first forks dummy threads (as a binary tree, since the fork
-// primitive is binary), and exhausting the quota preempts the thread.
+// the run's Quota: an allocation larger than K first forks dummy
+// threads, and exhausting the quota preempts the thread.
 func (m *Machine) Malloc(h Handle, n int64) Alloc {
 	t := m.checkRunning(h, "Malloc")
 	if n <= 0 {
 		panic(fmt.Sprintf("core: Malloc(%d)", n))
 	}
-	if d := m.policy.AllocDummies(n); d > 0 {
-		m.forkDummies(t, d)
+	if d := m.cfg.Quota.DummiesFor(n); d > 0 {
+		if tr := m.cfg.Tracer; tr != nil {
+			tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindDummyFork, int64(d))
+		}
+		m.ins.dummyForks.Add(int64(d))
+		m.dummies += int64(d)
+		ForkDummies(t.simState, d, forkDummy)
 	}
 	addr, cost, fresh := m.mem.Alloc(n)
 	m.chargeMem(t, cost)
@@ -149,7 +153,7 @@ func (m *Machine) Malloc(h Handle, n int64) Alloc {
 	if tr := m.cfg.Tracer; tr != nil {
 		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindAlloc, n)
 	}
-	if m.policy.Quota() > 0 {
+	if m.cfg.Quota.K > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
 			if tr := m.cfg.Tracer; tr != nil {
@@ -218,38 +222,8 @@ func (m *Machine) Now(h Handle) vtime.Time {
 	return m.checkRunning(h, "Now").proc.clock
 }
 
-// forkDummies creates d no-op dummy threads as a binary tree rooted at a
-// single child of t, mirroring the paper's throttling of allocations
-// larger than the quota.
-func (m *Machine) forkDummies(t *Thread, d int) {
-	if d <= 0 {
-		return
-	}
-	if tr := m.cfg.Tracer; tr != nil {
-		tr.RecordArg(t.proc.clock, t.proc.id, t.ID, trace.KindDummyFork, int64(d))
-	}
-	m.ins.dummyForks.Add(int64(d))
-	m.dummies += int64(d)
-	m.forkDummySubtree(t.simState, d)
-}
-
-func (m *Machine) forkDummySubtree(h Handle, count int) {
-	attr := Attr{StackSize: SmallStackSize, Detached: true}
-	m.fork(h, attr, Func(func(dt Handle) {
-		rem := count - 1
-		if rem <= 0 {
-			return
-		}
-		left := rem / 2
-		right := rem - left
-		if left > 0 {
-			m.forkDummySubtree(dt, left)
-		}
-		if right > 0 {
-			m.forkDummySubtree(dt, right)
-		}
-	}), true)
-}
+// forkDummy is ForkDummies' fork of one dummy child.
+func forkDummy(h Handle, attr Attr, body Body) { h.(*simState).m.fork(h, attr, body, true) }
 
 // checkRunning recovers the machine's record from h, guarding against
 // calling thread-context entry points from outside a running thread (a

@@ -8,8 +8,7 @@ import "spthreads/internal/vtime"
 // and the block / wake primitives on which the synchronization objects
 // of package exec are written once for both backends: *Machine (the
 // deterministic simulated multiprocessor) and *native.Backend (real
-// goroutines under the same internal/sched policies, timed by the wall
-// clock).
+// goroutines under the same ready orders, timed by the wall clock).
 
 // Handle is a backend's per-thread handle. The pthread layer stores it
 // in T and passes it back on every operation; each backend hands out
@@ -109,6 +108,47 @@ type Func func(Handle)
 
 func (f Func) Bind(Handle)  {}
 func (f Func) Run(t Handle) { f(t) }
+
+// DefaultMemQuota is the default K of the policies that throttle.
+const DefaultMemQuota int64 = 128 << 10
+
+// Quota is the space-efficient scheduler's memory discipline (paper §4),
+// which both backends apply in Malloc. Each time a thread is scheduled
+// it may allocate K bytes; exhausting them preempts it. With Dummies, an
+// allocation of m > K bytes first forks ⌈m/K⌉ no-op dummy threads. The
+// zero Quota applies no discipline.
+type Quota struct {
+	K       int64 // bytes per schedule; 0: no quota
+	Dummies bool  // throttle allocations above K with dummy threads
+}
+
+// DummiesFor returns the number of dummy threads to fork before an
+// allocation of m bytes.
+func (q Quota) DummiesFor(m int64) int {
+	if !q.Dummies || q.K <= 0 || m <= q.K {
+		return 0
+	}
+	return int((m + q.K - 1) / q.K)
+}
+
+// ForkDummies forks count no-op dummy threads as a binary tree rooted at
+// one child of h, since the fork primitive is binary. Under the ADF
+// family each dummy fork preempts its parent, so the allocating thread
+// re-enters the ready order behind the dummies, and other threads with
+// smaller footprints run first. fork is the backend's fork of one
+// detached dummy child.
+func ForkDummies(h Handle, count int, fork func(parent Handle, attr Attr, body Body)) {
+	fork(h, Attr{StackSize: SmallStackSize, Detached: true}, Func(func(dt Handle) {
+		left := (count - 1) / 2
+		right := count - 1 - left
+		if left > 0 {
+			ForkDummies(dt, left, fork)
+		}
+		if right > 0 {
+			ForkDummies(dt, right, fork)
+		}
+	}))
+}
 
 // NoWait is LockAcquired's stamp for an acquisition that did not block.
 const NoWait int64 = -1

@@ -157,9 +157,6 @@ var fakeQueue []*Thread
 
 func (fakePolicy) Name() string { return "fake" }
 func (fakePolicy) Global() bool { return false }
-func (fakePolicy) Quota() int64 { return 0 }
-
-func (fakePolicy) AllocDummies(int64) int { return 0 }
 
 func (fakePolicy) OnCreate(parent, child *Thread) bool {
 	fakeQueue = append(fakeQueue, child)

@@ -19,6 +19,8 @@ type Config struct {
 	Procs int
 	// Policy is the scheduling policy (required).
 	Policy Policy
+	// Quota is the memory discipline Malloc applies (zero: none).
+	Quota Quota
 	// DefaultStack is the default thread stack size in bytes (the
 	// Solaris library default is 1 MB; the paper's modification reduces
 	// it to one 8 KB page). Default: 1 MB.
@@ -550,7 +552,7 @@ func (m *Machine) assign(p *Proc, t *Thread) {
 	m.tick(p, m.cm.ContextSwitch)
 	p.stats.Dispatches++
 	m.ins.dispatches.Inc()
-	t.quotaLeft = m.policy.Quota()
+	t.quotaLeft = m.cfg.Quota.K
 	if !t.started {
 		// The thread's first frames fault in the base of its stack.
 		cost := m.mem.Touch(p.tlb, t.stackAddr, memsim.PageSize)

@@ -10,16 +10,20 @@
 // fixed configuration.
 //
 // The scheduling policy — the paper's subject — is pluggable through the
-// Policy interface; implementations live in internal/sched.
+// Policy interface; implementations live in internal/sched. The memory
+// discipline the space-efficient policies run under is not part of it:
+// it is a Quota value in Config, which both backends apply in Malloc.
 package core
 
-// Policy is a ready-thread scheduling policy. All methods are invoked
+// Policy is a ready structure: it keeps the runnable threads and orders
+// their dispatch, and nothing else. All methods are invoked
 // with the machine serialized (on the single goroutine that holds it: the
 // running thread's, or Execute's before the root starts), so
 // implementations need no locking;
 // lock *costs* for global-queue policies are modeled by the machine.
 type Policy interface {
-	// Name identifies the policy in reports ("fifo", "lifo", "adf", "ws").
+	// Name identifies the policy in reports ("fifo", "lifo", "adf",
+	// "adf-shard", "ws", "dfd").
 	Name() string
 
 	// OnCreate places a newly created child thread. parent is nil for
@@ -52,15 +56,6 @@ type Policy interface {
 	// protected by one scheduler lock (the machine then serializes queue
 	// operations in virtual time to model contention).
 	Global() bool
-
-	// Quota returns the memory quota in bytes granted to a thread each
-	// time it is scheduled; 0 disables quota enforcement.
-	Quota() int64
-
-	// AllocDummies returns the number of no-op dummy threads the runtime
-	// must fork before an allocation of m bytes (the ADF throttling
-	// mechanism); 0 for policies without allocation throttling.
-	AllocDummies(m int64) int
 }
 
 // ShardedPolicy is the optional extension implemented by policies that
@@ -82,11 +77,6 @@ type ShardedPolicy interface {
 	// shard (or no Next happened); probes is the number of victim
 	// shards examined against the steal window before dispatch.
 	TakeSteal() (victim, probes int)
-
-	// StealWindow returns the deviation bound K: a steal is accepted
-	// only if at most K ready threads precede the stolen thread in the
-	// serial depth-first order.
-	StealWindow() int
 }
 
 // BatchNexter is the optional extension implemented by global-queue

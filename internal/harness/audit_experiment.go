@@ -66,21 +66,20 @@ const spaceSampleEvery = vtime.Duration(100 * vtime.CyclesPerMicrosecond)
 // auditRun executes prog under cfg with tracing on and analyzes the
 // trace. The live run's memsim high-water marks are passed through as
 // the measured peak, so the audit compares the analyzer's replayed S₁
-// against the machine's own accounting. The ADF policies run with
-// their default memory quota.
+// against the machine's own accounting. The report's quota is the one
+// the run applied.
 func auditRun(cfg pthread.Config, prog func(*pthread.T)) (*analyze.Report, error) {
 	rec := trace.NewRecorder(1 << 21)
 	cfg.Tracer = rec
-	var quota int64
-	switch cfg.Policy {
-	case pthread.PolicyADF, pthread.PolicyADFShard:
-		quota = pthread.DefaultMemQuota
+	quota, err := cfg.Policy.Quota(cfg.MemQuota, cfg.DisableDummies)
+	if err != nil {
+		return nil, err
 	}
 	st := run(cfg, prog)
 	return analyze.Analyze(rec, analyze.Options{
 		Policy:       string(cfg.Policy),
 		Procs:        cfg.Procs,
-		Quota:        quota,
+		Quota:        quota.K,
 		DefaultStack: cfg.DefaultStack,
 		PeakHeap:     st.HeapHWM,
 		PeakStack:    st.StackHWM,

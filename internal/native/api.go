@@ -183,22 +183,24 @@ func (b *Backend) Charge(pt core.Handle, cycles int64) {
 	b.workers[t.pid].stats.Work += d
 }
 
-// Malloc allocates n accounted bytes, applying the policy's quota
-// discipline: over-quota allocations fork dummy throttling threads and
-// quota exhaustion preempts the caller — the mechanisms behind the
+// Malloc allocates n accounted bytes, applying the run's Quota:
+// over-quota allocations fork dummy throttling threads and quota
+// exhaustion preempts the caller — the mechanisms behind the
 // S1 + O(p·D) bound run for real here.
 func (b *Backend) Malloc(pt core.Handle, n int64) core.Alloc {
 	t := nt(pt)
 	if n <= 0 {
 		panic(fmt.Sprintf("native: Malloc(%d)", n))
 	}
-	if d := b.policy.AllocDummies(n); d > 0 {
-		b.forkDummies(t, d)
+	if d := b.quota.DummiesFor(n); d > 0 {
+		b.workers[t.pid].dummies += int64(d)
+		b.tracer.record(t.pid, t.ID(), trace.KindDummyFork, int64(d))
+		core.ForkDummies(t, d, forkDummy)
 	}
 	addr := b.malloc(b.workers[t.pid], n)
 	b.tracer.record(t.pid, t.ID(), trace.KindAlloc, n)
 	a := core.Alloc{Addr: addr, Size: n}
-	if b.quota > 0 {
+	if b.quota.K > 0 {
 		t.quotaLeft -= n
 		if t.quotaLeft <= 0 {
 			b.workers[t.pid].quotaPreempts++
@@ -273,36 +275,10 @@ func (b *Backend) Now(pt core.Handle) vtime.Time {
 	return vtime.Time(wallToV(time.Since(b.start)))
 }
 
-// forkDummies creates d no-op dummy threads as a binary tree rooted at
-// a single child of t, mirroring the paper's allocation throttling:
-// because each dummy fork preempts its parent under ADF, the
-// allocating thread re-enters the ready list behind the dummies and
-// other, lower-footprint threads get scheduled first.
-func (b *Backend) forkDummies(t *thread, d int) {
-	if d <= 0 {
-		return
-	}
-	b.workers[t.pid].dummies += int64(d)
-	b.tracer.record(t.pid, t.ID(), trace.KindDummyFork, int64(d))
-	b.forkDummySubtree(t, d)
-}
-
-func (b *Backend) forkDummySubtree(t *thread, count int) {
-	attr := core.Attr{StackSize: core.SmallStackSize, Detached: true}
-	b.fork(t, attr, core.Func(func(dt core.Handle) {
-		rem := count - 1
-		if rem <= 0 {
-			return
-		}
-		left := rem / 2
-		right := rem - left
-		if left > 0 {
-			b.forkDummySubtree(nt(dt), left)
-		}
-		if right > 0 {
-			b.forkDummySubtree(nt(dt), right)
-		}
-	}), true)
+// forkDummy is core.ForkDummies' fork of one dummy child.
+func forkDummy(h core.Handle, attr core.Attr, body core.Body) {
+	t := nt(h)
+	t.b.fork(t, attr, body, true)
 }
 
 // Block / wake primitives (core.Backend) for the synchronization

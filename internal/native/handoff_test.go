@@ -17,7 +17,6 @@ import (
 	"spthreads/internal/exec"
 	"spthreads/internal/leakcheck"
 	"spthreads/internal/metrics"
-	"spthreads/internal/sched"
 )
 
 // execute runs main on b and checks that the run left no goroutine
@@ -31,13 +30,12 @@ func execute(t *testing.T, b *Backend, main func(core.Handle)) (core.Stats, erro
 }
 
 // newPolicyBackend builds a native backend on any policy and store.
-func newPolicyBackend(t *testing.T, policy sched.Kind, cfg Config) *Backend {
+func newPolicyBackend(t *testing.T, policy string, cfg Config) *Backend {
 	t.Helper()
-	pol, err := sched.New(policy, sched.Options{Procs: cfg.Procs})
-	if err != nil {
-		t.Fatalf("sched.New: %v", err)
+	cfg.Policy = policy
+	if policy == "adf" {
+		cfg.Quota = core.Quota{K: core.DefaultMemQuota, Dummies: true} // pthread's default
 	}
-	cfg.Policy = pol
 	cfg.DefaultStack = core.SmallStackSize
 	b, err := New(cfg)
 	if err != nil {
@@ -73,7 +71,7 @@ func forEachPool(t *testing.T, f func(t *testing.T, warm bool)) {
 const warmSlots = 8
 
 // newPoolBackend is newPolicyBackend with the pool primed when warm.
-func newPoolBackend(t *testing.T, policy sched.Kind, cfg Config, warm bool) *Backend {
+func newPoolBackend(t *testing.T, policy string, cfg Config, warm bool) *Backend {
 	t.Helper()
 	b := newPolicyBackend(t, policy, cfg)
 	if warm {
@@ -139,7 +137,7 @@ func marked(b *Backend) (n int64) {
 // so the picks are exactly these.
 func TestHandoffPickEachOther(t *testing.T) {
 	forEachPool(t, func(t *testing.T, warm bool) {
-		b := newPoolBackend(t, sched.FIFO, Config{Procs: 2, Metrics: metrics.NewRegistry()}, warm)
+		b := newPoolBackend(t, "fifo", Config{Procs: 2, Metrics: metrics.NewRegistry()}, warm)
 		prepped := [2]chan *thread{make(chan *thread, 1), make(chan *thread, 1)}
 		mReadied, goM := make(chan struct{}), make(chan struct{})
 		var before, after [2]int
@@ -190,7 +188,7 @@ func TestHandoffPickEachOther(t *testing.T) {
 // started each processor's first thread.
 func TestHandoffPickSelf(t *testing.T) {
 	forEachPool(t, func(t *testing.T, warm bool) {
-		b := newPoolBackend(t, sched.FIFO, Config{Procs: 3}, warm)
+		b := newPoolBackend(t, "fifo", Config{Procs: 3}, warm)
 		reg := make(chan *thread, 1)
 		release, finish := make(chan struct{}), make(chan struct{})
 		var pids [2]int
@@ -247,7 +245,7 @@ func TestWakeBeforeParkWaits(t *testing.T) {
 	for _, gmp := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", gmp), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
-			b := newPolicyBackend(t, sched.FIFO, Config{Procs: 4, Metrics: metrics.NewRegistry()})
+			b := newPolicyBackend(t, "fifo", Config{Procs: 4, Metrics: metrics.NewRegistry()})
 			reg := make(chan *thread, 1)
 			release, resumed := make(chan struct{}), make(chan struct{})
 			var before, after int
@@ -300,7 +298,7 @@ func TestWakeBeforeParkWaits(t *testing.T) {
 func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		t.Run(fmt.Sprintf("p=%d", procs), func(t *testing.T) {
-			b := newPolicyBackend(t, sched.FIFO, Config{Procs: procs})
+			b := newPolicyBackend(t, "fifo", Config{Procs: procs})
 			var ran atomic.Int32
 			_, err := execute(t, b, func(root core.Handle) {
 				body := func(core.Handle) { ran.Add(1) }
@@ -326,10 +324,10 @@ func TestLoopAdoptsOwnSuccessor(t *testing.T) {
 // every ADF-family policy runs on.
 var stores = []struct {
 	name   string
-	policy sched.Kind
+	policy string
 }{
-	{"sequence", sched.FIFO},
-	{"sharded", sched.ADF},
+	{"sequence", "fifo"},
+	{"sharded", "adf"},
 }
 
 // TestProcessorReturnedOnce runs a sync-heavy program — every blocking
@@ -447,13 +445,13 @@ func TestNoWorkerBetweenThreads(t *testing.T) {
 	}
 	arms := []struct {
 		name    string
-		policy  sched.Kind
+		policy  string
 		main    func(b *Backend, root core.Handle)
 		threads int64
 	}{
-		{"sequence-tree", sched.FIFO, tree, 1<<(depth+1) - 1},
-		{"sharded-tree", sched.ADF, tree, 1<<(depth+1) - 1},
-		{"sharded-blocky", sched.ADF, blocky, 3},
+		{"sequence-tree", "fifo", tree, 1<<(depth+1) - 1},
+		{"sharded-tree", "adf", tree, 1<<(depth+1) - 1},
+		{"sharded-blocky", "adf", blocky, 3},
 	}
 	forEachPool(t, func(t *testing.T, warm bool) {
 		for _, a := range arms {
@@ -537,23 +535,23 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	var undispatched []core.Handle
 	paths := []struct {
 		name    string
-		policy  sched.Kind
+		policy  string
 		procs   int
 		wantErr bool
 		main    func(b *Backend, root core.Handle)
 		after   func(t *testing.T) // extra checks once the run is over
 	}{
-		{"clean", sched.ADF, 3, false, func(b *Backend, root core.Handle) {
+		{"clean", "adf", 3, false, func(b *Backend, root core.Handle) {
 			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(core.Handle) {}))
 		}, nil},
-		{"panic", sched.ADF, 3, true, func(b *Backend, root core.Handle) {
+		{"panic", "adf", 3, true, func(b *Backend, root core.Handle) {
 			parkMany(b, root, new(exec.Semaphore), false) // parked when the run fails
 			mustJoin(b, root, forkFn(b, root, core.Attr{}, func(core.Handle) { panic("boom") }))
 		}, nil},
-		{"deadlock", sched.ADF, 3, true, func(b *Backend, root core.Handle) {
+		{"deadlock", "adf", 3, true, func(b *Backend, root core.Handle) {
 			mustJoin(b, root, parkMany(b, root, new(exec.Semaphore), false)...)
 		}, nil},
-		{"exit-from-depth", sched.ADF, 3, false, func(b *Backend, root core.Handle) {
+		{"exit-from-depth", "adf", 3, false, func(b *Backend, root core.Handle) {
 			var dive func(c core.Handle, d int)
 			dive = func(c core.Handle, d int) {
 				if d == 0 {
@@ -569,7 +567,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			}))
 			dive(root, 8)
 		}, nil},
-		{"unjoined", sched.ADF, 3, false, func(b *Backend, root core.Handle) {
+		{"unjoined", "adf", 3, false, func(b *Backend, root core.Handle) {
 			sem := new(exec.Semaphore)
 			parkMany(b, root, sem, true)
 			release(b, root, sem)
@@ -578,7 +576,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		// p = 1 nobody else picks the children up: when the root panics they
 		// were created but never dispatched, have no carrier, and the walk
 		// has nothing to stop.
-		{"never-dispatched", sched.FIFO, 1, true, func(b *Backend, root core.Handle) {
+		{"never-dispatched", "fifo", 1, true, func(b *Backend, root core.Handle) {
 			undispatched = undispatched[:0]
 			for i := 0; i < 8; i++ {
 				undispatched = append(undispatched, forkFn(b, root, core.Attr{}, func(core.Handle) {}))

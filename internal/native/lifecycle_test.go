@@ -12,13 +12,12 @@ import (
 	"unsafe"
 
 	"spthreads/internal/core"
-	"spthreads/internal/sched"
 )
 
 // newTestBackend builds a native backend directly on an ADF policy.
 func newTestBackend(t *testing.T, procs int) *Backend {
 	t.Helper()
-	return newPolicyBackend(t, sched.ADF, Config{Procs: procs})
+	return newPolicyBackend(t, "adf", Config{Procs: procs})
 }
 
 // TestThreadRecordSize: a native thread is one heap object, the policy

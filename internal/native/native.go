@@ -32,10 +32,11 @@
 // the exit on the target's join word (api.go), and the run-failed flag
 // is atomic, so forks, exits, joins, wakes, blocks and running marks
 // take no b.mu: it keeps only the idle, deadlock and run-end protocol
-// and the timer sleepers. The policy object is consulted only for
-// its name, quota and dummy count. WS and DFD keep per-processor deques
-// that the store does not model, so they are sim-only, as is the
-// simulator's two-level Q_in/Q_out batching.
+// and the timer sleepers. The backend drives no policy object: it is
+// given the policy's name, which picks the store's order, the steal
+// window and the memory quota (core.Quota), which Malloc applies. WS and
+// DFD keep per-processor deques that the store does not model, so they
+// are sim-only, as is the simulator's two-level Q_in/Q_out batching.
 //
 // One record per thread: a lightweight thread is a single thread value
 // (thread.go), holding the token the store orders by — a core.Thread:
@@ -69,7 +70,6 @@ import (
 
 	"spthreads/internal/core"
 	"spthreads/internal/metrics"
-	"spthreads/internal/sched"
 	"spthreads/internal/trace"
 	"spthreads/internal/vtime"
 )
@@ -78,15 +78,17 @@ import (
 type Config struct {
 	// Procs is the number of worker goroutines (default GOMAXPROCS).
 	Procs int
-	// Policy is the scheduling policy (required), consulted only for its
-	// name, quota and dummy count: the ready store (shardStore) is built
-	// from its name. fifo and lifo run on one shard in sequence order.
-	// The ADF family runs on per-worker DePa-ordered heaps with
-	// bounded-deviation steals: a core.ShardedPolicy (adf-shard) with its
-	// shard count and steal window, and the global ADF policy with one
-	// shard per worker and window Procs. ws and dfd are rejected as
-	// sim-only.
-	Policy core.Policy
+	// Policy names the ready order (required), and Stats.Policy. fifo
+	// and lifo run on one shard in sequence order; the ADF family (adf,
+	// adf-shard) on one DePa-ordered heap per worker with
+	// bounded-deviation steals. ws and dfd are rejected as sim-only.
+	Policy string
+	// StealWindow is the ADF family's deviation bound K: a steal is
+	// accepted only if at most K ready threads precede the stolen
+	// thread. <= 0 selects the default, Procs.
+	StealWindow int
+	// Quota is the memory discipline Malloc applies (zero: none).
+	Quota core.Quota
 	// DefaultStack is the default simulated stack size charged per
 	// thread (default core.DefaultStackSize).
 	DefaultStack int64
@@ -105,8 +107,8 @@ type Config struct {
 // (TestHotWordsOwnTheirLines); per-thread counts are worker cells.
 type Backend struct {
 	procs        int
-	policy       core.Policy
-	quota        int64
+	policy       string
+	quota        core.Quota
 	defaultStack int64
 
 	cond     *sync.Cond  // signals idle workers (ready work, run end); locker b.mu
@@ -174,26 +176,24 @@ type worker struct {
 
 // New builds a native backend from cfg.
 func New(cfg Config) (*Backend, error) {
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("native: Config.Policy is required")
-	}
 	procs := cfg.Procs
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
 	}
 	// The ready store's shape: shard count, steal window and order.
 	n, window, dir := 1, 0, int64(0)
-	switch sp, ok := cfg.Policy.(core.ShardedPolicy); {
-	case ok:
-		n, window = sp.NumShards(), sp.StealWindow()
-	case cfg.Policy.Name() == string(sched.ADF):
-		n, window = procs, procs // adf-shard's defaults
-	case cfg.Policy.Name() == string(sched.FIFO):
+	switch cfg.Policy {
+	case "adf", "adf-shard":
+		n, window = procs, cfg.StealWindow
+		if window <= 0 {
+			window = procs
+		}
+	case "fifo":
 		dir = 1
-	case cfg.Policy.Name() == string(sched.LIFO):
+	case "lifo":
 		dir = -1
 	default:
-		return nil, fmt.Errorf("native: Policy %s is sim-only: the native ready store orders fifo, lifo and the adf family", cfg.Policy.Name())
+		return nil, fmt.Errorf("native: Policy %q is sim-only: the native ready store orders fifo, lifo and the adf family", cfg.Policy)
 	}
 	stack := cfg.DefaultStack
 	if stack <= 0 {
@@ -203,7 +203,7 @@ func New(cfg Config) (*Backend, error) {
 	b := &Backend{
 		procs:        procs,
 		policy:       cfg.Policy,
-		quota:        cfg.Policy.Quota(),
+		quota:        cfg.Quota,
 		defaultStack: stack,
 		registry:     reg,
 		workers:      make([]*worker, procs),
@@ -404,7 +404,7 @@ func (b *Backend) idleLocked(pid int, wait func()) (over bool) {
 func (b *Backend) markRunning(t *thread, pid int) {
 	w := b.workers[pid]
 	t.state = core.StateRunning
-	t.quotaLeft = b.quota
+	t.quotaLeft = b.quota.K
 	w.stats.Dispatches++
 	w.dispatches.Inc()
 	if b.dispatchWait != nil && t.readyAt != 0 {
@@ -678,7 +678,7 @@ func (b *Backend) endLocked(err error, status int64) {
 func (b *Backend) stats() core.Stats {
 	elapsed := wallToV(time.Since(b.start))
 	st := core.Stats{
-		Policy:         b.policy.Name(),
+		Policy:         b.policy,
 		NumProcs:       b.procs,
 		Time:           elapsed,
 		ThreadsCreated: b.nextID.Load(),

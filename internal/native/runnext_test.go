@@ -13,7 +13,6 @@ import (
 	"spthreads/internal/core"
 	"spthreads/internal/exec"
 	"spthreads/internal/modelcheck"
-	"spthreads/internal/sched"
 )
 
 // signalSpy stands in for b.mu as b.cond's locker in the model, so the
@@ -45,7 +44,7 @@ func TestRunnextModel(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var byWho [3]int // interleavings in which each party ran x
 			runs := modelcheck.Explore(t, func(s *modelcheck.Sched) ([]func(), func()) {
-				b := newPolicyBackend(t, sched.ADF, Config{Procs: 3})
+				b := newPolicyBackend(t, "adf", Config{Procs: 3})
 				spy := &signalSpy{}
 				b.cond = sync.NewCond(spy)
 				x := &thread{b: b}
@@ -130,7 +129,7 @@ func TestWokenThreadRunsWhileWakerComputes(t *testing.T) {
 	const limit = 2 * time.Second
 	var slowest time.Duration
 	for rep := 0; rep < 50; rep++ {
-		b := newPolicyBackend(t, sched.ADF, Config{Procs: 2})
+		b := newPolicyBackend(t, "adf", Config{Procs: 2})
 		var sem exec.Semaphore
 		var ran atomic.Bool
 		var waited time.Duration

@@ -7,7 +7,6 @@ import (
 
 	"spthreads/internal/core"
 	"spthreads/internal/metrics"
-	"spthreads/internal/sched"
 )
 
 // shardFib is a deterministic fork/join workload with enough compute
@@ -31,7 +30,7 @@ func shardFib(b *Backend, t core.Handle, n int, out *int64) {
 func TestShardNativeSleep(t *testing.T) {
 	b, err := New(Config{
 		Procs:  4,
-		Policy: sched.MustNew(sched.ADFShard, sched.Options{Procs: 4}),
+		Policy: "adf-shard",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +51,7 @@ func TestShardNativeSleep(t *testing.T) {
 // popping (plain and yield-style) and taking — the own pop and the
 // steal scan over the published cells — allocate nothing.
 func TestShardOpsAllocateNothing(t *testing.T) {
-	b := newPolicyBackend(t, sched.ADF, Config{Procs: 2, Metrics: metrics.NewRegistry()})
+	b := newPolicyBackend(t, "adf", Config{Procs: 2, Metrics: metrics.NewRegistry()})
 	ss := b.shards
 	lineage := core.RootDepaLabel()
 	ts := make([]*thread, 8)

@@ -37,9 +37,7 @@ import (
 // identical serial order, so the dispatch sequence (and therefore every
 // virtual-time result) is unchanged across them.
 type adfPolicy struct {
-	name    string
-	quota   int64
-	dummies bool
+	name string
 	// levels are built by newLevel on a priority's first use: programs
 	// use one or two of the NumPriorities levels, and a run should not
 	// pay for the rest.
@@ -86,21 +84,12 @@ type adfLevel interface {
 	count() int
 }
 
-func newADF(quotaK int64, disableDummies bool) *adfPolicy {
-	return &adfPolicy{name: "adf", quota: quotaK, dummies: !disableDummies,
-		newLevel: func() adfLevel { return &adfDepa{} }}
+func newADF() *adfPolicy {
+	return &adfPolicy{name: "adf", newLevel: func() adfLevel { return &adfDepa{} }}
 }
 
 func (p *adfPolicy) Name() string { return p.name }
 func (p *adfPolicy) Global() bool { return true }
-func (p *adfPolicy) Quota() int64 { return p.quota }
-
-func (p *adfPolicy) AllocDummies(m int64) int {
-	if !p.dummies || p.quota <= 0 || m <= p.quota {
-		return 0
-	}
-	return int((m + p.quota - 1) / p.quota)
-}
 
 // level returns t's priority level, building it on first use.
 func (p *adfPolicy) level(t *core.Thread) adfLevel {

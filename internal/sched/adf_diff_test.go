@@ -48,9 +48,9 @@ func newDiffADF(t *testing.T, maxProcs int) *diffADF {
 		d.sides = append(d.sides, p)
 		d.mirr = append(d.mirr, make(map[int64]*core.Thread))
 	}
-	add("depa", newADF(DefaultMemQuota, false))
-	add("treap", newADFTreap(DefaultMemQuota, false))
-	add("ref", NewADFReference(DefaultMemQuota, false).(*adfPolicy))
+	add("depa", newADF())
+	add("treap", newADFTreap())
+	add("ref", NewADFReference().(*adfPolicy))
 	return d
 }
 

@@ -153,6 +153,7 @@ func TestADFIndexedMatchesReferenceMachine(t *testing.T) {
 		m, err := core.New(core.Config{
 			Procs:        procs,
 			Policy:       pol,
+			Quota:        core.Quota{K: quota, Dummies: true},
 			DefaultStack: core.SmallStackSize,
 		})
 		if err != nil {
@@ -166,8 +167,8 @@ func TestADFIndexedMatchesReferenceMachine(t *testing.T) {
 	}
 
 	for _, procs := range []int{1, 4} {
-		ref := runWith(sched.NewADFReference(quota, false), procs)
-		idx := runWith(sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}), procs)
+		ref := runWith(sched.NewADFReference(), procs)
+		idx := runWith(sched.MustNew(sched.ADF, sched.Options{}), procs)
 		if idx.Time != ref.Time || idx.HeapHWM != ref.HeapHWM ||
 			idx.PeakLive != ref.PeakLive || idx.DummyThreads != ref.DummyThreads ||
 			idx.ThreadsCreated != ref.ThreadsCreated {

@@ -16,12 +16,8 @@ type adfChain struct {
 // NewADFReference builds the ADF policy over the linked list. It
 // dispatches the exact same thread sequence as the DePa store; it is
 // exported for the machine-level tests of package sched_test.
-func NewADFReference(quotaK int64, disableDummies bool) core.Policy {
-	if quotaK == 0 {
-		quotaK = DefaultMemQuota
-	}
-	return &adfPolicy{name: "adf-ref", quota: quotaK, dummies: !disableDummies,
-		newLevel: func() adfLevel { return &adfChain{} }}
+func NewADFReference() core.Policy {
+	return &adfPolicy{name: "adf-ref", newLevel: func() adfLevel { return &adfChain{} }}
 }
 
 // chainEntry is a thread's placeholder in the ordered list.

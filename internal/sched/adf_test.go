@@ -27,9 +27,9 @@ func TestADFCrossPriorityFork(t *testing.T) {
 		name string
 		pol  func() *adfPolicy
 	}{
-		{"depa", func() *adfPolicy { return newADF(DefaultMemQuota, false) }},
-		{"treap", func() *adfPolicy { return newADFTreap(DefaultMemQuota, false) }},
-		{"reference", func() *adfPolicy { return NewADFReference(DefaultMemQuota, false).(*adfPolicy) }},
+		{"depa", func() *adfPolicy { return newADF() }},
+		{"treap", func() *adfPolicy { return newADFTreap() }},
+		{"reference", func() *adfPolicy { return NewADFReference().(*adfPolicy) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			p := mk.pol()
@@ -85,7 +85,10 @@ func TestADFCrossPriorityFork(t *testing.T) {
 // threads; one byte more crosses the throttle and forks ceil(m/K) = 2.
 func TestADFDummyBoundary(t *testing.T) {
 	const k = 4096
-	p := newADF(k, false)
+	q, err := ADF.Quota(k, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		m    int64
 		want int
@@ -97,8 +100,8 @@ func TestADFDummyBoundary(t *testing.T) {
 		{2*k + 1, 3},
 	}
 	for _, c := range cases {
-		if got := p.AllocDummies(c.m); got != c.want {
-			t.Errorf("AllocDummies(%d) = %d, want %d (K=%d)", c.m, got, c.want, k)
+		if got := q.DummiesFor(c.m); got != c.want {
+			t.Errorf("DummiesFor(%d) = %d, want %d (K=%d)", c.m, got, c.want, k)
 		}
 	}
 }
@@ -111,9 +114,9 @@ func TestADFWakeResumesAtSerialPosition(t *testing.T) {
 		name string
 		pol  func() *adfPolicy
 	}{
-		{"depa", func() *adfPolicy { return newADF(DefaultMemQuota, false) }},
-		{"treap", func() *adfPolicy { return newADFTreap(DefaultMemQuota, false) }},
-		{"reference", func() *adfPolicy { return NewADFReference(DefaultMemQuota, false).(*adfPolicy) }},
+		{"depa", func() *adfPolicy { return newADF() }},
+		{"treap", func() *adfPolicy { return newADFTreap() }},
+		{"reference", func() *adfPolicy { return NewADFReference().(*adfPolicy) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			p := mk.pol()
@@ -168,7 +171,7 @@ func TestPlaceholderEntrySize(t *testing.T) {
 // DePa stores share the placeholders, so adf and adf-shard are checked;
 // adf keeps one store per priority level, so both forks use level 1.
 func TestADFReusesRecycledPlaceholder(t *testing.T) {
-	for _, pol := range []core.Policy{newADF(DefaultMemQuota, false), newShard(2, 4, DefaultMemQuota, false)} {
+	for _, pol := range []core.Policy{newADF(), newShard(2, 4)} {
 		spy := &createSpy{Policy: pol, recs: map[int64]*core.Thread{}}
 		m, err := core.New(core.Config{Procs: 2, Policy: spy})
 		if err != nil {

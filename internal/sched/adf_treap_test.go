@@ -32,10 +32,9 @@ type adfTreap struct {
 
 // newADFTreap builds the ADF policy over the treap. It dispatches the
 // exact same thread sequence as the DePa store.
-func newADFTreap(quotaK int64, disableDummies bool) *adfPolicy {
+func newADFTreap() *adfPolicy {
 	rng := newTreapRand()
-	return &adfPolicy{name: "adf-treap", quota: quotaK, dummies: !disableDummies,
-		newLevel: func() adfLevel { return &adfTreap{rng: rng} }}
+	return &adfPolicy{name: "adf-treap", newLevel: func() adfLevel { return &adfTreap{rng: rng} }}
 }
 
 // treapEntry is a thread's placeholder node. nReady counts ready

@@ -86,6 +86,7 @@ func runBatched(t *testing.T, pol core.Policy, procs, batch int, seed int64) bat
 	m, err := core.New(core.Config{
 		Procs:        procs,
 		Policy:       pol,
+		Quota:        core.Quota{K: 16 << 10, Dummies: true},
 		DefaultStack: core.SmallStackSize,
 		SchedBatch:   batch,
 		Tracer:       rec,
@@ -118,12 +119,11 @@ func dispatchSeq(rec *trace.Recorder) []int64 {
 // preserved, no violations) and identical virtual results, across batch
 // sizes.
 func TestBatchedADFMatchesReferenceMachine(t *testing.T) {
-	const quota = 16 << 10
 	for _, batch := range []int{2, 8, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
-			idx := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
+			idx := runBatched(t, sched.MustNew(sched.ADF, sched.Options{}),
 				4, batch, seed)
-			ref := runBatched(t, sched.NewADFReference(quota, false),
+			ref := runBatched(t, sched.NewADFReference(),
 				4, batch, seed)
 			if a, b := dispatchSeq(idx.rec), dispatchSeq(ref.rec); !equalSeq(a, b) {
 				t.Fatalf("b%d/seed%d: dispatch sequences diverge (len %d vs %d)",
@@ -156,10 +156,9 @@ func equalSeq(a, b []int64) bool {
 // TestBatchOneIdenticalToDirect: SchedBatch=1 is the direct scheduler
 // (SchedBatch=0) exactly — same stats and byte-identical trace.
 func TestBatchOneIdenticalToDirect(t *testing.T) {
-	const quota = 16 << 10
-	direct := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
+	direct := runBatched(t, sched.MustNew(sched.ADF, sched.Options{}),
 		4, 0, 7)
-	b1 := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
+	b1 := runBatched(t, sched.MustNew(sched.ADF, sched.Options{}),
 		4, 1, 7)
 	if direct.stats.Time != b1.stats.Time || direct.stats.HeapHWM != b1.stats.HeapHWM {
 		t.Fatalf("batch=1 diverged from direct: time=%v/%v heap=%d/%d",
@@ -180,9 +179,8 @@ func TestBatchOneIdenticalToDirect(t *testing.T) {
 // TestBatchedDeterminism: the batched scheduler is as deterministic as
 // the direct one — two identical runs produce byte-identical traces.
 func TestBatchedDeterminism(t *testing.T) {
-	const quota = 16 << 10
 	mk := func() batchRun {
-		return runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
+		return runBatched(t, sched.MustNew(sched.ADF, sched.Options{}),
 			8, 16, 11)
 	}
 	a, b := mk(), mk()
@@ -205,9 +203,8 @@ func TestBatchedDeterminism(t *testing.T) {
 // batched volunteer scheduler accumulates far less scheduler-lock wait
 // than the direct per-operation scheduler on the same program.
 func TestVolunteerReducesLockWait(t *testing.T) {
-	const quota = 16 << 10
 	lockWait := func(batch int) int64 {
-		r := runBatched(t, sched.MustNew(sched.ADF, sched.Options{MemQuota: quota}),
+		r := runBatched(t, sched.MustNew(sched.ADF, sched.Options{}),
 			16, batch, 5)
 		return r.reg.Snapshot().Histograms["sched.lock.wait"].Sum
 	}

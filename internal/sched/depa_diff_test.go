@@ -141,6 +141,7 @@ func TestDePaMachineDispatchSequencesIdentical(t *testing.T) {
 		m, err := core.New(core.Config{
 			Procs:        procs,
 			Policy:       pol,
+			Quota:        core.Quota{K: quota, Dummies: true},
 			DefaultStack: core.SmallStackSize,
 			Tracer:       rec,
 		})
@@ -163,13 +164,13 @@ func TestDePaMachineDispatchSequencesIdentical(t *testing.T) {
 	}
 
 	for _, procs := range []int{1, 3} {
-		ref := run(NewADFReference(quota, false), procs)
+		ref := run(NewADFReference(), procs)
 		for _, mk := range []struct {
 			name string
 			pol  core.Policy
 		}{
-			{"adf", newADF(quota, false)},
-			{"adf-treap", newADFTreap(quota, false)},
+			{"adf", newADF()},
+			{"adf-treap", newADFTreap()},
 		} {
 			got := run(mk.pol, procs)
 			if len(got) != len(ref) {

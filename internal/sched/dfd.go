@@ -29,11 +29,9 @@ import "spthreads/internal/core"
 // better speedup at fine thread granularity than the ordered-list ADF
 // scheduler, at comparable memory.
 type dfdPolicy struct {
-	quota   int64
-	dummies bool
-	deques  []*dfdDeque // ordered: index 0 is the leftmost (most senior)
-	owner   []int       // proc id -> index into deques, or -1
-	total   int
+	deques []*dfdDeque // ordered: index 0 is the leftmost (most senior)
+	owner  []int       // proc id -> index into deques, or -1
+	total  int
 }
 
 // dfdDeque holds ready threads; index 0 is the top (most senior) end,
@@ -43,8 +41,8 @@ type dfdDeque struct {
 	ownerID int // owning proc, or -1 once abandoned
 }
 
-func newDFD(procs int, quotaK int64, disableDummies bool) *dfdPolicy {
-	p := &dfdPolicy{quota: quotaK, dummies: !disableDummies, owner: make([]int, procs)}
+func newDFD(procs int) *dfdPolicy {
+	p := &dfdPolicy{owner: make([]int, procs)}
 	for i := range p.owner {
 		p.owner[i] = -1
 	}
@@ -53,14 +51,6 @@ func newDFD(procs int, quotaK int64, disableDummies bool) *dfdPolicy {
 
 func (p *dfdPolicy) Name() string { return "dfd" }
 func (p *dfdPolicy) Global() bool { return false }
-func (p *dfdPolicy) Quota() int64 { return p.quota }
-
-func (p *dfdPolicy) AllocDummies(m int64) int {
-	if !p.dummies || p.quota <= 0 || m <= p.quota {
-		return 0
-	}
-	return int((m + p.quota - 1) / p.quota)
-}
 
 // dequeFor returns the proc's deque, creating one at the right end of
 // the list if it has none (a processor running freshly stolen or woken

@@ -80,9 +80,6 @@ func newFIFO() *fifoPolicy { return &fifoPolicy{} }
 
 func (p *fifoPolicy) Name() string { return "fifo" }
 func (p *fifoPolicy) Global() bool { return true }
-func (p *fifoPolicy) Quota() int64 { return 0 }
-
-func (p *fifoPolicy) AllocDummies(int64) int { return 0 }
 
 func (p *fifoPolicy) OnCreate(parent, child *core.Thread) bool {
 	p.l.push(child)
@@ -102,9 +99,6 @@ func newLIFO() *lifoPolicy { return &lifoPolicy{} }
 
 func (p *lifoPolicy) Name() string { return "lifo" }
 func (p *lifoPolicy) Global() bool { return true }
-func (p *lifoPolicy) Quota() int64 { return 0 }
-
-func (p *lifoPolicy) AllocDummies(int64) int { return 0 }
 
 func (p *lifoPolicy) OnCreate(parent, child *core.Thread) bool {
 	p.l.push(child)

@@ -6,6 +6,8 @@
 // Policies satisfy core.Policy and are invoked with the machine
 // serialized; they keep no locks. Scheduler-lock *costs* for the
 // global-queue policies are modeled by the machine (Policy.Global).
+// Policies only order threads: which of them throttle allocation, and
+// by how much, is Kind.Quota.
 package sched
 
 import (
@@ -37,12 +39,6 @@ const (
 
 // Options carries policy-specific parameters.
 type Options struct {
-	// MemQuota is ADF's per-schedule allocation quota K in bytes
-	// (default 128 KB). Ignored by other policies.
-	MemQuota int64
-	// DisableDummies turns off ADF's dummy-thread throttling (for the
-	// abl-dummy ablation).
-	DisableDummies bool
 	// Procs is the processor count (required by WS for its deques).
 	Procs int
 	// StealWindow is ADFShard's deviation bound K: a steal is accepted
@@ -55,57 +51,60 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// DefaultMemQuota is ADF's default K.
-const DefaultMemQuota int64 = 128 << 10
-
 // New constructs a policy of the given kind.
 func New(kind Kind, opt Options) (core.Policy, error) {
+	if opt.Procs <= 0 {
+		opt.Procs = 1
+	}
 	switch kind {
 	case FIFO:
 		return newFIFO(), nil
 	case LIFO:
 		return newLIFO(), nil
 	case ADF:
-		k := opt.MemQuota
-		if k == 0 {
-			k = DefaultMemQuota
-		}
-		p := newADF(k, opt.DisableDummies)
+		p := newADF()
 		if opt.Metrics != nil {
 			p.attachMetrics(opt.Metrics)
 		}
 		return p, nil
 	case ADFShard:
-		k := opt.MemQuota
-		if k == 0 {
-			k = DefaultMemQuota
-		}
-		p := newShard(opt.Procs, opt.StealWindow, k, opt.DisableDummies)
+		p := newShard(opt.Procs, opt.StealWindow)
 		if opt.Metrics != nil {
 			p.attachMetrics(opt.Metrics)
 		}
 		return p, nil
 	case WS:
-		if opt.Procs <= 0 {
-			opt.Procs = 1
-		}
 		p := newWS(opt.Procs)
 		if opt.Metrics != nil {
 			p.attachMetrics(opt.Metrics)
 		}
 		return p, nil
 	case DFD:
-		if opt.Procs <= 0 {
-			opt.Procs = 1
-		}
-		k := opt.MemQuota
-		if k == 0 {
-			k = DefaultMemQuota
-		}
-		return newDFD(opt.Procs, k, opt.DisableDummies), nil
+		return newDFD(opt.Procs), nil
 	default:
 		return nil, fmt.Errorf("sched: unknown policy %q", kind)
 	}
+}
+
+// Quota is the one rule of which policies throttle allocation: adf,
+// adf-shard and dfd run under the space-efficient scheduler's memory
+// discipline, with K = bytes (0: core.DefaultMemQuota) and dummy threads
+// unless disableDummies; fifo, lifo and ws run under none, so either
+// setting is an error for them, as is an unknown kind.
+func (k Kind) Quota(bytes int64, disableDummies bool) (core.Quota, error) {
+	switch k {
+	case ADF, ADFShard, DFD:
+		if bytes == 0 {
+			bytes = core.DefaultMemQuota
+		}
+		return core.Quota{K: bytes, Dummies: !disableDummies}, nil
+	case FIFO, LIFO, WS:
+		if bytes != 0 || disableDummies {
+			return core.Quota{}, fmt.Errorf("sched: policy %q applies no memory quota: MemQuota and DisableDummies require adf, adf-shard or dfd", k)
+		}
+		return core.Quota{}, nil
+	}
+	return core.Quota{}, fmt.Errorf("sched: unknown policy %q", k)
 }
 
 // MustNew is New for static configurations.

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"testing"
 
+	"spthreads/internal/core"
 	"spthreads/internal/sched"
 	"spthreads/internal/vtime"
 	"spthreads/pthread"
@@ -132,26 +133,42 @@ func TestKinds(t *testing.T) {
 	}
 }
 
-// TestADFQuota: the ADF policy reports its quota and dummy counts; the
-// others report none.
+// TestADFQuota: the throttling kinds (adf, adf-shard, dfd) run under
+// the quota and dummy counts Kind.Quota derives, K defaulting to
+// DefaultMemQuota; the others run under none and reject either setting,
+// and an unknown kind is an error.
 func TestADFQuota(t *testing.T) {
-	adf, _ := sched.New(sched.ADF, sched.Options{MemQuota: 1000})
-	if adf.Quota() != 1000 {
-		t.Errorf("quota = %d, want 1000", adf.Quota())
+	for _, k := range []sched.Kind{sched.ADF, sched.ADFShard, sched.DFD} {
+		q, err := k.Quota(1000, false)
+		if err != nil || q.K != 1000 {
+			t.Errorf("%s: Quota(1000) = %+v, %v; want K 1000", k, q, err)
+		}
+		if got := q.DummiesFor(3500); got != 4 {
+			t.Errorf("%s: DummiesFor(3500) = %d, want 4 (ceil 3.5)", k, got)
+		}
+		if got := q.DummiesFor(900); got != 0 {
+			t.Errorf("%s: DummiesFor(900) = %d, want 0 (below quota)", k, got)
+		}
+		if q, _ := k.Quota(0, false); q.K != core.DefaultMemQuota {
+			t.Errorf("%s: default K = %d, want %d", k, q.K, core.DefaultMemQuota)
+		}
+		if q, _ := k.Quota(1000, true); q.K != 1000 || q.DummiesFor(1<<20) != 0 {
+			t.Errorf("%s: disableDummies gives %+v, want K 1000 and no dummy threads", k, q)
+		}
 	}
-	if got := adf.AllocDummies(3500); got != 4 {
-		t.Errorf("AllocDummies(3500) = %d, want 4 (ceil 3.5)", got)
+	for _, k := range []sched.Kind{sched.FIFO, sched.LIFO, sched.WS} {
+		if q, err := k.Quota(0, false); q != (core.Quota{}) || err != nil {
+			t.Errorf("%s: Quota = %+v, %v; want none", k, q, err)
+		}
+		if _, err := k.Quota(1000, false); err == nil {
+			t.Errorf("%s: a quota was accepted", k)
+		}
+		if _, err := k.Quota(0, true); err == nil {
+			t.Errorf("%s: disableDummies was accepted", k)
+		}
 	}
-	if got := adf.AllocDummies(900); got != 0 {
-		t.Errorf("AllocDummies(900) = %d, want 0 (below quota)", got)
-	}
-	fifo, _ := sched.New(sched.FIFO, sched.Options{})
-	if fifo.Quota() != 0 || fifo.AllocDummies(1<<30) != 0 {
-		t.Error("fifo should not enforce quotas")
-	}
-	noDummies, _ := sched.New(sched.ADF, sched.Options{MemQuota: 1000, DisableDummies: true})
-	if noDummies.AllocDummies(1<<20) != 0 {
-		t.Error("DisableDummies should suppress dummy threads")
+	if _, err := sched.Kind("bogus").Quota(0, false); err == nil {
+		t.Error("an unknown kind got a quota")
 	}
 }
 

@@ -28,8 +28,6 @@ import (
 type shardPolicy struct {
 	placeholders // one label anchor and live count for all shards
 	name         string
-	quota        int64
-	dummies      bool
 	window       int // steal window K (deviation bound), >= 1
 
 	shards []core.Heap[*readyEntry]
@@ -49,7 +47,7 @@ type shardPolicy struct {
 	cReject *metrics.Counter // sched.steal.window_reject
 }
 
-func newShard(procs, window int, quotaK int64, disableDummies bool) *shardPolicy {
+func newShard(procs, window int) *shardPolicy {
 	if procs <= 0 {
 		procs = 1
 	}
@@ -58,8 +56,6 @@ func newShard(procs, window int, quotaK int64, disableDummies bool) *shardPolicy
 	}
 	return &shardPolicy{
 		name:        "adf-shard",
-		quota:       quotaK,
-		dummies:     !disableDummies,
 		window:      window,
 		shards:      make([]core.Heap[*readyEntry], procs),
 		mins:        make([]core.ShardMin, 0, procs),
@@ -85,15 +81,6 @@ func (p *shardPolicy) Name() string { return p.name }
 // instead of the global scheduler lock.
 func (p *shardPolicy) Global() bool { return false }
 
-func (p *shardPolicy) Quota() int64 { return p.quota }
-
-func (p *shardPolicy) AllocDummies(m int64) int {
-	if !p.dummies || p.quota <= 0 || m <= p.quota {
-		return 0
-	}
-	return int((m + p.quota - 1) / p.quota)
-}
-
 // NumShards implements core.ShardedPolicy.
 func (p *shardPolicy) NumShards() int { return len(p.shards) }
 
@@ -103,9 +90,6 @@ func (p *shardPolicy) TakeSteal() (victim, probes int) {
 	p.stealVictim, p.stealProbes = -1, 0
 	return victim, probes
 }
-
-// StealWindow implements core.ShardedPolicy.
-func (p *shardPolicy) StealWindow() int { return p.window }
 
 // Steals returns the number of cross-shard dispatches so far.
 func (p *shardPolicy) Steals() int64 { return p.steals }

@@ -39,12 +39,12 @@ type diffShard struct {
 func newDiffShard(t *testing.T, procs, window int, withOracle bool) *diffShard {
 	d := &diffShard{
 		t:     t,
-		sh:    newShard(procs, window, DefaultMemQuota, false),
+		sh:    newShard(procs, window),
 		smirr: make(map[int64]*core.Thread),
 		procs: procs,
 	}
 	if withOracle {
-		d.adf = newADF(DefaultMemQuota, false)
+		d.adf = newADF()
 		d.amirr = make(map[int64]*core.Thread)
 	}
 	return d
@@ -327,7 +327,7 @@ func TestShardStealBounded(t *testing.T) {
 // and with everything ready in shard 0 the bound for shard 0's leftmost
 // is 0 — within any window.
 func TestShardStealCounters(t *testing.T) {
-	p := newShard(2, 1, DefaultMemQuota, false)
+	p := newShard(2, 1)
 	root := &core.Thread{ID: 1}
 	p.OnCreate(nil, root)
 	got := p.Next(1) // steal: shard 1 empty, root sits in shard 0

@@ -69,9 +69,6 @@ func newWS(procs int) *wsPolicy {
 
 func (p *wsPolicy) Name() string { return "ws" }
 func (p *wsPolicy) Global() bool { return false }
-func (p *wsPolicy) Quota() int64 { return 0 }
-
-func (p *wsPolicy) AllocDummies(int64) int { return 0 }
 
 func (p *wsPolicy) OnCreate(parent, child *core.Thread) bool {
 	if parent == nil {

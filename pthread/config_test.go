@@ -27,7 +27,9 @@ func TestRejectNegativeProcs(t *testing.T) {
 }
 
 func TestRejectUnknownPolicy(t *testing.T) {
-	mustReject(t, pthread.Config{Policy: "fair-share"}, "fair-share")
+	for _, backend := range []pthread.Backend{pthread.BackendSim, pthread.BackendNative} {
+		mustReject(t, pthread.Config{Policy: "fair-share", Backend: backend}, `unknown policy "fair-share"`)
+	}
 }
 
 func TestRejectUnknownBackend(t *testing.T) {
@@ -51,6 +53,20 @@ func TestRejectNativeDequePolicies(t *testing.T) {
 	// orders only fifo, lifo and the adf family.
 	for _, pol := range []pthread.Policy{pthread.PolicyWS, pthread.PolicyDFD} {
 		mustReject(t, pthread.Config{Backend: pthread.BackendNative, Policy: pol}, "sim-only")
+	}
+}
+
+func TestRejectQuotaWithoutThrottle(t *testing.T) {
+	// Only adf, adf-shard and dfd apply a memory quota; under the other
+	// policies a quota setting would do nothing, on either backend.
+	for _, pol := range []pthread.Policy{pthread.PolicyFIFO, pthread.PolicyLIFO, pthread.PolicyWS} {
+		for _, knob := range []pthread.Config{{MemQuota: 4096}, {DisableDummies: true}} {
+			for _, backend := range []pthread.Backend{pthread.BackendSim, pthread.BackendNative} {
+				cfg := knob
+				cfg.Policy, cfg.Backend = pol, backend
+				mustReject(t, cfg, "MemQuota and DisableDummies require adf, adf-shard or dfd")
+			}
+		}
 	}
 }
 

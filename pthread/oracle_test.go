@@ -27,28 +27,29 @@ func (e oracleEvent) String() string { return fmt.Sprintf("%v t%d %d", e.kind, e
 // oraclePeaks is the part of a run's Stats both backends define alike
 // at one processor.
 type oraclePeaks struct {
-	PeakLive           int
-	StackHWM, TotalHWM int64
+	ThreadsCreated, DummyThreads int64
+	PeakLive                     int
+	StackHWM, TotalHWM           int64
 }
 
-// oracleTrace runs prog at Procs 1 on backend under policy and returns
-// its stripped event sequence and its peaks.
-func oracleTrace(t *testing.T, backend pthread.Backend, policy pthread.Policy, prog func(*pthread.T)) ([]oracleEvent, oraclePeaks) {
+// oracleTrace runs prog under cfg at Procs 1 and returns its stripped
+// event sequence and its peaks.
+func oracleTrace(t *testing.T, cfg pthread.Config, prog func(*pthread.T)) ([]oracleEvent, oraclePeaks) {
 	t.Helper()
 	rec := pthread.NewTraceRecorder(1 << 16)
-	cfg := pthread.Config{Procs: 1, Policy: policy, Backend: backend, Tracer: rec}
+	cfg.Procs, cfg.Tracer = 1, rec
 	st, err := pthread.Run(cfg, prog)
 	if err != nil {
-		t.Fatalf("%s: %v", backend, err)
+		t.Fatalf("%s: %v", cfg.Backend, err)
 	}
 	if rec.Dropped() != 0 {
-		t.Fatalf("%s: %d events dropped", backend, rec.Dropped())
+		t.Fatalf("%s: %d events dropped", cfg.Backend, rec.Dropped())
 	}
 	var out []oracleEvent
 	for _, e := range rec.Events() {
 		switch e.Kind {
 		case trace.KindRunEnd:
-			if backend == pthread.BackendNative {
+			if cfg.Backend == pthread.BackendNative {
 				continue
 			}
 		case trace.KindExit, trace.KindLockAcquire:
@@ -56,7 +57,36 @@ func oracleTrace(t *testing.T, backend pthread.Backend, policy pthread.Policy, p
 		}
 		out = append(out, oracleEvent{e.Kind, e.Thread, e.Arg})
 	}
-	return out, oraclePeaks{st.PeakLive, st.StackHWM, st.TotalHWM}
+	return out, oraclePeaks{st.ThreadsCreated, st.DummyThreads, st.PeakLive, st.StackHWM, st.TotalHWM}
+}
+
+// requireOracle runs prog under cfg on both backends at one processor
+// and requires the same stripped event sequence and the same peaks,
+// TotalHWM only when withTotal. It returns the sim's peaks.
+func requireOracle(t *testing.T, cfg pthread.Config, prog func(*pthread.T), withTotal bool) oraclePeaks {
+	t.Helper()
+	cfg.Backend = pthread.BackendSim
+	sim, simPeaks := oracleTrace(t, cfg, prog)
+	cfg.Backend = pthread.BackendNative
+	nat, natPeaks := oracleTrace(t, cfg, prog)
+	if !withTotal {
+		simPeaks.TotalHWM, natPeaks.TotalHWM = 0, 0
+	}
+	if simPeaks != natPeaks {
+		t.Errorf("peaks differ: sim %+v, native %+v", simPeaks, natPeaks)
+	}
+	n := min(len(sim), len(nat))
+	for i := 0; i < n; i++ {
+		if sim[i] != nat[i] {
+			lo, hi := max(0, i-3), min(n, i+4)
+			t.Fatalf("event %d of %d/%d differs:\n sim %v\n native %v", i, len(sim), len(nat), sim[lo:hi], nat[lo:hi])
+		}
+	}
+	if len(sim) != len(nat) {
+		t.Fatalf("sim recorded %d events, native %d: the first %d agree", len(sim), len(nat), n)
+	}
+	t.Logf("%d events agree", n)
+	return simPeaks
 }
 
 // The sync programs: a bounded-buffer pipeline (mutex and two
@@ -153,8 +183,8 @@ func oraclePingPong(t *pthread.T) {
 
 // TestP1OracleSyncPrograms requires, for each sync program and policy
 // the native backend runs, the same stripped event sequence and the same
-// peak live threads, stack and total footprint from both backends at one
-// processor.
+// thread counts and peak live threads, stack and total footprint from
+// both backends at one processor.
 func TestP1OracleSyncPrograms(t *testing.T) {
 	for _, prog := range []struct {
 		name string
@@ -162,22 +192,75 @@ func TestP1OracleSyncPrograms(t *testing.T) {
 	}{{"pipeline", oraclePipeline}, {"barrier", oracleBarrier}, {"pingpong", oraclePingPong}} {
 		for _, policy := range []pthread.Policy{pthread.PolicyADF, pthread.PolicyADFShard, pthread.PolicyFIFO, pthread.PolicyLIFO} {
 			t.Run(prog.name+"/"+string(policy), func(t *testing.T) {
-				sim, simPeaks := oracleTrace(t, pthread.BackendSim, policy, prog.run)
-				nat, natPeaks := oracleTrace(t, pthread.BackendNative, policy, prog.run)
-				if simPeaks != natPeaks {
-					t.Errorf("peaks differ: sim %+v, native %+v", simPeaks, natPeaks)
+				requireOracle(t, pthread.Config{Policy: policy}, prog.run, true)
+			})
+		}
+	}
+}
+
+// oracleMallocTree is a seeded irregular fork/join tree: each thread
+// holds a block of up to 40 KB across its 0 to 3 children, and frees a
+// second one before forking them. Every draw comes from the thread's
+// own key, so the tree is the same whatever the schedule.
+func oracleMallocTree(t *pthread.T) { oracleMallocNode(t, 1, 0) }
+
+func oracleMallocNode(t *pthread.T, key uint64, depth int) {
+	r := splitmix(key)
+	held := t.Malloc(int64(r%(40<<10)) + 1)
+	t.Free(t.Malloc(int64(r>>16%(40<<10)) + 1))
+	kids := 0
+	if depth < 6 {
+		kids = int(r >> 40 % 4)
+	}
+	fns := make([]func(*pthread.T), kids)
+	for i := range fns {
+		child := key*4 + uint64(i)
+		fns[i] = func(t *pthread.T) { oracleMallocNode(t, child, depth+1) }
+	}
+	t.Par(fns...)
+	t.Free(held)
+}
+
+// splitmix is the SplitMix64 finalizer: a well-mixed hash of x.
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// TestP1OracleQuota extends the oracle to the memory quota: on the
+// Malloc tree, both backends must agree event for event, dummy threads
+// and quota preemptions included, and in thread counts, peak live
+// threads and StackHWM. HeapHWM and TotalHWM differ by definition (the
+// sim rounds each block to 16 bytes, and its stack cache keeps exited
+// default-size stacks live), so they are not compared. fifo and lifo
+// apply no quota, so they run the tree once, without the knobs.
+func TestP1OracleQuota(t *testing.T) {
+	type arm struct {
+		name string
+		cfg  pthread.Config
+	}
+	quotaArms := []arm{
+		{"k4k", pthread.Config{MemQuota: 4 << 10}},
+		{"k64k", pthread.Config{MemQuota: 64 << 10}},
+		{"k4k-nodummies", pthread.Config{MemQuota: 4 << 10, DisableDummies: true}},
+	}
+	for _, policy := range []pthread.Policy{pthread.PolicyADF, pthread.PolicyADFShard, pthread.PolicyFIFO, pthread.PolicyLIFO} {
+		arms := quotaArms
+		if policy == pthread.PolicyFIFO || policy == pthread.PolicyLIFO {
+			arms = []arm{{"none", pthread.Config{}}}
+		}
+		for _, a := range arms {
+			cfg := a.cfg
+			cfg.Policy = policy
+			t.Run(string(policy)+"/"+a.name, func(t *testing.T) {
+				p := requireOracle(t, cfg, oracleMallocTree, false)
+				t.Logf("%d threads, %d dummies", p.ThreadsCreated, p.DummyThreads)
+				// Only K = 4 KB is below the tree's largest blocks.
+				if (a.name == "k4k") != (p.DummyThreads > 0) {
+					t.Errorf("%d dummy threads under %s", p.DummyThreads, a.name)
 				}
-				n := min(len(sim), len(nat))
-				for i := 0; i < n; i++ {
-					if sim[i] != nat[i] {
-						lo, hi := max(0, i-3), min(n, i+4)
-						t.Fatalf("event %d of %d/%d differs:\n sim %v\n native %v", i, len(sim), len(nat), sim[lo:hi], nat[lo:hi])
-					}
-				}
-				if len(sim) != len(nat) {
-					t.Fatalf("sim recorded %d events, native %d: the first %d agree", len(sim), len(nat), n)
-				}
-				t.Logf("%d events agree", n)
 			})
 		}
 	}

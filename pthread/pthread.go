@@ -120,9 +120,9 @@ const (
 	SmallStackSize   = core.SmallStackSize
 )
 
-// DefaultMemQuota is the ADF scheduler's default per-schedule allocation
-// quota K.
-const DefaultMemQuota = sched.DefaultMemQuota
+// DefaultMemQuota is the default per-schedule allocation quota K of the
+// policies that throttle allocation (adf, adf-shard, dfd).
+const DefaultMemQuota = core.DefaultMemQuota
 
 // Attr carries thread-creation attributes (stack size, priority,
 // detached state, name), mirroring pthread_attr_t.
@@ -144,9 +144,12 @@ type Config struct {
 	Policy Policy
 	// Backend selects the execution substrate (default BackendSim).
 	Backend Backend
-	// MemQuota overrides ADF's allocation quota K in bytes.
+	// MemQuota overrides the allocation quota K in bytes (default
+	// DefaultMemQuota). It requires a policy that throttles allocation:
+	// PolicyADF, PolicyADFShard or PolicyDFD.
 	MemQuota int64
-	// DisableDummies turns off ADF's dummy-thread throttling.
+	// DisableDummies turns off dummy-thread throttling. It requires a
+	// policy that throttles allocation, as MemQuota does.
 	DisableDummies bool
 	// DefaultStack is the default thread stack size (default 1 MB, the
 	// Solaris library value; the paper recommends SmallStackSize).
@@ -186,10 +189,11 @@ type Config struct {
 func Policies() []Policy { return sched.Kinds() }
 
 // newBackend is the single constructor from a Config to an execution
-// backend: it validates the configuration, builds the scheduling
-// policy, and maps the public fields onto the selected backend's
-// configuration. Every Run goes through here, so there is exactly one
-// place where pthread.Config fields translate to runtime settings.
+// backend: it validates the configuration, derives the memory quota,
+// builds the sim's scheduling policy, and maps the public fields onto
+// the selected backend's configuration. Every Run goes through here, so
+// there is exactly one place where pthread.Config fields translate to
+// runtime settings.
 func newBackend(cfg Config) (core.Backend, error) {
 	// A negative size or count would pass silently as
 	// "off" or "default" further down (MemQuota -1 disables quota
@@ -212,6 +216,12 @@ func newBackend(cfg Config) (core.Backend, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = PolicyADF
 	}
+	// The one rule of which policies throttle also rejects an unknown
+	// policy, on either backend.
+	quota, err := cfg.Policy.Quota(cfg.MemQuota, cfg.DisableDummies)
+	if err != nil {
+		return nil, err
+	}
 	batched := cfg.SchedBatch > 1
 	if cfg.Policy == PolicyADFShard {
 		if batched {
@@ -230,34 +240,25 @@ func newBackend(cfg Config) (core.Backend, error) {
 			procs = runtime.GOMAXPROCS(0)
 		}
 	}
-	// The native backend never drives the policy, so the policy's
-	// instruments would only read 0 there: they attach on the sim alone.
-	polMetrics := cfg.Metrics
-	if cfg.Backend == BackendNative {
-		polMetrics = nil
-	}
-	pol, err := sched.New(cfg.Policy, sched.Options{
-		MemQuota:       cfg.MemQuota,
-		DisableDummies: cfg.DisableDummies,
-		Procs:          procs,
-		StealWindow:    cfg.StealWindow,
-		Metrics:        polMetrics,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if batched {
+	switch cfg.Backend {
+	case "", BackendSim:
+		pol, err := sched.New(cfg.Policy, sched.Options{
+			Procs:       procs,
+			StealWindow: cfg.StealWindow,
+			Metrics:     cfg.Metrics,
+		})
+		if err != nil {
+			return nil, err
+		}
 		// Batching needs ordered batch removal from the ready structure.
-		if _, ok := pol.(core.BatchNexter); !ok {
+		if _, ok := pol.(core.BatchNexter); batched && !ok {
 			return nil, fmt.Errorf("pthread: SchedBatch %d requires a batch-capable policy (have %q; only adf supports batch removal)",
 				cfg.SchedBatch, cfg.Policy)
 		}
-	}
-	switch cfg.Backend {
-	case "", BackendSim:
 		return core.New(core.Config{
 			Procs:        procs,
 			Policy:       pol,
+			Quota:        quota,
 			DefaultStack: cfg.DefaultStack,
 			MaxSteps:     cfg.MaxSteps,
 			SchedBatch:   cfg.SchedBatch,
@@ -273,7 +274,9 @@ func newBackend(cfg Config) (core.Backend, error) {
 		}
 		return native.New(native.Config{
 			Procs:        procs,
-			Policy:       pol,
+			Policy:       string(cfg.Policy),
+			StealWindow:  cfg.StealWindow,
+			Quota:        quota,
 			DefaultStack: cfg.DefaultStack,
 			Metrics:      cfg.Metrics,
 			Tracer:       cfg.Tracer,

@@ -16,7 +16,7 @@ import (
 // deletes code lowers them, and one that must raise a ceiling says why
 // in CHANGES.md.
 const (
-	maxNonTestLines = 15782
+	maxNonTestLines = 15716
 	maxConfigFields = 11
 )
 
