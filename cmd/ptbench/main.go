@@ -11,7 +11,7 @@
 // fig7, fig8, fig9, fig10, fig11, scale, the ablations ablk, ablws and
 // abldummy, and the future-work extensions ablloc and ablsched. The
 // contention-sharded experiment sweeps the sharded policy "adf-shard"
-// (per-worker label heaps with bounded-deviation stealing) against the
+// (per-worker label deques with bounded-deviation stealing) against the
 // batched global baseline at p up to 1024.
 //
 // Exit status: 0 on success, 2 for usage errors (a bad flag value or an

@@ -2,10 +2,10 @@ package core
 
 import "slices"
 
-// The ready order and the steal rule, written once for both backends:
-// the sim's adf and adf-shard policies and the native shard store keep
-// their ready threads in Heaps ordered by ReadyLess, and a thief of
-// either backend picks its victim with StealVictim.
+// The ready order, its store and the steal rule, written once for both
+// backends: the sim's adf and adf-shard policies and the native shard
+// store keep their ready threads in Ordered deques sorted by ReadyLess,
+// and a thief of either backend picks its victim with StealVictim.
 
 // ReadyLess is the ready order: higher priority first, then the
 // leftmost DePa label (the serial depth-first order). Labels are unique
@@ -21,48 +21,92 @@ func readyCompare(pa int, la DepaLabel, pb int, lb DepaLabel) int {
 	return la.Compare(lb)
 }
 
-// Heap is a binary min-heap under its elements' Before order. It is a
-// plain slice, so len(h) is its size and h[0] its minimum.
-type Heap[E interface{ Before(E) bool }] []E
-
-// Push adds e and reports whether e became the minimum.
-func (h *Heap[E]) Push(e E) bool {
-	*h = append(*h, e)
-	a := *h
-	for i := len(a) - 1; i > 0; {
-		up := (i - 1) / 2
-		if !a[i].Before(a[up]) {
-			return false
-		}
-		a[i], a[up] = a[up], a[i]
-		i = up
-	}
-	return true
+// Ordered is a sorted deque under its elements' Before order: the
+// items sit sorted in the window a[lo:] of one slice, minimum first,
+// and every slot outside it holds the zero E. ADF pushes a preempted
+// parent left of every other ready thread and pops the leftmost, and
+// the sim's ready times arrive mostly in rising order, so nearly every
+// push lands at an end: O(1) amortized with one or two compares. Any
+// other push binary-searches its slot and shifts the shorter side; a
+// pop compares nothing. The zero value is empty.
+type Ordered[E interface{ Before(E) bool }] struct {
+	a  []E
+	lo int
 }
 
-// Pop removes and returns the minimum. h must not be empty.
-func (h *Heap[E]) Pop() E {
-	a := *h
-	top, last := a[0], len(a)-1
-	a[0] = a[last]
-	var zero E
-	a[last] = zero // drop the reference
-	a = a[:last]
-	*h = a
-	for i := 0; ; {
-		m := i
-		if l := 2*i + 1; l < last && a[l].Before(a[m]) {
-			m = l
-		}
-		if r := 2*i + 2; r < last && a[r].Before(a[m]) {
-			m = r
-		}
-		if m == i {
-			return top
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
+// Len is the number of items.
+func (d *Ordered[E]) Len() int { return len(d.a) - d.lo }
+
+// Min is the minimum. d must not be empty.
+func (d *Ordered[E]) Min() E { return d.a[d.lo] }
+
+// Items is the items in order, a view valid until the next Push or Pop.
+func (d *Ordered[E]) Items() []E { return d.a[d.lo:] }
+
+// Push adds e and reports whether e became the minimum: the deque was
+// empty or e is strictly before its old minimum.
+func (d *Ordered[E]) Push(e E) bool {
+	if d.lo == 0 || len(d.a) == cap(d.a) {
+		d.room()
 	}
+	hi := len(d.a)
+	if hi == d.lo || e.Before(d.a[d.lo]) {
+		d.lo--
+		d.a[d.lo] = e
+		return true
+	}
+	if !e.Before(d.a[hi-1]) {
+		d.a = append(d.a, e)
+		return false
+	}
+	// a[lo] <= e < a[hi-1]: e goes before the first a[i] after it.
+	i, j := d.lo+1, hi-1
+	for i < j {
+		if m := int(uint(i+j) >> 1); e.Before(d.a[m]) {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	if i-d.lo < hi-i {
+		copy(d.a[d.lo-1:], d.a[d.lo:i])
+		d.lo, i = d.lo-1, i-1
+	} else {
+		d.a = d.a[:hi+1]
+		copy(d.a[i+1:], d.a[i:hi])
+	}
+	d.a[i] = e
+	return false
+}
+
+// Pop removes and returns the minimum. d must not be empty. An emptied
+// deque restarts in the middle of its array.
+func (d *Ordered[E]) Pop() E {
+	e := d.a[d.lo]
+	var zero E
+	d.a[d.lo] = zero // drop the reference
+	if d.lo++; d.lo == len(d.a) {
+		d.lo = cap(d.a) / 2
+		d.a = d.a[:d.lo]
+	}
+	return e
+}
+
+// room centres the window in its array, or in a new one of 2n+8 slots
+// when less than half of the old one would be free. Each end then has
+// about a quarter of the array free, so its copying and zeroing cost O(1)
+// amortized per push, and the array stays within twice the peak plus 8.
+func (d *Ordered[E]) room() {
+	n := d.Len()
+	a := d.a[:cap(d.a)]
+	if len(a) == 0 || 2*n > len(a) {
+		a = make([]E, 2*n+8)
+	}
+	lo := (len(a) - n) / 2
+	copy(a[lo:], d.a[d.lo:])
+	clear(a[:lo])
+	clear(a[lo+n:])
+	d.a, d.lo = a[:lo+n], lo
 }
 
 // ShardMin is one non-empty ready shard as a thief sees it: the

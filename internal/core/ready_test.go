@@ -1,6 +1,6 @@
 package core
 
-// Tests for the ready order's heap and the steal rule. StealVictim is
+// Tests for the ready order's deque and the steal rule. StealVictim is
 // checked against stealVictimRef, the direct O(p²) reading of the rule,
 // and against the true rank of the victim's leftmost thread.
 
@@ -14,22 +14,22 @@ type intItem int
 
 func (a intItem) Before(b intItem) bool { return a < b }
 
-// TestHeapPopsInOrder: pushes report whether the item became the
+// TestOrderedPopsInOrder: pushes report whether the item became the
 // minimum, and pops drain in ascending order.
-func TestHeapPopsInOrder(t *testing.T) {
+func TestOrderedPopsInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var h Heap[intItem]
+	var d Ordered[intItem]
 	var want []intItem
 	for i := 0; i < 500; i++ {
 		x := intItem(rng.Intn(100))
-		wasMin := len(h) == 0 || x < h[0]
-		if got := h.Push(x); got != wasMin {
-			t.Fatalf("Push(%d) = %v with minimum %d", x, got, h[0])
+		wasMin := d.Len() == 0 || x < d.Min()
+		if got := d.Push(x); got != wasMin {
+			t.Fatalf("Push(%d) = %v with minimum %d", x, got, d.Min())
 		}
 		want = append(want, x)
 		if i%3 == 2 {
 			slices.Sort(want)
-			if got := h.Pop(); got != want[0] {
+			if got := d.Pop(); got != want[0] {
 				t.Fatalf("Pop = %d, want %d", got, want[0])
 			}
 			want = want[1:]
@@ -37,12 +37,159 @@ func TestHeapPopsInOrder(t *testing.T) {
 	}
 	slices.Sort(want)
 	for _, w := range want {
-		if got := h.Pop(); got != w {
+		if got := d.Pop(); got != w {
 			t.Fatalf("Pop = %d, want %d", got, w)
 		}
 	}
-	if len(h) != 0 {
-		t.Fatalf("%d items left", len(h))
+	if d.Len() != 0 {
+		t.Fatalf("%d items left", d.Len())
+	}
+}
+
+// dequeItem is a fuzzed item: the zero value, which no live item is,
+// is what every slot outside the window must hold.
+type dequeItem struct {
+	v    int
+	live bool
+}
+
+func (a dequeItem) Before(b dequeItem) bool { return a.v < b.v }
+
+// checkDeque requires d to hold exactly want (sorted), with the zero
+// item in every slot of its array outside the window.
+func checkDeque(t *testing.T, op int, d *Ordered[dequeItem], want []int) {
+	t.Helper()
+	if d.Len() != len(want) {
+		t.Fatalf("op %d: Len = %d, want %d", op, d.Len(), len(want))
+	}
+	for i, x := range d.Items() {
+		if !x.live || x.v != want[i] {
+			t.Fatalf("op %d: item %d is %+v, want %d (items %v)", op, i, x, want[i], d.Items())
+		}
+	}
+	for i, x := range d.a[:cap(d.a)] {
+		if (i < d.lo || i >= len(d.a)) && x != (dequeItem{}) {
+			t.Fatalf("op %d: slot %d outside the window [%d, %d) holds %+v", op, i, d.lo, len(d.a), x)
+		}
+	}
+}
+
+// FuzzReadyDeque drives an Ordered deque against a sorted-slice oracle.
+// Each byte is one operation: a pop, or a push of a new minimum, a new
+// maximum, a value from anywhere in the range, or a copy of a held one.
+// Inputs are cut to 1024 operations: every check walks the whole array.
+func FuzzReadyDeque(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4})
+	f.Add([]byte{0, 0, 0, 4, 4, 4, 4, 1, 1, 1, 4, 4, 4})
+	f.Add([]byte("the fuzzer mixes pushes at both ends with pops and ties"))
+	rng := rand.New(rand.NewSource(1))
+	for range 8 {
+		b := make([]byte, 400)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var d Ordered[dequeItem]
+		var want []int
+		for k, b := range ops[:min(len(ops), 1024)] {
+			if b%5 == 4 {
+				if len(want) == 0 {
+					continue
+				}
+				if got := d.Pop(); !got.live || got.v != want[0] {
+					t.Fatalf("op %d: Pop = %+v, want %d", k, got, want[0])
+				}
+				want = want[1:]
+				checkDeque(t, k, &d, want)
+				continue
+			}
+			v, r := 0, int(b/5) // r in [0, 51]
+			switch {
+			case len(want) == 0:
+				v = r
+			case b%5 == 0:
+				v = want[0] - 1 - r%3
+			case b%5 == 1:
+				v = want[len(want)-1] + r%3
+			case b%5 == 2:
+				v = want[0] + r*(want[len(want)-1]-want[0]+1)/52
+			default:
+				v = want[r%len(want)]
+			}
+			wasMin := len(want) == 0 || v < want[0]
+			if got := d.Push(dequeItem{v, true}); got != wasMin {
+				t.Fatalf("op %d: Push(%d) = %v, want %v (minimum %v)", k, v, got, wasMin, want)
+			}
+			i, _ := slices.BinarySearch(want, v)
+			want = slices.Insert(want, i, v)
+			checkDeque(t, k, &d, want)
+		}
+	})
+}
+
+// TestReadyDequeBounded pins the steady-state cost of the three shapes
+// the stores drive: pushes and pops at the front over a resident set (a
+// fork chain), a queue (the sim's ready times), and one item pushed
+// into and popped from an emptied deque. After a warm-up run none
+// allocates, and the array stays within twice the peak size plus 8.
+func TestReadyDequeBounded(t *testing.T) {
+	const ops = 100_000
+	for _, c := range []struct {
+		name string
+		run  func(d *Ordered[intItem], next *int)
+	}{
+		{"fork-chain", func(d *Ordered[intItem], next *int) {
+			for k := 0; k < ops; {
+				depth := 1 + k%16
+				for range depth {
+					*next--
+					d.Push(intItem(*next))
+				}
+				for range depth {
+					d.Pop()
+				}
+				k += 2 * depth
+			}
+		}},
+		{"queue", func(d *Ordered[intItem], next *int) {
+			for range ops / 2 {
+				*next++
+				d.Push(intItem(*next))
+				d.Pop()
+			}
+		}},
+		{"one-item", func(d *Ordered[intItem], next *int) {
+			for range ops / 2 {
+				d.Push(intItem(*next))
+				d.Pop()
+				if c := cap(d.a); d.Len() != 0 || d.lo != c/2 || len(d.a) != c/2 {
+					t.Fatalf("emptied deque at [%d, %d) of %d, want the middle", d.lo, len(d.a), c)
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var d Ordered[intItem]
+			resident := 0
+			if c.name != "one-item" {
+				resident = 100
+			}
+			for i := range resident {
+				d.Push(intItem(1_000_000 + i))
+			}
+			next := 500_000
+			peak := resident + 16
+			allocs := testing.AllocsPerRun(4, func() { c.run(&d, &next) })
+			if allocs != 0 {
+				t.Errorf("%.1f allocations per %d operations, want 0", allocs, ops)
+			}
+			if d.Len() != resident {
+				t.Errorf("Len = %d after the run, want %d", d.Len(), resident)
+			}
+			if cap(d.a) > 2*peak+8 {
+				t.Errorf("cap %d, want <= 2*%d + 8", cap(d.a), peak)
+			}
+		})
 	}
 }
 

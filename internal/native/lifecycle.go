@@ -59,7 +59,7 @@ func (b *Backend) releaseThread(t *thread) {
 // reset scrubs a thread record before it re-enters an arena: every
 // field except the backend pointer is zeroed, the embedded policy token
 // in place with the rest (TLS map, DePa label, carrier, join state,
-// trace identity, shard-heap slot — pool-reuse hygiene is by
+// trace identity — pool-reuse hygiene is by
 // construction, not by field-by-field cleanup).
 func (t *thread) reset() {
 	*t = thread{b: t.b}

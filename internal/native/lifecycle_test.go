@@ -33,7 +33,7 @@ func TestThreadRecordSize(t *testing.T) {
 // TestChurnHygiene is the pool-reuse hygiene oracle: 10^5 threads
 // forked and exited over 4 workers through the record arenas, with
 // every recycled record inspected at entry for leaked prior state (TLS
-// slots, join state, accounting, shard-heap slot) and every trace id
+// slots, join state, accounting) and every trace id
 // checked unique. Run under -race this also exercises the Treiber
 // free-list publication ordering.
 func TestChurnHygiene(t *testing.T) {

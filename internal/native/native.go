@@ -18,7 +18,7 @@
 // successor sends its worker to the idle / deadlock / run-end protocol
 // (next).
 //
-// One ready store (shard.go): DePa-ordered heaps under their own
+// One ready store (shard.go): DePa-ordered deques under their own
 // locks, never held together with the scheduler lock b.mu. FIFO and LIFO
 // run on one shard keyed by a sequence order, the paper's global queue
 // or stack; the ADF family (adf, the default, and adf-shard) runs on one
@@ -80,7 +80,7 @@ type Config struct {
 	Procs int
 	// Policy names the ready order (required), and Stats.Policy. fifo
 	// and lifo run on one shard in sequence order; the ADF family (adf,
-	// adf-shard) on one DePa-ordered heap per worker with
+	// adf-shard) on one DePa-ordered deque per worker with
 	// bounded-deviation steals. ws and dfd are rejected as sim-only.
 	Policy string
 	// StealWindow is the ADF family's deviation bound K: a steal is
@@ -418,7 +418,7 @@ func (b *Backend) markRunning(t *thread, pid int) {
 
 // blockPrep marks t blocked. It must be called from t's own body,
 // before t is registered with any waiter list, and must be followed by
-// t.blockPark. A running thread has no entry in any shard heap, so
+// t.blockPark. A running thread has no entry in any shard, so
 // there is no ready structure to update.
 func (b *Backend) blockPrep(t *thread) {
 	t.state = core.StateBlocked

@@ -10,7 +10,7 @@ import (
 )
 
 // shardStore is the native backend's one ready store: one small
-// lock-protected core.Heap per shard, in the ready order the sim
+// lock-protected core.Ordered deque per shard, in the ready order the sim
 // policies use too (core.ReadyLess: priority desc, DePa label asc). The
 // ADF family keys a thread by its fork-path label and runs one shard per
 // worker. FIFO and LIFO run on one shard, the paper's global queue or
@@ -67,16 +67,16 @@ type shardStore struct {
 	_   [64]byte
 }
 
-// shard is one worker's ready heap.
+// shard is one worker's ready deque.
 type shard struct {
 	mu sync.Mutex
-	h  core.Heap[*thread]
+	q  core.Ordered[*thread]
 
 	// pub is the leftmost-label hint, tagged with pubTag; written under
 	// mu, read lock-free by thieves.
 	pub core.DepaCell
 
-	// size is len(h), written under mu and summed lock-free by take and
+	// size is q.Len(), written under mu and summed lock-free by take and
 	// by a worker going idle.
 	size atomic.Int64
 
@@ -136,16 +136,17 @@ func (ss *shardStore) push(t *thread, pid int) {
 	s := &ss.shards[ss.shardFor(pid)]
 	ss.b.stampReady(t)
 	ss.b.lockTimed(&s.mu)
-	top := s.h.Push(t)
+	top := s.q.Push(t)
+	n := s.q.Len()
 	if ss.publish {
 		// Republish the label only when t became the leftmost.
 		if top {
-			s.pub.Store(t.tok.Order, pubTag(t.tok.Priority, len(s.h)))
+			s.pub.Store(t.tok.Order, pubTag(t.tok.Priority, n))
 		} else {
-			s.pub.SetTag(pubTag(s.h[0].tok.Priority, len(s.h)))
+			s.pub.SetTag(pubTag(s.q.Min().tok.Priority, n))
 		}
 	}
-	s.size.Store(int64(len(s.h)))
+	s.size.Store(int64(n))
 	s.mu.Unlock()
 	ss.b.signalIfIdle(pid)
 }
@@ -157,19 +158,21 @@ func (ss *shardStore) push(t *thread, pid int) {
 func (ss *shardStore) pop(v int, before *thread) *thread {
 	s := &ss.shards[v]
 	ss.b.lockTimed(&s.mu)
-	if len(s.h) == 0 || before != nil && !s.h[0].Before(before) {
+	if s.q.Len() == 0 || before != nil && !s.q.Min().Before(before) {
 		s.mu.Unlock()
 		return nil
 	}
-	t := s.h.Pop()
+	t := s.q.Pop()
+	n := s.q.Len()
 	if ss.publish {
-		if len(s.h) == 0 {
+		if n == 0 {
 			s.pub.Clear()
 		} else {
-			s.pub.Store(s.h[0].tok.Order, pubTag(s.h[0].tok.Priority, len(s.h)))
+			m := s.q.Min()
+			s.pub.Store(m.tok.Order, pubTag(m.tok.Priority, n))
 		}
 	}
-	s.size.Store(int64(len(s.h)))
+	s.size.Store(int64(n))
 	s.mu.Unlock()
 	return t
 }
@@ -238,7 +241,7 @@ func (b *Backend) signalIfIdle(pid int) {
 
 // Before is the ready order on threads. A thread's label changes only
 // when it forks or is keyed on becoming ready: it is stable while the
-// thread waits in a heap or as a candidate, and a running yielder
+// thread waits in a shard or as a candidate, and a running yielder
 // compares only its own.
 func (a *thread) Before(b *thread) bool {
 	return core.ReadyLess(a.tok.Priority, a.tok.Order, b.tok.Priority, b.tok.Order)

@@ -47,7 +47,7 @@ func TestShardNativeSleep(t *testing.T) {
 	}
 }
 
-// TestShardOpsAllocateNothing: once a shard's heap has grown, pushing,
+// TestShardOpsAllocateNothing: once a shard's deque has grown, pushing,
 // popping (plain and yield-style) and taking — the own pop and the
 // steal scan over the published cells — allocate nothing.
 func TestShardOpsAllocateNothing(t *testing.T) {
@@ -88,7 +88,7 @@ func TestShardOpsAllocateNothing(t *testing.T) {
 // lies in [56, size-64): off a neighbouring worker's or shard's words,
 // and off whatever shares the allocation's edges. Words with the same
 // writers share a group: b.mu with the idle counts it guards, and a
-// shard's size with its lock, heap and hint (peers, which may share the
+// shard's size with its lock, deque and hint (peers, which may share the
 // group's line without being held to its edges).
 func TestHotWordsOwnTheirLines(t *testing.T) {
 	for _, c := range []struct {
@@ -97,7 +97,7 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 	}{
 		{reflect.TypeFor[worker](), []string{"stats", "dispatches", "wakeups", "maxSpan",
 			"live", "peakLive", "quotaPreempts", "dummies", "foot"}, nil},
-		{reflect.TypeFor[shard](), []string{"size"}, []string{"mu", "h", "pub"}},
+		{reflect.TypeFor[shard](), []string{"size"}, []string{"mu", "q", "pub"}},
 		{reflect.TypeFor[shardStore](), []string{"seq"}, nil},
 		{reflect.TypeFor[Backend](), []string{"mu", "idleA", "idle", "sleepers", "err", "endStatus"}, nil},
 		{reflect.TypeFor[Backend](), []string{"done"}, nil},

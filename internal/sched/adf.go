@@ -30,7 +30,7 @@ import (
 // The ordered list itself is pluggable (adfLevel): the production store
 // keeps the serial order in DePa fork-path labels carried by the
 // threads themselves — left-of is a local lexicographic compare and
-// dispatch is a heap pop over just the ready set (adfDepa). The tests
+// dispatch is a deque pop over just the ready set (adfDepa). The tests
 // substitute the seed's O(n) scanning linked list and the
 // order-statistic treap that preceded the labels through the same
 // seam, as differential oracles: all three stores present the

@@ -1,7 +1,7 @@
 package sched
 
 // Differential oracle for the ADF dispatch structure: the DePa-labeled
-// heap (the production store), the order-statistic treap, and the
+// deque (the production store), the order-statistic treap, and the
 // seed's naive linked list are driven through identical random
 // fork/dispatch/block/wake/exit/priority sequences and must agree on
 // every observable — the thread returned by Next(), per-level ready

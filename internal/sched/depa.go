@@ -11,19 +11,22 @@ import "spthreads/internal/core"
 // thread's own context, and left-of is a local lexicographic compare.
 //
 // The store then only has to answer "leftmost READY entry", which it
-// does with a core.Heap over the ready set, in the ready order both
-// backends share (core.ReadyLess):
+// does with a core.Ordered deque over the ready set, sorted in the
+// ready order both backends share (core.ReadyLess):
 //
 //	insertHead / insertBefore   O(1)        (label snapshot)
 //	remove                      O(1)
-//	setReady                    O(log r)    (heap push)
-//	takeLeftmostReady           O(log r)    (heap pop)
+//	setReady                    O(1) at either end, else O(log r)
+//	takeLeftmostReady           O(1)        (no compare)
 //
 // with r the number of READY entries — not n, the number of live
-// placeholders. Under the paper's workloads r is typically orders of
+// placeholders. A preempted parent is left of every other ready entry,
+// so its setReady is a push at the front with one compare; a push
+// elsewhere binary-searches its slot (O(log r) compares) and shifts the
+// shorter side. Under the paper's workloads r is typically orders of
 // magnitude smaller than n (most placeholders are blocked parents or
 // executing threads), which is where the dispatch-path win over the
-// treap's O(log n) descent comes from. An entry leaves the heap only by
+// treap's O(log n) descent comes from. An entry leaves the deque only by
 // dispatch: the machine blocks and exits only running threads, whose
 // entries are not ready.
 //
@@ -37,7 +40,7 @@ import "spthreads/internal/core"
 // keeps just their count.
 type adfDepa struct {
 	placeholders
-	heap core.Heap[*readyEntry]
+	ready core.Ordered[*readyEntry]
 }
 
 // readyEntry is a thread's placeholder in adf's levels and adf-shard's
@@ -118,17 +121,17 @@ func (s *adfDepa) setReady(t *core.Thread) bool {
 		return false
 	}
 	e.ready = true
-	s.heap.Push(e)
+	s.ready.Push(e)
 	return true
 }
 
-func (s *adfDepa) readyCount() int { return len(s.heap) }
+func (s *adfDepa) readyCount() int { return s.ready.Len() }
 
 func (s *adfDepa) takeLeftmostReady() *core.Thread {
-	if len(s.heap) == 0 {
+	if s.ready.Len() == 0 {
 		return nil
 	}
-	e := s.heap.Pop()
+	e := s.ready.Pop()
 	e.ready = false
 	return e.t
 }

@@ -30,7 +30,7 @@ const (
 
 	// ADFShard is the ADF policy over per-processor ready shards with
 	// bounded-deviation work stealing: each processor dispatches from its
-	// own DePa-ordered heap and steals only threads within StealWindow of
+	// own DePa-ordered deque and steals only threads within StealWindow of
 	// the global leftmost-ready position, so the scheduler lock stops
 	// being a global serial point while the S1 + c·p·D envelope degrades
 	// gracefully with the window instead of vanishing.

@@ -10,8 +10,8 @@ import (
 // funnels every ready-store operation through one charged scheduler
 // lock; the DePa labels make left-of a local compare with no shared
 // structure, so the ready store itself can be split: each processor owns
-// a core.Heap in the ready order (core.ReadyLess: priority desc, label
-// asc) and pushes the threads it readies into its own heap.
+// a core.Ordered deque in the ready order (core.ReadyLess: priority
+// desc, label asc) and pushes the threads it readies into its own.
 //
 // A processor whose shard is empty steals, by the rule the native shard
 // store applies too (core.StealVictim): it examines victims round robin
@@ -30,7 +30,7 @@ type shardPolicy struct {
 	name         string
 	window       int // steal window K (deviation bound), >= 1
 
-	shards []core.Heap[*readyEntry]
+	shards []core.Ordered[*readyEntry]
 	ready  int
 	mins   []core.ShardMin // steal-scan scratch, reused across Next calls
 
@@ -57,7 +57,7 @@ func newShard(procs, window int) *shardPolicy {
 	return &shardPolicy{
 		name:        "adf-shard",
 		window:      window,
-		shards:      make([]core.Heap[*readyEntry], procs),
+		shards:      make([]core.Ordered[*readyEntry], procs),
 		mins:        make([]core.ShardMin, 0, procs),
 		stealVictim: -1,
 	}
@@ -168,14 +168,15 @@ func (p *shardPolicy) Next(pid int) *core.Thread {
 		return nil
 	}
 	s := p.shardFor(pid)
-	if len(p.shards[s]) > 0 {
+	if p.shards[s].Len() > 0 {
 		p.stealVictim, p.stealProbes = -1, 0
 		return p.take(s)
 	}
 	mins := p.mins[:0]
-	for j, h := range p.shards {
-		if len(h) > 0 {
-			mins = append(mins, core.ShardMin{Label: h[0].label, Pri: int(h[0].pri), Size: len(h), Shard: j})
+	for j := range p.shards {
+		if d := &p.shards[j]; d.Len() > 0 {
+			m := d.Min()
+			mins = append(mins, core.ShardMin{Label: m.label, Pri: int(m.pri), Size: d.Len(), Shard: j})
 		}
 	}
 	victim, probes, rejects := core.StealVictim(mins, len(p.shards), s, p.window)

@@ -2,7 +2,7 @@ package sched
 
 // Differential and property oracles for the sharded ADF policy.
 //
-// At p=1 a single shard degenerates to one DePa heap, so the sharded
+// At p=1 a single shard degenerates to one DePa deque, so the sharded
 // policy must make bit-identical dispatch choices to adf. With several
 // shards the steal path carries the bounded-deviation property: every
 // cross-shard dispatch (steal) returns a thread whose true rank in the
@@ -118,8 +118,8 @@ func (d *diffShard) dispatch(pid int) {
 // readySnapshot captures every ready entry's dispatch key.
 func (d *diffShard) readySnapshot() []*readyEntry {
 	var snap []*readyEntry
-	for _, h := range d.sh.shards {
-		snap = append(snap, h...)
+	for j := range d.sh.shards {
+		snap = append(snap, d.sh.shards[j].Items()...)
 	}
 	return snap
 }
@@ -198,7 +198,7 @@ func (d *diffShard) removeID(s *[]int64, id int64) {
 }
 
 // check asserts the maintained counters against ground truth and the
-// per-shard heaps against the entries' ready flags.
+// per-shard deques against the entries' ready flags.
 func (d *diffShard) check(op string) {
 	d.t.Helper()
 	if got, want := d.sh.Live(), len(d.smirr); got != want {
@@ -208,7 +208,8 @@ func (d *diffShard) check(op string) {
 		d.t.Fatalf("%s: ReadyCount=%d, model has %d ready", op, got, want)
 	}
 	sum := 0
-	for j, h := range d.sh.shards {
+	for j := range d.sh.shards {
+		h := d.sh.shards[j].Items()
 		for i, e := range h {
 			if !e.ready {
 				d.t.Fatalf("%s: shard %d slot %d holds thread %d not flagged ready", op, j, i, e.t.ID)
@@ -217,7 +218,7 @@ func (d *diffShard) check(op string) {
 		sum += len(h)
 	}
 	if sum != d.sh.ReadyCount() {
-		d.t.Fatalf("%s: shard heap sizes sum to %d, counter says %d", op, sum, d.sh.ReadyCount())
+		d.t.Fatalf("%s: shard sizes sum to %d, counter says %d", op, sum, d.sh.ReadyCount())
 	}
 	if d.adf != nil {
 		if a, s := d.adf.ReadyCount(), d.sh.ReadyCount(); a != s {
@@ -303,7 +304,7 @@ func (d *diffShard) runRandom(seed int64, ops int) {
 }
 
 // TestShardP1MatchesADF: one shard — every dispatch is an own-shard pop
-// of the single heap, so the policy must be bit-identical to adf.
+// of the single deque, so the policy must be bit-identical to adf.
 func TestShardP1MatchesADF(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		newDiffShard(t, 1, 0, true).runRandom(seed, 2000)

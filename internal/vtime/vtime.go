@@ -152,7 +152,7 @@ func Default() *CostModel {
 		SchedLocalOp:    Micro(0.3), // uncontended push/pop on a per-proc queue
 		SchedBatchMove:  Micro(0.5), // one Q_in/R/Q_out move inside the pass
 		SchedLockWindow: Micro(100),
-		// Sharded scheduler: a shard heap operation costs about what a
+		// Sharded scheduler: a shard deque operation costs about what a
 		// lock-free Q_in/Q_out push does plus the short lock hold, and
 		// only same-shard operations contend, over a narrow window.
 		SchedShardLockOp:     Micro(0.5),

@@ -15,7 +15,7 @@ import (
 // trees reach and the later ones find warm. The two objects per thread
 // are the *Thread handle, which holds the child's T and its body, and
 // this test's own body closure. Below pthread nothing is allocated per
-// thread: the ready store (per-worker shard heaps) holds the thread
+// thread: the ready store (per-worker shard deques) holds the thread
 // record itself, and the record and the carrier coroutine are recycled
 // (record arenas, pooled carriers) once the pools are warm.
 func TestNativeThreadAllocBudget(t *testing.T) {

@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"testing"
 
+	"spthreads/internal/dtree"
+	"spthreads/internal/matmul"
+	"spthreads/internal/spmv"
 	"spthreads/internal/trace"
 	"spthreads/pthread"
 )
@@ -261,6 +264,32 @@ func TestP1OracleQuota(t *testing.T) {
 				if (a.name == "k4k") != (p.DummyThreads > 0) {
 					t.Errorf("%d dummy threads under %s", p.DummyThreads, a.name)
 				}
+			})
+		}
+	}
+}
+
+// TestP1OracleKernels extends the oracle to three of the paper's
+// kernels at test sizes: matmul's fork-per-call recursion, dtree's
+// irregular build with its parallel quicksorts, and spmv's rounds of
+// FineThreads short threads. Each must record the same stripped event
+// sequence on both backends at one processor, under every policy the
+// native backend runs, and the same thread counts, peak live threads
+// and StackHWM. TotalHWM is not compared: the sim rounds each heap block
+// to 16 bytes (cf. TestP1OracleQuota).
+func TestP1OracleKernels(t *testing.T) {
+	for _, prog := range []struct {
+		name string
+		run  func(*pthread.T)
+	}{
+		{"matmul", matmul.Fine(matmul.Config{N: 32, Leaf: 8})},
+		{"dtree", dtree.Fine(dtree.Config{Gen: dtree.GenConfig{Instances: 400}, MinLeaf: 50})},
+		{"spmv", spmv.Fine(spmv.Config{Gen: spmv.GenConfig{Nodes: 200, TargetNNZ: 1000}, Iterations: 2, FineThreads: 8})},
+	} {
+		for _, policy := range []pthread.Policy{pthread.PolicyADF, pthread.PolicyADFShard, pthread.PolicyFIFO, pthread.PolicyLIFO} {
+			t.Run(prog.name+"/"+string(policy), func(t *testing.T) {
+				p := requireOracle(t, pthread.Config{Policy: policy}, prog.run, false)
+				t.Logf("%d threads", p.ThreadsCreated)
 			})
 		}
 	}

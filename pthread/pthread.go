@@ -231,7 +231,7 @@ func newBackend(cfg Config) (core.Backend, error) {
 		return nil, fmt.Errorf("pthread: StealWindow requires the sharded scheduler (Policy adf-shard; have policy %q)", cfg.Policy)
 	}
 	// The processor count is resolved once, here, so the policy's
-	// per-processor structures (WS and DFD deques, adf-shard heaps and
+	// per-processor structures (WS and DFD deques, adf-shard's shards and
 	// its default steal window) match the backend's processors.
 	procs := cfg.Procs
 	if procs == 0 {
