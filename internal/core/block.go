@@ -7,8 +7,8 @@ import (
 
 // Block / wake primitives, against which package exec writes the
 // blocking synchronization objects once for both backends. Blocked
-// threads keep their placeholder entries and re-enter the ready
-// structure at their serial position when woken — the full Pthreads
+// threads keep their serial position (under ADF, their DePa label) and
+// re-enter the ready structure there when woken — the full Pthreads
 // functionality the paper stresses over fork/join-only space-efficient
 // systems.
 

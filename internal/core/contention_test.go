@@ -71,17 +71,16 @@ func TestContentionWindowDecay(t *testing.T) {
 	}
 }
 
-// batchPolicy is a global-queue policy with batch removal, the shape
-// Config.SchedBatch needs to leave the direct path; New only checks the
-// shape, so its methods are never run here.
-type batchPolicy struct{ fakePolicy }
+// globalPolicy is a global-queue policy, the shape Config.SchedBatch
+// needs to leave the direct path; New only checks the shape, so its
+// methods are never run here.
+type globalPolicy struct{ fakePolicy }
 
-func (batchPolicy) Global() bool                 { return true }
-func (batchPolicy) NextBatch(int, int) []*Thread { return nil }
+func (globalPolicy) Global() bool { return true }
 
-// TestSchedModeResolution: SchedBatch > 1 batches a batch-capable
-// global policy, 0 or 1 is the direct path, and a policy that cannot
-// batch silently keeps the direct path.
+// TestSchedModeResolution: SchedBatch > 1 batches a global-queue
+// policy, 0 or 1 is the direct path, and a policy without the global
+// lock silently keeps the direct path.
 func TestSchedModeResolution(t *testing.T) {
 	for _, batch := range []int{0, 1, 16} {
 		batched := 0
@@ -91,7 +90,7 @@ func TestSchedModeResolution(t *testing.T) {
 		for _, tc := range []struct {
 			pol  Policy
 			want int
-		}{{fakePolicy{}, 0}, {batchPolicy{}, batched}} {
+		}{{fakePolicy{}, 0}, {globalPolicy{}, batched}} {
 			m, err := New(Config{Policy: tc.pol, SchedBatch: batch})
 			if err != nil {
 				t.Fatalf("SchedBatch %d: %v", batch, err)

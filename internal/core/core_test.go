@@ -179,32 +179,31 @@ func (fakePolicy) Next(pid int) *Thread {
 // TestThreadHeaderSize: the policy-visible header is embedded by value
 // in every native thread record, so each word added here is paid once
 // per lightweight thread on both backends. 96 B is a Go size class: a
-// bare token (&Thread{ID: n}) stays in it, and the simulator's record,
-// header included (240 B today), fits the 240 B class.
+// bare token (&Thread{ID: n}, 56 B today) stays in it, and the
+// simulator's record, header included (216 B today), fits the 224 B
+// class.
 func TestThreadHeaderSize(t *testing.T) {
 	if got := unsafe.Sizeof(Thread{}); got > 96 {
 		t.Errorf("unsafe.Sizeof(Thread{}) = %d, want <= 96", got)
 	}
-	if got := unsafe.Sizeof(simState{}); got > 240 {
-		t.Errorf("unsafe.Sizeof(simState{}) = %d, want <= 240", got)
+	if got := unsafe.Sizeof(simState{}); got > 224 {
+		t.Errorf("unsafe.Sizeof(simState{}) = %d, want <= 224", got)
 	}
 }
 
 // TestRecycledRecordStartsClean: a joined thread's record is recycled
 // for the next fork, and the new thread starts clean. It has a fresh ID,
-// no TLS, joiner, carrier or SchedState, a zero exitedSpan, and clear
-// flags. Only the machine pointer carries over.
+// no TLS, joiner or carrier, its own priority, a zero exitedSpan, and
+// clear flags. Only the machine pointer carries over.
 func TestRecycledRecordStartsClean(t *testing.T) {
 	fakeQueue = nil
 	m, err := New(Config{Policy: fakePolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := new(int) // stands in for a policy's placeholder
 	_, err = m.Execute(func(root Handle) {
-		a := m.Fork(root, Attr{Name: "a"}, Func(func(c Handle) {
+		a := m.Fork(root, Attr{Name: "a", Priority: 2}, Func(func(c Handle) {
 			c.TLSSet("k", 1)
-			rec(c).SchedState = entry
 			m.Charge(c, 1000)
 		}))
 		aID := a.ID()
@@ -227,8 +226,8 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 			t.Errorf("reused record kept exit state: exitedSpan %d, done %v, joined %v, started %v", b.exitedSpan, b.done, b.joined, b.started)
 		case b.refs != 2 || b.state != StateReady:
 			t.Errorf("reused record: refs %d, state %v, want 2, ready", b.refs, b.state)
-		case b.SchedState != nil || b.m != m:
-			t.Errorf("reused record: SchedState %v, machine kept %v", b.SchedState, b.m == m)
+		case b.Priority != 0 || b.m != m:
+			t.Errorf("reused record: priority %d, machine kept %v", b.Priority, b.m == m)
 		}
 		if err := m.Join(root, hb); err != nil {
 			t.Error(err)

@@ -32,9 +32,9 @@ type Config struct {
 	// Q_in/R/Q_out batching with workers volunteering to run the
 	// scheduler pass, SchedBatch being the per-processor Q_out capacity
 	// B. 0 or 1 charges every ready-queue operation under the global
-	// lock (the paper's original scheduler). Batching requires a policy
-	// implementing BatchNexter (ADF); other policies keep the direct
-	// path regardless.
+	// lock (the paper's original scheduler). Batching applies to
+	// global-queue policies only; the others keep the direct path
+	// regardless.
 	SchedBatch int
 	// Tracer, when non-nil, records scheduler events (create, dispatch,
 	// preempt, block, wake, exit) without affecting virtual time.
@@ -94,9 +94,9 @@ type Machine struct {
 	// per-processor Q_out capacity; batch <= 1 means the direct path and
 	// every other field below stays dormant.
 	batch      int
-	batchNext  BatchNexter
-	qinPending int64   // Q_in entries since the last scheduler pass
-	hungry     []*Proc // a scheduler pass's receivers, reused pass to pass
+	qinPending int64     // Q_in entries since the last scheduler pass
+	hungry     []*Proc   // a scheduler pass's receivers, reused pass to pass
+	passed     []*Thread // a scheduler pass's threads, reused pass to pass
 
 	nextID   int64
 	peakLive int
@@ -209,14 +209,13 @@ func New(cfg Config) (*Machine, error) {
 		heapLock:   newContention(cm.MallocBase, cm.HeapLockWindow),
 		kernelLock: newContention(cm.KernelLockOp, cm.KernelLockWindow),
 	}
-	// Batching needs a global-queue policy that implements BatchNexter;
-	// anything else silently keeps the direct path, as does
-	// SchedBatch <= 1 (a batch of one is the direct scheduler).
-	if bn, ok := m.policy.(BatchNexter); ok && cfg.SchedBatch > 1 && m.policy.Global() {
+	// Batching needs a global-queue policy; anything else silently keeps
+	// the direct path, as does SchedBatch <= 1 (a batch of one is the
+	// direct scheduler).
+	if cfg.SchedBatch > 1 && m.policy.Global() {
 		m.batch = cfg.SchedBatch
-		m.batchNext = bn
 	}
-	if sp, ok := m.policy.(ShardedPolicy); ok {
+	if sp, ok := m.policy.(ShardedPolicy); ok && !m.policy.Global() {
 		m.sharded = sp
 		m.shardLocks = make([]*contention, max(sp.NumShards(), 1))
 		for i := range m.shardLocks {
@@ -517,11 +516,17 @@ func (m *Machine) schedulerPass(p *Proc) {
 	if n == 0 {
 		panic("core: scheduler pass found no ready work")
 	}
-	threads := m.batchNext.NextBatch(p.id, n)
-	if len(threads) != n {
-		panic(fmt.Sprintf("core: policy %s returned %d of %d batched threads with %d ready times",
-			m.policy.Name(), len(threads), n, n))
+	// The batch is the n threads n successive Next calls dispatch, in
+	// that order (leftmost-ready first for ADF).
+	threads := m.passed[:0]
+	for range n {
+		t := m.policy.Next(p.id)
+		if t == nil {
+			panic(fmt.Sprintf("core: policy %s found %d of %d batched threads", m.policy.Name(), len(threads), n))
+		}
+		threads = append(threads, t)
 	}
+	m.passed = threads
 	p.stats.Sched += cost
 	m.tick(p, cost)
 	m.schedLockWait(p, m.schedLock)

@@ -39,8 +39,8 @@ type Policy interface {
 	// structures); -1 if unknown.
 	OnReady(t *Thread, pid int)
 
-	// OnBlock records that a running thread blocked (entry-keeping
-	// policies mark its placeholder not-ready; others do nothing).
+	// OnBlock records that a running thread blocked (a policy keeping
+	// an entry per live thread marks it not-ready; others do nothing).
 	OnBlock(t *Thread)
 
 	// OnExit removes an exiting thread from any bookkeeping.
@@ -59,12 +59,13 @@ type Policy interface {
 }
 
 // ShardedPolicy is the optional extension implemented by policies that
-// keep one ready structure per processor instead of a single global one.
-// The machine then charges per-shard lock critical sections (narrow
-// contention windows over SchedShardLockOp) instead of the global
-// SchedLockOp, and charges steal probes after each cross-shard dispatch.
-// A ShardedPolicy must return Global() == false. Its steals follow
-// StealVictim, the rule the native backend's shard store applies too.
+// can keep one ready structure per processor instead of a single global
+// one. When such a policy reports Global() == false, the machine
+// charges per-shard lock critical sections (narrow contention windows
+// over SchedShardLockOp) instead of the global SchedLockOp, and charges
+// steal probes after each cross-shard dispatch; a global one keeps the
+// global lock's charging. Its steals follow StealVictim, the rule the
+// native backend's shard store applies too.
 type ShardedPolicy interface {
 	Policy
 
@@ -77,21 +78,4 @@ type ShardedPolicy interface {
 	// shard (or no Next happened); probes is the number of victim
 	// shards examined against the steal window before dispatch.
 	TakeSteal() (victim, probes int)
-}
-
-// BatchNexter is the optional extension implemented by global-queue
-// policies whose ready structure can hand the machine a whole batch of
-// threads, in dispatch order, in one critical section — the Q_in/R/Q_out
-// scheduler-pass refill of the paper's two-level scheme. ADF (and its
-// linked-list reference oracle) implement it; FIFO and LIFO deliberately
-// do not, preserving the paper's original per-operation lock behavior.
-// Config.SchedBatch > 1 silently keeps the direct path for policies
-// without this interface.
-type BatchNexter interface {
-	// NextBatch removes and returns up to n ready threads in exactly the
-	// order n successive Next(pid) calls would have dispatched them
-	// (leftmost-ready first for ADF). It returns fewer than n only when
-	// the ready structure is exhausted. The result is valid until the
-	// next call.
-	NextBatch(pid, n int) []*Thread
 }

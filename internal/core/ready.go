@@ -3,9 +3,10 @@ package core
 import "slices"
 
 // The ready order, its store and the steal rule, written once for both
-// backends: the sim's adf and adf-shard policies and the native shard
-// store keep their ready threads in Ordered deques sorted by ReadyLess,
-// and a thief of either backend picks its victim with StealVictim.
+// backends: the sim's fifo, lifo, adf and adf-shard policies and the
+// native shard store keep their ready threads in Ordered deques sorted
+// by ReadyLess (Thread.Before), and a thief of either backend picks its
+// victim with StealVictim.
 
 // ReadyLess is the ready order: higher priority first, then the
 // leftmost DePa label (the serial depth-first order). Labels are unique
@@ -24,9 +25,10 @@ func readyCompare(pa int, la DepaLabel, pb int, lb DepaLabel) int {
 // Ordered is a sorted deque under its elements' Before order: the
 // items sit sorted in the window a[lo:] of one slice, minimum first,
 // and every slot outside it holds the zero E. ADF pushes a preempted
-// parent left of every other ready thread and pops the leftmost, and
-// the sim's ready times arrive mostly in rising order, so nearly every
-// push lands at an end: O(1) amortized with one or two compares. Any
+// parent left of every other ready thread and pops the leftmost, FIFO
+// and LIFO keys rise and fall with every push, and the sim's ready
+// times arrive mostly in rising order, so nearly every push lands at an
+// end: O(1) amortized with one or two compares. Any
 // other push binary-searches its slot and shifts the shorter side; a
 // pop compares nothing. The zero value is empty.
 type Ordered[E interface{ Before(E) bool }] struct {

@@ -79,19 +79,23 @@ type Thread struct {
 	ID int64
 	// Priority is the thread's fixed priority level.
 	Priority int
-	// SchedState is owned by the scheduling policy (e.g. the thread's
-	// placeholder entry in the ADF ordered list).
-	SchedState any
 	// Order is the thread's DePa fork-path label, assigned at fork time
 	// on the forking thread's own context (no lock, no shared
 	// structure). It evolves as the thread forks — each fork appends a
-	// continuation bit — so the sim policies snapshot it at insert time.
-	// With Priority it places a ready thread in the ready order
-	// (ReadyLess). The native FIFO and LIFO orders overwrite it with a
+	// continuation bit — and a thread forks only while it runs, when it
+	// is in no ready store, so a stored thread's label is stable. With
+	// Priority it places a ready thread in the ready order (Before).
+	// The FIFO and LIFO orders of both backends overwrite it with a
 	// sequence label each time the thread becomes ready.
 	Order DepaLabel
 
 	*simState
+}
+
+// Before is the ready order on thread records (ReadyLess on their live
+// Priority and Order), the order the ready stores of both backends keep.
+func (t *Thread) Before(o *Thread) bool {
+	return ReadyLess(t.Priority, t.Order, o.Priority, o.Order)
 }
 
 // simState is a simulator thread's record: its Thread header (hdr,

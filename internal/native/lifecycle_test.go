@@ -21,8 +21,8 @@ func newTestBackend(t *testing.T, procs int) *Backend {
 }
 
 // TestThreadRecordSize: a native thread is one heap object, the policy
-// token inside it. The bound is the 256 B Go size class, one above the
-// class the record occupies today (232 B, class 240): room for a field
+// token inside it. The bound is the 256 B Go size class, two above the
+// class the record occupies today (216 B, class 224): room for a field
 // or two, not for a second object's worth.
 func TestThreadRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(thread{}); got > 256 {

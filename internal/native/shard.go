@@ -11,7 +11,7 @@ import (
 
 // shardStore is the native backend's one ready store: one small
 // lock-protected core.Ordered deque per shard, in the ready order the sim
-// policies use too (core.ReadyLess: priority desc, DePa label asc). The
+// store uses too (core.Thread.Before: priority desc, DePa label asc). The
 // ADF family keys a thread by its fork-path label and runs one shard per
 // worker. FIFO and LIFO run on one shard, the paper's global queue or
 // stack, keyed by a sequence order instead (key). A thread giving its
@@ -243,6 +243,4 @@ func (b *Backend) signalIfIdle(pid int) {
 // when it forks or is keyed on becoming ready: it is stable while the
 // thread waits in a shard or as a candidate, and a running yielder
 // compares only its own.
-func (a *thread) Before(b *thread) bool {
-	return core.ReadyLess(a.tok.Priority, a.tok.Order, b.tok.Priority, b.tok.Order)
-}
+func (a *thread) Before(b *thread) bool { return a.tok.Before(&b.tok) }

@@ -14,7 +14,7 @@ import (
 // whenever it does not hold a processor. It is the only
 // per-thread record: the token the ready store orders by (tok) lives
 // inside it. The small fields sit in two groups so padding keeps
-// the record at 232 B, inside the 240 B size class.
+// the record at 216 B, inside the 224 B size class.
 type thread struct {
 	b *Backend
 	// tok holds the thread's ID and its ready-store key (Priority,

@@ -1,10 +1,11 @@
 package sched
 
-// Differential tests for the batched refill path (core.BatchNexter): the
-// treap-indexed policy's NextBatch must return exactly the sequence the
-// linked-list reference oracle produces by n successive Next calls —
-// same thread set, same leftmost-first order, no violations — under
-// random and fuzzed fork/dispatch/block/wake/exit interleavings.
+// Differential tests for the batched refill path: the machine's
+// scheduler pass takes a batch as n successive Next calls with nothing
+// in between, so the production store and the treap must return
+// exactly the sequence the linked-list reference oracle produces — same
+// thread set, same leftmost-first order, no violations — under random
+// and fuzzed fork/dispatch/block/wake/exit interleavings.
 
 import (
 	"math/rand"
@@ -13,27 +14,32 @@ import (
 	"spthreads/internal/core"
 )
 
-// dispatchBatch pulls up to n threads in one batch from each indexed
-// side and one at a time from the reference side, and requires the
-// identical sequence everywhere.
-func (d *diffADF) dispatchBatch(n int) {
-	var ref []*core.Thread
-	for len(ref) < n {
-		t := d.sides[refSide].Next(0)
+// nextBatch takes up to n threads from p by successive Next calls, as
+// the machine's scheduler pass does.
+func nextBatch(p core.Policy, n int) (out []*core.Thread) {
+	for len(out) < n {
+		t := p.Next(0)
 		if t == nil {
 			break
 		}
-		ref = append(ref, t)
+		out = append(out, t)
 	}
+	return out
+}
+
+// dispatchBatch pulls up to n threads in one batch from every side and
+// requires the identical sequence everywhere.
+func (d *diffADF) dispatchBatch(n int) {
+	ref := nextBatch(d.sides[refSide], n)
 	for i := 0; i < refSide; i++ {
-		got := d.sides[i].NextBatch(0, n)
+		got := nextBatch(d.sides[i], n)
 		if len(got) != len(ref) {
-			d.t.Fatalf("%s NextBatch(%d) returned %d threads, reference Next loop %d",
+			d.t.Fatalf("%s batch of %d returned %d threads, reference %d",
 				d.names[i], n, len(got), len(ref))
 		}
 		for k := range got {
 			if got[k].ID != ref[k].ID {
-				d.t.Fatalf("%s NextBatch(%d)[%d] = thread %d, reference dispatched %d (leftmost-order violation)",
+				d.t.Fatalf("%s batch of %d, thread %d = %d, reference dispatched %d (leftmost-order violation)",
 					d.names[i], n, k, got[k].ID, ref[k].ID)
 			}
 		}
@@ -46,7 +52,7 @@ func (d *diffADF) dispatchBatch(n int) {
 }
 
 // TestADFBatchMatchesSequential: on a static ready population, one
-// NextBatch(n) equals n sequential reference dispatches for every n,
+// batch of n equals n sequential reference dispatches for every n,
 // including n past exhaustion.
 func TestADFBatchMatchesSequential(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16, 64} {

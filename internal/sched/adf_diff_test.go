@@ -11,10 +11,11 @@ package sched
 // surfaces here long before it would corrupt a benchmark figure.
 //
 // On top of the per-step observables, every check also walks the
-// reference list and asserts the DePa labels are strictly increasing
-// along it and the treap's in-order traversal reproduces it — so the
-// three stores agree not just on dispatch answers but on the entire
-// maintained serial order.
+// reference list and asserts the threads' live DePa labels are strictly
+// increasing along it — running and blocked threads included, whose
+// labels keep their serial position with no entry — and the treap's
+// in-order traversal reproduces it, so the three stores agree not just
+// on dispatch answers but on the entire maintained serial order.
 
 import (
 	"math/rand"
@@ -23,15 +24,21 @@ import (
 	"spthreads/internal/core"
 )
 
-// diffADF drives one policy per store under test. All sides share the
-// adfPolicy shell, so the differential signal comes entirely from the
-// adfLevel stores; threads are mirrored per side because each store
-// owns Thread.SchedState (and the DePa side additionally owns
-// Thread.Order).
+// adfSide is a store under differential test.
+type adfSide interface {
+	core.Policy
+	Live() int
+	ReadyCount() int
+}
+
+// diffADF drives one policy per store under test: the production store
+// first, then the treap and the list behind the reference shell.
+// Threads are mirrored per side because the production store owns
+// Thread.Order.
 type diffADF struct {
 	t     *testing.T
 	names []string
-	sides []*adfPolicy
+	sides []adfSide
 	mirr  []map[int64]*core.Thread // per-side mirrored threads
 
 	nextID   int64
@@ -43,14 +50,14 @@ type diffADF struct {
 
 func newDiffADF(t *testing.T, maxProcs int) *diffADF {
 	d := &diffADF{t: t, maxProcs: maxProcs}
-	add := func(name string, p *adfPolicy) {
+	add := func(name string, p adfSide) {
 		d.names = append(d.names, name)
 		d.sides = append(d.sides, p)
 		d.mirr = append(d.mirr, make(map[int64]*core.Thread))
 	}
 	add("depa", newADF())
 	add("treap", newADFTreap())
-	add("ref", NewADFReference().(*adfPolicy))
+	add("ref", NewADFReference().(*refADF))
 	return d
 }
 
@@ -168,7 +175,7 @@ func (d *diffADF) removeID(s *[]int64, id int64) {
 // chainOrder returns the reference list's left-to-right thread IDs and
 // ready flags for one priority level.
 func (d *diffADF) chainOrder(pri int) (ids []int64, ready []bool) {
-	l, _ := d.sides[refSide].levels[pri].(*adfChain)
+	l, _ := d.sides[refSide].(*refADF).levels[pri].(*adfChain)
 	if l == nil {
 		return nil, nil // level never used
 	}
@@ -181,7 +188,7 @@ func (d *diffADF) chainOrder(pri int) (ids []int64, ready []bool) {
 
 // treapOrder returns the treap's in-order thread IDs for one level.
 func (d *diffADF) treapOrder(pri int, side int) []int64 {
-	tr, _ := d.sides[side].levels[pri].(*adfTreap)
+	tr, _ := d.sides[side].(*refADF).levels[pri].(*adfTreap)
 	var ids []int64
 	if tr == nil {
 		return nil // level never used
@@ -200,10 +207,21 @@ func (d *diffADF) treapOrder(pri int, side int) []int64 {
 }
 
 // levelCounts returns a priority level's ready and entry counts, zero
-// for a level the policy never built.
-func levelCounts(p *adfPolicy, pri int) (ready, n int) {
-	if l := p.levels[pri]; l != nil {
-		return l.readyCount(), l.count()
+// for a level the reference never built. The production store keeps no
+// entries, so its count is the model's (want).
+func levelCounts(p adfSide, pri, want int) (ready, n int) {
+	switch p := p.(type) {
+	case *refADF:
+		if l := p.levels[pri]; l != nil {
+			return l.readyCount(), l.count()
+		}
+	case *orderedPolicy:
+		for _, t := range p.readyItems() {
+			if t.Priority == pri {
+				ready++
+			}
+		}
+		return ready, want
 	}
 	return 0, 0
 }
@@ -232,9 +250,9 @@ func (d *diffADF) check(op string) {
 		wantLevel[th.Priority]++
 	}
 	for pri := 0; pri < core.NumPriorities; pri++ {
-		readyN, _ := levelCounts(d.sides[0], pri)
+		readyN, _ := levelCounts(d.sides[0], pri, wantLevel[pri])
 		for i, p := range d.sides {
-			rc, n := levelCounts(p, pri)
+			rc, n := levelCounts(p, pri, wantLevel[pri])
 			if rc != readyN {
 				d.t.Fatalf("%s: level %d readyCount %s=%d %s=%d",
 					op, pri, d.names[0], readyN, d.names[i], rc)
@@ -249,7 +267,7 @@ func (d *diffADF) check(op string) {
 	sums := make([]int, len(d.sides))
 	for pri := 0; pri < core.NumPriorities; pri++ {
 		for i, p := range d.sides {
-			rc, _ := levelCounts(p, pri)
+			rc, _ := levelCounts(p, pri, 0)
 			sums[i] += rc
 		}
 	}
@@ -262,7 +280,7 @@ func (d *diffADF) check(op string) {
 }
 
 // checkOrder asserts the three stores maintain the identical serial
-// order in one level: the DePa labels strictly increase along the
+// order in one level: the live DePa labels strictly increase along the
 // reference list (left-of agreement on every adjacent pair, hence — by
 // totality — on every pair), and the treap's in-order traversal equals
 // the list.
@@ -278,16 +296,12 @@ func (d *diffADF) checkOrder(op string, pri int) {
 			d.t.Fatalf("%s: level %d position %d: treap=%d list=%d", op, pri, k, tids[k], ids[k])
 		}
 	}
-	var prev *readyEntry
-	for k, id := range ids {
-		e := d.mirr[0][id].SchedState.(*readyEntry)
-		if prev != nil {
-			if c := prev.label.Compare(e.label); c >= 0 {
-				d.t.Fatalf("%s: level %d: depa label order broken at position %d (ids %d,%d): Compare=%d",
-					op, pri, k, ids[k-1], id, c)
-			}
+	for k := 1; k < len(ids); k++ {
+		a, b := d.mirr[0][ids[k-1]].Order, d.mirr[0][ids[k]].Order
+		if c := a.Compare(b); c >= 0 {
+			d.t.Fatalf("%s: level %d: depa label order broken at position %d (ids %d,%d): Compare=%d",
+				op, pri, k, ids[k-1], ids[k], c)
 		}
-		prev = e
 	}
 }
 

@@ -8,7 +8,6 @@ package sched
 
 import (
 	"testing"
-	"unsafe"
 
 	"spthreads/internal/core"
 )
@@ -25,11 +24,11 @@ func thread(id int64, pri int) *core.Thread {
 func TestADFCrossPriorityFork(t *testing.T) {
 	for _, mk := range []struct {
 		name string
-		pol  func() *adfPolicy
+		pol  func() adfSide
 	}{
-		{"depa", func() *adfPolicy { return newADF() }},
-		{"treap", func() *adfPolicy { return newADFTreap() }},
-		{"reference", func() *adfPolicy { return NewADFReference().(*adfPolicy) }},
+		{"depa", func() adfSide { return newADF() }},
+		{"treap", func() adfSide { return newADFTreap() }},
+		{"reference", func() adfSide { return NewADFReference().(*refADF) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			p := mk.pol()
@@ -112,11 +111,11 @@ func TestADFDummyBoundary(t *testing.T) {
 func TestADFWakeResumesAtSerialPosition(t *testing.T) {
 	for _, mk := range []struct {
 		name string
-		pol  func() *adfPolicy
+		pol  func() adfSide
 	}{
-		{"depa", func() *adfPolicy { return newADF() }},
-		{"treap", func() *adfPolicy { return newADFTreap() }},
-		{"reference", func() *adfPolicy { return NewADFReference().(*adfPolicy) }},
+		{"depa", func() adfSide { return newADF() }},
+		{"treap", func() adfSide { return newADFTreap() }},
+		{"reference", func() adfSide { return NewADFReference().(*refADF) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			p := mk.pol()
@@ -153,67 +152,4 @@ func TestADFWakeResumesAtSerialPosition(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestPlaceholderEntrySize: every live thread holds one placeholder, so
-// each word added here is paid once per lightweight thread under adf
-// and adf-shard. 48 B is a Go size class.
-func TestPlaceholderEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(readyEntry{}); got > 48 {
-		t.Errorf("unsafe.Sizeof(readyEntry{}) = %d, want <= 48", got)
-	}
-}
-
-// TestADFReusesRecycledPlaceholder: an exited thread's placeholder
-// entry goes to the store's free list, and the next fork takes it
-// instead of allocating one. The next thread gets the same entry, not
-// ready while it runs, holding its own thread, priority and label. Both
-// DePa stores share the placeholders, so adf and adf-shard are checked;
-// adf keeps one store per priority level, so both forks use level 1.
-func TestADFReusesRecycledPlaceholder(t *testing.T) {
-	for _, pol := range []core.Policy{newADF(), newShard(2, 4)} {
-		spy := &createSpy{Policy: pol, recs: map[int64]*core.Thread{}}
-		m, err := core.New(core.Config{Procs: 2, Policy: spy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var first *readyEntry
-		_, err = m.Execute(func(root core.Handle) {
-			a := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(c core.Handle) {
-				first = spy.recs[c.ID()].SchedState.(*readyEntry)
-			}))
-			if err := m.Join(root, a); err != nil {
-				t.Error(err)
-				return
-			}
-			b := m.Fork(root, core.Attr{Priority: 1}, core.Func(func(h core.Handle) {
-				c := spy.recs[h.ID()]
-				e := c.SchedState.(*readyEntry)
-				if e != first || e.ready || e.t != c || e.pri != 1 || e.label.Compare(c.Order) != 0 {
-					t.Errorf("%s: placeholder reused %v, ready %v, own thread %v, pri %d, label match %v",
-						pol.Name(), e == first, e.ready, e.t == c, e.pri, e.label.Compare(c.Order) == 0)
-				}
-			}))
-			if err := m.Join(root, b); err != nil {
-				t.Error(err)
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
-		}
-	}
-}
-
-// createSpy records the machine's record of every thread it creates, by
-// ID, so a test can reach a running thread's policy state from its
-// handle. It hides the inner policy's optional interfaces, so the
-// machine drives it as a plain policy.
-type createSpy struct {
-	core.Policy
-	recs map[int64]*core.Thread
-}
-
-func (s *createSpy) OnCreate(parent, child *core.Thread) bool {
-	s.recs[child.ID] = child
-	return s.Policy.OnCreate(parent, child)
 }

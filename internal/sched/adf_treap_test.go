@@ -3,7 +3,7 @@ package sched
 import "spthreads/internal/core"
 
 // adfTreap is the production ADF store before the DePa labels, kept
-// as a differential-test oracle behind the adfLevel seam: a treap whose
+// as a differential-test oracle behind the refLevel seam: a treap whose
 // in-order traversal is the serial depth-first order of the placeholder
 // entries, with each node carrying the count of ready
 // entries in its subtree. There are no search keys — positions are
@@ -26,15 +26,18 @@ import "spthreads/internal/core"
 // subtrees with no ready entry; the differential suite pins that the
 // dispatch sequence is identical to the scanning list's.
 type adfTreap struct {
-	root *treapEntry
-	rng  *treapRand
+	root    *treapEntry
+	rng     *treapRand
+	entries map[*core.Thread]*treapEntry
 }
 
 // newADFTreap builds the ADF policy over the treap. It dispatches the
 // exact same thread sequence as the DePa store.
-func newADFTreap() *adfPolicy {
+func newADFTreap() *refADF {
 	rng := newTreapRand()
-	return &adfPolicy{name: "adf-treap", newLevel: func() adfLevel { return &adfTreap{rng: rng} }}
+	return &refADF{name: "adf-treap", newLevel: func() refLevel {
+		return &adfTreap{rng: rng, entries: map[*core.Thread]*treapEntry{}}
+	}}
 }
 
 // treapEntry is a thread's placeholder node. nReady counts ready
@@ -63,7 +66,7 @@ func (r *treapRand) next() uint64 {
 
 func (tr *adfTreap) newEntry(t *core.Thread) *treapEntry {
 	e := &treapEntry{t: t, hprio: tr.rng.next()}
-	t.SchedState = e
+	tr.entries[t] = e
 	return e
 }
 
@@ -83,7 +86,7 @@ func (tr *adfTreap) insertHead(t *core.Thread) {
 }
 
 func (tr *adfTreap) insertBefore(child, parent *core.Thread) {
-	at := parent.SchedState.(*treapEntry)
+	at := tr.entries[parent]
 	e := tr.newEntry(child)
 	// The position immediately left of at is at.left's rightmost slot.
 	if at.left == nil {
@@ -101,7 +104,8 @@ func (tr *adfTreap) insertBefore(child, parent *core.Thread) {
 }
 
 func (tr *adfTreap) remove(t *core.Thread) {
-	e := t.SchedState.(*treapEntry)
+	e := tr.entries[t]
+	delete(tr.entries, t)
 	if e.ready {
 		// Callers clear the flag first; keep the counts right regardless.
 		tr.flipReady(e, false)
@@ -128,7 +132,7 @@ func (tr *adfTreap) remove(t *core.Thread) {
 }
 
 func (tr *adfTreap) setReady(t *core.Thread) bool {
-	e := t.SchedState.(*treapEntry)
+	e := tr.entries[t]
 	if e.ready {
 		return false
 	}

@@ -3,8 +3,8 @@ package sched
 // DePa-specific differential coverage on top of the three-way store
 // harness in adf_diff_test.go:
 //
-//   - a full pairwise left-of oracle: for every pair of live
-//     placeholders, the sign of the DePa label comparison must match
+//   - a full pairwise left-of oracle: for every pair of live threads,
+//     the sign of their live DePa label comparison must match
 //     the pair's relative position in the reference list and in the
 //     treap's in-order traversal — the per-step checks only assert
 //     adjacent pairs, this asserts all O(n^2) of them;
@@ -22,7 +22,7 @@ import (
 	"spthreads/internal/trace"
 )
 
-// checkPairwise asserts, for every pair of placeholders in every level,
+// checkPairwise asserts, for every pair of live threads in every level,
 // that DePa left-of agrees with the reference list position and with
 // the treap order. Quadratic — callers apply it to modest populations.
 func (d *diffADF) checkPairwise(op string) {
@@ -34,7 +34,7 @@ func (d *diffADF) checkPairwise(op string) {
 		}
 		labels := make([]core.DepaLabel, len(ids))
 		for k, id := range ids {
-			labels[k] = d.mirr[0][id].SchedState.(*readyEntry).label
+			labels[k] = d.mirr[0][id].Order
 		}
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {

@@ -1,7 +1,11 @@
 // Package sched implements the ready-thread scheduling policies studied
 // in the paper: the original Solaris FIFO queue, the LIFO modification,
-// the space-efficient ADF scheduler (the paper's contribution), and a
-// Cilk-style work-stealing baseline used for the space-bound ablation.
+// the space-efficient ADF scheduler (the paper's contribution) and its
+// sharded variant, a Cilk-style work-stealing baseline used for the
+// space-bound ablation, and simplified DFDeques. The first four differ
+// only in the order of one ready store, so they share one
+// (orderedPolicy, over core.Ordered); ws and dfd keep per-processor
+// deques of their own.
 //
 // Policies satisfy core.Policy and are invoked with the machine
 // serialized; they keep no locks. Scheduler-lock *costs* for the
@@ -46,7 +50,7 @@ type Options struct {
 	// serial depth-first order. <= 0 selects the default, Procs.
 	StealWindow int
 	// Metrics, when non-nil, attaches policy-internal instruments
-	// (ADF's placeholder-list length, the stealing policies' steal
+	// (the adf family's live-thread count, the stealing policies' steal
 	// counts) to the registry.
 	Metrics *metrics.Registry
 }
@@ -57,18 +61,8 @@ func New(kind Kind, opt Options) (core.Policy, error) {
 		opt.Procs = 1
 	}
 	switch kind {
-	case FIFO:
-		return newFIFO(), nil
-	case LIFO:
-		return newLIFO(), nil
-	case ADF:
-		p := newADF()
-		if opt.Metrics != nil {
-			p.attachMetrics(opt.Metrics)
-		}
-		return p, nil
-	case ADFShard:
-		p := newShard(opt.Procs, opt.StealWindow)
+	case FIFO, LIFO, ADF, ADFShard:
+		p := newOrdered(kind, opt.Procs, opt.StealWindow)
 		if opt.Metrics != nil {
 			p.attachMetrics(opt.Metrics)
 		}

@@ -17,15 +17,16 @@ import (
 	"testing"
 
 	"spthreads/internal/core"
+	"spthreads/internal/metrics"
 )
 
 // diffShard drives the sharded policy, optionally next to the adf
 // oracle. Threads are mirrored per side because each policy owns
-// Thread.SchedState and Thread.Order.
+// Thread.Order.
 type diffShard struct {
 	t     *testing.T
-	sh    *shardPolicy
-	adf   *adfPolicy // nil when not comparing dispatch choices
+	sh    *orderedPolicy
+	adf   *orderedPolicy // nil when not comparing dispatch choices
 	smirr map[int64]*core.Thread
 	amirr map[int64]*core.Thread
 
@@ -115,25 +116,19 @@ func (d *diffShard) dispatch(pid int) {
 	d.check("dispatch")
 }
 
-// readySnapshot captures every ready entry's dispatch key.
-func (d *diffShard) readySnapshot() []*readyEntry {
-	var snap []*readyEntry
-	for j := range d.sh.shards {
-		snap = append(snap, d.sh.shards[j].Items()...)
-	}
-	return snap
-}
+// readySnapshot captures every ready thread (their labels are stable
+// while they wait).
+func (d *diffShard) readySnapshot() []*core.Thread { return d.sh.readyItems() }
 
-// checkStealBound asserts the stolen thread's true rank — ready entries
+// checkStealBound asserts the stolen thread's true rank — ready threads
 // strictly left of it in the (priority, label) order — is within the
 // window. The policy's shard-granular prefix bound over-estimates this
 // rank, so window acceptance must imply it.
-func (d *diffShard) checkStealBound(got *core.Thread, snap []*readyEntry, victim, probes int) {
+func (d *diffShard) checkStealBound(got *core.Thread, snap []*core.Thread, victim, probes int) {
 	d.t.Helper()
-	e := got.SchedState.(*readyEntry)
 	rank := 0
 	for _, o := range snap {
-		if o != e && o.Before(e) {
+		if o != got && o.Before(got) {
 			rank++
 		}
 	}
@@ -197,8 +192,9 @@ func (d *diffShard) removeID(s *[]int64, id int64) {
 	d.t.Fatalf("id %d not in state slice", id)
 }
 
-// check asserts the maintained counters against ground truth and the
-// per-shard deques against the entries' ready flags.
+// check asserts the live count against ground truth and the per-shard
+// deques against the model: they hold exactly the ready threads, each
+// once, in the ready order.
 func (d *diffShard) check(op string) {
 	d.t.Helper()
 	if got, want := d.sh.Live(), len(d.smirr); got != want {
@@ -207,18 +203,21 @@ func (d *diffShard) check(op string) {
 	if got, want := d.sh.ReadyCount(), len(d.ready); got != want {
 		d.t.Fatalf("%s: ReadyCount=%d, model has %d ready", op, got, want)
 	}
-	sum := 0
+	ready := make(map[int64]bool, len(d.ready))
+	for _, id := range d.ready {
+		ready[id] = true
+	}
 	for j := range d.sh.shards {
 		h := d.sh.shards[j].Items()
-		for i, e := range h {
-			if !e.ready {
-				d.t.Fatalf("%s: shard %d slot %d holds thread %d not flagged ready", op, j, i, e.t.ID)
+		for i, th := range h {
+			if !ready[th.ID] || d.smirr[th.ID] != th {
+				d.t.Fatalf("%s: shard %d slot %d holds thread %d, not ready or held twice", op, j, i, th.ID)
+			}
+			delete(ready, th.ID)
+			if i > 0 && !h[i-1].Before(th) {
+				d.t.Fatalf("%s: shard %d slots %d,%d out of the ready order", op, j, i-1, i)
 			}
 		}
-		sum += len(h)
-	}
-	if sum != d.sh.ReadyCount() {
-		d.t.Fatalf("%s: shard sizes sum to %d, counter says %d", op, sum, d.sh.ReadyCount())
 	}
 	if d.adf != nil {
 		if a, s := d.adf.ReadyCount(), d.sh.ReadyCount(); a != s {
@@ -329,6 +328,8 @@ func TestShardStealBounded(t *testing.T) {
 // is 0 — within any window.
 func TestShardStealCounters(t *testing.T) {
 	p := newShard(2, 1)
+	reg := metrics.NewRegistry()
+	p.attachMetrics(reg)
 	root := &core.Thread{ID: 1}
 	p.OnCreate(nil, root)
 	got := p.Next(1) // steal: shard 1 empty, root sits in shard 0
@@ -338,8 +339,8 @@ func TestShardStealCounters(t *testing.T) {
 	if v, _ := p.TakeSteal(); v != 0 {
 		t.Fatalf("TakeSteal victim = %d, want 0", v)
 	}
-	if p.Steals() != 1 {
-		t.Fatalf("Steals = %d, want 1", p.Steals())
+	if c := reg.Snapshot().Counters; c["sched.steal.count"] != 1 || c["sched.steal.window_reject"] != 0 {
+		t.Fatalf("steals %d, window rejects %d, want 1, 0", c["sched.steal.count"], c["sched.steal.window_reject"])
 	}
 	p.OnExit(root)
 	if p.Live() != 0 || p.ReadyCount() != 0 {

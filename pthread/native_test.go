@@ -27,7 +27,7 @@ func nativeCfg(procs int) pthread.Config {
 
 // TestNativeDefaultProcsEveryPolicy: with Procs unset the native
 // backend runs GOMAXPROCS workers, and every native policy must be built
-// for that many processors (adf-shard keeps one heap per processor).
+// for that many processors (adf-shard keeps one deque per processor).
 // WS and DFD, whose per-processor deques the native store does not
 // model, are rejected as sim-only.
 func TestNativeDefaultProcsEveryPolicy(t *testing.T) {

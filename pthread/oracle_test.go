@@ -11,10 +11,14 @@ import (
 	"fmt"
 	"testing"
 
+	"spthreads/internal/barneshut"
 	"spthreads/internal/dtree"
+	"spthreads/internal/fft"
+	"spthreads/internal/fmm"
 	"spthreads/internal/matmul"
 	"spthreads/internal/spmv"
 	"spthreads/internal/trace"
+	"spthreads/internal/volrend"
 	"spthreads/pthread"
 )
 
@@ -269,10 +273,14 @@ func TestP1OracleQuota(t *testing.T) {
 	}
 }
 
-// TestP1OracleKernels extends the oracle to three of the paper's
-// kernels at test sizes: matmul's fork-per-call recursion, dtree's
-// irregular build with its parallel quicksorts, and spmv's rounds of
-// FineThreads short threads. Each must record the same stripped event
+// TestP1OracleKernels extends the oracle to the paper's seven kernels
+// at test sizes: matmul's fork-per-call recursion, dtree's irregular
+// build with its parallel quicksorts, spmv's rounds of FineThreads
+// short threads, barneshut's tree build and force phases, fft's
+// recursive transform (it forks only above 2^11 points), fmm's
+// per-level expansion phases and volrend's tile groups (barneshut, fmm
+// and volrend at finer grains than their defaults, so the test sizes
+// still fork dozens of threads). Each must record the same stripped event
 // sequence on both backends at one processor, under every policy the
 // native backend runs, and the same thread counts, peak live threads
 // and StackHWM. TotalHWM is not compared: the sim rounds each heap block
@@ -285,6 +293,10 @@ func TestP1OracleKernels(t *testing.T) {
 		{"matmul", matmul.Fine(matmul.Config{N: 32, Leaf: 8})},
 		{"dtree", dtree.Fine(dtree.Config{Gen: dtree.GenConfig{Instances: 400}, MinLeaf: 50})},
 		{"spmv", spmv.Fine(spmv.Config{Gen: spmv.GenConfig{Nodes: 200, TargetNNZ: 1000}, Iterations: 2, FineThreads: 8})},
+		{"barneshut", barneshut.Fine(barneshut.Config{N: 128, InsertChunk: 16})},
+		{"fft", fft.Program(fft.Config{LogN: 13, Threads: 8})},
+		{"fmm", fmm.Fine(fmm.Config{N: 200, Levels: 3, CellBatch: 1})},
+		{"volrend", volrend.Fine(volrend.Config{Gen: volrend.GenConfig{W: 16}, ImageSize: 32, TilesPerThread: 2})},
 	} {
 		for _, policy := range []pthread.Policy{pthread.PolicyADF, pthread.PolicyADFShard, pthread.PolicyFIFO, pthread.PolicyLIFO} {
 			t.Run(prog.name+"/"+string(policy), func(t *testing.T) {

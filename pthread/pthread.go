@@ -37,7 +37,7 @@
 // default BackendSim runs on the deterministic virtual-time machine,
 // while BackendNative runs the same program on coroutines multiplexed
 // over worker goroutines, scheduled in the same FIFO, LIFO or ADF order
-// from real per-worker locked heaps and timed by the wall clock (results
+// from real per-worker locked deques and timed by the wall clock (results
 // are then machine- and load-dependent, not deterministic).
 //
 // On both backends a thread is an iter.Pull coroutine, and a thread
@@ -160,8 +160,8 @@ type Config struct {
 	// scheduler batching, with workers volunteering to run the scheduler
 	// pass, and is the per-processor Q_out capacity B. 0 or 1 (the
 	// default) takes the global scheduler lock on every ready-queue
-	// operation, the paper's original scheduler. Batching requires a
-	// policy with ordered batch removal (PolicyADF) and the sim backend.
+	// operation, the paper's original scheduler. Batching requires
+	// PolicyADF on the sim backend.
 	SchedBatch int
 	// StealWindow is the sharded scheduler's deviation bound K: a worker
 	// out of local work may steal a thread only if at most K ready
@@ -222,12 +222,14 @@ func newBackend(cfg Config) (core.Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	batched := cfg.SchedBatch > 1
-	if cfg.Policy == PolicyADFShard {
-		if batched {
-			return nil, fmt.Errorf("pthread: Policy adf-shard and SchedBatch %d are mutually exclusive: sharding removes the global scheduler lock batching amortizes", cfg.SchedBatch)
-		}
-	} else if cfg.StealWindow != 0 {
+	// Batching takes ordered runs of leftmost-ready threads from the
+	// global ready store, which only the sim's adf has: adf-shard splits
+	// the lock instead, and native splits it for every policy.
+	if cfg.SchedBatch > 1 && (cfg.Policy != PolicyADF || cfg.Backend == BackendNative) {
+		return nil, fmt.Errorf("pthread: SchedBatch %d requires a batch-capable policy, adf on the sim (have %q): batching is sim-only, and mutually exclusive with adf-shard, whose shards split the scheduler lock it amortizes",
+			cfg.SchedBatch, cfg.Policy)
+	}
+	if cfg.Policy != PolicyADFShard && cfg.StealWindow != 0 {
 		return nil, fmt.Errorf("pthread: StealWindow requires the sharded scheduler (Policy adf-shard; have policy %q)", cfg.Policy)
 	}
 	// The processor count is resolved once, here, so the policy's
@@ -250,11 +252,6 @@ func newBackend(cfg Config) (core.Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Batching needs ordered batch removal from the ready structure.
-		if _, ok := pol.(core.BatchNexter); batched && !ok {
-			return nil, fmt.Errorf("pthread: SchedBatch %d requires a batch-capable policy (have %q; only adf supports batch removal)",
-				cfg.SchedBatch, cfg.Policy)
-		}
 		return core.New(core.Config{
 			Procs:        procs,
 			Policy:       pol,
@@ -266,9 +263,6 @@ func newBackend(cfg Config) (core.Backend, error) {
 			Metrics:      cfg.Metrics,
 		})
 	case BackendNative:
-		if batched {
-			return nil, fmt.Errorf("pthread: SchedBatch %d is sim-only: the native backend splits its scheduler lock with Policy adf-shard", cfg.SchedBatch)
-		}
 		if cfg.MaxSteps != 0 {
 			return nil, fmt.Errorf("pthread: MaxSteps %d is sim-only: a native run has no dispatch-step bound", cfg.MaxSteps)
 		}

@@ -54,8 +54,8 @@ func dispatchSeq(events []pthread.TraceEvent) []int64 {
 }
 
 // TestShardP1DispatchMatchesADF: at p=1 the sharded scheduler is one
-// DePa heap, so the full dispatch sequence must be bit-identical to the
-// global ADF policy on both backends.
+// DePa-ordered deque, so the full dispatch sequence must be
+// bit-identical to the global ADF policy on both backends.
 func TestShardP1DispatchMatchesADF(t *testing.T) {
 	for _, backend := range []pthread.Backend{pthread.BackendSim, pthread.BackendNative} {
 		adf := dispatchSeq(runShardTrace(t, pthread.Config{
